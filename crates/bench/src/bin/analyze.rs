@@ -25,6 +25,7 @@ use cbtree_obs::Json;
 use cbtree_sim::costs::SimCosts;
 use cbtree_sim::{run_seeds, SimAlgorithm, SimConfig, SimRecovery};
 use cbtree_sync::SamplePeriod;
+use cbtree_workload::cli::Flags;
 use cbtree_workload::{KeyDist, OpsConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -70,61 +71,48 @@ impl Default for Args {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: analyze [--items N] [--node-size N] [--mix qs,qi,qd] [--disk-cost D]\n\
-         \u{20}       [--memory-levels M] [--buffer-nodes B] [--rate lambda]\n\
-         \u{20}       [--recovery none|naive|leaf-only] [--t-trans T] [--verify]\n\
-         \u{20}       [--live] [--live-threads N] [--sample-every N]\n\
-         \u{20}       [--serve RESULTS.jsonl] [--json PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: analyze [--items N] [--node-size N] [--mix qs,qi,qd] [--disk-cost D]
+               [--memory-levels M] [--buffer-nodes B] [--rate lambda]
+               [--recovery none|naive|leaf-only] [--t-trans T] [--verify]
+               [--live] [--live-threads N] [--sample-every N]
+               [--serve RESULTS.jsonl] [--json PATH]
+";
 
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--items" => a.items = val().parse().unwrap_or_else(|_| usage()),
-            "--node-size" => a.node_size = val().parse().unwrap_or_else(|_| usage()),
-            "--mix" => {
-                let v = val();
-                let parts: Vec<f64> = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                if parts.len() != 3 {
-                    usage();
-                }
-                a.mix = (parts[0], parts[1], parts[2]);
-            }
-            "--disk-cost" => a.disk_cost = val().parse().unwrap_or_else(|_| usage()),
-            "--memory-levels" => a.memory_levels = val().parse().unwrap_or_else(|_| usage()),
-            "--buffer-nodes" => a.buffer_nodes = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--rate" => a.rate = Some(val().parse().unwrap_or_else(|_| usage())),
+            "--items" => a.items = flags.value()?,
+            "--node-size" => a.node_size = flags.value()?,
+            "--mix" => a.mix = flags.mix()?,
+            "--disk-cost" => a.disk_cost = flags.value()?,
+            "--memory-levels" => a.memory_levels = flags.value()?,
+            "--buffer-nodes" => a.buffer_nodes = Some(flags.value()?),
+            "--rate" => a.rate = Some(flags.value()?),
             "--recovery" => {
-                a.recovery = match val().as_str() {
+                a.recovery = match flags.value::<String>()?.as_str() {
                     "none" => RecoveryMode::None,
                     "naive" => RecoveryMode::Naive,
                     "leaf-only" => RecoveryMode::LeafOnly,
-                    _ => usage(),
+                    other => return Err(format!("--recovery: unknown mode {other:?}")),
                 }
             }
-            "--t-trans" => a.t_trans = val().parse().unwrap_or_else(|_| usage()),
+            "--t-trans" => a.t_trans = flags.value()?,
             "--verify" => a.verify = true,
             "--live" => a.live = true,
-            "--live-threads" => a.live_threads = val().parse().unwrap_or_else(|_| usage()),
-            "--sample-every" => a.sample_every = val().parse().unwrap_or_else(|_| usage()),
-            "--serve" => a.serve = Some(PathBuf::from(val())),
-            "--json" => a.json = Some(PathBuf::from(val())),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--live-threads" => a.live_threads = flags.value()?,
+            "--sample-every" => a.sample_every = flags.value()?,
+            "--serve" => a.serve = Some(flags.value()?),
+            "--json" => a.json = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
     }
-    a
+    Ok(a)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
     let Ok(mix) = OpMix::new(args.mix.0, args.mix.1, args.mix.2) else {
         eprintln!("error: mix must be three probabilities summing to 1");
         return ExitCode::FAILURE;

@@ -10,54 +10,42 @@
 //! `--out`, also written as CSV.
 
 use cbtree_bench::{run_figure, ExpOptions, FIGURES};
+use cbtree_workload::cli::Flags;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: experiments [--quick] [--no-sim] [--out DIR] [--seeds a,b,c] \
-         [--report FILE.md] <name>...\n\
-         names: {} or `all`",
-        FIGURES.join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn main() -> ExitCode {
+fn parse_args(flags: &mut Flags) -> Result<(ExpOptions, Vec<String>, Option<PathBuf>), String> {
     let mut opts = ExpOptions::default();
     let mut names: Vec<String> = Vec::new();
-    let mut report: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut report = None;
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--quick" => {
                 opts.quick = true;
                 opts.seeds = vec![1, 2];
             }
             "--no-sim" => opts.with_sim = false,
-            "--report" => {
-                let Some(path) = args.next() else { usage() };
-                report = Some(PathBuf::from(path));
-            }
-            "--out" => {
-                let Some(dir) = args.next() else { usage() };
-                opts.out_dir = Some(PathBuf::from(dir));
-            }
-            "--seeds" => {
-                let Some(list) = args.next() else { usage() };
-                match list.split(',').map(|s| s.trim().parse::<u64>()).collect() {
-                    Ok(seeds) => opts.seeds = seeds,
-                    Err(_) => usage(),
-                }
-            }
-            "--help" | "-h" => usage(),
-            name if name.starts_with('-') => usage(),
+            "--report" => report = Some(flags.value()?),
+            "--out" => opts.out_dir = Some(flags.value()?),
+            "--seeds" => opts.seeds = flags.list()?,
+            name if name.starts_with('-') => return Err(flags.unknown()),
             name => names.push(name.to_string()),
         }
     }
     if names.is_empty() {
-        usage();
+        return Err("no figure named".into());
     }
+    Ok((opts, names, report))
+}
+
+fn main() -> ExitCode {
+    let usage = format!(
+        "usage: experiments [--quick] [--no-sim] [--out DIR] [--seeds a,b,c] \
+         [--report FILE.md] <name>...\n\
+         names: {} or `all`\n",
+        FIGURES.join(", ")
+    );
+    let (opts, names, report) = Flags::from_env(usage).parse_or_exit(parse_args);
     let mut report_body = String::from(
         "# cbtree experiment report\n\nRegenerated tables for Johnson & Shasha \
          (PODS 1990). See EXPERIMENTS.md for the paper-vs-measured commentary.\n\n",

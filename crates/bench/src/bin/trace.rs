@@ -23,6 +23,7 @@ use cbtree_obs::table::{fmt_f, Table};
 use cbtree_obs::{replay, Json, Replay, Trace};
 use cbtree_sim::costs::SimCosts;
 use cbtree_sim::{SimAlgorithm, SimConfig, SimRecovery, SimReport};
+use cbtree_workload::cli::Flags;
 use cbtree_workload::{KeyDist, OpsConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -47,45 +48,35 @@ is at least half the run's mean). With --expect-spike it exits nonzero
 unless at least one window is flagged (CI guard).
 ";
 
+#[derive(Default)]
 struct Args {
     files: Vec<PathBuf>,
     json: Option<PathBuf>,
     timeline: usize,
     sim_seed: u64,
+    expect_spike: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut files = Vec::new();
-    let mut json = None;
-    let mut timeline = 0;
-    let mut sim_seed = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .ok_or_else(|| format!("{flag} requires an argument"))
-        };
+/// Parses either command form; `timeline_cmd` selects which flags exist.
+fn parse_args(flags: &mut Flags, timeline_cmd: bool) -> Result<Args, String> {
+    let mut args = Args {
+        sim_seed: 1,
+        ..Args::default()
+    };
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--json" => json = Some(PathBuf::from(value()?)),
-            "--timeline" => timeline = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--sim-seed" => sim_seed = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            file => files.push(PathBuf::from(file)),
+            "--expect-spike" if timeline_cmd => args.expect_spike = true,
+            "--json" if !timeline_cmd => args.json = Some(flags.value()?),
+            "--timeline" if !timeline_cmd => args.timeline = flags.value()?,
+            "--sim-seed" if !timeline_cmd => args.sim_seed = flags.value()?,
+            other if other.starts_with('-') => return Err(flags.unknown()),
+            file => args.files.push(PathBuf::from(file)),
         }
     }
-    if files.is_empty() {
+    if args.files.is_empty() {
         return Err("no input files".into());
     }
-    Ok(Args {
-        files,
-        json,
-        timeline,
-        sim_seed,
-    })
+    Ok(args)
 }
 
 /// The parsed pieces of one run artifact.
@@ -555,34 +546,6 @@ const SPIKE_BASELINE_WINDOWS: usize = 5;
 /// to count as a spike.
 const SPIKE_P99_FACTOR: f64 = 1.5;
 
-struct TimelineArgs {
-    files: Vec<PathBuf>,
-    expect_spike: bool,
-}
-
-fn parse_timeline_args() -> Result<TimelineArgs, String> {
-    let mut files = Vec::new();
-    let mut expect_spike = false;
-    for arg in std::env::args().skip(2) {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--expect-spike" => expect_spike = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
-        return Err("no input files".into());
-    }
-    Ok(TimelineArgs {
-        files,
-        expect_spike,
-    })
-}
-
 /// Median of a non-empty slice (mean of the middle pair when even).
 fn median(values: &mut [f64]) -> f64 {
     values.sort_by(f64::total_cmp);
@@ -767,13 +730,7 @@ fn timeline_file(path: &Path) -> Result<usize, String> {
 }
 
 fn run_timeline() -> ExitCode {
-    let args = match parse_timeline_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = Flags::new(USAGE, std::env::args().skip(2)).parse_or_exit(|f| parse_args(f, true));
     let mut spikes = 0usize;
     let mut failed = false;
     for path in &args.files {
@@ -799,13 +756,7 @@ fn main() -> ExitCode {
     if std::env::args().nth(1).as_deref() == Some("timeline") {
         return run_timeline();
     }
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = Flags::from_env(USAGE).parse_or_exit(|f| parse_args(f, false));
     let mut records = vec![Json::obj(vec![
         ("type", "meta".into()),
         ("schema", cbtree_obs::SCHEMA_VERSION.into()),

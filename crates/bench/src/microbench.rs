@@ -1,5 +1,5 @@
-//! Minimal std-only microbenchmark runner used by the `benches/`
-//! targets (plain `fn main()` harnesses, no external framework).
+//! Minimal std-only microbenchmark runner used by `lockbench` (a plain
+//! `fn main()` harness, no external framework).
 //!
 //! Each measurement runs one warmup pass, then `samples` timed passes of
 //! the closure, and reports the best and mean per-element time plus

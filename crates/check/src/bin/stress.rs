@@ -25,8 +25,9 @@ use cbtree_check::{
     buggy::{run_recycle_conviction, SkipParentRevalidation, SkipRightLink},
     Verdict,
 };
+use cbtree_workload::cli::Flags;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Args {
     quick: bool,
     full: bool,
@@ -41,72 +42,32 @@ struct Args {
     no_inject: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "\
+usage: stress [--quick|--full] [--protocol NAME] [--threads N] \
+[--ops N] [--batch N] [--seeds N] [--seed-base N] [--no-inject] \
+[--replay SEED] [--demo-bug]
+";
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
-        quick: false,
-        full: false,
-        demo_bug: false,
-        replay: None,
-        protocol: None,
-        threads: None,
-        ops: None,
-        batch: None,
         seeds: 16,
         seed_base: 1,
-        no_inject: false,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--quick" => args.quick = true,
             "--full" => args.full = true,
             "--demo-bug" => args.demo_bug = true,
             "--no-inject" => args.no_inject = true,
-            "--replay" => {
-                args.replay = Some(
-                    value("--replay")?
-                        .parse()
-                        .map_err(|e| format!("--replay: {e}"))?,
-                )
-            }
-            "--protocol" => args.protocol = Some(value("--protocol")?.parse()?),
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--ops" => args.ops = Some(value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?),
-            "--batch" => {
-                let n: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if n == 0 {
-                    return Err("--batch must be at least 1".into());
-                }
-                args.batch = Some(n);
-            }
-            "--seeds" => {
-                args.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--seed-base" => {
-                args.seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|e| format!("--seed-base: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: stress [--quick|--full] [--protocol NAME] [--threads N] \
-                     [--ops N] [--batch N] [--seeds N] [--seed-base N] [--no-inject] \
-                     [--replay SEED] [--demo-bug]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            "--replay" => args.replay = Some(flags.value()?),
+            "--protocol" => args.protocol = Some(flags.value()?),
+            "--threads" => args.threads = Some(flags.value()?),
+            "--ops" => args.ops = Some(flags.value()?),
+            "--batch" => args.batch = Some(flags.at_least(1)?),
+            "--seeds" => args.seeds = flags.value()?,
+            "--seed-base" => args.seed_base = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
     }
     if !(args.quick || args.full || args.demo_bug || args.replay.is_some()) {
@@ -146,13 +107,7 @@ fn verdict_name(v: &Verdict) -> &'static str {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("stress: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
 
     if args.demo_bug {
         std::process::exit(demo_bug(&args));

@@ -5,14 +5,12 @@
 //! cargo run --release -p cbtree-harness --bin live -- --algo blink --threads 8
 //! ```
 
-use cbtree_btree::Protocol;
+use cbtree_harness::cli::RunFlags;
 use cbtree_harness::{run, saturation_search, LiveConfig, LiveReport};
 use cbtree_obs::table::{fmt_f, Table};
 use cbtree_obs::{replay, Json};
-use cbtree_sync::SamplePeriod;
-use cbtree_workload::{KeyDist, OpsConfig};
+use cbtree_workload::cli::Flags;
 use std::path::PathBuf;
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: live [options]
@@ -57,104 +55,37 @@ struct Args {
     trace_buf: Option<usize>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut cfg = LiveConfig::paper(Protocol::BLink, 4);
-    let mut keyspace = 1_000_000u64;
-    let mut key_dist = String::from("uniform");
-    let mut mix = (0.3, 0.5, 0.2);
-    let mut saturate = None;
-    let mut json = None;
-    let mut trace_buf = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "-h" || flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut run = RunFlags::paper(0x11FE);
+    let (mut threads, mut txn, mut saturate) = (4, 1, None);
+    while let Some(flag) = flags.next_flag() {
+        if run.accept(&flag, flags)? {
+            continue;
         }
-        let mut value = || {
-            it.next()
-                .ok_or_else(|| format!("{flag} requires an argument"))
-        };
         match flag.as_str() {
-            "--algo" => cfg.protocol = value()?.parse()?,
-            "--threads" => cfg.threads = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--txn" => {
-                cfg.txn = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if cfg.txn == 0 {
-                    return Err("--txn must be at least 1".into());
-                }
-            }
-            "--capacity" => cfg.capacity = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--items" => {
-                cfg.initial_items = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--keyspace" => keyspace = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--key-dist" => key_dist = value()?,
-            "--mix" => {
-                let v = value()?;
-                let parts: Vec<f64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--mix {v}: {e}"))?;
-                if parts.len() != 3 {
-                    return Err(format!("--mix needs three components, got {v:?}"));
-                }
-                mix = (parts[0], parts[1], parts[2]);
-            }
-            "--warmup-ms" => {
-                cfg.warmup =
-                    Duration::from_millis(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--measure-ms" => {
-                cfg.measure =
-                    Duration::from_millis(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--seed" => cfg.seed = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--sample-every" => {
-                cfg.stats_sampling =
-                    SamplePeriod::every(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--sample-interval-ms" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if ms == 0 {
-                    return Err("--sample-interval-ms must be positive".into());
-                }
-                cfg.sample_interval = Some(Duration::from_millis(ms));
-            }
-            "--saturate" => {
-                saturate = Some(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--json" => json = Some(PathBuf::from(value()?)),
-            "--trace-buf" => {
-                let n: usize = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if n == 0 {
-                    return Err("--trace-buf must be positive".into());
-                }
-                trace_buf = Some(n);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            "--threads" => threads = flags.at_least(1)?,
+            "--txn" => txn = flags.at_least(1)?,
+            "--saturate" => saturate = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-    }
-
-    cfg.ops = OpsConfig {
-        q_search: mix.0,
-        q_insert: mix.1,
-        q_delete: mix.2,
-        keys: KeyDist::parse_cli(&key_dist, keyspace)?,
-    };
-    if !cfg.ops.is_valid() {
-        return Err(format!(
-            "operation mix {}/{}/{} does not sum to 1",
-            mix.0, mix.1, mix.2
-        ));
     }
     Ok(Args {
-        cfg,
+        cfg: LiveConfig {
+            protocol: run.protocol,
+            threads,
+            capacity: run.capacity,
+            initial_items: run.initial_items,
+            ops: run.ops()?,
+            warmup: run.warmup,
+            measure: run.measure,
+            seed: run.seed,
+            stats_sampling: run.stats_sampling,
+            txn,
+            sample_interval: run.sample_interval,
+        },
         saturate,
-        json,
-        trace_buf,
+        json: run.json,
+        trace_buf: run.trace_buf,
     })
 }
 
@@ -316,13 +247,7 @@ fn print_report(cfg: &LiveConfig, report: &LiveReport) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
 
     if let Some(n) = args.trace_buf {
         cbtree_obs::trace::set_default_ring_capacity(n);

@@ -25,9 +25,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
+
 use cbtree_btree::node::for_each_handle;
 use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
-use cbtree_obs::metrics::{Counter, WindowCursor, WindowedHistogram};
+use cbtree_obs::metrics::{Counter, WindowedHistogram};
 use cbtree_obs::{Json, Trace};
 use cbtree_sim::stats::{Summary, Welford};
 use cbtree_sync::{Histogram, HistogramSnapshot, LockStatsSnapshot, SamplePeriod};
@@ -288,10 +290,77 @@ pub fn latency_json(h: &HistogramSnapshot) -> Json {
     ])
 }
 
-/// Worker phases, driven by the coordinator through one atomic.
-const PHASE_WARMUP: u8 = 0;
-const PHASE_MEASURE: u8 = 1;
-const PHASE_DONE: u8 = 2;
+/// First of the three run phases a coordinator drives through one
+/// atomic (shared with the service layer): untimed warmup.
+pub const PHASE_WARMUP: u8 = 0;
+/// Second phase: the measured window.
+pub const PHASE_MEASURE: u8 = 1;
+/// Last phase: the window is over; workers, generators and the sampler
+/// wind down.
+pub const PHASE_DONE: u8 = 2;
+
+/// Timing of one sampler window, in seconds since the measured phase
+/// began.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleWindow {
+    /// Window start (the previous window's end).
+    pub start_s: f64,
+    /// Window end.
+    pub t_s: f64,
+    /// Actual window length.
+    pub window_s: f64,
+}
+
+/// The one sampler loop behind both continuous time series (`live` and
+/// `serve`): waits out `PHASE_WARMUP`, calls `baseline` once at the
+/// flip to `PHASE_MEASURE` (callers snapshot their monotone counters
+/// and take `WindowedHistogram::baseline` cursors there, so warmup
+/// records stay out of window 1), then calls `window` once per
+/// `interval`, paced against `t0 + interval · tick` so ticks do not
+/// drift, until the phase leaves `PHASE_MEASURE`. Sleeps in ≤ 1 ms
+/// chunks, so it exits within a millisecond or so of `PHASE_DONE`.
+/// Returns the windows' points in order.
+pub fn sample_windows<S, P>(
+    phase: &AtomicU8,
+    interval: Duration,
+    baseline: impl FnOnce() -> S,
+    mut window: impl FnMut(&mut S, &SampleWindow) -> P,
+) -> Vec<P> {
+    const CHUNK: Duration = Duration::from_millis(1);
+    while phase.load(Ordering::Acquire) == PHASE_WARMUP {
+        std::thread::sleep(interval.min(CHUNK));
+    }
+    let t0 = Instant::now();
+    let mut state = baseline();
+    let mut points = Vec::new();
+    let mut prev_t = t0;
+    let mut tick = 0u32;
+    loop {
+        tick += 1;
+        let deadline = t0 + interval * tick;
+        loop {
+            if phase.load(Ordering::Acquire) != PHASE_MEASURE {
+                return points;
+            }
+            let Some(remain) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            std::thread::sleep(remain.min(CHUNK));
+        }
+        let now = Instant::now();
+        let window_s = now.duration_since(prev_t).as_secs_f64();
+        if window_s <= 0.0 {
+            continue;
+        }
+        let w = SampleWindow {
+            start_s: prev_t.duration_since(t0).as_secs_f64(),
+            t_s: now.duration_since(t0).as_secs_f64(),
+            window_s,
+        };
+        points.push(window(&mut state, &w));
+        prev_t = now;
+    }
+}
 
 /// The run's always-on metrics registry: recorded by every worker on
 /// every operation (warmup included), harvested only by the sampler.
@@ -488,57 +557,33 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
             let phase = Arc::clone(&phase);
             let metrics = Arc::clone(&metrics);
             s.spawn(move || {
-                while phase.load(Ordering::Acquire) == PHASE_WARMUP {
-                    std::thread::sleep(interval.min(Duration::from_millis(1)));
-                }
-                let t0 = Instant::now();
-                // Two discarded harvests flip both histogram banks, so
-                // the window baselines include every warmup record.
-                let mut cursor = WindowCursor::new();
-                metrics.latency.harvest(&mut cursor);
-                metrics.latency.harvest(&mut cursor);
-                let mut prev_completed = metrics.completed.get();
-                let mut prev_ctr = tree.counters();
-                let mut prev_t = t0;
-                let mut points = Vec::new();
-                let mut tick = 0u32;
-                'windows: loop {
-                    tick += 1;
-                    let deadline = t0 + interval * tick;
-                    loop {
-                        if phase.load(Ordering::Acquire) != PHASE_MEASURE {
-                            break 'windows;
+                sample_windows(
+                    &phase,
+                    interval,
+                    || {
+                        let cursor = metrics.latency.baseline();
+                        (cursor, metrics.completed.get(), tree.counters())
+                    },
+                    |(cursor, prev_completed, prev_ctr), w| {
+                        let completed = metrics.completed.get();
+                        let ctr = tree.counters();
+                        let window_ctr = ctr.since(prev_ctr);
+                        let latency = metrics.latency.harvest(cursor);
+                        let rate = completed.wrapping_sub(*prev_completed) as f64 / w.window_s;
+                        (*prev_completed, *prev_ctr) = (completed, ctr);
+                        LivePoint {
+                            t_s: w.t_s,
+                            window_s: w.window_s,
+                            completed_rate: rate,
+                            n: latency.total(),
+                            latency_p50_ns: latency.p50(),
+                            latency_p99_ns: latency.p99(),
+                            latency_max_ns: latency.max_ns,
+                            splits_per_s: window_ctr.splits as f64 / w.window_s,
+                            chases_per_s: window_ctr.chases as f64 / w.window_s,
                         }
-                        let Some(remain) = deadline.checked_duration_since(Instant::now()) else {
-                            break;
-                        };
-                        std::thread::sleep(remain.min(Duration::from_millis(1)));
-                    }
-                    let now = Instant::now();
-                    let window_s = now.duration_since(prev_t).as_secs_f64();
-                    if window_s <= 0.0 {
-                        continue;
-                    }
-                    let completed = metrics.completed.get();
-                    let ctr = tree.counters();
-                    let window_ctr = ctr.since(&prev_ctr);
-                    let latency = metrics.latency.harvest(&mut cursor);
-                    points.push(LivePoint {
-                        t_s: now.duration_since(t0).as_secs_f64(),
-                        window_s,
-                        completed_rate: completed.wrapping_sub(prev_completed) as f64 / window_s,
-                        n: latency.total(),
-                        latency_p50_ns: latency.p50(),
-                        latency_p99_ns: latency.p99(),
-                        latency_max_ns: latency.max_ns,
-                        splits_per_s: window_ctr.splits as f64 / window_s,
-                        chases_per_s: window_ctr.chases as f64 / window_s,
-                    });
-                    prev_completed = completed;
-                    prev_ctr = ctr;
-                    prev_t = now;
-                }
-                points
+                    },
+                )
             })
         });
 
@@ -865,6 +910,71 @@ mod tests {
             "trace spans {span_ns} ns, window was {} s",
             report.measured_time
         );
+    }
+
+    /// The shared sampler driver against a hand-driven phase atomic: no
+    /// window before MEASURE, warmup records excluded from window 1,
+    /// exit within one interval of DONE, and every measured record in
+    /// exactly one window or the final drain.
+    #[test]
+    fn sampler_driver_follows_the_phase_atomic() {
+        use cbtree_obs::metrics::WindowCursor;
+        use std::sync::{mpsc, Mutex};
+        let interval = Duration::from_millis(40);
+        let phase = AtomicU8::new(PHASE_WARMUP);
+        let hist = WindowedHistogram::new();
+        let cursor = Mutex::new(WindowCursor::new());
+        let (tx, rx) = mpsc::channel::<Option<u64>>();
+        let record = |n: u64| (0..n).for_each(|_| hist.record(100));
+        std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                sample_windows(
+                    &phase,
+                    interval,
+                    || {
+                        *cursor.lock().unwrap() = hist.baseline();
+                        tx.send(None).unwrap();
+                    },
+                    |(), w| {
+                        let n = hist.harvest(&mut cursor.lock().unwrap()).total();
+                        tx.send(Some(n)).unwrap();
+                        (*w, n)
+                    },
+                )
+            });
+            record(7); // warmup
+            std::thread::sleep(2 * interval);
+            assert!(rx.try_recv().is_err(), "nothing happens before MEASURE");
+            phase.store(PHASE_MEASURE, Ordering::Release);
+            assert_eq!(rx.recv().unwrap(), None, "baseline comes first");
+            record(11);
+            // The 11 measured records arrive in the next window(s); the
+            // 7 warmup records never do.
+            let mut seen = 0;
+            while seen < 11 {
+                seen += rx.recv().unwrap().expect("windows follow the baseline");
+            }
+            assert_eq!(seen, 11, "warmup records leaked into a window");
+            record(5);
+            let t_done = Instant::now();
+            phase.store(PHASE_DONE, Ordering::Release);
+            let points = sampler.join().expect("sampler panicked");
+            assert!(t_done.elapsed() < interval, "exit within one interval");
+            let mut cur = cursor.lock().unwrap();
+            let drain = hist.harvest(&mut cur).total() + hist.harvest(&mut cur).total();
+            let windowed: u64 = points.iter().map(|(_, n)| n).sum();
+            assert_eq!(
+                windowed + drain,
+                16,
+                "records conserved across windows + drain"
+            );
+            let mut prev_end = 0.0;
+            for (w, _) in &points {
+                assert_eq!(w.start_s, prev_end, "windows tile the measured phase");
+                assert!(w.window_s > 0.0 && w.t_s > w.start_s);
+                prev_end = w.t_s;
+            }
+        });
     }
 
     #[test]

@@ -202,3 +202,27 @@ fn read_only_mix_runs_and_scales_with_cores() {
         );
     }
 }
+
+/// Out-of-range and malformed flag values are rejected by the shared
+/// flag table with `error: <flag> …` and exit code 2 — not parsed
+/// cleanly and then tripped over an `assert!` inside `run()`.
+#[test]
+fn live_rejects_bad_flag_values_with_exit_code_2() {
+    for (flag, value) in [
+        ("--threads", "0"),
+        ("--capacity", "1"),
+        ("--capacity", "1000"),
+        ("--mix", "0.3,x,0.5,0.2"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_live"))
+            .args([flag, value])
+            .output()
+            .expect("spawn live");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {flag} ")),
+            "{flag} {value}: {stderr}"
+        );
+    }
+}

@@ -51,11 +51,11 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of log₂ buckets — the same scheme as `cbtree-sync`'s
-/// histogram (`cbtree-obs` sits *below* `cbtree-sync` in the crate
-/// graph, so the three-line bucket map is duplicated rather than
-/// imported): bucket `b ≥ 1` holds nanosecond values with `b`
-/// significant bits, i.e. `[2^(b-1), 2^b)`; bucket 0 is exactly 0.
+/// Number of log₂ buckets shared by every histogram in the workspace
+/// (`cbtree-sync`, which depends on this crate, imports the scheme from
+/// here): bucket `b ≥ 1` holds nanosecond values with `b` significant
+/// bits, i.e. `[2^(b-1), 2^b)`; bucket 0 is exactly 0. Forty buckets
+/// reach ≥ 2^39 ns ≈ 9 minutes, far beyond any plausible latch wait.
 pub const BUCKETS: usize = 40;
 
 /// The bucket index a nanosecond duration falls into.
@@ -71,6 +71,43 @@ pub fn bucket_floor(bucket: usize) -> u64 {
     } else {
         1u64 << (bucket - 1)
     }
+}
+
+/// Approximate quantile in nanoseconds over log₂ bucket counts,
+/// linearly interpolated inside the bucket the rank lands in: the
+/// rank-`r` observation of a bucket holding `c` observations is
+/// estimated at the `(r − ½)/c` point of the bucket's span (each
+/// observation at the midpoint of its within-bucket rank, uniform
+/// assumption), so high quantiles do not quantize to powers of two. `q`
+/// is clamped into `[0.0, 1.0]` (NaN acts as 0). Returns 0 when empty;
+/// `q = 0.0` estimates the minimum and `q = 1.0` the maximum.
+pub fn bucket_quantile(counts: &[u64; BUCKETS], q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+    // Clamp the rank into [1, total]: near 2^53 observations, f64
+    // rounding can push `ceil(q * total)` past `total`, which would
+    // walk off the scan and report the top bucket for data that never
+    // reached it.
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut before = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        if before + c >= rank {
+            if i == 0 {
+                return 0; // bucket 0 is exactly 0 ns
+            }
+            // Bucket `i` spans [lo, 2·lo) — its width equals its
+            // floor — and stays half-open under interpolation.
+            let lo = bucket_floor(i);
+            let frac = (rank - before) as f64 - 0.5;
+            let est = lo as f64 + (frac / c as f64) * lo as f64;
+            return (est as u64).clamp(lo, (lo << 1) - 1);
+        }
+        before += c;
+    }
+    bucket_floor(BUCKETS - 1)
 }
 
 /// A monotone event counter. Recording is one relaxed `fetch_add`;
@@ -234,6 +271,16 @@ impl WindowedHistogram {
         }
     }
 
+    /// A cursor whose next harvest covers only records made from now
+    /// on: two discarded harvests flip both banks, so the baselines
+    /// include every earlier (e.g. warmup) record. Single-sampler only.
+    pub fn baseline(&self) -> WindowCursor {
+        let mut cursor = WindowCursor::new();
+        self.harvest(&mut cursor);
+        self.harvest(&mut cursor);
+        cursor
+    }
+
     /// Closes the current window and returns its snapshot: flips the
     /// hot bank, waits out in-flight recorders on the cold bank, and
     /// diffs the cold bank against `cursor`'s record of its previous
@@ -381,37 +428,14 @@ impl WindowSnapshot {
         }
     }
 
-    /// Quantile in nanoseconds, linearly interpolated inside the log₂
-    /// bucket the rank lands in (each observation estimated at the
-    /// midpoint of its within-bucket rank, uniform assumption) and
-    /// clamped to the window's exact maximum. `q = 1.0` returns the
-    /// exact maximum; empty windows return 0.
+    /// Quantile in nanoseconds: [`bucket_quantile`] clamped to the
+    /// window's exact maximum. `q = 1.0` returns the exact maximum;
+    /// empty windows return 0.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        if q >= 1.0 {
+        if q >= 1.0 && self.total() > 0 {
             return self.max_ns;
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut before = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if before + c >= rank {
-                if i == 0 {
-                    return 0;
-                }
-                let lo = bucket_floor(i);
-                // Bucket width equals its floor (bucket b spans
-                // [2^(b-1), 2^b)); interpolate at the rank's midpoint.
-                let frac = (rank - before) as f64 - 0.5;
-                let est = lo as f64 + (frac / c as f64) * lo as f64;
-                return (est as u64).clamp(lo, (lo << 1) - 1).min(self.max_ns);
-            }
-            before += c;
-        }
-        self.max_ns
+        bucket_quantile(&self.counts, q).min(self.max_ns)
     }
 
     /// Median, nanoseconds.
@@ -435,6 +459,82 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    fn counts_of(samples: impl IntoIterator<Item = u64>) -> [u64; BUCKETS] {
+        let mut counts = [0u64; BUCKETS];
+        for ns in samples {
+            counts[bucket_of(ns)] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn buckets_are_log2() {
+        for (ns, b) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (4, 3),
+            (1023, 10),
+            (1024, 11),
+        ] {
+            assert_eq!(bucket_of(ns), b, "{ns}");
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        for b in 1..BUCKETS {
+            assert_eq!(bucket_of(bucket_floor(b)), b, "floor of bucket {b}");
+        }
+    }
+
+    #[test]
+    fn quantile_edge_cases() {
+        assert_eq!(bucket_quantile(&[0; BUCKETS], 0.5), 0, "empty");
+        // Bucket 0 is exactly 0 ns at every q.
+        let zeros = counts_of([0, 0]);
+        assert_eq!(bucket_quantile(&zeros, 0.0), 0);
+        assert_eq!(bucket_quantile(&zeros, 1.0), 0);
+        // q = 0 estimates the minimum, q = 1 the maximum; out-of-range
+        // and NaN inputs clamp rather than panic or walk off the array.
+        let c = counts_of([1, 100, 100, 100, 1_000_000]);
+        assert_eq!(
+            bucket_quantile(&c, 0.0),
+            1,
+            "bucket [1,2) interpolates to 1"
+        );
+        assert_eq!(bucket_of(bucket_quantile(&c, 1.0)), bucket_of(1_000_000));
+        assert_eq!(bucket_quantile(&c, -3.5), bucket_quantile(&c, 0.0));
+        assert_eq!(bucket_quantile(&c, 7.0), bucket_quantile(&c, 1.0));
+        assert_eq!(bucket_quantile(&c, f64::NAN), bucket_quantile(&c, 0.0));
+        // 2^53 + 3 is not representable as f64 and rounds UP, so an
+        // unclamped ceil(1.0 * total) exceeds total and the scan would
+        // fall through to the top bucket; the rank clamp keeps the
+        // answer inside the data's bucket.
+        let mut huge = [0u64; BUCKETS];
+        huge[2] = (1u64 << 53) + 3;
+        assert_eq!(bucket_of(bucket_quantile(&huge, 1.0)), 2);
+        assert_eq!(bucket_of(bucket_quantile(&huge, 0.5)), 2);
+    }
+
+    /// Against a known sample set the interpolated quantiles track the
+    /// exact order statistics instead of quantizing to the bucket floor
+    /// (a power of two).
+    #[test]
+    fn interpolation_tracks_known_samples() {
+        // 512..1024 — one of each value, all in bucket 10 ([512, 1024)),
+        // so the exact rank-r order statistic is 512 + (r - 1) and the
+        // within-bucket uniform assumption is exactly right.
+        let c = counts_of(512..1024);
+        for (q, exact) in [(0.5, 767), (0.9, 972), (0.99, 1018), (0.999, 1023)] {
+            let got = bucket_quantile(&c, q);
+            assert!(got.abs_diff(exact) <= 1, "q={q}: got {got}, exact {exact}");
+        }
+        // Two buckets of known mass: p99 of 990 low + 10 high samples
+        // stays with the low values, interpolated near their top.
+        let c2 = counts_of((0..990).map(|i| 512 + i % 512).chain([100_000; 10]));
+        let p99 = bucket_quantile(&c2, 0.99);
+        assert!((1001..1024).contains(&p99), "p99 {p99}");
+    }
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -480,34 +580,18 @@ mod tests {
     }
 
     #[test]
-    fn window_quantiles_interpolate_and_clamp_to_exact_max() {
+    fn window_quantiles_clamp_to_exact_max() {
         let h = WindowedHistogram::new();
         let mut cur = WindowCursor::new();
-        // 99 fast records and one slow one whose bucket floor (2^19 =
-        // 524288) is far from its true value.
-        for _ in 0..99 {
-            h.record(1_000);
-        }
-        h.record(700_000);
-        let w = h.harvest(&mut cur);
-        assert_eq!(w.quantile(1.0), 700_000, "q=1 is the exact max");
-        let p99 = w.p99();
-        let floor = bucket_floor(bucket_of(1_000));
-        assert!(
-            p99 >= floor && p99 < 2 * floor,
-            "p99 {p99} must interpolate inside the fast bucket"
-        );
-        // All mass in one bucket: quantiles spread across it but never
-        // exceed the exact max.
-        let mut cur2 = WindowCursor::new();
-        let h2 = WindowedHistogram::new();
+        // All mass in one bucket, [512, 1024): quantiles spread across
+        // it but never exceed the exact max, and q = 1 *is* the max.
         for _ in 0..10 {
-            h2.record(700);
+            h.record(700);
         }
-        let w2 = h2.harvest(&mut cur2);
-        assert!(w2.p50() >= 512 && w2.p50() <= 700);
-        assert_eq!(w2.quantile(1.0), 700);
-        assert!(w2.p999() <= 700, "interpolation clamps to the exact max");
+        let w = h.harvest(&mut cur);
+        assert!(w.p50() >= 512 && w.p50() <= 700);
+        assert_eq!(w.quantile(1.0), 700);
+        assert!(w.p999() <= 700, "interpolation clamps to the exact max");
         assert_eq!(WindowSnapshot::default().p99(), 0);
     }
 

@@ -7,14 +7,14 @@
 //! ```
 
 use cbtree_btree::Protocol;
+use cbtree_harness::cli::RunFlags;
 use cbtree_obs::table::{fmt_f, Table};
 use cbtree_obs::{replay, Json};
 use cbtree_serve::{
     max_sustainable_lambda, serve, sweep, ArrivalShape, ServeConfig, ServeReport,
     SUSTAINABLE_SHED_RATE,
 };
-use cbtree_sync::SamplePeriod;
-use cbtree_workload::{KeyDist, OpsConfig};
+use cbtree_workload::cli::Flags;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -91,168 +91,67 @@ struct Args {
     trace_buf: Option<usize>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut run = RunFlags::paper(0x5E47E);
     let mut cfg = ServeConfig::paper(Protocol::BLink, 2, 50_000.0);
-    let mut keyspace = 1_000_000u64;
-    let mut key_dist = String::from("uniform");
-    let mut mix = (0.3, 0.5, 0.2);
     let mut mode = Mode::Single;
     let mut bisect = 4usize;
     let mut burstiness: Option<f64> = None;
     let mut mean_on = Duration::from_millis(10);
-    let mut json = None;
     let mut assert_low_shed = false;
-    let mut trace_buf = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "-h" || flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
+    while let Some(flag) = flags.next_flag() {
+        if run.accept(&flag, flags)? {
+            continue;
         }
-        let mut value = || {
-            it.next()
-                .ok_or_else(|| format!("{flag} requires an argument"))
-        };
         match flag.as_str() {
-            "--algo" => cfg.protocol = value()?.parse()?,
-            "--shards" => {
-                cfg.shards = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if cfg.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--workers" => {
-                cfg.workers_per_shard = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--batch-max" => {
-                cfg.batch_max = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if !(1..=255).contains(&cfg.batch_max) {
-                    return Err("--batch-max must be in 1..=255".into());
-                }
-            }
-            "--generators" => {
-                cfg.generators = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--lambda" => cfg.lambda = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
+            "--shards" => cfg.shards = flags.at_least(1)?,
+            "--workers" => cfg.workers_per_shard = flags.at_least(1)?,
+            "--batch-max" => cfg.batch_max = flags.in_range(1..=255)?,
+            "--generators" => cfg.generators = flags.at_least(1)?,
+            "--lambda" => cfg.lambda = flags.positive()?,
             "--sweep" => {
-                let v = value()?;
-                let lambdas: Vec<f64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--sweep {v}: {e}"))?;
-                if lambdas.is_empty() || lambdas.iter().any(|&l| !(l.is_finite() && l > 0.0)) {
-                    return Err(format!("--sweep needs positive rates, got {v:?}"));
+                let lambdas: Vec<f64> = flags.list()?;
+                if lambdas.iter().any(|&l| !(l.is_finite() && l > 0.0)) {
+                    return Err(format!("--sweep needs positive rates, got {lambdas:?}"));
                 }
                 mode = Mode::Sweep(lambdas);
             }
-            "--saturate" => {
-                mode = Mode::Saturate(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--bisect" => bisect = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--burstiness" => {
-                burstiness = Some(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--mean-on-ms" => {
-                mean_on =
-                    Duration::from_millis(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--service-floor-us" => {
-                cfg.service_floor =
-                    Duration::from_micros(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--queue-cap" => {
-                cfg.queue_capacity = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--max-age-ms" => {
-                cfg.max_enqueue_age = Some(Duration::from_millis(
-                    value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-                ));
-            }
-            "--capacity" => cfg.capacity = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--items" => {
-                cfg.initial_items = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--keyspace" => keyspace = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--key-dist" => key_dist = value()?,
-            "--mix" => {
-                let v = value()?;
-                let parts: Vec<f64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--mix {v}: {e}"))?;
-                if parts.len() != 3 {
-                    return Err(format!("--mix needs three components, got {v:?}"));
-                }
-                mix = (parts[0], parts[1], parts[2]);
-            }
-            "--warmup-ms" => {
-                cfg.warmup =
-                    Duration::from_millis(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--measure-ms" => {
-                cfg.measure =
-                    Duration::from_millis(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--seed" => cfg.seed = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--sample-every" => {
-                cfg.stats_sampling =
-                    SamplePeriod::every(value()?.parse().map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--sample-interval-ms" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if ms == 0 {
-                    return Err("--sample-interval-ms must be positive".into());
-                }
-                cfg.sample_interval = Some(Duration::from_millis(ms));
-            }
-            "--slo-p99-us" => {
-                let us: u64 = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if us == 0 {
-                    return Err("--slo-p99-us must be positive".into());
-                }
-                cfg.slo_p99 = Some(Duration::from_micros(us));
-            }
+            "--saturate" => mode = Mode::Saturate(flags.positive()?),
+            "--bisect" => bisect = flags.value()?,
+            "--burstiness" => burstiness = Some(flags.at_least(1.0)?),
+            "--mean-on-ms" => mean_on = flags.millis(1)?,
+            "--service-floor-us" => cfg.service_floor = flags.micros(0)?,
+            "--queue-cap" => cfg.queue_capacity = flags.at_least(1)?,
+            "--max-age-ms" => cfg.max_enqueue_age = Some(flags.millis(0)?),
+            "--slo-p99-us" => cfg.slo_p99 = Some(flags.micros(1)?),
             "--assert-low-shed" => assert_low_shed = true,
-            "--json" => json = Some(PathBuf::from(value()?)),
-            "--trace-buf" => {
-                let n: usize = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                if n == 0 {
-                    return Err("--trace-buf must be positive".into());
-                }
-                trace_buf = Some(n);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Err(flags.unknown()),
         }
     }
-
     if let Some(b) = burstiness {
         cfg.arrivals = ArrivalShape::OnOff {
             burstiness: b,
             mean_on,
         };
     }
-    cfg.ops = OpsConfig {
-        q_search: mix.0,
-        q_insert: mix.1,
-        q_delete: mix.2,
-        keys: KeyDist::parse_cli(&key_dist, keyspace)?,
-    };
-    if !cfg.ops.is_valid() {
-        return Err(format!(
-            "operation mix {}/{}/{} does not sum to 1",
-            mix.0, mix.1, mix.2
-        ));
-    }
     Ok(Args {
-        cfg,
+        cfg: ServeConfig {
+            protocol: run.protocol,
+            capacity: run.capacity,
+            initial_items: run.initial_items,
+            ops: run.ops()?,
+            warmup: run.warmup,
+            measure: run.measure,
+            seed: run.seed,
+            stats_sampling: run.stats_sampling,
+            sample_interval: run.sample_interval,
+            ..cfg
+        },
         mode,
         bisect,
-        json,
+        json: run.json,
         assert_low_shed,
-        trace_buf,
+        trace_buf: run.trace_buf,
     })
 }
 
@@ -527,13 +426,7 @@ fn write_json(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
 
     if let Some(n) = args.trace_buf {
         cbtree_obs::trace::set_default_ring_capacity(n);

@@ -41,7 +41,9 @@ pub use report::{ServeReport, ShardReport};
 pub use router::KeyRangeRouter;
 
 use cbtree_btree::{ConcurrentBTree, Protocol};
-use cbtree_harness::{fork_seed, level_snapshots, LevelLive};
+use cbtree_harness::{
+    fork_seed, level_snapshots, LevelLive, PHASE_DONE, PHASE_MEASURE, PHASE_WARMUP,
+};
 use cbtree_queueing::BatchSizeMoments;
 use cbtree_sync::{HistogramSnapshot, SamplePeriod};
 use cbtree_workload::{ArrivalProcess, OnOffArrivals, OpStream, OpsConfig, PoissonArrivals, Rng};
@@ -175,10 +177,6 @@ impl ServeConfig {
         KeyRangeRouter::with_space(self.shards, self.ops.keys.key_space_hi())
     }
 }
-
-const PHASE_WARMUP: u8 = 0;
-const PHASE_MEASURE: u8 = 1;
-const PHASE_DONE: u8 = 2;
 
 /// Sleeps until `deadline`: coarse bounded chunks down to the last
 /// millisecond, then a yield loop. The two-stage shape matters —

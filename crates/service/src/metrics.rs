@@ -15,12 +15,11 @@ use crate::queue::Shed;
 use crate::shard::ShardRuntime;
 use crate::ServeConfig;
 use cbtree_btree::OpCountersSnapshot;
-use cbtree_harness::level_snapshots;
+use cbtree_harness::{level_snapshots, sample_windows};
 use cbtree_obs::metrics::{Counter, WindowCursor, WindowSnapshot, WindowedHistogram};
 use cbtree_obs::Json;
 use cbtree_sync::LockStatsSnapshot;
 use std::sync::atomic::AtomicU8;
-use std::time::Instant;
 
 /// Consecutive over-SLO windows required before the monitor declares a
 /// burn (one bad window is a transient; three in a row at the default
@@ -248,6 +247,8 @@ struct ShardBaseline {
 impl ShardBaseline {
     fn take(rt: &ShardRuntime) -> ShardBaseline {
         let m = &rt.metrics;
+        // The per-window queue mark resets with the cursor baseline.
+        rt.queue.take_depth_high_water_window();
         ShardBaseline {
             offered: m.offered.get(),
             accepted: m.accepted.get(),
@@ -257,43 +258,24 @@ impl ShardBaseline {
             batch_ops: m.batch_ops.get(),
             counters: rt.tree.counters(),
             levels: level_snapshots(&rt.tree),
-            cursor: WindowCursor::new(),
+            cursor: m.sojourn.baseline(),
         }
     }
 }
 
-/// The sampler loop: waits for the measured phase, baselines every
-/// shard, then harvests one [`TimeseriesPoint`] per `sample_interval`
-/// until the run is done, feeding each aggregate window to the SLO
-/// monitor. Runs concurrently with generators and workers — every
-/// source it reads is a monotone relaxed atomic or the double-buffered
-/// histogram, so nothing here blocks the serving path.
+/// The service's sampler: on the shared [`sample_windows`] loop,
+/// baselines every shard at the warmup→measure flip, then harvests one
+/// [`TimeseriesPoint`] per `sample_interval` until the run is done,
+/// feeding each aggregate window to the SLO monitor. Runs concurrently
+/// with generators and workers — every source it reads is a monotone
+/// relaxed atomic or the double-buffered histogram, so nothing here
+/// blocks the serving path.
 pub(crate) fn sampler_loop(
     cfg: &ServeConfig,
     runtimes: &[ShardRuntime],
     phase: &AtomicU8,
 ) -> SamplerOutput {
-    use std::sync::atomic::Ordering;
     let interval = cfg.sample_interval.expect("sampler needs an interval");
-
-    // Wait out warmup.
-    while phase.load(Ordering::Acquire) == crate::PHASE_WARMUP {
-        std::thread::sleep(interval.min(std::time::Duration::from_millis(1)));
-    }
-    let t0 = Instant::now();
-    let mut base: Vec<ShardBaseline> = runtimes.iter().map(ShardBaseline::take).collect();
-    for (rt, b) in runtimes.iter().zip(&mut base) {
-        // Two discarded harvests flip both histogram banks, so the
-        // cursor baselines include every warmup record; the per-window
-        // queue mark resets the same way.
-        rt.metrics.sojourn.harvest(&mut b.cursor);
-        rt.metrics.sojourn.harvest(&mut b.cursor);
-        rt.queue.take_depth_high_water_window();
-    }
-
-    let mut points = Vec::new();
-    let mut prev_t = t0;
-    let mut tick = 0u32;
     // SLO monitor state.
     let slo_ns = cfg
         .slo_p99
@@ -303,20 +285,9 @@ pub(crate) fn sampler_loop(
     let mut saturation_onset_s: Option<f64> = None;
     let mut first_shed_s: Option<f64> = None;
 
-    loop {
-        tick += 1;
-        let alive = crate::pace_until(t0 + interval * tick, phase);
-        if !alive {
-            break;
-        }
-        let now = Instant::now();
-        let window_s = now.duration_since(prev_t).as_secs_f64();
-        let window_start_s = prev_t.duration_since(t0).as_secs_f64();
-        let t_s = now.duration_since(t0).as_secs_f64();
-        prev_t = now;
-        if window_s <= 0.0 {
-            continue;
-        }
+    let baseline = || -> Vec<ShardBaseline> { runtimes.iter().map(ShardBaseline::take).collect() };
+    let points = sample_windows(phase, interval, baseline, |base, w| {
+        let (window_s, window_start_s) = (w.window_s, w.start_s);
         let window_ns = (window_s * 1e9) as u64;
 
         let mut agg_sojourn = WindowSnapshot::default();
@@ -326,7 +297,7 @@ pub(crate) fn sampler_loop(
         let (mut depth, mut depth_hwm) = (0usize, 0usize);
         // Per-level (nodes, stats) aggregated across shards.
         let mut levels_agg: Vec<(u64, LockStatsSnapshot)> = Vec::new();
-        for (sh, (rt, b)) in runtimes.iter().zip(&mut base).enumerate() {
+        for (sh, (rt, b)) in runtimes.iter().zip(base).enumerate() {
             let m = &rt.metrics;
             let diff = |cur: u64, prev: &mut u64| {
                 let d = cur.wrapping_sub(*prev);
@@ -415,9 +386,9 @@ pub(crate) fn sampler_loop(
             }
         }
 
-        points.push(TimeseriesPoint {
+        TimeseriesPoint {
             lambda: cfg.lambda,
-            t_s,
+            t_s: w.t_s,
             window_s,
             offered_rate: offered as f64 / window_s,
             accepted_rate: accepted as f64 / window_s,
@@ -443,8 +414,8 @@ pub(crate) fn sampler_loop(
             chases_per_s: chases as f64 / window_s,
             slo_burning: burning,
             shards,
-        });
-    }
+        }
+    });
 
     let slo = slo_ns.map(|slo_p99_ns| SloReport {
         slo_p99_ns,

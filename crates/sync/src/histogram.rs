@@ -7,13 +7,11 @@
 //! measurement harness needs to observe lock waits without creating a
 //! second contention point.
 
+use cbtree_obs::metrics::{bucket_of, bucket_quantile, BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of buckets: enough for 0 ns up to ≥ 2^39 ns ≈ 9 minutes, far
-/// beyond any plausible latch wait.
-pub const BUCKETS: usize = 40;
-
-/// Lock-free log₂-bucketed histogram of nanosecond durations.
+/// Lock-free log₂-bucketed histogram of nanosecond durations (the
+/// bucket scheme is `cbtree_obs::metrics`').
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -24,21 +22,6 @@ impl Default for Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
-    }
-}
-
-/// The bucket index a nanosecond duration falls into.
-#[inline]
-pub fn bucket_of(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
-}
-
-/// Lower bound (inclusive) of a bucket, in nanoseconds.
-pub fn bucket_floor(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else {
-        1u64 << (bucket - 1)
     }
 }
 
@@ -104,41 +87,11 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Approximate quantile in nanoseconds, linearly interpolated
-    /// inside the log₂ bucket the rank lands in: the rank-`r`
-    /// observation of a bucket holding `c` observations is estimated at
-    /// the `(r − ½)/c` point of the bucket's span (each observation at
-    /// the midpoint of its within-bucket rank, uniform assumption), so
-    /// high quantiles no longer quantize to powers of two. `q` is
-    /// clamped into `[0.0, 1.0]` (NaN acts as 0). Returns 0 when empty;
-    /// `q = 0.0` estimates the minimum and `q = 1.0` the maximum.
+    /// Approximate quantile in nanoseconds, interpolated inside the log₂
+    /// bucket the rank lands in (see [`bucket_quantile`]): 0 when empty,
+    /// `q` clamped into `[0.0, 1.0]`, NaN acting as 0.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        // Clamp the rank into [1, total]: near 2^53 observations, f64
-        // rounding can push `ceil(q * total)` past `total`, which would
-        // walk off the scan and report the top bucket for data that
-        // never reached it.
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut before = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if before + c >= rank {
-                if i == 0 {
-                    return 0; // bucket 0 is exactly 0 ns
-                }
-                // Bucket `i` spans [lo, 2·lo) — its width equals its
-                // floor — and stays half-open under interpolation.
-                let lo = bucket_floor(i);
-                let frac = (rank - before) as f64 - 0.5;
-                let est = lo as f64 + (frac / c as f64) * lo as f64;
-                return (est as u64).clamp(lo, (lo << 1) - 1);
-            }
-            before += c;
-        }
-        bucket_floor(BUCKETS - 1)
+        bucket_quantile(&self.counts, q)
     }
 
     /// Median (50th percentile), in nanoseconds. 0 when empty.
@@ -166,21 +119,8 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-        for b in 1..BUCKETS {
-            assert_eq!(bucket_of(bucket_floor(b)), b, "floor of bucket {b}");
-        }
-    }
+    use cbtree_obs::metrics::WindowSnapshot;
+    use cbtree_workload::Rng;
 
     #[test]
     fn record_and_snapshot() {
@@ -196,170 +136,59 @@ mod tests {
         assert_eq!(s.counts[bucket_of(100)], 2);
     }
 
+    /// Seeded property test of the one quantile core through both
+    /// snapshot families: monotone in `q`, inside the bucket the rank
+    /// lands in, and `HistogramSnapshot` agrees with `WindowSnapshot`
+    /// for `q < 1` whenever the window's exact max does not clamp.
     #[test]
-    fn since_and_merge() {
-        let h = Histogram::new();
-        h.record(5);
-        let a = h.snapshot();
-        h.record(5);
-        h.record(7);
-        let b = h.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.total(), 2);
-        let mut m = a;
-        m.merge(&d);
-        assert_eq!(m, b);
-    }
-
-    /// A bucket's interpolated quantile stays inside that bucket's
-    /// half-open span `[floor, 2·floor)`.
-    fn in_bucket(value: u64, sample: u64) -> bool {
-        let lo = bucket_floor(bucket_of(sample));
-        (lo..2 * lo).contains(&value)
-    }
-
-    #[test]
-    fn quantiles_bracket_the_data() {
-        let h = Histogram::new();
-        for _ in 0..99 {
-            h.record(10);
+    fn quantile_is_monotone_in_bucket_and_family_agnostic() {
+        let mut rng = Rng::new(0x5EED);
+        for round in 0..200 {
+            let h = Histogram::new();
+            let mut samples: Vec<u64> = (0..1 + rng.next_below(300))
+                .map(|_| rng.next_u64() >> rng.next_below(64))
+                .collect();
+            samples.iter().for_each(|&ns| h.record(ns));
+            samples.sort_unstable();
+            let s = h.snapshot();
+            let w = WindowSnapshot {
+                counts: s.counts,
+                sum_ns: 0,
+                max_ns: u64::MAX, // never clamps
+            };
+            let mut prev = 0;
+            for i in 0..=40 {
+                let q = f64::from(i) / 40.0;
+                let v = s.quantile(q);
+                assert!(v >= prev, "round {round}: q={q} not monotone");
+                prev = v;
+                let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+                let landing = bucket_of(samples[rank - 1]);
+                assert_eq!(
+                    bucket_of(v),
+                    landing,
+                    "round {round}: q={q} left its bucket"
+                );
+                if q < 1.0 {
+                    assert_eq!(w.quantile(q), v, "round {round}: q={q} families disagree");
+                }
+            }
+            assert_eq!(s.p999(), s.quantile(0.999), "accessor is the quantile");
         }
-        h.record(1_000_000);
-        let s = h.snapshot();
-        assert!(in_bucket(s.quantile(0.5), 10), "{}", s.quantile(0.5));
-        assert!(in_bucket(s.quantile(1.0), 1_000_000), "{}", s.quantile(1.0));
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn quantile_extremes_and_clamping() {
-        let h = Histogram::new();
-        h.record(1); // bucket 1
-        for _ in 0..8 {
-            h.record(100); // bucket 7
+        // Empty: every accessor of both families is 0, never a panic.
+        let (e, we) = (HistogramSnapshot::default(), WindowSnapshot::default());
+        for v in [
+            e.p50(),
+            e.p90(),
+            e.p99(),
+            e.p999(),
+            we.p50(),
+            we.p99(),
+            we.p999(),
+        ] {
+            assert_eq!(v, 0);
         }
-        h.record(1_000_000); // bucket 20
-        let s = h.snapshot();
-        // q = 0 estimates the minimum, q = 1 the maximum; out-of-range
-        // and NaN inputs clamp rather than panic or walk off the array.
-        assert_eq!(s.quantile(0.0), 1, "bucket [1,2) interpolates to 1");
-        assert!(in_bucket(s.quantile(1.0), 1_000_000));
-        assert_eq!(s.quantile(-3.5), s.quantile(0.0));
-        assert_eq!(s.quantile(7.0), s.quantile(1.0));
-        assert_eq!(s.quantile(f64::NAN), s.quantile(0.0));
-    }
-
-    #[test]
-    fn quantile_single_bucket_interpolates_monotonically() {
-        let h = Histogram::new();
-        for _ in 0..5 {
-            h.record(700); // all in one bucket: [512, 1024)
-        }
-        let s = h.snapshot();
-        let mut prev = 0;
-        for q in [0.0, 0.25, 0.5, 0.999, 1.0] {
-            let v = s.quantile(q);
-            assert!(in_bucket(v, 700), "q = {q}: {v}");
-            assert!(v >= prev, "q = {q}: interpolation must be monotone");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn quantile_rank_clamps_near_f64_precision_limit() {
-        // 2^53 + 3 is not representable as f64 and rounds UP, so an
-        // unclamped ceil(1.0 * total) exceeds total and the scan would
-        // fall through to the top bucket. The rank clamp must keep the
-        // answer inside the data's bucket.
-        let mut s = HistogramSnapshot::default();
-        s.counts[2] = (1u64 << 53) + 3;
-        assert!(in_bucket(s.quantile(1.0), 2));
-        assert!(in_bucket(s.quantile(0.5), 2));
-    }
-
-    #[test]
-    fn percentile_accessors_empty_and_single_sample() {
-        // Empty: every accessor is 0 rather than panicking.
-        let empty = HistogramSnapshot::default();
-        assert_eq!(empty.p50(), 0);
-        assert_eq!(empty.p90(), 0);
-        assert_eq!(empty.p99(), 0);
-        assert_eq!(empty.p999(), 0);
-        // Single sample: every percentile is the same estimate (the
-        // bucket midpoint) inside that sample's bucket.
-        let h = Histogram::new();
-        h.record(750);
-        let s = h.snapshot();
-        assert!(in_bucket(s.p50(), 750));
-        assert_eq!(s.p50(), s.p90());
-        assert_eq!(s.p50(), s.p99());
-        assert_eq!(s.p50(), s.p999());
-    }
-
-    #[test]
-    fn p999_separates_the_tail() {
-        // 9900 fast observations and 100 slow ones (1% tail): p99's rank
-        // lands on the last fast observation, p999 reaches the slow ones.
-        let h = Histogram::new();
-        for _ in 0..9_900 {
-            h.record(100);
-        }
-        for _ in 0..100 {
-            h.record(5_000_000);
-        }
-        let s = h.snapshot();
-        assert!(in_bucket(s.p99(), 100), "{}", s.p99());
-        assert!(in_bucket(s.p999(), 5_000_000), "{}", s.p999());
-        assert_eq!(s.p999(), s.quantile(0.999), "accessor is the quantile");
-    }
-
-    /// Satellite regression: against a known sample set the
-    /// interpolated quantiles track the exact order statistics instead
-    /// of quantizing to the bucket floor (a power of two).
-    #[test]
-    fn interpolation_tracks_known_samples() {
-        // 512..1024 — one of each value, all in bucket 10 ([512, 1024)),
-        // so the exact rank-r order statistic is 512 + (r - 1) and the
-        // within-bucket uniform assumption is exactly right.
-        let h = Histogram::new();
-        for ns in 512..1024u64 {
-            h.record(ns);
-        }
-        let s = h.snapshot();
-        for (q, exact) in [(0.5, 767), (0.9, 972), (0.99, 1018), (0.999, 1023)] {
-            let got = s.quantile(q);
-            assert!(
-                got.abs_diff(exact) <= 1,
-                "q={q}: got {got}, exact order statistic {exact}"
-            );
-            assert_ne!(got, 512, "q={q} must not collapse to the bucket floor");
-        }
-        // Two buckets of known mass: p99 of 990 low + 10 high samples
-        // stays with the low values, interpolated near their top.
-        let h2 = Histogram::new();
-        for i in 0..990u64 {
-            h2.record(512 + (i % 512));
-        }
-        for _ in 0..10 {
-            h2.record(100_000);
-        }
-        let s2 = h2.snapshot();
-        let p99 = s2.p99();
-        assert!(
-            (512..1024).contains(&p99) && p99 > 1000,
-            "p99 {p99} should interpolate near the top of the low bucket"
-        );
-    }
-
-    #[test]
-    fn quantile_zero_duration_observations() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(0);
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.0), 0);
-        assert_eq!(s.quantile(1.0), 0);
-        assert_eq!(s.total(), 2);
+        assert_eq!(we.quantile(1.0), 0);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use fcfs::{
     ArcRwLockReadGuard, ArcRwLockWriteGuard, FcfsRwLock, RwLockReadGuard, RwLockWriteGuard,
     UnownedReadGuard, UnownedWriteGuard,
 };
-pub use histogram::{bucket_floor, bucket_of, Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};
 pub use stats::{LockStats, LockStatsSnapshot, SamplePeriod};

@@ -13,12 +13,15 @@
 //!   space, including the paper's two-phase protocol (a construction
 //!   phase that builds the tree with the same insert:delete ratio as the
 //!   concurrent phase);
-//! * [`arrivals`] — Poisson arrival-time streams and timed traces.
+//! * [`arrivals`] — Poisson arrival-time streams and timed traces;
+//! * [`cli`] — the flag cursor every binary in the workspace parses
+//!   its arguments with (this is the one crate they all link).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod arrivals;
+pub mod cli;
 pub mod dist;
 pub mod ops;
 pub mod rng;

@@ -63,10 +63,13 @@ impl OpsConfig {
 
     /// Validates that the proportions form a distribution.
     pub fn is_valid(&self) -> bool {
-        let vals = [self.q_search, self.q_insert, self.q_delete];
-        vals.iter().all(|v| (0.0..=1.0).contains(v))
-            && (vals.iter().sum::<f64>() - 1.0).abs() < 1e-9
+        mix_is_valid([self.q_search, self.q_insert, self.q_delete])
     }
+}
+
+/// Whether search/insert/delete proportions form a distribution.
+pub(crate) fn mix_is_valid(vals: [f64; 3]) -> bool {
+    vals.iter().all(|v| (0.0..=1.0).contains(v)) && (vals.iter().sum::<f64>() - 1.0).abs() < 1e-9
 }
 
 /// A reproducible, infinite stream of operations.

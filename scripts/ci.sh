@@ -83,7 +83,9 @@ target/release/cbtree-trace timeline --expect-spike results/serve-timeseries.jso
 echo "==> lock microbenchmark (smoke, trace-off overhead guard vs BENCH_lock.json)"
 target/release/lockbench --smoke --assert-overhead 2 --out BENCH_lock_smoke.json
 
-echo "==> tree storage microbenchmark (smoke, slab-vs-arc overhead guard vs BENCH_tree.json)"
-target/release/treebench --smoke --assert-overhead 15 --out BENCH_tree_smoke.json
+echo "==> benchmark/ package: builds against the workspace API and runs (quick)"
+# benchmark/ is its own workspace root, so `cargo test --workspace`
+# cannot see an API break against it; this step can.
+bash benchmark/run.sh --quick > /dev/null
 
 echo "==> ok"
