@@ -4,10 +4,12 @@
 //! every tree owns an [`Arena`], a segmented slab of preallocated
 //! [`Slot`]s, and nodes are addressed by a compact [`NodeId`] — a `u32`
 //! slot index paired with the slot's **generation** at handle-creation
-//! time. Child pointers inside nodes are bare `NodeId`s (8 bytes, no
-//! refcount traffic); the [`NodeRef`] handle that code outside a node
-//! passes around pairs an id with an `Arc` of the arena, so storage
-//! lives exactly as long as anything can reach it.
+//! time. Child pointers inside nodes are bare `NodeId`s (8 bytes); the
+//! [`NodeRef`] handle that code outside a node passes around pairs an
+//! id with a **borrow** of the arena. The tree owns its arena outright,
+//! every handle and latch guard borrows it, and nothing an operation
+//! does writes arena-wide state: there is no reference count to keep
+//! alive storage the caller already borrows.
 //!
 //! # Layout
 //!
@@ -52,11 +54,11 @@
 //! any other write.
 
 use crate::node::Node;
-use cbtree_sync::{FcfsRwLock as RwLock, SamplePeriod, UnownedReadGuard, UnownedWriteGuard};
+use cbtree_sync::{FcfsRwLock as RwLock, RwLockReadGuard, RwLockWriteGuard, SamplePeriod};
 use std::fmt;
 use std::ops::{Deref, DerefMut, Index};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Hard upper bound on a tree's node capacity (max keys per node): the
 /// inline key/child arrays are sized for it, so every node of every
@@ -266,7 +268,10 @@ struct Slot<V> {
     lock: RwLock<Node<V>>,
 }
 
-struct ArenaInner<V> {
+/// A tree's node slab. Owned by the tree; [`NodeRef`]s and latch guards
+/// borrow it, so all storage is dropped with the tree and no operation
+/// touches a shared reference count.
+pub struct Arena<V> {
     /// Segment `k` holds `BASE << k` slots; created at most once, so
     /// slot addresses are stable for the arena's lifetime.
     spine: Vec<OnceLock<Box<[Slot<V>]>>>,
@@ -281,26 +286,11 @@ struct ArenaInner<V> {
     sample: SamplePeriod,
 }
 
-/// A shared handle to a tree's node slab. Cloning is an `Arc` clone;
-/// all storage is dropped when the last clone (tree, guard, or
-/// [`NodeRef`]) goes away.
-pub struct Arena<V> {
-    inner: Arc<ArenaInner<V>>,
-}
-
-impl<V> Clone for Arena<V> {
-    fn clone(&self) -> Self {
-        Arena {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
 impl<V> fmt::Debug for Arena<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Arena")
-            .field("allocated", &self.inner.allocated.load(Ordering::Relaxed))
-            .field("recycled", &self.inner.recycled.load(Ordering::Relaxed))
+            .field("allocated", &self.allocated.load(Ordering::Relaxed))
+            .field("recycled", &self.recycled.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -318,20 +308,18 @@ impl<V> Arena<V> {
     /// acquisitions.
     pub fn new(sample: SamplePeriod) -> Self {
         Arena {
-            inner: Arc::new(ArenaInner {
-                spine: (0..SEG_COUNT).map(|_| OnceLock::new()).collect(),
-                free: Mutex::new(Vec::new()),
-                segments: Mutex::new(0),
-                allocated: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
-                sample,
-            }),
+            spine: (0..SEG_COUNT).map(|_| OnceLock::new()).collect(),
+            free: Mutex::new(Vec::new()),
+            segments: Mutex::new(0),
+            allocated: AtomicU64::new(0),
+            recycled: AtomicU64::new(0),
+            sample,
         }
     }
 
     fn slot(&self, idx: u32) -> &Slot<V> {
         let (k, off) = locate(idx);
-        &self.inner.spine[k]
+        &self.spine[k]
             .get()
             .expect("slot index within an initialized segment")[off]
     }
@@ -340,10 +328,9 @@ impl<V> Arena<V> {
     /// handle. The install is an exclusive section of the slot's latch,
     /// so any straggling stale reader of a recycled slot sees a version
     /// bump (and already sees a generation mismatch).
-    pub fn alloc(&self, node: Node<V>) -> NodeRef<V> {
+    pub fn alloc(&self, node: Node<V>) -> NodeRef<'_, V> {
         let idx = loop {
             if let Some(idx) = self
-                .inner
                 .free
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -358,24 +345,16 @@ impl<V> Arena<V> {
         let level = node.level.min(u16::MAX as usize) as u16;
         *slot.lock.write() = node;
         slot.lock.set_trace_tag(level);
-        self.inner.allocated.fetch_add(1, Ordering::Relaxed);
+        self.allocated.fetch_add(1, Ordering::Relaxed);
         self.at(NodeId { idx, gen })
     }
 
     /// Initializes the next segment and feeds its slots to the free
     /// list (no-op when another thread grew first).
     fn grow(&self) {
-        let mut segments = self
-            .inner
-            .segments
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
         {
-            let free = self
-                .inner
-                .free
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
             if !free.is_empty() {
                 return; // someone else grew (or freed) while we waited
             }
@@ -387,16 +366,12 @@ impl<V> Arena<V> {
         let seg: Box<[Slot<V>]> = (0..len)
             .map(|_| Slot {
                 gen: AtomicU32::new(0),
-                lock: RwLock::with_sampling(Node::new_leaf(), self.inner.sample),
+                lock: RwLock::with_sampling(Node::new_leaf(), self.sample),
             })
             .collect();
-        self.inner.spine[k].set(seg).ok().expect("segment set once");
+        self.spine[k].set(seg).ok().expect("segment set once");
         *segments = k + 1;
-        let mut free = self
-            .inner
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         // Reversed so allocation consumes the segment low-index first.
         free.extend((seg_base as u32..(seg_base + len) as u32).rev());
     }
@@ -406,24 +381,23 @@ impl<V> Arena<V> {
     /// node to a placeholder, all inside the caller's exclusive
     /// section. The caller must drop its guard and then call
     /// [`Arena::recycle`] to return the slot to the free list.
-    pub fn retire(&self, guard: &mut WriteGuard<V>) {
-        let slot = self.slot(guard.id.idx);
+    pub fn retire(&self, guard: &mut WriteGuard<'_, V>) {
+        let id = guard.id();
+        let slot = self.slot(id.idx);
         debug_assert_eq!(
             slot.gen.load(Ordering::Relaxed),
-            guard.id.gen,
+            id.gen,
             "retiring through a stale handle"
         );
-        slot.gen
-            .store(guard.id.gen.wrapping_add(1), Ordering::Release);
+        slot.gen.store(id.gen.wrapping_add(1), Ordering::Release);
         **guard = Node::new_leaf();
-        self.inner.recycled.fetch_add(1, Ordering::Relaxed);
+        self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Returns a retired slot to the free list (after the retiring
     /// guard dropped; the slot may be handed out again immediately).
     pub fn recycle(&self, id: NodeId) {
-        self.inner
-            .free
+        self.free
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(id.idx);
@@ -431,27 +405,23 @@ impl<V> Arena<V> {
 
     /// A handle for `id` in this arena (no liveness check — a stale id
     /// yields a handle whose [`NodeRef::stale`] is true).
-    pub fn at(&self, id: NodeId) -> NodeRef<V> {
-        NodeRef {
-            arena: self.clone(),
-            id,
-        }
+    pub fn at(&self, id: NodeId) -> NodeRef<'_, V> {
+        NodeRef { arena: self, id }
     }
 
     /// Total slots ever handed out.
     pub fn allocated(&self) -> u64 {
-        self.inner.allocated.load(Ordering::Relaxed)
+        self.allocated.load(Ordering::Relaxed)
     }
 
     /// Total slots retired for recycling.
     pub fn recycled(&self) -> u64 {
-        self.inner.recycled.load(Ordering::Relaxed)
+        self.recycled.load(Ordering::Relaxed)
     }
 
     /// Current free-list length (test/diagnostic use).
     pub fn free_slots(&self) -> usize {
-        self.inner
-            .free
+        self.free
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
@@ -459,68 +429,72 @@ impl<V> Arena<V> {
 }
 
 // ---------------------------------------------------------------------
-// NodeRef: arena + id, the unit every descent passes around.
+// NodeRef: arena borrow + id, the unit every descent passes around.
 // ---------------------------------------------------------------------
 
-/// A node handle: an [`Arena`] plus a [`NodeId`]. Dereferences to the
-/// slot's latch, so all of `read()`, `write()`, `version()`,
-/// `validate()`, `read_optimistic()` and `stats()` are available
-/// directly; the `*_guard` methods additionally return owned guards
-/// that keep the arena alive (the latch-crabbing shape).
-pub struct NodeRef<V> {
-    arena: Arena<V>,
+/// A node handle: a borrow of the [`Arena`] plus a [`NodeId`] — two
+/// words, `Copy`, so stepping, recording and passing handles writes
+/// nothing shared. Dereferences to the slot's latch, so all of
+/// `read()`, `write()`, `version()`, `validate()`, `read_optimistic()`
+/// and `stats()` are available directly; the `*_guard` methods
+/// additionally return guards that remember the id and the arena (the
+/// latch-crabbing shape: a child is resolved through its latched
+/// parent's guard).
+pub struct NodeRef<'a, V> {
+    arena: &'a Arena<V>,
     id: NodeId,
 }
 
-impl<V> Clone for NodeRef<V> {
+impl<V> Clone for NodeRef<'_, V> {
     fn clone(&self) -> Self {
-        NodeRef {
-            arena: self.arena.clone(),
-            id: self.id,
-        }
+        *self
     }
 }
 
-impl<V> fmt::Debug for NodeRef<V> {
+impl<V> Copy for NodeRef<'_, V> {}
+
+// A `Copy` handle cannot hide a reference count.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<NodeRef<'static, u64>>();
+};
+
+impl<V> fmt::Debug for NodeRef<'_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeRef").field("id", &self.id).finish()
     }
 }
 
-impl<V> Deref for NodeRef<V> {
+impl<V> Deref for NodeRef<'_, V> {
     type Target = RwLock<Node<V>>;
     fn deref(&self) -> &RwLock<Node<V>> {
-        &self.arena.slot(self.id.idx).lock
+        self.latch()
     }
 }
 
-impl<V> NodeRef<V> {
+impl<'a, V> NodeRef<'a, V> {
     /// This handle's id.
     pub fn id(&self) -> NodeId {
         self.id
     }
 
     /// The arena this handle points into.
-    pub fn arena(&self) -> &Arena<V> {
-        &self.arena
+    pub fn arena(&self) -> &'a Arena<V> {
+        self.arena
     }
 
     /// A sibling handle into the same arena.
-    pub fn at(&self, id: NodeId) -> NodeRef<V> {
+    pub fn at(&self, id: NodeId) -> NodeRef<'a, V> {
         self.arena.at(id)
     }
 
-    /// Rebinds this handle to `id` in place — the hot descent step.
-    /// Unlike [`NodeRef::at`], which clones the arena handle (two
-    /// refcount writes on a cache line shared by every thread), this is
-    /// plain field assignment, so a descent that steps with `goto`
-    /// performs no refcount traffic at all.
+    /// Rebinds this handle to `id` in place — the descent step.
     pub fn goto(&mut self, id: NodeId) {
         self.id = id;
     }
 
     /// Whether two handles name the same slot *and* generation.
-    pub fn same_node(a: &NodeRef<V>, b: &NodeRef<V>) -> bool {
+    pub fn same_node(a: &NodeRef<'_, V>, b: &NodeRef<'_, V>) -> bool {
         a.id == b.id
     }
 
@@ -534,95 +508,81 @@ impl<V> NodeRef<V> {
         self.arena.slot(self.id.idx).gen.load(Ordering::Acquire) != self.id.gen
     }
 
-    /// Blocking shared latch; the guard keeps the arena alive.
-    #[allow(unsafe_code)]
-    pub fn read_guard(&self) -> ReadGuard<V> {
-        // SAFETY: the guard's embedded `Arena` clone keeps the slot
-        // storage alive for at least as long as the unowned guard.
-        let guard = unsafe { self.read_unowned() };
+    /// The slot's latch, borrowed for as long as the arena is (the
+    /// `Deref` impl can only lend it for the handle's own borrow).
+    fn latch(&self) -> &'a RwLock<Node<V>> {
+        &self.arena.slot(self.id.idx).lock
+    }
+
+    /// Blocking shared latch.
+    pub fn read_guard(&self) -> ReadGuard<'a, V> {
         ReadGuard {
-            guard,
-            arena: self.arena.clone(),
-            id: self.id,
+            guard: self.latch().read(),
+            node: *self,
         }
     }
 
-    /// Blocking exclusive latch; the guard keeps the arena alive.
-    #[allow(unsafe_code)]
-    pub fn write_guard(&self) -> WriteGuard<V> {
-        // SAFETY: as for `read_guard`.
-        let guard = unsafe { self.write_unowned() };
+    /// Blocking exclusive latch.
+    pub fn write_guard(&self) -> WriteGuard<'a, V> {
         WriteGuard {
-            guard,
-            arena: self.arena.clone(),
-            id: self.id,
+            guard: self.latch().write(),
+            node: *self,
         }
     }
 
     /// Non-blocking shared probe (fast path only), as
-    /// [`FcfsRwLock::try_read_arc`](cbtree_sync::FcfsRwLock::try_read_arc).
-    #[allow(unsafe_code)]
-    pub fn try_read_guard(&self) -> Option<ReadGuard<V>> {
-        // SAFETY: as for `read_guard`.
-        let guard = unsafe { self.try_read_unowned() }?;
+    /// [`FcfsRwLock::try_read`](cbtree_sync::FcfsRwLock::try_read).
+    pub fn try_read_guard(&self) -> Option<ReadGuard<'a, V>> {
         Some(ReadGuard {
-            guard,
-            arena: self.arena.clone(),
-            id: self.id,
+            guard: self.latch().try_read()?,
+            node: *self,
         })
     }
 
     /// Non-blocking exclusive probe (fast path only).
-    #[allow(unsafe_code)]
-    pub fn try_write_guard(&self) -> Option<WriteGuard<V>> {
-        // SAFETY: as for `read_guard`.
-        let guard = unsafe { self.try_write_unowned() }?;
+    pub fn try_write_guard(&self) -> Option<WriteGuard<'a, V>> {
         Some(WriteGuard {
-            guard,
-            arena: self.arena.clone(),
-            id: self.id,
+            guard: self.latch().try_write()?,
+            node: *self,
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// Guards: unowned latch guards plus an arena keepalive.
+// Guards: a borrowed latch guard plus the handle it was taken through.
 // ---------------------------------------------------------------------
 
-/// Shared latch guard on an arena slot. Field order is load-bearing:
-/// the latch releases before the arena keepalive drops.
+/// Shared latch guard on an arena slot.
 #[must_use = "dropping the guard releases the latch"]
-pub struct ReadGuard<V> {
-    guard: UnownedReadGuard<Node<V>>,
-    arena: Arena<V>,
-    id: NodeId,
+pub struct ReadGuard<'a, V> {
+    guard: RwLockReadGuard<'a, Node<V>>,
+    node: NodeRef<'a, V>,
 }
 
 /// Exclusive latch guard on an arena slot (see [`ReadGuard`]).
 #[must_use = "dropping the guard releases the latch"]
-pub struct WriteGuard<V> {
-    guard: UnownedWriteGuard<Node<V>>,
-    arena: Arena<V>,
-    id: NodeId,
+pub struct WriteGuard<'a, V> {
+    guard: RwLockWriteGuard<'a, Node<V>>,
+    node: NodeRef<'a, V>,
 }
 
 macro_rules! impl_arena_guard {
     ($guard:ident) => {
-        impl<V> $guard<V> {
+        impl<'a, V> $guard<'a, V> {
             /// The latched slot's id.
             pub fn id(&self) -> NodeId {
-                self.id
+                self.node.id
             }
 
-            /// A fresh handle to the latched node.
-            pub fn node_ref(&self) -> NodeRef<V> {
-                self.arena.at(self.id)
+            /// The handle the latch was taken through.
+            pub fn node_ref(&self) -> NodeRef<'a, V> {
+                self.node
             }
 
             /// A handle to `id` in the same arena (how a crab descent
             /// materializes the child named by a latched parent).
-            pub fn at(&self, id: NodeId) -> NodeRef<V> {
-                self.arena.at(id)
+            pub fn at(&self, id: NodeId) -> NodeRef<'a, V> {
+                self.node.at(id)
             }
 
             /// Whether the slot was recycled since the handle this
@@ -630,18 +590,18 @@ macro_rules! impl_arena_guard {
             /// when the handle crossed an unlatched window; see
             /// [`NodeRef::stale`]).
             pub fn stale(&self) -> bool {
-                self.arena.slot(self.id.idx).gen.load(Ordering::Acquire) != self.id.gen
+                self.node.stale()
             }
         }
 
-        impl<V> Deref for $guard<V> {
+        impl<V> Deref for $guard<'_, V> {
             type Target = Node<V>;
             fn deref(&self) -> &Node<V> {
                 &self.guard
             }
         }
 
-        impl<V: fmt::Debug> fmt::Debug for $guard<V> {
+        impl<V: fmt::Debug> fmt::Debug for $guard<'_, V> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 fmt::Debug::fmt(&**self, f)
             }
@@ -652,9 +612,17 @@ macro_rules! impl_arena_guard {
 impl_arena_guard!(ReadGuard);
 impl_arena_guard!(WriteGuard);
 
-impl<V> DerefMut for WriteGuard<V> {
+impl<V> DerefMut for WriteGuard<'_, V> {
     fn deref_mut(&mut self) -> &mut Node<V> {
         &mut self.guard
+    }
+}
+
+impl<'a, V> WriteGuard<'a, V> {
+    /// Unwraps the latch guard itself (for the recovery strategies'
+    /// transaction retention, which holds latches past this borrow).
+    pub(crate) fn into_latch_guard(self) -> RwLockWriteGuard<'a, Node<V>> {
+        self.guard
     }
 }
 

@@ -2,27 +2,31 @@
 //!
 //! The descent engine counts, with relaxed atomics owned by the *tree*
 //! (never the lock — the lock's uncontended fast path stays a single
-//! CAS), the quantities the paper's analytical models treat as
+//! CAS) and striped per thread (never a line two running threads both
+//! write), the quantities the paper's analytical models treat as
 //! first-class inputs: latch acquisitions per level, optimistic
 //! restarts (the `q_i·Pr[F(1)]` rate of the Optimistic model), right-link
 //! chases (the Link-type crossing rate of Figure 9), the peak retained
 //! latch-chain depth, and — for the §7 recovery variants — transaction
 //! commits and deadlock-avoidance spills.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Per-level counter arrays cover levels `1..=MAX_LEVELS`; anything
 /// deeper (unreachable at sane capacities) folds into the last slot.
 pub const MAX_LEVELS: usize = 16;
 
-/// Relaxed-atomic operation counters embedded in every tree.
-///
-/// All increments are `Relaxed` single `fetch_add`s on tree-owned cache
-/// lines, so the node locks' fast path is untouched. Read them with
-/// [`OpCounters::snapshot`] and diff two snapshots with
-/// [`OpCountersSnapshot::since`].
+/// Number of counter stripes per tree. Threads are dealt stripes
+/// round-robin by a process-wide ordinal, so up to this many threads
+/// count without ever writing a cache line another thread writes.
+const STRIPES: usize = 16;
+
+/// One thread's (or a few threads') share of a tree's counters, on
+/// cache lines of its own: 128-byte alignment also keeps the adjacent-
+/// line prefetcher from coupling neighbouring stripes.
 #[derive(Debug, Default)]
-pub struct OpCounters {
+#[repr(align(128))]
+struct Stripe {
     ops: AtomicU64,
     r_latches: [AtomicU64; MAX_LEVELS],
     w_latches: [AtomicU64; MAX_LEVELS],
@@ -35,23 +39,70 @@ pub struct OpCounters {
     v_validations: AtomicU64,
     v_restarts_writer: AtomicU64,
     v_restarts_version: AtomicU64,
+    /// Keys inserted minus keys removed through this stripe, wrapping:
+    /// a thread may remove what another inserted, so one stripe can go
+    /// "negative" while the wrapping sum over all stripes stays exact.
+    len_delta: AtomicUsize,
+}
+
+const _: () = {
+    assert!(std::mem::align_of::<Stripe>() >= 64);
+    assert!(std::mem::size_of::<OpCounters>() <= 8 * 1024);
+};
+
+/// The calling thread's stripe index: a process-wide ordinal dealt on a
+/// thread's first count and kept for its lifetime.
+#[inline]
+fn stripe_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static ORDINAL: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    ORDINAL.with(|o| *o) % STRIPES
+}
+
+/// Relaxed-atomic operation counters embedded in every tree.
+///
+/// The counters are **striped**: each thread increments its own
+/// cache-line-aligned [`Stripe`] (picked from a thread-local ordinal),
+/// so counting an operation or a latch never writes a line another
+/// running thread writes — the node locks' fast path is untouched and
+/// so is every other thread's. Every reader sums the stripes, so
+/// [`OpCounters::snapshot`] (and the tree's `len`) keep their exact-sum
+/// meaning; diff two snapshots with [`OpCountersSnapshot::since`].
+#[derive(Debug, Default)]
+pub struct OpCounters {
+    stripes: [Stripe; STRIPES],
 }
 
 impl OpCounters {
+    #[inline]
+    fn mine(&self) -> &Stripe {
+        &self.stripes[stripe_index()]
+    }
+
+    fn sum(&self, field: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// One public operation (get/insert/remove/contains/range) started.
     #[inline]
     pub(crate) fn record_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.mine().ops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One node latch acquired at `level` (1 = leaf) in the given mode.
     #[inline]
     pub(crate) fn record_latch(&self, level: usize, exclusive: bool) {
         let idx = level.clamp(1, MAX_LEVELS) - 1;
+        let stripe = self.mine();
         let arr = if exclusive {
-            &self.w_latches
+            &stripe.w_latches
         } else {
-            &self.r_latches
+            &stripe.r_latches
         };
         arr[idx].fetch_add(1, Ordering::Relaxed);
     }
@@ -60,14 +111,14 @@ impl OpCounters {
     /// operation as a full exclusive descent.
     #[inline]
     pub(crate) fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
+        self.mine().restarts.fetch_add(1, Ordering::Relaxed);
         cbtree_obs::trace::restart();
     }
 
     /// A traversal chased one right link (Lehman–Yao crossing).
     #[inline]
     pub(crate) fn record_chase(&self) {
-        self.chases.fetch_add(1, Ordering::Relaxed);
+        self.mine().chases.fetch_add(1, Ordering::Relaxed);
         cbtree_obs::trace::chase();
     }
 
@@ -75,14 +126,14 @@ impl OpCounters {
     /// continuous metrics sampler turns into splits/s per window.
     #[inline]
     pub(crate) fn record_split(&self) {
-        self.splits.fetch_add(1, Ordering::Relaxed);
+        self.mine().splits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One optimistic (latch-free) node read attempted, ending in a
     /// version validation — the OLC reader's unit of work.
     #[inline]
     pub(crate) fn record_validation(&self) {
-        self.v_validations.fetch_add(1, Ordering::Relaxed);
+        self.mine().v_validations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// An optimistic read window failed and the descent restarted from
@@ -94,24 +145,30 @@ impl OpCounters {
     /// Optimistic protocol's redo descents.
     #[inline]
     pub(crate) fn record_olc_restart(&self, writer_blocked: bool) {
+        let stripe = self.mine();
         if writer_blocked {
-            self.v_restarts_writer.fetch_add(1, Ordering::Relaxed);
+            stripe.v_restarts_writer.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.v_restarts_version.fetch_add(1, Ordering::Relaxed);
+            stripe.v_restarts_version.fetch_add(1, Ordering::Relaxed);
         }
         self.record_restart();
     }
 
-    /// Observes a retained latch-chain depth; keeps the maximum.
+    /// Observes a retained latch-chain depth; keeps the maximum. The
+    /// load-first test keeps the steady state (depth already seen) a
+    /// read of the thread's own line instead of an RMW per operation.
     #[inline]
     pub(crate) fn note_chain_depth(&self, depth: usize) {
-        self.peak_chain.fetch_max(depth as u64, Ordering::Relaxed);
+        let peak = &self.mine().peak_chain;
+        if peak.load(Ordering::Relaxed) < depth as u64 {
+            peak.fetch_max(depth as u64, Ordering::Relaxed);
+        }
     }
 
     /// A transaction committed (recovery variants only).
     #[inline]
     pub(crate) fn record_txn_commit(&self) {
-        self.txn_commits.fetch_add(1, Ordering::Relaxed);
+        self.mine().txn_commits.fetch_add(1, Ordering::Relaxed);
         cbtree_obs::trace::txn_commit();
     }
 
@@ -119,40 +176,73 @@ impl OpCounters {
     /// deadlock-free (recovery variants only).
     #[inline]
     pub(crate) fn record_txn_spill(&self) {
-        self.txn_spills.fetch_add(1, Ordering::Relaxed);
+        self.mine().txn_spills.fetch_add(1, Ordering::Relaxed);
         cbtree_obs::trace::txn_spill();
+    }
+
+    /// One key entered the tree (an insert that did not replace).
+    #[inline]
+    pub(crate) fn key_added(&self) {
+        self.mine().len_delta.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One key left the tree (a remove that found its key).
+    #[inline]
+    pub(crate) fn key_removed(&self) {
+        self.mine().len_delta.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Keys stored: the wrapping sum of every stripe's delta. Exact
+    /// whenever the tree is quiescent. Under concurrent updates the
+    /// stripes are read one after another, so the sum can miss an
+    /// insert whose matching remove (on a later-read stripe) it sees;
+    /// such a transiently negative sum reads as 0, never as a huge
+    /// wrapped count.
+    pub(crate) fn len(&self) -> usize {
+        let sum = self.stripes.iter().fold(0usize, |n, s| {
+            n.wrapping_add(s.len_delta.load(Ordering::Acquire))
+        });
+        (sum as isize).max(0) as usize
     }
 
     /// Total optimistic restarts so far.
     pub fn restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
+        self.sum(|s| &s.restarts)
     }
 
     /// Total right-link chases so far.
     pub fn chases(&self) -> u64 {
-        self.chases.load(Ordering::Relaxed)
+        self.sum(|s| &s.chases)
     }
 
     /// Total node splits so far.
     pub fn splits(&self) -> u64 {
-        self.splits.load(Ordering::Relaxed)
+        self.sum(|s| &s.splits)
     }
 
-    /// A point-in-time copy of every counter.
+    /// A point-in-time copy of every counter, summed over the stripes.
     pub fn snapshot(&self) -> OpCountersSnapshot {
+        let per_level = |field: fn(&Stripe) -> &[AtomicU64; MAX_LEVELS]| {
+            std::array::from_fn(|i| self.sum(|s| &field(s)[i]))
+        };
         OpCountersSnapshot {
-            ops: self.ops.load(Ordering::Relaxed),
-            r_latches: self.r_latches.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            w_latches: self.w_latches.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            chases: self.chases.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
-            peak_chain: self.peak_chain.load(Ordering::Relaxed),
-            txn_commits: self.txn_commits.load(Ordering::Relaxed),
-            txn_spills: self.txn_spills.load(Ordering::Relaxed),
-            v_validations: self.v_validations.load(Ordering::Relaxed),
-            v_restarts_writer: self.v_restarts_writer.load(Ordering::Relaxed),
-            v_restarts_version: self.v_restarts_version.load(Ordering::Relaxed),
+            ops: self.sum(|s| &s.ops),
+            r_latches: per_level(|s| &s.r_latches),
+            w_latches: per_level(|s| &s.w_latches),
+            restarts: self.restarts(),
+            chases: self.chases(),
+            splits: self.splits(),
+            peak_chain: self
+                .stripes
+                .iter()
+                .map(|s| s.peak_chain.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0),
+            txn_commits: self.sum(|s| &s.txn_commits),
+            txn_spills: self.sum(|s| &s.txn_spills),
+            v_validations: self.sum(|s| &s.v_validations),
+            v_restarts_writer: self.sum(|s| &s.v_restarts_writer),
+            v_restarts_version: self.sum(|s| &s.v_restarts_version),
         }
     }
 }
@@ -345,6 +435,27 @@ mod tests {
         assert_eq!(d.txn_spills, 1);
         assert_eq!(d.peak_chain, 5, "peak carries over");
         assert_eq!(d.w_latch_total(), 0);
+    }
+
+    #[test]
+    fn len_sums_the_stripes_and_never_wraps() {
+        let c = OpCounters::default();
+        c.key_added();
+        c.key_added();
+        // Another thread (another stripe) removes what this one added.
+        std::thread::scope(|s| {
+            s.spawn(|| c.key_removed());
+        });
+        assert_eq!(c.len(), 1);
+        // A sum caught below zero — a remove counted before the insert
+        // it undoes — reads as empty.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                c.key_removed();
+                c.key_removed();
+            });
+        });
+        assert_eq!(c.len(), 0);
     }
 
     #[test]

@@ -64,20 +64,25 @@
 //! behave (and perform) exactly like their underlying protocol plus
 //! bookkeeping.
 
-use crate::arena::{Arena, NodeId, NodeRef, MAX_CAP};
+use crate::arena::{Arena, InlineVec, NodeId, NodeRef, MAX_CAP};
 use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
-use crate::counters::{OpCounters, OpCountersSnapshot};
+use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, collect_range, make_root, split_node, Children, Node};
 use crate::olc::OlcValue;
-use cbtree_sync::SamplePeriod;
+use cbtree_sync::{RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::{self, ThreadId};
 
 pub(crate) use crate::arena::{ReadGuard, WriteGuard};
+
+/// The B-link insert's ascent hints: the internal node visited at each
+/// level on the way down, root-most first, inline so a non-splitting
+/// insert allocates nothing.
+type AscentHints = InlineVec<NodeId, MAX_LEVELS>;
 
 /// How a strategy latches on the way down for read-only operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,23 +161,44 @@ pub trait LatchStrategy: Send + Sync + 'static {
 /// All protocol trees in this crate are type aliases of this engine —
 /// e.g. `LockCouplingTree<V> = DescentTree<V, LockCouplingStrategy>`.
 pub struct DescentTree<V, S: LatchStrategy> {
-    /// Node storage: every node of this tree lives in one slab arena.
+    /// Node storage: every node of this tree lives in one slab arena,
+    /// owned here and borrowed by every handle and guard.
     arena: Arena<V>,
     /// The root's packed [`NodeId`] (root nodes are never recycled, so
-    /// the word is ABA-free; swings use compare-exchange).
-    root: AtomicU64,
+    /// the word is ABA-free; swings use compare-exchange). Read by every
+    /// operation and written once per root split, so it sits on a line
+    /// nothing per-operation writes.
+    root: RootWord,
     cap: usize,
-    len: AtomicUsize,
+    /// Operation telemetry and the key count, striped per thread.
     counters: OpCounters,
-    /// Exclusive guards retained across operations by transaction
+    /// Exclusive latches retained across operations by transaction
     /// (recovery strategies only; keyed by owning thread). A thread only
-    /// ever touches its own entry.
-    retained: Mutex<HashMap<ThreadId, Vec<WriteGuard<V>>>>,
+    /// ever touches its own entry. These are the only latch guards that
+    /// outlive the borrow they were taken under; `Drop` releases any
+    /// that remain before the arena goes.
+    retained: Mutex<HashMap<ThreadId, Vec<UnownedWriteGuard<Node<V>>>>>,
     /// Serializes [`DescentTree::vacuum`] passes (one reclaimer at a
     /// time keeps the latch-order argument two-party: vacuum vs.
     /// ordinary descents).
     vacuum_serial: Mutex<()>,
     _strategy: PhantomData<fn() -> S>,
+}
+
+/// The root word alone on its cache lines.
+#[repr(align(128))]
+struct RootWord(AtomicU64);
+
+impl<V, S: LatchStrategy> Drop for DescentTree<V, S> {
+    fn drop(&mut self) {
+        // Retained latches point into `arena`: release them while it is
+        // still whole (a thread that exited mid-transaction leaves its
+        // entry behind).
+        self.retained
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 }
 
 impl<V, S: LatchStrategy> fmt::Debug for DescentTree<V, S> {
@@ -213,12 +239,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             "node capacity must be at most {MAX_CAP} (inline array bound)"
         );
         let arena = Arena::new(sample);
-        let first_leaf = arena.alloc(Node::new_leaf_for(capacity));
+        let first_leaf = arena.alloc(Node::new_leaf_for(capacity)).id();
         DescentTree {
-            root: AtomicU64::new(first_leaf.id().to_bits()),
+            root: RootWord(AtomicU64::new(first_leaf.to_bits())),
             arena,
             cap: capacity,
-            len: AtomicUsize::new(0),
             counters: OpCounters::default(),
             retained: Mutex::new(HashMap::new()),
             vacuum_serial: Mutex::new(()),
@@ -228,7 +253,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.counters.len()
     }
 
     /// Whether the tree is empty.
@@ -243,11 +268,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     /// The current root's id.
     fn root_id(&self) -> NodeId {
-        NodeId::from_bits(self.root.load(Ordering::Acquire))
+        NodeId::from_bits(self.root.0.load(Ordering::Acquire))
     }
 
     /// A handle to the current root.
-    fn root_ref(&self) -> NodeRef<V> {
+    fn root_ref(&self) -> NodeRef<'_, V> {
         self.arena.at(self.root_id())
     }
 
@@ -304,7 +329,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     /// Snapshot of the root handle (test/diagnostic use).
-    pub fn root_handle(&self) -> NodeRef<V> {
+    pub fn root_handle(&self) -> NodeRef<'_, V> {
         self.root_ref()
     }
 
@@ -360,7 +385,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     /// Moves the exclusive guards a finished update still holds into the
     /// transaction-retention set, per `S::TXN`.
-    fn txn_retain(&self, mut held: Vec<WriteGuard<V>>) {
+    #[allow(unsafe_code)]
+    fn txn_retain(&self, mut held: Vec<WriteGuard<'_, V>>) {
         let keep = match S::TXN {
             TxnRetention::None => return,
             TxnRetention::Leaf => {
@@ -375,7 +401,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             .unwrap_or_else(PoisonError::into_inner)
             .entry(thread::current().id())
             .or_default()
-            .extend(keep);
+            .extend(keep.into_iter().map(|g| {
+                // SAFETY: the latch lives in a slot of `self.arena`,
+                // whose slots never move or free before the arena
+                // drops; the erased guard goes into `self.retained`,
+                // which only `txn_commit`, `txn_spill` and `Drop`
+                // empty — all while `self.arena` is alive.
+                unsafe { RwLockWriteGuard::into_unowned(g.into_latch_guard()) }
+            }));
     }
 
     // ------------------------------------------------------------------
@@ -383,7 +416,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     // ------------------------------------------------------------------
 
     /// Shared latch on `node`; `None` only in probe mode.
-    fn latch_read(&self, node: &NodeRef<V>, probe: bool) -> Option<ReadGuard<V>> {
+    fn latch_read<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<ReadGuard<'a, V>> {
         let g = if probe {
             node.try_read_guard()?
         } else {
@@ -394,7 +427,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     /// Exclusive latch on `node`; `None` only in probe mode.
-    fn latch_write(&self, node: &NodeRef<V>, probe: bool) -> Option<WriteGuard<V>> {
+    fn latch_write<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<WriteGuard<'a, V>> {
         let g = if probe {
             node.try_write_guard()?
         } else {
@@ -409,10 +442,10 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// descending from a stale root would miss the upper half of the key
     /// space in the non-link protocols). Root slots are never recycled,
     /// so id equality is exact identity.
-    fn lock_root_read(&self, probe: bool) -> Option<ReadGuard<V>> {
+    fn lock_root_read(&self, probe: bool) -> Option<ReadGuard<'_, V>> {
         loop {
             let root = self.root_ref();
-            let guard = self.latch_read(&root, probe)?;
+            let guard = self.latch_read(root, probe)?;
             if guard.id() == self.root_id() {
                 return Some(guard);
             }
@@ -420,10 +453,10 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     /// Latches the current root exclusively, with the same validation.
-    fn lock_root_write(&self, probe: bool) -> Option<WriteGuard<V>> {
+    fn lock_root_write(&self, probe: bool) -> Option<WriteGuard<'_, V>> {
         loop {
             let root = self.root_ref();
-            let guard = self.latch_write(&root, probe)?;
+            let guard = self.latch_write(root, probe)?;
             if guard.id() == self.root_id() {
                 return Some(guard);
             }
@@ -437,14 +470,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Shared-crab descent to the leaf covering `key` (the parent's
     /// latch is held until the child's is granted). `None` only in probe
     /// mode.
-    fn crab_read_leaf(&self, key: u64, probe: bool) -> Option<ReadGuard<V>> {
+    fn crab_read_leaf(&self, key: u64, probe: bool) -> Option<ReadGuard<'_, V>> {
         let mut guard = self.lock_root_read(probe)?;
         loop {
             if guard.is_leaf() {
                 return Some(guard);
             }
             let child = guard.at(guard.child_for(key));
-            let child_guard = self.latch_read(&child, probe)?;
+            let child_guard = self.latch_read(child, probe)?;
             guard = child_guard; // parent latch releases on reassign
         }
     }
@@ -453,7 +486,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// `key` plus — for [`ReadPolicy::RetainAll`] — the retained
     /// ancestor guards that must stay alive alongside it. Handles probe
     /// mode (and the spill-and-retry it implies) internally.
-    fn read_leaf(&self, key: u64) -> (ReadGuard<V>, Vec<ReadGuard<V>>) {
+    fn read_leaf(&self, key: u64) -> (ReadGuard<'_, V>, Vec<ReadGuard<'_, V>>) {
         match S::READ {
             ReadPolicy::Crab => {
                 let leaf = if self.must_probe() {
@@ -479,20 +512,19 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                         return (leaf, held);
                     }
                     let child = top.at(top.child_for(key));
-                    let g = self.latch_read(&child, false).expect("blocking");
+                    let g = self.latch_read(child, false).expect("blocking");
                     held.push(g);
                 }
             }
             ReadPolicy::Link => {
-                let leaf = self.link_descend(key, None);
-                let mut cur = leaf;
-                let mut g = self.latch_read(&cur, false).expect("blocking");
+                let mut cur = self.link_descend(key, None);
+                let mut g = self.latch_read(cur, false).expect("blocking");
                 while !g.covers(key) {
                     let next = g.right.expect("covers");
                     drop(g); // at most one latch at a time
                     self.counters.record_chase();
                     cur.goto(next);
-                    g = self.latch_read(&cur, false).expect("blocking");
+                    g = self.latch_read(cur, false).expect("blocking");
                 }
                 self.counters.note_chain_depth(1);
                 (g, Vec::new())
@@ -554,15 +586,15 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         &self,
         key: u64,
         leaf_read: impl Fn(&Node<V>) -> R,
-    ) -> (NodeRef<V>, R) {
+    ) -> (NodeRef<'_, V>, R) {
         enum Step<R> {
             Down(NodeId),
             Right(NodeId),
             Done(R),
         }
         // (node, version) per visited level, root-side first.
-        let mut path: Vec<(NodeRef<V>, u64)> = Vec::new();
-        let mut cur: NodeRef<V> = self.root_ref();
+        let mut path: Vec<(NodeRef<'_, V>, u64)> = Vec::new();
+        let mut cur = self.root_ref();
         loop {
             self.counters.record_validation();
             // SAFETY: `covers`/`is_leaf`/`child_index` read POD fields,
@@ -598,9 +630,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                         return (cur, out);
                     }
                     Some((ver, Some(Step::Down(child)))) => {
-                        let child = cur.at(child);
                         path.push((cur, ver));
-                        cur = child;
+                        cur.goto(child);
                         continue;
                     }
                     Some((_, Some(Step::Right(right)))) => {
@@ -634,14 +665,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Read-crab descent to the leaf *handle* for `key` (the caller
     /// re-latches it; used by range scans, which continue along the leaf
     /// chain from there).
-    fn leaf_handle_for(&self, key: u64) -> NodeRef<V> {
+    fn leaf_handle_for(&self, key: u64) -> NodeRef<'_, V> {
         let mut guard = self.lock_root_read(false).expect("blocking");
         loop {
             if guard.is_leaf() {
                 return guard.node_ref();
             }
             let child = guard.at(guard.child_for(key));
-            guard = self.latch_read(&child, false).expect("blocking");
+            guard = self.latch_read(child, false).expect("blocking");
         }
     }
 
@@ -659,8 +690,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         is_unsafe: impl Fn(&Node<V>) -> bool,
         retain_all: bool,
         probe: bool,
-    ) -> Option<Vec<WriteGuard<V>>> {
-        let mut held: Vec<WriteGuard<V>> = vec![self.lock_root_write(probe)?];
+    ) -> Option<Vec<WriteGuard<'_, V>>> {
+        let mut held = vec![self.lock_root_write(probe)?];
         let mut peak = 1;
         loop {
             let child = {
@@ -671,7 +702,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 }
                 top.at(top.child_for(key))
             };
-            let child_guard = self.latch_write(&child, probe)?;
+            let child_guard = self.latch_write(child, probe)?;
             if !retain_all && !is_unsafe(&child_guard) {
                 held.clear(); // child is safe: release every ancestor
             }
@@ -687,7 +718,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         key: u64,
         is_unsafe: impl Fn(&Node<V>) -> bool,
         retain_all: bool,
-    ) -> Vec<WriteGuard<V>> {
+    ) -> Vec<WriteGuard<'_, V>> {
         if self.must_probe() {
             if let Some(held) = self.descend_exclusive(key, &is_unsafe, retain_all, true) {
                 return held;
@@ -701,7 +732,12 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Inserts into an exclusively latched chain's leaf and splits
     /// upward through it (shared by the crab and optimistic-redo write
     /// paths). The chain is consumed into transaction retention.
-    fn insert_through_chain(&self, mut held: Vec<WriteGuard<V>>, key: u64, val: V) -> Option<V> {
+    fn insert_through_chain(
+        &self,
+        mut held: Vec<WriteGuard<'_, V>>,
+        key: u64,
+        val: V,
+    ) -> Option<V> {
         let leaf = held.last_mut().expect("descent reaches a leaf");
         debug_assert!(leaf.covers(key), "coupled descents never go stale");
         let old = leaf.leaf_insert(key, val);
@@ -709,7 +745,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             self.txn_retain(held);
             return old; // replacement: no growth, no split
         }
-        self.len.fetch_add(1, Ordering::AcqRel);
+        self.counters.key_added();
         // Split upward through the retained chain.
         let mut idx = held.len() - 1;
         while held[idx].overfull(self.cap) {
@@ -725,7 +761,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 // separator.
                 let level = held[0].level + 1;
                 let new_root = make_root(&self.arena, split_id, sep, sib.id(), level);
-                let swung = self.root.compare_exchange(
+                let swung = self.root.0.compare_exchange(
                     split_id.to_bits(),
                     new_root.id().to_bits(),
                     Ordering::AcqRel,
@@ -758,7 +794,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         let leaf = held.last_mut().expect("descent reaches a leaf");
         let old = leaf.leaf_remove(key);
         if old.is_some() {
-            self.len.fetch_sub(1, Ordering::AcqRel);
+            self.counters.key_removed();
         }
         self.txn_retain(held);
         old
@@ -809,7 +845,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 Children::Internal(kids) => parent.at(kids[0]),
                 Children::Leaf(_) => unreachable!("level > 2 is internal"),
             };
-            parent = self.latch_write(&child, false).expect("blocking");
+            parent = self.latch_write(child, false).expect("blocking");
         }
         let mut freed = 0;
         loop {
@@ -819,10 +855,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                     Children::Internal(kids) if i < kids.len() => (kids[i - 1], kids[i]),
                     _ => break,
                 };
-                let l_ref = parent.at(l_id);
-                let e_ref = parent.at(e_id);
-                let mut l = self.latch_write(&l_ref, false).expect("blocking");
-                let mut e = self.latch_write(&e_ref, false).expect("blocking");
+                let mut l = self.latch_write(parent.at(l_id), false).expect("blocking");
+                let mut e = self.latch_write(parent.at(e_id), false).expect("blocking");
                 if e.is_leaf() && e.keys.is_empty() {
                     // Splice E out of the leaf chain and the parent.
                     l.right = e.right;
@@ -849,8 +883,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 // Crab rightward along level 2 (next latched before
                 // `parent` releases, left before right).
                 Some(id) => {
-                    let next_ref = parent.at(id);
-                    parent = self.latch_write(&next_ref, false).expect("blocking");
+                    parent = self.latch_write(parent.at(id), false).expect("blocking");
                 }
                 None => return freed,
             }
@@ -864,18 +897,18 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Optimistic first pass: read-crab to the leaf's parent, then take
     /// the leaf's exclusive latch while still holding the parent's
     /// shared latch. Returns the exclusively latched leaf.
-    fn optimistic_first_pass(&self, key: u64) -> WriteGuard<V> {
+    fn optimistic_first_pass(&self, key: u64) -> WriteGuard<'_, V> {
         loop {
             // Root cases need id revalidation after latching.
             let root = self.root_ref();
             if root.read().is_leaf() {
-                let guard = self.latch_write(&root, false).expect("blocking");
+                let guard = self.latch_write(root, false).expect("blocking");
                 if guard.id() == self.root_id() && guard.is_leaf() {
                     return guard;
                 }
                 continue; // root split under us: retry
             }
-            let guard = self.latch_read(&root, false).expect("blocking");
+            let guard = self.latch_read(root, false).expect("blocking");
             if guard.id() != self.root_id() {
                 continue;
             }
@@ -884,11 +917,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             loop {
                 let child = parent.at(parent.child_for(key));
                 if parent.level == 2 {
-                    let leaf = self.latch_write(&child, false).expect("blocking");
+                    let leaf = self.latch_write(child, false).expect("blocking");
                     debug_assert!(leaf.is_leaf());
                     return leaf; // parent shared latch drops here
                 }
-                parent = self.latch_read(&child, false).expect("blocking");
+                parent = self.latch_read(child, false).expect("blocking");
             }
         }
     }
@@ -901,20 +934,26 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// *candidate* for `key`, recording the visited node of every
     /// internal level as ascent hints when `stack` is given. The caller
     /// must still chase right after latching the returned leaf.
-    fn link_descend(&self, key: u64, mut stack: Option<&mut Vec<NodeRef<V>>>) -> NodeRef<V> {
-        let mut cur: NodeRef<V> = self.root_ref();
+    fn link_descend(&self, key: u64, mut stack: Option<&mut AscentHints>) -> NodeRef<'_, V> {
+        let mut cur = self.root_ref();
         loop {
             let next = {
-                let g = self.latch_read(&cur, false).expect("blocking");
+                let g = self.latch_read(cur, false).expect("blocking");
                 if !g.covers(key) {
                     self.counters.record_chase();
                     g.right.expect("finite high key implies right link")
                 } else {
                     match &g.children {
-                        Children::Leaf(_) => return cur.clone(),
+                        Children::Leaf(_) => return cur,
                         Children::Internal(_) => {
                             if let Some(stack) = stack.as_deref_mut() {
-                                stack.push(cur.clone());
+                                if stack.len() == MAX_LEVELS {
+                                    // Deeper than the hint stack: forget
+                                    // the root-most hint (the ascent then
+                                    // finds that ancestor by descent).
+                                    stack.remove(0);
+                                }
+                                stack.push(cur.id());
                             }
                             g.child_for(key)
                         }
@@ -927,15 +966,15 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     /// Exclusively latches `start`, chasing right until the node covers
     /// `key`. Returns the guard of the covering node.
-    fn link_latch_covering(&self, start: NodeRef<V>, key: u64) -> WriteGuard<V> {
+    fn link_latch_covering<'a>(&'a self, start: NodeRef<'a, V>, key: u64) -> WriteGuard<'a, V> {
         let mut cur = start;
-        let mut guard = self.latch_write(&cur, false).expect("blocking");
+        let mut guard = self.latch_write(cur, false).expect("blocking");
         while !guard.covers(key) {
             let next = guard.right.expect("covers");
             drop(guard); // at most one latch at a time
             self.counters.record_chase();
             cur.goto(next);
-            guard = self.latch_write(&cur, false).expect("blocking");
+            guard = self.latch_write(cur, false).expect("blocking");
         }
         // The link discipline's whole point: the chain never exceeds 1.
         self.counters.note_chain_depth(1);
@@ -945,14 +984,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Lehman–Yao insert: latch the covering leaf alone, half-split if
     /// overfull, then post separators upward via the ascent hints.
     fn insert_link(&self, key: u64, val: V) -> Option<V> {
-        let mut stack = Vec::new();
+        let mut stack = AscentHints::new();
         let leaf = self.link_descend(key, Some(&mut stack));
         let mut guard = self.link_latch_covering(leaf, key);
         let old = guard.leaf_insert(key, val);
         if old.is_some() {
             return old;
         }
-        self.len.fetch_add(1, Ordering::AcqRel);
+        self.counters.key_added();
         if !guard.overfull(self.cap) {
             return None;
         }
@@ -971,7 +1010,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         cbtree_sync::inject::perturb(cbtree_sync::inject::Site::HalfSplit);
         loop {
             let parent = match stack.pop() {
-                Some(p) => p,
+                Some(p) => self.arena.at(p),
                 None => {
                     if self.link_try_grow_root(left, sep, sib.id(), level) {
                         cbtree_obs::trace::split_end(split_level, split_id.to_bits());
@@ -1009,7 +1048,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// `false` when someone else already grew the tree.
     fn link_try_grow_root(&self, left: NodeId, sep: u64, sib: NodeId, level: usize) -> bool {
         let new_root = make_root(&self.arena, left, sep, sib, level + 1);
-        let swung = self.root.compare_exchange(
+        let swung = self.root.0.compare_exchange(
             left.to_bits(),
             new_root.id().to_bits(),
             Ordering::AcqRel,
@@ -1031,14 +1070,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Finds the current node at `level` whose range covers `key` (read
     /// descent from the current root; used only in the rare corner where
     /// the root grew while we were splitting the old root).
-    fn link_find_level_ancestor(&self, level: usize, key: u64) -> NodeRef<V> {
+    fn link_find_level_ancestor(&self, level: usize, key: u64) -> NodeRef<'_, V> {
         'restart: loop {
-            let mut cur: NodeRef<V> = self.root_ref();
+            let mut cur = self.root_ref();
             loop {
                 let next = {
-                    let g = self.latch_read(&cur, false).expect("blocking");
+                    let g = self.latch_read(cur, false).expect("blocking");
                     if g.level == level {
-                        return cur.clone();
+                        return cur;
                     }
                     if g.level < level {
                         // Another thread split the old root but has not
@@ -1068,7 +1107,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         let mut guard = self.link_latch_covering(leaf, key);
         let old = guard.leaf_remove(key);
         if old.is_some() {
-            self.len.fetch_sub(1, Ordering::AcqRel);
+            self.counters.key_removed();
         }
         old
     }
@@ -1098,7 +1137,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                     if exists || !leaf.insert_unsafe(self.cap) {
                         let old = leaf.leaf_insert(key, val);
                         if old.is_none() {
-                            self.len.fetch_add(1, Ordering::AcqRel);
+                            self.counters.key_added();
                         }
                         return old;
                     }
@@ -1129,7 +1168,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                     if !leaf.delete_unsafe() {
                         let old = leaf.leaf_remove(*key);
                         if old.is_some() {
-                            self.len.fetch_sub(1, Ordering::AcqRel);
+                            self.counters.key_removed();
                         }
                         return old;
                     }
@@ -1223,7 +1262,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
             // SAFETY: the locator closure reads nothing from the node.
             let (mut cur, ()) = unsafe { self.olc_descend(key, |_| ()) };
             loop {
-                let g = self.latch_read(&cur, false).expect("blocking");
+                let g = self.latch_read(cur, false).expect("blocking");
                 if g.stale() {
                     drop(g);
                     self.counters.record_olc_restart(false);
@@ -1255,18 +1294,18 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     /// separator can route to a node left of the key at any level.
     /// Children are resolved under their parent's latch and internal
     /// slots are never recycled, so no handle here can be stale.
-    fn batch_leaf_write(&self, key: u64) -> WriteGuard<V> {
+    fn batch_leaf_write(&self, key: u64) -> WriteGuard<'_, V> {
         loop {
             // Root cases need id revalidation after latching.
             let root = self.root_ref();
             if root.read().is_leaf() {
-                let guard = self.latch_write(&root, false).expect("blocking");
+                let guard = self.latch_write(root, false).expect("blocking");
                 if guard.id() == self.root_id() && guard.is_leaf() {
                     return guard; // a root leaf covers every key
                 }
                 continue; // root split under us: retry
             }
-            let guard = self.latch_read(&root, false).expect("blocking");
+            let guard = self.latch_read(root, false).expect("blocking");
             if guard.id() != self.root_id() {
                 continue;
             }
@@ -1279,15 +1318,15 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 while !parent.covers(key) {
                     let next = parent.at(parent.right.expect("finite high key implies right link"));
                     self.counters.record_chase();
-                    parent = self.latch_read(&next, false).expect("blocking");
+                    parent = self.latch_read(next, false).expect("blocking");
                 }
                 let child = parent.at(parent.child_for(key));
                 if parent.level == 2 {
-                    let leaf = self.latch_write(&child, false).expect("blocking");
+                    let leaf = self.latch_write(child, false).expect("blocking");
                     drop(parent);
                     return self.batch_chase_right(leaf, key);
                 }
-                parent = self.latch_read(&child, false).expect("blocking");
+                parent = self.latch_read(child, false).expect("blocking");
             }
         }
     }
@@ -1298,11 +1337,11 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     /// and a held leaf's right sibling cannot be retired out from under
     /// us (vacuum must latch the left neighbor first), so the hop is
     /// deadlock-free and recycle-safe without a staleness check.
-    fn batch_chase_right(&self, mut leaf: WriteGuard<V>, key: u64) -> WriteGuard<V> {
+    fn batch_chase_right<'a>(&'a self, mut leaf: WriteGuard<'a, V>, key: u64) -> WriteGuard<'a, V> {
         while !leaf.covers(key) {
             let next = leaf.at(leaf.right.expect("finite high key implies right link"));
             self.counters.record_chase();
-            let hop = self.latch_write(&next, false).expect("blocking");
+            let hop = self.latch_write(next, false).expect("blocking");
             leaf = hop; // left latch releases after the right is held
         }
         leaf
@@ -1337,7 +1376,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
         let mut slots: Vec<Option<BatchOp<V>>> = ops.into_iter().map(Some).collect();
         let mut results: Vec<Option<V>> = Vec::new();
         results.resize_with(slots.len(), || None);
-        let mut held: Option<WriteGuard<V>> = None;
+        let mut held: Option<WriteGuard<'_, V>> = None;
         for i in order {
             let op = slots[i as usize].take().expect("each op executes once");
             let key = op.key();
@@ -1353,7 +1392,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     // the whole chain latched.
                     let next = g.at(g.right.expect("finite high key implies right link"));
                     self.counters.record_chase();
-                    let hop = self.latch_write(&next, false).expect("blocking");
+                    let hop = self.latch_write(next, false).expect("blocking");
                     drop(g);
                     if hop.covers(key) {
                         summary.leaf_reuses += 1;
@@ -1391,7 +1430,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     self.counters.record_op();
                     let old = leaf.leaf_remove(k);
                     if old.is_some() {
-                        self.len.fetch_sub(1, Ordering::AcqRel);
+                        self.counters.key_removed();
                     }
                     trace::op_end(opcode::DELETE, old.is_some());
                     results[i as usize] = old;
@@ -1404,7 +1443,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                         self.counters.record_op();
                         let old = leaf.leaf_insert(k, v);
                         if old.is_none() {
-                            self.len.fetch_add(1, Ordering::AcqRel);
+                            self.counters.key_added();
                         }
                         trace::op_end(opcode::INSERT, old.is_some());
                         results[i as usize] = old;
@@ -1563,7 +1602,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 };
                 loop {
                     let next = {
-                        let g = self.latch_read(&cur, false).expect("blocking");
+                        let g = self.latch_read(cur, false).expect("blocking");
                         if g.stale() {
                             // Slot recycled in the unlatched hop (OLC
                             // trees only; link trees never vacuum):

@@ -193,7 +193,7 @@ impl<V> ConcurrentBTree<V> {
 
     /// The current root handle (for quiescent instrumentation walks, e.g.
     /// aggregating per-level lock statistics).
-    pub fn root_handle(&self) -> crate::node::NodeRef<V> {
+    pub fn root_handle(&self) -> crate::node::NodeRef<'_, V> {
         self.inner.root_handle()
     }
 
@@ -275,7 +275,7 @@ impl<V> ConcurrentMap<V> for ConcurrentBTree<V> {
         ConcurrentBTree::check(self)
     }
 
-    fn root_handle(&self) -> crate::node::NodeRef<V> {
+    fn root_handle(&self) -> crate::node::NodeRef<'_, V> {
         ConcurrentBTree::root_handle(self)
     }
 

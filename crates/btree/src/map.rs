@@ -54,7 +54,7 @@ pub trait ConcurrentMap<V>: Send + Sync {
     fn check(&self) -> Result<(), String>;
 
     /// Snapshot of the root handle (test/diagnostic use).
-    fn root_handle(&self) -> NodeRef<V>;
+    fn root_handle(&self) -> NodeRef<'_, V>;
 
     /// Snapshot of the uniform operation telemetry.
     fn counters(&self) -> OpCountersSnapshot;
@@ -144,7 +144,7 @@ where
         DescentTree::check(self)
     }
 
-    fn root_handle(&self) -> NodeRef<V> {
+    fn root_handle(&self) -> NodeRef<'_, V> {
         DescentTree::root_handle(self)
     }
 

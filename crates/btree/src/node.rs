@@ -224,7 +224,11 @@ impl<V> Node<V> {
 /// Half-splits the node behind an exclusive latch, installs the new
 /// sibling into `arena`, and links it: the composition every split site
 /// uses. Returns `(separator, sibling_handle)`.
-pub fn split_node<V>(arena: &Arena<V>, node: &mut Node<V>, cap: usize) -> (u64, NodeRef<V>) {
+pub fn split_node<'a, V>(
+    arena: &'a Arena<V>,
+    node: &mut Node<V>,
+    cap: usize,
+) -> (u64, NodeRef<'a, V>) {
     let (sep, sibling) = node.half_split(cap);
     let sib = arena.alloc(sibling);
     node.right = Some(sib.id());
@@ -240,7 +244,7 @@ pub fn make_root<V>(
     sep: u64,
     right: NodeId,
     level: usize,
-) -> NodeRef<V> {
+) -> NodeRef<'_, V> {
     arena.alloc(Node {
         keys: InlineVec::from_slice(&[sep]),
         children: Children::Internal(InlineVec::from_slice(&[left, right])),
@@ -264,7 +268,7 @@ pub fn make_root<V>(
 /// ever vacuumed, and crossing a live leaf advances the cursor to its
 /// high key — so the restart neither duplicates nor drops keys.
 pub fn collect_range<V: Clone>(
-    leaf: NodeRef<V>,
+    leaf: NodeRef<'_, V>,
     lo: u64,
     hi: u64,
     out: &mut Vec<(u64, V)>,
@@ -319,7 +323,7 @@ pub fn collect_range<V: Clone>(
 /// an abort. Callers wanting an exact snapshot must ensure quiescence
 /// (no concurrent mutation or vacuum).
 #[allow(unsafe_code)]
-pub fn for_each_handle<V>(root: &NodeRef<V>, mut f: impl FnMut(usize, &NodeRef<V>)) {
+pub fn for_each_handle<'a, V>(root: &NodeRef<'a, V>, mut f: impl FnMut(usize, &NodeRef<'a, V>)) {
     type Peek = (usize, Option<NodeId>, Option<NodeId>);
     fn read<V>(n: &Node<V>) -> Peek {
         let first_child = match &n.children {
@@ -328,7 +332,7 @@ pub fn for_each_handle<V>(root: &NodeRef<V>, mut f: impl FnMut(usize, &NodeRef<V
         };
         (n.level, first_child, n.right)
     }
-    let peek = |node: &NodeRef<V>| {
+    let peek = |node: &NodeRef<'_, V>| {
         // A few optimistic retries ride out a straggling writer or a
         // version bump; on a genuinely quiescent tree the first attempt
         // succeeds and no latch is ever taken.
@@ -350,7 +354,7 @@ pub fn for_each_handle<V>(root: &NodeRef<V>, mut f: impl FnMut(usize, &NodeRef<V
         // window) rather than aborting the walk.
         read(&node.read())
     };
-    let mut leftmost = Some(root.clone());
+    let mut leftmost = Some(*root);
     while let Some(first) = leftmost.take() {
         let mut cur = Some(first);
         while let Some(node) = cur.take() {
@@ -367,9 +371,9 @@ pub fn for_each_handle<V>(root: &NodeRef<V>, mut f: impl FnMut(usize, &NodeRef<V
 /// The leftmost node of every level, top level first (audit accessor:
 /// each entry is the head of that level's right-link chain). Callers
 /// must ensure the tree is quiescent.
-pub fn level_heads<V>(root: &NodeRef<V>) -> Vec<NodeRef<V>> {
+pub fn level_heads<'a, V>(root: &NodeRef<'a, V>) -> Vec<NodeRef<'a, V>> {
     let mut heads = Vec::new();
-    let mut cur = Some(root.clone());
+    let mut cur = Some(*root);
     while let Some(node) = cur.take() {
         cur = {
             let g = node.read();
@@ -385,9 +389,9 @@ pub fn level_heads<V>(root: &NodeRef<V>) -> Vec<NodeRef<V>> {
 
 /// Every node of one level, in right-link order starting from `head`
 /// (audit accessor; quiescent use).
-pub fn level_chain<V>(head: &NodeRef<V>) -> Vec<NodeRef<V>> {
+pub fn level_chain<'a, V>(head: &NodeRef<'a, V>) -> Vec<NodeRef<'a, V>> {
     let mut chain = Vec::new();
-    let mut cur = Some(head.clone());
+    let mut cur = Some(*head);
     while let Some(node) = cur.take() {
         cur = node.read().right.map(|id| node.at(id));
         chain.push(node);
@@ -398,9 +402,9 @@ pub fn level_chain<V>(head: &NodeRef<V>) -> Vec<NodeRef<V>> {
 /// Walks the whole tree (quiescently — callers must ensure no concurrent
 /// mutation) checking structural invariants. Returns a description of the
 /// first violation.
-pub fn check_invariants<V>(root: &NodeRef<V>, cap: usize) -> Result<(), String> {
+pub fn check_invariants<V>(root: &NodeRef<'_, V>, cap: usize) -> Result<(), String> {
     fn walk<V>(
-        node: &NodeRef<V>,
+        node: &NodeRef<'_, V>,
         cap: usize,
         min: Option<u64>,
         high: Option<u64>,
@@ -573,7 +577,7 @@ mod tests {
     }
 
     /// Two linked leaves under a fresh root, for the invariant tests.
-    fn two_leaf_tree(arena: &Arena<u64>, left_keys: &[u64]) -> NodeRef<u64> {
+    fn two_leaf_tree<'a>(arena: &'a Arena<u64>, left_keys: &[u64]) -> NodeRef<'a, u64> {
         let left = arena.alloc(leaf_with(left_keys));
         let right = arena.alloc(leaf_with(&[5, 6]));
         {

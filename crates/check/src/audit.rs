@@ -79,7 +79,7 @@ pub fn audit_with_contents<M: ConcurrentMap<u64> + ?Sized>(
 }
 
 /// Leaf contents by right-link chain walk (quiescent use).
-pub fn contents(root: &NodeRef<u64>) -> BTreeMap<u64, u64> {
+pub fn contents(root: &NodeRef<'_, u64>) -> BTreeMap<u64, u64> {
     let heads = node::level_heads(root);
     let mut out = BTreeMap::new();
     if let Some(leaf_head) = heads.last() {
@@ -97,11 +97,11 @@ pub fn contents(root: &NodeRef<u64>) -> BTreeMap<u64, u64> {
 
 /// Chain + separator audits on a raw root handle (exposed so tests can
 /// audit hand-corrupted trees without a facade).
-pub fn audit_root(root: &NodeRef<u64>, cap: usize) -> Result<AuditReport, String> {
+pub fn audit_root(root: &NodeRef<'_, u64>, cap: usize) -> Result<AuditReport, String> {
     let heads = node::level_heads(root);
     let mut nodes_per_level = Vec::with_capacity(heads.len());
     let mut keys = 0usize;
-    let mut parent_chain: Option<Vec<NodeRef<u64>>> = None;
+    let mut parent_chain: Option<Vec<NodeRef<'_, u64>>> = None;
     for (depth, head) in heads.iter().enumerate() {
         let chain = node::level_chain(head);
         audit_chain(&chain, depth, cap)?;
@@ -121,7 +121,7 @@ pub fn audit_root(root: &NodeRef<u64>, cap: usize) -> Result<AuditReport, String
 }
 
 /// One level's right-link chain: ordering, high keys, fullness.
-fn audit_chain(chain: &[NodeRef<u64>], depth: usize, cap: usize) -> Result<(), String> {
+fn audit_chain(chain: &[NodeRef<'_, u64>], depth: usize, cap: usize) -> Result<(), String> {
     let mut prev_high: Option<u64> = None;
     for (i, n) in chain.iter().enumerate() {
         let g = n.read();
@@ -173,8 +173,8 @@ fn audit_chain(chain: &[NodeRef<u64>], depth: usize, cap: usize) -> Result<(), S
 /// (left to right) must reproduce the child level's right-link chain
 /// exactly — same nodes, same order, nothing skipped, nothing lost.
 fn audit_separators(
-    parents: &[NodeRef<u64>],
-    children_chain: &[NodeRef<u64>],
+    parents: &[NodeRef<'_, u64>],
+    children_chain: &[NodeRef<'_, u64>],
     child_depth: usize,
 ) -> Result<(), String> {
     let mut via_parents: Vec<NodeId> = Vec::new();

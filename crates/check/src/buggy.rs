@@ -129,7 +129,7 @@ impl ConcurrentMap<u64> for SkipRightLink {
         self.inner.check()
     }
 
-    fn root_handle(&self) -> NodeRef<u64> {
+    fn root_handle(&self) -> NodeRef<'_, u64> {
         self.inner.root_handle()
     }
 
@@ -271,7 +271,7 @@ impl ConcurrentMap<u64> for SkipParentRevalidation {
         self.inner.check()
     }
 
-    fn root_handle(&self) -> NodeRef<u64> {
+    fn root_handle(&self) -> NodeRef<'_, u64> {
         self.inner.root_handle()
     }
 
@@ -414,7 +414,7 @@ impl ConcurrentMap<u64> for SkipGenerationCheck {
         self.inner.check()
     }
 
-    fn root_handle(&self) -> NodeRef<u64> {
+    fn root_handle(&self) -> NodeRef<'_, u64> {
         self.inner.root_handle()
     }
 

@@ -3,7 +3,19 @@
 //! writer utilizations are proper fractions.
 
 use cbtree_btree::Protocol;
-use cbtree_harness::{run, LiveConfig};
+use cbtree_harness::{LiveConfig, LiveReport};
+use std::sync::{Mutex, PoisonError};
+
+/// One measured run at a time: the tests of this binary run on parallel
+/// threads and several compare throughputs, which means nothing while
+/// sibling runs' workers take the cores (a two-core box gave one side
+/// of a comparison a tenth of the other's throughput one run in five).
+/// With tracing compiled in `run` already excludes itself this way.
+fn run(cfg: &LiveConfig) -> LiveReport {
+    static GATE: Mutex<()> = Mutex::new(());
+    let _one_at_a_time = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    cbtree_harness::run(cfg)
+}
 
 /// The canonical protocol list; the recovery variants run with the
 /// default transaction size 1, where commits follow every operation.

@@ -6,7 +6,21 @@ use cbtree_btree::Protocol;
 use cbtree_harness::LiveConfig;
 use cbtree_serve::{serve, KeyRangeRouter, ServeConfig};
 use cbtree_workload::Rng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Serializes the tests that run a measured `serve()`/`run()` window.
+/// The trace rings, the trace enable flag and the default ring capacity
+/// are process-global and this box has two cores: a sibling test's
+/// threads running beside a window both register rings the window's
+/// drains must walk and take the CPU its workers need to keep their
+/// queues short. (With tracing compiled in, `serve()` and `run()`
+/// already exclude each other; the gate extends that to the whole test,
+/// set-up and test thread included, and to every build.)
+fn measured_window() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Property test over every shard count in `1..=16`: the ranges are
 /// contiguous, tile the whole `u64` key space with no gap or overlap,
@@ -86,6 +100,7 @@ fn bounded_router_partitions_tile_their_space() {
 /// λ exceeds capacity".
 #[test]
 fn past_saturation_bounded_queue_bounds_accepted_sojourn() {
+    let _gate = measured_window();
     let mut cfg = ServeConfig::quick(Protocol::BLink, 1, 2_000.0);
     cfg.initial_items = 1_000;
     cfg.generators = 1;
@@ -128,8 +143,15 @@ fn past_saturation_bounded_queue_bounds_accepted_sojourn() {
 /// structural divergence (a service layer that skipped ops,
 /// double-counted, or mis-windowed its snapshot diff would be off by
 /// far more).
+///
+/// With tracing compiled in the bound is wider: both loops then emit
+/// their events inside the leaf's exclusive section, and the open loop's
+/// batch path emits more of them per operation (batch begin/end around
+/// op begin/end), so its traced hold is ~4x the closed loop's — alone in
+/// the process, at any commit — against ~2.7x untraced.
 #[test]
 fn open_and_closed_loop_agree_on_per_op_lock_demand() {
+    let _gate = measured_window();
     let protocol = Protocol::BLink;
     let mut live_cfg = LiveConfig::quick(protocol, 1);
     live_cfg.measure = Duration::from_millis(400);
@@ -159,8 +181,9 @@ fn open_and_closed_loop_agree_on_per_op_lock_demand() {
         "both loops must measure nonzero leaf writer demand"
     );
     let ratio = open_demand / live_demand;
+    let bound = if cfg!(feature = "trace") { 8.0 } else { 3.0 };
     assert!(
-        (1.0 / 3.0..=3.0).contains(&ratio),
+        (1.0 / bound..=bound).contains(&ratio),
         "per-op leaf writer demand diverged: open {open_demand:.3e} vs live {live_demand:.3e} \
          s/op (ratio {ratio:.2})"
     );
@@ -169,10 +192,17 @@ fn open_and_closed_loop_agree_on_per_op_lock_demand() {
 /// With tracing compiled in, a serve run's drained trace carries the
 /// ingress-queue life cycle: enqueues pair with dequeues and the shed
 /// count matches the report.
+///
+/// The pairing is exact except at the window's opening edge: the
+/// warm-up drain that discards set-up events cuts the rings one after
+/// another while the shards keep serving, so an operation already
+/// queued when the generator's ring was cut keeps its dequeue and loses
+/// its enqueue. There can be no more of those than the queues ever held.
 #[cfg(feature = "trace")]
 #[test]
 fn traced_serve_run_records_queue_events() {
     use cbtree_obs::replay;
+    let _gate = measured_window();
     cbtree_obs::trace::set_default_ring_capacity(1 << 17);
     let mut cfg = ServeConfig::quick(Protocol::BLink, 2, 2_000.0);
     cfg.initial_items = 1_000;
@@ -185,9 +215,10 @@ fn traced_serve_run_records_queue_events() {
     // Low λ: nothing shed, and (drops aside) queue events balance.
     assert_eq!(r.sheds, 0);
     if t.dropped == 0 {
+        let queued_at_cut: usize = report.per_shard.iter().map(|s| s.queue_depth_hwm).sum();
         assert!(
-            r.dequeues <= r.enqueues,
-            "more dequeues ({}) than enqueues ({})",
+            r.dequeues <= r.enqueues + queued_at_cut as u64,
+            "more dequeues ({}) than enqueues ({}) plus what the queues ever held ({queued_at_cut})",
             r.dequeues,
             r.enqueues
         );

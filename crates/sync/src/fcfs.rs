@@ -57,6 +57,7 @@ use crate::stats::{LockStats, SamplePeriod};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
@@ -417,11 +418,9 @@ impl<T: ?Sized> FcfsRwLock<T> {
         let sampled = self.stats.begin_acquire(exclusive);
         if self.raw.try_acquire_fast(exclusive) {
             self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
-            if sampled {
-                self.stats.record_sampled_wait(exclusive, 0);
-                return Some(Instant::now());
-            }
-            return None;
+            // A wait that did not happen writes nothing: the snapshot
+            // reconstructs the zero bucket (see `LockStats::snapshot`).
+            return sampled.then(Instant::now);
         }
         let slow = self.raw.acquire_slow(exclusive, sampled);
         self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
@@ -481,13 +480,8 @@ impl<T: ?Sized> FcfsRwLock<T> {
         // Successful probe: request and grant coincide (zero wait).
         self.trace_latch(cbtree_obs::trace::latch_request, exclusive);
         self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
-        let sampled = self.stats.begin_acquire(exclusive);
-        if sampled {
-            self.stats.record_sampled_wait(exclusive, 0);
-            Some(Some(Instant::now()))
-        } else {
-            Some(None)
-        }
+        // Zero wait: nothing recorded, as on `start`'s fast path.
+        Some(self.stats.begin_acquire(exclusive).then(Instant::now))
     }
 
     /// Shared latch with an owned (`Arc`-holding) guard, usable past the
@@ -527,61 +521,21 @@ impl<T: ?Sized> FcfsRwLock<T> {
         })
     }
 
-    /// Shared latch with an *unowned* guard: the guard keeps a raw
-    /// pointer to this lock and releases through it on drop, without
-    /// borrowing the lock or holding a strong reference to it. This is
-    /// the guard shape for locks embedded in a slab/arena, where the
-    /// storage's liveness is guaranteed by something the caller holds
-    /// (e.g. an `Arc` to the arena) rather than per-lock.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee `self` remains valid (not dropped or
-    /// moved) for the entire lifetime of the returned guard. The usual
-    /// discipline is to pair every unowned guard with an owned handle to
-    /// the allocation containing the lock, dropped only after the guard.
-    pub unsafe fn read_unowned(&self) -> UnownedReadGuard<T> {
-        UnownedReadGuard {
-            hold_start: self.start(false),
-            lock: NonNull::from(self),
-        }
-    }
-
-    /// Exclusive latch with an unowned guard.
-    ///
-    /// # Safety
-    ///
-    /// As for [`FcfsRwLock::read_unowned`]: `self` must outlive the guard.
-    pub unsafe fn write_unowned(&self) -> UnownedWriteGuard<T> {
-        UnownedWriteGuard {
-            hold_start: self.start(true),
-            lock: NonNull::from(self),
-        }
-    }
-
-    /// Non-blocking shared probe with an unowned guard (fast path only,
-    /// like [`FcfsRwLock::try_read_arc`]).
-    ///
-    /// # Safety
-    ///
-    /// As for [`FcfsRwLock::read_unowned`]: `self` must outlive the guard.
-    pub unsafe fn try_read_unowned(&self) -> Option<UnownedReadGuard<T>> {
-        self.try_start(false).map(|hold_start| UnownedReadGuard {
+    /// Attempts a shared latch without ever blocking or queueing, like
+    /// [`FcfsRwLock::try_read_arc`] but with a borrowing guard.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        self.try_start(false).map(|hold_start| RwLockReadGuard {
             hold_start,
-            lock: NonNull::from(self),
+            lock: self,
         })
     }
 
-    /// Non-blocking exclusive probe with an unowned guard (fast path
-    /// only, like [`FcfsRwLock::try_write_arc`]).
-    ///
-    /// # Safety
-    ///
-    /// As for [`FcfsRwLock::read_unowned`]: `self` must outlive the guard.
-    pub unsafe fn try_write_unowned(&self) -> Option<UnownedWriteGuard<T>> {
-        self.try_start(true).map(|hold_start| UnownedWriteGuard {
+    /// Attempts the exclusive latch without ever blocking or queueing,
+    /// like [`FcfsRwLock::try_write_arc`] but with a borrowing guard.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        self.try_start(true).map(|hold_start| RwLockWriteGuard {
             hold_start,
-            lock: NonNull::from(self),
+            lock: self,
         })
     }
 
@@ -729,102 +683,58 @@ impl<T: ?Sized> ArcRwLockWriteGuard<T> {
     }
 }
 
-/// Shared guard releasing through a raw pointer; the lock's liveness is
-/// the caller's obligation (see [`FcfsRwLock::read_unowned`]).
-#[must_use = "dropping the guard releases the latch"]
-pub struct UnownedReadGuard<T: ?Sized> {
-    lock: NonNull<FcfsRwLock<T>>,
-    hold_start: Option<Instant>,
-}
-
-/// Exclusive guard releasing through a raw pointer; the lock's liveness
-/// is the caller's obligation (see [`FcfsRwLock::write_unowned`]).
+/// An exclusive latch held past the borrow it was taken under: the
+/// guard keeps a raw pointer to the lock and releases through it on
+/// drop. It gives no access to the data — it only *holds* — which is
+/// the shape of a transaction-retained latch on a lock embedded in
+/// storage the holder's owner keeps alive (see
+/// [`RwLockWriteGuard::into_unowned`]).
 #[must_use = "dropping the guard releases the latch"]
 pub struct UnownedWriteGuard<T: ?Sized> {
     lock: NonNull<FcfsRwLock<T>>,
     hold_start: Option<Instant>,
 }
 
-// SAFETY: an unowned guard is a held latch plus a pointer to a lock the
-// caller keeps alive; moving it between threads is as sound as for the
-// Arc guards, so the bounds mirror `Arc<FcfsRwLock<T>>`'s.
-unsafe impl<T: ?Sized + Send + Sync> Send for UnownedReadGuard<T> {}
-// SAFETY: shared access through the guard is `&T`; same story as above.
-unsafe impl<T: ?Sized + Send + Sync> Sync for UnownedReadGuard<T> {}
-// SAFETY: as above, with `&mut T` access requiring `T: Send`.
+// SAFETY: an unowned guard is a held exclusive latch plus a pointer to
+// a lock the creator keeps alive; dropping it on another thread
+// releases the latch there, which hands `&mut T` access on (hence
+// `T: Send`) through a shared `&FcfsRwLock<T>` (hence `T: Sync`, as for
+// `Arc<FcfsRwLock<T>>`).
 unsafe impl<T: ?Sized + Send + Sync> Send for UnownedWriteGuard<T> {}
-// SAFETY: as above.
+// SAFETY: `&UnownedWriteGuard` exposes nothing but `Debug`.
 unsafe impl<T: ?Sized + Send + Sync> Sync for UnownedWriteGuard<T> {}
 
-impl<T: ?Sized> UnownedReadGuard<T> {
-    fn lock(&self) -> &FcfsRwLock<T> {
-        // SAFETY: the constructor's contract — the lock outlives the
-        // guard — makes the pointer valid for the guard's lifetime.
-        unsafe { self.lock.as_ref() }
-    }
-
-    /// The lock this guard holds (associated fn, like the Arc guards').
-    pub fn rwlock(this: &Self) -> &FcfsRwLock<T> {
-        this.lock()
-    }
-}
-
-impl<T: ?Sized> UnownedWriteGuard<T> {
-    fn lock(&self) -> &FcfsRwLock<T> {
-        // SAFETY: as for `UnownedReadGuard::lock`.
-        unsafe { self.lock.as_ref() }
-    }
-
-    /// The lock this guard holds.
-    pub fn rwlock(this: &Self) -> &FcfsRwLock<T> {
-        this.lock()
-    }
-}
-
-impl<T: ?Sized> Deref for UnownedReadGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the guard proves the shared latch is held until Drop.
-        unsafe { &*self.lock().data.get() }
-    }
-}
-
-impl<T: ?Sized> Deref for UnownedWriteGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the guard proves the exclusive latch is held until Drop.
-        unsafe { &*self.lock().data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for UnownedWriteGuard<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: exclusive latch held for the guard's lifetime.
-        unsafe { &mut *self.lock().data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for UnownedReadGuard<T> {
-    fn drop(&mut self) {
-        self.lock().finish(false, self.hold_start);
+impl<T: ?Sized> RwLockWriteGuard<'_, T> {
+    /// Erases the guard's borrow so the latch can be held past it (the
+    /// recovery protocols' transaction-retained latches). The latch
+    /// stays held, hold timing continues, and the release happens when
+    /// the returned guard drops.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the lock remains valid (not dropped or
+    /// moved) until the returned guard has been dropped — the
+    /// obligation the erased borrow used to enforce.
+    pub unsafe fn into_unowned(this: Self) -> UnownedWriteGuard<T> {
+        let this = ManuallyDrop::new(this); // the latch changes hands, unreleased
+        UnownedWriteGuard {
+            lock: NonNull::from(this.lock),
+            hold_start: this.hold_start,
+        }
     }
 }
 
 impl<T: ?Sized> Drop for UnownedWriteGuard<T> {
     fn drop(&mut self) {
-        self.lock().finish(true, self.hold_start);
+        // SAFETY: `into_unowned`'s contract — the lock outlives the
+        // guard — makes the pointer valid here.
+        unsafe { self.lock.as_ref() }.finish(true, self.hold_start);
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for UnownedReadGuard<T> {
+impl<T: ?Sized> fmt::Debug for UnownedWriteGuard<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for UnownedWriteGuard<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
+        f.debug_struct("UnownedWriteGuard").finish_non_exhaustive()
     }
 }
 
@@ -1129,10 +1039,13 @@ mod tests {
     #[test]
     fn uncontended_acquires_are_never_contended() {
         let lock = FcfsRwLock::new(());
-        for _ in 0..100 {
+        for _ in 0..99 {
             drop(lock.read());
             drop(lock.write());
         }
+        // Successful probes are zero-wait acquisitions too.
+        drop(lock.try_read().expect("free lock"));
+        drop(lock.try_write().expect("free lock"));
         let snap = lock.stats().snapshot();
         assert_eq!(snap.r_acquires, 100);
         assert_eq!(snap.w_acquires, 100);
@@ -1140,9 +1053,23 @@ mod tests {
         assert_eq!(snap.w_contended, 0);
         assert_eq!(snap.r_wait_ns, 0);
         assert_eq!(snap.w_wait_ns, 0);
-        // Exact sampling: every acquire records a (zero) wait observation.
-        assert_eq!(snap.r_wait_hist.total(), 100);
+        // Exact sampling: every acquire shows as a (zero) wait
+        // observation — reconstructed by the snapshot, since the fast
+        // path no longer writes one.
+        for hist in [&snap.r_wait_hist, &snap.w_wait_hist] {
+            assert_eq!(hist.total(), 100);
+            assert_eq!(hist.counts[0], 100);
+            assert_eq!(hist.p50(), 0);
+            assert_eq!(hist.p999(), 0);
+        }
+        assert_eq!(snap.mean_r_wait_ns(), 0.0);
+        assert_eq!(snap.mean_w_wait_ns(), 0.0);
         assert!(snap.w_hold_ns > 0, "holds are timed even when uncontended");
+        // A window's diff reconstructs the same way.
+        drop(lock.read());
+        let delta = lock.stats().snapshot().since(&snap);
+        assert_eq!(delta.r_wait_hist.total(), 1);
+        assert_eq!(delta.r_wait_hist.counts[0], 1);
     }
 
     #[test]
@@ -1157,7 +1084,53 @@ mod tests {
         assert_eq!(snap.r_acquires, 101);
         // Under the inject feature the period is forced to 1 (exact).
         let expect = if cfg!(feature = "inject") { 101 } else { 26 };
-        assert_eq!(snap.w_wait_hist.total(), expect);
+        for hist in [&snap.r_wait_hist, &snap.w_wait_hist] {
+            assert_eq!(hist.total(), expect, "one observation per sampled acquire");
+            assert_eq!(hist.counts[0], expect);
+            assert_eq!(hist.p50(), 0);
+        }
+        assert_eq!(snap.w_wait_ns, 0, "scaled sum of zero waits");
+        assert_eq!(snap.mean_w_wait_ns(), 0.0);
+        assert!(snap.w_hold_ns > 0, "sampled holds are scaled into the sum");
+    }
+
+    #[test]
+    fn contended_wait_keeps_its_bucket_beside_reconstructed_zeros() {
+        let sample = SamplePeriod::every(4);
+        let lock = Arc::new(FcfsRwLock::with_sampling((), sample));
+        let g = lock.write();
+        let t = {
+            let lock = Arc::clone(&lock);
+            // Shared acquisition 0: the one in four that is timed.
+            std::thread::spawn(move || drop(lock.read()))
+        };
+        // The reader is queued by construction once it is visible; the
+        // sleep only gives its wait a magnitude far from bucket 0.
+        while lock.queued() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(g);
+        t.join().unwrap();
+        for _ in 0..7 {
+            drop(lock.read()); // acquisitions 1..=7, uncontended; 4 is timed
+        }
+        let snap = lock.stats().snapshot();
+        assert_eq!(snap.r_acquires, 8);
+        assert_eq!(snap.r_contended, 1);
+        let sampled = 8 / sample.period(); // 2, or all 8 under `inject`
+        let hist = &snap.r_wait_hist;
+        assert_eq!(hist.total(), sampled);
+        assert_eq!(hist.counts[0], sampled - 1, "every sampled wait but one");
+        assert!(
+            hist.quantile(1.0) >= 500_000,
+            "the real wait has its bucket"
+        );
+        assert!(
+            snap.r_wait_ns >= 1_000_000 * sample.period(),
+            "the sum carries the wait scaled by the period"
+        );
+        assert!(snap.mean_r_wait_ns() >= 125_000.0 * sample.period() as f64);
     }
 
     #[test]

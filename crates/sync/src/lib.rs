@@ -43,7 +43,7 @@ mod stats;
 
 pub use fcfs::{
     ArcRwLockReadGuard, ArcRwLockWriteGuard, FcfsRwLock, RwLockReadGuard, RwLockWriteGuard,
-    UnownedReadGuard, UnownedWriteGuard,
+    UnownedWriteGuard,
 };
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};

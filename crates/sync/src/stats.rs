@@ -127,7 +127,10 @@ impl LockStats {
     }
 
     /// Records a sampled wait: the raw value feeds the histogram, the
-    /// scaled value (`wait_ns × N`) feeds the unbiased sum.
+    /// scaled value (`wait_ns × N`) feeds the unbiased sum. Called only
+    /// for requests that left the fast path; the zero waits of
+    /// uncontended acquisitions are reconstructed by
+    /// [`LockStats::snapshot`].
     #[inline]
     pub(crate) fn record_sampled_wait(&self, exclusive: bool, wait_ns: u64) {
         let (wait, hist) = if exclusive {
@@ -150,19 +153,48 @@ impl LockStats {
         hold.fetch_add(hold_ns << self.sample_shift, Ordering::Relaxed);
     }
 
+    /// How many of `acquires` acquisitions were sampled for timing: the
+    /// systematic sample takes acquisitions 0, N, 2N, … (see
+    /// [`LockStats::begin_acquire`]), i.e. `⌈acquires / N⌉` of them.
+    fn sampled(&self, acquires: u64) -> u64 {
+        let mask = (1u64 << self.sample_shift) - 1;
+        (acquires + mask) >> self.sample_shift
+    }
+
     /// A plain-integer copy of the counters at this instant.
+    ///
+    /// An uncontended acquisition waits 0 ns, and the lock's fast path
+    /// does not spend two atomic writes saying so: the zero bucket of
+    /// each wait histogram is **reconstructed** here as *sampled
+    /// acquisitions − recorded waits*, so `total()`, the quantiles, the
+    /// means and the JSON read exactly as if every sampled zero had
+    /// been recorded. The one visible difference: a sampled request is
+    /// counted when it arrives and its wait is recorded when it is
+    /// granted, so a snapshot taken while `k` sampled requests are
+    /// still queued over-reports bucket 0 by at most `k` until they are
+    /// granted (a `since` across that moment saturates at zero).
     pub fn snapshot(&self) -> LockStatsSnapshot {
+        // Histograms before the acquisition counts: a recorded wait was
+        // counted as an acquisition first, so this order never sees
+        // more waits than sampled acquisitions (the subtraction
+        // saturates regardless).
+        let mut r_wait_hist = self.r_wait_hist.snapshot();
+        let mut w_wait_hist = self.w_wait_hist.snapshot();
+        let r_acquires = self.r_acquires.load(Ordering::Relaxed);
+        let w_acquires = self.w_acquires.load(Ordering::Relaxed);
+        r_wait_hist.counts[0] += self.sampled(r_acquires).saturating_sub(r_wait_hist.total());
+        w_wait_hist.counts[0] += self.sampled(w_acquires).saturating_sub(w_wait_hist.total());
         LockStatsSnapshot {
-            r_acquires: self.r_acquires.load(Ordering::Relaxed),
-            w_acquires: self.w_acquires.load(Ordering::Relaxed),
+            r_acquires,
+            w_acquires,
             r_contended: self.r_contended.load(Ordering::Relaxed),
             w_contended: self.w_contended.load(Ordering::Relaxed),
             r_wait_ns: self.r_wait_ns.load(Ordering::Relaxed),
             w_wait_ns: self.w_wait_ns.load(Ordering::Relaxed),
             r_hold_ns: self.r_hold_ns.load(Ordering::Relaxed),
             w_hold_ns: self.w_hold_ns.load(Ordering::Relaxed),
-            r_wait_hist: self.r_wait_hist.snapshot(),
-            w_wait_hist: self.w_wait_hist.snapshot(),
+            r_wait_hist,
+            w_wait_hist,
         }
     }
 }

@@ -16,6 +16,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> scaling guard: two threads on one b-link tree beat 1.3x one thread"
+# Insert = delete on a tree too big for the cache, straight after the
+# plain release build (a later step rebuilds `live` with tracing on).
+# Before the handles borrowed the arena and the counters were striped,
+# two threads were *slower* than one here (0.9-1.0x); since, 1.6-1.8x.
+if [[ $(nproc) -lt 2 ]]; then
+    echo "    skipped: needs two cores"
+else
+    for t in 1 2; do
+        target/release/live --algo blink --threads "$t" --mix 0,0.5,0.5 \
+            --capacity 16 --items 500000 --keyspace 1000000 \
+            --warmup-ms 100 --measure-ms 600 \
+            --json "results/run-scale-$t.jsonl" > /dev/null
+    done
+    throughput() { grep -o '"throughput":[0-9.eE+-]*' "$1" | head -n 1 | cut -d: -f2; }
+    awk -v one="$(throughput results/run-scale-1.jsonl)" \
+        -v two="$(throughput results/run-scale-2.jsonl)" 'BEGIN {
+            printf "    1 thread %.0f ops/s, 2 threads %.0f ops/s: %.2fx\n", one, two, two / one
+            exit !(two >= 1.3 * one)
+        }'
+fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
