@@ -17,13 +17,12 @@
 //! ```
 
 use cbtree_analysis::{Algorithm, ModelConfig, RecoveryMode};
+use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{lru_cost_model, CostModel, NodeParams, OpMix, TreeShape};
 use cbtree_harness::LiveConfig;
 use cbtree_obs::table::{fmt_f, Table};
 use cbtree_obs::Json;
-use cbtree_sim::costs::SimCosts;
-use cbtree_sim::{run_seeds, SimAlgorithm, SimConfig, SimRecovery};
 use cbtree_sync::SamplePeriod;
 use cbtree_workload::cli::Flags;
 use cbtree_workload::{KeyDist, OpsConfig};
@@ -79,6 +78,20 @@ usage: analyze [--items N] [--node-size N] [--mix qs,qi,qd] [--disk-cost D]
                [--serve RESULTS.jsonl] [--json PATH]
 ";
 
+/// The protocols `--verify` and `--live` put beside the analysis, in
+/// table order.
+const COMPARED: [Protocol; 5] = [
+    Protocol::LockCoupling,
+    Protocol::OptimisticDescent,
+    Protocol::BLink,
+    Protocol::TwoPhase,
+    Protocol::Olc,
+];
+
+/// The simulations beside the analysis draw keys from the paper's key
+/// space, where (as the analysis assumes) every insert adds a key.
+const PAPER_KEYSPACE: u64 = 100_000_000;
+
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut a = Args::default();
     while let Some(flag) = flags.next_flag() {
@@ -111,44 +124,34 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     Ok(a)
 }
 
-fn main() -> ExitCode {
-    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
-    let Ok(mix) = OpMix::new(args.mix.0, args.mix.1, args.mix.2) else {
-        eprintln!("error: mix must be three probabilities summing to 1");
-        return ExitCode::FAILURE;
-    };
-    let node = match NodeParams::with_max_size(args.node_size) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let shape = match TreeShape::derive(args.items, node) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cost = match args.buffer_nodes {
+/// The tree and workload the arguments describe, its levels priced by
+/// an LRU pool of `buffer_nodes` or else by the `--memory-levels` split.
+fn model_config(args: &Args, buffer_nodes: Option<f64>) -> Result<ModelConfig, String> {
+    let mix = OpMix::new(args.mix.0, args.mix.1, args.mix.2)
+        .map_err(|_| "mix must be three probabilities summing to 1")?;
+    let node = NodeParams::with_max_size(args.node_size).map_err(|e| e.to_string())?;
+    let shape = TreeShape::derive(args.items, node).map_err(|e| e.to_string())?;
+    let cost = match buffer_nodes {
         Some(b) => lru_cost_model(&shape, b, args.disk_cost, 1.0),
         None => CostModel::paper_style(shape.height, args.memory_levels, args.disk_cost, 1.0),
     };
-    let cost = match cost {
-        Ok(c) => c,
+    Ok(
+        ModelConfig::new(shape, mix, cost.map_err(|e| e.to_string())?)
+            .map_err(|e| e.to_string())?
+            .with_recovery(args.recovery, args.t_trans),
+    )
+}
+
+fn main() -> ExitCode {
+    let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
+    let cfg = match model_config(&args, args.buffer_nodes) {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let cfg = match ModelConfig::new(shape, mix, cost) {
-        Ok(c) => c.with_recovery(args.recovery, args.t_trans),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mix = cfg.mix;
 
     println!(
         "tree: {} items, N = {}, height {}, root fanout {:.1}; disk cost {}; \
@@ -254,38 +257,12 @@ fn main() -> ExitCode {
             "simulation cross-check",
             &["algorithm", "search-RT", "±ci95", "insert-RT", "±ci95"],
         );
-        for (alg, sim_alg) in [
-            (
-                Algorithm::NaiveLockCoupling,
-                SimAlgorithm::NaiveLockCoupling,
-            ),
-            (
-                Algorithm::OptimisticDescent,
-                SimAlgorithm::OptimisticDescent,
-            ),
-            (Algorithm::LinkType, SimAlgorithm::LinkType),
-            (Algorithm::TwoPhaseLocking, SimAlgorithm::TwoPhaseLocking),
-            (Algorithm::Olc, SimAlgorithm::Olc),
-        ] {
-            let mut c = SimConfig::paper(sim_alg, r, 1);
-            c.node_capacity = args.node_size;
-            c.initial_items = (args.items as usize).min(200_000);
-            c.costs = SimCosts {
-                base: 1.0,
-                disk_cost: args.disk_cost,
-                memory_levels: args.memory_levels,
-            };
-            c.recovery = match args.recovery {
-                RecoveryMode::None => SimRecovery::None,
-                RecoveryMode::Naive => SimRecovery::Naive {
-                    t_trans: args.t_trans,
-                },
-                RecoveryMode::LeafOnly => SimRecovery::LeafOnly {
-                    t_trans: args.t_trans,
-                },
-            };
-            c = c.with_min_window(100.0, 300.0);
-            match run_seeds(&c, &[1, 2, 3]) {
+        // The simulator has no buffer pool: under --buffer-nodes it
+        // cross-checks the --memory-levels split.
+        let sim_cfg = model_config(&args, None).expect("built once already");
+        for protocol in COMPARED {
+            let alg = pillars::of(protocol).0;
+            match pillars::simulate(protocol, &sim_cfg, PAPER_KEYSPACE, r, &[1, 2, 3]) {
                 Ok(s) => {
                     t.push(vec![
                         alg.name().to_string(),
@@ -378,14 +355,8 @@ fn meta_json(args: &Args, mix: OpMix, cfg: &ModelConfig) -> Json {
 /// unit, live throughput is converted into a model arrival rate λ, and
 /// analysis/simulation are evaluated at that same λ.
 fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), String> {
-    let err = |e: &dyn std::fmt::Display| e.to_string();
-    let items = (args.items as usize).min(200_000);
-    let node = NodeParams::with_max_size(args.node_size).map_err(|e| err(&e))?;
-    let shape = TreeShape::derive(items as u64, node).map_err(|e| err(&e))?;
-    let height = shape.height;
-    // Every level memory-resident: the live trees never touch a disk.
-    let cost = CostModel::paper_style(height, height, args.disk_cost, 1.0).map_err(|e| err(&e))?;
-    let mcfg = ModelConfig::new(shape, mix, cost).map_err(|e| err(&e))?;
+    let items = args.items.min(pillars::SIM_MAX_ITEMS) as usize;
+    let mcfg = pillars::memory_resident(items as u64, args.node_size, mix)?;
 
     let ops = OpsConfig {
         q_search: mix.q_search,
@@ -421,11 +392,7 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
         },
         ..base.clone()
     });
-    let zero_load_units = Algorithm::LinkType
-        .model(&mcfg)
-        .evaluate(1e-9)
-        .map_err(|e| err(&e))?
-        .response_time_search;
+    let zero_load_units = pillars::zero_load(&mcfg)?.response_time_search;
     if calib.resp_search.n == 0 || calib.resp_search.mean <= 0.0 {
         return Err("calibration run completed no searches".into());
     }
@@ -458,25 +425,7 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
             "chase",
         ],
     );
-    for (protocol, alg, sim_alg) in [
-        (
-            Protocol::LockCoupling,
-            Algorithm::NaiveLockCoupling,
-            SimAlgorithm::NaiveLockCoupling,
-        ),
-        (
-            Protocol::OptimisticDescent,
-            Algorithm::OptimisticDescent,
-            SimAlgorithm::OptimisticDescent,
-        ),
-        (Protocol::BLink, Algorithm::LinkType, SimAlgorithm::LinkType),
-        (
-            Protocol::TwoPhase,
-            Algorithm::TwoPhaseLocking,
-            SimAlgorithm::TwoPhaseLocking,
-        ),
-        (Protocol::Olc, Algorithm::Olc, SimAlgorithm::Olc),
-    ] {
+    for protocol in COMPARED {
         let live = cbtree_harness::run(&LiveConfig {
             protocol,
             ..base.clone()
@@ -484,23 +433,13 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
         // The live run is closed-loop; its completion rate, expressed in
         // model cost units, is the open-loop λ the other two pillars see.
         let lambda = live.throughput * unit_secs;
-        let (anl_s, anl_i) = match alg.model(&mcfg).evaluate(lambda) {
-            Ok(p) => (p.response_time_search, p.response_time_insert),
-            Err(_) => (f64::NAN, f64::NAN),
-        };
-        let mut sc = SimConfig::paper(sim_alg, lambda, 1);
-        sc.node_capacity = args.node_size;
-        sc.initial_items = items;
-        sc.costs = SimCosts {
-            base: 1.0,
-            disk_cost: args.disk_cost,
-            memory_levels: height,
-        };
-        sc = sc.with_min_window(100.0, 300.0);
-        let (sim_s, sim_i) = match run_seeds(&sc, &[1, 2]) {
-            Ok(s) => (s.resp_search.mean, s.resp_insert.mean),
-            Err(_) => (f64::NAN, f64::NAN),
-        };
+        let (anl, sim) = pillars::evaluate(protocol, &mcfg, PAPER_KEYSPACE, lambda, &[1, 2]);
+        let (anl_s, anl_i) = anl.map_or((f64::NAN, f64::NAN), |p| {
+            (p.response_time_search, p.response_time_insert)
+        });
+        let (sim_s, sim_i) = sim.map_or((f64::NAN, f64::NAN), |s| {
+            (s.resp_search.mean, s.resp_insert.mean)
+        });
         let live_s = live.resp_search.mean / unit_secs;
         let live_i = live.resp_insert.mean / unit_secs;
         t.push(vec![

@@ -15,16 +15,14 @@
 //! `live` column is the lock counters' hold-only measurement, which the
 //! trace reproduces separately as `trc-hold`.
 
-use cbtree_analysis::{Algorithm, ModelConfig, RecoveryMode};
+use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
-use cbtree_btree_model::{CostModel, NodeParams, OpMix, TreeShape};
+use cbtree_btree_model::OpMix;
 use cbtree_obs::event::Event;
 use cbtree_obs::table::{fmt_f, Table};
 use cbtree_obs::{replay, Json, Replay, Trace};
-use cbtree_sim::costs::SimCosts;
-use cbtree_sim::{SimAlgorithm, SimConfig, SimRecovery, SimReport};
+use cbtree_sim::SimReport;
 use cbtree_workload::cli::Flags;
-use cbtree_workload::{KeyDist, OpsConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -153,43 +151,6 @@ fn load(path: &Path) -> Result<RunArtifact, String> {
     })
 }
 
-/// Maps a live protocol onto its analytical and simulated counterparts.
-fn pillars(p: Protocol) -> (Algorithm, RecoveryMode, SimAlgorithm) {
-    match p {
-        Protocol::LockCoupling => (
-            Algorithm::NaiveLockCoupling,
-            RecoveryMode::None,
-            SimAlgorithm::NaiveLockCoupling,
-        ),
-        Protocol::OptimisticDescent => (
-            Algorithm::OptimisticDescent,
-            RecoveryMode::None,
-            SimAlgorithm::OptimisticDescent,
-        ),
-        Protocol::BLink => (
-            Algorithm::LinkType,
-            RecoveryMode::None,
-            SimAlgorithm::LinkType,
-        ),
-        Protocol::TwoPhase => (
-            Algorithm::TwoPhaseLocking,
-            RecoveryMode::None,
-            SimAlgorithm::TwoPhaseLocking,
-        ),
-        Protocol::Olc => (Algorithm::Olc, RecoveryMode::None, SimAlgorithm::Olc),
-        Protocol::RecoveryNaive => (
-            Algorithm::NaiveLockCoupling,
-            RecoveryMode::Naive,
-            SimAlgorithm::NaiveLockCoupling,
-        ),
-        Protocol::RecoveryLeaf => (
-            Algorithm::NaiveLockCoupling,
-            RecoveryMode::LeafOnly,
-            SimAlgorithm::NaiveLockCoupling,
-        ),
-    }
-}
-
 /// Everything the comparison derives from one artifact.
 struct Comparison {
     lambda: f64,
@@ -205,15 +166,9 @@ struct Comparison {
 }
 
 fn compare(run: &RunArtifact, sim_seed: u64) -> Result<Comparison, String> {
-    let err = |e: &dyn std::fmt::Display| e.to_string();
-    let (alg, recovery, sim_alg) = pillars(run.protocol);
-    let mix = OpMix::new(run.mix.0, run.mix.1, run.mix.2).map_err(|e| err(&e))?;
-    let node = NodeParams::with_max_size(run.capacity).map_err(|e| err(&e))?;
-    let shape = TreeShape::derive(run.initial_items.max(1), node).map_err(|e| err(&e))?;
-    let height = shape.height;
-    // The live trees are all in memory: every level memory-resident.
-    let cost = CostModel::paper_style(height, height, 5.0, 1.0).map_err(|e| err(&e))?;
-    let base_cfg = ModelConfig::new(shape, mix, cost).map_err(|e| err(&e))?;
+    let mix = OpMix::new(run.mix.0, run.mix.1, run.mix.2).map_err(|e| e.to_string())?;
+    let base_cfg = pillars::memory_resident(run.initial_items.max(1), run.capacity, mix)?;
+    let height = base_cfg.height();
 
     // Calibration: one model cost unit in wall-clock seconds, fixed by
     // this run's own mean search response time against the zero-load
@@ -221,10 +176,7 @@ fn compare(run: &RunArtifact, sim_seed: u64) -> Result<Comparison, String> {
     // this over-estimates the unit — good enough to place the measured
     // throughput on the model's λ axis, rougher than `analyze --live`'s
     // dedicated single-threaded calibration run.
-    let zero = Algorithm::LinkType
-        .model(&base_cfg)
-        .evaluate(1e-9)
-        .map_err(|e| err(&e))?;
+    let zero = pillars::zero_load(&base_cfg)?;
     let resp_search = run
         .report
         .get("resp_search")
@@ -237,34 +189,10 @@ fn compare(run: &RunArtifact, sim_seed: u64) -> Result<Comparison, String> {
     let throughput = f64_field(&run.report, "throughput");
     let lambda = throughput * unit_secs;
     let t_trans = run.txn as f64 * zero.response_time_insert;
-    let cfg = base_cfg.with_recovery(recovery, t_trans);
+    let cfg = base_cfg.with_recovery(pillars::of(run.protocol).1, t_trans);
 
-    let perf = alg.model(&cfg).evaluate(lambda).ok();
-
-    let mut sc = SimConfig::paper(sim_alg, lambda, sim_seed);
-    sc.node_capacity = run.capacity;
-    sc.initial_items = (run.initial_items as usize).min(200_000);
-    sc.ops = OpsConfig {
-        q_search: run.mix.0,
-        q_insert: run.mix.1,
-        q_delete: run.mix.2,
-        keys: KeyDist::Uniform {
-            lo: 0,
-            hi: run.keyspace,
-        },
-    };
-    sc.costs = SimCosts {
-        base: 1.0,
-        disk_cost: 5.0,
-        memory_levels: height,
-    };
-    sc.recovery = match recovery {
-        RecoveryMode::None => SimRecovery::None,
-        RecoveryMode::Naive => SimRecovery::Naive { t_trans },
-        RecoveryMode::LeafOnly => SimRecovery::LeafOnly { t_trans },
-    };
-    sc = sc.with_min_window(100.0, 300.0);
-    let sim = cbtree_sim::run(&sc).ok();
+    let (perf, sim) = pillars::evaluate(run.protocol, &cfg, run.keyspace, lambda, &[sim_seed]);
+    let sim = sim.ok().and_then(|s| s.runs.into_iter().next());
 
     let replayed = run.trace.as_ref().map(replay);
     let live_levels = run.report.get("levels").and_then(Json::as_arr);

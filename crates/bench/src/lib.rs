@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every table and figure of Johnson &
-//! Shasha (PODS 1990), plus shared table/CSV utilities used by the
-//! `experiments` binary and the std-only microbenchmarks.
+//! Shasha (PODS 1990), plus the [`pillars`] table and evaluation routine
+//! the `analyze` and `cbtree-trace` binaries compare measurements against.
 //!
 //! Each `figN` function in [`figures`] reproduces one figure of the
 //! paper's evaluation: it sweeps the same parameter the paper sweeps,
@@ -12,7 +12,7 @@
 #![deny(unsafe_code)]
 
 pub mod figures;
-pub mod microbench;
+pub mod pillars;
 pub use cbtree_obs::table;
 
 pub use figures::{run_figure, ExpOptions, FIGURES};

@@ -7,8 +7,8 @@
 
 use cbtree_harness::cli::RunFlags;
 use cbtree_harness::{run, saturation_search, LiveConfig, LiveReport};
+use cbtree_obs::replay;
 use cbtree_obs::table::{fmt_f, Table};
-use cbtree_obs::{replay, Json};
 use cbtree_workload::cli::Flags;
 use std::path::PathBuf;
 
@@ -89,51 +89,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     })
 }
 
-/// The `meta` JSONL record: everything a downstream analyzer needs to
-/// rebuild the analytical/simulation configuration this run measured.
-fn meta_json(cfg: &LiveConfig) -> Json {
-    Json::obj(vec![
-        ("type", "meta".into()),
-        ("schema", cbtree_obs::SCHEMA_VERSION.into()),
-        ("kind", "live_run".into()),
-        ("protocol", cfg.protocol.name().into()),
-        ("threads", cfg.threads.into()),
-        ("capacity", cfg.capacity.into()),
-        ("initial_items", cfg.initial_items.into()),
-        (
-            "mix",
-            Json::arr([
-                cfg.ops.q_search.into(),
-                cfg.ops.q_insert.into(),
-                cfg.ops.q_delete.into(),
-            ]),
-        ),
-        ("keyspace", cfg.ops.keys.span().into()),
-        ("key_dist", cfg.ops.keys.name().into()),
-        ("seed", cfg.seed.into()),
-        ("txn", cfg.txn.into()),
-        (
-            "warmup_ms",
-            u64::try_from(cfg.warmup.as_millis())
-                .unwrap_or(u64::MAX)
-                .into(),
-        ),
-        (
-            "measure_ms",
-            u64::try_from(cfg.measure.as_millis())
-                .unwrap_or(u64::MAX)
-                .into(),
-        ),
-        (
-            "sample_interval_ms",
-            match cfg.sample_interval {
-                Some(d) => u64::try_from(d.as_millis()).unwrap_or(u64::MAX).into(),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
 /// Serializes one finished run as JSONL: meta, report, and — when a
 /// trace was drained — its shape, replay summary, and every event.
 fn write_json(
@@ -141,7 +96,7 @@ fn write_json(
     cfg: &LiveConfig,
     report: &LiveReport,
 ) -> std::io::Result<()> {
-    let mut records = vec![meta_json(cfg), report.to_json()];
+    let mut records = vec![cfg.meta_json(), report.to_json()];
     // The continuous time series rides as one record per window, right
     // after the report (`cbtree-trace timeline` replays these).
     records.extend(report.timeseries.iter().map(|p| p.to_json()));
@@ -299,7 +254,7 @@ fn main() {
                 // Saturation mode: one meta record plus one report per
                 // measured point (no event records — each point's trace
                 // would dwarf the sweep).
-                let mut records = vec![meta_json(&args.cfg)];
+                let mut records = vec![args.cfg.meta_json()];
                 records.extend(runs.iter().map(|(_, r)| r.to_json()));
                 if let Err(e) = cbtree_obs::write_jsonl(path, &records) {
                     eprintln!("error: writing {}: {e}", path.display());

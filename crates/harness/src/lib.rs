@@ -109,6 +109,51 @@ impl LiveConfig {
             ..LiveConfig::paper(protocol, threads)
         }
     }
+
+    /// The `meta` JSONL record: everything a downstream analyzer needs to
+    /// rebuild the analytical/simulation configuration this run measured.
+    pub fn meta_json(&self) -> Json {
+        Json::obj(vec![
+            ("type", "meta".into()),
+            ("schema", cbtree_obs::SCHEMA_VERSION.into()),
+            ("kind", "live_run".into()),
+            ("protocol", self.protocol.name().into()),
+            ("threads", self.threads.into()),
+            ("capacity", self.capacity.into()),
+            ("initial_items", self.initial_items.into()),
+            (
+                "mix",
+                Json::arr([
+                    self.ops.q_search.into(),
+                    self.ops.q_insert.into(),
+                    self.ops.q_delete.into(),
+                ]),
+            ),
+            ("keyspace", self.ops.keys.span().into()),
+            ("key_dist", self.ops.keys.name().into()),
+            ("seed", self.seed.into()),
+            ("txn", self.txn.into()),
+            (
+                "warmup_ms",
+                u64::try_from(self.warmup.as_millis())
+                    .unwrap_or(u64::MAX)
+                    .into(),
+            ),
+            (
+                "measure_ms",
+                u64::try_from(self.measure.as_millis())
+                    .unwrap_or(u64::MAX)
+                    .into(),
+            ),
+            (
+                "sample_interval_ms",
+                match self.sample_interval {
+                    Some(d) => u64::try_from(d.as_millis()).unwrap_or(u64::MAX).into(),
+                    None => Json::Null,
+                },
+            ),
+        ])
+    }
 }
 
 /// Measured lock behavior of one tree level over the window.
@@ -366,7 +411,8 @@ pub fn sample_windows<S, P>(
 /// every operation (warmup included), harvested only by the sampler.
 /// Unlike [`ThreadStats`] it is shared — a relaxed counter bump and a
 /// double-buffered histogram record per op, cheap enough to leave on
-/// unconditionally (`lockbench --assert-overhead` guards the bound).
+/// unconditionally (the benchmark prices it as `obs.record_ns` and
+/// `harness.overhead_ns_per_op`).
 #[derive(Default)]
 struct LiveMetrics {
     completed: Counter,
@@ -464,11 +510,7 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
     // trace lock: rings are process-wide, so two concurrent runs would
     // interleave their events and corrupt each other's drains.
     #[cfg(feature = "trace")]
-    let _trace_window = {
-        let guard = cbtree_obs::trace::measurement_lock();
-        cbtree_obs::trace::enable(true);
-        guard
-    };
+    let _trace_window = cbtree_obs::trace::measurement_window();
 
     let tree = Arc::new(ConcurrentBTree::with_sampling(
         cfg.protocol,
@@ -910,6 +952,10 @@ mod tests {
             "trace spans {span_ns} ns, window was {} s",
             report.measured_time
         );
+        // Once no run is in its window, emission is off again: what the
+        // process does next must not pay for it.
+        let _no_run_in_flight = cbtree_obs::trace::measurement_lock();
+        assert!(!cbtree_obs::trace::enabled(), "run() left tracing on");
     }
 
     /// The shared sampler driver against a hand-driven phase atomic: no

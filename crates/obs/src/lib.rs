@@ -10,7 +10,8 @@
 //!   quiesce into one time-ordered [`Trace`]. With the `trace` cargo
 //!   feature off, every emit function is an inlined no-op, so the
 //!   instrumented hot paths in `cbtree-sync`/`cbtree-btree` cost
-//!   nothing (guarded by the lockbench overhead check in CI).
+//!   nothing; compiled in and switched off, CI holds the benchmark's
+//!   `sync.*_acq_ns` and `btree.get_ns` to the default build's.
 //! - [`replay`] — reconstructs per-level writer utilization ρ_w,
 //!   wait/hold means, latch-chain depth, and restart/chase/split rates
 //!   from a drained trace, closing the analysis/sim/live triangle with

@@ -106,6 +106,34 @@ mod imp {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// One traced measurement: [`measurement_lock`] held with emission
+    /// on. Dropping it puts the flag back as it was found, so what the
+    /// process runs after the measurement does not pay for emission.
+    #[must_use = "dropping the window ends the traced measurement"]
+    pub struct MeasurementWindow {
+        was_enabled: bool,
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    /// Opens a [`MeasurementWindow`], waiting for any other to close.
+    pub fn measurement_window() -> MeasurementWindow {
+        let lock = measurement_lock();
+        let was_enabled = enabled();
+        enable(true);
+        MeasurementWindow {
+            was_enabled,
+            _lock: lock,
+        }
+    }
+
+    impl Drop for MeasurementWindow {
+        fn drop(&mut self) {
+            // Runs before `_lock` is released: the next window finds
+            // the flag already restored.
+            enable(self.was_enabled);
+        }
+    }
+
     /// TLS slot owning this thread's ring; the destructor marks the
     /// ring dead so the registry can unregister it after a final drain.
     struct ThreadRing(Arc<Ring>);

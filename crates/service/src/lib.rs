@@ -288,11 +288,7 @@ pub fn serve(cfg: &ServeConfig) -> ServeReport {
     // whole measurement (rings are global; concurrent runs would
     // interleave their events).
     #[cfg(feature = "trace")]
-    let _trace_window = {
-        let guard = cbtree_obs::trace::measurement_lock();
-        cbtree_obs::trace::enable(true);
-        guard
-    };
+    let _trace_window = cbtree_obs::trace::measurement_window();
 
     let router = cfg.router();
     let runtimes: Vec<ShardRuntime> = (0..cfg.shards)

@@ -223,6 +223,10 @@ fn traced_serve_run_records_queue_events() {
             r.enqueues
         );
     }
+    // Once no run is in its window, emission is off again: what the
+    // process does next must not pay for it.
+    let _no_run_in_flight = cbtree_obs::trace::measurement_lock();
+    assert!(!cbtree_obs::trace::enabled(), "serve() left tracing on");
 }
 
 /// Out-of-range and malformed flag values are rejected by the shared

@@ -61,7 +61,7 @@ use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Packed-word bit assignments.
@@ -379,8 +379,8 @@ impl<T: ?Sized> FcfsRwLock<T> {
     /// The `enabled` check runs before anything else: `emit` is a
     /// function pointer, so the indirect call — and the tag load and
     /// address cast feeding it — would otherwise be paid even while
-    /// tracing is off, which is exactly the cost the lockbench
-    /// `--assert-overhead` guard bounds.
+    /// tracing is off, which is exactly the cost CI bounds by holding a
+    /// trace-compiled build's `sync.*_acq_ns` to the default build's.
     #[inline(always)]
     fn trace_latch(&self, emit: fn(u16, bool, u64), exclusive: bool) {
         #[cfg(feature = "trace")]
@@ -484,45 +484,10 @@ impl<T: ?Sized> FcfsRwLock<T> {
         Some(self.stats.begin_acquire(exclusive).then(Instant::now))
     }
 
-    /// Shared latch with an owned (`Arc`-holding) guard, usable past the
-    /// borrow of the `Arc` it was taken from — the latch-crabbing shape.
-    pub fn read_arc(self: &Arc<Self>) -> ArcRwLockReadGuard<T> {
-        ArcRwLockReadGuard {
-            hold_start: self.start(false),
-            lock: Arc::clone(self),
-        }
-    }
-
-    /// Exclusive latch with an owned (`Arc`-holding) guard.
-    pub fn write_arc(self: &Arc<Self>) -> ArcRwLockWriteGuard<T> {
-        ArcRwLockWriteGuard {
-            hold_start: self.start(true),
-            lock: Arc::clone(self),
-        }
-    }
-
     /// Attempts a shared latch without ever blocking or queueing (fast
     /// path only; `None` whenever the latch is write-held *or* anyone is
     /// waiting). Used by callers that must stay deadlock-free while
     /// already holding other latches, e.g. transaction-retained descents.
-    pub fn try_read_arc(self: &Arc<Self>) -> Option<ArcRwLockReadGuard<T>> {
-        self.try_start(false).map(|hold_start| ArcRwLockReadGuard {
-            hold_start,
-            lock: Arc::clone(self),
-        })
-    }
-
-    /// Attempts the exclusive latch without ever blocking or queueing
-    /// (fast path only; `None` whenever any holder or waiter exists).
-    pub fn try_write_arc(self: &Arc<Self>) -> Option<ArcRwLockWriteGuard<T>> {
-        self.try_start(true).map(|hold_start| ArcRwLockWriteGuard {
-            hold_start,
-            lock: Arc::clone(self),
-        })
-    }
-
-    /// Attempts a shared latch without ever blocking or queueing, like
-    /// [`FcfsRwLock::try_read_arc`] but with a borrowing guard.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         self.try_start(false).map(|hold_start| RwLockReadGuard {
             hold_start,
@@ -530,8 +495,8 @@ impl<T: ?Sized> FcfsRwLock<T> {
         })
     }
 
-    /// Attempts the exclusive latch without ever blocking or queueing,
-    /// like [`FcfsRwLock::try_write_arc`] but with a borrowing guard.
+    /// Attempts the exclusive latch without ever blocking or queueing
+    /// (fast path only; `None` whenever any holder or waiter exists).
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         self.try_start(true).map(|hold_start| RwLockWriteGuard {
             hold_start,
@@ -654,35 +619,6 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
     hold_start: Option<Instant>,
 }
 
-/// Shared guard owning a strong reference to the lock.
-#[must_use = "dropping the guard releases the latch"]
-pub struct ArcRwLockReadGuard<T: ?Sized> {
-    lock: Arc<FcfsRwLock<T>>,
-    hold_start: Option<Instant>,
-}
-
-/// Exclusive guard owning a strong reference to the lock.
-#[must_use = "dropping the guard releases the latch"]
-pub struct ArcRwLockWriteGuard<T: ?Sized> {
-    lock: Arc<FcfsRwLock<T>>,
-    hold_start: Option<Instant>,
-}
-
-impl<T: ?Sized> ArcRwLockReadGuard<T> {
-    /// The lock this guard holds (associated fn, like `parking_lot`'s, so
-    /// it cannot shadow a method of `T`).
-    pub fn rwlock(this: &Self) -> &Arc<FcfsRwLock<T>> {
-        &this.lock
-    }
-}
-
-impl<T: ?Sized> ArcRwLockWriteGuard<T> {
-    /// The lock this guard holds.
-    pub fn rwlock(this: &Self) -> &Arc<FcfsRwLock<T>> {
-        &this.lock
-    }
-}
-
 /// An exclusive latch held past the borrow it was taken under: the
 /// guard keeps a raw pointer to the lock and releases through it on
 /// drop. It gives no access to the data — it only *holds* — which is
@@ -739,8 +675,8 @@ impl<T: ?Sized> fmt::Debug for UnownedWriteGuard<T> {
 }
 
 macro_rules! impl_guard {
-    ($guard:ident, $($lt:lifetime,)? deref_mut: $mutable:tt, exclusive: $exclusive:expr) => {
-        impl<$($lt,)? T: ?Sized> Deref for $guard<$($lt,)? T> {
+    ($guard:ident, $lt:lifetime, deref_mut: $mutable:tt, exclusive: $exclusive:expr) => {
+        impl<$lt, T: ?Sized> Deref for $guard<$lt, T> {
             type Target = T;
             fn deref(&self) -> &T {
                 // SAFETY: the guard proves the latch is held in a mode
@@ -751,20 +687,20 @@ macro_rules! impl_guard {
                 }
             }
         }
-        impl_guard!(@mut $guard, $($lt,)? $mutable);
-        impl<$($lt,)? T: ?Sized> Drop for $guard<$($lt,)? T> {
+        impl_guard!(@mut $guard, $lt, $mutable);
+        impl<$lt, T: ?Sized> Drop for $guard<$lt, T> {
             fn drop(&mut self) {
                 self.lock.finish($exclusive, self.hold_start);
             }
         }
-        impl<$($lt,)? T: ?Sized + fmt::Debug> fmt::Debug for $guard<$($lt,)? T> {
+        impl<$lt, T: ?Sized + fmt::Debug> fmt::Debug for $guard<$lt, T> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 fmt::Debug::fmt(&**self, f)
             }
         }
     };
-    (@mut $guard:ident, $($lt:lifetime,)? yes) => {
-        impl<$($lt,)? T: ?Sized> DerefMut for $guard<$($lt,)? T> {
+    (@mut $guard:ident, $lt:lifetime, yes) => {
+        impl<$lt, T: ?Sized> DerefMut for $guard<$lt, T> {
             fn deref_mut(&mut self) -> &mut T {
                 // SAFETY: exclusive latch held for the guard's lifetime.
                 #[allow(unsafe_code)]
@@ -774,18 +710,17 @@ macro_rules! impl_guard {
             }
         }
     };
-    (@mut $guard:ident, $($lt:lifetime,)? no) => {};
+    (@mut $guard:ident, $lt:lifetime, no) => {};
 }
 
 impl_guard!(RwLockReadGuard, 'a, deref_mut: no, exclusive: false);
 impl_guard!(RwLockWriteGuard, 'a, deref_mut: yes, exclusive: true);
-impl_guard!(ArcRwLockReadGuard, deref_mut: no, exclusive: false);
-impl_guard!(ArcRwLockWriteGuard, deref_mut: yes, exclusive: true);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn read_write_roundtrip() {
@@ -897,20 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_guards_outlive_their_borrow() {
-        let lock = Arc::new(FcfsRwLock::new(7u64));
-        let guard = {
-            let alias = Arc::clone(&lock);
-            alias.read_arc()
-        };
-        assert_eq!(*guard, 7);
-        assert!(Arc::ptr_eq(ArcRwLockReadGuard::rwlock(&guard), &lock));
-        drop(guard);
-        *lock.write_arc() = 8;
-        assert_eq!(*lock.read(), 8);
-    }
-
-    #[test]
     fn readers_share_writers_exclude() {
         // Readers: each holds its shared latch until every reader is
         // inside the critical section at once. A correct lock admits
@@ -961,17 +882,17 @@ mod tests {
     fn try_acquires_succeed_uncontended_and_count() {
         let lock = Arc::new(FcfsRwLock::new(5u64));
         {
-            let g = lock.try_write_arc().expect("free lock");
+            let g = lock.try_write().expect("free lock");
             assert_eq!(*g, 5);
             // A second writer, and any reader, must fail while held.
-            assert!(lock.try_write_arc().is_none());
-            assert!(lock.try_read_arc().is_none());
+            assert!(lock.try_write().is_none());
+            assert!(lock.try_read().is_none());
         }
         {
-            let r1 = lock.try_read_arc().expect("free lock");
-            let r2 = lock.try_read_arc().expect("readers share");
+            let r1 = lock.try_read().expect("free lock");
+            let r2 = lock.try_read().expect("readers share");
             assert_eq!(*r1 + *r2, 10);
-            assert!(lock.try_write_arc().is_none(), "writer excluded by readers");
+            assert!(lock.try_write().is_none(), "writer excluded by readers");
         }
         let snap = lock.stats().snapshot();
         // Only the four successful acquisitions were counted.
@@ -996,8 +917,8 @@ mod tests {
         }
         // The queue is non-empty, so even a compatible probe must refuse
         // (it would otherwise overtake the FCFS queue).
-        assert!(lock.try_write_arc().is_none());
-        assert!(lock.try_read_arc().is_none());
+        assert!(lock.try_write().is_none());
+        assert!(lock.try_read().is_none());
         drop(g);
         t.join().unwrap();
     }

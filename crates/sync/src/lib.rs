@@ -41,10 +41,7 @@ mod histogram;
 pub mod inject;
 mod stats;
 
-pub use fcfs::{
-    ArcRwLockReadGuard, ArcRwLockWriteGuard, FcfsRwLock, RwLockReadGuard, RwLockWriteGuard,
-    UnownedWriteGuard,
-};
+pub use fcfs::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard, UnownedWriteGuard};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};
 pub use stats::{LockStats, LockStatsSnapshot, SamplePeriod};
