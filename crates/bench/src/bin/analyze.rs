@@ -21,7 +21,7 @@ use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{lru_cost_model, CostModel, NodeParams, OpMix, TreeShape};
 use cbtree_harness::LiveConfig;
-use cbtree_obs::table::{fmt_f, Table};
+use cbtree_obs::table::{Column, Table};
 use cbtree_obs::Json;
 use cbtree_sync::SamplePeriod;
 use cbtree_workload::cli::Flags;
@@ -168,17 +168,6 @@ fn main() -> ExitCode {
     );
 
     let mut records = vec![meta_json(&args, mix, &cfg)];
-    let mut t = Table::new(
-        "analytical model (cost units)",
-        &[
-            "algorithm",
-            "max-thru",
-            "eff-max(rho=.5)",
-            "search-RT",
-            "insert-RT",
-            "rho_root",
-        ],
-    );
     let rate = args.rate;
     let mut best: Option<(Algorithm, f64)> = None;
     for alg in Algorithm::ALL_EXTENDED {
@@ -195,14 +184,6 @@ fn main() -> ExitCode {
             ),
             None => (f64::NAN, f64::NAN, f64::NAN),
         };
-        t.push(vec![
-            alg.name().to_string(),
-            fmt_f(max, 4),
-            eff.map_or_else(|| "-".into(), |x| fmt_f(x, 4)),
-            fmt_f(s_rt, 2),
-            fmt_f(i_rt, 2),
-            fmt_f(rho, 3),
-        ]);
         records.push(Json::obj(vec![
             ("type", "analysis_point".into()),
             ("algorithm", alg.name().into()),
@@ -225,7 +206,15 @@ fn main() -> ExitCode {
             }
         }
     }
-    t.print();
+    const ANALYSIS: &[Column] = &[
+        ("algorithm", "algorithm", 1.0, 0),
+        ("max-thru", "max_throughput", 1.0, 4),
+        ("eff-max(rho=.5)", "eff_max_rho_half", 1.0, 4),
+        ("search-RT", "search_rt", 1.0, 2),
+        ("insert-RT", "insert_rt", 1.0, 2),
+        ("rho_root", "rho_root", 1.0, 3),
+    ];
+    Table::project("analytical model (cost units)", ANALYSIS, &records[1..]).print();
     if let Some(r) = rate {
         match best {
             Some((alg, max)) => println!(
@@ -253,10 +242,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         println!("\nsimulation cross-check at λ = {r} (3 seeds):");
-        let mut t = Table::new(
-            "simulation cross-check",
-            &["algorithm", "search-RT", "±ci95", "insert-RT", "±ci95"],
-        );
+        const SIM_CHECK: &[Column] = &[
+            ("algorithm", "algorithm", 1.0, 0),
+            ("search-RT", "resp_search.mean", 1.0, 2),
+            ("±ci95", "resp_search.ci95", 1.0, 2),
+            ("insert-RT", "resp_insert.mean", 1.0, 2),
+            ("±ci95", "resp_insert.ci95", 1.0, 2),
+        ];
+        let mut t = Table::project("simulation cross-check", SIM_CHECK, []);
         // The simulator has no buffer pool: under --buffer-nodes it
         // cross-checks the --memory-levels split.
         let sim_cfg = model_config(&args, None).expect("built once already");
@@ -264,21 +257,18 @@ fn main() -> ExitCode {
             let alg = pillars::of(protocol).0;
             match pillars::simulate(protocol, &sim_cfg, PAPER_KEYSPACE, r, &[1, 2, 3]) {
                 Ok(s) => {
-                    t.push(vec![
-                        alg.name().to_string(),
-                        fmt_f(s.resp_search.mean, 2),
-                        fmt_f(s.resp_search.ci95, 2),
-                        fmt_f(s.resp_insert.mean, 2),
-                        fmt_f(s.resp_insert.ci95, 2),
-                    ]);
-                    records.push(Json::obj(vec![
+                    let record = Json::obj(vec![
                         ("type", "sim_check".into()),
                         ("algorithm", alg.name().into()),
                         ("lambda", r.into()),
                         ("resp_search", s.resp_search.to_json()),
                         ("resp_insert", s.resp_insert.to_json()),
-                    ]));
+                    ]);
+                    t.push_record(SIM_CHECK, &record);
+                    records.push(record);
                 }
+                // A failed simulation writes no record: its error fills
+                // the row.
                 Err(e) => t.push(vec![
                     alg.name().to_string(),
                     e.to_string(),
@@ -408,23 +398,7 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
         calib.resp_search.mean * 1e6,
         zero_load_units
     );
-    let mut t = Table::new(
-        "analysis vs simulation vs live (response times in cost units)",
-        &[
-            "algorithm",
-            "live-thru",
-            "lambda",
-            "anl-sRT",
-            "sim-sRT",
-            "live-sRT",
-            "anl-iRT",
-            "sim-iRT",
-            "live-iRT",
-            "ltch/op",
-            "restart",
-            "chase",
-        ],
-    );
+    let first = records.len();
     for protocol in COMPARED {
         let live = cbtree_harness::run(&LiveConfig {
             protocol,
@@ -442,20 +416,6 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
         });
         let live_s = live.resp_search.mean / unit_secs;
         let live_i = live.resp_insert.mean / unit_secs;
-        t.push(vec![
-            protocol.name().to_string(),
-            fmt_f(live.throughput, 0),
-            fmt_f(lambda, 4),
-            fmt_f(anl_s, 2),
-            fmt_f(sim_s, 2),
-            fmt_f(live_s, 2),
-            fmt_f(anl_i, 2),
-            fmt_f(sim_i, 2),
-            fmt_f(live_i, 2),
-            fmt_f(live.counters.latches_per_op(), 2),
-            fmt_f(live.counters.restart_rate(), 4),
-            fmt_f(live.counters.chase_rate(), 4),
-        ]);
         records.push(Json::obj(vec![
             ("type", "live_compare".into()),
             ("protocol", protocol.name().into()),
@@ -479,7 +439,26 @@ fn live_compare(args: &Args, mix: OpMix, records: &mut Vec<Json>) -> Result<(), 
             ("chase_rate", Json::f64_or_null(live.counters.chase_rate())),
         ]));
     }
-    t.print();
+    const LIVE_COMPARE: &[Column] = &[
+        ("algorithm", "protocol", 1.0, 0),
+        ("live-thru", "live_throughput", 1.0, 0),
+        ("lambda", "lambda", 1.0, 4),
+        ("anl-sRT", "anl_search_rt", 1.0, 2),
+        ("sim-sRT", "sim_search_rt", 1.0, 2),
+        ("live-sRT", "live_search_rt", 1.0, 2),
+        ("anl-iRT", "anl_insert_rt", 1.0, 2),
+        ("sim-iRT", "sim_insert_rt", 1.0, 2),
+        ("live-iRT", "live_insert_rt", 1.0, 2),
+        ("ltch/op", "latches_per_op", 1.0, 2),
+        ("restart", "restart_rate", 1.0, 4),
+        ("chase", "chase_rate", 1.0, 4),
+    ];
+    Table::project(
+        "analysis vs simulation vs live (response times in cost units)",
+        LIVE_COMPARE,
+        &records[first..],
+    )
+    .print();
     println!(
         "(response times in model cost units; live converted via the calibrated unit; \
          each pillar evaluated at the live run's measured λ; ltch/op, restart and \
@@ -619,13 +598,7 @@ fn serve_overlay(path: &std::path::Path, records: &mut Vec<Json>) -> Result<(), 
         points.len(),
         lambda_min
     );
-    let mut t = Table::new(
-        "open-loop measured vs M/G/c predicted sojourn, per shard",
-        &[
-            "lambda", "shard", "c", "rho", "scv", "shed%", "meas(us)", "pred(us)", "ratio",
-            "verdict",
-        ],
-    );
+    let first = records.len();
     let mut checked = 0u64;
     let mut agreed = 0u64;
     for p in &points {
@@ -640,9 +613,9 @@ fn serve_overlay(path: &std::path::Path, records: &mut Vec<Json>) -> Result<(), 
         // The calibration point matches by construction; judge the rest.
         let calibration = p.lambda == lambda_min;
         let verdict = match (predicted, ratio) {
-            _ if calibration => "calib".to_string(),
-            (None, _) => "saturated".to_string(),
-            _ if rho > SERVE_OVERLAY_MAX_RHO => "high-util".to_string(),
+            _ if calibration => "calib",
+            (None, _) => "saturated",
+            _ if rho > SERVE_OVERLAY_MAX_RHO => "high-util",
             (_, Some(r)) => {
                 checked += 1;
                 let within = (1.0 / (1.0 + SERVE_OVERLAY_TOLERANCE)
@@ -650,25 +623,13 @@ fn serve_overlay(path: &std::path::Path, records: &mut Vec<Json>) -> Result<(), 
                     .contains(&r);
                 if within {
                     agreed += 1;
-                    "ok".to_string()
+                    "ok"
                 } else {
-                    "off".to_string()
+                    "off"
                 }
             }
-            _ => "-".to_string(),
+            _ => "-",
         };
-        t.push(vec![
-            fmt_f(p.lambda, 0),
-            p.shard.to_string(),
-            p.c.to_string(),
-            fmt_f(rho, 3),
-            fmt_f(p.service.scv(), 2),
-            fmt_f(p.shed_rate * 100.0, 2),
-            fmt_f(p.sojourn_mean_s * 1e6, 2),
-            predicted.map_or_else(|| "-".into(), |pr| fmt_f(pr * 1e6, 2)),
-            ratio.map_or_else(|| "-".into(), |r| fmt_f(r, 2)),
-            verdict.clone(),
-        ]);
         records.push(Json::obj(vec![
             ("type", "serve_overlay".into()),
             ("lambda", Json::f64_or_null(p.lambda)),
@@ -683,10 +644,28 @@ fn serve_overlay(path: &std::path::Path, records: &mut Vec<Json>) -> Result<(), 
                 predicted.map_or(Json::Null, Json::f64_or_null),
             ),
             ("overhead_s", Json::f64_or_null(overhead)),
+            ("ratio", ratio.map_or(Json::Null, Json::f64_or_null)),
             ("verdict", verdict.into()),
         ]));
     }
-    t.print();
+    const OVERLAY: &[Column] = &[
+        ("lambda", "lambda", 1.0, 0),
+        ("shard", "shard", 1.0, 0),
+        ("c", "workers", 1.0, 0),
+        ("rho", "rho", 1.0, 3),
+        ("scv", "service_scv", 1.0, 2),
+        ("shed%", "shed_rate", 100.0, 2),
+        ("meas(us)", "measured_sojourn_s", 1e6, 2),
+        ("pred(us)", "predicted_sojourn_s", 1e6, 2),
+        ("ratio", "ratio", 1.0, 2),
+        ("verdict", "verdict", 1.0, 0),
+    ];
+    Table::project(
+        "open-loop measured vs M/G/c predicted sojourn, per shard",
+        OVERLAY,
+        &records[first..],
+    )
+    .print();
     if checked > 0 {
         println!(
             "agreement at rho <= {SERVE_OVERLAY_MAX_RHO}: {agreed}/{checked} points within \

@@ -43,7 +43,7 @@ fn main() -> ExitCode {
         "usage: experiments [--quick] [--no-sim] [--out DIR] [--seeds a,b,c] \
          [--report FILE.md] <name>...\n\
          names: {} or `all`\n",
-        FIGURES.join(", ")
+        FIGURES.map(|(name, _)| name).join(", ")
     );
     let (opts, names, report) = Flags::from_env(usage).parse_or_exit(parse_args);
     let mut report_body = String::from(

@@ -19,8 +19,9 @@ use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
 use cbtree_btree_model::OpMix;
 use cbtree_obs::event::Event;
-use cbtree_obs::table::{fmt_f, Table};
+use cbtree_obs::table::{fmt_f, Column, Table};
 use cbtree_obs::{replay, Json, Replay, Trace};
+use cbtree_serve::slo_line;
 use cbtree_sim::SimReport;
 use cbtree_workload::cli::Flags;
 use std::path::{Path, PathBuf};
@@ -98,6 +99,11 @@ fn u64_field(j: &Json, key: &str) -> u64 {
     j.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
+/// The array at `key`, empty when absent or null.
+fn array<'a>(j: &'a Json, key: &str) -> &'a [Json] {
+    j.get(key).and_then(Json::as_arr).unwrap_or_default()
+}
+
 fn load(path: &Path) -> Result<RunArtifact, String> {
     let records = cbtree_obs::read_jsonl(path)?;
     let of_type = |t: &str| {
@@ -151,21 +157,15 @@ fn load(path: &Path) -> Result<RunArtifact, String> {
     })
 }
 
-/// Everything the comparison derives from one artifact.
-struct Comparison {
-    lambda: f64,
-    unit_secs: f64,
-    /// Per-level ρ_w, leaves first: (analysis, sim, live counters, trace
-    /// presence, trace hold). NaN where a pillar has no value.
-    rho_rows: Vec<(f64, f64, f64, f64, f64)>,
-    /// Per-level exclusive waits in ns, same pillar order minus the hold
-    /// column.
-    wait_rows: Vec<(f64, f64, f64, f64)>,
-    replayed: Option<Replay>,
-    sim: Option<SimReport>,
-}
-
-fn compare(run: &RunArtifact, sim_seed: u64) -> Result<Comparison, String> {
+/// The `trace_compare` record of one artifact — per level, each pillar's
+/// ρ_w and mean exclusive wait in ns (null where a pillar has no value);
+/// the engine's event rates, counters beside trace — and the replayed
+/// trace.
+fn compare(
+    path: &Path,
+    run: &RunArtifact,
+    sim_seed: u64,
+) -> Result<(Json, Option<Replay>), String> {
     let mix = OpMix::new(run.mix.0, run.mix.1, run.mix.2).map_err(|e| e.to_string())?;
     let base_cfg = pillars::memory_resident(run.initial_items.max(1), run.capacity, mix)?;
     let height = base_cfg.height();
@@ -198,75 +198,93 @@ fn compare(run: &RunArtifact, sim_seed: u64) -> Result<Comparison, String> {
     let live_levels = run.report.get("levels").and_then(Json::as_arr);
     let live_waits = run.report.get("wait_w_by_level").and_then(Json::as_arr);
 
-    let levels = height
+    let n_levels = height
         .max(live_levels.map_or(0, <[Json]>::len))
         .max(sim.as_ref().map_or(0, |s| s.rho_w_by_level.len()));
     let unit_ns = unit_secs * 1e9;
-    let mut rho_rows = Vec::with_capacity(levels);
-    let mut wait_rows = Vec::with_capacity(levels);
-    for i in 0..levels {
-        let lvl = (i + 1) as u16;
-        let anl = perf
+    let value = |v: Option<f64>| v.map_or(Json::Null, Json::f64_or_null);
+    let levels = (0..n_levels).map(|i| {
+        let anl = perf.as_ref().and_then(|p| p.levels.get(i));
+        let sim_at = |by_level: fn(&SimReport) -> &[f64]| {
+            sim.as_ref().and_then(|s| by_level(s).get(i).copied())
+        };
+        let live = live_levels.and_then(|ls| ls.get(i));
+        let trc = replayed
             .as_ref()
-            .and_then(|p| p.levels.get(i))
-            .map_or(f64::NAN, |l| l.rho_w);
-        let sim_rho = sim
-            .as_ref()
-            .and_then(|s| s.rho_w_by_level.get(i).copied())
-            .unwrap_or(f64::NAN);
-        let live = live_levels
-            .and_then(|ls| ls.get(i))
-            .map_or(f64::NAN, |l| f64_field(l, "rho_w"));
-        let trc = replayed.as_ref().and_then(|r| r.rho_w(lvl));
-        let trc_hold = replayed
-            .as_ref()
-            .and_then(|r| r.levels.iter().find(|l| l.level == lvl))
-            .map(|l| l.rho_w_hold);
-        rho_rows.push((
-            anl,
-            sim_rho,
-            live,
-            trc.unwrap_or(f64::NAN),
-            trc_hold.unwrap_or(f64::NAN),
-        ));
+            .and_then(|r| r.levels.iter().find(|l| usize::from(l.level) == i + 1));
+        Json::obj(vec![
+            ("level", (i + 1).into()),
+            ("anl_rho_w", value(anl.map(|l| l.rho_w))),
+            ("sim_rho_w", value(sim_at(|s| &s.rho_w_by_level))),
+            (
+                "live_rho_w",
+                value(live.and_then(|l| l.get("rho_w")?.as_f64())),
+            ),
+            ("trace_rho_w", value(trc.map(|l| l.rho_w))),
+            ("trace_rho_w_hold", value(trc.map(|l| l.rho_w_hold))),
+            ("anl_w_wait_ns", value(anl.map(|l| l.w_wait * unit_ns))),
+            (
+                "sim_w_wait_ns",
+                value(sim_at(|s| &s.wait_w_by_level).map(|w| w * unit_ns)),
+            ),
+            (
+                "live_w_wait_ns",
+                value(
+                    live_waits
+                        .and_then(|ws| ws.get(i)?.as_f64())
+                        .map(|w| w * 1e9),
+                ),
+            ),
+            ("trace_w_wait_ns", value(trc.map(|l| l.mean_w_wait_ns))),
+        ])
+    });
 
-        let anl_w = perf
-            .as_ref()
-            .and_then(|p| p.levels.get(i))
-            .map_or(f64::NAN, |l| l.w_wait * unit_ns);
-        let sim_w = sim
-            .as_ref()
-            .and_then(|s| s.wait_w_by_level.get(i).copied())
-            .map_or(f64::NAN, |w| w * unit_ns);
-        let live_w = live_waits
-            .and_then(|ws| ws.get(i))
-            .and_then(Json::as_f64)
-            .map_or(f64::NAN, |w| w * 1e9);
-        let trc_w = replayed
-            .as_ref()
-            .and_then(|r| r.levels.iter().find(|l| l.level == lvl))
-            .map_or(f64::NAN, |l| l.mean_w_wait_ns);
-        wait_rows.push((anl_w, sim_w, live_w, trc_w));
-    }
-
-    Ok(Comparison {
-        lambda,
-        unit_secs,
-        rho_rows,
-        wait_rows,
-        replayed,
-        sim,
-    })
-}
-
-/// Like [`fmt_f`] but renders absent measurements as `-` ("sat" is
-/// reserved for the saturated analytical/simulated columns).
-fn cell(x: f64, prec: usize) -> String {
-    if x.is_finite() {
-        fmt_f(x, prec)
-    } else {
-        "-".into()
-    }
+    let counters = run.report.get("counters").cloned().unwrap_or(Json::Null);
+    let ops = u64_field(&counters, "ops").max(1) as f64;
+    let rate = |key: &str| u64_field(&counters, key) as f64 / ops;
+    let trc_rate = |f: fn(&Replay) -> u64| {
+        replayed.as_ref().map(|r| {
+            let completed: u64 = r.ops.iter().map(|o| o.completed).sum();
+            f(r) as f64 / completed.max(1) as f64
+        })
+    };
+    let rates = [
+        rates_json("restart rate", rate("restarts"), trc_rate(|r| r.restarts)),
+        rates_json("chase rate", rate("chases"), trc_rate(|r| r.chases)),
+        rates_json(
+            "peak latch chain",
+            u64_field(&counters, "peak_chain") as f64,
+            replayed.as_ref().map(|r| r.peak_latch_chain as f64),
+        ),
+        rates_json(
+            "txn commits",
+            u64_field(&counters, "txn_commits") as f64,
+            replayed.as_ref().map(|r| r.txn_commits as f64),
+        ),
+        rates_json(
+            "txn spills",
+            u64_field(&counters, "txn_spills") as f64,
+            replayed.as_ref().map(|r| r.txn_spills as f64),
+        ),
+    ];
+    let record = Json::obj(vec![
+        ("type", "trace_compare".into()),
+        ("file", path.display().to_string().into()),
+        ("protocol", run.protocol.name().into()),
+        ("lambda", Json::f64_or_null(lambda)),
+        ("unit_secs", Json::f64_or_null(unit_secs)),
+        ("levels", Json::arr(levels)),
+        ("rates", Json::arr(rates)),
+        (
+            "trace_summary",
+            replayed.as_ref().map_or(Json::Null, Replay::to_json),
+        ),
+        (
+            "sim_report",
+            sim.as_ref().map_or(Json::Null, SimReport::to_json),
+        ),
+    ]);
+    Ok((record, replayed))
 }
 
 fn rates_json(label: &str, live: f64, trace: Option<f64>) -> Json {
@@ -297,7 +315,7 @@ fn print_timeline(trace: &Trace, n: usize) {
 
 fn analyze_file(path: &Path, args: &Args, records: &mut Vec<Json>) -> Result<(), String> {
     let run = load(path)?;
-    let cmp = compare(&run, args.sim_seed)?;
+    let (record, replayed) = compare(path, &run, args.sim_seed)?;
 
     println!(
         "{}: {} | {} threads | capacity {} | {} initial items | txn {}",
@@ -310,10 +328,10 @@ fn analyze_file(path: &Path, args: &Args, records: &mut Vec<Json>) -> Result<(),
     );
     println!(
         "calibration: 1 cost unit = {:.0} ns (from this run's searches) | λ = {:.4} ops/unit",
-        cmp.unit_secs * 1e9,
-        cmp.lambda
+        f64_field(&record, "unit_secs") * 1e9,
+        f64_field(&record, "lambda")
     );
-    match &cmp.replayed {
+    match &replayed {
         Some(r) => println!(
             "trace: {:.1} ms window, {} unmatched, {} dropped",
             r.window_ns() as f64 / 1e6,
@@ -323,147 +341,56 @@ fn analyze_file(path: &Path, args: &Args, records: &mut Vec<Json>) -> Result<(),
         None => println!("trace: no event records (run without --features trace?)"),
     }
 
-    let mut t = Table::new(
-        "per-level writer utilization rho_w (level 1 = leaves)",
-        &["level", "anl", "sim", "live", "trc", "trc-hold"],
-    );
-    for (i, &(anl, sim, live, trc, trc_hold)) in cmp.rho_rows.iter().enumerate().rev() {
-        t.push(vec![
-            (i + 1).to_string(),
-            fmt_f(anl, 4),
-            fmt_f(sim, 4),
-            cell(live, 4),
-            cell(trc, 4),
-            cell(trc_hold, 4),
-        ]);
-    }
-    t.print();
-    println!("(anl/sim/trc count queued writers as present; live and trc-hold are hold-only)");
-
-    let mut t = Table::new(
-        "per-level mean exclusive wait (ns)",
-        &["level", "anl", "sim", "live", "trc"],
-    );
-    for (i, &(anl, sim, live, trc)) in cmp.wait_rows.iter().enumerate().rev() {
-        t.push(vec![
-            (i + 1).to_string(),
-            fmt_f(anl, 0),
-            fmt_f(sim, 0),
-            cell(live, 0),
-            cell(trc, 0),
-        ]);
-    }
-    t.print();
-
-    let counters = run.report.get("counters").cloned().unwrap_or(Json::Null);
-    let ops = u64_field(&counters, "ops").max(1) as f64;
-    let rate = |key: &str| u64_field(&counters, key) as f64 / ops;
-    let trc_rate = |f: fn(&Replay) -> u64| {
-        cmp.replayed.as_ref().map(|r| {
-            let completed: u64 = r.ops.iter().map(|o| o.completed).sum();
-            f(r) as f64 / completed.max(1) as f64
-        })
-    };
-    let rate_rows = [
-        ("restart rate", rate("restarts"), trc_rate(|r| r.restarts)),
-        ("chase rate", rate("chases"), trc_rate(|r| r.chases)),
-        (
-            "peak latch chain",
-            u64_field(&counters, "peak_chain") as f64,
-            cmp.replayed.as_ref().map(|r| r.peak_latch_chain as f64),
-        ),
-        (
-            "txn commits",
-            u64_field(&counters, "txn_commits") as f64,
-            cmp.replayed.as_ref().map(|r| r.txn_commits as f64),
-        ),
-        (
-            "txn spills",
-            u64_field(&counters, "txn_spills") as f64,
-            cmp.replayed.as_ref().map(|r| r.txn_spills as f64),
-        ),
+    let levels = array(&record, "levels");
+    const RHO_W: &[Column] = &[
+        ("level", "level", 1.0, 0),
+        ("anl", "anl_rho_w", 1.0, 4),
+        ("sim", "sim_rho_w", 1.0, 4),
+        ("live", "live_rho_w", 1.0, 4),
+        ("trc", "trace_rho_w", 1.0, 4),
+        ("trc-hold", "trace_rho_w_hold", 1.0, 4),
     ];
-    let mut t = Table::new(
-        "engine events: counters vs trace",
-        &["metric", "live", "trc"],
-    );
-    for &(label, live, trc) in &rate_rows {
-        t.push(vec![
-            label.to_string(),
-            fmt_f(live, 4),
-            trc.map_or_else(|| "-".into(), |v| fmt_f(v, 4)),
-        ]);
-    }
-    t.print();
-
-    if let Some(r) = cmp.replayed.as_ref().filter(|r| !r.batches.is_empty()) {
-        let mut t = Table::new(
-            "per-shard batched execution (from trace)",
-            &[
-                "shard",
-                "batches",
-                "ops",
-                "mean-size",
-                "max",
-                "reuse%",
-                "mean-us",
-            ],
-        );
-        for b in &r.batches {
-            t.push(vec![
-                b.shard.to_string(),
-                b.batches.to_string(),
-                b.ops.to_string(),
-                fmt_f(b.mean_size(), 2),
-                b.max_size.to_string(),
-                fmt_f(b.reuse_rate() * 100.0, 1),
-                fmt_f(b.mean_ns / 1e3, 1),
-            ]);
-        }
-        t.print();
+    let title = "per-level writer utilization rho_w (level 1 = leaves)";
+    Table::project(title, RHO_W, levels.iter().rev()).print();
+    println!("(anl/sim/trc count queued writers as present; live and trc-hold are hold-only)");
+    const WAIT: &[Column] = &[
+        ("level", "level", 1.0, 0),
+        ("anl", "anl_w_wait_ns", 1.0, 0),
+        ("sim", "sim_w_wait_ns", 1.0, 0),
+        ("live", "live_w_wait_ns", 1.0, 0),
+        ("trc", "trace_w_wait_ns", 1.0, 0),
+    ];
+    let title = "per-level mean exclusive wait (ns)";
+    Table::project(title, WAIT, levels.iter().rev()).print();
+    const RATES: &[Column] = &[
+        ("metric", "metric", 1.0, 0),
+        ("live", "live", 1.0, 4),
+        ("trc", "trace", 1.0, 4),
+    ];
+    let title = "engine events: counters vs trace";
+    Table::project(title, RATES, array(&record, "rates")).print();
+    let batches = record
+        .get("trace_summary")
+        .map_or(&[][..], |s| array(s, "batches"));
+    if !batches.is_empty() {
+        const BATCHES: &[Column] = &[
+            ("shard", "shard", 1.0, 0),
+            ("batches", "batches", 1.0, 0),
+            ("ops", "ops", 1.0, 0),
+            ("mean-size", "mean_size", 1.0, 2),
+            ("max", "max_size", 1.0, 0),
+            ("reuse%", "reuse_rate", 100.0, 1),
+            ("mean-us", "mean_ns", 1e-3, 1),
+        ];
+        let title = "per-shard batched execution (from trace)";
+        Table::project(title, BATCHES, batches).print();
     }
 
     if let (Some(trace), true) = (&run.trace, args.timeline > 0) {
         print_timeline(trace, args.timeline);
     }
     println!();
-
-    records.push(Json::obj(vec![
-        ("type", "trace_compare".into()),
-        ("file", path.display().to_string().into()),
-        ("protocol", run.protocol.name().into()),
-        ("lambda", Json::f64_or_null(cmp.lambda)),
-        ("unit_secs", Json::f64_or_null(cmp.unit_secs)),
-        (
-            "levels",
-            Json::arr(cmp.rho_rows.iter().enumerate().map(|(i, r)| {
-                Json::obj(vec![
-                    ("level", (i + 1).into()),
-                    ("anl_rho_w", Json::f64_or_null(r.0)),
-                    ("sim_rho_w", Json::f64_or_null(r.1)),
-                    ("live_rho_w", Json::f64_or_null(r.2)),
-                    ("trace_rho_w", Json::f64_or_null(r.3)),
-                    ("trace_rho_w_hold", Json::f64_or_null(r.4)),
-                ])
-            })),
-        ),
-        (
-            "rates",
-            Json::arr(
-                rate_rows
-                    .iter()
-                    .map(|&(label, live, trc)| rates_json(label, live, trc)),
-            ),
-        ),
-        (
-            "trace_summary",
-            cmp.replayed.as_ref().map_or(Json::Null, Replay::to_json),
-        ),
-        (
-            "sim_report",
-            cmp.sim.as_ref().map_or(Json::Null, SimReport::to_json),
-        ),
-    ]));
+    records.push(record);
     Ok(())
 }
 
@@ -565,65 +492,52 @@ fn timeline_file(path: &Path) -> Result<usize, String> {
         // Serve points carry sojourn quantiles; live points carry
         // latency quantiles. Either way the detector sees the windowed
         // p99 in nanoseconds.
-        let p99s: Vec<f64> = points
-            .iter()
-            .map(|p| u64_field(p, "sojourn_p99_ns").max(u64_field(p, "latency_p99_ns")) as f64)
-            .collect();
+        let (n, p99, max) = if points[0].get("sojourn_n").is_some() {
+            ("sojourn_n", "sojourn_p99_ns", "sojourn_max_ns")
+        } else {
+            ("n", "latency_p99_ns", "latency_max_ns")
+        };
+        let p99s: Vec<f64> = points.iter().map(|p| u64_field(p, p99) as f64).collect();
         let splits: Vec<f64> = points
             .iter()
             .map(|p| f64_field(p, "splits_per_s"))
             .collect();
         let flags = smo_spike_flags(&p99s, &splits);
 
-        let opt = |p: &Json, key: &str| p.get(key).and_then(Json::as_f64);
-        let mut t = Table::new(
-            "continuous time series (per sampler window)",
-            &[
-                "t(s)",
-                "n",
-                "p99(us)",
-                "max(us)",
-                "splits/s",
-                "chases/s",
-                "served/s",
-                "shed%",
-                "q",
-                "q-hwm",
-                "slo",
-                "smo-spike",
-            ],
-        );
-        for (i, p) in points.iter().enumerate() {
-            let max_ns = u64_field(p, "sojourn_max_ns").max(u64_field(p, "latency_max_ns"));
-            let n = u64_field(p, "sojourn_n").max(u64_field(p, "n"));
-            t.push(vec![
-                fmt_f(f64_field(p, "t_s"), 3),
-                n.to_string(),
-                fmt_f(p99s[i] / 1e3, 1),
-                fmt_f(max_ns as f64 / 1e3, 1),
-                cell(splits[i], 1),
-                cell(f64_field(p, "chases_per_s"), 1),
-                cell(f64_field(p, "completed_rate"), 0),
-                opt(p, "shed_rate").map_or_else(|| "-".into(), |s| fmt_f(s * 100.0, 1)),
-                p.get("queue_depth")
-                    .and_then(Json::as_u64)
-                    .map_or_else(|| "-".into(), |d| d.to_string()),
-                p.get("queue_depth_hwm")
-                    .and_then(Json::as_u64)
-                    .map_or_else(|| "-".into(), |d| d.to_string()),
-                match p.get("slo_burning").and_then(Json::as_bool) {
+        // A row is the window's record plus the two verdicts the
+        // timeline derives from it.
+        let rows: Vec<Json> = points
+            .iter()
+            .zip(&flags)
+            .map(|(p, &spike)| {
+                let slo = match p.get("slo_burning").and_then(Json::as_bool) {
                     Some(true) => "BURN".into(),
                     Some(false) => "ok".into(),
-                    None => "-".into(),
-                },
-                if flags[i] {
-                    "SPIKE".into()
-                } else {
-                    String::new()
-                },
-            ]);
-        }
-        t.print();
+                    None => Json::Null,
+                };
+                let spike = if spike { "SPIKE" } else { "" };
+                (*p).clone()
+                    .with("slo", slo)
+                    .with("smo_spike", spike.into())
+            })
+            .collect();
+        let columns = [
+            ("t(s)", "t_s", 1.0, 3),
+            ("n", n, 1.0, 0),
+            ("p99(us)", p99, 1e-3, 1),
+            ("max(us)", max, 1e-3, 1),
+            ("splits/s", "splits_per_s", 1.0, 1),
+            ("chases/s", "chases_per_s", 1.0, 1),
+            ("served/s", "completed_rate", 1.0, 0),
+            // Only serve windows see a queue.
+            ("shed%", "?shed_rate", 100.0, 1),
+            ("q", "?queue_depth", 1.0, 0),
+            ("q-hwm", "?queue_depth_hwm", 1.0, 0),
+            ("slo", "slo", 1.0, 0),
+            ("smo-spike", "smo_spike", 1.0, 0),
+        ];
+        let title = "continuous time series (per sampler window)";
+        Table::project(title, &columns, &rows).print();
 
         let spikes = flags.iter().filter(|&&f| f).count();
         spikes_total += spikes;
@@ -637,20 +551,8 @@ fn timeline_file(path: &Path) -> Result<usize, String> {
             r.get("type").and_then(Json::as_str) == Some("serve_report")
                 && r.get("lambda").and_then(Json::as_f64) == *lambda
         });
-        if let Some(slo) = report
-            .and_then(|r| r.get("slo"))
-            .filter(|s| **s != Json::Null)
-        {
-            let stamp = |key: &str| match slo.get(key).and_then(Json::as_f64) {
-                Some(t) => format!("{t:.3} s"),
-                None => "never".into(),
-            };
-            println!(
-                "slo: p99 budget {:.0} us | saturation onset {} | first shed {}",
-                u64_field(slo, "slo_p99_ns") as f64 / 1e3,
-                stamp("saturation_onset_s"),
-                stamp("first_shed_s"),
-            );
+        if let Some(slo) = report.and_then(|r| r.get("slo")).filter(|s| !s.is_null()) {
+            println!("{}", slo_line(slo));
         }
         println!();
     }

@@ -4,12 +4,14 @@
 //! and — where the paper overlays simulation — multi-seed simulation
 //! means with 95% confidence intervals.
 
+use crate::pillars;
 use crate::table::{fmt_f, Table};
 use cbtree_analysis::recovery::RecoveryComparison;
 use cbtree_analysis::{rules_of_thumb, Algorithm, ModelConfig, PerformanceModel};
+use cbtree_btree::Protocol;
 use cbtree_btree_model::{MergePolicy, NodeParams, OpMix, TreeShape};
 use cbtree_sim::costs::SimCosts;
-use cbtree_sim::{run_seeds, SeedSummary, SimAlgorithm, SimConfig};
+use cbtree_sim::{run_seeds, SeedSummary, SimConfig};
 use std::path::PathBuf;
 
 /// Options shared by all experiments.
@@ -47,43 +49,44 @@ impl ExpOptions {
     }
 }
 
-/// All experiment names accepted by [`run_figure`].
-pub const FIGURES: &[&str] = &[
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "baseline-2pl",
-    "extension-lru",
-    "extension-skew",
-    "ablation-rot-se2",
-    "ablation-merge-policy",
-    "ablation-hyperexp",
+/// An experiment: one table from the shared options.
+pub type Figure = fn(&ExpOptions) -> Table;
+
+/// Every experiment [`run_figure`] accepts, by name, in the order `all`
+/// runs them.
+pub const FIGURES: [(&str, Figure); 20] = [
+    ("fig3", |o| response_time_figure(RESPONSE_TIME[0], o)),
+    ("fig4", |o| response_time_figure(RESPONSE_TIME[1], o)),
+    ("fig5", |o| response_time_figure(RESPONSE_TIME[2], o)),
+    ("fig6", |o| response_time_figure(RESPONSE_TIME[3], o)),
+    ("fig7", |o| response_time_figure(RESPONSE_TIME[4], o)),
+    ("fig8", |o| response_time_figure(RESPONSE_TIME[5], o)),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("baseline-2pl", baseline_2pl),
+    ("extension-lru", extension_lru),
+    ("extension-skew", extension_skew),
+    ("ablation-rot-se2", ablation_rot_se2),
+    ("ablation-merge-policy", ablation_merge_policy),
+    ("ablation-hyperexp", ablation_hyperexp),
 ];
 
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
 
-fn sim_config(
-    alg: SimAlgorithm,
-    lambda: f64,
-    disk_cost: f64,
-    node_capacity: usize,
-    opts: &ExpOptions,
-) -> SimConfig {
-    let mut c = SimConfig::paper(alg, lambda, 1);
-    c.node_capacity = node_capacity;
+/// Node size of every simulated tree (the paper's N = 13).
+const NODE_SIZE: usize = 13;
+
+fn sim_config(protocol: Protocol, lambda: f64, disk_cost: f64, opts: &ExpOptions) -> SimConfig {
+    let mut c = SimConfig::paper(pillars::of(protocol).2, lambda, 1);
+    c.node_capacity = NODE_SIZE;
     c.costs = SimCosts {
         base: 1.0,
         disk_cost,
@@ -101,20 +104,21 @@ fn sim_config(
 }
 
 fn sim_point(
-    alg: SimAlgorithm,
+    protocol: Protocol,
     lambda: f64,
     disk_cost: f64,
-    node_capacity: usize,
     opts: &ExpOptions,
 ) -> Option<SeedSummary> {
     if !opts.with_sim {
         return None;
     }
-    run_seeds(
-        &sim_config(alg, lambda, disk_cost, node_capacity, opts),
-        &opts.seeds,
-    )
-    .ok()
+    run_seeds(&sim_config(protocol, lambda, disk_cost, opts), &opts.seeds).ok()
+}
+
+/// Simulated mean insert response time at `lambda` (D = 5), or `-`.
+fn sim_insert_rt(protocol: Protocol, lambda: f64, opts: &ExpOptions) -> String {
+    sim_point(protocol, lambda, 5.0, opts)
+        .map_or_else(|| "-".into(), |s| fmt_f(s.resp_insert.mean, 2))
 }
 
 /// Analysis configuration matching the simulated tree exactly: the shape
@@ -122,10 +126,15 @@ fn sim_point(
 /// (same seed), so the model analyzes the same B-tree the simulation runs
 /// on — the paper's "performance of an algorithm on a B-tree of a
 /// particular size".
-fn matched_cfg(disk_cost: f64, node_capacity: usize, opts: &ExpOptions) -> ModelConfig {
-    let sim_c = sim_config(SimAlgorithm::LinkType, 1.0, disk_cost, node_capacity, opts);
+fn matched_cfg(disk_cost: f64, opts: &ExpOptions) -> ModelConfig {
+    let sim_c = sim_config(Protocol::BLink, 1.0, disk_cost, opts);
     let shape = cbtree_sim::runner::matched_tree_shape(&sim_c)
         .expect("construction produces a valid shape");
+    paper_cfg(shape, disk_cost)
+}
+
+/// The paper's mix on `shape`, its top two levels in memory.
+fn paper_cfg(shape: TreeShape, disk_cost: f64) -> ModelConfig {
     let cost = cbtree_btree_model::CostModel::paper_style(shape.height, 2, disk_cost, 1.0)
         .expect("valid cost");
     ModelConfig::new(shape, OpMix::paper(), cost).expect("consistent")
@@ -170,22 +179,71 @@ fn lambda_at_rt_factor(model: &dyn PerformanceModel, factor: f64) -> f64 {
 
 const SWEEP_FRACS: [f64; 8] = [0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95];
 
+#[derive(Clone, Copy)]
 enum Metric {
     Search,
     Insert,
 }
 
-/// Shared engine for Figures 3–8: one algorithm, one response-time
-/// metric, analysis vs simulation across an arrival-rate sweep.
+/// `model`'s `metric` response time at `lambda`; infinite where it
+/// saturates.
+fn response_time(model: &dyn PerformanceModel, lambda: f64, metric: Metric) -> f64 {
+    model
+        .evaluate(lambda)
+        .map(|p| match metric {
+            Metric::Search => p.response_time_search,
+            Metric::Insert => p.response_time_insert,
+        })
+        .unwrap_or(f64::INFINITY)
+}
+
+// ----------------------------------------------------------------------
+// Figures
+// ----------------------------------------------------------------------
+
+/// Figures 3–8: one protocol's search or insert response time against
+/// the arrival rate, analysis beside simulation.
+const RESPONSE_TIME: [(Protocol, Metric, &str); 6] = [
+    (
+        Protocol::LockCoupling,
+        Metric::Insert,
+        "Fig 3: Naive Lock-coupling insert response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+    (
+        Protocol::LockCoupling,
+        Metric::Search,
+        "Fig 4: Naive Lock-coupling search response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+    (
+        Protocol::OptimisticDescent,
+        Metric::Search,
+        "Fig 5: Optimistic Descent search response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+    (
+        Protocol::OptimisticDescent,
+        Metric::Insert,
+        "Fig 6: Optimistic Descent insert response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+    (
+        Protocol::BLink,
+        Metric::Search,
+        "Fig 7: Link-type search response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+    (
+        Protocol::BLink,
+        Metric::Insert,
+        "Fig 8: Link-type insert response time vs arrival rate (D=5, 2 mem levels)",
+    ),
+];
+
+/// The engine of Figures 3–8: one [`RESPONSE_TIME`] row swept over the
+/// arrival rate.
 fn response_time_figure(
-    title: &str,
-    algorithm: Algorithm,
-    sim_alg: SimAlgorithm,
-    metric: Metric,
-    disk_cost: f64,
+    (protocol, metric, title): (Protocol, Metric, &str),
     opts: &ExpOptions,
 ) -> Table {
-    let cfg = matched_cfg(disk_cost, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
+    let algorithm = pillars::of(protocol).0;
     let model = algorithm.model(&cfg);
     let top = match algorithm {
         // Lock-retaining algorithms are swept to their saturation point
@@ -211,15 +269,7 @@ fn response_time_figure(
     );
     for frac in SWEEP_FRACS {
         let lambda = frac * top;
-        let analysis = model
-            .evaluate(lambda)
-            .map(|p| match metric {
-                Metric::Search => p.response_time_search,
-                Metric::Insert => p.response_time_insert,
-            })
-            .unwrap_or(f64::INFINITY);
-        let sim = sim_point(sim_alg, lambda, disk_cost, 13, opts);
-        let (s_rt, s_ci, s_rho) = match &sim {
+        let (s_rt, s_ci, s_rho) = match sim_point(protocol, lambda, 5.0, opts) {
             Some(s) => {
                 let sm = match metric {
                     Metric::Search => s.resp_search,
@@ -235,7 +285,7 @@ fn response_time_figure(
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(analysis, 2),
+            fmt_f(response_time(model.as_ref(), lambda, metric), 2),
             s_rt,
             s_ci,
             s_rho,
@@ -244,87 +294,11 @@ fn response_time_figure(
     t
 }
 
-// ----------------------------------------------------------------------
-// Figures
-// ----------------------------------------------------------------------
-
-/// Figure 3: Naive Lock-coupling insert response time vs arrival rate.
-pub fn fig3(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 3: Naive Lock-coupling insert response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::NaiveLockCoupling,
-        SimAlgorithm::NaiveLockCoupling,
-        Metric::Insert,
-        5.0,
-        opts,
-    )
-}
-
-/// Figure 4: Naive Lock-coupling search response time vs arrival rate.
-pub fn fig4(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 4: Naive Lock-coupling search response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::NaiveLockCoupling,
-        SimAlgorithm::NaiveLockCoupling,
-        Metric::Search,
-        5.0,
-        opts,
-    )
-}
-
-/// Figure 5: Optimistic Descent search response time vs arrival rate.
-pub fn fig5(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 5: Optimistic Descent search response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::OptimisticDescent,
-        SimAlgorithm::OptimisticDescent,
-        Metric::Search,
-        5.0,
-        opts,
-    )
-}
-
-/// Figure 6: Optimistic Descent insert response time vs arrival rate.
-pub fn fig6(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 6: Optimistic Descent insert response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::OptimisticDescent,
-        SimAlgorithm::OptimisticDescent,
-        Metric::Insert,
-        5.0,
-        opts,
-    )
-}
-
-/// Figure 7: Link-type search response time vs arrival rate.
-pub fn fig7(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 7: Link-type search response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::LinkType,
-        SimAlgorithm::LinkType,
-        Metric::Search,
-        5.0,
-        opts,
-    )
-}
-
-/// Figure 8: Link-type insert response time vs arrival rate.
-pub fn fig8(opts: &ExpOptions) -> Table {
-    response_time_figure(
-        "Fig 8: Link-type insert response time vs arrival rate (D=5, 2 mem levels)",
-        Algorithm::LinkType,
-        SimAlgorithm::LinkType,
-        Metric::Insert,
-        5.0,
-        opts,
-    )
-}
-
 /// Figure 9: link crossings are rare and have negligible performance
 /// effect (D = 10). The analytical model ignores crossings entirely; its
 /// agreement with the crossing-aware simulator is the "negligible" claim.
 pub fn fig9(opts: &ExpOptions) -> Table {
-    let cfg = matched_cfg(10.0, 13, opts);
+    let cfg = matched_cfg(10.0, opts);
     let model = Algorithm::LinkType.model(&cfg);
     let top = lambda_at_rt_factor(model.as_ref(), 2.5);
     let mut t = Table::new(
@@ -338,12 +312,8 @@ pub fn fig9(opts: &ExpOptions) -> Table {
     );
     for frac in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let lambda = frac * top;
-        let analysis = model
-            .evaluate(lambda)
-            .map(|p| p.response_time_search)
-            .unwrap_or(f64::INFINITY);
-        let sim = sim_point(SimAlgorithm::LinkType, lambda, 10.0, 13, opts);
-        let (cross, s_rt) = match &sim {
+        let analysis = response_time(model.as_ref(), lambda, Metric::Search);
+        let (cross, s_rt) = match sim_point(Protocol::BLink, lambda, 10.0, opts) {
             Some(s) => (
                 fmt_f(1000.0 * s.crossings_per_op.mean, 2),
                 fmt_f(s.resp_search.mean, 2),
@@ -358,7 +328,7 @@ pub fn fig9(opts: &ExpOptions) -> Table {
 /// Figure 10: root writer utilization of Naive Lock-coupling grows
 /// super-linearly in the arrival rate.
 pub fn fig10(opts: &ExpOptions) -> Table {
-    let cfg = matched_cfg(5.0, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
     let model = Algorithm::NaiveLockCoupling.model(&cfg);
     let max = model.max_throughput().expect("finite");
     let mut t = Table::new(
@@ -377,8 +347,7 @@ pub fn fig10(opts: &ExpOptions) -> Table {
             .evaluate(lambda)
             .map(|p| p.root_writer_utilization())
             .unwrap_or(f64::INFINITY);
-        let sim = sim_point(SimAlgorithm::NaiveLockCoupling, lambda, 5.0, 13, opts);
-        let (s_rho, s_ci) = match &sim {
+        let (s_rho, s_ci) = match sim_point(Protocol::LockCoupling, lambda, 5.0, opts) {
             Some(s) => (
                 fmt_f(s.root_writer_utilization.mean, 3),
                 fmt_f(s.root_writer_utilization.ci95, 3),
@@ -414,7 +383,7 @@ pub fn fig11(_opts: &ExpOptions) -> Table {
 
 /// Figure 12: insert response times of the three algorithms (D = 5).
 pub fn fig12(opts: &ExpOptions) -> Table {
-    let cfg = matched_cfg(5.0, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
     let naive = Algorithm::NaiveLockCoupling.model(&cfg);
     let od = Algorithm::OptimisticDescent.model(&cfg);
     let link = Algorithm::LinkType.model(&cfg);
@@ -431,24 +400,13 @@ pub fn fig12(opts: &ExpOptions) -> Table {
     );
     for frac in [0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.1, 1.5, 3.0] {
         let lambda = frac * od_max;
-        let rt = |m: &dyn PerformanceModel| {
-            m.evaluate(lambda)
-                .map(|p| p.response_time_insert)
-                .unwrap_or(f64::INFINITY)
-        };
-        let link_sim = if frac <= 3.0 {
-            sim_point(SimAlgorithm::LinkType, lambda, 5.0, 13, opts)
-                .map(|s| fmt_f(s.resp_insert.mean, 2))
-                .unwrap_or_else(|| "-".into())
-        } else {
-            "-".into()
-        };
+        let rt = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(rt(naive.as_ref()), 2),
-            fmt_f(rt(od.as_ref()), 2),
-            fmt_f(rt(link.as_ref()), 2),
-            link_sim,
+            rt(naive.as_ref()),
+            rt(od.as_ref()),
+            rt(link.as_ref()),
+            sim_insert_rt(Protocol::BLink, lambda, opts),
         ]);
     }
     t
@@ -461,62 +419,59 @@ fn node_size_sweep() -> Vec<usize> {
 fn pinned_cfg_for_n(n: usize, disk_cost: f64) -> ModelConfig {
     let shape = TreeShape::derive(40_000, NodeParams::with_max_size(n).expect("n >= 3"))
         .expect("valid shape");
-    let cost = cbtree_btree_model::CostModel::paper_style(shape.height, 2, disk_cost, 1.0)
-        .expect("valid cost");
-    ModelConfig::new(shape, OpMix::paper(), cost).expect("consistent")
+    paper_cfg(shape, disk_cost)
+}
+
+/// A rule of thumb: the arrival rate at which the root's writer
+/// utilization reaches one half, in closed form.
+type Rule = fn(&ModelConfig) -> cbtree_analysis::Result<f64>;
+
+/// The engine of Figures 13 and 14: `algorithm`'s rule of thumb and
+/// limit rule (named columns) against the full analysis, across node
+/// sizes, for D = 1 (all memory-equivalent) and D = 10.
+fn rules_of_thumb_figure(title: &str, algorithm: Algorithm, rules: [(&str, Rule); 2]) -> Table {
+    let mut t = Table::new(title, &["N", "D", "analysis", rules[0].0, rules[1].0]);
+    for d in [1.0, 10.0] {
+        for n in node_size_sweep() {
+            let cfg = pinned_cfg_for_n(n, d);
+            let exact = algorithm.model(&cfg).lambda_at_root_rho(0.5);
+            let [rule, limit] = rules.map(|(_, r)| fmt_f(r(&cfg).unwrap_or(f64::NAN), 4));
+            t.push(vec![
+                n.to_string(),
+                fmt_f(d, 0),
+                fmt_f(exact.unwrap_or(f64::NAN), 4),
+                rule,
+                limit,
+            ]);
+        }
+    }
+    t
 }
 
 /// Figure 13: Naive Lock-coupling rule-of-thumb 1 and limit rule 2 vs the
-/// full analysis, across node sizes, for D = 1 (all memory-equivalent)
-/// and D = 10.
+/// full analysis.
 pub fn fig13(_opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    rules_of_thumb_figure(
         "Fig 13: Naive Lock-coupling rules of thumb vs analysis (lambda at rho_w = .5)",
-        &["N", "D", "analysis", "rule_of_thumb_1", "limit_rule_2"],
-    );
-    for d in [1.0, 10.0] {
-        for n in node_size_sweep() {
-            let cfg = pinned_cfg_for_n(n, d);
-            let model = Algorithm::NaiveLockCoupling.model(&cfg);
-            let exact = model.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);
-            let rot1 = rules_of_thumb::naive_lc_rot1(&cfg).unwrap_or(f64::NAN);
-            let rot2 = rules_of_thumb::naive_lc_rot2(&cfg).unwrap_or(f64::NAN);
-            t.push(vec![
-                n.to_string(),
-                fmt_f(d, 0),
-                fmt_f(exact, 4),
-                fmt_f(rot1, 4),
-                fmt_f(rot2, 4),
-            ]);
-        }
-    }
-    t
+        Algorithm::NaiveLockCoupling,
+        [
+            ("rule_of_thumb_1", rules_of_thumb::naive_lc_rot1),
+            ("limit_rule_2", rules_of_thumb::naive_lc_rot2),
+        ],
+    )
 }
 
 /// Figure 14: Optimistic Descent rule-of-thumb 3 and limit rule 4 vs the
-/// full analysis, across node sizes and disk costs.
+/// full analysis.
 pub fn fig14(_opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    rules_of_thumb_figure(
         "Fig 14: Optimistic Descent rules of thumb vs analysis (lambda at rho_w = .5)",
-        &["N", "D", "analysis", "rule_of_thumb_3", "limit_rule_4"],
-    );
-    for d in [1.0, 10.0] {
-        for n in node_size_sweep() {
-            let cfg = pinned_cfg_for_n(n, d);
-            let model = Algorithm::OptimisticDescent.model(&cfg);
-            let exact = model.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);
-            let rot3 = rules_of_thumb::optimistic_rot3(&cfg).unwrap_or(f64::NAN);
-            let rot4 = rules_of_thumb::optimistic_rot4(&cfg).unwrap_or(f64::NAN);
-            t.push(vec![
-                n.to_string(),
-                fmt_f(d, 0),
-                fmt_f(exact, 4),
-                fmt_f(rot3, 4),
-                fmt_f(rot4, 4),
-            ]);
-        }
-    }
-    t
+        Algorithm::OptimisticDescent,
+        [
+            ("rule_of_thumb_3", rules_of_thumb::optimistic_rot3),
+            ("limit_rule_4", rules_of_thumb::optimistic_rot4),
+        ],
+    )
 }
 
 fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> Table {
@@ -537,7 +492,7 @@ fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> T
         ],
     );
     let sim_at = |lambda: f64, recovery: SimRecovery, opts: &ExpOptions| -> String {
-        let mut c = sim_config(SimAlgorithm::OptimisticDescent, lambda, 10.0, 13, opts);
+        let mut c = sim_config(Protocol::OptimisticDescent, lambda, 10.0, opts);
         c.recovery = recovery;
         run_seeds(&c, &opts.seeds)
             .map(|s| fmt_f(s.resp_insert.mean, 2))
@@ -545,11 +500,7 @@ fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> T
     };
     for frac in [0.1, 0.3, 0.5, 0.7, 0.85, 1.2, 1.8] {
         let lambda = frac * max_naive;
-        let one = |m: &dyn PerformanceModel| {
-            m.evaluate(lambda)
-                .map(|p| p.response_time_insert)
-                .unwrap_or(f64::INFINITY)
-        };
+        let one = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         let (s_leaf, s_naive) = match sim.filter(|o| o.with_sim) {
             Some(opts) => (
                 sim_at(lambda, SimRecovery::LeafOnly { t_trans: 100.0 }, opts),
@@ -563,9 +514,9 @@ fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> T
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(one(cmp.none.as_ref()), 2),
-            fmt_f(one(cmp.leaf_only.as_ref()), 2),
-            fmt_f(one(cmp.naive.as_ref()), 2),
+            one(cmp.none.as_ref()),
+            one(cmp.leaf_only.as_ref()),
+            one(cmp.naive.as_ref()),
             s_leaf,
             s_naive,
         ]);
@@ -580,7 +531,7 @@ pub fn fig15(opts: &ExpOptions) -> Table {
     // simulation overlay compares like with like.
     recovery_figure(
         "Fig 15: recovery comparison, OD insert RT (N=13, 5 levels, D=10, T_trans=100)",
-        matched_cfg(10.0, 13, opts),
+        matched_cfg(10.0, opts),
         Some(opts),
     )
 }
@@ -627,7 +578,7 @@ pub fn ablation_rot_se2(_opts: &ExpOptions) -> Table {
 /// baseline against the paper's three algorithms — analysis and
 /// simulation of insert response times, D = 5.
 pub fn baseline_2pl(opts: &ExpOptions) -> Table {
-    let cfg = matched_cfg(5.0, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
     let tp = Algorithm::TwoPhaseLocking.model(&cfg);
     let naive = Algorithm::NaiveLockCoupling.model(&cfg);
     let od = Algorithm::OptimisticDescent.model(&cfg);
@@ -646,25 +597,19 @@ pub fn baseline_2pl(opts: &ExpOptions) -> Table {
     );
     for frac in [0.2, 0.5, 0.8, 0.95, 2.0, 6.0, 30.0] {
         let lambda = frac * tp_max;
-        let rt = |m: &dyn PerformanceModel| {
-            m.evaluate(lambda)
-                .map(|p| p.response_time_insert)
-                .unwrap_or(f64::INFINITY)
-        };
+        let rt = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         let sim = if frac < 1.0 {
-            sim_point(SimAlgorithm::TwoPhaseLocking, lambda, 5.0, 13, opts)
-                .map(|s| fmt_f(s.resp_insert.mean, 2))
-                .unwrap_or_else(|| "-".into())
+            sim_insert_rt(Protocol::TwoPhase, lambda, opts)
         } else {
             "-".into()
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(rt(tp.as_ref()), 2),
+            rt(tp.as_ref()),
             sim,
-            fmt_f(rt(naive.as_ref()), 2),
-            fmt_f(rt(od.as_ref()), 2),
-            fmt_f(rt(link.as_ref()), 2),
+            rt(naive.as_ref()),
+            rt(od.as_ref()),
+            rt(link.as_ref()),
         ]);
     }
     t
@@ -721,20 +666,14 @@ pub fn extension_lru(_opts: &ExpOptions) -> Table {
 /// analysis — mapping the model's domain of validity.
 pub fn extension_skew(opts: &ExpOptions) -> Table {
     use cbtree_workload::KeyDist;
-    let cfg = matched_cfg(5.0, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
     let link = Algorithm::LinkType.model(&cfg);
     let naive = Algorithm::NaiveLockCoupling.model(&cfg);
     let naive_max = naive.max_throughput().expect("finite");
     let lambda_naive = 0.6 * naive_max;
     let lambda_link = 20.0 * naive_max;
-    let uniform_naive = naive
-        .evaluate(lambda_naive)
-        .map(|p| p.response_time_insert)
-        .unwrap_or(f64::INFINITY);
-    let uniform_link = link
-        .evaluate(lambda_link)
-        .map(|p| p.response_time_insert)
-        .unwrap_or(f64::INFINITY);
+    let uniform_naive = response_time(naive.as_ref(), lambda_naive, Metric::Insert);
+    let uniform_link = response_time(link.as_ref(), lambda_link, Metric::Insert);
 
     let mut t = Table::new(
         "Extension: Zipf key skew vs the uniform-traffic analysis (insert RT, D=5)",
@@ -748,36 +687,31 @@ pub fn extension_skew(opts: &ExpOptions) -> Table {
         ],
     );
     for theta in [0.0, 0.5, 0.8, 0.99, 1.2] {
-        let mut row: Vec<String> = vec![fmt_f(theta, 2)];
-        let mut c = sim_config(SimAlgorithm::NaiveLockCoupling, lambda_naive, 5.0, 13, opts);
-        c.ops.keys = KeyDist::Zipf {
-            n: 100_000_000,
-            theta,
-        };
-        row.push(
+        let zipf = |protocol, lambda| {
+            let mut c = sim_config(protocol, lambda, 5.0, opts);
+            c.ops.keys = KeyDist::Zipf {
+                n: 100_000_000,
+                theta,
+            };
             run_seeds(&c, &opts.seeds)
-                .map(|s| fmt_f(s.resp_insert.mean, 2))
-                .unwrap_or_else(|_| "unstable".into()),
-        );
-        row.push(fmt_f(uniform_naive, 2));
-        let mut c = sim_config(SimAlgorithm::LinkType, lambda_link, 5.0, 13, opts);
-        c.ops.keys = KeyDist::Zipf {
-            n: 100_000_000,
-            theta,
         };
-        match run_seeds(&c, &opts.seeds) {
-            Ok(s) => {
-                row.push(fmt_f(s.resp_insert.mean, 2));
-                row.push(fmt_f(uniform_link, 2));
-                row.push(fmt_f(1000.0 * s.crossings_per_op.mean, 2));
-            }
-            Err(_) => {
-                row.push("unstable".into());
-                row.push(fmt_f(uniform_link, 2));
-                row.push("-".into());
-            }
-        }
-        t.push(row);
+        let naive_rt = zipf(Protocol::LockCoupling, lambda_naive)
+            .map_or_else(|_| "unstable".into(), |s| fmt_f(s.resp_insert.mean, 2));
+        let (link_rt, crossings) = match zipf(Protocol::BLink, lambda_link) {
+            Ok(s) => (
+                fmt_f(s.resp_insert.mean, 2),
+                fmt_f(1000.0 * s.crossings_per_op.mean, 2),
+            ),
+            Err(_) => ("unstable".into(), "-".into()),
+        };
+        t.push(vec![
+            fmt_f(theta, 2),
+            naive_rt,
+            fmt_f(uniform_naive, 2),
+            link_rt,
+            fmt_f(uniform_link, 2),
+            crossings,
+        ]);
     }
     t
 }
@@ -786,7 +720,7 @@ pub fn extension_skew(opts: &ExpOptions) -> Table {
 /// plain exponential of equal mean — how much waiting the variance
 /// carries, validated against the simulator.
 pub fn ablation_hyperexp(opts: &ExpOptions) -> Table {
-    let cfg = matched_cfg(5.0, 13, opts);
+    let cfg = matched_cfg(5.0, opts);
     let staged = cbtree_analysis::NaiveLockCoupling::new(cfg.clone());
     let expo = cbtree_analysis::NaiveLockCoupling::new_exponential_approx(cfg);
     let max = staged.max_throughput().expect("finite");
@@ -796,19 +730,11 @@ pub fn ablation_hyperexp(opts: &ExpOptions) -> Table {
     );
     for frac in [0.3, 0.5, 0.7, 0.85, 0.95] {
         let lambda = frac * max;
-        let rt = |m: &dyn PerformanceModel| {
-            m.evaluate(lambda)
-                .map(|p| p.response_time_insert)
-                .unwrap_or(f64::INFINITY)
-        };
-        let sim = sim_point(SimAlgorithm::NaiveLockCoupling, lambda, 5.0, 13, opts)
-            .map(|s| fmt_f(s.resp_insert.mean, 2))
-            .unwrap_or_else(|| "-".into());
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(rt(&staged), 2),
-            fmt_f(rt(&expo), 2),
-            sim,
+            fmt_f(response_time(&staged, lambda, Metric::Insert), 2),
+            fmt_f(response_time(&expo, lambda, Metric::Insert), 2),
+            sim_insert_rt(Protocol::LockCoupling, lambda, opts),
         ]);
     }
     t
@@ -836,45 +762,27 @@ pub fn ablation_merge_policy(_opts: &ExpOptions) -> Table {
     t
 }
 
-/// Runs one named experiment (or `all`), printing tables and writing CSVs
-/// when an output directory is configured.
+/// Runs one named experiment (or `all`), writing each table as
+/// `<out_dir>/<name>.csv` when an output directory is configured.
 pub fn run_figure(name: &str, opts: &ExpOptions) -> Vec<Table> {
-    let one = |f: fn(&ExpOptions) -> Table| vec![f(opts)];
-    let tables: Vec<Table> = match name {
-        "fig3" => one(fig3),
-        "fig4" => one(fig4),
-        "fig5" => one(fig5),
-        "fig6" => one(fig6),
-        "fig7" => one(fig7),
-        "fig8" => one(fig8),
-        "fig9" => one(fig9),
-        "fig10" => one(fig10),
-        "fig11" => one(fig11),
-        "fig12" => one(fig12),
-        "fig13" => one(fig13),
-        "fig14" => one(fig14),
-        "fig15" => one(fig15),
-        "fig16" => one(fig16),
-        "baseline-2pl" => one(baseline_2pl),
-        "extension-lru" => one(extension_lru),
-        "extension-skew" => one(extension_skew),
-        "ablation-hyperexp" => one(ablation_hyperexp),
-        "ablation-rot-se2" => one(ablation_rot_se2),
-        "ablation-merge-policy" => one(ablation_merge_policy),
-        "all" => FIGURES.iter().flat_map(|n| run_figure(n, opts)).collect(),
-        other => panic!("unknown experiment `{other}`; known: {FIGURES:?} or `all`"),
+    if name == "all" {
+        return FIGURES
+            .iter()
+            .flat_map(|(n, _)| run_figure(n, opts))
+            .collect();
+    }
+    let Some((_, figure)) = FIGURES.iter().find(|(n, _)| *n == name) else {
+        let known = FIGURES.map(|(n, _)| n);
+        panic!("unknown experiment `{name}`; known: {known:?} or `all`");
     };
-    if name != "all" {
-        if let Some(dir) = &opts.out_dir {
-            for table in &tables {
-                let path = dir.join(format!("{name}.csv"));
-                if let Err(e) = table.write_csv(&path) {
-                    eprintln!("warning: failed to write {}: {e}", path.display());
-                }
-            }
+    let table = figure(opts);
+    if let Some(dir) = &opts.out_dir {
+        let path = dir.join(format!("{name}.csv"));
+        if let Err(e) = table.write_csv(&path) {
+            eprintln!("warning: failed to write {}: {e}", path.display());
         }
     }
-    tables
+    vec![table]
 }
 
 #[cfg(test)]

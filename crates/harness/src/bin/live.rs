@@ -7,8 +7,8 @@
 
 use cbtree_harness::cli::RunFlags;
 use cbtree_harness::{run, saturation_search, LiveConfig, LiveReport};
-use cbtree_obs::replay;
-use cbtree_obs::table::{fmt_f, Table};
+use cbtree_obs::table::{Column, Table};
+use cbtree_obs::{replay, Json};
 use cbtree_workload::cli::Flags;
 use std::path::PathBuf;
 
@@ -95,8 +95,9 @@ fn write_json(
     path: &std::path::Path,
     cfg: &LiveConfig,
     report: &LiveReport,
+    record: Json,
 ) -> std::io::Result<()> {
-    let mut records = vec![cfg.meta_json(), report.to_json()];
+    let mut records = vec![cfg.meta_json(), record];
     // The continuous time series rides as one record per window, right
     // after the report (`cbtree-trace timeline` replays these).
     records.extend(report.timeseries.iter().map(|p| p.to_json()));
@@ -112,7 +113,9 @@ fn us(seconds: f64) -> f64 {
     seconds * 1e6
 }
 
-fn print_report(cfg: &LiveConfig, report: &LiveReport) {
+/// `report`, whose `live_report` record is `record`, as the human
+/// summary.
+fn print_report(cfg: &LiveConfig, report: &LiveReport, record: &Json) {
     println!(
         "live execution: {} | {} threads | capacity {} | {} initial items",
         cfg.protocol.name(),
@@ -159,32 +162,19 @@ fn print_report(cfg: &LiveConfig, report: &LiveReport) {
         );
     }
     println!();
-    let mut t = Table::new(
-        "per-level lock behavior (level 1 = leaves)",
-        &[
-            "level",
-            "nodes",
-            "w-acq",
-            "r-acq",
-            "rho_w",
-            "w-wait(us)",
-            "r-wait(us)",
-            "w-cont",
-        ],
-    );
-    for l in report.levels.iter().rev() {
-        t.push(vec![
-            l.level.to_string(),
-            l.nodes.to_string(),
-            l.stats.w_acquires.to_string(),
-            l.stats.r_acquires.to_string(),
-            fmt_f(l.rho_w, 4),
-            fmt_f(l.stats.mean_w_wait_ns() / 1e3, 3),
-            fmt_f(l.stats.mean_r_wait_ns() / 1e3, 3),
-            fmt_f(l.stats.w_contention_rate(), 4),
-        ]);
-    }
-    t.print();
+    const LEVELS: &[Column] = &[
+        ("level", "level", 1.0, 0),
+        ("nodes", "nodes", 1.0, 0),
+        ("w-acq", "stats.w_acquires", 1.0, 0),
+        ("r-acq", "stats.r_acquires", 1.0, 0),
+        ("rho_w", "rho_w", 1.0, 4),
+        ("w-wait(us)", "stats.mean_w_wait_ns", 1e-3, 3),
+        ("r-wait(us)", "stats.mean_r_wait_ns", 1e-3, 3),
+        ("w-cont", "stats.w_contention_rate", 1.0, 4),
+    ];
+    let levels = record.get("levels").and_then(Json::as_arr);
+    let title = "per-level lock behavior (level 1 = leaves)";
+    Table::project(title, LEVELS, levels.unwrap_or_default().iter().rev()).print();
     if !report.timeseries.is_empty() {
         println!(
             "timeseries: {} windows sampled (replay with `cbtree-trace timeline`)",
@@ -211,9 +201,10 @@ fn main() {
     match args.saturate {
         None => {
             let report = run(&args.cfg);
-            print_report(&args.cfg, &report);
+            let record = report.to_json();
+            print_report(&args.cfg, &report, &record);
             if let Some(path) = &args.json {
-                if let Err(e) = write_json(path, &args.cfg, &report) {
+                if let Err(e) = write_json(path, &args.cfg, &report, record) {
                     eprintln!("error: writing {}: {e}", path.display());
                     std::process::exit(1);
                 }
@@ -225,25 +216,26 @@ fn main() {
                 "saturation search: {} up to {max_threads} threads",
                 args.cfg.protocol.name()
             );
-            let mut t = Table::new(
-                "saturation",
-                &["threads", "ops/s", "mix-mean(us)", "root-rho_w"],
-            );
             let runs = saturation_search(&args.cfg, max_threads);
-            let mut best: Option<&(usize, LiveReport)> = None;
-            for pair in &runs {
-                let (threads, report) = pair;
-                t.push(vec![
-                    threads.to_string(),
-                    fmt_f(report.throughput, 0),
-                    fmt_f(us(report.mean_response_time()), 2),
-                    fmt_f(report.root_writer_utilization, 4),
-                ]);
-                if best.is_none_or(|b| report.throughput > b.1.throughput) {
-                    best = Some(pair);
+            // Saturation mode: one meta record plus one report per
+            // measured point (no event records — each point's trace
+            // would dwarf the sweep).
+            let mut records = vec![args.cfg.meta_json()];
+            records.extend(runs.iter().map(|(_, r)| r.to_json()));
+            const SATURATION: &[Column] = &[
+                ("threads", "threads", 1.0, 0),
+                ("ops/s", "throughput", 1.0, 0),
+                ("mix-mean(us)", "latency.mean_s", 1e6, 2),
+                ("root-rho_w", "root_writer_utilization", 1.0, 4),
+            ];
+            Table::project("saturation", SATURATION, &records[1..]).print();
+            let best = runs.iter().reduce(|best, run| {
+                if run.1.throughput > best.1.throughput {
+                    run
+                } else {
+                    best
                 }
-            }
-            t.print();
+            });
             if let Some((threads, report)) = best {
                 println!(
                     "max sustainable throughput: {:.0} ops/s at {} threads",
@@ -251,11 +243,6 @@ fn main() {
                 );
             }
             if let Some(path) = &args.json {
-                // Saturation mode: one meta record plus one report per
-                // measured point (no event records — each point's trace
-                // would dwarf the sweep).
-                let mut records = vec![args.cfg.meta_json()];
-                records.extend(runs.iter().map(|(_, r)| r.to_json()));
                 if let Err(e) = cbtree_obs::write_jsonl(path, &records) {
                     eprintln!("error: writing {}: {e}", path.display());
                     std::process::exit(1);

@@ -133,24 +133,12 @@ impl LiveConfig {
             ("key_dist", self.ops.keys.name().into()),
             ("seed", self.seed.into()),
             ("txn", self.txn.into()),
-            (
-                "warmup_ms",
-                u64::try_from(self.warmup.as_millis())
-                    .unwrap_or(u64::MAX)
-                    .into(),
-            ),
-            (
-                "measure_ms",
-                u64::try_from(self.measure.as_millis())
-                    .unwrap_or(u64::MAX)
-                    .into(),
-            ),
+            ("warmup_ms", Json::whole(self.warmup.as_millis())),
+            ("measure_ms", Json::whole(self.measure.as_millis())),
             (
                 "sample_interval_ms",
-                match self.sample_interval {
-                    Some(d) => u64::try_from(d.as_millis()).unwrap_or(u64::MAX).into(),
-                    None => Json::Null,
-                },
+                self.sample_interval
+                    .map_or(Json::Null, |d| Json::whole(d.as_millis())),
             ),
         ])
     }
@@ -243,10 +231,11 @@ impl LiveReport {
             / total as f64
     }
 
-    /// JSON record of the whole report (`type: "live_report"`). Trace
-    /// events are *not* inlined — `live --json` writes them as separate
-    /// JSONL records after this one; only the drained-trace shape
-    /// (event/drop counts) is summarized here.
+    /// JSON record of the whole report (`type: "live_report"`; the mix
+    /// mean response time is `latency.mean_s`). Trace events are *not*
+    /// inlined — `live --json` writes them as separate JSONL records
+    /// after this one; only the drained-trace shape (event/drop counts)
+    /// is summarized here.
     pub fn to_json(&self) -> Json {
         let secs_arr = |v: &[f64]| Json::arr(v.iter().map(|&x| Json::f64_or_null(x)));
         Json::obj(vec![
@@ -265,7 +254,11 @@ impl LiveReport {
                 Json::f64_or_null(self.root_writer_utilization),
             ),
             ("counters", self.counters.to_json()),
-            ("latency", latency_json(&self.latency)),
+            (
+                "latency",
+                latency_json(&self.latency)
+                    .with("mean_s", Json::f64_or_null(self.mean_response_time())),
+            ),
             (
                 "levels",
                 Json::arr(self.levels.iter().map(LevelLive::to_json)),

@@ -118,6 +118,24 @@ impl Json {
         }
     }
 
+    /// A whole count of time units (`d.as_millis()`, `d.as_micros()`),
+    /// saturated at `u64::MAX`.
+    pub fn whole(units: u128) -> Json {
+        Json::U64(u64::try_from(units).unwrap_or(u64::MAX))
+    }
+
+    /// This object with `key: value` appended.
+    ///
+    /// # Panics
+    /// Panics when `self` is not an object.
+    pub fn with(self, key: &str, value: Json) -> Json {
+        let Json::Obj(mut fields) = self else {
+            panic!("Json::with({key:?}) on a non-object")
+        };
+        fields.push((key.to_string(), value));
+        Json::Obj(fields)
+    }
+
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -19,8 +19,8 @@
 //! - [`json`] — a small hand-rolled JSON/JSONL serializer and parser
 //!   for machine-readable run artifacts; exact integers, explicit
 //!   rejection of NaN/Inf.
-//! - [`table`] — the aligned-table/CSV writer shared by every CLI
-//!   (formerly private to `cbtree-bench`).
+//! - [`table`] — the aligned-table/CSV writer shared by every CLI;
+//!   report tables are projections of the JSON records a run writes.
 //! - [`metrics`] — the *always-on* (never feature-gated) continuous
 //!   metrics plane: relaxed-atomic counters/gauges and double-buffered
 //!   windowed log₂ histograms a sampler thread harvests into

@@ -29,19 +29,23 @@
 //! counters and a `hot` selector. Recorders:
 //!
 //! 1. load `hot` (acquire) and pick that bank;
-//! 2. `started += 1` on the bank;
+//! 2. `started += 1` on the bank, then a release fence;
 //! 3. relaxed `fetch_add` the bucket/sum and `fetch_max` the max;
 //! 4. `done += 1` (release).
 //!
 //! The (single) sampler harvests a window by flipping `hot`, then
 //! spinning until the now-cold bank's `done` catches up with its
-//! `started` — at that point every recorder that chose the cold bank
-//! before the flip has finished, and the bank is stable for the whole
-//! next window. The window's counts are the cold bank's cumulative
-//! counters minus the same bank's cumulative counters two flips ago
-//! (kept in the sampler-owned [`WindowCursor`]); the bank's exact
-//! maximum is taken with `swap(0)` so it covers exactly the records
-//! that landed in the bank since its previous harvest.
+//! `started`, reading the bank, and re-checking `started` behind an
+//! acquire fence: a recorder that loaded `hot` before the flip but
+//! started only after the first check may have flushed part of its
+//! session into the read, so a moved `started` means wait and read
+//! again. A read that passes the re-check holds every session it saw
+//! whole, and the bank is stable for the whole next window. The
+//! window's counts are the cold bank's cumulative counters minus the
+//! same bank's cumulative counters two flips ago (kept in the
+//! sampler-owned [`WindowCursor`]); the bank's exact maximum is taken
+//! with `swap(0)` so it covers exactly the records that landed in the
+//! bank since its previous harvest.
 //!
 //! **Conservation**: because the banks are cumulative and diffed, a
 //! straggler that loaded `hot` just before a flip and records late is
@@ -49,7 +53,7 @@
 //! Every record is attributed to exactly one window; totals over any
 //! run of windows (plus a final drain) equal the records made.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of log₂ buckets shared by every histogram in the workspace
 /// (`cbtree-sync`, which depends on this crate, imports the scheme from
@@ -261,6 +265,10 @@ impl WindowedHistogram {
     pub fn session(&self) -> RecorderSession<'_> {
         let bank = &self.banks[self.hot.load(Ordering::Acquire) & 1];
         bank.started.fetch_add(1, Ordering::Relaxed);
+        // Orders the increment before the flush: a harvester that reads
+        // any of this session's writes (then fences) also sees it
+        // started. Free on x86 — a compiler barrier, no instruction.
+        fence(Ordering::Release);
         RecorderSession {
             bank,
             counts: [0; BUCKETS],
@@ -289,15 +297,27 @@ impl WindowedHistogram {
     pub fn harvest(&self, cursor: &mut WindowCursor) -> WindowSnapshot {
         let cold = self.hot.fetch_xor(1, Ordering::AcqRel) & 1;
         let bank = &self.banks[cold];
-        // Wait for recorders that chose the cold bank before the flip.
-        // `done` trails `started` by exactly the in-flight recorders, so
-        // this loop is bounded by the number of recording threads.
         let mut spins = 0u32;
-        loop {
+        let (cum, sum) = loop {
+            // Wait for recorders that chose the cold bank before the
+            // flip. `done` trails `started` by exactly the in-flight
+            // recorders, so this is bounded by the recording threads.
             let started = bank.started.load(Ordering::Acquire);
-            let done = bank.done.load(Ordering::Acquire);
-            if done >= started {
-                break;
+            if bank.done.load(Ordering::Acquire) >= started {
+                let cum: [u64; BUCKETS] =
+                    std::array::from_fn(|i| bank.buckets[i].load(Ordering::Relaxed));
+                let sum = bank.sum.load(Ordering::Relaxed);
+                // A straggler that loaded `hot` before the flip may have
+                // started since, and flushed part of its session into
+                // what was just read. Its release fence pairs with this
+                // one: if any of its writes were read, its `started` is
+                // visible now, and the read is retried once it is done.
+                // Otherwise every session counted in `started` finished
+                // and none flushed — a count never leaves without its sum.
+                fence(Ordering::Acquire);
+                if bank.started.load(Ordering::Relaxed) == started {
+                    break (cum, sum);
+                }
             }
             spins += 1;
             if spins < 64 {
@@ -305,15 +325,13 @@ impl WindowedHistogram {
             } else {
                 std::thread::yield_now();
             }
-        }
+        };
         let mut counts = [0u64; BUCKETS];
         let prev = &mut cursor.prev_counts[cold];
         for (i, c) in counts.iter_mut().enumerate() {
-            let cum = bank.buckets[i].load(Ordering::Relaxed);
-            *c = cum.wrapping_sub(prev[i]);
-            prev[i] = cum;
+            *c = cum[i].wrapping_sub(prev[i]);
+            prev[i] = cum[i];
         }
-        let sum = bank.sum.load(Ordering::Relaxed);
         let sum_ns = sum.wrapping_sub(cursor.prev_sum[cold]);
         cursor.prev_sum[cold] = sum;
         let max_ns = bank.max.swap(0, Ordering::Relaxed);

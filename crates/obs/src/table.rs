@@ -1,8 +1,20 @@
 //! Minimal aligned-table printing and CSV output for experiment results.
+//!
+//! Reports build their JSON records first; a human table is a
+//! projection of those records ([`Table::project`]), so every value is
+//! spelled once.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+
+/// One column of a table projected from JSON records: its header, a
+/// dotted path into the record (`"sojourn.p50_ns"`), the factor numbers
+/// are scaled by, and the decimal places they print with. A path
+/// starting with `?` names a field only some record kinds carry; where
+/// it is absent the cell is `-`.
+pub type Column<'a> = (&'a str, &'a str, f64, usize);
 
 /// A titled table of string cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +49,57 @@ impl Table {
             self.title
         );
         self.rows.push(row);
+    }
+
+    /// A table with one row per record, projected through `columns`.
+    pub fn project<'r>(
+        title: impl Into<String>,
+        columns: &[Column],
+        records: impl IntoIterator<Item = &'r Json>,
+    ) -> Self {
+        let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
+        let mut t = Table::new(title, &headers);
+        for r in records {
+            t.push_record(columns, r);
+        }
+        t
+    }
+
+    /// Appends `record` projected through `columns`: numbers scaled and
+    /// printed at the column's precision, strings as they are, `null`
+    /// (anywhere along the path) as `-`. A scale below 1 divides by its
+    /// reciprocal, so `1e-3` prints nanoseconds as `ns / 1e3` would.
+    ///
+    /// # Panics
+    /// Panics naming the table and the path when the record lacks a
+    /// required field, or the field is an array or object.
+    pub fn push_record(&mut self, columns: &[Column], record: &Json) {
+        let row = columns
+            .iter()
+            .map(|&(_, path, scale, prec)| {
+                let (optional, keys) = match path.strip_prefix('?') {
+                    Some(keys) => (true, keys),
+                    None => (false, path),
+                };
+                let value = keys.split('.').try_fold(record, |v, key| match v {
+                    Json::Null => Some(v),
+                    _ => v.get(key),
+                });
+                match value {
+                    None if optional => "-".into(),
+                    None => panic!("table `{}`: record has no `{path}`", self.title),
+                    Some(Json::Null) => "-".into(),
+                    Some(Json::Str(s)) => s.clone(),
+                    Some(Json::Bool(b)) => b.to_string(),
+                    Some(v) => match v.as_f64() {
+                        Some(x) if scale < 1.0 => fmt_f(x / scale.recip(), prec),
+                        Some(x) => fmt_f(x * scale, prec),
+                        None => panic!("table `{}`: `{path}` is not a scalar", self.title),
+                    },
+                }
+            })
+            .collect();
+        self.push(row);
     }
 
     /// Renders the table with aligned columns.
@@ -149,6 +212,43 @@ mod tests {
         assert!(body.contains("\"1,5\""));
         assert!(body.contains("\"x\"\"y\""));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn record() -> Json {
+        Json::obj([
+            ("name", "a".into()),
+            ("rate", Json::F64(0.12345)),
+            ("n", Json::U64(12_345)),
+            ("gone", Json::Null),
+            ("sojourn", Json::obj([("p50_ns", Json::U64(175))])),
+        ])
+    }
+
+    #[test]
+    fn projection_follows_paths_scales_and_renders_null_as_dash() {
+        let cols: &[Column] = &[
+            ("name", "name", 1.0, 0),
+            ("rate%", "rate", 100.0, 1),
+            ("n", "n", 1.0, 0),
+            ("p50(us)", "sojourn.p50_ns", 1e-3, 2),
+            ("gone", "gone", 1.0, 2),
+            ("deep", "gone.p99_ns", 1.0, 2),
+            ("opt", "?not_here", 1.0, 2),
+        ];
+        let t = Table::project("demo", cols, [&record()]);
+        assert_eq!(
+            t.columns,
+            ["name", "rate%", "n", "p50(us)", "gone", "deep", "opt"]
+        );
+        // 175 ns prints as `175 / 1e3` does, not as `175 * 1e-3` ("0.18").
+        assert_eq!(fmt_f(175.0 / 1e3, 2), "0.17");
+        assert_eq!(t.rows, [["a", "12.3", "12345", "0.17", "-", "-", "-"]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "table `demo`: record has no `sojourn.p99_ns`")]
+    fn projection_of_a_missing_field_names_the_table_and_the_path() {
+        Table::project("demo", &[("p99", "sojourn.p99_ns", 1.0, 0)], [&record()]);
     }
 
     #[test]

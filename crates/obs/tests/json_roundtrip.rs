@@ -126,3 +126,13 @@ fn jsonl_file_round_trip() {
     assert_eq!(cbtree_obs::read_jsonl(&path).unwrap(), recs);
     let _ = std::fs::remove_file(path);
 }
+
+#[test]
+fn whole_units_saturate_and_with_appends() {
+    let d = std::time::Duration::from_millis(1500);
+    assert_eq!(Json::whole(d.as_millis()), Json::U64(1500));
+    assert_eq!(Json::whole(d.as_micros()), Json::U64(1_500_000));
+    assert_eq!(Json::whole(u128::MAX), Json::U64(u64::MAX));
+    let j = Json::obj([("a", Json::from(1u64))]).with("b", Json::Null);
+    assert_eq!(j.to_string().unwrap(), r#"{"a":1,"b":null}"#);
+}

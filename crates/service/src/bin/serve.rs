@@ -8,10 +8,10 @@
 
 use cbtree_btree::Protocol;
 use cbtree_harness::cli::RunFlags;
-use cbtree_obs::table::{fmt_f, Table};
+use cbtree_obs::table::{fmt_f, Column, Table};
 use cbtree_obs::{replay, Json};
 use cbtree_serve::{
-    max_sustainable_lambda, serve, sweep, ArrivalShape, ServeConfig, ServeReport,
+    max_sustainable_lambda, serve, slo_line, sweep, ArrivalShape, ServeConfig, ServeReport,
     SUSTAINABLE_SHED_RATE,
 };
 use cbtree_workload::cli::Flags;
@@ -180,17 +180,13 @@ fn meta_json(cfg: &ServeConfig) -> Json {
         ("arrivals", arrivals),
         (
             "service_floor_us",
-            u64::try_from(cfg.service_floor.as_micros())
-                .unwrap_or(u64::MAX)
-                .into(),
+            Json::whole(cfg.service_floor.as_micros()),
         ),
         ("queue_capacity", cfg.queue_capacity.into()),
         (
             "max_enqueue_age_ms",
-            match cfg.max_enqueue_age {
-                Some(d) => u64::try_from(d.as_millis()).unwrap_or(u64::MAX).into(),
-                None => Json::Null,
-            },
+            cfg.max_enqueue_age
+                .map_or(Json::Null, |d| Json::whole(d.as_millis())),
         ),
         ("capacity", cfg.capacity.into()),
         ("initial_items", cfg.initial_items.into()),
@@ -205,31 +201,17 @@ fn meta_json(cfg: &ServeConfig) -> Json {
         ("keyspace", cfg.ops.keys.span().into()),
         ("key_dist", cfg.ops.keys.name().into()),
         ("seed", cfg.seed.into()),
-        (
-            "warmup_ms",
-            u64::try_from(cfg.warmup.as_millis())
-                .unwrap_or(u64::MAX)
-                .into(),
-        ),
-        (
-            "measure_ms",
-            u64::try_from(cfg.measure.as_millis())
-                .unwrap_or(u64::MAX)
-                .into(),
-        ),
+        ("warmup_ms", Json::whole(cfg.warmup.as_millis())),
+        ("measure_ms", Json::whole(cfg.measure.as_millis())),
         (
             "sample_interval_ms",
-            match cfg.sample_interval {
-                Some(d) => u64::try_from(d.as_millis()).unwrap_or(u64::MAX).into(),
-                None => Json::Null,
-            },
+            cfg.sample_interval
+                .map_or(Json::Null, |d| Json::whole(d.as_millis())),
         ),
         (
             "slo_p99_us",
-            match cfg.slo_p99 {
-                Some(d) => u64::try_from(d.as_micros()).unwrap_or(u64::MAX).into(),
-                None => Json::Null,
-            },
+            cfg.slo_p99
+                .map_or(Json::Null, |d| Json::whole(d.as_micros())),
         ),
     ])
 }
@@ -238,7 +220,9 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
-fn print_report(report: &ServeReport) {
+/// `report`, whose `serve_report` record is `record`, as the human
+/// summary of a single run.
+fn print_report(report: &ServeReport, record: &Json) {
     println!(
         "open-loop window {:.3} s | lambda {:.0} offered, {:.0}/s arrived, {:.0}/s served | shed {:.2}%",
         report.measured_time,
@@ -255,37 +239,23 @@ fn print_report(report: &ServeReport) {
         us(report.sojourn.p999()),
         report.served(),
     );
-    let mut t = Table::new(
-        "per-shard behavior",
-        &[
-            "shard",
-            "offered",
-            "served",
-            "shed%",
-            "q-hwm",
-            "soj-p50(us)",
-            "soj-p99(us)",
-            "soj-p999(us)",
-            "svc-mean(us)",
-            "keys",
-        ],
-    );
-    for s in &report.per_shard {
-        t.push(vec![
-            s.shard.to_string(),
-            s.offered.to_string(),
-            s.served.to_string(),
-            fmt_f(s.shed_rate() * 100.0, 2),
-            s.queue_depth_hwm.to_string(),
-            fmt_f(us(s.sojourn.p50()), 2),
-            fmt_f(us(s.sojourn.p99()), 2),
-            fmt_f(us(s.sojourn.p999()), 2),
-            fmt_f(s.service_mean_s * 1e6, 2),
-            s.final_len.to_string(),
-        ]);
-    }
-    t.print();
+    const SHARDS: &[Column] = &[
+        ("shard", "shard", 1.0, 0),
+        ("offered", "offered", 1.0, 0),
+        ("served", "served", 1.0, 0),
+        ("shed%", "shed_rate", 100.0, 2),
+        ("q-hwm", "queue_depth_hwm", 1.0, 0),
+        ("soj-p50(us)", "sojourn.p50_ns", 1e-3, 2),
+        ("soj-p99(us)", "sojourn.p99_ns", 1e-3, 2),
+        ("soj-p999(us)", "sojourn.p999_ns", 1e-3, 2),
+        ("svc-mean(us)", "service_mean_s", 1e6, 2),
+        ("keys", "final_len", 1.0, 0),
+    ];
+    let shards = record.get("shards_detail").and_then(Json::as_arr);
+    Table::project("per-shard behavior", SHARDS, shards.unwrap_or_default()).print();
     if report.per_shard.iter().any(|s| s.batches > 0) {
+        // Hand-built: the record carries the raw batch counts, not these
+        // per-op ratios.
         let mut b = Table::new(
             "per-shard batched execution",
             &[
@@ -323,17 +293,8 @@ fn print_report(report: &ServeReport) {
             report.timeseries.len()
         );
     }
-    if let Some(slo) = &report.slo {
-        let stamp = |t: Option<f64>| match t {
-            Some(t) => format!("{:.3} s", t),
-            None => "never".into(),
-        };
-        println!(
-            "slo: p99 budget {:.0} us | saturation onset {} | first shed {}",
-            slo.slo_p99_ns as f64 / 1e3,
-            stamp(slo.saturation_onset_s),
-            stamp(slo.first_shed_s),
-        );
+    if let Some(slo) = record.get("slo").filter(|s| !s.is_null()) {
+        println!("{}", slo_line(slo));
     }
     if !report.trace.is_empty() {
         println!(
@@ -345,46 +306,29 @@ fn print_report(report: &ServeReport) {
     }
 }
 
-fn print_curve(reports: &[ServeReport]) {
-    let mut t = Table::new(
-        "lambda vs response time",
-        &[
-            "lambda",
-            "offered/s",
-            "served/s",
-            "shed%",
-            "soj-mean(us)",
-            "soj-p50(us)",
-            "soj-p99(us)",
-            "soj-p999(us)",
-        ],
-    );
-    for r in reports {
-        t.push(vec![
-            fmt_f(r.lambda, 0),
-            fmt_f(r.offered_rate(), 0),
-            fmt_f(r.achieved_rate(), 0),
-            fmt_f(r.shed_rate() * 100.0, 2),
-            fmt_f(r.sojourn_mean_s * 1e6, 2),
-            fmt_f(us(r.sojourn.p50()), 2),
-            fmt_f(us(r.sojourn.p99()), 2),
-            fmt_f(us(r.sojourn.p999()), 2),
-        ]);
-    }
-    t.print();
-    for r in reports {
-        if let Some(slo) = &r.slo {
-            let stamp = |t: Option<f64>| match t {
-                Some(t) => format!("{:.3} s", t),
-                None => "never".into(),
-            };
+/// The λ-vs-response-time curve of a sweep, one `serve_report` record
+/// per measurement.
+fn print_curve(records: &[Json]) {
+    const CURVE: &[Column] = &[
+        ("lambda", "lambda", 1.0, 0),
+        ("offered/s", "offered_rate", 1.0, 0),
+        ("served/s", "achieved_rate", 1.0, 0),
+        ("shed%", "shed_rate", 100.0, 2),
+        ("soj-mean(us)", "sojourn_mean_s", 1e6, 2),
+        ("soj-p50(us)", "sojourn.p50_ns", 1e-3, 2),
+        ("soj-p99(us)", "sojourn.p99_ns", 1e-3, 2),
+        ("soj-p999(us)", "sojourn.p999_ns", 1e-3, 2),
+    ];
+    Table::project("lambda vs response time", CURVE, records).print();
+    for r in records {
+        if let Some(slo) = r.get("slo").filter(|s| !s.is_null()) {
             println!(
-                "lambda {:.0}: slo p99 {:.0} us | saturation onset {} | first shed {} | {} windows",
-                r.lambda,
-                slo.slo_p99_ns as f64 / 1e3,
-                stamp(slo.saturation_onset_s),
-                stamp(slo.first_shed_s),
-                r.timeseries.len(),
+                "lambda {:.0}: {} | {} windows",
+                r.get("lambda").and_then(Json::as_f64).unwrap_or(f64::NAN),
+                slo_line(slo),
+                r.get("timeseries_windows")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0),
             );
         }
     }
@@ -394,10 +338,11 @@ fn write_json(
     path: &std::path::Path,
     cfg: &ServeConfig,
     reports: &[ServeReport],
+    report_records: Vec<Json>,
 ) -> Result<(), String> {
     let mut records = vec![meta_json(cfg)];
-    for r in reports {
-        records.push(r.to_json());
+    for (r, record) in reports.iter().zip(report_records) {
+        records.push(record);
         // The continuous time series rides as one record per window,
         // right after the report it belongs to (each point carries its
         // lambda, so `cbtree-trace timeline` can group a sweep).
@@ -448,32 +393,32 @@ fn main() {
         },
     );
 
+    let mut best = None;
     let reports: Vec<ServeReport> = match &args.mode {
-        Mode::Single => {
-            let report = serve(&args.cfg);
-            print_report(&report);
-            vec![report]
-        }
-        Mode::Sweep(lambdas) => {
-            let reports = sweep(&args.cfg, lambdas);
-            print_curve(&reports);
-            reports
-        }
+        Mode::Single => vec![serve(&args.cfg)],
+        Mode::Sweep(lambdas) => sweep(&args.cfg, lambdas),
         Mode::Saturate(lambda0) => {
             println!(
                 "saturation search from lambda {lambda0:.0} ({} bisections, shed bound {:.1}%)",
                 args.bisect,
                 SUSTAINABLE_SHED_RATE * 100.0
             );
-            let (best, reports) = max_sustainable_lambda(&args.cfg, *lambda0, args.bisect);
-            print_curve(&reports);
-            println!("max sustainable arrival rate: {best:.0} ops/s");
+            let (max, reports) = max_sustainable_lambda(&args.cfg, *lambda0, args.bisect);
+            best = Some(max);
             reports
         }
     };
+    let records: Vec<Json> = reports.iter().map(ServeReport::to_json).collect();
+    match args.mode {
+        Mode::Single => print_report(&reports[0], &records[0]),
+        _ => print_curve(&records),
+    }
+    if let Some(best) = best {
+        println!("max sustainable arrival rate: {best:.0} ops/s");
+    }
 
     if let Some(path) = &args.json {
-        if let Err(e) = write_json(path, &args.cfg, &reports) {
+        if let Err(e) = write_json(path, &args.cfg, &reports, records) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }

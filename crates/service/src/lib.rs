@@ -35,7 +35,7 @@ mod report;
 mod router;
 mod shard;
 
-pub use metrics::{ShardWindow, SloReport, TimeseriesPoint, SLO_BURN_WINDOWS};
+pub use metrics::{slo_line, ShardWindow, SloReport, TimeseriesPoint, SLO_BURN_WINDOWS};
 pub use queue::{IngressQueue, QueuedOp, Shed};
 pub use report::{ServeReport, ShardReport};
 pub use router::KeyRangeRouter;

@@ -225,6 +225,21 @@ impl SloReport {
     }
 }
 
+/// The one-line summary of a `slo` record object ([`SloReport::to_json`]):
+/// the budget and the two stamps, `never` for one the run did not reach.
+pub fn slo_line(slo: &Json) -> String {
+    let stamp = |key: &str| match slo.get(key).and_then(Json::as_f64) {
+        Some(t) => format!("{t:.3} s"),
+        None => "never".into(),
+    };
+    format!(
+        "slo: p99 budget {:.0} us | saturation onset {} | first shed {}",
+        slo.get("slo_p99_ns").and_then(Json::as_u64).unwrap_or(0) as f64 / 1e3,
+        stamp("saturation_onset_s"),
+        stamp("first_shed_s"),
+    )
+}
+
 /// What the sampler thread hands back at join.
 pub(crate) struct SamplerOutput {
     pub points: Vec<TimeseriesPoint>,

@@ -297,9 +297,10 @@ impl LockStatsSnapshot {
         }
     }
 
-    /// JSON object of the raw counters plus derived means and sampled
-    /// wait quantiles (histogram buckets stay internal; their p50/p90/p99
-    /// upper bounds are what downstream tooling consumes).
+    /// JSON object of the raw counters plus derived means, the exclusive
+    /// contention rate, and sampled wait quantiles (histogram buckets stay
+    /// internal; their p50/p90/p99 upper bounds are what downstream
+    /// tooling consumes).
     pub fn to_json(&self) -> cbtree_obs::Json {
         use cbtree_obs::Json;
         let quantiles = |h: &HistogramSnapshot| {
@@ -321,6 +322,10 @@ impl LockStatsSnapshot {
             ("w_hold_ns", self.w_hold_ns.into()),
             ("mean_r_wait_ns", Json::f64_or_null(self.mean_r_wait_ns())),
             ("mean_w_wait_ns", Json::f64_or_null(self.mean_w_wait_ns())),
+            (
+                "w_contention_rate",
+                Json::f64_or_null(self.w_contention_rate()),
+            ),
             ("r_wait", quantiles(&self.r_wait_hist)),
             ("w_wait", quantiles(&self.w_wait_hist)),
         ])
