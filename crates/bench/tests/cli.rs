@@ -43,7 +43,7 @@ fn pillar_comparisons_write_the_same_records() {
         env!("CARGO_BIN_EXE_analyze"),
         env!("CARGO_BIN_EXE_cbtree-trace"),
     );
-    let tiny = ["--items", "5000", "--node-size", "16"];
+    let tiny = ["--items", "2000", "--node-size", "16"];
     let meta = "meta: type schema kind items node_size height mix disk_cost memory_levels \
                 buffer_nodes rate recovery t_trans";
     let point = "analysis_point: type algorithm max_throughput eff_max_rho_half lambda \

@@ -59,6 +59,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut, Index};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Hard upper bound on a tree's node capacity (max keys per node): the
 /// inline key/child arrays are sized for it, so every node of every
@@ -514,18 +515,25 @@ impl<'a, V> NodeRef<'a, V> {
         &self.arena.slot(self.id.idx).lock
     }
 
-    /// Blocking shared latch.
-    pub fn read_guard(&self) -> ReadGuard<'a, V> {
+    /// Blocking exclusive latch.
+    pub fn write_guard(&self) -> WriteGuard<'a, V> {
+        self.write_guard_after(None)
+    }
+
+    /// Blocking shared latch for a caller that released its previous
+    /// latch at `carried`, as
+    /// [`FcfsRwLock::read_after`](cbtree_sync::FcfsRwLock::read_after).
+    pub fn read_guard_after(&self, carried: Option<Instant>) -> ReadGuard<'a, V> {
         ReadGuard {
-            guard: self.latch().read(),
+            guard: self.latch().read_after(carried),
             node: *self,
         }
     }
 
-    /// Blocking exclusive latch.
-    pub fn write_guard(&self) -> WriteGuard<'a, V> {
+    /// Blocking exclusive latch, as [`NodeRef::read_guard_after`].
+    pub fn write_guard_after(&self, carried: Option<Instant>) -> WriteGuard<'a, V> {
         WriteGuard {
-            guard: self.latch().write(),
+            guard: self.latch().write_after(carried),
             node: *self,
         }
     }
@@ -567,11 +575,33 @@ pub struct WriteGuard<'a, V> {
 }
 
 macro_rules! impl_arena_guard {
-    ($guard:ident) => {
+    ($guard:ident, $latch_guard:ident) => {
         impl<'a, V> $guard<'a, V> {
             /// The latched slot's id.
             pub fn id(&self) -> NodeId {
                 self.node.id
+            }
+
+            /// Releases the latch, ending a timed hold at `end` when
+            /// given and at a fresh clock reading otherwise; returns the
+            /// instant the hold ended, for the next acquisition to carry
+            /// (see [`RwLockReadGuard::release`]).
+            pub fn release(self, end: Option<Instant>) -> Option<Instant> {
+                $latch_guard::release(self.guard, end)
+            }
+
+            /// When this hold's timing started (`None` when untimed).
+            pub fn hold_start(&self) -> Option<Instant> {
+                $latch_guard::hold_start(&self.guard)
+            }
+
+            /// A crab step: `next`, granted while this latch is still
+            /// held, becomes the held guard, and this latch releases with
+            /// its hold ending at `next`'s grant (one clock reading for
+            /// the step).
+            pub fn crab_to(&mut self, next: Self) {
+                let prev = std::mem::replace(self, next);
+                prev.release(self.hold_start());
             }
 
             /// The handle the latch was taken through.
@@ -609,8 +639,8 @@ macro_rules! impl_arena_guard {
     };
 }
 
-impl_arena_guard!(ReadGuard);
-impl_arena_guard!(WriteGuard);
+impl_arena_guard!(ReadGuard, RwLockReadGuard);
+impl_arena_guard!(WriteGuard, RwLockWriteGuard);
 
 impl<V> DerefMut for WriteGuard<'_, V> {
     fn deref_mut(&mut self) -> &mut Node<V> {

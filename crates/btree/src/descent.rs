@@ -67,7 +67,7 @@
 use crate::arena::{Arena, InlineVec, NodeId, NodeRef, MAX_CAP};
 use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
-use crate::node::{check_invariants, collect_range, make_root, split_node, Children, Node};
+use crate::node::{check_invariants, make_root, split_node, Children, Node};
 use crate::olc::OlcValue;
 use cbtree_sync::{RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
 use std::collections::HashMap;
@@ -76,6 +76,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::{self, ThreadId};
+use std::time::Instant;
 
 pub(crate) use crate::arena::{ReadGuard, WriteGuard};
 
@@ -413,26 +414,54 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     // ------------------------------------------------------------------
     // Latch acquisition (counted; optionally non-blocking).
+    //
+    // Every descent pays one clock reading per latch step (exact lock
+    // statistics): a link step releases and then acquires carrying the
+    // release's stamp, a crab step ends the parent's hold at the child's
+    // grant (`crab_to`). See `cbtree_sync`'s hand-over docs.
     // ------------------------------------------------------------------
 
-    /// Shared latch on `node`; `None` only in probe mode.
-    fn latch_read<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<ReadGuard<'a, V>> {
-        let g = if probe {
-            node.try_read_guard()?
-        } else {
-            node.read_guard()
-        };
+    /// Blocking shared latch on `node`. `carried` is the instant the
+    /// caller released its previous latch when it holds none now (a link
+    /// step); crab steps pass `None`.
+    fn latch_read<'a>(
+        &'a self,
+        node: NodeRef<'a, V>,
+        carried: Option<Instant>,
+    ) -> ReadGuard<'a, V> {
+        let g = node.read_guard_after(carried);
+        self.counters.record_latch(g.level, false);
+        g
+    }
+
+    /// Blocking exclusive latch on `node`, as [`Self::latch_read`].
+    fn latch_write<'a>(
+        &'a self,
+        node: NodeRef<'a, V>,
+        carried: Option<Instant>,
+    ) -> WriteGuard<'a, V> {
+        let g = node.write_guard_after(carried);
+        self.counters.record_latch(g.level, true);
+        g
+    }
+
+    /// A crab step's shared latch: blocking, or a non-blocking probe
+    /// (`None` on refusal) in probe mode.
+    fn crab_read<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<ReadGuard<'a, V>> {
+        if !probe {
+            return Some(self.latch_read(node, None));
+        }
+        let g = node.try_read_guard()?;
         self.counters.record_latch(g.level, false);
         Some(g)
     }
 
-    /// Exclusive latch on `node`; `None` only in probe mode.
-    fn latch_write<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<WriteGuard<'a, V>> {
-        let g = if probe {
-            node.try_write_guard()?
-        } else {
-            node.write_guard()
-        };
+    /// A crab step's exclusive latch, as [`Self::crab_read`].
+    fn crab_write<'a>(&'a self, node: NodeRef<'a, V>, probe: bool) -> Option<WriteGuard<'a, V>> {
+        if !probe {
+            return Some(self.latch_write(node, None));
+        }
+        let g = node.try_write_guard()?;
         self.counters.record_latch(g.level, true);
         Some(g)
     }
@@ -444,8 +473,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// so id equality is exact identity.
     fn lock_root_read(&self, probe: bool) -> Option<ReadGuard<'_, V>> {
         loop {
-            let root = self.root_ref();
-            let guard = self.latch_read(root, probe)?;
+            let guard = self.crab_read(self.root_ref(), probe)?;
             if guard.id() == self.root_id() {
                 return Some(guard);
             }
@@ -455,8 +483,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Latches the current root exclusively, with the same validation.
     fn lock_root_write(&self, probe: bool) -> Option<WriteGuard<'_, V>> {
         loop {
-            let root = self.root_ref();
-            let guard = self.latch_write(root, probe)?;
+            let guard = self.crab_write(self.root_ref(), probe)?;
             if guard.id() == self.root_id() {
                 return Some(guard);
             }
@@ -472,14 +499,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// mode.
     fn crab_read_leaf(&self, key: u64, probe: bool) -> Option<ReadGuard<'_, V>> {
         let mut guard = self.lock_root_read(probe)?;
-        loop {
-            if guard.is_leaf() {
-                return Some(guard);
-            }
-            let child = guard.at(guard.child_for(key));
-            let child_guard = self.latch_read(child, probe)?;
-            guard = child_guard; // parent latch releases on reassign
+        while !guard.is_leaf() {
+            let child = self.crab_read(guard.at(guard.child_for(key)), probe)?;
+            guard.crab_to(child);
         }
+        Some(guard)
     }
 
     /// Read descent per `S::READ`, yielding the shared-latched leaf for
@@ -512,19 +536,18 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                         return (leaf, held);
                     }
                     let child = top.at(top.child_for(key));
-                    let g = self.latch_read(child, false).expect("blocking");
-                    held.push(g);
+                    held.push(self.latch_read(child, None));
                 }
             }
             ReadPolicy::Link => {
-                let mut cur = self.link_descend(key, None);
-                let mut g = self.latch_read(cur, false).expect("blocking");
+                let (mut cur, mut carried) = self.link_descend(key, 1, None);
+                let mut g = self.latch_read(cur, carried);
                 while !g.covers(key) {
                     let next = g.right.expect("covers");
-                    drop(g); // at most one latch at a time
                     self.counters.record_chase();
+                    carried = g.release(None); // at most one latch at a time
                     cur.goto(next);
-                    g = self.latch_read(cur, false).expect("blocking");
+                    g = self.latch_read(cur, carried);
                 }
                 self.counters.note_chain_depth(1);
                 (g, Vec::new())
@@ -662,18 +685,24 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         }
     }
 
-    /// Read-crab descent to the leaf *handle* for `key` (the caller
-    /// re-latches it; used by range scans, which continue along the leaf
-    /// chain from there).
-    fn leaf_handle_for(&self, key: u64) -> NodeRef<'_, V> {
+    /// Read-crab descent to the leaf's parent, returning the leaf
+    /// *candidate* for `key` unlatched, with the stamp of the parent's
+    /// release: the latched range walk takes the leaf's latch once and
+    /// chases right (or, for a recycled slot, restarts) as it would on
+    /// any hop of the leaf chain. A lone leaf root is latched here only
+    /// to learn that it is one.
+    fn crab_leaf_candidate(&self, key: u64) -> (NodeRef<'_, V>, Option<Instant>) {
         let mut guard = self.lock_root_read(false).expect("blocking");
-        loop {
-            if guard.is_leaf() {
-                return guard.node_ref();
-            }
-            let child = guard.at(guard.child_for(key));
-            guard = self.latch_read(child, false).expect("blocking");
+        while guard.level > 2 {
+            let child = self.latch_read(guard.at(guard.child_for(key)), None);
+            guard.crab_to(child);
         }
+        let leaf = if guard.is_leaf() {
+            guard.node_ref()
+        } else {
+            guard.at(guard.child_for(key))
+        };
+        (leaf, guard.release(None))
     }
 
     // ------------------------------------------------------------------
@@ -702,9 +731,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 }
                 top.at(top.child_for(key))
             };
-            let child_guard = self.latch_write(child, probe)?;
+            let child_guard = self.crab_write(child, probe)?;
             if !retain_all && !is_unsafe(&child_guard) {
-                held.clear(); // child is safe: release every ancestor
+                // The child is safe: release every ancestor, their holds
+                // ending at the child's grant.
+                let end = child_guard.hold_start();
+                for g in held.drain(..) {
+                    g.release(end);
+                }
             }
             held.push(child_guard);
             peak = peak.max(held.len());
@@ -845,7 +879,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 Children::Internal(kids) => parent.at(kids[0]),
                 Children::Leaf(_) => unreachable!("level > 2 is internal"),
             };
-            parent = self.latch_write(child, false).expect("blocking");
+            let child = self.latch_write(child, None);
+            parent.crab_to(child);
         }
         let mut freed = 0;
         loop {
@@ -855,8 +890,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                     Children::Internal(kids) if i < kids.len() => (kids[i - 1], kids[i]),
                     _ => break,
                 };
-                let mut l = self.latch_write(parent.at(l_id), false).expect("blocking");
-                let mut e = self.latch_write(parent.at(e_id), false).expect("blocking");
+                let mut l = self.latch_write(parent.at(l_id), None);
+                let mut e = self.latch_write(parent.at(e_id), None);
                 if e.is_leaf() && e.keys.is_empty() {
                     // Splice E out of the leaf chain and the parent.
                     l.right = e.right;
@@ -883,7 +918,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 // Crab rightward along level 2 (next latched before
                 // `parent` releases, left before right).
                 Some(id) => {
-                    parent = self.latch_write(parent.at(id), false).expect("blocking");
+                    let next = self.latch_write(parent.at(id), None);
+                    parent.crab_to(next);
                 }
                 None => return freed,
             }
@@ -891,90 +927,149 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     // ------------------------------------------------------------------
-    // The optimistic first pass.
+    // The exclusive-leaf descent (optimistic first pass, batches).
     // ------------------------------------------------------------------
 
-    /// Optimistic first pass: read-crab to the leaf's parent, then take
-    /// the leaf's exclusive latch while still holding the parent's
-    /// shared latch. Returns the exclusively latched leaf.
-    fn optimistic_first_pass(&self, key: u64) -> WriteGuard<'_, V> {
+    /// Locates and exclusively latches the leaf covering `key`: shared
+    /// crab to the leaf's parent, exclusive leaf latch taken under the
+    /// parent's shared latch — the optimistic first pass — plus the
+    /// right-link chases the link strategies need (a lagging separator
+    /// can route to a node left of the key at any level; coupled
+    /// strategies never go stale under a held parent latch). Blocking
+    /// mode: callers spill retained transaction latches first, and must
+    /// hold **no** other latch (the descent acquires root-to-leaf, and
+    /// holding a leaf across it would invert that order against a
+    /// concurrent crab descent). Children are resolved under their
+    /// parent's latch and internal slots are never recycled, so no
+    /// handle here can be stale.
+    fn write_leaf(&self, key: u64) -> WriteGuard<'_, V> {
         loop {
-            // Root cases need id revalidation after latching.
             let root = self.root_ref();
-            if root.read().is_leaf() {
-                let guard = self.latch_write(root, false).expect("blocking");
-                if guard.id() == self.root_id() && guard.is_leaf() {
-                    return guard;
-                }
+            let guard = self.latch_read(root, None);
+            if guard.id() != self.root_id() {
                 continue; // root split under us: retry
             }
-            let guard = self.latch_read(root, false).expect("blocking");
-            if guard.id() != self.root_id() {
+            if guard.is_leaf() {
+                // A lone leaf root: its shared latch only learned that;
+                // take it again, exclusively.
+                let carried = guard.release(None);
+                let leaf = self.latch_write(root, carried);
+                if leaf.id() == self.root_id() {
+                    return leaf; // a root leaf covers every key
+                }
                 continue;
             }
-            // Descend with shared crabbing; exclusive-latch the leaf.
             let mut parent = guard;
             loop {
+                while !parent.covers(key) {
+                    let next = parent.at(parent.right.expect("finite high key implies right link"));
+                    self.counters.record_chase();
+                    let next = self.latch_read(next, None); // left before right
+                    parent.crab_to(next);
+                }
                 let child = parent.at(parent.child_for(key));
                 if parent.level == 2 {
-                    let leaf = self.latch_write(child, false).expect("blocking");
-                    debug_assert!(leaf.is_leaf());
-                    return leaf; // parent shared latch drops here
+                    let leaf = self.latch_write(child, None);
+                    parent.release(leaf.hold_start());
+                    return self.chase_right_write(leaf, key);
                 }
-                parent = self.latch_read(child, false).expect("blocking");
+                let child = self.latch_read(child, None);
+                parent.crab_to(child);
             }
         }
+    }
+
+    /// Crabs exclusively rightward from `leaf` until the latched leaf
+    /// covers `key`. The right sibling is latched **before** the held
+    /// leaf releases — left before right, the same order vacuum uses —
+    /// and a held leaf's right sibling cannot be retired out from under
+    /// us (vacuum must latch the left neighbor first), so the hop is
+    /// deadlock-free and recycle-safe without a staleness check.
+    fn chase_right_write<'a>(&'a self, mut leaf: WriteGuard<'a, V>, key: u64) -> WriteGuard<'a, V> {
+        while !leaf.covers(key) {
+            let next = leaf.at(leaf.right.expect("finite high key implies right link"));
+            self.counters.record_chase();
+            let next = self.latch_write(next, None);
+            leaf.crab_to(next);
+        }
+        leaf
     }
 
     // ------------------------------------------------------------------
     // The Lehman–Yao link paths.
     // ------------------------------------------------------------------
 
-    /// Latch-free-style descent (one shared latch at a time) to the leaf
-    /// *candidate* for `key`, recording the visited node of every
-    /// internal level as ascent hints when `stack` is given. The caller
-    /// must still chase right after latching the returned leaf.
-    fn link_descend(&self, key: u64, mut stack: Option<&mut AscentHints>) -> NodeRef<'_, V> {
-        let mut cur = self.root_ref();
-        loop {
-            let next = {
-                let g = self.latch_read(cur, false).expect("blocking");
-                if !g.covers(key) {
-                    self.counters.record_chase();
-                    g.right.expect("finite high key implies right link")
-                } else {
-                    match &g.children {
-                        Children::Leaf(_) => return cur,
-                        Children::Internal(_) => {
-                            if let Some(stack) = stack.as_deref_mut() {
-                                if stack.len() == MAX_LEVELS {
-                                    // Deeper than the hint stack: forget
-                                    // the root-most hint (the ascent then
-                                    // finds that ancestor by descent).
-                                    stack.remove(0);
-                                }
-                                stack.push(cur.id());
-                            }
-                            g.child_for(key)
-                        }
-                    }
+    /// Link-order descent (one shared latch at a time, each acquisition
+    /// carrying the previous release's stamp) to the *candidate* node at
+    /// `level` for `key`, returned **unlatched** with the stamp of the
+    /// last release: the caller latches it once, in its own mode, and
+    /// chases right if it split in between (node levels never change, so
+    /// a child of a `level + 1` node is at `level`). Records the visited
+    /// node of every internal level as ascent hints when `stack` is
+    /// given. A root at `level` is latched here only to learn that it is
+    /// (a lone leaf root, for leaves). A root *below* `level` means
+    /// another thread split the old root and has not yet swung the root
+    /// word: we hold no latch, so that grower cannot be waiting on us —
+    /// yield until its swap lands.
+    fn link_descend(
+        &self,
+        key: u64,
+        level: usize,
+        mut stack: Option<&mut AscentHints>,
+    ) -> (NodeRef<'_, V>, Option<Instant>) {
+        'restart: loop {
+            let mut cur = self.root_ref();
+            let mut carried = None;
+            loop {
+                let g = self.latch_read(cur, carried);
+                if g.level < level {
+                    drop(g);
+                    thread::yield_now();
+                    continue 'restart;
                 }
-            };
-            cur.goto(next);
+                let (next, arrived) = if !g.covers(key) {
+                    self.counters.record_chase();
+                    (g.right.expect("finite high key implies right link"), false)
+                } else if g.level == level {
+                    return (cur, g.release(None));
+                } else {
+                    if let Some(stack) = stack.as_deref_mut() {
+                        if stack.len() == MAX_LEVELS {
+                            // Deeper than the hint stack: forget the
+                            // root-most hint (the ascent then finds that
+                            // ancestor by descent).
+                            stack.remove(0);
+                        }
+                        stack.push(cur.id());
+                    }
+                    (g.child_for(key), g.level == level + 1)
+                };
+                carried = g.release(None);
+                cur.goto(next);
+                if arrived {
+                    return (cur, carried);
+                }
+            }
         }
     }
 
-    /// Exclusively latches `start`, chasing right until the node covers
-    /// `key`. Returns the guard of the covering node.
-    fn link_latch_covering<'a>(&'a self, start: NodeRef<'a, V>, key: u64) -> WriteGuard<'a, V> {
+    /// Exclusively latches `start` (carrying the caller's stamp),
+    /// chasing right until the node covers `key`. Returns the guard of
+    /// the covering node.
+    fn link_latch_covering<'a>(
+        &'a self,
+        start: NodeRef<'a, V>,
+        key: u64,
+        carried: Option<Instant>,
+    ) -> WriteGuard<'a, V> {
         let mut cur = start;
-        let mut guard = self.latch_write(cur, false).expect("blocking");
+        let mut guard = self.latch_write(cur, carried);
         while !guard.covers(key) {
             let next = guard.right.expect("covers");
-            drop(guard); // at most one latch at a time
             self.counters.record_chase();
+            let carried = guard.release(None); // at most one latch at a time
             cur.goto(next);
-            guard = self.latch_write(cur, false).expect("blocking");
+            guard = self.latch_write(cur, carried);
         }
         // The link discipline's whole point: the chain never exceeds 1.
         self.counters.note_chain_depth(1);
@@ -985,8 +1080,8 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// overfull, then post separators upward via the ascent hints.
     fn insert_link(&self, key: u64, val: V) -> Option<V> {
         let mut stack = AscentHints::new();
-        let leaf = self.link_descend(key, Some(&mut stack));
-        let mut guard = self.link_latch_covering(leaf, key);
+        let (leaf, carried) = self.link_descend(key, 1, Some(&mut stack));
+        let mut guard = self.link_latch_covering(leaf, key, carried);
         let old = guard.leaf_insert(key, val);
         if old.is_some() {
             return old;
@@ -1009,18 +1104,19 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         // operation must tolerate via right-link chases.
         cbtree_sync::inject::perturb(cbtree_sync::inject::Site::HalfSplit);
         loop {
-            let parent = match stack.pop() {
-                Some(p) => self.arena.at(p),
+            let (parent, carried) = match stack.pop() {
+                Some(p) => (self.arena.at(p), None),
                 None => {
                     if self.link_try_grow_root(left, sep, sib.id(), level) {
                         cbtree_obs::trace::split_end(split_level, split_id.to_bits());
                         return None;
                     }
-                    // The tree grew underneath us; find today's ancestor.
-                    self.link_find_level_ancestor(level + 1, sep)
+                    // The tree grew underneath us (rare): find today's
+                    // ancestor by descent.
+                    self.link_descend(sep, level + 1, None)
                 }
             };
-            let mut pg = self.link_latch_covering(parent, sep);
+            let mut pg = self.link_latch_covering(parent, sep, carried);
             debug_assert!(pg.level == level + 1, "ascent hint at wrong level");
             pg.insert_separator(sep, sib.id());
             // The separator is posted: this level's Lehman–Yao window
@@ -1067,44 +1163,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         }
     }
 
-    /// Finds the current node at `level` whose range covers `key` (read
-    /// descent from the current root; used only in the rare corner where
-    /// the root grew while we were splitting the old root).
-    fn link_find_level_ancestor(&self, level: usize, key: u64) -> NodeRef<'_, V> {
-        'restart: loop {
-            let mut cur = self.root_ref();
-            loop {
-                let next = {
-                    let g = self.latch_read(cur, false).expect("blocking");
-                    if g.level == level {
-                        return cur;
-                    }
-                    if g.level < level {
-                        // Another thread split the old root but has not
-                        // yet swapped the root pointer, so no node at
-                        // `level` is published yet. We hold no latches,
-                        // so the grower cannot be waiting on us: spin
-                        // until its swap lands.
-                        drop(g);
-                        std::thread::yield_now();
-                        continue 'restart;
-                    }
-                    if !g.covers(key) {
-                        g.right.expect("covers")
-                    } else {
-                        g.child_for(key)
-                    }
-                };
-                cur.goto(next);
-            }
-        }
-    }
-
     /// Lehman–Yao remove: latch the covering leaf alone (merge-at-empty
     /// with lazy reclamation: an emptied leaf persists, still linked).
     fn remove_link(&self, key: u64) -> Option<V> {
-        let leaf = self.link_descend(key, None);
-        let mut guard = self.link_latch_covering(leaf, key);
+        let (leaf, carried) = self.link_descend(key, 1, None);
+        let mut guard = self.link_latch_covering(leaf, key, carried);
         let old = guard.leaf_remove(key);
         if old.is_some() {
             self.counters.key_removed();
@@ -1131,7 +1194,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             UpdatePolicy::Crab { retain_all } => self.insert_crab(key, val, retain_all),
             UpdatePolicy::OptimisticLeaf => {
                 {
-                    let mut leaf = self.optimistic_first_pass(key);
+                    let mut leaf = self.write_leaf(key);
                     debug_assert!(leaf.covers(key));
                     let exists = leaf.keys.binary_search(&key).is_ok();
                     if exists || !leaf.insert_unsafe(self.cap) {
@@ -1164,7 +1227,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             UpdatePolicy::Crab { retain_all } => self.remove_crab(*key, retain_all),
             UpdatePolicy::OptimisticLeaf => {
                 {
-                    let mut leaf = self.optimistic_first_pass(*key);
+                    let mut leaf = self.write_leaf(*key);
                     if !leaf.delete_unsafe() {
                         let old = leaf.leaf_remove(*key);
                         if old.is_some() {
@@ -1192,8 +1255,10 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             // validation.
             unsafe { self.olc_descend(*key, |n| n.keys.binary_search(key).is_ok()) }.1
         } else {
-            let (leaf, _held) = self.read_leaf(*key);
-            leaf.keys.binary_search(key).is_ok()
+            let (leaf, held) = self.read_leaf(*key);
+            let found = leaf.keys.binary_search(key).is_ok();
+            release_read(leaf, held);
+            found
         };
         cbtree_obs::trace::op_end(cbtree_obs::opcode::CONTAINS, found);
         found
@@ -1237,9 +1302,9 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 self.olc_get_latched(*key)
             }
         } else {
-            let (leaf, _held) = self.read_leaf(*key);
+            let (leaf, held) = self.read_leaf(*key);
             let out = leaf.leaf_get(*key).cloned();
-            drop((leaf, _held));
+            release_read(leaf, held);
             out
         };
         cbtree_obs::trace::op_end(cbtree_obs::opcode::SEARCH, out.is_some());
@@ -1261,8 +1326,9 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
         'relocate: loop {
             // SAFETY: the locator closure reads nothing from the node.
             let (mut cur, ()) = unsafe { self.olc_descend(key, |_| ()) };
+            let mut carried = None;
             loop {
-                let g = self.latch_read(cur, false).expect("blocking");
+                let g = self.latch_read(cur, carried);
                 if g.stale() {
                     drop(g);
                     self.counters.record_olc_restart(false);
@@ -1272,8 +1338,8 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     return g.leaf_get(key).cloned();
                 }
                 let next = g.right.expect("covers");
-                drop(g); // at most one latch at a time
                 self.counters.record_chase();
+                carried = g.release(None); // at most one latch at a time
                 cur.goto(next);
             }
         }
@@ -1282,70 +1348,6 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     // ------------------------------------------------------------------
     // Sorted-batch execution with amortized descent.
     // ------------------------------------------------------------------
-
-    /// Locates and exclusively latches the leaf covering `key`
-    /// (blocking mode — callers spill retained transaction latches
-    /// first, and must hold **no** other latch: the descent acquires
-    /// root-to-leaf, and holding a leaf across it would invert that
-    /// order against a concurrent crab descent). Modeled on the
-    /// optimistic first pass — shared crab to the leaf's parent,
-    /// exclusive leaf latch taken under the parent's shared latch —
-    /// plus the right-link chases the link strategies need: a lagging
-    /// separator can route to a node left of the key at any level.
-    /// Children are resolved under their parent's latch and internal
-    /// slots are never recycled, so no handle here can be stale.
-    fn batch_leaf_write(&self, key: u64) -> WriteGuard<'_, V> {
-        loop {
-            // Root cases need id revalidation after latching.
-            let root = self.root_ref();
-            if root.read().is_leaf() {
-                let guard = self.latch_write(root, false).expect("blocking");
-                if guard.id() == self.root_id() && guard.is_leaf() {
-                    return guard; // a root leaf covers every key
-                }
-                continue; // root split under us: retry
-            }
-            let guard = self.latch_read(root, false).expect("blocking");
-            if guard.id() != self.root_id() {
-                continue;
-            }
-            let mut parent = guard;
-            loop {
-                // Crab right (shared, left before right) while a
-                // concurrent half-split's separator lags in this level's
-                // parent (link strategies only; coupled strategies never
-                // go stale under a held parent latch).
-                while !parent.covers(key) {
-                    let next = parent.at(parent.right.expect("finite high key implies right link"));
-                    self.counters.record_chase();
-                    parent = self.latch_read(next, false).expect("blocking");
-                }
-                let child = parent.at(parent.child_for(key));
-                if parent.level == 2 {
-                    let leaf = self.latch_write(child, false).expect("blocking");
-                    drop(parent);
-                    return self.batch_chase_right(leaf, key);
-                }
-                parent = self.latch_read(child, false).expect("blocking");
-            }
-        }
-    }
-
-    /// Crabs exclusively rightward from `leaf` until the latched leaf
-    /// covers `key`. The right sibling is latched **before** the held
-    /// leaf releases — left before right, the same order vacuum uses —
-    /// and a held leaf's right sibling cannot be retired out from under
-    /// us (vacuum must latch the left neighbor first), so the hop is
-    /// deadlock-free and recycle-safe without a staleness check.
-    fn batch_chase_right<'a>(&'a self, mut leaf: WriteGuard<'a, V>, key: u64) -> WriteGuard<'a, V> {
-        while !leaf.covers(key) {
-            let next = leaf.at(leaf.right.expect("finite high key implies right link"));
-            self.counters.record_chase();
-            let hop = self.latch_write(next, false).expect("blocking");
-            leaf = hop; // left latch releases after the right is held
-        }
-        leaf
-    }
 
     /// Executes `ops` as one sorted batch with amortized descent; see
     /// [`crate::batch`] for the contract.
@@ -1392,8 +1394,8 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     // the whole chain latched.
                     let next = g.at(g.right.expect("finite high key implies right link"));
                     self.counters.record_chase();
-                    let hop = self.latch_write(next, false).expect("blocking");
-                    drop(g);
+                    let hop = self.latch_write(next, None);
+                    g.release(hop.hold_start());
                     if hop.covers(key) {
                         summary.leaf_reuses += 1;
                         summary.right_hops += 1;
@@ -1404,7 +1406,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                             self.txn_spill();
                         }
                         summary.descents += 1;
-                        self.batch_leaf_write(key)
+                        self.write_leaf(key)
                     }
                 }
                 None => {
@@ -1412,7 +1414,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                         self.txn_spill();
                     }
                     summary.descents += 1;
-                    self.batch_leaf_write(key)
+                    self.write_leaf(key)
                 }
             };
             let mut leaf = leaf;
@@ -1469,7 +1471,10 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
 
     /// Ascending range scan over `[lo, hi)` via the leaf chain, one
     /// shared latch at a time. Weakly consistent under concurrent
-    /// updates (see [`crate::node::collect_range`]).
+    /// updates: keys present for the whole scan are returned exactly
+    /// once (splits only move keys right, and the walk follows right
+    /// links), but concurrent inserts/removes may or may not be
+    /// observed.
     ///
     /// On a recovery-variant tree a scan first spills the calling
     /// thread's retained latches (an early commit): the chain walk takes
@@ -1493,22 +1498,6 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
             self.txn_spill();
         }
         match S::READ {
-            ReadPolicy::Crab | ReadPolicy::RetainAll => {
-                // A stale leaf (slot recycled between the descent and the
-                // chain walk's latch) restarts the scan at the resume
-                // cursor; keys below it were already emitted.
-                let mut cursor = lo;
-                loop {
-                    let leaf = self.leaf_handle_for(cursor);
-                    match collect_range(leaf, cursor, hi, &mut out) {
-                        None => break,
-                        Some(resume) => {
-                            self.counters.record_restart();
-                            cursor = resume;
-                        }
-                    }
-                }
-            }
             ReadPolicy::Olc if V::IN_WINDOW => {
                 // Latch-free chain walk: each leaf is one validated read
                 // window; a torn window retries the same leaf, so pages
@@ -1588,55 +1577,53 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     }
                 }
             }
-            // OLC over heap-owning values (`!V::IN_WINDOW`) lands here,
-            // on the latched Link-style chain walk — the values cannot
-            // be cloned inside an unvalidated window — entered through
-            // a latch-free locator descent.
-            ReadPolicy::Link | ReadPolicy::Olc => {
+            // Every other strategy walks the leaf chain latched, one
+            // shared latch at a time, from the leaf candidate its own
+            // descent finds — OLC over heap-owning values
+            // (`!V::IN_WINDOW`, which cannot be cloned inside an
+            // unvalidated window) through a latch-free locator.
+            _ => {
                 let mut cursor = lo;
-                let mut cur = if matches!(S::READ, ReadPolicy::Link) {
-                    self.link_descend(cursor, None)
-                } else {
-                    // SAFETY: the locator closure reads nothing.
-                    unsafe { self.olc_descend(cursor, |_| ()) }.0
-                };
+                let (mut cur, mut carried) = self.range_start(cursor);
                 loop {
-                    let next = {
-                        let g = self.latch_read(cur, false).expect("blocking");
-                        if g.stale() {
-                            // Slot recycled in the unlatched hop (OLC
-                            // trees only; link trees never vacuum):
-                            // relocate to the resume cursor.
-                            drop(g);
+                    let g = self.latch_read(cur, carried);
+                    if g.stale() {
+                        // Slot recycled in the unlatched hop (never in
+                        // link trees, which never vacuum): relocate to
+                        // the resume cursor. Keys below it were emitted:
+                        // only empty leaves are vacuumed, and crossing a
+                        // live leaf advances the cursor to its high key.
+                        drop(g);
+                        if matches!(S::READ, ReadPolicy::Olc) {
                             self.counters.record_olc_restart(false);
-                            cur = if matches!(S::READ, ReadPolicy::Link) {
-                                self.link_descend(cursor, None)
-                            } else {
-                                unsafe { self.olc_descend(cursor, |_| ()) }.0
-                            };
-                            continue;
-                        }
-                        if !g.covers(cursor) {
-                            self.counters.record_chase();
-                            Some(g.right.expect("covers"))
                         } else {
-                            if let Children::Leaf(vals) = &g.children {
-                                for (i, &k) in g.keys.iter().enumerate() {
-                                    if k >= cursor && k < hi {
-                                        out.push((k, vals[i].clone()));
-                                    }
+                            self.counters.record_restart();
+                        }
+                        (cur, carried) = self.range_start(cursor);
+                        continue;
+                    }
+                    let next = if !g.covers(cursor) {
+                        // A split moved our range right before we latched.
+                        self.counters.record_chase();
+                        Some(g.right.expect("covers"))
+                    } else {
+                        if let Children::Leaf(vals) = &g.children {
+                            for (i, &k) in g.keys.iter().enumerate() {
+                                if k >= cursor && k < hi {
+                                    out.push((k, vals[i].clone()));
                                 }
                             }
-                            match g.high {
-                                None => None,
-                                Some(h) if h >= hi => None, // range exhausted
-                                Some(h) => {
-                                    cursor = cursor.max(h);
-                                    Some(g.right.expect("finite high"))
-                                }
+                        }
+                        match g.high {
+                            None => None,
+                            Some(h) if h >= hi => None, // range exhausted
+                            Some(h) => {
+                                cursor = cursor.max(h);
+                                Some(g.right.expect("finite high"))
                             }
                         }
                     };
+                    carried = g.release(None);
                     match next {
                         Some(n) => cur.goto(n),
                         None => return out,
@@ -1644,7 +1631,28 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 }
             }
         }
-        out
+    }
+
+    /// Where a latched range walk starts: the leaf candidate for `key`,
+    /// unlatched, found the strategy's way, with the stamp of the last
+    /// latch released on the way there.
+    #[allow(unsafe_code)]
+    fn range_start(&self, key: u64) -> (NodeRef<'_, V>, Option<Instant>) {
+        match S::READ {
+            ReadPolicy::Crab | ReadPolicy::RetainAll => self.crab_leaf_candidate(key),
+            ReadPolicy::Link => self.link_descend(key, 1, None),
+            // SAFETY: the locator closure reads nothing.
+            ReadPolicy::Olc => (unsafe { self.olc_descend(key, |_| ()) }.0, None),
+        }
+    }
+}
+
+/// Releases a read descent's leaf and then any ancestors it retained
+/// (strict 2PL), all at the leaf's release reading.
+fn release_read<V>(leaf: ReadGuard<'_, V>, held: Vec<ReadGuard<'_, V>>) {
+    let mut end = leaf.release(None);
+    for g in held {
+        end = g.release(end).or(end);
     }
 }
 

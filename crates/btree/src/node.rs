@@ -254,60 +254,6 @@ pub fn make_root<V>(
     })
 }
 
-/// Collects `[lo, hi)` by walking the leaf chain rightward from `leaf`,
-/// holding one shared latch at a time. Weakly consistent under concurrent
-/// updates: keys present for the whole scan are returned exactly once
-/// (splits only move keys right, and the walk follows right links), but
-/// concurrent inserts/removes may or may not be observed.
-///
-/// Returns `None` when the scan completed, or `Some(resume_lo)` when a
-/// latched leaf turned out to be **stale** (its arena slot was recycled
-/// by a concurrent vacuum between the unlatched hop and the latch
-/// acquisition): the caller must re-descend to `resume_lo` and continue.
-/// Keys below `resume_lo` have all been emitted — only empty leaves are
-/// ever vacuumed, and crossing a live leaf advances the cursor to its
-/// high key — so the restart neither duplicates nor drops keys.
-pub fn collect_range<V: Clone>(
-    leaf: NodeRef<'_, V>,
-    lo: u64,
-    hi: u64,
-    out: &mut Vec<(u64, V)>,
-) -> Option<u64> {
-    let mut cur = leaf;
-    let mut lo = lo;
-    loop {
-        let next = {
-            let g = cur.read_guard();
-            if g.stale() {
-                return Some(lo);
-            }
-            if !g.covers(lo) {
-                // A split moved our range right before we latched.
-                g.right.expect("finite high key implies right link")
-            } else {
-                if let Children::Leaf(vals) = &g.children {
-                    for (i, &k) in g.keys.iter().enumerate() {
-                        if k >= lo && k < hi {
-                            out.push((k, vals[i].clone()));
-                        }
-                    }
-                }
-                match g.high {
-                    None => return None,
-                    Some(h) if h >= hi => return None,
-                    Some(h) => {
-                        // Everything below the high key is now emitted;
-                        // a restart resumes past it.
-                        lo = lo.max(h);
-                        g.right.expect("finite high key")
-                    }
-                }
-            }
-        };
-        cur.goto(next);
-    }
-}
-
 /// Visits every node handle in the tree, top level first. Walks the
 /// leftmost spine downward and each level's right-link chain — all
 /// protocols maintain right links, so this reaches every node. `f`

@@ -9,8 +9,13 @@
 //! re-inserts keys it owns — none of which restructures a
 //! merge-at-empty tree — so every operation latches the same levels
 //! whoever else is running.
+//!
+//! The counters are also exact against the locks themselves: every
+//! acquisition a lock's statistics record went through the engine's
+//! counted path, and a B-link operation latches each node it needs once.
 
-use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
+use cbtree_btree::node::for_each_handle;
+use cbtree_btree::{BatchOp, ConcurrentBTree, OpCountersSnapshot, Protocol};
 use cbtree_workload::Rng;
 use std::sync::Barrier;
 
@@ -121,5 +126,153 @@ fn four_threads_sum_to_the_single_threaded_replay() {
             "{protocol}"
         );
         assert_eq!(window.splits, 0, "{protocol}: the window does not split");
+    }
+}
+
+/// Latch acquisitions per level since `before`: `(shared, exclusive)`,
+/// leaves first.
+fn latch_delta(tree: &ConcurrentBTree<u64>, before: &OpCountersSnapshot) -> Vec<(u64, u64)> {
+    let d = tree.counters().since(before);
+    (0..tree.height())
+        .map(|i| (d.r_latches[i], d.w_latches[i]))
+        .collect()
+}
+
+#[test]
+fn b_link_latches_each_node_once() {
+    let tree = ConcurrentBTree::new(Protocol::BLink, 8);
+    for k in 0..5_000u64 {
+        tree.insert(k * 2, k);
+    }
+    let h = tree.height();
+    assert!(h >= 4, "height {h}");
+    let internal_reads = |leaf: (u64, u64)| {
+        let mut want = vec![(1, 0); h];
+        want[0] = leaf;
+        want
+    };
+    for key in [0, 2_500, 9_998] {
+        let before = tree.counters();
+        assert_eq!(tree.get(&key), Some(key / 2));
+        assert_eq!(
+            latch_delta(&tree, &before),
+            internal_reads((1, 0)),
+            "get {key}"
+        );
+
+        let before = tree.counters();
+        assert!(!tree.contains_key(&(key + 1)));
+        assert_eq!(
+            latch_delta(&tree, &before),
+            internal_reads((1, 0)),
+            "contains {key}"
+        );
+
+        // A replacement never splits.
+        let before = tree.counters();
+        assert_eq!(tree.insert(key, 7), Some(key / 2));
+        assert_eq!(
+            latch_delta(&tree, &before),
+            internal_reads((0, 1)),
+            "insert {key}"
+        );
+
+        let before = tree.counters();
+        assert_eq!(tree.remove(&key), Some(7));
+        assert_eq!(
+            latch_delta(&tree, &before),
+            internal_reads((0, 1)),
+            "remove {key}"
+        );
+
+        // One batch descent: h - 1 shared latches and the leaf's exclusive
+        // one, for every op the leaf covers.
+        let before = tree.counters();
+        let ops = vec![BatchOp::Insert(key, 1), BatchOp::Get(key)];
+        let out = tree.execute_batch(ops);
+        assert_eq!(out.summary.descents, 1);
+        assert_eq!(
+            latch_delta(&tree, &before),
+            internal_reads((0, 1)),
+            "batch {key}"
+        );
+    }
+    tree.check().unwrap();
+}
+
+/// Each level's lock statistics: `(nodes, shared acquires, exclusive
+/// acquires)`, leaves first. Read latch-free on a quiescent tree.
+fn lock_acquires(tree: &ConcurrentBTree<u64>) -> Vec<(u64, u64, u64)> {
+    let mut levels = vec![(0, 0, 0); tree.height()];
+    for_each_handle(&tree.root_handle(), |level, node| {
+        let s = node.stats().snapshot();
+        let l = &mut levels[level - 1];
+        *l = (l.0 + 1, l.1 + s.r_acquires, l.2 + s.w_acquires);
+    });
+    levels
+}
+
+#[test]
+fn every_lock_acquisition_is_counted() {
+    for protocol in Protocol::ALL_WITH_RECOVERY {
+        let tree = ConcurrentBTree::new(protocol, 6);
+        let mut rng = Rng::new(0xC0_0C7ED);
+        for n in 0..1_500u64 {
+            let key = rng.next_below(800);
+            let what = match n % 6 {
+                0 | 1 => {
+                    tree.insert(key, n);
+                    "insert"
+                }
+                2 => {
+                    tree.get(&key);
+                    "get"
+                }
+                3 => {
+                    tree.contains_key(&key);
+                    "contains"
+                }
+                4 => {
+                    tree.remove(&key);
+                    "remove"
+                }
+                _ if n % 12 == 5 => {
+                    tree.range(key, key + 40);
+                    "range"
+                }
+                _ => {
+                    let ops = (0..6)
+                        .map(|i| match i % 3 {
+                            0 => BatchOp::Insert(key + i * 3, n),
+                            1 => BatchOp::Get(key + i * 5),
+                            _ => BatchOp::Remove(key + i * 7),
+                        })
+                        .collect();
+                    tree.execute_batch(ops);
+                    "batch"
+                }
+            };
+            // The walk below cannot read a node this thread still
+            // holds exclusively for its transaction.
+            tree.txn_commit();
+            let counted = tree.counters();
+            for (i, &(nodes, r, w)) in lock_acquires(&tree).iter().enumerate() {
+                assert_eq!(
+                    r,
+                    counted.r_latches[i],
+                    "{protocol} op {n} ({what}): level {} shared",
+                    i + 1
+                );
+                // Installing a node takes its exclusive latch once, outside
+                // any operation's descent.
+                assert_eq!(
+                    w,
+                    counted.w_latches[i] + nodes,
+                    "{protocol} op {n} ({what}): level {} exclusive",
+                    i + 1
+                );
+            }
+        }
+        tree.check().unwrap();
     }
 }

@@ -32,6 +32,7 @@ use crate::events::EventQueue;
 use crate::locks::{Grant, LockTable, Mode, NodeId, OpId};
 use crate::stats::{BatchMeans, TimeWeighted, Welford};
 use crate::tree::SimTree;
+use crate::{Result, SimError};
 use cbtree_workload::Exponential;
 use cbtree_workload::Rng;
 
@@ -138,6 +139,9 @@ enum Event {
     Done(OpId),
     /// The transaction enclosing `op` commits; retained locks release.
     Commit(OpId),
+    /// `op` was granted a root that split while it queued: it releases
+    /// that node and descends again from today's root.
+    Restart(OpId),
 }
 
 /// Aggregate statistics of one simulation run (measured window only).
@@ -223,6 +227,9 @@ pub struct Simulator {
     /// Exclusive requests currently live (from request to release),
     /// used to tell exclusive releases apart from shared ones.
     w_live: std::collections::BTreeSet<(OpId, NodeId)>,
+    /// The first broken invariant an operation ran into, if any; the
+    /// event loop stops and reports it.
+    fault: Option<String>,
     /// Per-node writer-present state: `(writer count, presence start)`.
     /// The count covers holders *and* queued writers; presence starts
     /// when it becomes 1 and is charged to the level when it returns to
@@ -256,6 +263,7 @@ impl Simulator {
             warmup,
             recovery: SimRecovery::None,
             w_live: std::collections::BTreeSet::new(),
+            fault: None,
             w_present: std::collections::BTreeMap::new(),
             stats: RunStats::default(),
         }
@@ -299,14 +307,15 @@ impl Simulator {
     /// Runs until `target_completions` operations have finished or the
     /// event list drains. `spawn` is called at each arrival event to
     /// produce the next operation (kind, key) and the next arrival time.
-    /// Returns `Err(max_seen)` via the runner when `max_concurrent` is
-    /// exceeded — here surfaced as a bool.
+    /// Fails with [`SimError::Exploded`] when more than `max_concurrent`
+    /// operations are in flight, and with [`SimError::Corrupted`] as soon
+    /// as an operation modifies a leaf that does not cover its key.
     pub fn run_until(
         &mut self,
         target_completions: u64,
         max_concurrent: usize,
         mut spawn: impl FnMut() -> (OpKind, u64, f64),
-    ) -> std::result::Result<(), (f64, u64)> {
+    ) -> Result<()> {
         while self.completions < target_completions {
             let Some((t, ev)) = self.events.pop() else {
                 break;
@@ -329,14 +338,41 @@ impl Simulator {
                     self.events.schedule(next_at, Event::Arrival);
                     self.admit(kind, key);
                     if self.in_flight > max_concurrent {
-                        return Err((self.now, self.completions));
+                        return Err(SimError::Exploded {
+                            max_concurrent,
+                            at_time: self.now,
+                            completed: self.completions as usize,
+                        });
                     }
                 }
                 Event::Done(op) => self.service_done(op),
                 Event::Commit(op) => self.release_all(op),
+                Event::Restart(op) => {
+                    let stale = self.ops[op].cur;
+                    self.release(op, stale);
+                    self.start_descent(op);
+                }
+            }
+            if let Some(detail) = self.fault.take() {
+                return Err(SimError::Corrupted {
+                    at_time: self.now,
+                    detail,
+                });
             }
         }
         Ok(())
+    }
+
+    /// Records a fault unless `leaf` covers `op`'s key (checked before
+    /// every leaf modification).
+    fn check_covers(&mut self, op: OpId, leaf: NodeId) {
+        let key = self.ops[op].key;
+        if !self.tree.node(leaf).covers(key) && self.fault.is_none() {
+            self.fault = Some(format!(
+                "{:?} of key {key} reached leaf {leaf}, which does not cover it",
+                self.ops[op].kind
+            ));
+        }
     }
 
     fn admit(&mut self, kind: OpKind, key: u64) {
@@ -581,6 +617,23 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn granted(&mut self, op: OpId, node: NodeId) {
+        // A coupled descent's first grant is on the node that was the
+        // root when it queued. If the root split meanwhile, that node
+        // covers only the left half now and has a parent the descent
+        // never latched: start again from today's root, as the live
+        // engine's root revalidation does. (Link-type descents recover by
+        // chasing right instead.) The restart is an event at the same
+        // instant rather than a call, so a queue of such descents
+        // restarts one by one in arrival order instead of recursing
+        // through each other's releases.
+        if self.algorithm != SimAlgorithm::LinkType
+            && self.ops[op].held.is_empty()
+            && node != self.tree.root()
+        {
+            self.ops[op].cur = node;
+            self.events.schedule(self.now, Event::Restart(op));
+            return;
+        }
         match self.algorithm {
             SimAlgorithm::NaiveLockCoupling | SimAlgorithm::TwoPhaseLocking => {
                 self.naive_granted(op, node)
@@ -678,7 +731,7 @@ impl Simulator {
             }
             Phase::ModifyLeaf => {
                 let leaf = self.ops[op].cur;
-                debug_assert!(self.tree.node(leaf).covers(self.ops[op].key));
+                self.check_covers(op, leaf);
                 match self.ops[op].kind {
                     OpKind::Insert => {
                         self.tree.leaf_insert(leaf, self.ops[op].key);
@@ -752,7 +805,7 @@ impl Simulator {
         self.ops[op].held.push(node);
         self.ops[op].cur = node;
         if self.tree.node(node).is_leaf() && is_update {
-            debug_assert!(self.tree.node(node).covers(self.ops[op].key));
+            self.check_covers(op, node);
             if self.safe_for(op, node) {
                 self.ops[op].phase = Phase::ModifyLeaf;
                 let m = self.costs.m(self.tree.height());
@@ -1060,6 +1113,37 @@ mod tests {
         sim.tree.check_invariants().unwrap();
         assert!(sim.stats.resp_search.count() > 0);
         assert!(sim.stats.resp_insert.count() > 0);
+    }
+
+    #[test]
+    fn root_splits_under_queued_descents_keep_every_key_findable() {
+        // A tiny tree under an insert-heavy load grows several levels
+        // while descents queue on its root.
+        for alg in [
+            SimAlgorithm::NaiveLockCoupling,
+            SimAlgorithm::OptimisticDescent,
+            SimAlgorithm::TwoPhaseLocking,
+            SimAlgorithm::Olc,
+            SimAlgorithm::LinkType,
+        ] {
+            let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 5);
+            let tree = SimTree::build(3, &stream.construction_sequence(8));
+            let before = tree.height();
+            let mut sim = Simulator::new(tree, SimCosts::paper(), alg, 0, 42);
+            let mut arr = PoissonArrivals::new(0.3, 1);
+            sim.schedule_arrival(arr.next_arrival());
+            sim.run_until(3_000, 100_000, move || {
+                let (kind, key) = match stream.next_op() {
+                    cbtree_workload::Operation::Search(k) => (OpKind::Search, k),
+                    cbtree_workload::Operation::Insert(k) => (OpKind::Insert, k),
+                    cbtree_workload::Operation::Delete(k) => (OpKind::Delete, k),
+                };
+                (kind, key, arr.next_arrival())
+            })
+            .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
+            assert!(sim.tree.height() >= before + 3, "{alg:?}: the root split");
+            sim.tree.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub enum SimError {
         /// Operations completed before the explosion.
         completed: usize,
     },
+    /// The simulated tree broke a structural invariant: a protocol bug in
+    /// the simulator, never a property of the workload.
+    Corrupted {
+        /// Simulated time at which it was found.
+        at_time: f64,
+        /// What was found.
+        detail: String,
+    },
     /// A configuration parameter was outside its domain.
     InvalidConfig {
         /// Name of the offending parameter.
@@ -37,6 +45,9 @@ impl fmt::Display for SimError {
                 "simulation exceeded {max_concurrent} concurrent operations at t={at_time:.1} \
                  ({completed} ops completed) — arrival rate unsustainable"
             ),
+            SimError::Corrupted { at_time, detail } => {
+                write!(f, "simulated tree corrupted at t={at_time:.1}: {detail}")
+            }
             SimError::InvalidConfig { name, constraint } => {
                 write!(f, "invalid simulator config `{name}`: {constraint}")
             }
@@ -72,5 +83,11 @@ mod tests {
         };
         assert!(!c.is_overload());
         assert!(c.to_string().contains("rate"));
+        let t = SimError::Corrupted {
+            at_time: 1.0,
+            detail: "key 7 in node 3".into(),
+        };
+        assert!(!t.is_overload());
+        assert!(t.to_string().contains("key 7"));
     }
 }

@@ -251,7 +251,7 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
 
     sim.schedule_arrival(arrivals.next_arrival());
     let target = cfg.warmup_ops + cfg.measured_ops;
-    let outcome = sim.run_until(target, cfg.max_concurrent, move || {
+    sim.run_until(target, cfg.max_concurrent, move || {
         let op = stream.next_op();
         let (kind, key) = match op {
             Operation::Search(k) => (OpKind::Search, k),
@@ -259,14 +259,14 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
             Operation::Delete(k) => (OpKind::Delete, k),
         };
         (kind, key, arrivals.next_arrival())
-    });
-    if let Err((at_time, completed)) = outcome {
-        return Err(SimError::Exploded {
-            max_concurrent: cfg.max_concurrent,
-            at_time,
-            completed: completed as usize,
-        });
-    }
+    })?;
+    // End-of-run audit: every live key is where a lookup would find it.
+    sim.tree
+        .check_invariants()
+        .map_err(|detail| SimError::Corrupted {
+            at_time: sim.now(),
+            detail,
+        })?;
 
     // Close out writer-presence intervals still open at the end of the
     // event loop so the per-level totals cover the whole measured window.

@@ -343,9 +343,26 @@ impl SimTree {
         }
     }
 
-    /// Walks every level's right-link chain and checks structural
-    /// invariants (sortedness, key-range containment, link/high-key
-    /// consistency). Used by tests and debug assertions.
+    /// The leaf a lookup of `key` reaches from the root: descend, and
+    /// chase right wherever a node's range no longer covers the key (a
+    /// link-type half-split whose separator is not posted yet).
+    pub fn leaf_for(&self, key: u64) -> NodeId {
+        let mut cur = self.root;
+        loop {
+            let n = &self.nodes[cur];
+            cur = match n.right {
+                Some(right) if !n.covers(key) => right,
+                _ if n.is_leaf() => return cur,
+                _ => self.child_for(cur, key),
+            };
+        }
+    }
+
+    /// Checks structural invariants on every node (sortedness,
+    /// key-range containment, link/high-key consistency) and audits the
+    /// keys: every live key sits in the leaf a lookup of it reaches from
+    /// the root, so no operation put a key where it cannot be found.
+    /// The simulator runs it at the end of every run.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (id, n) in self.nodes.iter().enumerate() {
             if !n.keys.windows(2).all(|w| w[0] < w[1]) {
@@ -382,6 +399,16 @@ impl SimTree {
                         return Err(format!("node {id}: right link but infinite high key"));
                     }
                     _ => {}
+                }
+            }
+        }
+        for (id, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.is_leaf()) {
+            for &key in &n.keys {
+                let found = self.leaf_for(key);
+                if found != id {
+                    return Err(format!(
+                        "key {key} sits in leaf {id}, but a lookup reaches leaf {found}"
+                    ));
                 }
             }
         }
@@ -530,6 +557,27 @@ mod tests {
             t.insert_sequential(k);
         }
         assert!(t.splits > 10, "splits {}", t.splits);
+    }
+
+    #[test]
+    fn audit_finds_a_key_a_lookup_cannot_reach() {
+        let mut t = SimTree::new(4);
+        for k in 0..10u64 {
+            t.insert_sequential(k * 2);
+        }
+        assert_eq!(t.height(), 2);
+        t.check_invariants().unwrap();
+        // Lower the root's first separator onto the left leaf's last key:
+        // every node still passes on its own, but a lookup of that key
+        // now lands in the leaf to its right.
+        let root = t.root();
+        let sep = t.nodes[root].keys[0];
+        t.nodes[root].keys[0] = sep - 2;
+        let err = t.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("key {} sits in leaf", sep - 2)),
+            "{err}"
+        );
     }
 
     #[test]

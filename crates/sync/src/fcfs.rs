@@ -23,9 +23,10 @@
 //! While `QUEUED` is clear (nobody is waiting), shared and exclusive
 //! acquire *and* release are each a single CAS on this word — no mutex,
 //! no syscall, no `Instant` reading unless the acquisition is sampled for
-//! timing. The moment any request has to wait, it sets `QUEUED` (under
-//! the queue mutex) and every subsequent acquire/release detours through
-//! the original ticketed `Mutex`+`Condvar` queue, which preserves the
+//! timing (and with a hand-over, not even then; see below). The moment
+//! any request has to wait, it sets `QUEUED` (under the queue mutex) and
+//! every subsequent acquire/release detours through the original
+//! ticketed `Mutex`+`Condvar` queue, which preserves the
 //! FCFS discipline bit for bit: strict arrival order, no reader
 //! overtaking a queued writer, and maximal reader-burst admission on
 //! writer release. `QUEUED` is set and cleared only under the mutex, so
@@ -52,6 +53,20 @@
 //! [`SamplePeriod`]): acquisition *counts* stay exact, and sampled
 //! durations are scaled by N so the sums behind `writer_utilization` and
 //! the mean-wait estimators stay unbiased.
+//!
+//! # Hand-over: one clock reading per latch step
+//!
+//! A descent that moves from latch to latch need not read the clock
+//! twice per latch. Releasing through [`RwLockReadGuard::release`]
+//! returns the reading that ended the hold, and an acquisition through
+//! [`FcfsRwLock::read_after`] carries it as the next hold's start (link
+//! order: release, then acquire). In crab order (child granted before
+//! the parent releases) the child's grant reading, its
+//! [`RwLockReadGuard::hold_start`], is passed to the parent's `release`
+//! as its end. Either way a chain of `k` latches reads the clock `k + 1`
+//! times, and its hold sums telescope to the chain's last release minus
+//! its first grant. A contended grant still reads the clock at the
+//! grant, so queueing is timed as wait and never also as hold.
 
 use crate::stats::{LockStats, SamplePeriod};
 use std::cell::UnsafeCell;
@@ -109,6 +124,8 @@ struct State {
 struct SlowAcquire {
     /// Nanoseconds spent queued (0 when not sampled or not queued).
     wait_ns: u64,
+    /// The clock reading that ended a sampled wait: the grant.
+    granted: Option<Instant>,
     /// Whether the request actually entered the wait queue.
     queued: bool,
 }
@@ -182,6 +199,7 @@ impl RawFcfs {
             self.word.fetch_and(!QUEUED, Ordering::AcqRel);
             return SlowAcquire {
                 wait_ns: 0,
+                granted: None,
                 queued: false,
             };
         }
@@ -197,8 +215,12 @@ impl RawFcfs {
             }
         }
         drop(st);
+        let granted = enqueued_at.map(|_| Instant::now());
         SlowAcquire {
-            wait_ns: enqueued_at.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            wait_ns: enqueued_at
+                .zip(granted)
+                .map_or(0, |(t0, t1)| (t1 - t0).as_nanos() as u64),
+            granted,
             queued: true,
         }
     }
@@ -407,8 +429,10 @@ impl<T: ?Sized> FcfsRwLock<T> {
     }
 
     /// Acquires in the given mode; returns the hold-timing start when
-    /// this acquisition was sampled.
-    fn start(&self, exclusive: bool) -> Option<Instant> {
+    /// this acquisition was sampled. An uncontended grant starts the
+    /// hold at `carried` when given (no clock read); a contended one
+    /// starts it at the grant.
+    fn start(&self, exclusive: bool, carried: Option<Instant>) -> Option<Instant> {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
@@ -420,7 +444,7 @@ impl<T: ?Sized> FcfsRwLock<T> {
             self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
             // A wait that did not happen writes nothing: the snapshot
             // reconstructs the zero bucket (see `LockStats::snapshot`).
-            return sampled.then(Instant::now);
+            return sampled.then(|| carried.unwrap_or_else(Instant::now));
         }
         let slow = self.raw.acquire_slow(exclusive, sampled);
         self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
@@ -429,36 +453,63 @@ impl<T: ?Sized> FcfsRwLock<T> {
         }
         if sampled {
             self.stats.record_sampled_wait(exclusive, slow.wait_ns);
-            Some(Instant::now())
+            Some(slow.granted.unwrap_or_else(Instant::now))
         } else {
             None
         }
     }
 
-    fn finish(&self, exclusive: bool, hold_start: Option<Instant>) {
-        if let Some(t0) = hold_start {
-            self.stats
-                .record_sampled_hold(exclusive, t0.elapsed().as_nanos() as u64);
-        }
+    /// Releases in the given mode. A timed hold ends at `end` when given
+    /// (no clock read), at a fresh reading otherwise; returns the instant
+    /// it ended (`None` when the hold was not timed).
+    fn finish(
+        &self,
+        exclusive: bool,
+        hold_start: Option<Instant>,
+        end: Option<Instant>,
+    ) -> Option<Instant> {
+        let end = hold_start.map(|t0| {
+            let t1 = end.unwrap_or_else(Instant::now);
+            let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
+            self.stats.record_sampled_hold(exclusive, hold);
+            t1
+        });
         // Emit before the release itself so the hold window closes while
         // the latch is still held.
         self.trace_latch(cbtree_obs::trace::latch_release, exclusive);
         self.raw.release(exclusive);
         crate::inject::perturb(crate::inject::Site::Release);
+        end
     }
 
     /// Acquires a shared latch, blocking FCFS behind earlier arrivals.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            hold_start: self.start(false),
-            lock: self,
-        }
+        self.read_after(None)
     }
 
     /// Acquires the exclusive latch, blocking FCFS behind earlier arrivals.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.write_after(None)
+    }
+
+    /// [`FcfsRwLock::read`] for a caller that holds no latch and released
+    /// its previous one at `carried` (the instant
+    /// [`RwLockReadGuard::release`] returned): a timed, uncontended hold
+    /// starts there, so the hand-over costs no clock read. The hold then
+    /// also covers the acquire itself — one uncontended CAS. A contended
+    /// grant ignores `carried` and starts the hold at the grant, so the
+    /// wait is never counted as hold as well.
+    pub fn read_after(&self, carried: Option<Instant>) -> RwLockReadGuard<'_, T> {
+        RwLockReadGuard {
+            hold_start: self.start(false, carried),
+            lock: self,
+        }
+    }
+
+    /// The exclusive counterpart of [`FcfsRwLock::read_after`].
+    pub fn write_after(&self, carried: Option<Instant>) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
-            hold_start: self.start(true),
+            hold_start: self.start(true, carried),
             lock: self,
         }
     }
@@ -664,7 +715,7 @@ impl<T: ?Sized> Drop for UnownedWriteGuard<T> {
     fn drop(&mut self) {
         // SAFETY: `into_unowned`'s contract — the lock outlives the
         // guard — makes the pointer valid here.
-        unsafe { self.lock.as_ref() }.finish(true, self.hold_start);
+        unsafe { self.lock.as_ref() }.finish(true, self.hold_start, None);
     }
 }
 
@@ -676,6 +727,26 @@ impl<T: ?Sized> fmt::Debug for UnownedWriteGuard<T> {
 
 macro_rules! impl_guard {
     ($guard:ident, $lt:lifetime, deref_mut: $mutable:tt, exclusive: $exclusive:expr) => {
+        impl<$lt, T: ?Sized> $guard<$lt, T> {
+            /// Releases the latch, ending a timed hold at `end` when given
+            /// — in crab order, the [`hold_start`](Self::hold_start) of
+            /// the child granted while this latch was still held — and
+            /// at a fresh clock reading otherwise. Returns the instant the
+            /// hold ended (`None` when it was not timed): the stamp the
+            /// caller's next acquisition may carry (see
+            /// [`FcfsRwLock::read_after`]). Dropping the guard is
+            /// `release(guard, None)` without the return value.
+            pub fn release(this: Self, end: Option<Instant>) -> Option<Instant> {
+                let this = ManuallyDrop::new(this); // released here, not by Drop
+                this.lock.finish($exclusive, this.hold_start, end)
+            }
+
+            /// When this hold's timing started (`None` when the
+            /// acquisition was not sampled for timing).
+            pub fn hold_start(this: &Self) -> Option<Instant> {
+                this.hold_start
+            }
+        }
         impl<$lt, T: ?Sized> Deref for $guard<$lt, T> {
             type Target = T;
             fn deref(&self) -> &T {
@@ -690,7 +761,7 @@ macro_rules! impl_guard {
         impl_guard!(@mut $guard, $lt, $mutable);
         impl<$lt, T: ?Sized> Drop for $guard<$lt, T> {
             fn drop(&mut self) {
-                self.lock.finish($exclusive, self.hold_start);
+                self.lock.finish($exclusive, self.hold_start, None);
             }
         }
         impl<$lt, T: ?Sized + fmt::Debug> fmt::Debug for $guard<$lt, T> {
@@ -1052,6 +1123,63 @@ mod tests {
             "the sum carries the wait scaled by the period"
         );
         assert!(snap.mean_r_wait_ns() >= 125_000.0 * sample.period() as f64);
+    }
+
+    #[test]
+    fn handed_over_holds_telescope() {
+        // Link order (release, then acquire carrying the stamp) and crab
+        // order (acquire the next, then release at its grant) across a
+        // few locks: one clock reading per step, and the holds sum to the
+        // last release minus the first grant, to the nanosecond.
+        let locks: Vec<FcfsRwLock<()>> = (0..4).map(|_| FcfsRwLock::new(())).collect();
+        let first = locks[0].read();
+        let t0 = RwLockReadGuard::hold_start(&first).expect("exact timing");
+        let carried = RwLockReadGuard::release(first, None);
+        let mid = locks[1].write_after(carried);
+        assert_eq!(RwLockWriteGuard::hold_start(&mid), carried);
+        let next = locks[2].read(); // crab: granted while `mid` is held
+        RwLockWriteGuard::release(mid, RwLockReadGuard::hold_start(&next));
+        let carried = RwLockReadGuard::release(next, None);
+        let last = locks[3].read_after(carried);
+        let t1 = RwLockReadGuard::release(last, None).expect("exact timing");
+        let held: u64 = locks
+            .iter()
+            .map(|l| {
+                let s = l.stats().snapshot();
+                s.r_hold_ns + s.w_hold_ns
+            })
+            .sum();
+        assert_eq!(held, (t1 - t0).as_nanos() as u64);
+    }
+
+    #[test]
+    fn contended_grant_starts_its_hold_at_the_grant() {
+        let lock = Arc::new(FcfsRwLock::new(()));
+        let g = lock.write();
+        let carried = Instant::now();
+        let t = {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                let r = lock.read_after(Some(carried)); // queues behind the writer
+                let start = RwLockReadGuard::hold_start(&r).expect("exact timing");
+                let end = RwLockReadGuard::release(r, None).expect("exact timing");
+                (start, end)
+            })
+        };
+        while lock.queued() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(g);
+        let (start, end) = t.join().unwrap();
+        let snap = lock.stats().snapshot();
+        assert!(snap.r_wait_ns >= 1_000_000, "the queueing is wait");
+        assert!(start - carried >= std::time::Duration::from_millis(1));
+        assert_eq!(snap.r_hold_ns, (end - start).as_nanos() as u64);
+        assert!(
+            snap.r_wait_ns + snap.r_hold_ns <= (end - carried).as_nanos() as u64,
+            "the wait is not counted again as hold"
+        );
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //! queueing model: writer utilization `ρ_w = Σ hold_W / elapsed`, mean
 //! reader/writer waits, and contention rates.
 //!
-//! # Sampled timing
+//! # Exact and sampled timing
 //!
-//! Reading `Instant::now()` twice per acquisition costs more than an
-//! uncontended acquisition itself, so duration measurement is optionally
-//! **1-in-N sampled** (see [`SamplePeriod`]). Acquisition and contention
+//! A clock reading costs more than an uncontended acquisition itself. A
+//! lone acquisition pays two (grant and release); a descent that hands
+//! one latch over to the next pays one per latch step plus one, because
+//! the reading that ends one hold starts the next (see the lock's
+//! "hand-over" docs). That makes an exact hold sum exact up to one
+//! uncontended acquire (a CAS, roughly 10–20 ns) per hold: a handed-over
+//! hold starts just before its own acquire, or, in crab order, ends just
+//! after the child's. Waits are unaffected: a contended grant reads the
+//! clock itself.
+//!
+//! Duration measurement is optionally **1-in-N sampled** (see
+//! [`SamplePeriod`]), which never reads more clocks than exact timing
+//! of the same acquisitions would. Acquisition and contention
 //! *counts* are always exact; only the wait/hold *durations* are sampled.
 //! A sampled duration is added to the running sums as `dur × N`, which
 //! keeps every sum — and therefore `writer_utilization` and the mean-wait
@@ -414,6 +424,42 @@ mod tests {
 
     #[test]
     fn sampling_selects_one_in_n_and_scales_sums() {
+        // Hand-over: a chain alternating a 1-in-4 lock with an exact one,
+        // each acquisition carrying the previous release's stamp. Only
+        // timed holds return a stamp, and each adds exactly its
+        // duration × N.
+        use crate::{FcfsRwLock, RwLockWriteGuard};
+        let period = SamplePeriod::every(4);
+        let one_in_four = FcfsRwLock::with_sampling((), period);
+        let exact = FcfsRwLock::new(());
+        let (mut carried, mut want, mut timed) = (None, [0u64; 2], 0);
+        for i in 0..32 {
+            let (lock, scale) = if i % 2 == 0 {
+                (&one_in_four, period.period())
+            } else {
+                (&exact, 1)
+            };
+            let g = lock.write_after(carried);
+            let start = RwLockWriteGuard::hold_start(&g);
+            if start.is_some() && carried.is_some() {
+                assert_eq!(start, carried, "an uncontended hold starts at the stamp");
+            }
+            carried = RwLockWriteGuard::release(g, None);
+            assert_eq!(start.is_some(), carried.is_some());
+            if let (Some(t0), Some(t1)) = (start, carried) {
+                want[i % 2] += (t1 - t0).as_nanos() as u64 * scale;
+                timed += u64::from(i % 2 == 0);
+            }
+        }
+        assert_eq!(
+            timed,
+            16 / period.period(),
+            "one in N of the sampled lock's"
+        );
+        assert_eq!(one_in_four.stats().snapshot().w_hold_ns, want[0]);
+        assert_eq!(exact.stats().snapshot().w_hold_ns, want[1]);
+        assert_eq!(one_in_four.stats().snapshot().w_acquires, 16);
+
         let s = LockStats::with_sampling(SamplePeriod::every(4));
         let mut sampled = 0;
         for _ in 0..16 {

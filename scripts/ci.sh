@@ -155,7 +155,7 @@ echo "==> benchmark/ package: builds against the workspace API and runs (quick)"
 # cannot see an API break against it; this step can.
 bash benchmark/run.sh --quick > /dev/null
 
-echo "==> measurement overhead: the metrics session and compiled-in, switched-off tracing"
+echo "==> measurement overhead: the metrics session, exact lock statistics and compiled-in, switched-off tracing"
 # Priced by the benchmark's own per-layer metrics on two builds of it:
 # the one the step above made, and one with every crate's `trace`
 # feature on (emission compiled in, never enabled). Each build runs
@@ -163,6 +163,10 @@ echo "==> measurement overhead: the metrics session and compiled-in, switched-of
 # only ever adds time) and the distance between the default build's two
 # runs is that price's A/A gap.
 SESSION_RECORD_MAX_NS=20 # obs.session_record_ns measures 4.7-6.6 ns
+# Exact minus 1-in-64 sampled lock statistics on a tree-churn get: one
+# clock reading per latch step plus one measures 190-240 ns (two per
+# latch, and a leaf latched twice, measured 357-397 ns).
+STATS_EXACT_DELTA_MAX_NS=300
 TRACE_OFF_MIN_SLACK=0.10 # over the default build, or twice the A/A gap
 if reason=$(host_gives_two_cores); then
     bench_target=${CARGO_TARGET_DIR:-benchmark/target}
@@ -174,8 +178,8 @@ if reason=$(host_gives_two_cores); then
         prices "$bench_target" > "$out/prices-default-$i.txt"
         prices "$bench_target/trace-compiled" > "$out/prices-trace-compiled-$i.txt"
     done
-    awk -v session_max="$SESSION_RECORD_MAX_NS" -v min_slack="$TRACE_OFF_MIN_SLACK" \
-        -v max_gap="$AA_MAX_GAP" '
+    awk -v session_max="$SESSION_RECORD_MAX_NS" -v delta_max="$STATS_EXACT_DELTA_MAX_NS" \
+        -v min_slack="$TRACE_OFF_MIN_SLACK" -v max_gap="$AA_MAX_GAP" '
         function min(a, b) { return a < b ? a : b }
         FNR == 1 { run++ }
         $1 ~ /^(sync|obs|btree)\./ { price[run, $1] = $2 }
@@ -185,6 +189,11 @@ if reason=$(host_gives_two_cores); then
             verdict = ns > 0 && ns <= session_max ? "ok" : "FAIL"
             printf "    %-22s %.1f ns (max %d ns): %s\n", m, ns, session_max, verdict
             failed = verdict == "FAIL"
+            m = "sync.stats_exact_delta_ns"
+            ns = min(price[1, m], price[2, m])
+            verdict = (1, m) in price && (2, m) in price && ns <= delta_max ? "ok" : "FAIL"
+            printf "    %-22s %.0f ns (max %d ns): %s\n", m, ns, delta_max, verdict
+            failed = failed || verdict == "FAIL"
             split("sync.read_acq_ns sync.write_acq_ns btree.get_ns", metrics, " ")
             for (i = 1; i in metrics; i++) {
                 m = metrics[i]
