@@ -54,7 +54,7 @@ pub type Figure = fn(&ExpOptions) -> Table;
 
 /// Every experiment [`run_figure`] accepts, by name, in the order `all`
 /// runs them.
-pub const FIGURES: [(&str, Figure); 20] = [
+pub const FIGURES: [(&str, Figure); 21] = [
     ("fig3", |o| response_time_figure(RESPONSE_TIME[0], o)),
     ("fig4", |o| response_time_figure(RESPONSE_TIME[1], o)),
     ("fig5", |o| response_time_figure(RESPONSE_TIME[2], o)),
@@ -75,6 +75,7 @@ pub const FIGURES: [(&str, Figure); 20] = [
     ("ablation-rot-se2", ablation_rot_se2),
     ("ablation-merge-policy", ablation_merge_policy),
     ("ablation-hyperexp", ablation_hyperexp),
+    ("sim-matrix", sim_matrix),
 ];
 
 // ----------------------------------------------------------------------
@@ -758,6 +759,73 @@ pub fn ablation_merge_policy(_opts: &ExpOptions) -> Table {
             fmt_f(ah, 5),
             fmt_f(ah / ae.max(1e-12), 2),
         ]);
+    }
+    t
+}
+
+/// Every simulated protocol pinned to the bit: each member of
+/// `Protocol::ALL_WITH_RECOVERY`, with its algorithm and retention mode
+/// from [`pillars::of`], on the paper's N = 13 tree at a rate all seven
+/// sustain, and on a cap-3 tree grown from 8 keys whose root splits
+/// under queued descents. Cells print with `{:?}`, so a simulator change
+/// that moves any bit of these statistics moves this table.
+pub fn sim_matrix(opts: &ExpOptions) -> Table {
+    use cbtree_analysis::RecoveryConfig;
+    let mut t = Table::new(
+        "Simulator matrix: every protocol on the paper tree and on a growing cap-3 tree",
+        &[
+            "protocol",
+            "tree",
+            "lambda",
+            "search_rt",
+            "insert_rt",
+            "delete_rt",
+            "rho_root",
+            "crossings_per_op",
+            "redo_rate",
+            "final_height",
+            "completed",
+        ],
+    );
+    for p in Protocol::ALL_WITH_RECOVERY {
+        let (_, mode, algorithm) = pillars::of(p);
+        let growing = SimConfig {
+            node_capacity: 3,
+            initial_items: 8,
+            measured_ops: 3_000,
+            warmup_ops: 100,
+            ..SimConfig::paper(algorithm, 0.05, 1)
+        };
+        for (tree, mut c) in [
+            ("paper-n13", sim_config(p, 0.02, 5.0, opts)),
+            ("cap3-from-8", growing),
+        ] {
+            c.recovery = pillars::sim_recovery(RecoveryConfig {
+                mode,
+                t_trans: 100.0,
+            });
+            let cells = match opts.with_sim.then(|| cbtree_sim::run(&c)) {
+                Some(Ok(r)) => vec![
+                    format!("{:?}", r.resp_search.mean),
+                    format!("{:?}", r.resp_insert.mean),
+                    format!("{:?}", r.resp_delete.mean),
+                    format!("{:?}", r.root_writer_utilization),
+                    format!("{:?}", r.crossings_per_op),
+                    format!("{:?}", r.redo_rate),
+                    r.final_height.to_string(),
+                    r.completed.to_string(),
+                ],
+                Some(Err(e)) => vec![e.to_string(); 8],
+                None => vec!["-".into(); 8],
+            };
+            let mut row = vec![
+                p.name().into(),
+                tree.into(),
+                format!("{:?}", c.arrival_rate),
+            ];
+            row.extend(cells);
+            t.push(row);
+        }
     }
     t
 }

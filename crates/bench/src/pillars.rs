@@ -29,7 +29,7 @@ pub fn of(p: Protocol) -> (Algorithm, RecoveryMode, SimAlgorithm) {
     }
 }
 
-fn sim_recovery(r: RecoveryConfig) -> SimRecovery {
+pub(crate) fn sim_recovery(r: RecoveryConfig) -> SimRecovery {
     let t_trans = r.t_trans;
     match r.mode {
         RecoveryMode::None => SimRecovery::None,

@@ -1,40 +1,48 @@
-//! The simulation core: operation state machines for the three concurrent
-//! B-tree algorithms, driven by a future-event list over the per-node FCFS
-//! R/W lock table and the simulated B+-tree.
+//! The simulation core: one descent machine for every concurrent B-tree
+//! algorithm, driven by a future-event list over the per-node FCFS R/W
+//! lock table and the simulated B+-tree.
 //!
 //! Every operation is a little state machine. Lock *requests* either grant
 //! immediately or park the operation in the node's FCFS queue; lock
 //! *releases* surface queued grants, which the driver dispatches back into
-//! the state machines. Node work (searching, modifying, splitting) is an
+//! the machine. Node work (searching, modifying, splitting) is an
 //! exponentially distributed service delay scheduled on the event list;
 //! structural mutations apply at the instant the corresponding service
 //! completes, while the responsible locks are held.
 //!
-//! Protocol-fidelity notes (each mirrors the published algorithms):
+//! Every algorithm runs the same traversal. What differs is three
+//! predicates on the algorithm and the operation, and the lock mode a
+//! step requests (`descent_mode`); each mirrors the published algorithms:
 //!
-//! * **Naive Lock-coupling** (Bayer–Schkolnick): R/W crabbing; an update
-//!   releases *all* retained ancestors as soon as a newly granted child is
-//!   safe for the operation. Restructuring walks the retained chain upward
-//!   after the leaf modification.
-//! * **Optimistic Descent**: first pass descends like a search and
-//!   W-locks only the leaf; if the leaf is unsafe it pays an inspection,
-//!   releases, and redescends exactly like a Naive Lock-coupling update
-//!   (the *redo*; counted in the statistics).
-//! * **Link-type** (Lehman–Yao): at most one lock held at a time; descents
-//!   release a node *before* requesting the next; any node reached whose
-//!   key range no longer covers the target chases right links (each hop
-//!   pays a search service and increments the crossing counter); splits
-//!   are half-splits followed by a separate W-locked parent update using
-//!   the remembered descent stack.
+//! * **Exclusive crab** (`exclusive_crab`): updates of Naive
+//!   Lock-coupling (Bayer–Schkolnick), strict 2PL and OLC, and Optimistic
+//!   Descent's redo. W-lock crabbing; the whole retained chain is
+//!   released as soon as a newly granted child is safe for the operation
+//!   (2PL releases nothing before completion). Restructuring walks the
+//!   retained chain upward after the leaf modification. Everything else
+//!   that couples — searches, and Optimistic Descent's first pass, which
+//!   W-locks only the leaf — drops its one retained parent at each grant.
+//!   An Optimistic first pass that finds its leaf unsafe pays an
+//!   inspection, releases, and redescends as an exclusive crab (the
+//!   *redo*; counted in the statistics).
+//! * **Link steps** (`link_steps`, Lehman–Yao): at most one lock held at
+//!   a time; descents release a node *before* requesting the next; any
+//!   node reached whose key range no longer covers the target chases
+//!   right links (each hop pays a search service and increments the
+//!   crossing counter); splits are half-splits followed by a separate
+//!   W-locked parent update using the remembered descent stack.
+//! * **Latch-free reads** (`latch_free`, OLC searches): each node visit is
+//!   a search service with no lock request, validated when it completes;
+//!   stale routing chases right as link steps do.
 
 use crate::costs::SimCosts;
 use crate::events::EventQueue;
 use crate::locks::{Grant, LockTable, Mode, NodeId, OpId};
+use crate::runner::SimConfig;
 use crate::stats::{BatchMeans, TimeWeighted, Welford};
 use crate::tree::SimTree;
 use crate::{Result, SimError};
-use cbtree_workload::Exponential;
-use cbtree_workload::Rng;
+use cbtree_workload::{Exponential, Operation, Rng};
 
 /// Which algorithm the simulator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,8 +62,8 @@ pub enum SimAlgorithm {
     /// completion the version window is validated against
     /// `writer_present` (a writer holding or queued means the window
     /// failed: the visit restarts, counted in `redos`). Stale routing is
-    /// repaired by chasing right links. Updates run exactly the Naive
-    /// Lock-coupling machine.
+    /// repaired by chasing right links. Updates crab exclusively, exactly
+    /// as Naive Lock-coupling's do.
     Olc,
 }
 
@@ -80,17 +88,6 @@ pub enum SimRecovery {
     },
 }
 
-/// Operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Key lookup.
-    Search,
-    /// Key insertion.
-    Insert,
-    /// Key deletion.
-    Delete,
-}
-
 /// What an operation is currently doing (the service that is running or
 /// about to run at `cur`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +107,7 @@ enum Phase {
 
 #[derive(Debug, Clone)]
 struct OpState {
-    kind: OpKind,
-    key: u64,
+    operation: Operation,
     arrived: f64,
     phase: Phase,
     /// Node of current interest (being waited for, serviced, or split).
@@ -130,6 +126,14 @@ struct OpState {
     finished: Option<u64>,
 }
 
+impl OpState {
+    /// The key a node's range is tested against: the separator being
+    /// posted while ascending, the operation's own key otherwise.
+    fn chase_key(&self) -> u64 {
+        self.pending.map_or(self.operation.key(), |(sep, _)| sep)
+    }
+}
+
 /// Events on the future-event list.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -146,16 +150,13 @@ enum Event {
 
 /// Aggregate statistics of one simulation run (measured window only).
 #[derive(Debug, Clone, Default)]
-pub struct RunStats {
+pub(crate) struct RunStats {
     /// Response times by kind.
     pub resp_search: Welford,
     /// Response times of inserts.
     pub resp_insert: Welford,
     /// Response times of deletes.
     pub resp_delete: Welford,
-    /// Batch-means accumulators (autocorrelation-robust CIs within one
-    /// run) for search/insert/delete response times.
-    pub batches: Option<(BatchMeans, BatchMeans, BatchMeans)>,
     /// Lock waits for shared locks, indexed by level−1.
     pub wait_r: Vec<Welford>,
     /// Lock waits for exclusive locks, indexed by level−1.
@@ -174,7 +175,7 @@ pub struct RunStats {
     pub concurrency: TimeWeighted,
     /// Total link crossings.
     pub crossings: u64,
-    /// Optimistic redo descents.
+    /// Redo descents (Optimistic) or failed read windows (OLC).
     pub redos: u64,
     /// Updates completed (for redo-rate normalization).
     pub updates_completed: u64,
@@ -207,15 +208,13 @@ impl RunStats {
 }
 
 /// The simulator: tree + locks + events + operation table.
-pub struct Simulator {
+pub(crate) struct Simulator {
     /// The simulated B+-tree.
     pub tree: SimTree,
-    /// The per-node lock table.
-    pub locks: LockTable,
-    /// Service-cost model.
-    pub costs: SimCosts,
-    /// Which algorithm's protocol to run.
-    pub algorithm: SimAlgorithm,
+    locks: LockTable,
+    costs: SimCosts,
+    algorithm: SimAlgorithm,
+    recovery: SimRecovery,
     events: EventQueue<Event>,
     ops: Vec<OpState>,
     now: f64,
@@ -223,7 +222,6 @@ pub struct Simulator {
     in_flight: usize,
     completions: u64,
     warmup: u64,
-    recovery: SimRecovery,
     /// Exclusive requests currently live (from request to release),
     /// used to tell exclusive releases apart from shared ones.
     w_live: std::collections::BTreeSet<(OpId, NodeId)>,
@@ -236,67 +234,44 @@ pub struct Simulator {
     /// 0. A `BTreeMap` keeps the end-of-run finalization order
     /// deterministic (float sums depend on addition order).
     w_present: std::collections::BTreeMap<NodeId, (u32, f64)>,
+    /// Batch-means accumulators (autocorrelation-robust CIs within one
+    /// run) for search, insert and delete response times; restarted with
+    /// the measured window.
+    pub batches: [BatchMeans; 3],
     /// Statistics (reset at the end of warmup).
     pub stats: RunStats,
 }
 
 impl Simulator {
-    /// Creates a simulator over a prebuilt tree.
-    pub fn new(
-        tree: SimTree,
-        costs: SimCosts,
-        algorithm: SimAlgorithm,
-        warmup: u64,
-        seed: u64,
-    ) -> Self {
+    /// A simulator of `cfg`'s algorithm, costs, warmup, recovery and seed
+    /// over `tree`.
+    pub fn new(cfg: &SimConfig, tree: SimTree) -> Self {
+        // ~20 batches over the measured window.
+        let batch_size = (cfg.measured_ops / 20).max(10);
         Simulator {
             tree,
             locks: LockTable::new(),
-            costs,
-            algorithm,
+            costs: cfg.costs.clone(),
+            algorithm: cfg.algorithm,
+            recovery: cfg.recovery,
             events: EventQueue::new(),
             ops: Vec::new(),
             now: 0.0,
-            rng: Rng::new(seed ^ 0xD1FF_EE75_0000_0001),
+            rng: Rng::new(cfg.seed ^ 0xD1FF_EE75_0000_0001),
             in_flight: 0,
             completions: 0,
-            warmup,
-            recovery: SimRecovery::None,
+            warmup: cfg.warmup_ops,
             w_live: std::collections::BTreeSet::new(),
             fault: None,
             w_present: std::collections::BTreeMap::new(),
+            batches: std::array::from_fn(|_| BatchMeans::new(batch_size)),
             stats: RunStats::default(),
         }
-    }
-
-    /// Enables §7 transactional lock retention.
-    pub fn set_recovery(&mut self, recovery: SimRecovery) {
-        self.recovery = recovery;
-    }
-
-    /// Enables batch-means response-time accumulation with the given
-    /// batch size (also survives the warmup reset).
-    pub fn set_batch_size(&mut self, batch_size: u64) {
-        self.stats.batches = Some((
-            BatchMeans::new(batch_size),
-            BatchMeans::new(batch_size),
-            BatchMeans::new(batch_size),
-        ));
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
         self.now
-    }
-
-    /// Completions so far (including warmup).
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Operations currently in the system.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Schedules the arrival-event at `time` (the runner drives arrivals).
@@ -306,7 +281,7 @@ impl Simulator {
 
     /// Runs until `target_completions` operations have finished or the
     /// event list drains. `spawn` is called at each arrival event to
-    /// produce the next operation (kind, key) and the next arrival time.
+    /// produce the next operation and the next arrival time.
     /// Fails with [`SimError::Exploded`] when more than `max_concurrent`
     /// operations are in flight, and with [`SimError::Corrupted`] as soon
     /// as an operation modifies a leaf that does not cover its key.
@@ -314,7 +289,7 @@ impl Simulator {
         &mut self,
         target_completions: u64,
         max_concurrent: usize,
-        mut spawn: impl FnMut() -> (OpKind, u64, f64),
+        mut spawn: impl FnMut() -> (Operation, f64),
     ) -> Result<()> {
         while self.completions < target_completions {
             let Some((t, ev)) = self.events.pop() else {
@@ -334,9 +309,9 @@ impl Simulator {
 
             match ev {
                 Event::Arrival => {
-                    let (kind, key, next_at) = spawn();
+                    let (operation, next_at) = spawn();
                     self.events.schedule(next_at, Event::Arrival);
-                    self.admit(kind, key);
+                    self.admit(operation);
                     if self.in_flight > max_concurrent {
                         return Err(SimError::Exploded {
                             max_concurrent,
@@ -366,20 +341,18 @@ impl Simulator {
     /// Records a fault unless `leaf` covers `op`'s key (checked before
     /// every leaf modification).
     fn check_covers(&mut self, op: OpId, leaf: NodeId) {
-        let key = self.ops[op].key;
-        if !self.tree.node(leaf).covers(key) && self.fault.is_none() {
+        let operation = self.ops[op].operation;
+        if !self.tree.node(leaf).covers(operation.key()) && self.fault.is_none() {
             self.fault = Some(format!(
-                "{:?} of key {key} reached leaf {leaf}, which does not cover it",
-                self.ops[op].kind
+                "{operation:?} reached leaf {leaf}, which does not cover its key"
             ));
         }
     }
 
-    fn admit(&mut self, kind: OpKind, key: u64) {
+    fn admit(&mut self, operation: Operation) {
         let id = self.ops.len();
         self.ops.push(OpState {
-            kind,
-            key,
+            operation,
             arrived: self.now,
             phase: Phase::Search,
             cur: self.tree.root(),
@@ -397,50 +370,8 @@ impl Simulator {
 
     /// (Re)starts an operation's descent from the current root.
     fn start_descent(&mut self, op: OpId) {
-        let root = self.tree.root();
-        self.ops[op].cur = root;
         self.ops[op].path.clear();
-        if self.algorithm == SimAlgorithm::Olc && self.ops[op].kind == OpKind::Search {
-            // Latch-free read: no lock request at any level.
-            self.olc_visit(op, root);
-            return;
-        }
-        let mode = self.descent_mode(op, root);
-        self.acquire(op, root, mode);
-    }
-
-    /// Lock mode an operation uses on `node` during its descent.
-    fn descent_mode(&self, op: OpId, node: NodeId) -> Mode {
-        let o = &self.ops[op];
-        let is_update = o.kind != OpKind::Search;
-        match self.algorithm {
-            SimAlgorithm::NaiveLockCoupling | SimAlgorithm::TwoPhaseLocking => {
-                if is_update {
-                    Mode::Exclusive
-                } else {
-                    Mode::Shared
-                }
-            }
-            SimAlgorithm::OptimisticDescent => {
-                let exclusive = is_update && (o.redo || self.tree.node(node).is_leaf());
-                if exclusive {
-                    Mode::Exclusive
-                } else {
-                    Mode::Shared
-                }
-            }
-            SimAlgorithm::LinkType => {
-                if is_update && self.tree.node(node).is_leaf() {
-                    Mode::Exclusive
-                } else {
-                    Mode::Shared
-                }
-            }
-            SimAlgorithm::Olc => {
-                debug_assert!(is_update, "OLC searches never request locks");
-                Mode::Exclusive
-            }
-        }
+        self.step_to(op, self.tree.root());
     }
 
     /// Requests a lock; dispatches the grant immediately when uncontended.
@@ -483,7 +414,7 @@ impl Simulator {
         self.dispatch_grants(grants);
     }
 
-    /// Releases every lock `op` holds (used at completion and restarts).
+    /// Releases every lock `op` holds, root first.
     fn release_all(&mut self, op: OpId) {
         let held = std::mem::take(&mut self.ops[op].held);
         for node in held {
@@ -527,7 +458,7 @@ impl Simulator {
     /// the enclosing transaction commits (an exponential time later);
     /// the operation's own response time ends now regardless.
     fn complete(&mut self, op: OpId) {
-        let is_update = self.ops[op].kind != OpKind::Search;
+        let is_update = self.ops[op].operation.is_update();
         let (retain_leaf, retain_upper, t_trans) = match self.recovery {
             SimRecovery::None => (false, false, 0.0),
             SimRecovery::Naive { t_trans } => (is_update, is_update, t_trans),
@@ -565,20 +496,15 @@ impl Simulator {
         if self.completions == self.warmup {
             // Warmup boundary: restart the measured window (fresh batch
             // accumulators with the same batch size).
-            let batches = self.stats.batches.as_ref().map(|(s, _, _)| {
-                let size = s.batch_size();
-                (
-                    BatchMeans::new(size),
-                    BatchMeans::new(size),
-                    BatchMeans::new(size),
-                )
-            });
+            self.batches = self
+                .batches
+                .each_ref()
+                .map(|b| BatchMeans::new(b.batch_size()));
             self.stats = RunStats {
                 max_in_flight: self.stats.max_in_flight,
                 root_writer: TimeWeighted::starting_at(self.now),
                 concurrency: TimeWeighted::starting_at(self.now),
                 measured_start: self.now,
-                batches,
                 ..Default::default()
             };
             return;
@@ -588,34 +514,105 @@ impl Simulator {
         }
         self.stats.completed += 1;
         self.stats.crossings += o.crossings as u64;
-        match o.kind {
-            OpKind::Search => {
-                self.stats.resp_search.add(rt);
-                if let Some((s, _, _)) = &mut self.stats.batches {
-                    s.add(rt);
-                }
-            }
-            OpKind::Insert => {
-                self.stats.resp_insert.add(rt);
-                if let Some((_, i, _)) = &mut self.stats.batches {
-                    i.add(rt);
-                }
-                self.stats.updates_completed += 1;
-            }
-            OpKind::Delete => {
-                self.stats.resp_delete.add(rt);
-                if let Some((_, _, d)) = &mut self.stats.batches {
-                    d.add(rt);
-                }
-                self.stats.updates_completed += 1;
-            }
+        let (resp, batch) = match o.operation {
+            Operation::Search(_) => (&mut self.stats.resp_search, &mut self.batches[0]),
+            Operation::Insert(_) => (&mut self.stats.resp_insert, &mut self.batches[1]),
+            Operation::Delete(_) => (&mut self.stats.resp_delete, &mut self.batches[2]),
+        };
+        resp.add(rt);
+        batch.add(rt);
+        if is_update {
+            self.stats.updates_completed += 1;
         }
     }
 
     // ------------------------------------------------------------------
-    // Grant dispatch
+    // The descent machine
     // ------------------------------------------------------------------
 
+    /// Whether `op` crabs with W locks and restructures along its
+    /// retained chain: every update of Naive Lock-coupling, 2PL and OLC,
+    /// and Optimistic Descent's redo pass.
+    fn exclusive_crab(&self, op: OpId) -> bool {
+        let o = &self.ops[op];
+        o.operation.is_update()
+            && match self.algorithm {
+                SimAlgorithm::NaiveLockCoupling
+                | SimAlgorithm::TwoPhaseLocking
+                | SimAlgorithm::Olc => true,
+                SimAlgorithm::OptimisticDescent => o.redo,
+                SimAlgorithm::LinkType => false,
+            }
+    }
+
+    /// Whether descents release each node before requesting the next and
+    /// chase right links where a node no longer covers the key
+    /// (Lehman–Yao).
+    fn link_steps(&self) -> bool {
+        self.algorithm == SimAlgorithm::LinkType
+    }
+
+    /// Whether `op` visits nodes with no lock request (OLC searches).
+    fn latch_free(&self, op: OpId) -> bool {
+        self.algorithm == SimAlgorithm::Olc && !self.ops[op].operation.is_update()
+    }
+
+    /// Whether the protocol retains every lock until the operation
+    /// completes (strict 2PL).
+    fn retains_everything(&self) -> bool {
+        self.algorithm == SimAlgorithm::TwoPhaseLocking
+    }
+
+    /// Whether `node` is safe for `op` (lock-coupling release rule).
+    fn safe_for(&self, op: OpId, node: NodeId) -> bool {
+        match self.ops[op].operation {
+            Operation::Search(_) => true,
+            Operation::Insert(_) => !self.tree.insert_unsafe(node),
+            Operation::Delete(_) => !self.tree.delete_unsafe(node),
+        }
+    }
+
+    /// Lock mode `op` requests on `node`: an update writes on every node
+    /// of an exclusive crab, on a leaf, and on an ascent parent; every
+    /// other request reads.
+    fn descent_mode(&self, op: OpId, node: NodeId) -> Mode {
+        let o = &self.ops[op];
+        let writes = o.operation.is_update()
+            && (self.exclusive_crab(op) || self.tree.node(node).is_leaf() || o.pending.is_some());
+        if writes {
+            Mode::Exclusive
+        } else {
+            Mode::Shared
+        }
+    }
+
+    /// Moves `op`'s descent on to `node`: a latch-free visit, or a lock
+    /// request — in link order after releasing the node it leaves, in
+    /// coupling order while still holding it.
+    fn step_to(&mut self, op: OpId, node: NodeId) {
+        if self.latch_free(op) {
+            self.visit(op, node);
+            return;
+        }
+        if self.link_steps() {
+            self.release_all(op);
+        }
+        let mode = self.descent_mode(op, node);
+        self.acquire(op, node, mode);
+    }
+
+    /// One latch-free OLC node visit: pay the node's search service with
+    /// no lock request — the version snapshot opens here and is
+    /// validated when the service completes.
+    fn visit(&mut self, op: OpId, node: NodeId) {
+        self.ops[op].cur = node;
+        self.ops[op].phase = Phase::Search;
+        let se = self.costs.se(self.tree.level(node), self.tree.height());
+        self.schedule_service(op, se);
+    }
+
+    /// `op` was granted `node`: apply the release rule, then start the
+    /// service the node needs.
     fn granted(&mut self, op: OpId, node: NodeId) {
         // A coupled descent's first grant is on the node that was the
         // root when it queued. If the root split meanwhile, that node
@@ -626,440 +623,169 @@ impl Simulator {
         // instant rather than a call, so a queue of such descents
         // restarts one by one in arrival order instead of recursing
         // through each other's releases.
-        if self.algorithm != SimAlgorithm::LinkType
-            && self.ops[op].held.is_empty()
-            && node != self.tree.root()
-        {
+        if !self.link_steps() && self.ops[op].held.is_empty() && node != self.tree.root() {
             self.ops[op].cur = node;
             self.events.schedule(self.now, Event::Restart(op));
             return;
         }
-        match self.algorithm {
-            SimAlgorithm::NaiveLockCoupling | SimAlgorithm::TwoPhaseLocking => {
-                self.naive_granted(op, node)
-            }
-            SimAlgorithm::OptimisticDescent => self.optimistic_granted(op, node),
-            SimAlgorithm::LinkType => self.link_granted(op, node),
-            // Only OLC updates ever request locks, and they run the
-            // naive lock-coupling machine verbatim.
-            SimAlgorithm::Olc => self.naive_granted(op, node),
+        // Release rule: an exclusive crab drops its whole retained chain
+        // iff the child is safe; any other coupled descent (a search, or
+        // an Optimistic first pass) drops its one retained parent; strict
+        // 2PL drops nothing until completion. A link step released its
+        // node before requesting this one.
+        if !self.ops[op].held.is_empty()
+            && !self.retains_everything()
+            && (!self.exclusive_crab(op) || self.safe_for(op, node))
+        {
+            self.release_all(op);
         }
+        self.ops[op].held.push(node);
+        self.ops[op].cur = node;
+        let o = &self.ops[op];
+        let n = self.tree.node(node);
+        let height = self.tree.height();
+        let (phase, mean) = if self.link_steps() && !n.covers(o.chase_key()) {
+            // Reached a node whose range moved left of the key: pay a
+            // search to discover that, then chase the right link.
+            (Phase::Search, self.costs.se(n.level, height))
+        } else if o.pending.is_some() {
+            // Ascent: this node will receive the separator.
+            (Phase::AscendModify, self.costs.modify(n.level, height))
+        } else if n.is_leaf() && o.operation.is_update() {
+            if self.exclusive_crab(op) || self.link_steps() || self.safe_for(op, node) {
+                (Phase::ModifyLeaf, self.costs.m(height))
+            } else {
+                // Optimistic first pass on an unsafe leaf: inspect, then
+                // redo as an exclusive crab.
+                (Phase::Inspect, self.costs.se(1, height))
+            }
+        } else {
+            (Phase::Search, self.costs.se(n.level, height))
+        };
+        self.ops[op].phase = phase;
+        self.schedule_service(op, mean);
     }
 
+    /// The service `op` was running at `cur` completed.
     fn service_done(&mut self, op: OpId) {
-        match self.algorithm {
-            SimAlgorithm::NaiveLockCoupling | SimAlgorithm::TwoPhaseLocking => self.naive_done(op),
-            SimAlgorithm::OptimisticDescent => self.optimistic_done(op),
-            SimAlgorithm::LinkType => self.link_done(op),
-            SimAlgorithm::Olc => {
-                if self.ops[op].kind == OpKind::Search {
-                    self.olc_search_done(op)
-                } else {
-                    self.naive_done(op)
-                }
-            }
-        }
-    }
-
-    /// Whether the protocol retains every lock until the operation
-    /// completes (strict 2PL).
-    fn retains_everything(&self) -> bool {
-        self.algorithm == SimAlgorithm::TwoPhaseLocking
-    }
-
-    // ------------------------------------------------------------------
-    // Naive Lock-coupling (also the Optimistic redo pass)
-    // ------------------------------------------------------------------
-
-    /// Whether `node` is safe for `op` (lock-coupling release rule).
-    fn safe_for(&self, op: OpId, node: NodeId) -> bool {
-        match self.ops[op].kind {
-            OpKind::Search => true,
-            OpKind::Insert => !self.tree.insert_unsafe(node),
-            OpKind::Delete => !self.tree.delete_unsafe(node),
-        }
-    }
-
-    fn naive_granted(&mut self, op: OpId, node: NodeId) {
-        let is_update = self.ops[op].kind != OpKind::Search;
-        // Coupling release rule: searches drop the single retained parent;
-        // updates drop the whole retained chain iff the child is safe.
-        // Strict 2PL releases nothing until completion.
-        if !self.ops[op].held.is_empty() && !self.retains_everything() {
-            if !is_update {
-                debug_assert_eq!(self.ops[op].held.len(), 1);
-                let parent = self.ops[op].held[0];
-                self.ops[op].held.clear();
-                self.release(op, parent);
-            } else if self.safe_for(op, node) {
-                self.release_all(op);
-            }
-        }
-        self.ops[op].held.push(node);
-        self.ops[op].cur = node;
-        debug_assert!(self.tree.node(node).is_leaf() || !self.tree.node(node).kids.is_empty());
-        if self.tree.node(node).is_leaf() {
-            if is_update {
-                self.ops[op].phase = Phase::ModifyLeaf;
-                let m = self.costs.m(self.tree.height());
-                self.schedule_service(op, m);
-            } else {
-                self.ops[op].phase = Phase::Search;
-                let se = self.costs.se(1, self.tree.height());
-                self.schedule_service(op, se);
-            }
-        } else {
-            self.ops[op].phase = Phase::Search;
-            let se = self.costs.se(self.tree.level(node), self.tree.height());
-            self.schedule_service(op, se);
-        }
-    }
-
-    fn naive_done(&mut self, op: OpId) {
+        let cur = self.ops[op].cur;
         match self.ops[op].phase {
             Phase::Search => {
-                let cur = self.ops[op].cur;
-                if self.tree.node(cur).is_leaf() {
-                    // A completed leaf search.
-                    self.complete(op);
+                if self.latch_free(op) && self.locks.writer_present(cur) {
+                    // The OLC read window closed with a writer holding or
+                    // queued on the node — the discrete-event surrogate
+                    // for "the version moved or is moving": the visit
+                    // restarts, counted as a redo.
+                    self.stats.redos += 1;
+                    self.visit(op, cur);
                     return;
                 }
-                let child = self.tree.child_for(cur, self.ops[op].key);
-                let mode = self.descent_mode(op, child);
-                // Lock-coupling: request the child while holding `cur`.
-                self.acquire(op, child, mode);
-            }
-            Phase::ModifyLeaf => {
-                let leaf = self.ops[op].cur;
-                self.check_covers(op, leaf);
-                match self.ops[op].kind {
-                    OpKind::Insert => {
-                        self.tree.leaf_insert(leaf, self.ops[op].key);
-                        if self.tree.overfull(leaf) {
-                            self.ops[op].phase = Phase::Split;
-                            let sp = self.costs.sp(1, self.tree.height());
-                            self.schedule_service(op, sp);
-                            return;
-                        }
-                    }
-                    OpKind::Delete => {
-                        // Merge-at-empty with lazy reclamation: the key is
-                        // removed; an emptied node persists.
-                        self.tree.leaf_remove(leaf, self.ops[op].key);
-                    }
-                    OpKind::Search => unreachable!("searches never modify"),
-                }
-                self.complete(op);
-            }
-            Phase::Split => {
-                let node = self.ops[op].cur;
-                let (sib, sep) = self.tree.half_split(node);
-                // The retained chain holds the parent just above `node`.
-                let idx = self.ops[op]
-                    .held
-                    .iter()
-                    .position(|&n| n == node)
-                    .expect("splitting a held node");
-                if idx == 0 {
-                    // `node` headed the retained chain: it was the root
-                    // (or the chain's top, which safe-release guarantees
-                    // had room — only the true root can overflow here).
-                    let grew = self.tree.split_root_if_needed(node, sep, sib);
-                    debug_assert!(grew.is_some(), "chain top overflowed but was not root");
+                let n = self.tree.node(cur);
+                let chases = self.link_steps() || self.latch_free(op);
+                if chases && !n.covers(self.ops[op].chase_key()) {
+                    // Chase right (the hop's search was just paid).
+                    let next = n.right.expect("finite high key implies a right link");
+                    self.ops[op].crossings += 1;
+                    self.step_to(op, next);
+                } else if n.is_leaf() {
+                    // A completed search. (Update leaves go via
+                    // ModifyLeaf or Inspect.)
                     self.complete(op);
-                    return;
-                }
-                let parent = self.ops[op].held[idx - 1];
-                self.tree.insert_separator(parent, sep, sib);
-                if self.tree.overfull(parent) {
-                    self.ops[op].cur = parent;
-                    let sp = self.costs.sp(self.tree.level(parent), self.tree.height());
-                    self.schedule_service(op, sp);
                 } else {
-                    self.complete(op);
-                }
-            }
-            phase => unreachable!("naive lock-coupling has no phase {phase:?}"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Optimistic Descent
-    // ------------------------------------------------------------------
-
-    fn optimistic_granted(&mut self, op: OpId, node: NodeId) {
-        if self.ops[op].redo {
-            // The redo pass IS a naive lock-coupling update.
-            self.naive_granted(op, node);
-            return;
-        }
-        let is_update = self.ops[op].kind != OpKind::Search;
-        // First pass couples like a search: release the one retained
-        // parent after the child grant.
-        if !self.ops[op].held.is_empty() {
-            debug_assert_eq!(self.ops[op].held.len(), 1);
-            let parent = self.ops[op].held[0];
-            self.ops[op].held.clear();
-            self.release(op, parent);
-        }
-        self.ops[op].held.push(node);
-        self.ops[op].cur = node;
-        if self.tree.node(node).is_leaf() && is_update {
-            self.check_covers(op, node);
-            if self.safe_for(op, node) {
-                self.ops[op].phase = Phase::ModifyLeaf;
-                let m = self.costs.m(self.tree.height());
-                self.schedule_service(op, m);
-            } else {
-                // Unsafe: inspect, then restart with W locks.
-                self.ops[op].phase = Phase::Inspect;
-                let se = self.costs.se(1, self.tree.height());
-                self.schedule_service(op, se);
-            }
-        } else {
-            self.ops[op].phase = Phase::Search;
-            let se = self.costs.se(self.tree.level(node), self.tree.height());
-            self.schedule_service(op, se);
-        }
-    }
-
-    fn optimistic_done(&mut self, op: OpId) {
-        if self.ops[op].redo {
-            self.naive_done(op);
-            return;
-        }
-        match self.ops[op].phase {
-            Phase::Search => {
-                let cur = self.ops[op].cur;
-                if self.tree.node(cur).is_leaf() {
-                    // First-pass search (or an update that found a leaf
-                    // root) completes here; updates on leaves never take
-                    // this path (they go via ModifyLeaf/Inspect).
-                    self.complete(op);
-                    return;
-                }
-                let child = self.tree.child_for(cur, self.ops[op].key);
-                let mode = self.descent_mode(op, child);
-                self.acquire(op, child, mode);
-            }
-            Phase::ModifyLeaf => {
-                let leaf = self.ops[op].cur;
-                match self.ops[op].kind {
-                    OpKind::Insert => {
-                        self.tree.leaf_insert(leaf, self.ops[op].key);
-                        debug_assert!(
-                            !self.tree.overfull(leaf),
-                            "first pass modifies only safe leaves"
-                        );
+                    let child = self.tree.child_for(cur, self.ops[op].operation.key());
+                    if self.link_steps() {
+                        self.ops[op].path.push(cur);
                     }
-                    OpKind::Delete => {
-                        self.tree.leaf_remove(leaf, self.ops[op].key);
-                    }
-                    OpKind::Search => unreachable!(),
+                    self.step_to(op, child);
                 }
-                self.complete(op);
             }
             Phase::Inspect => {
-                // Leaf was unsafe: release everything and redo with W
-                // locks (counted even during warmup-free stats via redos).
+                // The leaf was unsafe: release everything and redo with W
+                // locks.
                 self.stats.redos += 1;
                 self.release_all(op);
                 self.ops[op].redo = true;
                 self.start_descent(op);
             }
-            phase => unreachable!("optimistic first pass has no phase {phase:?}"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Link-type (Lehman–Yao)
-    // ------------------------------------------------------------------
-
-    fn link_granted(&mut self, op: OpId, node: NodeId) {
-        // At most one lock at a time: previous node was already released
-        // before this request was issued.
-        debug_assert!(self.ops[op].held.is_empty());
-        self.ops[op].held.push(node);
-        self.ops[op].cur = node;
-        let o = &self.ops[op];
-        let n = self.tree.node(node);
-        let chase_key = match o.pending {
-            Some((sep, _)) => sep, // ascending: route by the separator
-            None => o.key,
-        };
-        if !n.covers(chase_key) {
-            // Reached a node whose range moved left of our key: pay a
-            // search to discover that, then chase the right link.
-            self.ops[op].phase = Phase::Search;
-            let se = self.costs.se(n.level, self.tree.height());
-            self.schedule_service(op, se);
-            return;
-        }
-        if o.pending.is_some() {
-            // Ascent: this node will receive the separator.
-            self.ops[op].phase = Phase::AscendModify;
-            let m = self.costs.modify(n.level, self.tree.height());
-            self.schedule_service(op, m);
-        } else if n.is_leaf() && o.kind != OpKind::Search {
-            self.ops[op].phase = Phase::ModifyLeaf;
-            let m = self.costs.m(self.tree.height());
-            self.schedule_service(op, m);
-        } else {
-            self.ops[op].phase = Phase::Search;
-            let se = self.costs.se(n.level, self.tree.height());
-            self.schedule_service(op, se);
-        }
-    }
-
-    fn link_done(&mut self, op: OpId) {
-        match self.ops[op].phase {
-            Phase::Search => {
-                let cur = self.ops[op].cur;
-                let o = &self.ops[op];
-                let chase_key = o.pending.map_or(o.key, |(sep, _)| sep);
-                let n = self.tree.node(cur);
-                if !n.covers(chase_key) {
-                    // Chase right (the hop's search was just paid).
-                    let next = n.right.expect("finite high key implies a right link");
-                    let mode = if self.ops[op].pending.is_some()
-                        || (n.is_leaf() && self.ops[op].kind != OpKind::Search)
-                    {
-                        Mode::Exclusive
-                    } else {
-                        Mode::Shared
-                    };
-                    self.ops[op].crossings += 1;
-                    self.ops[op].held.clear();
-                    self.release(op, cur);
-                    self.acquire(op, next, mode);
-                    return;
-                }
-                if n.is_leaf() {
-                    // Searches complete at the leaf. (Update leaves are
-                    // handled in ModifyLeaf; a leaf root for an update is
-                    // W-locked at descent start so never lands here.)
-                    debug_assert_eq!(self.ops[op].kind, OpKind::Search);
-                    self.complete(op);
-                    return;
-                }
-                let child = self.tree.child_for(cur, self.ops[op].key);
-                let next_is_leaf = self.tree.node(child).is_leaf();
-                let mode = if next_is_leaf && self.ops[op].kind != OpKind::Search {
-                    Mode::Exclusive
-                } else {
-                    Mode::Shared
-                };
-                self.ops[op].path.push(cur);
-                // Lehman–Yao: release before acquiring — no coupling.
-                self.ops[op].held.clear();
-                self.release(op, cur);
-                self.acquire(op, child, mode);
-            }
             Phase::ModifyLeaf => {
-                let leaf = self.ops[op].cur;
-                match self.ops[op].kind {
-                    OpKind::Insert => {
-                        self.tree.leaf_insert(leaf, self.ops[op].key);
-                        if self.tree.overfull(leaf) {
+                self.check_covers(op, cur);
+                match self.ops[op].operation {
+                    Operation::Insert(key) => {
+                        self.tree.leaf_insert(cur, key);
+                        if self.tree.overfull(cur) {
                             self.ops[op].phase = Phase::Split;
                             let sp = self.costs.sp(1, self.tree.height());
                             self.schedule_service(op, sp);
                             return;
                         }
                     }
-                    OpKind::Delete => {
-                        self.tree.leaf_remove(leaf, self.ops[op].key);
+                    Operation::Delete(key) => {
+                        // Merge-at-empty with lazy reclamation: the key is
+                        // removed; an emptied node persists.
+                        self.tree.leaf_remove(cur, key);
                     }
-                    OpKind::Search => unreachable!(),
+                    Operation::Search(_) => unreachable!("searches never modify"),
                 }
                 self.complete(op);
             }
-            Phase::Split => {
-                let node = self.ops[op].cur;
-                let (sib, sep) = self.tree.half_split(node);
+            Phase::Split if self.link_steps() => {
+                let (sib, sep) = self.tree.half_split(cur);
                 // Release the split node, then W-lock the parent to post
                 // the separator.
-                self.ops[op].held.clear();
-                self.release(op, node);
-                match self.ops[op].path.pop() {
-                    Some(parent_hint) => {
-                        self.ops[op].pending = Some((sep, sib));
-                        self.acquire(op, parent_hint, Mode::Exclusive);
+                self.release_all(op);
+                let parent = match self.ops[op].path.pop() {
+                    Some(hint) => hint,
+                    // No ancestor was recorded: `cur` was the root when
+                    // this descent started.
+                    None if self.tree.split_root_if_needed(cur, sep, sib).is_some() => {
+                        return self.complete(op);
                     }
-                    None => {
-                        // No ancestor was recorded: `node` was the root
-                        // when this descent started.
-                        if self.tree.split_root_if_needed(node, sep, sib).is_none() {
-                            // The tree grew in the meantime; find today's
-                            // ancestor at the right level and ascend.
-                            let target = self.find_ascend_target(self.tree.level(node) + 1, sep);
-                            self.ops[op].pending = Some((sep, sib));
-                            self.acquire(op, target, Mode::Exclusive);
-                            return;
-                        }
-                        self.complete(op);
-                    }
+                    // The tree grew in the meantime; find today's
+                    // ancestor at the right level and ascend.
+                    None => self.find_ascend_target(self.tree.level(cur) + 1, sep),
+                };
+                self.ops[op].pending = Some((sep, sib));
+                self.acquire(op, parent, Mode::Exclusive);
+            }
+            Phase::Split => {
+                let (sib, sep) = self.tree.half_split(cur);
+                // The retained chain holds the parent just above `cur`.
+                let idx = self.ops[op]
+                    .held
+                    .iter()
+                    .position(|&n| n == cur)
+                    .expect("splitting a held node");
+                if idx == 0 {
+                    // `cur` headed the retained chain: it was the root
+                    // (or the chain's top, which safe-release guarantees
+                    // had room — only the true root can overflow here).
+                    let grew = self.tree.split_root_if_needed(cur, sep, sib);
+                    debug_assert!(grew.is_some(), "chain top overflowed but was not root");
+                    self.complete(op);
+                } else {
+                    let parent = self.ops[op].held[idx - 1];
+                    self.post_separator(op, parent, sep, sib);
                 }
             }
             Phase::AscendModify => {
-                let parent = self.ops[op].cur;
                 let (sep, sib) = self.ops[op].pending.take().expect("ascending");
-                self.tree.insert_separator(parent, sep, sib);
-                if self.tree.overfull(parent) {
-                    self.ops[op].phase = Phase::Split;
-                    let sp = self.costs.sp(self.tree.level(parent), self.tree.height());
-                    self.schedule_service(op, sp);
-                } else {
-                    self.complete(op);
-                }
+                self.post_separator(op, cur, sep, sib);
             }
-            phase => unreachable!("link-type has no phase {phase:?}"),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Optimistic Lock Coupling (latch-free read path; updates are naive)
-    // ------------------------------------------------------------------
-
-    /// One latch-free OLC node visit: pay the node's search service with
-    /// no lock request — the version snapshot opens here and is
-    /// validated when the service completes.
-    fn olc_visit(&mut self, op: OpId, node: NodeId) {
-        self.ops[op].cur = node;
-        self.ops[op].phase = Phase::Search;
-        let se = self.costs.se(self.tree.level(node), self.tree.height());
-        self.schedule_service(op, se);
-    }
-
-    /// An OLC read window closed. `writer_present` (a writer holding or
-    /// queued on the node) is the discrete-event surrogate for "the
-    /// version moved or is moving": the visit restarts, counted as a
-    /// redo — the OLC analogue of Optimistic Descent's re-descents.
-    /// Validated visits route like a link-type reader: chase right when
-    /// the range moved, complete at the leaf, descend otherwise.
-    fn olc_search_done(&mut self, op: OpId) {
-        debug_assert_eq!(self.ops[op].phase, Phase::Search);
-        let cur = self.ops[op].cur;
-        if self.locks.writer_present(cur) {
-            self.stats.redos += 1;
-            self.olc_visit(op, cur);
-            return;
-        }
-        let key = self.ops[op].key;
-        let n = self.tree.node(cur);
-        let (covers, right, is_leaf) = (n.covers(key), n.right, n.is_leaf());
-        if !covers {
-            self.ops[op].crossings += 1;
-            let next = right.expect("finite high key implies a right link");
-            self.olc_visit(op, next);
-            return;
-        }
-        if is_leaf {
+    /// Inserts a split's separator into `parent`, which `op` holds, and
+    /// splits `parent` in turn if that overfills it.
+    fn post_separator(&mut self, op: OpId, parent: NodeId, sep: u64, sib: NodeId) {
+        self.tree.insert_separator(parent, sep, sib);
+        if self.tree.overfull(parent) {
+            self.ops[op].cur = parent;
+            self.ops[op].phase = Phase::Split;
+            let sp = self.costs.sp(self.tree.level(parent), self.tree.height());
+            self.schedule_service(op, sp);
+        } else {
             self.complete(op);
-            return;
         }
-        let child = self.tree.child_for(cur, key);
-        self.olc_visit(op, child);
     }
 
     /// Finds a current ancestor node at `level` routing `key` — used only
@@ -1086,30 +812,41 @@ mod tests {
         SimTree::build(13, &seq)
     }
 
-    fn drive(alg: SimAlgorithm, rate: f64, n: u64) -> Simulator {
-        let tree = small_tree(7);
-        let costs = SimCosts::paper();
-        let mut sim = Simulator::new(tree, costs, alg, 100, 42);
+    fn config(alg: SimAlgorithm, warmup_ops: u64) -> SimConfig {
+        SimConfig {
+            warmup_ops,
+            ..SimConfig::paper(alg, 1.0, 42)
+        }
+    }
+
+    /// Runs `sim` until `n` operations of the paper mix, arriving at
+    /// `rate`, have completed.
+    fn drive_on(
+        mut sim: Simulator,
+        rate: f64,
+        n: u64,
+        max_concurrent: usize,
+    ) -> (Simulator, Result<()>) {
         let mut arr = PoissonArrivals::new(rate, 1);
         let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 2);
         sim.schedule_arrival(arr.next_arrival());
-        sim.run_until(n, 100_000, move || {
-            let op = stream.next_op();
-            let (kind, key) = match op {
-                cbtree_workload::Operation::Search(k) => (OpKind::Search, k),
-                cbtree_workload::Operation::Insert(k) => (OpKind::Insert, k),
-                cbtree_workload::Operation::Delete(k) => (OpKind::Delete, k),
-            };
-            (kind, key, arr.next_arrival())
-        })
-        .expect("stable at this rate");
+        let res = sim.run_until(n, max_concurrent, move || {
+            (stream.next_op(), arr.next_arrival())
+        });
+        (sim, res)
+    }
+
+    fn drive(alg: SimAlgorithm, rate: f64, n: u64) -> Simulator {
+        let sim = Simulator::new(&config(alg, 100), small_tree(7));
+        let (sim, res) = drive_on(sim, rate, n, 100_000);
+        res.expect("stable at this rate");
         sim
     }
 
     #[test]
     fn naive_completes_and_keeps_tree_valid() {
         let sim = drive(SimAlgorithm::NaiveLockCoupling, 0.05, 1200);
-        assert!(sim.completions() >= 1200);
+        assert!(sim.completions >= 1200);
         sim.tree.check_invariants().unwrap();
         assert!(sim.stats.resp_search.count() > 0);
         assert!(sim.stats.resp_insert.count() > 0);
@@ -1129,18 +866,9 @@ mod tests {
             let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 5);
             let tree = SimTree::build(3, &stream.construction_sequence(8));
             let before = tree.height();
-            let mut sim = Simulator::new(tree, SimCosts::paper(), alg, 0, 42);
-            let mut arr = PoissonArrivals::new(0.3, 1);
-            sim.schedule_arrival(arr.next_arrival());
-            sim.run_until(3_000, 100_000, move || {
-                let (kind, key) = match stream.next_op() {
-                    cbtree_workload::Operation::Search(k) => (OpKind::Search, k),
-                    cbtree_workload::Operation::Insert(k) => (OpKind::Insert, k),
-                    cbtree_workload::Operation::Delete(k) => (OpKind::Delete, k),
-                };
-                (kind, key, arr.next_arrival())
-            })
-            .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
+            let sim = Simulator::new(&config(alg, 0), tree);
+            let (sim, res) = drive_on(sim, 0.3, 3_000, 100_000);
+            res.unwrap_or_else(|e| panic!("{alg:?}: {e}"));
             assert!(sim.tree.height() >= before + 3, "{alg:?}: the root split");
             sim.tree.check_invariants().unwrap();
         }
@@ -1159,7 +887,7 @@ mod tests {
     fn link_completes_under_high_load() {
         let sim = drive(SimAlgorithm::LinkType, 1.0, 3000);
         sim.tree.check_invariants().unwrap();
-        assert!(sim.completions() >= 3000);
+        assert!(sim.completions >= 3000);
     }
 
     #[test]
@@ -1191,7 +919,7 @@ mod tests {
     fn olc_completes_with_latch_free_reads() {
         let sim = drive(SimAlgorithm::Olc, 0.2, 2000);
         sim.tree.check_invariants().unwrap();
-        assert!(sim.completions() >= 2000);
+        assert!(sim.completions >= 2000);
         assert!(sim.stats.resp_search.count() > 0);
         // Readers never request locks: no shared-lock wait is ever
         // recorded at any level.
@@ -1248,26 +976,8 @@ mod tests {
 
     #[test]
     fn explosion_reported_at_absurd_rate() {
-        let tree = small_tree(7);
-        let mut sim = Simulator::new(
-            tree,
-            SimCosts::paper(),
-            SimAlgorithm::NaiveLockCoupling,
-            0,
-            42,
-        );
-        let mut arr = PoissonArrivals::new(50.0, 1);
-        let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 2);
-        sim.schedule_arrival(arr.next_arrival());
-        let res = sim.run_until(100_000, 200, move || {
-            let op = stream.next_op();
-            let (kind, key) = match op {
-                cbtree_workload::Operation::Search(k) => (OpKind::Search, k),
-                cbtree_workload::Operation::Insert(k) => (OpKind::Insert, k),
-                cbtree_workload::Operation::Delete(k) => (OpKind::Delete, k),
-            };
-            (kind, key, arr.next_arrival())
-        });
+        let sim = Simulator::new(&config(SimAlgorithm::NaiveLockCoupling, 0), small_tree(7));
+        let (_, res) = drive_on(sim, 50.0, 100_000, 200);
         assert!(res.is_err(), "rate 50 must explode naive lock-coupling");
     }
 }

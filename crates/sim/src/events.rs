@@ -39,7 +39,7 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// A deterministic future-event list.
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
@@ -75,21 +75,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|s| (s.time, s.payload))
     }
-
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -117,17 +102,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop(), Some((1.0, i)));
         }
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(5.0, ());
-        q.schedule(2.0, ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(2.0));
     }
 
     #[test]

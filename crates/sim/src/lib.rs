@@ -21,27 +21,30 @@
 //! Module map:
 //!
 //! * [`stats`] — Welford accumulators, time-weighted averages, summaries;
-//! * [`events`] — the future-event list (deterministic tie-breaking);
+//! * `events` (private) — the future-event list (deterministic
+//!   tie-breaking);
 //! * [`locks`] — the per-node FCFS shared/exclusive lock table;
 //! * [`tree`] — the simulated B+-tree (merge-at-empty, right links, high
 //!   keys);
 //! * [`costs`] — exponential service-time sampling per node level;
-//! * [`driver`] — the simulation core and per-algorithm state machines;
-//! * [`runner`] — configuration, reports, multi-seed orchestration.
+//! * `driver` (private) — the simulation core: one descent machine whose
+//!   per-algorithm differences are three predicates and a lock mode;
+//! * [`runner`] — configuration, reports, multi-seed orchestration, and
+//!   [`run`], the one entry point.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod costs;
-pub mod driver;
+mod driver;
 pub mod error;
-pub mod events;
+mod events;
 pub mod locks;
 pub mod runner;
 pub mod stats;
 pub mod tree;
 
-pub use driver::{SimAlgorithm, SimRecovery, Simulator};
+pub use driver::{SimAlgorithm, SimRecovery};
 pub use error::SimError;
 pub use runner::{run, run_seeds, SeedSummary, SimConfig, SimReport};
 

@@ -5,13 +5,11 @@
 //! seeds.
 
 use crate::costs::SimCosts;
-use crate::driver::{OpKind, SimAlgorithm, SimRecovery, Simulator};
-use crate::stats::{Summary, Welford};
+use crate::driver::{SimAlgorithm, SimRecovery, Simulator};
+use crate::stats::{BatchMeans, Summary, Welford};
 use crate::tree::SimTree;
 use crate::{Result, SimError};
-use cbtree_workload::{OpStream, Operation, OpsConfig, PoissonArrivals};
-
-pub use crate::driver::SimAlgorithm as Algorithm;
+use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -135,7 +133,8 @@ pub struct SimReport {
     pub throughput: f64,
     /// Link crossings per completed operation (Link-type only; 0 else).
     pub crossings_per_op: f64,
-    /// Redo descents per completed update (Optimistic only; 0 else).
+    /// Redo descents per completed update (Optimistic Descent), or
+    /// failed read windows per completed search (OLC); 0 else.
     pub redo_rate: f64,
     /// Mean exclusive-lock wait per level (leaves first).
     pub wait_w_by_level: Vec<f64>,
@@ -205,16 +204,11 @@ pub fn construction_phase(cfg: &SimConfig) -> Result<(SimTree, OpStream)> {
     Ok((SimTree::build(cfg.node_capacity, &seq), stream))
 }
 
-/// The construction-phase tree only (shape inspection).
-pub fn construction_tree(cfg: &SimConfig) -> Result<SimTree> {
-    Ok(construction_phase(cfg)?.0)
-}
-
 /// Measures the constructed tree's shape for the analytical framework:
 /// exact per-level node counts and fanouts of the tree `run` would
 /// simulate on (same seed, same construction stream).
 pub fn matched_tree_shape(cfg: &SimConfig) -> Result<cbtree_btree_model::TreeShape> {
-    let tree = construction_tree(cfg)?;
+    let (tree, _) = construction_phase(cfg)?;
     let counts: Vec<f64> = tree.level_node_counts().iter().map(|&c| c as f64).collect();
     let node = cbtree_btree_model::NodeParams::with_max_size(cfg.node_capacity).map_err(|_| {
         SimError::InvalidConfig {
@@ -232,33 +226,16 @@ pub fn matched_tree_shape(cfg: &SimConfig) -> Result<cbtree_btree_model::TreeSha
 
 /// Runs one simulation.
 pub fn run(cfg: &SimConfig) -> Result<SimReport> {
-    cfg.validate()?;
     // The concurrent phase continues the construction stream (warm
     // delete pool, identical statistics in both phases — §4).
     let (tree, mut stream) = construction_phase(cfg)?;
-
-    let mut sim = Simulator::new(
-        tree,
-        cfg.costs.clone(),
-        cfg.algorithm,
-        cfg.warmup_ops,
-        cfg.seed,
-    );
-    sim.set_recovery(cfg.recovery);
-    // ~20 batches over the measured window for autocorrelation-robust CIs.
-    sim.set_batch_size((cfg.measured_ops / 20).max(10));
+    let mut sim = Simulator::new(cfg, tree);
     let mut arrivals = PoissonArrivals::new(cfg.arrival_rate, cfg.seed ^ 0xA221_44EE);
 
     sim.schedule_arrival(arrivals.next_arrival());
     let target = cfg.warmup_ops + cfg.measured_ops;
     sim.run_until(target, cfg.max_concurrent, move || {
-        let op = stream.next_op();
-        let (kind, key) = match op {
-            Operation::Search(k) => (OpKind::Search, k),
-            Operation::Insert(k) => (OpKind::Insert, k),
-            Operation::Delete(k) => (OpKind::Delete, k),
-        };
-        (kind, key, arrivals.next_arrival())
+        (stream.next_op(), arrivals.next_arrival())
     })?;
     // End-of-run audit: every live key is where a lookup would find it.
     sim.tree
@@ -284,24 +261,30 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
     let to_means = |ws: &Vec<Welford>| ws.iter().map(Welford::mean).collect::<Vec<f64>>();
     // Single-run CIs use batch means (per-sample CIs understate variance
     // because successive response times share queue backlogs).
-    let with_batch_ci = |w: &Welford, b: Option<&crate::stats::BatchMeans>| {
+    let with_batch_ci = |w: &Welford, b: &BatchMeans| {
         let mut s = Summary::from_welford(w);
-        if let Some(b) = b.filter(|b| b.batch_count() >= 2) {
+        if b.batch_count() >= 2 {
             s.ci95 = b.ci95_half_width();
         }
         s
     };
-    let b = stats.batches.as_ref();
+    let [b_search, b_insert, b_delete] = &sim.batches;
+    // OLC's redos are failed read windows (its updates never redo);
+    // Optimistic Descent's are update re-descents.
+    let redoers = match cfg.algorithm {
+        SimAlgorithm::Olc => stats.completed - stats.updates_completed,
+        _ => stats.updates_completed,
+    };
     Ok(SimReport {
         arrival_rate: cfg.arrival_rate,
-        resp_search: with_batch_ci(&stats.resp_search, b.map(|(s, _, _)| s)),
-        resp_insert: with_batch_ci(&stats.resp_insert, b.map(|(_, i, _)| i)),
-        resp_delete: with_batch_ci(&stats.resp_delete, b.map(|(_, _, d)| d)),
+        resp_search: with_batch_ci(&stats.resp_search, b_search),
+        resp_insert: with_batch_ci(&stats.resp_insert, b_insert),
+        resp_delete: with_batch_ci(&stats.resp_delete, b_delete),
         root_writer_utilization: stats.root_writer.mean(),
         avg_concurrency: stats.concurrency.mean(),
         throughput: stats.completed as f64 / measured_time,
         crossings_per_op: stats.crossings as f64 / stats.completed.max(1) as f64,
-        redo_rate: stats.redos as f64 / stats.updates_completed.max(1) as f64,
+        redo_rate: stats.redos as f64 / redoers.max(1) as f64,
         wait_w_by_level: to_means(&stats.wait_w),
         wait_r_by_level: to_means(&stats.wait_r),
         rho_w_by_level,
@@ -501,6 +484,20 @@ mod tests {
             "redo rate {} out of plausible band",
             r.redo_rate
         );
+    }
+
+    #[test]
+    fn redo_rate_divides_redos_by_the_operations_that_redo() {
+        // Optimistic Descent redoes updates; OLC restarts read windows and
+        // its updates never redo. Either way the rate times its
+        // denominator is a whole number of redos.
+        let whole = |x: f64| x > 0.0 && (x - x.round()).abs() < 1e-6;
+        let od = run(&quick(SimAlgorithm::OptimisticDescent, 0.3)).unwrap();
+        let updates = od.resp_insert.n + od.resp_delete.n;
+        assert!(whole(od.redo_rate * updates as f64), "{od:?}");
+        let olc = run(&quick(SimAlgorithm::Olc, 0.35)).unwrap();
+        let searches = olc.resp_search.n;
+        assert!(whole(olc.redo_rate * searches as f64), "{olc:?}");
     }
 
     #[test]

@@ -23,6 +23,8 @@ fn same_seed_same_config_is_byte_identical() {
         Algorithm::NaiveLockCoupling,
         Algorithm::OptimisticDescent,
         Algorithm::LinkType,
+        Algorithm::TwoPhaseLocking,
+        Algorithm::Olc,
     ] {
         let cfg = SimConfig::paper(alg, 0.3, 0xD5EED).scaled_down(20);
         let a = report_bytes(&cfg);

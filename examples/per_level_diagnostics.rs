@@ -12,10 +12,8 @@
 
 use cbtree::analysis::{Algorithm, ModelConfig};
 use cbtree::model::{CostModel, OpMix};
-use cbtree::sim::costs::SimCosts;
-use cbtree::sim::runner::{construction_phase, matched_tree_shape};
-use cbtree::sim::{SimAlgorithm, SimConfig, Simulator};
-use cbtree::workload::{Operation, PoissonArrivals};
+use cbtree::sim::runner::matched_tree_shape;
+use cbtree::sim::{run, SimAlgorithm, SimConfig};
 
 fn main() {
     let alg_name = std::env::args()
@@ -62,24 +60,10 @@ fn main() {
     let mut sim_cfg = base_cfg.clone();
     sim_cfg.arrival_rate = lambda;
     sim_cfg = sim_cfg.with_min_window(120.0, 400.0);
-    let (tree, mut stream) = construction_phase(&sim_cfg).unwrap();
-    let mut sim = Simulator::new(tree, SimCosts::paper(), sim_alg, sim_cfg.warmup_ops, 1);
-    let mut arrivals = PoissonArrivals::new(lambda, 7);
-    sim.schedule_arrival(arrivals.next_arrival());
-    let target = sim_cfg.warmup_ops + sim_cfg.measured_ops;
-    sim.run_until(target, sim_cfg.max_concurrent, move || {
-        use cbtree::sim::driver::OpKind;
-        let (kind, key) = match stream.next_op() {
-            Operation::Search(k) => (OpKind::Search, k),
-            Operation::Insert(k) => (OpKind::Insert, k),
-            Operation::Delete(k) => (OpKind::Delete, k),
-        };
-        (kind, key, arrivals.next_arrival())
-    })
-    .expect("stable at this rate");
+    let sim = run(&sim_cfg).expect("stable at this rate");
 
     println!(
-        "{:>5} {:>10} {:>10} | {:>8} {:>8} | {:>8} {:>8} | {:>9}",
+        "{:>5} {:>10} {:>10} | {:>8} {:>8} | {:>8} {:>8} | {:>9} {:>9}",
         "level",
         "λ_R/node",
         "λ_W/node",
@@ -87,27 +71,35 @@ fn main() {
         "R(i) sim",
         "W(i) mdl",
         "W(i) sim",
-        "ρ_w model"
+        "ρ_w model",
+        "ρ_w sim"
     );
+    // The simulator's per-level vectors run leaves first.
+    let at = |v: &[f64], level: usize| v.get(level - 1).copied().unwrap_or(0.0);
     for l in perf.levels.iter().rev() {
-        let idx = l.level - 1;
-        let sim_r = sim.stats.wait_r.get(idx).map(|w| w.mean()).unwrap_or(0.0);
-        let sim_w = sim.stats.wait_w.get(idx).map(|w| w.mean()).unwrap_or(0.0);
         println!(
-            "{:>5} {:>10.5} {:>10.5} | {:>8.3} {:>8.3} | {:>8.3} {:>8.3} | {:>9.3}",
-            l.level, l.lambda_r, l.lambda_w, l.r_wait, sim_r, l.w_wait, sim_w, l.rho_w
+            "{:>5} {:>10.5} {:>10.5} | {:>8.3} {:>8.3} | {:>8.3} {:>8.3} | {:>9.3} {:>9.3}",
+            l.level,
+            l.lambda_r,
+            l.lambda_w,
+            l.r_wait,
+            at(&sim.wait_r_by_level, l.level),
+            l.w_wait,
+            at(&sim.wait_w_by_level, l.level),
+            l.rho_w,
+            at(&sim.rho_w_by_level, l.level),
         );
     }
     println!(
         "\nresponse times  model: search {:.2}  insert {:.2} | simulated: search {:.2}  insert {:.2}",
         perf.response_time_search,
         perf.response_time_insert,
-        sim.stats.resp_search.mean(),
-        sim.stats.resp_insert.mean(),
+        sim.resp_search.mean,
+        sim.resp_insert.mean,
     );
     println!(
         "root writer utilization  model {:.3} | simulated {:.3}",
         perf.root_writer_utilization(),
-        sim.stats.root_writer.mean()
+        sim.root_writer_utilization
     );
 }

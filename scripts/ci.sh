@@ -44,10 +44,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> paper figures: all 20 committed CSVs reproduce byte for byte"
+echo "==> examples: each one runs to completion"
+# btree_stress (~17 s) stays out: the stress sweeps below cover it.
+cargo build --release --examples
+for example in quickstart algorithm_comparison capacity_planning recovery_analysis \
+    per_level_diagnostics; do
+    target/release/examples/"$example" > /dev/null
+done
+
+echo "==> paper figures: all 21 committed CSVs reproduce byte for byte"
 # The simulator is seeded and single-threaded, so the tolerance is zero
 # (about a minute on one core). A change that moves a simulated point
-# must regenerate results/ and say which points moved in EXPERIMENTS.md.
+# must regenerate results/ and say which points moved in EXPERIMENTS.md;
+# sim-matrix.csv prints every simulated protocol's statistics to the bit.
 target/release/experiments --out "$out/figs" all > /dev/null 2>&1
 for csv in results/*.csv; do
     cmp "$csv" "$out/figs/${csv##*/}"
