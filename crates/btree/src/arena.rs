@@ -2,7 +2,7 @@
 //!
 //! Nodes no longer live in per-node `Arc<RwLock<Node>>` heap cells:
 //! every tree owns an [`Arena`], a segmented slab of preallocated
-//! [`Slot`]s, and nodes are addressed by a compact [`NodeId`] — a `u32`
+//! slots, and nodes are addressed by a compact [`NodeId`] — a `u32`
 //! slot index paired with the slot's **generation** at handle-creation
 //! time. Child pointers inside nodes are bare `NodeId`s (8 bytes); the
 //! [`NodeRef`] handle that code outside a node passes around pairs an
@@ -12,6 +12,16 @@
 //! alive storage the caller already borrows.
 //!
 //! # Layout
+//!
+//! A slot is a generation word plus the node's latch wrapped around the
+//! node: header, then a tail of `2C + 3` words (`C + 1` keys ahead of
+//! `C + 2` child ids — see [`crate::node`]). `C` is the arena's
+//! **capacity class**, fixed at construction: the smallest of 4, 8, 16,
+//! 32, 64 and 128 not below the tree's node capacity, so a slot is as
+//! large as the tree asked for. Every class has its own segment type,
+//! and `Arena::slot` hands out `&Slot<V>` with the tail unsized by
+//! ordinary coercion, through one `match` on the class that every
+//! resolve in a tree takes the same way.
 //!
 //! The slab is a spine of up to [`SEG_COUNT`] segments; segment `k`
 //! holds `BASE << k` slots in one contiguous allocation and is created
@@ -48,32 +58,25 @@
 //!
 //! Slots keep their lock — and the lock's statistics and trace tag —
 //! across recycling; the lock's version counter keeps advancing, which
-//! is exactly what makes a recycled slot's windows fail closed. The
+//! is exactly what makes a recycled slot's windows fail closed. They
+//! keep their leaf value buffer too: retire resets the node in place and
+//! clears the buffer without freeing it, so a window that overlaps a
+//! retire reads live memory before its validation fails. The
 //! retire/install writes are themselves exclusive sections of the
 //! slot's own latch, so they are visible to the version machinery like
 //! any other write.
 
-use crate::node::Node;
+use crate::node::{Node, NodeT};
 use cbtree_sync::{FcfsRwLock as RwLock, RwLockReadGuard, RwLockWriteGuard, SamplePeriod};
 use std::fmt;
-use std::ops::{Deref, DerefMut, Index};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Hard upper bound on a tree's node capacity (max keys per node): the
-/// inline key/child arrays are sized for it, so every node of every
-/// tree fits without heap-allocated key buffers. Real configurations
-/// use 4–64; the bound leaves ample headroom.
+/// largest capacity class. Real configurations use 4–64.
 pub const MAX_CAP: usize = 128;
-
-/// Inline key-array length: a node transiently holds `cap + 1` keys
-/// (just before its split), never more.
-pub const MAX_KEYS: usize = MAX_CAP + 1;
-
-/// Inline child-array length: an internal node transiently holds
-/// `cap + 2` children (one more than its transient key count).
-pub const MAX_KIDS: usize = MAX_CAP + 2;
 
 /// Slots in the first slab segment; segment `k` holds `BASE << k`.
 const BASE: usize = 64;
@@ -82,70 +85,51 @@ const BASE: usize = 64;
 /// space (the sum of `BASE << k` exceeds `u32::MAX` at k = 25).
 const SEG_COUNT: usize = 26;
 
+/// Tail words of capacity class `c`: `c + 1` keys (the transient
+/// pre-split maximum), then `c + 2` child ids.
+const fn words(c: usize) -> usize {
+    2 * c + 3
+}
+
 // ---------------------------------------------------------------------
 // InlineVec: fixed-capacity vector of plain-old-data elements.
 // ---------------------------------------------------------------------
 
 /// A fixed-capacity vector stored entirely inline, for `Copy + Default`
-/// element types (keys, child ids). No heap allocation ever, so a
-/// node's routing data lives in the same cache lines as its header —
-/// and, unlike `Vec`, there is no (pointer, len, capacity) triple for
-/// an optimistic reader to tear apart: a torn `len` is clamped to `N`
-/// by every accessor, and every slot of the buffer is always an
-/// initialized `T` (stale garbage at worst), so unlatched windows read
-/// wrong-but-valid values that failed validation then discards.
+/// element types: the B-link insert's ascent hints, kept on the stack so
+/// a non-splitting insert allocates nothing.
 ///
 /// # Panics
 ///
-/// Growth past `N` panics: the descent engine splits any node before
-/// it can exceed its transient maximum, so an overflow here is a logic
-/// error (and silently dropping or reallocating would be worse).
-#[derive(Clone, Copy)]
-pub struct InlineVec<T: Copy + Default, const N: usize> {
+/// Growth past `N` panics (silently dropping would be worse).
+pub(crate) struct InlineVec<T: Copy + Default, const N: usize> {
     len: usize,
     buf: [T; N],
 }
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// An empty vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InlineVec {
             len: 0,
             buf: [T::default(); N],
         }
     }
 
-    /// An inline copy of `items`.
-    ///
-    /// # Panics
-    /// Panics when `items.len() > N`.
-    pub fn from_slice(items: &[T]) -> Self {
-        let mut v = InlineVec::new();
-        for &x in items {
-            v.push(x);
-        }
-        v
-    }
-
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends an element.
-    pub fn push(&mut self, x: T) {
+    pub(crate) fn push(&mut self, x: T) {
         assert!(self.len < N, "inline buffer overflow ({N} elements)");
         self.buf[self.len] = x;
         self.len += 1;
     }
 
     /// Removes and returns the last element.
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -153,74 +137,13 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         Some(self.buf[self.len])
     }
 
-    /// Inserts `x` at `i`, shifting the tail right.
-    pub fn insert(&mut self, i: usize, x: T) {
-        assert!(i <= self.len, "insert index {i} out of bounds");
-        assert!(self.len < N, "inline buffer overflow ({N} elements)");
-        self.buf.copy_within(i..self.len, i + 1);
-        self.buf[i] = x;
-        self.len += 1;
-    }
-
     /// Removes and returns the element at `i`, shifting the tail left.
-    pub fn remove(&mut self, i: usize) -> T {
+    pub(crate) fn remove(&mut self, i: usize) -> T {
         assert!(i < self.len, "remove index {i} out of bounds");
         let x = self.buf[i];
         self.buf.copy_within(i + 1..self.len, i);
         self.len -= 1;
         x
-    }
-
-    /// Splits off and returns the tail `[at, len)`, leaving `[0, at)`.
-    pub fn split_off(&mut self, at: usize) -> Self {
-        assert!(at <= self.len, "split index {at} out of bounds");
-        let tail = InlineVec::from_slice(&self.buf[at..self.len]);
-        self.len = at;
-        tail
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
-    fn default() -> Self {
-        InlineVec::new()
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        // The clamp is what makes torn optimistic reads of `len` safe:
-        // a wrong length yields a wrong (discarded) slice, never an
-        // out-of-bounds access.
-        &self.buf[..self.len.min(N)]
-    }
-}
-
-impl<T: Copy + Default, const N: usize> DerefMut for InlineVec<T, N> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        let len = self.len.min(N);
-        &mut self.buf[..len]
-    }
-}
-
-impl<T: Copy + Default, I: std::slice::SliceIndex<[T]>, const N: usize> Index<I>
-    for InlineVec<T, N>
-{
-    type Output = I::Output;
-    fn index(&self, i: I) -> &I::Output {
-        &(**self)[i]
-    }
-}
-
-impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
     }
 }
 
@@ -261,12 +184,94 @@ impl NodeId {
 // ---------------------------------------------------------------------
 
 /// One slab slot: a generation counter next to the latch-wrapped node.
-struct Slot<V> {
+/// Segments store `SlotT<V, [u64; W]>`; everything else sees [`Slot`].
+struct SlotT<V, T: ?Sized> {
     /// Bumped once per retire, always inside the slot latch's exclusive
     /// section (see the module docs for why that placement is load-
     /// bearing).
     gen: AtomicU32,
-    lock: RwLock<Node<V>>,
+    lock: RwLock<NodeT<V, T>>,
+}
+
+/// A slot with its node's tail unsized.
+type Slot<V> = SlotT<V, [u64]>;
+
+// A field added to the node header or the lock shows up here: the
+// cap-16 class stays within 1 200 B, and the cap-128 class is no larger
+// than the one-size slot every tree used before slots had classes.
+const _: () = {
+    assert!(std::mem::size_of::<SlotT<u64, [u64; words(16)]>>() <= 1_200);
+    assert!(std::mem::size_of::<SlotT<u64, [u64; words(MAX_CAP)]>>() <= 2_952);
+};
+
+/// One slab segment of a capacity class: slots whose node tail is `W`
+/// words, created at most once.
+type Segment<V, const W: usize> = OnceLock<Box<[SlotT<V, [u64; W]>]>>;
+
+/// One capacity class's segments.
+struct Segments<V, const W: usize>([Segment<V, W>; SEG_COUNT]);
+
+impl<V, const W: usize> Segments<V, W> {
+    fn new() -> Self {
+        Segments(std::array::from_fn(|_| OnceLock::new()))
+    }
+
+    fn slot(&self, k: usize, off: usize) -> &Slot<V> {
+        &self.0[k]
+            .get()
+            .expect("slot index within an initialized segment")[off]
+    }
+
+    /// Creates segment `k`: `BASE << k` vacant slots.
+    fn init(&self, k: usize, sample: SamplePeriod) {
+        let seg: Box<[SlotT<V, [u64; W]>]> = (0..BASE << k)
+            .map(|_| SlotT {
+                gen: AtomicU32::new(0),
+                lock: RwLock::with_sampling(NodeT::vacant(), sample),
+            })
+            .collect();
+        self.0[k].set(seg).ok().expect("segment set once");
+    }
+}
+
+/// The segments of an arena's one capacity class.
+enum Spine<V> {
+    C4(Segments<V, { words(4) }>),
+    C8(Segments<V, { words(8) }>),
+    C16(Segments<V, { words(16) }>),
+    C32(Segments<V, { words(32) }>),
+    C64(Segments<V, { words(64) }>),
+    C128(Segments<V, { words(MAX_CAP) }>),
+}
+
+/// Runs `$body` with `$segs` bound to the spine's segments, whatever
+/// their class.
+macro_rules! on_class {
+    ($spine:expr, $segs:ident => $body:expr) => {
+        match $spine {
+            Spine::C4($segs) => $body,
+            Spine::C8($segs) => $body,
+            Spine::C16($segs) => $body,
+            Spine::C32($segs) => $body,
+            Spine::C64($segs) => $body,
+            Spine::C128($segs) => $body,
+        }
+    };
+}
+
+impl<V> Spine<V> {
+    /// The segments of the smallest class holding `cap` keys per node.
+    fn for_capacity(cap: usize) -> Self {
+        match cap {
+            0..=4 => Spine::C4(Segments::new()),
+            5..=8 => Spine::C8(Segments::new()),
+            9..=16 => Spine::C16(Segments::new()),
+            17..=32 => Spine::C32(Segments::new()),
+            33..=64 => Spine::C64(Segments::new()),
+            65..=MAX_CAP => Spine::C128(Segments::new()),
+            _ => panic!("node capacity must be at most {MAX_CAP}"),
+        }
+    }
 }
 
 /// A tree's node slab. Owned by the tree; [`NodeRef`]s and latch guards
@@ -275,7 +280,9 @@ struct Slot<V> {
 pub struct Arena<V> {
     /// Segment `k` holds `BASE << k` slots; created at most once, so
     /// slot addresses are stable for the arena's lifetime.
-    spine: Vec<OnceLock<Box<[Slot<V>]>>>,
+    spine: Spine<V>,
+    /// The tree's node capacity: a slot's value buffer holds `cap + 1`.
+    cap: usize,
     /// Recycled slot indices, consumed LIFO (warmest slot first).
     free: Mutex<Vec<u32>>,
     /// Number of initialized segments (guards segment creation).
@@ -305,11 +312,15 @@ fn locate(idx: u32) -> (usize, usize) {
 }
 
 impl<V> Arena<V> {
-    /// An empty arena whose slot locks time one in `sample.period()`
-    /// acquisitions.
-    pub fn new(sample: SamplePeriod) -> Self {
+    /// An empty arena for nodes of at most `cap` keys, whose slot locks
+    /// time one in `sample.period()` acquisitions.
+    ///
+    /// # Panics
+    /// Panics when `cap > MAX_CAP`.
+    pub fn new(cap: usize, sample: SamplePeriod) -> Self {
         Arena {
-            spine: (0..SEG_COUNT).map(|_| OnceLock::new()).collect(),
+            spine: Spine::for_capacity(cap),
+            cap,
             free: Mutex::new(Vec::new()),
             segments: Mutex::new(0),
             allocated: AtomicU64::new(0),
@@ -320,16 +331,17 @@ impl<V> Arena<V> {
 
     fn slot(&self, idx: u32) -> &Slot<V> {
         let (k, off) = locate(idx);
-        &self.spine[k]
-            .get()
-            .expect("slot index within an initialized segment")[off]
+        on_class!(&self.spine, segs => segs.slot(k, off))
     }
 
-    /// Installs `node` into a fresh or recycled slot and returns its
-    /// handle. The install is an exclusive section of the slot's latch,
-    /// so any straggling stale reader of a recycled slot sees a version
-    /// bump (and already sees a generation mismatch).
-    pub fn alloc(&self, node: Node<V>) -> NodeRef<'_, V> {
+    /// Takes a fresh or recycled slot and returns it exclusively
+    /// latched, holding an empty node at `level` for the caller to build
+    /// in place; the node is published when the guard drops. The install
+    /// is one exclusive section of the slot's latch, so any straggling
+    /// stale reader of a recycled slot sees a version bump (and already
+    /// sees a generation mismatch). A slot's first install reserves its
+    /// value buffer (`cap + 1` values); later ones reuse it.
+    pub fn alloc(&self, level: usize) -> WriteGuard<'_, V> {
         let idx = loop {
             if let Some(idx) = self
                 .free
@@ -343,11 +355,11 @@ impl<V> Arena<V> {
         };
         let slot = self.slot(idx);
         let gen = slot.gen.load(Ordering::Acquire);
-        let level = node.level.min(u16::MAX as usize) as u16;
-        *slot.lock.write() = node;
-        slot.lock.set_trace_tag(level);
+        let mut guard = self.at(NodeId { idx, gen }).write_guard();
+        guard.reset(level, self.cap + 1);
+        slot.lock.set_trace_tag(level.min(u16::MAX as usize) as u16);
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        self.at(NodeId { idx, gen })
+        guard
     }
 
     /// Initializes the next segment and feeds its slots to the free
@@ -362,25 +374,20 @@ impl<V> Arena<V> {
         }
         let k = *segments;
         assert!(k < SEG_COUNT, "arena exhausted the u32 handle space");
+        on_class!(&self.spine, segs => segs.init(k, self.sample));
+        *segments = k + 1;
         let len = BASE << k;
         let seg_base = BASE * ((1 << k) - 1);
-        let seg: Box<[Slot<V>]> = (0..len)
-            .map(|_| Slot {
-                gen: AtomicU32::new(0),
-                lock: RwLock::with_sampling(Node::new_leaf(), self.sample),
-            })
-            .collect();
-        self.spine[k].set(seg).ok().expect("segment set once");
-        *segments = k + 1;
         let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         // Reversed so allocation consumes the segment low-index first.
         free.extend((seg_base as u32..(seg_base + len) as u32).rev());
     }
 
     /// Retires the node a caller holds exclusively: bumps the slot
-    /// generation (convicting every outstanding handle) and resets the
-    /// node to a placeholder, all inside the caller's exclusive
-    /// section. The caller must drop its guard and then call
+    /// generation (convicting every outstanding handle) and empties the
+    /// node in place, all inside the caller's exclusive section. The
+    /// value buffer is cleared, not freed (an optimistic window may be
+    /// reading it). The caller must drop its guard and then call
     /// [`Arena::recycle`] to return the slot to the free list.
     pub fn retire(&self, guard: &mut WriteGuard<'_, V>) {
         let id = guard.id();
@@ -391,7 +398,7 @@ impl<V> Arena<V> {
             "retiring through a stale handle"
         );
         slot.gen.store(id.gen.wrapping_add(1), Ordering::Release);
-        **guard = Node::new_leaf();
+        guard.reset(1, 0);
         self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -663,20 +670,15 @@ mod tests {
     #[test]
     fn inline_vec_basics() {
         let mut v: InlineVec<u64, 8> = InlineVec::new();
-        assert!(v.is_empty());
-        for k in [3, 1, 2] {
+        for k in [3, 1, 2, 9] {
             v.push(k);
         }
-        assert_eq!(&*v, &[3, 1, 2]);
-        v.insert(1, 9);
-        assert_eq!(&*v, &[3, 9, 1, 2]);
+        assert_eq!(v.len(), 4);
         assert_eq!(v.remove(0), 3);
-        assert_eq!(&*v, &[9, 1, 2]);
+        assert_eq!(v.pop(), Some(9));
         assert_eq!(v.pop(), Some(2));
-        let tail = v.split_off(1);
-        assert_eq!(&*v, &[9]);
-        assert_eq!(&*tail, &[1]);
-        assert_eq!(InlineVec::<u64, 4>::from_slice(&[7, 8])[1], 8);
+        assert_eq!(v.pop(), Some(1));
+        assert_eq!(v.pop(), None);
     }
 
     #[test]
@@ -686,6 +688,25 @@ mod tests {
         v.push(1);
         v.push(2);
         v.push(3);
+    }
+
+    #[test]
+    fn slots_are_sized_by_capacity_class() {
+        let bytes = |cap| {
+            let arena: Arena<u64> = Arena::new(cap, SamplePeriod::EXACT);
+            let id = arena.alloc(1).id();
+            std::mem::size_of_val(arena.slot(id.idx))
+        };
+        for (lo, hi) in [(3, 4), (5, 8), (9, 16), (17, 32), (33, 64), (65, 128)] {
+            assert_eq!(bytes(lo), bytes(hi), "caps {lo}..={hi} share a class");
+        }
+        assert_eq!(
+            bytes(16),
+            std::mem::size_of::<SlotT<u64, [u64; words(16)]>>()
+        );
+        // One class up costs exactly its extra keys and child ids.
+        assert_eq!(bytes(128) - bytes(64), 8 * (words(128) - words(64)));
+        assert_eq!(bytes(8) - bytes(4), 8 * (words(8) - words(4)));
     }
 
     #[test]
@@ -711,8 +732,8 @@ mod tests {
 
     #[test]
     fn alloc_then_recycle_reuses_the_slot_with_a_new_generation() {
-        let arena: Arena<u64> = Arena::new(SamplePeriod::EXACT);
-        let node = arena.alloc(Node::new_leaf());
+        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
+        let node = arena.alloc(1).node_ref();
         let id = node.id();
         assert!(!node.stale());
 
@@ -722,9 +743,10 @@ mod tests {
         arena.recycle(id);
         assert!(node.stale(), "retire bumps the generation");
 
-        let again = arena.alloc(Node::new_leaf());
+        let again = arena.alloc(2);
         assert_eq!(again.id().idx, id.idx, "free list recycles the slot");
         assert_eq!(again.id().gen, id.gen + 1);
+        assert_eq!(again.level, 2);
         assert!(!again.stale());
         assert!(node.stale(), "old handle stays convicted");
         assert_eq!(arena.recycled(), 1);
@@ -733,18 +755,18 @@ mod tests {
 
     #[test]
     fn growth_keeps_old_slots_stable() {
-        let arena: Arena<u64> = Arena::new(SamplePeriod::EXACT);
-        let first = arena.alloc(Node::new_leaf());
-        let addr_before = std::ptr::from_ref(&*first) as usize;
+        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
+        let first = arena.alloc(1).node_ref();
+        let addr_before = std::ptr::from_ref(&*first).addr();
         // Force growth past several segments.
         let handles: Vec<_> = (0..300)
             .map(|k| {
-                let mut n = Node::new_leaf();
+                let mut n = arena.alloc(1);
                 n.leaf_insert(k, k);
-                arena.alloc(n)
+                n.node_ref()
             })
             .collect();
-        assert_eq!(std::ptr::from_ref(&*first) as usize, addr_before);
+        assert_eq!(std::ptr::from_ref(&*first).addr(), addr_before);
         for (k, h) in handles.iter().enumerate() {
             assert_eq!(h.read().leaf_get(k as u64), Some(&(k as u64)));
         }
@@ -752,17 +774,15 @@ mod tests {
 
     #[test]
     fn recycle_under_contention_never_resurrects_a_stale_handle() {
-        let arena: Arena<u64> = Arena::new(SamplePeriod::EXACT);
+        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             // Churner: alloc/retire/recycle in a tight loop.
             s.spawn(|| {
                 for i in 0..20_000u64 {
-                    let mut n = Node::new_leaf();
-                    n.leaf_insert(i, i);
-                    let h = arena.alloc(n);
-                    let id = h.id();
-                    let mut g = h.write_guard();
+                    let mut g = arena.alloc(1);
+                    g.leaf_insert(i, i);
+                    let id = g.id();
                     arena.retire(&mut g);
                     drop(g);
                     arena.recycle(id);
@@ -773,14 +793,13 @@ mod tests {
             // afterwards; a fresh handle must never be stale.
             s.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
-                    let h = arena.alloc(Node::new_leaf());
+                    let mut g = arena.alloc(1);
+                    let h = g.node_ref();
                     assert!(!h.stale(), "fresh handle can never be stale");
-                    let id = h.id();
-                    let mut g = h.write_guard();
                     arena.retire(&mut g);
                     drop(g);
                     assert!(h.stale(), "retired handle must convict");
-                    arena.recycle(id);
+                    arena.recycle(h.id());
                 }
             });
         });

@@ -1,7 +1,7 @@
 //! The Link-type tree (Lehman–Yao B-link).
 //!
 //! Every node carries a high key and a right link (maintained by
-//! [`crate::node::Node::half_split`]). Operations hold **at most one
+//! [`crate::node::split_node`]). Operations hold **at most one
 //! latch at a time**: a descent latches a node, decides, releases, then
 //! latches the next. The price is that a node observed without a latch
 //! may have split in the meantime — the key may now live in a right

@@ -67,7 +67,7 @@
 use crate::arena::{Arena, InlineVec, NodeId, NodeRef, MAX_CAP};
 use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
-use crate::node::{check_invariants, make_root, split_node, Children, Node};
+use crate::node::{check_invariants, make_root, split_node, Node};
 use crate::olc::OlcValue;
 use cbtree_sync::{RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
 use std::collections::HashMap;
@@ -237,10 +237,10 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         assert!(capacity >= 3, "node capacity must be at least 3");
         assert!(
             capacity <= MAX_CAP,
-            "node capacity must be at most {MAX_CAP} (inline array bound)"
+            "node capacity must be at most {MAX_CAP} (largest slot class)"
         );
-        let arena = Arena::new(sample);
-        let first_leaf = arena.alloc(Node::new_leaf_for(capacity)).id();
+        let arena = Arena::new(capacity, sample);
+        let first_leaf = arena.alloc(1).id();
         DescentTree {
             root: RootWord(AtomicU64::new(first_leaf.to_bits())),
             arena,
@@ -631,12 +631,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                     } else if n.is_leaf() {
                         Some(Step::Done(leaf_read(n)))
                     } else {
-                        match &n.children {
-                            Children::Internal(kids) => {
-                                kids.get(n.child_index(key)).copied().map(Step::Down)
-                            }
-                            Children::Leaf(_) => None,
-                        }
+                        n.kid(n.child_index(key)).map(Step::Down)
                     }
                 })
             };
@@ -787,7 +782,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             let split_id = held[idx].id();
             self.counters.record_split();
             cbtree_obs::trace::split_begin(split_level, split_id.to_bits());
-            let (sep, sib) = split_node(&self.arena, &mut held[idx], self.cap);
+            let (sep, sib) = split_node(&self.arena, &mut held[idx]);
             if idx == 0 {
                 // Only the true root can overflow at the chain's top: a
                 // retain-all chain starts there, and any released-above
@@ -875,31 +870,21 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         }
         // Crab down the leftmost spine to level 2.
         while parent.level > 2 {
-            let child = match &parent.children {
-                Children::Internal(kids) => parent.at(kids[0]),
-                Children::Leaf(_) => unreachable!("level > 2 is internal"),
-            };
+            let child = parent.at(parent.kid(0).expect("level > 2 is internal"));
             let child = self.latch_write(child, None);
             parent.crab_to(child);
         }
         let mut freed = 0;
         loop {
             let mut i = 1; // kids[0] is never reclaimed
-            loop {
-                let (l_id, e_id) = match &parent.children {
-                    Children::Internal(kids) if i < kids.len() => (kids[i - 1], kids[i]),
-                    _ => break,
-                };
+            while let (Some(l_id), Some(e_id)) = (parent.kid(i - 1), parent.kid(i)) {
                 let mut l = self.latch_write(parent.at(l_id), None);
                 let mut e = self.latch_write(parent.at(e_id), None);
-                if e.is_leaf() && e.keys.is_empty() {
+                if e.is_leaf() && e.keys().is_empty() {
                     // Splice E out of the leaf chain and the parent.
                     l.right = e.right;
                     l.high = e.high;
-                    parent.keys.remove(i - 1);
-                    if let Children::Internal(kids) = &mut parent.children {
-                        kids.remove(i);
-                    }
+                    parent.remove_child(i);
                     // Generation bump inside E's exclusive section, then
                     // release, then free-list — the retire protocol.
                     self.arena.retire(&mut e);
@@ -1095,7 +1080,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         let mut split_id = guard.id();
         self.counters.record_split();
         cbtree_obs::trace::split_begin(split_level, split_id.to_bits());
-        let (mut sep, mut sib) = split_node(&self.arena, &mut guard, self.cap);
+        let (mut sep, mut sib) = split_node(&self.arena, &mut guard);
         let mut left = guard.id();
         let mut level = guard.level;
         drop(guard);
@@ -1129,7 +1114,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
             split_id = pg.id();
             self.counters.record_split();
             cbtree_obs::trace::split_begin(split_level, split_id.to_bits());
-            let (s, sb) = split_node(&self.arena, &mut pg, self.cap);
+            let (s, sb) = split_node(&self.arena, &mut pg);
             left = pg.id();
             level = pg.level;
             sep = s;
@@ -1196,7 +1181,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
                 {
                     let mut leaf = self.write_leaf(key);
                     debug_assert!(leaf.covers(key));
-                    let exists = leaf.keys.binary_search(&key).is_ok();
+                    let exists = leaf.keys().binary_search(&key).is_ok();
                     if exists || !leaf.insert_unsafe(self.cap) {
                         let old = leaf.leaf_insert(key, val);
                         if old.is_none() {
@@ -1249,14 +1234,14 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::CONTAINS);
         self.counters.record_op();
         let found = if matches!(S::READ, ReadPolicy::Olc) {
-            // SAFETY: the leaf closure binary-searches the inline POD
-            // `u64` key array — no heap value is materialized; a torn
+            // SAFETY: the leaf closure binary-searches the node's POD
+            // `u64` key words — no heap value is materialized; a torn
             // window yields at worst a wrong bool, discarded on
             // validation.
-            unsafe { self.olc_descend(*key, |n| n.keys.binary_search(key).is_ok()) }.1
+            unsafe { self.olc_descend(*key, |n| n.keys().binary_search(key).is_ok()) }.1
         } else {
             let (leaf, held) = self.read_leaf(*key);
-            let found = leaf.keys.binary_search(key).is_ok();
+            let found = leaf.keys().binary_search(key).is_ok();
             release_read(leaf, held);
             found
         };
@@ -1287,14 +1272,9 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 // value, discarded on failed validation, never UB. The
                 // other closure reads follow `olc_descend`'s contract.
                 unsafe {
-                    self.olc_descend(*key, |n| match &n.children {
-                        Children::Leaf(vals) => n
-                            .keys
-                            .binary_search(key)
-                            .ok()
-                            .and_then(|i| vals.get(i))
-                            .cloned(),
-                        Children::Internal(_) => None,
+                    self.olc_descend(*key, |n| {
+                        let i = n.keys().binary_search(key).ok()?;
+                        n.vals().get(i).cloned()
                     })
                 }
                 .1
@@ -1439,7 +1419,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     held = Some(leaf);
                 }
                 BatchOp::Insert(k, v) => {
-                    let exists = leaf.keys.binary_search(&k).is_ok();
+                    let exists = leaf.keys().binary_search(&k).is_ok();
                     if exists || !leaf.insert_unsafe(self.cap) {
                         trace::op_begin(opcode::INSERT);
                         self.counters.record_op();
@@ -1505,8 +1485,8 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                 // recycled mid-walk) re-descends to the resume cursor.
                 // Weakly consistent, like the latched scans.
                 // SAFETY: the locator closure reads nothing; the page
-                // closure uses checked indexing over the inline POD key
-                // array, copies POD node ids, and clones `V` in-window
+                // closure walks the node's clamped POD key words beside
+                // its values, copies POD node ids, and clones `V` in-window
                 // only because `V::IN_WINDOW` (an `unsafe impl
                 // OlcValue`) asserts that is a plain byte copy — at
                 // worst a wrong value, discarded on validation.
@@ -1523,13 +1503,9 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                                 return n.right.map(|r| (Vec::new(), Some(r), None, true));
                             }
                             let mut page = Vec::new();
-                            if let Children::Leaf(vals) = &n.children {
-                                for (i, &k) in n.keys.iter().enumerate() {
-                                    if k >= cursor && k < hi {
-                                        if let Some(v) = vals.get(i) {
-                                            page.push((k, v.clone()));
-                                        }
-                                    }
+                            for (&k, v) in n.keys().iter().zip(n.vals()) {
+                                if k >= cursor && k < hi {
+                                    page.push((k, v.clone()));
                                 }
                             }
                             let next = if n.high.is_none_or(|h| h >= hi) {
@@ -1607,11 +1583,9 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                         self.counters.record_chase();
                         Some(g.right.expect("covers"))
                     } else {
-                        if let Children::Leaf(vals) = &g.children {
-                            for (i, &k) in g.keys.iter().enumerate() {
-                                if k >= cursor && k < hi {
-                                    out.push((k, vals[i].clone()));
-                                }
+                        for (&k, v) in g.keys().iter().zip(g.vals()) {
+                            if k >= cursor && k < hi {
+                                out.push((k, v.clone()));
                             }
                         }
                         match g.high {

@@ -1,83 +1,108 @@
-//! Shared node representation for all three concurrent B+-trees.
+//! Shared node representation for all concurrent B+-trees.
 //!
-//! Nodes live in a per-tree slab [`Arena`] and are addressed by
-//! generation-checked [`NodeId`] handles (see [`crate::arena`]); internal
-//! nodes hold child ids in a fixed-capacity inline array, so routing data
-//! sits in the same cache lines as the node header and splits allocate
-//! nothing but a free-list pop. Every node — in every protocol —
-//! maintains Lehman–Yao metadata (high key and right link): the link
-//! protocols need it for correctness, the others carry it for free and it
-//! enables one common invariant checker.
+//! A node is a small header — key count, level, Lehman–Yao right link
+//! and high key, leaf value buffer — followed by one `[u64]` tail of
+//! `2C + 3` words, `C` being the capacity class of the tree's arena (the
+//! smallest of 4, 8, …, 128 not below the tree's node capacity; see
+//! [`crate::arena`]). The first `C + 1` words are keys (a node holds
+//! `cap + 1` of them transiently, just before its split), the last
+//! `C + 2` are child ids packed with [`NodeId::to_bits`]. Keys sit ahead
+//! of children, so a node search reads one contiguous run beside the
+//! header, and a slot is as large as its tree needs. Nodes are built in
+//! place in their arena slot, under the slot's exclusive latch: splits
+//! and root growth allocate nothing but a free-list pop. Every node — in
+//! every protocol — maintains Lehman–Yao metadata (high key and right
+//! link): the link protocols need it for correctness, the others carry
+//! it for free and it enables one common invariant checker.
 //!
 //! Leaf *values* are the one heap-allocated part of a node (`V` is an
-//! arbitrary `Clone` type). A published leaf's value buffer is reserved
-//! to the true transient maximum — `cap + 1` values, held momentarily
-//! just before a split — so no insert can ever reallocate a buffer while
-//! optimistic readers may be chasing it. That stability invariant is
-//! asserted on every publish path ([`Node::leaf_insert`]); keys and child
-//! ids are inline [`InlineVec`]s and cannot move by construction.
+//! arbitrary `Clone` type). A slot's value buffer is reserved at the
+//! slot's first install to the true transient maximum — `cap + 1`
+//! values, held momentarily just before a split — and is never freed or
+//! moved until the arena drops: retiring a slot clears the buffer in
+//! place. So no insert can reallocate, and no retire can free, a buffer
+//! optimistic readers may be chasing; [`Node::leaf_insert`] asserts it.
 
-use crate::arena::{Arena, InlineVec, MAX_KEYS, MAX_KIDS};
+use crate::arena::Arena;
+use std::fmt;
 
 pub use crate::arena::{NodeId, NodeRef};
 
-/// Children of a node: leaf payloads or internal child ids.
-///
-/// The size gap between the variants is deliberate: child ids are
-/// stored inline (the arena's whole point — no per-node heap chase),
-/// and every node lives in a fixed-size arena slot anyway, so boxing
-/// the large variant would buy nothing and cost an indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Children<V> {
-    /// Leaf: `vals[i]` is the value for `keys[i]`.
-    Leaf(Vec<V>),
-    /// Internal: `kids.len() == keys.len() + 1`.
-    Internal(InlineVec<NodeId, MAX_KIDS>),
-}
-
-/// One B+-tree node.
-#[derive(Debug)]
-pub struct Node<V> {
-    /// Sorted keys (separators for internal nodes), stored inline.
-    pub keys: InlineVec<u64, MAX_KEYS>,
-    /// Leaf values or child ids.
-    pub children: Children<V>,
+/// One B+-tree node: the header, then a tail `T` of keys and child ids.
+/// Code handles nodes as [`Node`] (`T = [u64]`); only the arena's
+/// segments name the sized form (`T = [u64; 2C + 3]`).
+pub struct NodeT<V, T: ?Sized> {
+    /// Keys in use: the first `nkeys` tail words (`u32`, so it packs
+    /// beside `right` and the header stays 64 bytes).
+    nkeys: u32,
+    /// Height: 1 = leaf.
+    pub level: usize,
     /// Right sibling on the same level (`None` = rightmost).
     pub right: Option<NodeId>,
     /// Exclusive upper bound of this node's key range (`None` = +∞).
     pub high: Option<u64>,
-    /// Height: 1 = leaf.
-    pub level: usize,
+    /// Leaf values, `vals[i]` for `keys()[i]` (empty on internal nodes).
+    vals: Vec<V>,
+    /// `C + 1` key words, then `C + 2` child-id words.
+    tail: T,
+}
+
+/// A B+-tree node as every descent sees it: header plus unsized tail.
+pub type Node<V> = NodeT<V, [u64]>;
+
+impl<V, const W: usize> NodeT<V, [u64; W]> {
+    /// An empty leaf with no value buffer: a slot no node was installed
+    /// in yet.
+    pub(crate) fn vacant() -> Self {
+        NodeT {
+            nkeys: 0,
+            level: 1,
+            right: None,
+            high: None,
+            vals: Vec::new(),
+            tail: [0; W],
+        }
+    }
 }
 
 impl<V> Node<V> {
-    /// A fresh empty leaf with no value buffer (scratch/placeholder use;
-    /// leaves published into a tree come from [`Node::new_leaf_for`]).
-    pub fn new_leaf() -> Self {
-        Node {
-            keys: InlineVec::new(),
-            children: Children::Leaf(Vec::new()),
-            right: None,
-            high: None,
-            level: 1,
-        }
+    /// Where the child ids start: the key room, `C + 1`.
+    fn kid_base(&self) -> usize {
+        self.tail.len() / 2
     }
 
-    /// A fresh empty leaf whose value buffer is reserved for a tree of
-    /// node capacity `cap`: a leaf transiently holds `cap + 1` values
-    /// (just before its split), never more, so `cap + 1` is exactly the
-    /// reservation that makes in-place inserts realloc-free for the
-    /// node's lifetime — the buffer-stability invariant OLC's unsafe
-    /// read contract cites.
-    pub fn new_leaf_for(cap: usize) -> Self {
-        Node {
-            keys: InlineVec::new(),
-            children: Children::Leaf(Vec::with_capacity(cap + 1)),
-            right: None,
-            high: None,
-            level: 1,
-        }
+    /// Sorted keys (separators for internal nodes). A torn key count in
+    /// an optimistic window is clamped to the key room, so the slice is
+    /// at worst wrong (and discarded on validation), never out of bounds.
+    pub fn keys(&self) -> &[u64] {
+        &self.tail[..self.len().min(self.kid_base())]
+    }
+
+    /// Child-id words: `keys().len() + 1` for an internal node, none for
+    /// a leaf (clamped like [`Node::keys`]).
+    fn kid_bits(&self) -> &[u64] {
+        let base = self.kid_base();
+        let n = if self.is_leaf() {
+            0
+        } else {
+            self.len().min(base) + 1
+        };
+        &self.tail[base..base + n]
+    }
+
+    /// Child ids, left to right (none for a leaf).
+    pub fn kids(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.kid_bits().iter().map(|&b| NodeId::from_bits(b))
+    }
+
+    /// Child `i`, or `None` past the last child (always, for a leaf).
+    pub fn kid(&self, i: usize) -> Option<NodeId> {
+        self.kid_bits().get(i).map(|&b| NodeId::from_bits(b))
+    }
+
+    /// Leaf values, parallel to [`Node::keys`] (empty on internal nodes).
+    pub fn vals(&self) -> &[V] {
+        &self.vals
     }
 
     /// Whether this is a leaf.
@@ -93,8 +118,7 @@ impl<V> Node<V> {
 
     /// Index of the child an internal node routes `key` to.
     pub fn child_index(&self, key: u64) -> usize {
-        debug_assert!(!self.is_leaf());
-        self.keys.partition_point(|&k| k <= key)
+        self.keys().partition_point(|&k| k <= key)
     }
 
     /// The child id `key` routes to.
@@ -102,142 +126,166 @@ impl<V> Node<V> {
     /// # Panics
     /// Panics on leaves.
     pub fn child_for(&self, key: u64) -> NodeId {
-        match &self.children {
-            Children::Internal(kids) => kids[self.child_index(key)],
-            Children::Leaf(_) => panic!("child_for on a leaf"),
-        }
+        self.kid(self.child_index(key))
+            .expect("child_for on a leaf")
     }
 
-    /// Leaf lookup.
+    /// Leaf lookup (`None` on internal nodes, which hold no values).
     pub fn leaf_get(&self, key: u64) -> Option<&V> {
-        match &self.children {
-            Children::Leaf(vals) => self.keys.binary_search(&key).ok().map(|i| &vals[i]),
-            Children::Internal(_) => panic!("leaf_get on internal node"),
-        }
+        let i = self.keys().binary_search(&key).ok()?;
+        self.vals.get(i)
     }
 
     /// Leaf insert/replace; returns the previous value if the key existed.
+    ///
+    /// # Panics
+    /// Panics when the value buffer would reallocate: it is reserved to
+    /// the `cap + 1` transient maximum, and moving it would leave
+    /// latch-free readers holding a pointer into freed memory.
     pub fn leaf_insert(&mut self, key: u64, val: V) -> Option<V> {
-        let pos = match self.keys.binary_search(&key) {
-            Ok(i) => {
-                if let Children::Leaf(vals) = &mut self.children {
-                    return Some(std::mem::replace(&mut vals[i], val));
-                }
-                unreachable!()
-            }
+        let pos = match self.keys().binary_search(&key) {
+            Ok(i) => return Some(std::mem::replace(&mut self.vals[i], val)),
             Err(i) => i,
         };
-        self.keys.insert(pos, key);
-        if let Children::Leaf(vals) = &mut self.children {
-            // Published leaves are reserved to the `cap + 1` transient
-            // maximum; growing past the reservation would reallocate a
-            // buffer that latch-free readers may hold a pointer into.
-            // (Scratch leaves from `new_leaf()` have no reservation and
-            // are exempt — they are never shared.)
-            debug_assert!(
-                vals.capacity() == 0 || vals.len() < vals.capacity(),
-                "published leaf value buffer would reallocate while shared"
-            );
-            vals.insert(pos, val);
-        }
+        assert!(
+            self.vals.len() < self.vals.capacity(),
+            "published leaf value buffer would reallocate while shared"
+        );
+        self.insert_key(pos, key);
+        self.vals.insert(pos, val);
         None
     }
 
     /// Leaf removal; returns the value if the key existed.
     pub fn leaf_remove(&mut self, key: u64) -> Option<V> {
-        match self.keys.binary_search(&key) {
-            Ok(i) => {
-                self.keys.remove(i);
-                if let Children::Leaf(vals) = &mut self.children {
-                    Some(vals.remove(i))
-                } else {
-                    unreachable!()
-                }
-            }
-            Err(_) => None,
-        }
+        let i = self.keys().binary_search(&key).ok()?;
+        self.remove_key(i);
+        Some(self.vals.remove(i))
     }
 
     /// Whether an insert into this node could force a split at node
     /// capacity `cap` — the lock-coupling "insert-unsafe" test.
     pub fn insert_unsafe(&self, cap: usize) -> bool {
-        self.keys.len() >= cap
+        self.keys().len() >= cap
     }
 
     /// Whether a delete could empty this node.
     pub fn delete_unsafe(&self) -> bool {
-        self.keys.len() <= 1
+        self.keys().len() <= 1
     }
 
     /// Whether the node holds more than `cap` keys and must split.
     pub fn overfull(&self, cap: usize) -> bool {
-        self.keys.len() > cap
-    }
-
-    /// Half-splits this node in place, returning `(separator, sibling)`.
-    /// The sibling inherits this node's right link and high key; this
-    /// node's high key becomes the separator. The caller must hold this
-    /// node's exclusive latch, install the sibling into the arena, point
-    /// `self.right` at the installed id (see [`split_node`]) and publish
-    /// the separator to the parent. A split leaf's new value buffer is
-    /// reserved for node capacity `cap` (see [`Node::new_leaf_for`]).
-    pub fn half_split(&mut self, cap: usize) -> (u64, Node<V>) {
-        let len = self.keys.len();
-        debug_assert!(len >= 2);
-        let mid = len / 2;
-        let (sep, right_keys, right_children) = match &mut self.children {
-            Children::Leaf(vals) => {
-                let right_keys = self.keys.split_off(mid);
-                let mut right_vals = Vec::with_capacity(cap + 1);
-                right_vals.extend(vals.drain(mid..));
-                (right_keys[0], right_keys, Children::Leaf(right_vals))
-            }
-            Children::Internal(kids) => {
-                let right_keys = self.keys.split_off(mid + 1);
-                let sep = self.keys.pop().expect("mid >= 1");
-                let right_kids = kids.split_off(mid + 1);
-                (sep, right_keys, Children::Internal(right_kids))
-            }
-        };
-        let sibling = Node {
-            keys: right_keys,
-            children: right_children,
-            right: self.right,
-            high: self.high,
-            level: self.level,
-        };
-        self.high = Some(sep);
-        (sep, sibling)
+        self.keys().len() > cap
     }
 
     /// Inserts a separator/child pair into this internal node.
     pub fn insert_separator(&mut self, sep: u64, child: NodeId) {
         debug_assert!(!self.is_leaf());
-        let pos = self.keys.partition_point(|&k| k < sep);
-        self.keys.insert(pos, sep);
-        if let Children::Internal(kids) = &mut self.children {
-            kids.insert(pos + 1, child);
-        }
+        let n = self.len();
+        let pos = self.keys().partition_point(|&k| k < sep);
+        self.insert_key(pos, sep);
+        let base = self.kid_base();
+        self.tail
+            .copy_within(base + pos + 1..base + n + 1, base + pos + 2);
+        self.tail[base + pos + 1] = child.to_bits();
+    }
+
+    /// Removes child `i` (`i ≥ 1`) and the separator to its left: how
+    /// vacuum unlinks an emptied leaf from its parent.
+    pub(crate) fn remove_child(&mut self, i: usize) {
+        debug_assert!(!self.is_leaf() && i >= 1);
+        let n = self.len();
+        self.remove_key(i - 1);
+        let base = self.kid_base();
+        self.tail.copy_within(base + i + 1..base + n + 1, base + i);
+    }
+
+    /// Empties the node in place as a fresh node at `level` whose value
+    /// buffer has room for `room` values. The buffer is cleared, never
+    /// freed: a slot keeps the buffer its first install reserved for
+    /// the arena's lifetime, so an optimistic reader still inside a
+    /// window on a retired or recycled slot reads live memory (and then
+    /// fails validation).
+    pub(crate) fn reset(&mut self, level: usize, room: usize) {
+        self.nkeys = 0;
+        self.level = level;
+        self.right = None;
+        self.high = None;
+        self.vals.clear();
+        self.vals.reserve_exact(room);
+    }
+
+    /// The raw key count (unclamped: exact under a latch).
+    fn len(&self) -> usize {
+        self.nkeys as usize
+    }
+
+    fn insert_key(&mut self, pos: usize, key: u64) {
+        let n = self.len();
+        assert!(n < self.kid_base(), "node key overflow ({n} keys)");
+        self.tail.copy_within(pos..n, pos + 1);
+        self.tail[pos] = key;
+        self.nkeys += 1;
+    }
+
+    fn remove_key(&mut self, pos: usize) {
+        let n = self.len();
+        self.tail.copy_within(pos + 1..n, pos);
+        self.nkeys -= 1;
     }
 }
 
-/// Half-splits the node behind an exclusive latch, installs the new
-/// sibling into `arena`, and links it: the composition every split site
-/// uses. Returns `(separator, sibling_handle)`.
-pub fn split_node<'a, V>(
-    arena: &'a Arena<V>,
-    node: &mut Node<V>,
-    cap: usize,
-) -> (u64, NodeRef<'a, V>) {
-    let (sep, sibling) = node.half_split(cap);
-    let sib = arena.alloc(sibling);
-    node.right = Some(sib.id());
-    (sep, sib)
+impl<V: fmt::Debug> fmt::Debug for Node<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("Node");
+        d.field("level", &self.level).field("keys", &self.keys());
+        if self.is_leaf() {
+            d.field("vals", &self.vals);
+        } else {
+            d.field("kids", &self.kids().collect::<Vec<_>>());
+        }
+        d.field("right", &self.right)
+            .field("high", &self.high)
+            .finish()
+    }
 }
 
-/// Makes a new root over `left` and `right` separated by `sep` and
-/// installs it into `arena`. Internal nodes are entirely inline, so no
-/// buffer reservation is needed.
+/// Half-splits the node behind an exclusive latch into a fresh slot of
+/// `arena`, built in place under the slot's own exclusive latch, and
+/// links it: the composition every split site uses. The sibling takes
+/// the upper half and inherits the node's right link and high key; the
+/// node's high key becomes the separator, which the caller publishes
+/// upward. Returns `(separator, sibling_handle)`.
+pub fn split_node<'a, V>(arena: &'a Arena<V>, node: &mut Node<V>) -> (u64, NodeRef<'a, V>) {
+    let mut sib = arena.alloc(node.level);
+    let len = node.len();
+    debug_assert!(len >= 2);
+    let mid = len / 2;
+    let sep = node.tail[mid];
+    if node.is_leaf() {
+        sib.tail[..len - mid].copy_from_slice(&node.tail[mid..len]);
+        sib.vals.extend(node.vals.drain(mid..));
+        sib.nkeys = (len - mid) as u32;
+    } else {
+        // The separator moves up: the sibling takes the keys after it
+        // and the children right of it.
+        let base = node.kid_base();
+        let moved = len - mid - 1;
+        sib.tail[..moved].copy_from_slice(&node.tail[mid + 1..len]);
+        sib.tail[base..=base + moved].copy_from_slice(&node.tail[base + mid + 1..=base + len]);
+        sib.nkeys = moved as u32;
+    }
+    node.nkeys = mid as u32;
+    sib.right = node.right;
+    sib.high = node.high;
+    node.high = Some(sep);
+    node.right = Some(sib.id());
+    (sep, sib.node_ref())
+}
+
+/// Makes a new root over `left` and `right` separated by `sep`, built in
+/// place in a fresh slot of `arena`.
 pub fn make_root<V>(
     arena: &Arena<V>,
     left: NodeId,
@@ -245,13 +293,11 @@ pub fn make_root<V>(
     right: NodeId,
     level: usize,
 ) -> NodeRef<'_, V> {
-    arena.alloc(Node {
-        keys: InlineVec::from_slice(&[sep]),
-        children: Children::Internal(InlineVec::from_slice(&[left, right])),
-        right: None,
-        high: None,
-        level,
-    })
+    let mut root = arena.alloc(level);
+    let base = root.kid_base();
+    root.tail[base] = left.to_bits();
+    root.insert_separator(sep, right);
+    root.node_ref()
 }
 
 /// Visits every node handle in the tree, top level first. Walks the
@@ -272,11 +318,7 @@ pub fn make_root<V>(
 pub fn for_each_handle<'a, V>(root: &NodeRef<'a, V>, mut f: impl FnMut(usize, &NodeRef<'a, V>)) {
     type Peek = (usize, Option<NodeId>, Option<NodeId>);
     fn read<V>(n: &Node<V>) -> Peek {
-        let first_child = match &n.children {
-            Children::Internal(kids) => kids.first().copied(),
-            Children::Leaf(_) => None,
-        };
-        (n.level, first_child, n.right)
+        (n.level, n.kid(0), n.right)
     }
     let peek = |node: &NodeRef<'_, V>| {
         // A few optimistic retries ride out a straggling writer or a
@@ -321,13 +363,7 @@ pub fn level_heads<'a, V>(root: &NodeRef<'a, V>) -> Vec<NodeRef<'a, V>> {
     let mut heads = Vec::new();
     let mut cur = Some(*root);
     while let Some(node) = cur.take() {
-        cur = {
-            let g = node.read();
-            match &g.children {
-                Children::Internal(kids) => Some(node.at(kids[0])),
-                Children::Leaf(_) => None,
-            }
-        };
+        cur = node.read().kid(0).map(|id| node.at(id));
         heads.push(node);
     }
     heads
@@ -359,14 +395,15 @@ pub fn check_invariants<V>(root: &NodeRef<'_, V>, cap: usize) -> Result<(), Stri
             return Err("handle is stale (slot recycled)".into());
         }
         let n = node.read();
-        if !n.keys.windows(2).all(|w| w[0] < w[1]) {
+        let keys = n.keys();
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
             return Err("keys not strictly sorted".into());
         }
-        if n.keys.len() > cap {
-            return Err(format!("node overfull: {} > {cap}", n.keys.len()));
+        if keys.len() > cap {
+            return Err(format!("node overfull: {} > {cap}", keys.len()));
         }
         if let Some(h) = n.high {
-            if n.keys.iter().any(|&k| k >= h) {
+            if keys.iter().any(|&k| k >= h) {
                 return Err("key at or above high key".into());
             }
         }
@@ -380,41 +417,26 @@ pub fn check_invariants<V>(root: &NodeRef<'_, V>, cap: usize) -> Result<(), Stri
             ));
         }
         if let Some(lo) = min {
-            if n.keys.iter().any(|&k| k < lo) {
+            if keys.iter().any(|&k| k < lo) {
                 return Err("key below subtree lower bound".into());
             }
         }
-        match &n.children {
-            Children::Leaf(vals) => {
-                if vals.len() != n.keys.len() {
-                    return Err("leaf vals/keys length mismatch".into());
-                }
-                Ok(1)
+        if n.is_leaf() {
+            if n.vals().len() != keys.len() {
+                return Err("leaf vals/keys length mismatch".into());
             }
-            Children::Internal(kids) => {
-                if kids.len() != n.keys.len() + 1 {
-                    Err(format!(
-                        "internal node has {} kids for {} keys",
-                        kids.len(),
-                        n.keys.len()
-                    ))?;
-                }
-                let mut height = None;
-                for (i, &kid) in kids.iter().enumerate() {
-                    let lo = if i == 0 { min } else { Some(n.keys[i - 1]) };
-                    let hi = if i == kids.len() - 1 {
-                        n.high
-                    } else {
-                        Some(n.keys[i])
-                    };
-                    let h = walk(&node.at(kid), cap, lo, hi)?;
-                    if *height.get_or_insert(h) != h {
-                        return Err("children at unequal heights".into());
-                    }
-                }
-                Ok(height.unwrap_or(0) + 1)
+            return Ok(1);
+        }
+        let mut height = None;
+        for (i, kid) in n.kids().enumerate() {
+            let lo = if i == 0 { min } else { Some(keys[i - 1]) };
+            let hi = keys.get(i).copied().or(n.high);
+            let h = walk(&node.at(kid), cap, lo, hi)?;
+            if *height.get_or_insert(h) != h {
+                return Err("children at unequal heights".into());
             }
         }
+        Ok(height.unwrap_or(0) + 1)
     }
     walk(root, cap, None, None).map(|_| ())
 }
@@ -424,73 +446,100 @@ mod tests {
     use super::*;
     use cbtree_sync::SamplePeriod;
 
-    fn arena() -> Arena<u64> {
-        Arena::new(SamplePeriod::EXACT)
+    fn arena(cap: usize) -> Arena<u64> {
+        Arena::new(cap, SamplePeriod::EXACT)
     }
 
-    fn leaf_with(keys: &[u64]) -> Node<u64> {
-        let mut n = Node::new_leaf_for(8);
+    fn leaf_with<'a>(arena: &'a Arena<u64>, keys: &[u64]) -> NodeRef<'a, u64> {
+        let mut n = arena.alloc(1);
         for &k in keys {
             n.leaf_insert(k, k * 10);
         }
-        n
+        n.node_ref()
+    }
+
+    /// An internal node at level 2 over fresh leaves, one per separator
+    /// gap.
+    fn internal_with<'a>(arena: &'a Arena<u64>, seps: &[u64]) -> NodeRef<'a, u64> {
+        let kid = || arena.alloc(1).id();
+        let root = make_root(arena, kid(), seps[0], kid(), 2);
+        for &s in &seps[1..] {
+            root.write().insert_separator(s, kid());
+        }
+        root
     }
 
     #[test]
     fn leaf_insert_get_remove() {
-        let mut n = leaf_with(&[5, 1, 3]);
-        assert_eq!(&n.keys[..], &[1, 3, 5]);
+        let arena = arena(8);
+        let h = leaf_with(&arena, &[5, 1, 3]);
+        let mut n = h.write();
+        assert_eq!(n.keys(), &[1, 3, 5]);
         assert_eq!(n.leaf_get(3), Some(&30));
         assert_eq!(n.leaf_insert(3, 99), Some(30));
         assert_eq!(n.leaf_get(3), Some(&99));
         assert_eq!(n.leaf_remove(1), Some(10));
         assert_eq!(n.leaf_remove(1), None);
-        assert_eq!(&n.keys[..], &[3, 5]);
+        assert_eq!(n.keys(), &[3, 5]);
+        assert_eq!(n.vals(), &[99, 50]);
     }
 
     #[test]
     fn leaf_split_keeps_order_and_links() {
-        let arena = arena();
-        let mut n = leaf_with(&[1, 2, 3, 4, 5]);
-        let (sep, sib) = split_node(&arena, &mut n, 4);
+        let arena = arena(4);
+        let h = leaf_with(&arena, &[1, 2, 3, 4, 5]);
+        let mut n = h.write();
+        let (sep, sib) = split_node(&arena, &mut n);
         assert_eq!(sep, 3);
-        assert_eq!(&n.keys[..], &[1, 2]);
+        assert_eq!(n.keys(), &[1, 2]);
+        assert_eq!(n.vals(), &[10, 20]);
         assert_eq!(n.high, Some(3));
         let s = sib.read();
-        assert_eq!(&s.keys[..], &[3, 4, 5]);
+        assert_eq!(s.keys(), &[3, 4, 5]);
+        assert_eq!(s.vals(), &[30, 40, 50]);
         assert_eq!(n.right, Some(sib.id()));
     }
 
     #[test]
     fn internal_split_moves_separator_up() {
-        let arena = arena();
-        let kid_ids: Vec<NodeId> = (0..6)
-            .map(|_| arena.alloc(Node::new_leaf_for(5)).id())
-            .collect();
-        let mut n = Node {
-            keys: InlineVec::from_slice(&[10, 20, 30, 40, 50]),
-            children: Children::Internal(InlineVec::from_slice(&kid_ids)),
-            right: None,
-            high: None,
-            level: 2,
-        };
-        let (sep, sib) = split_node(&arena, &mut n, 5);
+        let arena = arena(5);
+        let h = internal_with(&arena, &[10, 20, 30, 40, 50]);
+        let kids: Vec<NodeId> = h.read().kids().collect();
+        assert_eq!(kids.len(), 6);
+        let mut n = h.write();
+        let (sep, sib) = split_node(&arena, &mut n);
         assert_eq!(sep, 30);
-        assert_eq!(&n.keys[..], &[10, 20]);
+        assert_eq!(n.keys(), &[10, 20]);
         let s = sib.read();
-        assert_eq!(&s.keys[..], &[40, 50]);
-        match (&n.children, &s.children) {
-            (Children::Internal(a), Children::Internal(b)) => {
-                assert_eq!(a.len(), 3);
-                assert_eq!(b.len(), 3);
-            }
-            _ => panic!("expected internal"),
-        }
+        assert_eq!(s.keys(), &[40, 50]);
+        assert_eq!(n.kids().collect::<Vec<_>>(), kids[..3]);
+        assert_eq!(s.kids().collect::<Vec<_>>(), kids[3..]);
+    }
+
+    #[test]
+    fn separators_insert_and_remove_with_their_right_child() {
+        let arena = arena(8);
+        let h = internal_with(&arena, &[10, 30]);
+        let kids: Vec<NodeId> = h.read().kids().collect();
+        let mut n = h.write();
+        let new = NodeId { idx: 99, gen: 7 };
+        n.insert_separator(20, new);
+        assert_eq!(n.keys(), &[10, 20, 30]);
+        assert_eq!(
+            n.kids().collect::<Vec<_>>(),
+            [kids[0], kids[1], new, kids[2]]
+        );
+        n.remove_child(2);
+        assert_eq!(n.keys(), &[10, 30]);
+        assert_eq!(n.kids().collect::<Vec<_>>(), kids);
+        assert_eq!(n.kid(3), None);
     }
 
     #[test]
     fn covers_and_safety_checks() {
-        let mut n = leaf_with(&[1, 2, 3]);
+        let arena = arena(4);
+        let h = leaf_with(&arena, &[1, 2, 3]);
+        let mut n = h.write();
         assert!(n.covers(1_000_000));
         n.high = Some(10);
         assert!(n.covers(9));
@@ -498,34 +547,48 @@ mod tests {
         assert!(n.insert_unsafe(3));
         assert!(!n.insert_unsafe(4));
         assert!(!n.delete_unsafe());
-        let one = leaf_with(&[7]);
-        assert!(one.delete_unsafe());
+        assert!(leaf_with(&arena, &[7]).read().delete_unsafe());
+        assert_eq!(n.kid(0), None, "leaves have no children");
     }
 
     #[test]
     fn child_index_routing() {
-        let arena = arena();
-        let kid_ids: Vec<NodeId> = (0..3)
-            .map(|_| arena.alloc(Node::new_leaf_for(4)).id())
-            .collect();
-        let n: Node<u64> = Node {
-            keys: InlineVec::from_slice(&[10, 20]),
-            children: Children::Internal(InlineVec::from_slice(&kid_ids)),
-            right: None,
-            high: None,
-            level: 2,
-        };
+        let arena = arena(4);
+        let n = internal_with(&arena, &[10, 20]);
+        let n = n.read();
         assert_eq!(n.child_index(5), 0);
         assert_eq!(n.child_index(10), 1);
         assert_eq!(n.child_index(15), 1);
         assert_eq!(n.child_index(20), 2);
         assert_eq!(n.child_index(99), 2);
+        assert_eq!(n.child_for(15), n.kid(1).unwrap());
+    }
+
+    #[test]
+    fn retire_keeps_the_value_buffer_for_the_next_tenant() {
+        let arena = arena(16);
+        let h = leaf_with(&arena, &[1, 2, 3]);
+        let (ptr, room) = {
+            let n = h.read();
+            (n.vals.as_ptr(), n.vals.capacity())
+        };
+        assert_eq!(room, 17, "a leaf's buffer holds cap + 1 values");
+        let mut g = h.write_guard();
+        arena.retire(&mut g);
+        assert!(g.keys().is_empty() && g.vals().is_empty());
+        assert_eq!(g.vals.as_ptr(), ptr, "retire clears, never frees");
+        drop(g);
+        arena.recycle(h.id());
+        let again = arena.alloc(1);
+        assert_eq!(again.id().idx, h.id().idx, "the slot is recycled");
+        assert_eq!(again.vals.as_ptr(), ptr);
+        assert_eq!(again.vals.capacity(), 17);
     }
 
     /// Two linked leaves under a fresh root, for the invariant tests.
     fn two_leaf_tree<'a>(arena: &'a Arena<u64>, left_keys: &[u64]) -> NodeRef<'a, u64> {
-        let left = arena.alloc(leaf_with(left_keys));
-        let right = arena.alloc(leaf_with(&[5, 6]));
+        let left = leaf_with(arena, left_keys);
+        let right = leaf_with(arena, &[5, 6]);
         {
             let mut l = left.write();
             l.high = Some(5);
@@ -536,30 +599,26 @@ mod tests {
 
     #[test]
     fn invariant_checker_accepts_valid_tree() {
-        let arena = arena();
+        let arena = arena(4);
         let root = two_leaf_tree(&arena, &[1, 2]);
         check_invariants(&root, 4).unwrap();
     }
 
     #[test]
     fn invariant_checker_rejects_bad_separator() {
-        let arena = arena();
+        let arena = arena(4);
         let root = two_leaf_tree(&arena, &[1, 9]); // 9 >= separator 5
         assert!(check_invariants(&root, 4).is_err());
     }
 
     #[test]
     fn invariant_checker_rejects_stale_child() {
-        let arena = arena();
+        let arena = arena(4);
         let root = two_leaf_tree(&arena, &[1, 2]);
         check_invariants(&root, 4).unwrap();
         // Retire the right leaf without unlinking it from the parent —
         // exactly the inconsistency a buggy vacuum would leave behind.
-        let right_id = match &root.read().children {
-            Children::Internal(kids) => kids[1],
-            Children::Leaf(_) => unreachable!(),
-        };
-        let right = root.at(right_id);
+        let right = root.at(root.read().kid(1).unwrap());
         let mut g = right.write_guard();
         arena.retire(&mut g);
         drop(g);

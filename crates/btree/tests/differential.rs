@@ -1,6 +1,7 @@
 //! Differential tests: one seeded op stream applied sequentially to
 //! every protocol — recovery variants included, committing after every
-//! op (transaction size 1) — and to a `std::collections::BTreeMap`
+//! op (transaction size 1) — at node capacities on both sides of every
+//! arena slot-class boundary, and to a `std::collections::BTreeMap`
 //! oracle; every return value and the final contents must match
 //! exactly. Under the `inject` feature all seven protocols additionally
 //! run a schedule-perturbed concurrent workload, and OLC's restart
@@ -28,69 +29,95 @@ impl Lcg {
     }
 }
 
+/// Node capacities the oracle stream runs at: the smallest legal one,
+/// then each slot class's largest capacity and the one just past it
+/// (classes hold 4, 8, 16, 32, 64 and 128 keys), with 5 — the suite's
+/// long-standing default — among them.
+const CAPACITIES: [usize; 10] = [3, 4, 5, 8, 9, 16, 17, 64, 65, 128];
+
 #[test]
 fn all_protocols_match_btreemap_oracle() {
+    for cap in CAPACITIES {
+        for p in Protocol::ALL_WITH_RECOVERY {
+            match_oracle(p, cap);
+        }
+    }
+}
+
+/// Runs the seeded op stream against `p` at node capacity `cap` and the
+/// oracle side by side.
+fn match_oracle(p: Protocol, cap: usize) {
     const OPS: usize = 6000;
     const KEY_SPACE: u64 = 700;
 
-    for p in Protocol::ALL_WITH_RECOVERY {
-        let tree = ConcurrentBTree::new(p, 5);
-        let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut rng = Lcg(0xD1FF_E4E7);
+    let tree = ConcurrentBTree::new(p, cap);
+    let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut rng = Lcg(0xD1FF_E4E7);
 
-        for i in 0..OPS {
-            let r = rng.next();
-            let key = rng.next() % KEY_SPACE;
-            match r % 10 {
-                // 40% inserts, 20% removes, 20% gets, 10% contains, 10% ranges.
-                0..=3 => {
-                    let val = r;
-                    assert_eq!(tree.insert(key, val), oracle.insert(key, val), "{p} op {i}");
-                }
-                4..=5 => {
-                    assert_eq!(tree.remove(&key), oracle.remove(&key), "{p} op {i}");
-                }
-                6..=7 => {
-                    assert_eq!(tree.get(&key), oracle.get(&key).copied(), "{p} op {i}");
-                }
-                8 => {
-                    assert_eq!(
-                        tree.contains_key(&key),
-                        oracle.contains_key(&key),
-                        "{p} op {i}"
-                    );
-                }
-                _ => {
-                    let lo = key;
-                    let hi = (key + 1 + rng.next() % 60).min(KEY_SPACE);
-                    let got = tree.range(lo, hi);
-                    let want: Vec<(u64, u64)> =
-                        oracle.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
-                    assert_eq!(got, want, "{p} range [{lo},{hi}) op {i}");
-                }
+    for i in 0..OPS {
+        let r = rng.next();
+        let key = rng.next() % KEY_SPACE;
+        match r % 10 {
+            // 40% inserts, 20% removes, 20% gets, 10% contains, 10% ranges.
+            0..=3 => {
+                let val = r;
+                assert_eq!(
+                    tree.insert(key, val),
+                    oracle.insert(key, val),
+                    "{p} cap {cap} op {i}"
+                );
             }
-            // Transaction size 1: recovery variants commit after every
-            // op; a no-op for everything else.
-            tree.txn_commit();
-            assert_eq!(tree.len(), oracle.len(), "{p} op {i}");
-            // Interleave slot reclamation with the op stream (no-op on
-            // the link protocols): recycled-slot reuse must never change
-            // an answer.
-            if i % 500 == 499 {
-                tree.vacuum();
+            4..=5 => {
+                assert_eq!(
+                    tree.remove(&key),
+                    oracle.remove(&key),
+                    "{p} cap {cap} op {i}"
+                );
+            }
+            6..=7 => {
+                assert_eq!(
+                    tree.get(&key),
+                    oracle.get(&key).copied(),
+                    "{p} cap {cap} op {i}"
+                );
+            }
+            8 => {
+                assert_eq!(
+                    tree.contains_key(&key),
+                    oracle.contains_key(&key),
+                    "{p} cap {cap} op {i}"
+                );
+            }
+            _ => {
+                let lo = key;
+                let hi = (key + 1 + rng.next() % 60).min(KEY_SPACE);
+                let got = tree.range(lo, hi);
+                let want: Vec<(u64, u64)> = oracle.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(got, want, "{p} cap {cap} range [{lo},{hi}) op {i}");
             }
         }
-
-        // Final contents, checked key by key and via one full scan.
-        tree.check().unwrap_or_else(|e| panic!("{p}: {e}"));
-        let full = tree.range(0, KEY_SPACE);
-        let want: Vec<(u64, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(full, want, "{p} final contents");
-        assert!(
-            tree.counters().ops >= OPS as u64,
-            "{p} telemetry counts ops"
-        );
+        // Transaction size 1: recovery variants commit after every op; a
+        // no-op for everything else.
+        tree.txn_commit();
+        assert_eq!(tree.len(), oracle.len(), "{p} cap {cap} op {i}");
+        // Interleave slot reclamation with the op stream (no-op on the
+        // link protocols): recycled-slot reuse must never change an
+        // answer.
+        if i % 500 == 499 {
+            tree.vacuum();
+        }
     }
+
+    // Final contents, checked key by key and via one full scan.
+    tree.check()
+        .unwrap_or_else(|e| panic!("{p} cap {cap}: {e}"));
+    let full = tree.range(0, KEY_SPACE);
+    let want: Vec<(u64, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(full, want, "{p} cap {cap} final contents");
+    assert!(
+        tree.counters().ops >= OPS as u64,
+        "{p} telemetry counts ops"
+    );
 }
 
 /// OLC restart-counter sanity, quiet half: with no concurrent writers

@@ -12,7 +12,7 @@
 //! All auditors require a quiescent tree (no concurrent mutators); the
 //! stress harness runs them after joining its workers.
 
-use cbtree_btree::node::{self, Children, NodeId, NodeRef};
+use cbtree_btree::node::{self, NodeId, NodeRef};
 use cbtree_btree::ConcurrentMap;
 use std::collections::BTreeMap;
 
@@ -85,11 +85,7 @@ pub fn contents(root: &NodeRef<'_, u64>) -> BTreeMap<u64, u64> {
     if let Some(leaf_head) = heads.last() {
         for n in node::level_chain(leaf_head) {
             let g = n.read();
-            if let Children::Leaf(vals) = &g.children {
-                for (i, &k) in g.keys.iter().enumerate() {
-                    out.insert(k, vals[i]);
-                }
-            }
+            out.extend(g.keys().iter().copied().zip(g.vals().iter().copied()));
         }
     }
     out
@@ -110,7 +106,7 @@ pub fn audit_root(root: &NodeRef<'_, u64>, cap: usize) -> Result<AuditReport, St
         }
         nodes_per_level.push(chain.len());
         if depth + 1 == heads.len() {
-            keys = chain.iter().map(|n| n.read().keys.len()).sum();
+            keys = chain.iter().map(|n| n.read().keys().len()).sum();
         }
         parent_chain = Some(chain);
     }
@@ -125,16 +121,17 @@ fn audit_chain(chain: &[NodeRef<'_, u64>], depth: usize, cap: usize) -> Result<(
     let mut prev_high: Option<u64> = None;
     for (i, n) in chain.iter().enumerate() {
         let g = n.read();
+        let keys = g.keys();
         let last = i + 1 == chain.len();
-        if g.keys.len() > cap {
+        if keys.len() > cap {
             return Err(format!(
                 "level-{depth} node {i} overfull: {} keys > cap {cap}",
-                g.keys.len()
+                keys.len()
             ));
         }
         // NB: empty nodes are legal — all trees are merge-at-empty with
         // lazy reclamation, so a drained leaf stays linked.
-        if !g.keys.windows(2).all(|w| w[0] < w[1]) {
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
             return Err(format!("level-{depth} node {i} keys unsorted"));
         }
         if last {
@@ -149,13 +146,13 @@ fn audit_chain(chain: &[NodeRef<'_, u64>], depth: usize, cap: usize) -> Result<(
                 format!("level-{depth} node {i} has a right link but high = +inf")
             })?;
             if let Some(p) = prev_high {
-                if g.keys.first().is_some_and(|&k| k < p) {
+                if keys.first().is_some_and(|&k| k < p) {
                     return Err(format!(
                         "level-{depth} node {i} starts below its left sibling's high key {p}"
                     ));
                 }
             }
-            if g.keys.iter().any(|&k| k >= h) {
+            if keys.iter().any(|&k| k >= h) {
                 return Err(format!(
                     "level-{depth} node {i} holds a key >= its high key {h}"
                 ));
@@ -180,14 +177,13 @@ fn audit_separators(
     let mut via_parents: Vec<NodeId> = Vec::new();
     for p in parents {
         let g = p.read();
-        if let Children::Internal(kids) = &g.children {
-            via_parents.extend(kids.iter().copied());
-        } else {
+        if g.is_leaf() {
             return Err(format!(
                 "level-{} node is a leaf but has a child level below",
                 child_depth - 1
             ));
         }
+        via_parents.extend(g.kids());
     }
     let via_chain: Vec<NodeId> = children_chain.iter().map(|n| n.id()).collect();
     if via_parents != via_chain {
@@ -252,7 +248,7 @@ mod tests {
         let chain = node::level_chain(leaf_head);
         assert!(chain.len() >= 3, "need >= 3 leaves to skip one");
         let skip_to = chain[2].id();
-        let skip_low = chain[2].read().keys[0];
+        let skip_low = chain[2].read().keys()[0];
         {
             let mut g = chain[0].write();
             g.right = Some(skip_to);
@@ -276,11 +272,11 @@ mod tests {
         let chain = node::level_chain(heads.last().unwrap());
         let victim = chain
             .iter()
-            .find(|n| n.read().keys.len() >= 2)
+            .find(|n| n.read().keys().len() >= 2)
             .expect("some leaf has >= 2 keys");
         // `split_node` allocates the sibling and links it into the leaf
         // chain but — unlike a real insert — never posts the separator.
-        node::split_node(victim.arena(), &mut victim.write(), t.capacity());
+        node::split_node(victim.arena(), &mut victim.write());
         let err = audit_root(&root, t.capacity()).unwrap_err();
         assert!(err.contains("separator audit"), "{err}");
     }

@@ -32,7 +32,7 @@
 //! stay perfectly well-formed.
 
 use crate::history::ConcurrentMap;
-use cbtree_btree::node::{Children, NodeId, NodeRef};
+use cbtree_btree::node::{NodeId, NodeRef};
 use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
 
 /// A B-link tree whose `get` skips the post-latch `covers()` re-check
@@ -70,11 +70,10 @@ impl ConcurrentMap<u64> for SkipRightLink {
                 let g = cur.read();
                 if !g.covers(key) {
                     Some(g.right.expect("finite high key implies right"))
+                } else if g.is_leaf() {
+                    None
                 } else {
-                    match &g.children {
-                        Children::Leaf(_) => None,
-                        Children::Internal(_) => Some(g.child_for(key)),
-                    }
+                    Some(g.child_for(key))
                 }
             };
             match next {
@@ -202,8 +201,8 @@ impl ConcurrentMap<u64> for SkipParentRevalidation {
                 routed = true;
                 // Each node's own window is still validated (no torn
                 // reads) — the bug is purely about stale routing.
-                // SAFETY: the closure copies POD `u64`s through checked
-                // accesses and copies `Copy` node ids; slab slots are
+                // SAFETY: the closure copies POD `u64`s through clamped and
+                // checked accesses and copies `Copy` node ids; slab slots are
                 // never deallocated, so even a torn id resolves to
                 // initialized memory, and a torn result is discarded on
                 // failed validation. The planted bug skips the *parent*
@@ -211,16 +210,11 @@ impl ConcurrentMap<u64> for SkipParentRevalidation {
                 // memory-safety one. (This tree never vacuums, so slot
                 // generations never move.)
                 let attempt = unsafe {
-                    cur.read_optimistic(|n| match &n.children {
-                        Children::Leaf(vals) => Some(Step::Done(
-                            n.keys
-                                .binary_search(&key)
-                                .ok()
-                                .and_then(|i| vals.get(i))
-                                .copied(),
-                        )),
-                        Children::Internal(kids) => {
-                            kids.get(n.child_index(key)).copied().map(Step::Down)
+                    cur.read_optimistic(|n| {
+                        if n.is_leaf() {
+                            Some(Step::Done(n.leaf_get(key).copied()))
+                        } else {
+                            n.kid(n.child_index(key)).map(Step::Down)
                         }
                     })
                 };
@@ -326,11 +320,10 @@ impl ConcurrentMap<u64> for SkipGenerationCheck {
                 let g = cur.read();
                 if !g.covers(key) {
                     Some(g.right.expect("finite high key implies right"))
+                } else if g.is_leaf() {
+                    None
                 } else {
-                    match &g.children {
-                        Children::Leaf(_) => None,
-                        Children::Internal(_) => Some(g.child_for(key)),
-                    }
+                    Some(g.child_for(key))
                 }
             };
             match next {

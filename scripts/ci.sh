@@ -65,8 +65,9 @@ done
 echo "==> scaling guard: two threads on one b-link tree beat 1.3x one thread"
 # Insert = delete on a tree too big for the cache, straight after the
 # plain release build (a later step rebuilds `live` with tracing on).
-# Before the handles borrowed the arena and the counters were striped,
-# two threads were *slower* than one here (0.9-1.0x); since, 1.6-1.8x.
+# It catches tree-wide state every operation writes (an arena reference
+# count, an unstriped counter): two threads then run no faster than one
+# (0.9-1.0x). Measured ratios: EXPERIMENTS.md "Slots sized by capacity".
 if reason=$(host_gives_two_cores); then
     for t in 1 2; do
         target/release/live --algo blink --threads "$t" --mix 0,0.5,0.5 \
@@ -161,8 +162,20 @@ target/release/cbtree-trace timeline --expect-spike "$out/serve-timeseries.jsonl
 
 echo "==> benchmark/ package: builds against the workspace API and runs (quick)"
 # benchmark/ is its own workspace root, so `cargo test --workspace`
-# cannot see an API break against it; this step can.
-bash benchmark/run.sh --quick > /dev/null
+# cannot see an API break against it; this step can. Its memory figure
+# is deterministic (the quick mode keeps the full prefill), so the slot
+# layout is held to it: a tree-churn key costs about 202 B with slots
+# sized for cap 16, and 492 B when every slot is sized for cap 128.
+CHURN_BYTES_PER_KEY_MAX=250
+bash benchmark/run.sh --quick > "$out/bench-quick.txt"
+awk -v max="$CHURN_BYTES_PER_KEY_MAX" '
+    /^== / { workload = $2 }
+    workload == "tree-churn" && $1 == "bytes_per_key" { bpk = $2 }
+    END {
+        verdict = bpk > 0 && bpk <= max ? "ok" : "FAIL"
+        printf "    tree-churn bytes_per_key %.1f B (max %d B): %s\n", bpk, max, verdict
+        exit verdict == "FAIL"
+    }' "$out/bench-quick.txt"
 
 echo "==> measurement overhead: the metrics session, exact lock statistics and compiled-in, switched-off tracing"
 # Priced by the benchmark's own per-layer metrics on two builds of it:
