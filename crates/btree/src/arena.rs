@@ -34,7 +34,7 @@
 //! # Free list and generations
 //!
 //! Retired slots (vacuumed empty leaves — see
-//! [`DescentTree::vacuum`](crate::descent::DescentTree::vacuum)) go on
+//! [`ConcurrentBTree::vacuum`](crate::ConcurrentBTree::vacuum)) go on
 //! a free list and are recycled by later splits. Recycling is what the
 //! old `Arc` representation never did — "nodes are never unlinked" was
 //! the load-bearing safety argument for latch-free readers — so the
@@ -656,7 +656,7 @@ impl<V> DerefMut for WriteGuard<'_, V> {
 }
 
 impl<'a, V> WriteGuard<'a, V> {
-    /// Unwraps the latch guard itself (for the recovery strategies'
+    /// Unwraps the latch guard itself (for the recovery protocols'
     /// transaction retention, which holds latches past this borrow).
     pub(crate) fn into_latch_guard(self) -> RwLockWriteGuard<'a, Node<V>> {
         self.guard

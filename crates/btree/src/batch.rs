@@ -46,7 +46,7 @@ pub struct BatchSummary {
     /// Leaf-level right-link hops taken while holding the previous leaf
     /// (a reuse that crossed into the right sibling).
     pub right_hops: u64,
-    /// Inserts that needed a split and fell back to the strategy's
+    /// Inserts that needed a split and fell back to the protocol's
     /// native insert path (each also pays a descent, counted in
     /// `descents`).
     pub fallback_inserts: u64,

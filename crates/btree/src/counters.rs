@@ -71,7 +71,7 @@ fn stripe_index() -> usize {
 /// [`OpCounters::snapshot`] (and the tree's `len`) keep their exact-sum
 /// meaning; diff two snapshots with [`OpCountersSnapshot::since`].
 #[derive(Debug, Default)]
-pub struct OpCounters {
+pub(crate) struct OpCounters {
     stripes: [Stripe; STRIPES],
 }
 
@@ -205,23 +205,8 @@ impl OpCounters {
         (sum as isize).max(0) as usize
     }
 
-    /// Total optimistic restarts so far.
-    pub fn restarts(&self) -> u64 {
-        self.sum(|s| &s.restarts)
-    }
-
-    /// Total right-link chases so far.
-    pub fn chases(&self) -> u64 {
-        self.sum(|s| &s.chases)
-    }
-
-    /// Total node splits so far.
-    pub fn splits(&self) -> u64 {
-        self.sum(|s| &s.splits)
-    }
-
     /// A point-in-time copy of every counter, summed over the stripes.
-    pub fn snapshot(&self) -> OpCountersSnapshot {
+    pub(crate) fn snapshot(&self) -> OpCountersSnapshot {
         let per_level = |field: fn(&Stripe) -> &[AtomicU64; MAX_LEVELS]| {
             std::array::from_fn(|i| self.sum(|s| &field(s)[i]))
         };
@@ -229,9 +214,9 @@ impl OpCounters {
             ops: self.sum(|s| &s.ops),
             r_latches: per_level(|s| &s.r_latches),
             w_latches: per_level(|s| &s.w_latches),
-            restarts: self.restarts(),
-            chases: self.chases(),
-            splits: self.splits(),
+            restarts: self.sum(|s| &s.restarts),
+            chases: self.sum(|s| &s.chases),
+            splits: self.sum(|s| &s.splits),
             peak_chain: self
                 .stripes
                 .iter()
@@ -247,7 +232,7 @@ impl OpCounters {
     }
 }
 
-/// A point-in-time copy of [`OpCounters`], with derived rates.
+/// A point-in-time copy of a tree's counters, with derived rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCountersSnapshot {
     /// Public operations started.

@@ -1,51 +1,51 @@
-//! The protocol-strategy descent engine.
+//! The descent engine: [`ConcurrentBTree`].
 //!
 //! Every latching protocol in this crate is the *same* B+-tree — shared
 //! [`Node`] representation in a slab [`Arena`], Lehman–Yao metadata on
 //! every node, merge-at-empty deletes — differing only in **how it
 //! latches on the way down**: which mode, when a retained ancestor chain
 //! is released, when an operation restarts, and how a traversal recovers
-//! from a node that no longer covers its key. [`LatchStrategy`] captures
-//! exactly those choices as associated constants, and [`DescentTree`] is
-//! the one generic engine implementing `get`/`insert`/`remove`/`range`
-//! for every strategy:
+//! from a node that no longer covers its key. Three policy axes capture
+//! exactly those choices; the tree stores its [`Protocol`] and reads its
+//! row of the policy table (`Protocol::policy`, the one place a
+//! protocol's latching is defined) on every operation:
 //!
-//! * [`ReadPolicy::Crab`] — shared crabbing (child latched before the
-//!   parent releases); [`ReadPolicy::RetainAll`] — strict 2PL, every
-//!   shared latch held to completion; [`ReadPolicy::Link`] — at most one
-//!   latch, right-link chases on non-covering nodes; [`ReadPolicy::Olc`]
+//! * `ReadPolicy::Crab` — shared crabbing (child latched before the
+//!   parent releases); `ReadPolicy::RetainAll` — strict 2PL, every
+//!   shared latch held to completion; `ReadPolicy::Link` — at most one
+//!   latch, right-link chases on non-covering nodes; `ReadPolicy::Olc`
 //!   — optimistic lock coupling, **zero** reader latches: descents
 //!   snapshot each node's version counter, read without latching,
 //!   validate parent-then-child, and restart from the deepest
 //!   still-valid ancestor on a mismatch.
-//! * [`UpdatePolicy::Crab`] — exclusive crabbing, either releasing the
+//! * `UpdatePolicy::Crab` — exclusive crabbing, either releasing the
 //!   retained chain above *safe* children (`retain_all: false`, the
 //!   Bayer–Schkolnick write path) or never releasing (`retain_all:
-//!   true`, the Two-Phase baseline); [`UpdatePolicy::OptimisticLeaf`] —
+//!   true`, the Two-Phase baseline); `UpdatePolicy::OptimisticLeaf` —
 //!   shared descent + exclusive leaf, restarting as an exclusive crab
-//!   when the leaf is unsafe; [`UpdatePolicy::Link`] — Lehman–Yao
+//!   when the leaf is unsafe; `UpdatePolicy::Link` — Lehman–Yao
 //!   half-split with separators posted upward under one latch at a time.
-//! * [`TxnRetention`] — the paper's §7 recovery variants: exclusive
+//! * `TxnRetention` — the paper's §7 recovery variants: exclusive
 //!   latches survive the operation and are held until
-//!   [`DescentTree::txn_commit`], either the whole retained chain
+//!   [`ConcurrentBTree::txn_commit`], either the whole retained chain
 //!   (`All`, "naive" recovery) or the leaf only (`Leaf`).
 //!
-//! The engine also owns the uniform telemetry ([`OpCounters`]): latch
+//! The engine also owns the uniform telemetry (`OpCounters`): latch
 //! acquisitions per level and mode, optimistic restarts, right-link
 //! chases, peak latch-chain depth, and transaction commits/spills.
 //!
 //! # Slot recycling and stale handles
 //!
 //! Emptied leaves persist, still linked, until an explicit
-//! [`DescentTree::vacuum`] unlinks them and returns their arena slots to
-//! the free list. Latched coupled descents can never observe a recycled
-//! slot (a child is resolved under its parent's latch, and vacuum holds
-//! the parent exclusively before freeing a child), so only the paths
-//! that cross an **unlatched window** re-check the handle generation:
-//! the OLC descent (after version validation), the latched chase after
-//! an OLC locator, and the leaf-chain hops of range scans. A stale
-//! handle restarts the affected step; see [`crate::arena`] for why the
-//! generation check must follow, not precede, version validation.
+//! [`ConcurrentBTree::vacuum`] unlinks them and returns their arena
+//! slots to the free list. Latched coupled descents can never observe a
+//! recycled slot (a child is resolved under its parent's latch, and
+//! vacuum holds the parent exclusively before freeing a child), so only
+//! the paths that cross an **unlatched window** re-check the handle
+//! generation: the OLC descent (after version validation), the latched
+//! chase after an OLC locator, and the leaf-chain hops of range scans. A
+//! stale handle restarts the affected step; see [`crate::arena`] for why
+//! the generation check must follow, not precede, version validation.
 //!
 //! # Deadlock freedom with retained transaction latches
 //!
@@ -69,10 +69,10 @@ use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, make_root, split_node, Node};
 use crate::olc::OlcValue;
+use crate::protocol::Protocol;
 use cbtree_sync::{RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
 use std::collections::HashMap;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::{self, ThreadId};
@@ -85,9 +85,9 @@ pub(crate) use crate::arena::{ReadGuard, WriteGuard};
 /// insert allocates nothing.
 type AscentHints = InlineVec<NodeId, MAX_LEVELS>;
 
-/// How a strategy latches on the way down for read-only operations.
+/// How a protocol latches on the way down for read-only operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPolicy {
+pub(crate) enum ReadPolicy {
     /// Shared crabbing: the child is latched before the parent releases.
     Crab,
     /// Strict 2PL: every shared latch is retained until the operation
@@ -107,9 +107,9 @@ pub enum ReadPolicy {
     Olc,
 }
 
-/// How a strategy latches for updates.
+/// How a protocol latches for updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdatePolicy {
+pub(crate) enum UpdatePolicy {
     /// Exclusive crabbing to the leaf. With `retain_all: false` the
     /// retained ancestor chain is released whenever a newly latched
     /// child is *safe* (cannot split / cannot empty); with `retain_all:
@@ -132,36 +132,51 @@ pub enum UpdatePolicy {
 /// Whether exclusive latches outlive the operation, per the paper's §7
 /// recovery application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnRetention {
+pub(crate) enum TxnRetention {
     /// Latches release at operation end (all non-recovery protocols).
     None,
     /// The leaf's exclusive latch is retained until
-    /// [`DescentTree::txn_commit`].
+    /// [`ConcurrentBTree::txn_commit`].
     Leaf,
     /// Every exclusive latch still held at operation end is retained
-    /// until [`DescentTree::txn_commit`] ("naive" recovery).
+    /// until [`ConcurrentBTree::txn_commit`] ("naive" recovery).
     All,
 }
 
-/// A latching protocol, described declaratively. The descent engine
-/// interprets these constants; a strategy carries no state and no code.
-pub trait LatchStrategy: Send + Sync + 'static {
-    /// Short protocol name (matches `Protocol::name()` for the facade's
-    /// protocols).
-    const NAME: &'static str;
-    /// Read-side latching discipline.
-    const READ: ReadPolicy;
-    /// Update-side latching discipline.
-    const UPDATE: UpdatePolicy;
-    /// Transaction-scoped latch retention (recovery variants only).
-    const TXN: TxnRetention = TxnRetention::None;
+/// One protocol's row of the policy table: everything the engine needs
+/// to know about how it latches.
+#[derive(Clone, Copy)]
+pub(crate) struct Policy {
+    pub(crate) read: ReadPolicy,
+    pub(crate) update: UpdatePolicy,
+    pub(crate) txn: TxnRetention,
 }
 
-/// A concurrent B+-tree generic over its latching strategy.
-///
-/// All protocol trees in this crate are type aliases of this engine —
-/// e.g. `LockCouplingTree<V> = DescentTree<V, LockCouplingStrategy>`.
-pub struct DescentTree<V, S: LatchStrategy> {
+impl Protocol {
+    /// The policy table — the only place a protocol's latching is
+    /// defined.
+    pub(crate) const fn policy(self) -> Policy {
+        use ReadPolicy as R;
+        use TxnRetention as T;
+        use UpdatePolicy as U;
+        const COUPLE: UpdatePolicy = U::Crab { retain_all: false };
+        let (read, update, txn) = match self {
+            Protocol::TwoPhase => (R::RetainAll, U::Crab { retain_all: true }, T::None),
+            Protocol::LockCoupling => (R::Crab, COUPLE, T::None),
+            Protocol::OptimisticDescent => (R::Crab, U::OptimisticLeaf, T::None),
+            Protocol::BLink => (R::Link, U::Link, T::None),
+            Protocol::Olc => (R::Olc, COUPLE, T::None),
+            Protocol::RecoveryNaive => (R::Crab, COUPLE, T::All),
+            Protocol::RecoveryLeaf => (R::Crab, COUPLE, T::Leaf),
+        };
+        Policy { read, update, txn }
+    }
+}
+
+/// A concurrent B+-tree latched by the [`Protocol`] chosen at
+/// construction — every protocol is this one engine reading a different
+/// row of the policy table.
+pub struct ConcurrentBTree<V> {
     /// Node storage: every node of this tree lives in one slab arena,
     /// owned here and borrowed by every handle and guard.
     arena: Arena<V>,
@@ -171,26 +186,28 @@ pub struct DescentTree<V, S: LatchStrategy> {
     /// nothing per-operation writes.
     root: RootWord,
     cap: usize,
+    /// Read by every operation, never written: like `cap`, it stays off
+    /// the striped counters' lines.
+    protocol: Protocol,
     /// Operation telemetry and the key count, striped per thread.
     counters: OpCounters,
     /// Exclusive latches retained across operations by transaction
-    /// (recovery strategies only; keyed by owning thread). A thread only
+    /// (recovery protocols only; keyed by owning thread). A thread only
     /// ever touches its own entry. These are the only latch guards that
     /// outlive the borrow they were taken under; `Drop` releases any
     /// that remain before the arena goes.
     retained: Mutex<HashMap<ThreadId, Vec<UnownedWriteGuard<Node<V>>>>>,
-    /// Serializes [`DescentTree::vacuum`] passes (one reclaimer at a
+    /// Serializes [`ConcurrentBTree::vacuum`] passes (one reclaimer at a
     /// time keeps the latch-order argument two-party: vacuum vs.
     /// ordinary descents).
     vacuum_serial: Mutex<()>,
-    _strategy: PhantomData<fn() -> S>,
 }
 
 /// The root word alone on its cache lines.
 #[repr(align(128))]
 struct RootWord(AtomicU64);
 
-impl<V, S: LatchStrategy> Drop for DescentTree<V, S> {
+impl<V> Drop for ConcurrentBTree<V> {
     fn drop(&mut self) {
         // Retained latches point into `arena`: release them while it is
         // still whole (a thread that exited mid-transaction leaves its
@@ -202,38 +219,33 @@ impl<V, S: LatchStrategy> Drop for DescentTree<V, S> {
     }
 }
 
-impl<V, S: LatchStrategy> fmt::Debug for DescentTree<V, S> {
+impl<V> fmt::Debug for ConcurrentBTree<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DescentTree")
-            .field("strategy", &S::NAME)
+        f.debug_struct("ConcurrentBTree")
+            .field("protocol", &self.protocol)
             .field("capacity", &self.cap)
             .field("len", &self.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<V, S: LatchStrategy> Default for DescentTree<V, S> {
-    fn default() -> Self {
-        DescentTree::new(32)
-    }
-}
-
-impl<V, S: LatchStrategy> DescentTree<V, S> {
-    /// Creates an empty tree with at most `capacity` keys per node and
-    /// exact lock timing.
+impl<V> ConcurrentBTree<V> {
+    /// Creates an empty tree with the given protocol, at most `capacity`
+    /// keys per node and exact lock timing.
     ///
     /// # Panics
     /// Panics when `capacity < 3` or `capacity > MAX_CAP`.
-    pub fn new(capacity: usize) -> Self {
-        DescentTree::with_sampling(capacity, SamplePeriod::EXACT)
+    pub fn new(protocol: Protocol, capacity: usize) -> Self {
+        ConcurrentBTree::with_sampling(protocol, capacity, SamplePeriod::EXACT)
     }
 
     /// Creates an empty tree whose node locks time one in
-    /// `sample.period()` acquisitions (counts stay exact).
+    /// `sample.period()` acquisitions (counts stay exact; sampled
+    /// durations are scaled so derived statistics stay unbiased).
     ///
     /// # Panics
     /// Panics when `capacity < 3` or `capacity > MAX_CAP`.
-    pub fn with_sampling(capacity: usize, sample: SamplePeriod) -> Self {
+    pub fn with_sampling(protocol: Protocol, capacity: usize, sample: SamplePeriod) -> Self {
         assert!(capacity >= 3, "node capacity must be at least 3");
         assert!(
             capacity <= MAX_CAP,
@@ -241,15 +253,26 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         );
         let arena = Arena::new(capacity, sample);
         let first_leaf = arena.alloc(1).id();
-        DescentTree {
+        ConcurrentBTree {
             root: RootWord(AtomicU64::new(first_leaf.to_bits())),
             arena,
             cap: capacity,
+            protocol,
             counters: OpCounters::default(),
             retained: Mutex::new(HashMap::new()),
             vacuum_serial: Mutex::new(()),
-            _strategy: PhantomData,
         }
+    }
+
+    /// The protocol in use.
+    pub fn protocol(&self) -> Protocol {
+        self.protocol
+    }
+
+    /// This tree's row of the policy table.
+    #[inline]
+    fn policy(&self) -> Policy {
+        self.protocol.policy()
     }
 
     /// Number of keys stored.
@@ -262,7 +285,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         self.len() == 0
     }
 
-    /// Node capacity.
+    /// Node capacity (max keys per node) the tree was built with.
     pub fn capacity(&self) -> usize {
         self.cap
     }
@@ -275,12 +298,6 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// A handle to the current root.
     fn root_ref(&self) -> NodeRef<'_, V> {
         self.arena.at(self.root_id())
-    }
-
-    /// This tree's node arena (diagnostic/test use: allocation and
-    /// recycling totals).
-    pub fn arena(&self) -> &Arena<V> {
-        &self.arena
     }
 
     /// Current height (levels; 1 = a lone leaf root). Reads the root's
@@ -299,28 +316,11 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         }
     }
 
-    /// The engine's uniform operation telemetry.
-    pub fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    /// Snapshot of the operation telemetry.
-    pub fn counters_snapshot(&self) -> OpCountersSnapshot {
+    /// Snapshot of the engine's uniform operation telemetry: latches
+    /// per level, restarts (the Optimistic redo rate), right-link chases
+    /// (the Link-type crossing rate), splits and the rest.
+    pub fn counters(&self) -> OpCountersSnapshot {
         self.counters.snapshot()
-    }
-
-    /// How many updates restarted as a full exclusive descent (the
-    /// Optimistic statistic the paper predicts as `q_i·Pr[F(1)]` per
-    /// operation; 0 for strategies that never restart).
-    pub fn redo_count(&self) -> u64 {
-        self.counters.restarts()
-    }
-
-    /// Total right-link chases performed by all operations so far — the
-    /// statistic behind the paper's Figure 9 (link crossing is rare; 0
-    /// for the non-link strategies, which never go stale).
-    pub fn crossing_count(&self) -> u64 {
-        self.counters.chases()
     }
 
     /// Checks structural invariants (intended for quiescent moments in
@@ -329,20 +329,21 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         check_invariants(&self.root_ref(), self.cap)
     }
 
-    /// Snapshot of the root handle (test/diagnostic use).
+    /// The current root handle (for quiescent instrumentation walks, e.g.
+    /// aggregating per-level lock statistics).
     pub fn root_handle(&self) -> NodeRef<'_, V> {
         self.root_ref()
     }
 
     /// Commits the calling thread's transaction: releases every
-    /// exclusive latch retained by the recovery strategies. A no-op (not
-    /// even counted) for strategies without transaction retention.
+    /// exclusive latch retained by the recovery protocols. A no-op (not
+    /// even counted) for protocols without transaction retention.
     ///
     /// Threads running against a recovery-variant tree **must** commit
     /// before exiting or quiescing: latches retained by a parked or dead
     /// thread block every other operation that reaches those nodes.
     pub fn txn_commit(&self) {
-        if matches!(S::TXN, TxnRetention::None) {
+        if self.policy().txn == TxnRetention::None {
             return;
         }
         let guards = self
@@ -357,7 +358,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Whether the calling thread holds retained transaction latches —
     /// if so, every acquisition must be a non-blocking probe.
     fn must_probe(&self) -> bool {
-        if matches!(S::TXN, TxnRetention::None) {
+        if self.policy().txn == TxnRetention::None {
             return false;
         }
         self.retained
@@ -385,10 +386,10 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     /// Moves the exclusive guards a finished update still holds into the
-    /// transaction-retention set, per `S::TXN`.
+    /// transaction-retention set, per the protocol's retention policy.
     #[allow(unsafe_code)]
     fn txn_retain(&self, mut held: Vec<WriteGuard<'_, V>>) {
-        let keep = match S::TXN {
+        let keep = match self.policy().txn {
             TxnRetention::None => return,
             TxnRetention::Leaf => {
                 let leaf = held.pop().expect("descent reaches a leaf");
@@ -506,12 +507,13 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
         Some(guard)
     }
 
-    /// Read descent per `S::READ`, yielding the shared-latched leaf for
-    /// `key` plus — for [`ReadPolicy::RetainAll`] — the retained
-    /// ancestor guards that must stay alive alongside it. Handles probe
-    /// mode (and the spill-and-retry it implies) internally.
+    /// Read descent per the protocol's read policy, yielding the
+    /// shared-latched leaf for `key` plus — for
+    /// [`ReadPolicy::RetainAll`] — the retained ancestor guards that
+    /// must stay alive alongside it. Handles probe mode (and the
+    /// spill-and-retry it implies) internally.
     fn read_leaf(&self, key: u64) -> (ReadGuard<'_, V>, Vec<ReadGuard<'_, V>>) {
-        match S::READ {
+        match self.policy().read {
             ReadPolicy::Crab => {
                 let leaf = if self.must_probe() {
                     match self.crab_read_leaf(key, true) {
@@ -574,7 +576,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// **re-validated** (`validate`), proving the routing decision that
     /// led to the child was still current when the child was read.
     /// Skipping that re-validation is the classic OLC bug: the planted
-    /// `buggy` strategy in the correctness pillar does exactly that and
+    /// `buggy` tree in the correctness pillar does exactly that and
     /// is convicted by the linearizability checker.
     ///
     /// After a successful validation the node's **slot generation** is
@@ -817,7 +819,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     /// Full exclusive-crab remove (merge-at-empty with lazy reclamation:
     /// latches are retained above delete-unsafe nodes, but an emptied
-    /// node simply persists until a [`DescentTree::vacuum`] pass).
+    /// node simply persists until a [`ConcurrentBTree::vacuum`] pass).
     fn remove_crab(&self, key: u64, retain_all: bool) -> Option<V> {
         let mut held = self.descend_exclusive_safe(key, |n| n.delete_unsafe(), retain_all);
         let leaf = held.last_mut().expect("descent reaches a leaf");
@@ -849,12 +851,13 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// (see [`crate::arena`]).
     ///
     /// Leftmost leaves and old roots are never reclaimed, so root ids
-    /// stay ABA-free. A no-op (returning 0) for the link strategies:
+    /// stay ABA-free. A no-op (returning 0) for the link protocols:
     /// their descents hold handles across unlatched windows with no
     /// revalidation protocol, which is exactly the reader recycling
     /// would break — lazy reclamation remains their documented behavior.
     pub fn vacuum(&self) -> usize {
-        if matches!(S::READ, ReadPolicy::Link) || matches!(S::UPDATE, UpdatePolicy::Link) {
+        let policy = self.policy();
+        if policy.read == ReadPolicy::Link || policy.update == UpdatePolicy::Link {
             return 0;
         }
         if self.must_probe() {
@@ -918,9 +921,9 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     /// Locates and exclusively latches the leaf covering `key`: shared
     /// crab to the leaf's parent, exclusive leaf latch taken under the
     /// parent's shared latch — the optimistic first pass — plus the
-    /// right-link chases the link strategies need (a lagging separator
+    /// right-link chases the link protocols need (a lagging separator
     /// can route to a node left of the key at any level; coupled
-    /// strategies never go stale under a held parent latch). Blocking
+    /// protocols never go stale under a held parent latch). Blocking
     /// mode: callers spill retained transaction latches first, and must
     /// hold **no** other latch (the descent acquires root-to-leaf, and
     /// holding a leaf across it would invert that order against a
@@ -1161,7 +1164,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 
     // ------------------------------------------------------------------
-    // Public operations, dispatched on the strategy's policies.
+    // Public operations, dispatched on the protocol's policies.
     // ------------------------------------------------------------------
 
     /// Inserts `key → val`; returns the previous value if the key
@@ -1175,7 +1178,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     fn insert_impl(&self, key: u64, val: V) -> Option<V> {
         self.counters.record_op();
-        match S::UPDATE {
+        match self.policy().update {
             UpdatePolicy::Crab { retain_all } => self.insert_crab(key, val, retain_all),
             UpdatePolicy::OptimisticLeaf => {
                 {
@@ -1208,7 +1211,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
 
     fn remove_impl(&self, key: &u64) -> Option<V> {
         self.counters.record_op();
-        match S::UPDATE {
+        match self.policy().update {
             UpdatePolicy::Crab { retain_all } => self.remove_crab(*key, retain_all),
             UpdatePolicy::OptimisticLeaf => {
                 {
@@ -1233,7 +1236,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     pub fn contains_key(&self, key: &u64) -> bool {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::CONTAINS);
         self.counters.record_op();
-        let found = if matches!(S::READ, ReadPolicy::Olc) {
+        let found = if self.policy().read == ReadPolicy::Olc {
             // SAFETY: the leaf closure binary-searches the node's POD
             // `u64` key words — no heap value is materialized; a torn
             // window yields at worst a wrong bool, discarded on
@@ -1250,7 +1253,7 @@ impl<V, S: LatchStrategy> DescentTree<V, S> {
     }
 }
 
-impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
+impl<V: OlcValue> ConcurrentBTree<V> {
     /// Looks `key` up, cloning the value out.
     ///
     /// On an OLC tree the descent is latch-free; the value itself is
@@ -1262,7 +1265,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     pub fn get(&self, key: &u64) -> Option<V> {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::SEARCH);
         self.counters.record_op();
-        let out = if matches!(S::READ, ReadPolicy::Olc) {
+        let out = if self.policy().read == ReadPolicy::Olc {
             if V::IN_WINDOW {
                 // Defensive indexing: keys/vals can disagree mid-write;
                 // a miss is discarded by the failed validation.
@@ -1342,7 +1345,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     /// insert); a key just past the high key hops the right link while
     /// still holding the current leaf; any other miss drops the leaf
     /// and pays a fresh descent. Inserts that would overflow the leaf
-    /// fall back to the strategy's native insert path, holding nothing
+    /// fall back to the protocol's native insert path, holding nothing
     /// across the call, so split correctness stays in one place.
     pub fn execute_batch(&self, ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
         use cbtree_obs::{opcode, trace};
@@ -1477,7 +1480,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
         if self.must_probe() {
             self.txn_spill();
         }
-        match S::READ {
+        match self.policy().read {
             ReadPolicy::Olc if V::IN_WINDOW => {
                 // Latch-free chain walk: each leaf is one validated read
                 // window; a torn window retries the same leaf, so pages
@@ -1553,7 +1556,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                     }
                 }
             }
-            // Every other strategy walks the leaf chain latched, one
+            // Every other protocol walks the leaf chain latched, one
             // shared latch at a time, from the leaf candidate its own
             // descent finds — OLC over heap-owning values
             // (`!V::IN_WINDOW`, which cannot be cloned inside an
@@ -1570,7 +1573,7 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
                         // only empty leaves are vacuumed, and crossing a
                         // live leaf advances the cursor to its high key.
                         drop(g);
-                        if matches!(S::READ, ReadPolicy::Olc) {
+                        if self.policy().read == ReadPolicy::Olc {
                             self.counters.record_olc_restart(false);
                         } else {
                             self.counters.record_restart();
@@ -1608,11 +1611,11 @@ impl<V: OlcValue, S: LatchStrategy> DescentTree<V, S> {
     }
 
     /// Where a latched range walk starts: the leaf candidate for `key`,
-    /// unlatched, found the strategy's way, with the stamp of the last
+    /// unlatched, found the protocol's way, with the stamp of the last
     /// latch released on the way there.
     #[allow(unsafe_code)]
     fn range_start(&self, key: u64) -> (NodeRef<'_, V>, Option<Instant>) {
-        match S::READ {
+        match self.policy().read {
             ReadPolicy::Crab | ReadPolicy::RetainAll => self.crab_leaf_candidate(key),
             ReadPolicy::Link => self.link_descend(key, 1, None),
             // SAFETY: the locator closure reads nothing.
@@ -1632,15 +1635,14 @@ fn release_read<V>(leaf: ReadGuard<'_, V>, held: Vec<ReadGuard<'_, V>>) {
 
 #[cfg(test)]
 mod tests {
-    use crate::{LockCouplingTree, RecoveryLeafTree, RecoveryNaiveTree};
+    use crate::{ConcurrentBTree, Protocol};
     use std::sync::Arc;
 
-    // The write-path unit tests formerly in `writepath.rs`, re-based on
-    // the engine through its lock-coupling alias.
+    // The write-path unit tests, on the lock-coupling protocol.
 
     #[test]
     fn insert_and_get_sequentially() {
-        let tree: LockCouplingTree<u32> = LockCouplingTree::new(8);
+        let tree: ConcurrentBTree<u32> = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         for k in 0..500u64 {
             assert!(tree.insert(k * 3, k as u32).is_none());
         }
@@ -1654,7 +1656,7 @@ mod tests {
 
     #[test]
     fn replacement_returns_old_value() {
-        let tree = LockCouplingTree::new(8);
+        let tree = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         tree.insert(7, 1);
         assert_eq!(tree.insert(7, 2), Some(1));
         assert_eq!(tree.len(), 1, "no growth on replace");
@@ -1663,7 +1665,7 @@ mod tests {
 
     #[test]
     fn remove_roundtrip() {
-        let tree = LockCouplingTree::new(8);
+        let tree = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         for k in 0..200u64 {
             tree.insert(k, k as u32);
         }
@@ -1676,7 +1678,7 @@ mod tests {
 
     #[test]
     fn root_grows_through_multiple_levels() {
-        let tree = LockCouplingTree::new(4);
+        let tree = ConcurrentBTree::new(Protocol::LockCoupling, 4);
         for k in 0..5000u64 {
             tree.insert(k, 0u8);
         }
@@ -1686,15 +1688,30 @@ mod tests {
     }
 
     #[test]
+    fn fresh_tree_accessors() {
+        let t: ConcurrentBTree<()> = ConcurrentBTree::new(Protocol::BLink, 32);
+        assert_eq!(t.protocol(), Protocol::BLink);
+        assert!(t.is_empty());
+        assert_eq!(t.capacity(), 32);
+        assert_eq!(t.height(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn tiny_capacity_rejected() {
+        let _: ConcurrentBTree<()> = ConcurrentBTree::new(Protocol::LockCoupling, 2);
+    }
+
+    #[test]
     fn counters_track_latches_and_ops() {
-        let tree = LockCouplingTree::new(8);
+        let tree = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         for k in 0..100u64 {
             tree.insert(k, ());
         }
         for k in 0..100u64 {
             assert!(tree.contains_key(&k));
         }
-        let snap = tree.counters_snapshot();
+        let snap = tree.counters();
         assert_eq!(snap.ops, 200);
         assert!(snap.w_latch_total() >= 100, "every insert latches W");
         assert!(snap.r_latch_total() >= 100, "every lookup latches R");
@@ -1705,7 +1722,7 @@ mod tests {
 
     #[test]
     fn vacuum_reclaims_emptied_leaves() {
-        let tree = LockCouplingTree::new(4);
+        let tree = ConcurrentBTree::new(Protocol::LockCoupling, 4);
         for k in 0..512u64 {
             tree.insert(k, k);
         }
@@ -1714,10 +1731,10 @@ mod tests {
         for k in 100..400u64 {
             tree.remove(&k);
         }
-        let allocated_before = tree.arena().allocated();
+        let allocated_before = tree.root_handle().arena().allocated();
         let freed = tree.vacuum();
         assert!(freed > 10, "emptied leaves were reclaimed (freed {freed})");
-        assert_eq!(tree.arena().recycled(), freed as u64);
+        assert_eq!(tree.root_handle().arena().recycled(), freed as u64);
         tree.check().unwrap();
         // Every surviving key is still reachable, ranges included.
         for k in 0..100u64 {
@@ -1736,7 +1753,7 @@ mod tests {
         }
         tree.check().unwrap();
         assert!(
-            tree.arena().allocated() > allocated_before,
+            tree.root_handle().arena().allocated() > allocated_before,
             "reinserts split into recycled slots"
         );
         assert_eq!(tree.range(0, 512).len(), 512);
@@ -1744,7 +1761,7 @@ mod tests {
 
     #[test]
     fn vacuum_under_concurrent_churn_stays_linearizable() {
-        let tree = Arc::new(crate::olc::OlcTree::<u64>::new(4));
+        let tree = Arc::new(ConcurrentBTree::<u64>::new(Protocol::Olc, 4));
         // Anchor keys that must remain visible throughout.
         for k in (0..2_000u64).step_by(20) {
             tree.insert(k, k);
@@ -1788,18 +1805,217 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(tree.arena().recycled() > 0, "churn recycled slots");
+        assert!(
+            tree.root_handle().arena().recycled() > 0,
+            "churn recycled slots"
+        );
+        tree.check().unwrap();
+    }
+
+    // Optimistic Descent.
+
+    #[test]
+    fn optimistic_redos_happen_but_rarely() {
+        let tree = ConcurrentBTree::new(Protocol::OptimisticDescent, 13);
+        for k in 0..20_000u64 {
+            tree.insert(k.wrapping_mul(0x9E37_79B9) % 1_000_000, k);
+        }
+        let redos = tree.counters().restarts;
+        let redo_rate = redos as f64 / 20_000.0;
+        assert!(redos > 0, "some leaves must have been full");
+        assert!(redo_rate < 0.25, "redo rate {redo_rate} too high");
         tree.check().unwrap();
     }
 
     #[test]
+    fn optimistic_grows_from_leaf_root_under_contention() {
+        // Exercises the root-is-leaf first-pass path racing root growth.
+        let tree = Arc::new(ConcurrentBTree::new(Protocol::OptimisticDescent, 3));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let tree = Arc::clone(&tree);
+                s.spawn(move || {
+                    for i in 0..500u64 {
+                        tree.insert(i * 4 + t, ());
+                    }
+                });
+            }
+        });
+        assert_eq!(tree.len(), 2000);
+        assert!(tree.height() > 2);
+        tree.check().unwrap();
+    }
+
+    // B-link.
+
+    #[test]
+    fn b_link_empty_leaves_persist_and_stay_usable() {
+        let tree = ConcurrentBTree::new(Protocol::BLink, 4);
+        for k in 0..100u64 {
+            tree.insert(k, k);
+        }
+        for k in 0..100u64 {
+            tree.remove(&k);
+        }
+        assert!(tree.is_empty());
+        assert_eq!(tree.vacuum(), 0, "link trees never reclaim");
+        for k in 0..100u64 {
+            assert!(tree.insert(k, k).is_none());
+        }
+        assert_eq!(tree.len(), 100);
+        tree.check().unwrap();
+    }
+
+    // Optimistic lock coupling.
+
+    #[test]
+    fn olc_readers_acquire_zero_latches() {
+        let tree = ConcurrentBTree::new(Protocol::Olc, 6);
+        for k in 0..2000u64 {
+            tree.insert(k, k);
+        }
+        let before = tree.counters();
+        for k in 0..2000u64 {
+            assert_eq!(tree.get(&k), Some(k));
+            assert!(tree.contains_key(&k));
+        }
+        assert_eq!(tree.range(100, 200).len(), 100);
+        let reads = tree.counters().since(&before);
+        assert_eq!(reads.r_latch_total(), 0, "OLC readers never latch");
+        assert_eq!(reads.w_latch_total(), 0, "reads take no write latches");
+        assert!(
+            reads.v_validations as usize >= 2000 * tree.height(),
+            "every node visit validates a version"
+        );
+    }
+
+    #[test]
+    fn olc_single_threaded_reads_never_restart() {
+        let tree = ConcurrentBTree::new(Protocol::Olc, 5);
+        for k in 0..3000u64 {
+            tree.insert(k, ());
+        }
+        let before = tree.counters();
+        for k in 0..3000u64 {
+            assert!(tree.contains_key(&k));
+        }
+        let d = tree.counters().since(&before);
+        assert_eq!(d.restarts, 0, "no concurrent writers, no restarts");
+        assert_eq!(d.v_restarts_writer + d.v_restarts_version, 0);
+    }
+
+    #[test]
+    fn olc_heap_values_materialize_under_leaf_latch() {
+        // `String` values must never be cloned inside an unvalidated
+        // window (a torn clone would dereference a torn pointer); the
+        // engine routes them through the latched-leaf path instead.
+        // Inner levels stay latch-free, so with height ≥ 2 the read
+        // latch count is exactly one per get — never one per level.
+        let tree = ConcurrentBTree::new(Protocol::Olc, 4);
+        for k in 0..500u64 {
+            tree.insert(k, format!("v{k}"));
+        }
+        assert!(tree.height() >= 2);
+        let before = tree.counters();
+        for k in 0..500u64 {
+            assert_eq!(tree.get(&k), Some(format!("v{k}")));
+        }
+        assert_eq!(tree.range(100, 110).len(), 10);
+        let reads = tree.counters().since(&before);
+        assert!(reads.r_latch_total() > 0, "values cloned under a latch");
+        assert!(
+            (reads.r_latch_total() as usize) < 501 * tree.height(),
+            "inner levels stay latch-free"
+        );
+        assert_eq!(reads.w_latch_total(), 0);
+    }
+
+    #[test]
+    fn olc_heap_values_survive_concurrent_splits() {
+        let tree = Arc::new(ConcurrentBTree::new(Protocol::Olc, 4));
+        for k in 0..300u64 {
+            tree.insert(k * 100, format!("stable-{k}"));
+        }
+        std::thread::scope(|s| {
+            let w = Arc::clone(&tree);
+            s.spawn(move || {
+                for k in 0..10_000u64 {
+                    w.insert(2 * k + 1, format!("churn-{k}"));
+                }
+            });
+            for _ in 0..3 {
+                let r = Arc::clone(&tree);
+                s.spawn(move || {
+                    for k in 0..300u64 {
+                        assert_eq!(
+                            r.get(&(k * 100)).as_deref(),
+                            Some(format!("stable-{k}").as_str()),
+                            "pre-existing value lost or torn"
+                        );
+                    }
+                });
+            }
+        });
+        tree.check().unwrap();
+    }
+
+    // Two-Phase.
+
+    #[test]
+    fn two_phase_concurrent_updates_serialize_but_stay_correct() {
+        let tree = Arc::new(ConcurrentBTree::new(Protocol::TwoPhase, 6));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let tree = Arc::clone(&tree);
+                s.spawn(move || {
+                    for i in 0..1_000u64 {
+                        tree.insert(i * 4 + t, t);
+                    }
+                });
+            }
+        });
+        assert_eq!(tree.len(), 4_000);
+        tree.check().unwrap();
+    }
+
+    #[test]
+    fn two_phase_readers_share_the_whole_path() {
+        let tree = Arc::new(ConcurrentBTree::new(Protocol::TwoPhase, 8));
+        for k in 0..500u64 {
+            tree.insert(k, k);
+        }
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let tree = Arc::clone(&tree);
+                s.spawn(move || {
+                    for k in 0..500u64 {
+                        assert_eq!(tree.get(&k), Some(k));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn two_phase_grows_through_root_splits() {
+        let tree = ConcurrentBTree::new(Protocol::TwoPhase, 3);
+        for k in 0..500u64 {
+            tree.insert(k, ());
+        }
+        assert!(tree.height() >= 4);
+        tree.check().unwrap();
+    }
+
+    // The recovery variants.
+
+    #[test]
     fn recovery_naive_retains_until_commit_and_spills_on_conflict() {
-        let tree = Arc::new(RecoveryNaiveTree::new(4));
+        let tree = Arc::new(ConcurrentBTree::new(Protocol::RecoveryNaive, 4));
         for k in 0..64u64 {
             tree.insert(k, k);
         }
         tree.txn_commit();
-        let pre = tree.counters_snapshot();
+        let pre = tree.counters();
         assert!(pre.txn_commits >= 1);
 
         // Retain a leaf latch, then prove another thread can't touch it
@@ -1823,7 +2039,7 @@ mod tests {
         // must spill rather than self-deadlock.
         tree.insert(20, 7);
         assert_eq!(tree.get(&20), Some(7));
-        let snap = tree.counters_snapshot();
+        let snap = tree.counters();
         assert!(snap.txn_spills >= 1, "own-leaf reread must spill");
         tree.txn_commit();
         tree.check().unwrap();
@@ -1831,7 +2047,7 @@ mod tests {
 
     #[test]
     fn recovery_leaf_retains_only_the_leaf() {
-        let tree = RecoveryLeafTree::new(4);
+        let tree = ConcurrentBTree::new(Protocol::RecoveryLeaf, 4);
         for k in 0..256u64 {
             tree.insert(k, ());
             // Internal latches must already be free: a second update
@@ -1842,13 +2058,13 @@ mod tests {
         }
         assert_eq!(tree.len(), 512);
         tree.check().unwrap();
-        let snap = tree.counters_snapshot();
+        let snap = tree.counters();
         assert!(snap.txn_commits >= 256);
     }
 
     #[test]
     fn recovery_range_spills_retained_latches() {
-        let tree = RecoveryNaiveTree::new(4);
+        let tree = ConcurrentBTree::new(Protocol::RecoveryNaive, 4);
         for k in 0..64u64 {
             tree.insert(k, k);
         }
@@ -1856,8 +2072,35 @@ mod tests {
         // leaf latches.
         let got = tree.range(0, 64);
         assert_eq!(got.len(), 64);
-        assert!(tree.counters_snapshot().txn_spills >= 1);
+        assert!(tree.counters().txn_spills >= 1);
         tree.txn_commit();
         tree.check().unwrap();
+    }
+
+    #[test]
+    fn recovery_concurrent_transactions_make_progress() {
+        // Transactions of 8 (naive) or 4 (leaf-only) updates over
+        // overlapping key ranges: the probe-and-spill discipline must
+        // keep every thread live.
+        for (protocol, txn) in [(Protocol::RecoveryNaive, 8), (Protocol::RecoveryLeaf, 4)] {
+            let tree = Arc::new(ConcurrentBTree::new(protocol, 5));
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let tree = Arc::clone(&tree);
+                    s.spawn(move || {
+                        for i in 0..1000u64 {
+                            tree.insert(i * 4 + t, t);
+                            if i % txn == txn - 1 {
+                                tree.txn_commit();
+                            }
+                        }
+                        tree.txn_commit();
+                    });
+                }
+            });
+            assert_eq!(tree.len(), 4000, "{protocol}");
+            tree.check().unwrap();
+            assert!(tree.counters().txn_commits > 0, "{protocol}");
+        }
     }
 }

@@ -1,15 +1,13 @@
-//! The one interface every protocol tree (and test double) speaks.
+//! The seam between the tree and its test doubles.
 //!
-//! [`ConcurrentMap`] is object-safe so callers that pick a protocol at
-//! runtime — the facade, the harness, the checkers' recorders — hold a
-//! `Box<dyn ConcurrentMap<V>>` or a generic `M: ConcurrentMap<V>`
-//! instead of matching on an enum in every method. Every
-//! [`DescentTree`] implements it; so do the checkers' deliberately
-//! broken trees.
+//! [`ConcurrentMap`] is what the correctness checkers' recorders and
+//! stress drivers are generic over (`M: ConcurrentMap<V>`), so they run
+//! the real tree — [`ConcurrentBTree`], its one implementation here —
+//! and the checkers' deliberately broken trees alike.
 
 use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
 use crate::counters::OpCountersSnapshot;
-use crate::descent::{DescentTree, LatchStrategy};
+use crate::descent::ConcurrentBTree;
 use crate::node::NodeRef;
 use crate::olc::OlcValue;
 
@@ -75,9 +73,9 @@ pub trait ConcurrentMap<V>: Send + Sync {
     /// Executes a batch of operations, returning per-operation results
     /// in **submission order** plus descent accounting. The default
     /// executes each operation as its own singleton descent (`descents
-    /// == ops`), so trait objects and test doubles inherit correct
-    /// semantics for free; [`DescentTree`] overrides it with key-sorted
-    /// amortized descent (see [`crate::batch`]).
+    /// == ops`), so test doubles inherit correct semantics for free;
+    /// [`ConcurrentBTree`] overrides it with key-sorted amortized
+    /// descent (see [`crate::batch`]).
     fn execute_batch(&self, ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
         let n = ops.len() as u64;
         let mut results = Vec::with_capacity(ops.len());
@@ -99,80 +97,75 @@ pub trait ConcurrentMap<V>: Send + Sync {
     }
 }
 
-impl<V, S> ConcurrentMap<V> for DescentTree<V, S>
-where
-    V: OlcValue + Send + Sync,
-    S: LatchStrategy,
-{
+impl<V: OlcValue + Send + Sync> ConcurrentMap<V> for ConcurrentBTree<V> {
     fn protocol_name(&self) -> &'static str {
-        S::NAME
+        self.protocol().name()
     }
 
     fn len(&self) -> usize {
-        DescentTree::len(self)
+        ConcurrentBTree::len(self)
     }
 
     fn capacity(&self) -> usize {
-        DescentTree::capacity(self)
+        ConcurrentBTree::capacity(self)
     }
 
     fn height(&self) -> usize {
-        DescentTree::height(self)
+        ConcurrentBTree::height(self)
     }
 
     fn insert(&self, key: u64, val: V) -> Option<V> {
-        DescentTree::insert(self, key, val)
+        ConcurrentBTree::insert(self, key, val)
     }
 
     fn remove(&self, key: &u64) -> Option<V> {
-        DescentTree::remove(self, key)
+        ConcurrentBTree::remove(self, key)
     }
 
     fn get(&self, key: &u64) -> Option<V> {
-        DescentTree::get(self, key)
+        ConcurrentBTree::get(self, key)
     }
 
     fn contains_key(&self, key: &u64) -> bool {
-        DescentTree::contains_key(self, key)
+        ConcurrentBTree::contains_key(self, key)
     }
 
     fn range(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        DescentTree::range(self, lo, hi)
+        ConcurrentBTree::range(self, lo, hi)
     }
 
     fn check(&self) -> Result<(), String> {
-        DescentTree::check(self)
+        ConcurrentBTree::check(self)
     }
 
     fn root_handle(&self) -> NodeRef<'_, V> {
-        DescentTree::root_handle(self)
+        ConcurrentBTree::root_handle(self)
     }
 
     fn counters(&self) -> OpCountersSnapshot {
-        self.counters_snapshot()
+        ConcurrentBTree::counters(self)
     }
 
     fn txn_commit(&self) {
-        DescentTree::txn_commit(self)
+        ConcurrentBTree::txn_commit(self)
     }
 
     fn vacuum(&self) -> usize {
-        DescentTree::vacuum(self)
+        ConcurrentBTree::vacuum(self)
     }
 
     fn execute_batch(&self, ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
-        DescentTree::execute_batch(self, ops)
+        ConcurrentBTree::execute_batch(self, ops)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LockCouplingTree;
+    use crate::Protocol;
 
-    #[test]
-    fn trait_object_dispatch_works() {
-        let tree: Box<dyn ConcurrentMap<u64>> = Box::new(LockCouplingTree::new(8));
+    /// Drives `tree` through the trait alone, as the checkers do.
+    fn exercise<M: ConcurrentMap<u64>>(tree: &M) {
         assert_eq!(tree.protocol_name(), "lock-coupling");
         assert!(tree.is_empty());
         assert_eq!(tree.insert(1, 10), None);
@@ -187,5 +180,10 @@ mod tests {
         tree.check().unwrap();
         tree.txn_commit(); // no-op on non-recovery trees
         assert_eq!(tree.counters().ops, 6);
+    }
+
+    #[test]
+    fn the_tree_speaks_the_trait() {
+        exercise(&ConcurrentBTree::new(Protocol::LockCoupling, 8));
     }
 }

@@ -1,35 +1,6 @@
-//! The Optimistic Lock Coupling (OLC) tree.
-//!
-//! Readers take **no latches at all**: every node visit is a seqlock
-//! read window against the node lock's packed version counter (see
-//! `cbtree_sync::FcfsRwLock::read_optimistic`) — snapshot the version,
-//! read unlatched, validate. Moving to a child is hand-over-hand in
-//! versions: after the child's window closes the parent's recorded
-//! version is re-validated, proving the routing decision was still
-//! current when the child was read. A failed validation restarts the
-//! descent from the deepest still-valid recorded ancestor; a node that
-//! no longer covers the key (split inside the window) is recovered from
-//! by chasing right links. Writers latch exactly as in naive
-//! lock-coupling — exclusive crabbing, releasing ancestors above safe
-//! children — so every structural change bumps the version of each node
-//! it touches on latch release.
-//!
-//! This is the LeanStore/ART-style refinement the ROADMAP names as the
-//! fourth protocol: against the paper's three 1990 algorithms it drives
-//! the reader latch demand — the term the analytical models charge to
-//! every search at every level — to zero, paying instead a small
-//! restart probability that enters the model as rework.
-//!
-//! Because nodes live in a recycling slab arena (slots of vacuumed
-//! leaves are reused — see [`crate::arena`]), version validation alone
-//! is not enough: a handle held across an unlatched window may name a
-//! slot that was retired and re-allocated, whose *fresh* version
-//! validates fine. Every optimistic acceptance therefore also re-checks
-//! the handle's slot **generation** after the validated window, and the
-//! latched reads an OLC descent hands off to do the same before trusting
-//! the guard.
-
-use crate::descent::{DescentTree, LatchStrategy, ReadPolicy, UpdatePolicy};
+//! The value contract behind [`Protocol::Olc`](crate::Protocol::Olc)'s
+//! latch-free reads: which value types may be cloned inside an
+//! unvalidated read window.
 
 /// Whether OLC's latch-free read path may materialize a value of this
 /// type *inside* an unvalidated read window.
@@ -55,7 +26,7 @@ use crate::descent::{DescentTree, LatchStrategy, ReadPolicy, UpdatePolicy};
 /// `IN_WINDOW = false` is always sound to declare: the engine
 /// materializes such values under one brief shared leaf latch instead,
 /// keeping the inner levels of the descent latch-free (see
-/// `DescentTree::get`).
+/// `ConcurrentBTree::get`).
 #[allow(unsafe_code)] // the trait's contract is exactly what makes the windows sound
 pub unsafe trait OlcValue: Clone {
     /// Whether `clone` may run inside an unvalidated read window.
@@ -145,152 +116,10 @@ unsafe impl<T: OlcValue, const N: usize> OlcValue for [T; N] {
     const IN_WINDOW: bool = T::IN_WINDOW;
 }
 
-/// The optimistic-lock-coupling strategy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OlcStrategy;
-
-impl LatchStrategy for OlcStrategy {
-    const NAME: &'static str = "olc";
-    const READ: ReadPolicy = ReadPolicy::Olc;
-    const UPDATE: UpdatePolicy = UpdatePolicy::Crab { retain_all: false };
-}
-
-/// A concurrent B+-tree using optimistic lock coupling.
-pub type OlcTree<V> = DescentTree<V, OlcStrategy>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use std::sync::Arc;
-
-    #[test]
-    fn sequential_matches_std_btreemap() {
-        let tree = OlcTree::new(6);
-        let mut model = BTreeMap::new();
-        let mut state = 0x5EED_01C0_u64;
-        for _ in 0..4000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let key = (state >> 33) % 500;
-            match state % 3 {
-                0 => assert_eq!(tree.insert(key, state), model.insert(key, state)),
-                1 => assert_eq!(tree.remove(&key), model.remove(&key)),
-                _ => assert_eq!(tree.get(&key), model.get(&key).copied()),
-            }
-            assert_eq!(tree.len(), model.len());
-        }
-        tree.check().unwrap();
-    }
-
-    #[test]
-    fn readers_acquire_zero_latches() {
-        let tree = OlcTree::new(6);
-        for k in 0..2000u64 {
-            tree.insert(k, k);
-        }
-        let before = tree.counters_snapshot();
-        for k in 0..2000u64 {
-            assert_eq!(tree.get(&k), Some(k));
-            assert!(tree.contains_key(&k));
-        }
-        assert_eq!(tree.range(100, 200).len(), 100);
-        let reads = tree.counters_snapshot().since(&before);
-        assert_eq!(reads.r_latch_total(), 0, "OLC readers never latch");
-        assert_eq!(reads.w_latch_total(), 0, "reads take no write latches");
-        assert!(
-            reads.v_validations as usize >= 2000 * tree.height(),
-            "every node visit validates a version"
-        );
-    }
-
-    #[test]
-    fn single_threaded_reads_never_restart() {
-        let tree = OlcTree::new(5);
-        for k in 0..3000u64 {
-            tree.insert(k, ());
-        }
-        let before = tree.counters_snapshot();
-        for k in 0..3000u64 {
-            assert!(tree.contains_key(&k));
-        }
-        let d = tree.counters_snapshot().since(&before);
-        assert_eq!(d.restarts, 0, "no concurrent writers, no restarts");
-        assert_eq!(d.v_restarts_writer + d.v_restarts_version, 0);
-    }
-
-    #[test]
-    fn concurrent_disjoint_inserts() {
-        let tree = Arc::new(OlcTree::new(8));
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let tree = Arc::clone(&tree);
-                s.spawn(move || {
-                    for i in 0..2_000u64 {
-                        tree.insert(t * 1_000_000 + i, t);
-                    }
-                });
-            }
-        });
-        assert_eq!(tree.len(), 16_000);
-        tree.check().unwrap();
-        for t in 0..8u64 {
-            assert_eq!(tree.get(&(t * 1_000_000 + 1999)), Some(t));
-        }
-    }
-
-    #[test]
-    fn concurrent_mixed_workload_conserves_keys() {
-        let tree = Arc::new(OlcTree::new(5));
-        for k in (0..4000u64).step_by(2) {
-            tree.insert(k, 0u64);
-        }
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let tree = Arc::clone(&tree);
-                s.spawn(move || {
-                    for k in t * 1000..(t + 1) * 1000 {
-                        if k % 2 == 0 {
-                            assert!(tree.remove(&k).is_some());
-                        } else {
-                            assert!(tree.insert(k, 1).is_none());
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(tree.len(), 2000);
-        tree.check().unwrap();
-        for k in 0..4000u64 {
-            assert_eq!(tree.contains_key(&k), k % 2 == 1, "key {k}");
-        }
-    }
-
-    #[test]
-    fn readers_survive_concurrent_splits() {
-        let tree = Arc::new(OlcTree::new(4));
-        for k in 0..500u64 {
-            tree.insert(k * 100, k);
-        }
-        std::thread::scope(|s| {
-            let w = Arc::clone(&tree);
-            s.spawn(move || {
-                // Dense inserts force many splits (and version bumps) in
-                // the ranges the readers traverse unlatched.
-                for k in 0..20_000u64 {
-                    w.insert(2 * k + 1, k);
-                }
-            });
-            for _ in 0..3 {
-                let r = Arc::clone(&tree);
-                s.spawn(move || {
-                    for k in 0..500u64 {
-                        assert_eq!(r.get(&(k * 100)), Some(k), "pre-existing key lost");
-                    }
-                });
-            }
-        });
-        tree.check().unwrap();
-    }
 
     #[test]
     #[allow(clippy::assertions_on_constants)] // the consts ARE the subject
@@ -306,74 +135,5 @@ mod tests {
         assert!(!<Arc<u64> as OlcValue>::IN_WINDOW);
         assert!(!<&'static str as OlcValue>::IN_WINDOW);
         assert!(!<[String; 2] as OlcValue>::IN_WINDOW);
-    }
-
-    #[test]
-    fn heap_values_materialize_under_leaf_latch() {
-        // `String` values must never be cloned inside an unvalidated
-        // window (a torn clone would dereference a torn pointer); the
-        // engine routes them through the latched-leaf path instead.
-        // Inner levels stay latch-free, so with height ≥ 2 the read
-        // latch count is exactly one per get — never one per level.
-        let tree = OlcTree::new(4);
-        for k in 0..500u64 {
-            tree.insert(k, format!("v{k}"));
-        }
-        assert!(tree.height() >= 2);
-        let before = tree.counters_snapshot();
-        for k in 0..500u64 {
-            assert_eq!(tree.get(&k), Some(format!("v{k}")));
-        }
-        assert_eq!(tree.range(100, 110).len(), 10);
-        let reads = tree.counters_snapshot().since(&before);
-        assert!(reads.r_latch_total() > 0, "values cloned under a latch");
-        assert!(
-            (reads.r_latch_total() as usize) < 501 * tree.height(),
-            "inner levels stay latch-free"
-        );
-        assert_eq!(reads.w_latch_total(), 0);
-    }
-
-    #[test]
-    fn heap_values_survive_concurrent_splits() {
-        let tree = Arc::new(OlcTree::new(4));
-        for k in 0..300u64 {
-            tree.insert(k * 100, format!("stable-{k}"));
-        }
-        std::thread::scope(|s| {
-            let w = Arc::clone(&tree);
-            s.spawn(move || {
-                for k in 0..10_000u64 {
-                    w.insert(2 * k + 1, format!("churn-{k}"));
-                }
-            });
-            for _ in 0..3 {
-                let r = Arc::clone(&tree);
-                s.spawn(move || {
-                    for k in 0..300u64 {
-                        assert_eq!(
-                            r.get(&(k * 100)).as_deref(),
-                            Some(format!("stable-{k}").as_str()),
-                            "pre-existing value lost or torn"
-                        );
-                    }
-                });
-            }
-        });
-        tree.check().unwrap();
-    }
-
-    #[test]
-    fn range_scan_returns_sorted_window() {
-        let tree = OlcTree::new(6);
-        for k in 0..1000u64 {
-            tree.insert(k, k * 2);
-        }
-        let got = tree.range(100, 120);
-        let keys: Vec<u64> = got.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, (100..120).collect::<Vec<_>>());
-        assert!(got.iter().all(|&(k, v)| v == k * 2));
-        assert!(tree.range(50, 50).is_empty());
-        assert!(tree.range(2000, 3000).is_empty());
     }
 }

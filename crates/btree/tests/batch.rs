@@ -149,7 +149,7 @@ fn dense_batch_amortizes_descents_and_latches() {
     );
 }
 
-/// Inserts that overflow the held leaf fall back to the strategy's
+/// Inserts that overflow the held leaf fall back to the protocol's
 /// native split path; accounting records them and contents stay exact.
 #[test]
 fn overflowing_inserts_fall_back_to_native_splits() {
@@ -182,20 +182,21 @@ fn empty_batch_is_a_noop() {
     assert_eq!(tree.counters().since(&before).ops, 0);
 }
 
-/// The `ConcurrentMap` default (singleton loop) agrees with the
-/// engine's sorted-batch override — exercised through a test double
-/// that only implements the required methods.
+/// Calling `execute_batch` through the `ConcurrentMap` trait, as the
+/// checkers' generic drivers do, reaches the engine's sorted-batch
+/// override with singleton semantics.
 #[test]
 fn trait_default_executes_singleton_semantics() {
-    // ConcurrentBTree dispatches through `Box<dyn ConcurrentMap>`, so
-    // calling via the trait hits the DescentTree override.
-    let tree: &dyn ConcurrentMap<u64> = &ConcurrentBTree::new(Protocol::OptimisticDescent, 6);
-    let out = tree.execute_batch(vec![
-        BatchOp::Insert(1, 10),
-        BatchOp::Insert(2, 20),
-        BatchOp::Get(1),
-        BatchOp::Remove(3),
-    ]);
+    let tree = ConcurrentBTree::new(Protocol::OptimisticDescent, 6);
+    let out = ConcurrentMap::execute_batch(
+        &tree,
+        vec![
+            BatchOp::Insert(1, 10),
+            BatchOp::Insert(2, 20),
+            BatchOp::Get(1),
+            BatchOp::Remove(3),
+        ],
+    );
     assert_eq!(out.results, vec![None, None, Some(10), None]);
     assert_eq!(out.summary.ops, 4);
 }

@@ -1,6 +1,8 @@
 //! Randomized model-matching tests: every protocol must behave exactly
 //! like `std::collections::BTreeMap` under arbitrary operation sequences,
-//! and structural invariants must hold at every quiescent point.
+//! and structural invariants must hold at every quiescent point. Every
+//! operation is followed by a commit (transaction size 1), which the
+//! recovery variants need and every other protocol ignores.
 //!
 //! Cases are generated by the workspace's own deterministic PRNG
 //! (`cbtree_workload::Rng`), so failures reproduce exactly from the
@@ -57,6 +59,7 @@ fn check_against_model(protocol: Protocol, cap: usize, ops: &[Op], ctx: &str) {
                 );
             }
         }
+        tree.txn_commit();
         assert_eq!(tree.len(), model.len(), "len drifted [{ctx}]");
     }
     if let Err(e) = tree.check() {
@@ -80,23 +83,10 @@ fn matches_model(protocol: Protocol) {
 }
 
 #[test]
-fn lock_coupling_matches_model() {
-    matches_model(Protocol::LockCoupling);
-}
-
-#[test]
-fn optimistic_matches_model() {
-    matches_model(Protocol::OptimisticDescent);
-}
-
-#[test]
-fn blink_matches_model() {
-    matches_model(Protocol::BLink);
-}
-
-#[test]
-fn two_phase_matches_model() {
-    matches_model(Protocol::TwoPhase);
+fn every_protocol_matches_model() {
+    for p in Protocol::ALL_WITH_RECOVERY {
+        matches_model(p);
+    }
 }
 
 /// Dense ascending inserts are the classic splitting worst case; every
@@ -107,10 +97,11 @@ fn ascending_inserts_stay_valid() {
     for case in 0..CASES {
         let n = 1 + rng.next_below(799) as usize;
         let cap = 3 + rng.next_below(7) as usize;
-        for p in Protocol::ALL_WITH_BASELINE {
+        for p in Protocol::ALL_WITH_RECOVERY {
             let tree = ConcurrentBTree::new(p, cap);
             for k in 0..n as u64 {
                 assert!(tree.insert(k, k).is_none(), "{p:?} case={case}");
+                tree.txn_commit();
             }
             assert_eq!(tree.len(), n);
             for k in 0..n as u64 {
@@ -136,10 +127,11 @@ fn range_matches_model() {
         let hi = lo.saturating_add(rng.next_below(400));
         let cap = 3 + rng.next_below(9) as usize;
         let expect: Vec<(u64, u64)> = entries.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
-        for p in Protocol::ALL_WITH_BASELINE {
+        for p in Protocol::ALL_WITH_RECOVERY {
             let tree = ConcurrentBTree::new(p, cap);
             for (&k, &v) in &entries {
                 tree.insert(k, v);
+                tree.txn_commit();
             }
             let got = tree.range(lo, hi);
             assert_eq!(got, expect, "{p:?} case={case} lo={lo} hi={hi}");

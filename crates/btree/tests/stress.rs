@@ -1,5 +1,7 @@
 //! Multi-threaded stress tests: linearizability-style conservation checks
-//! under genuinely concurrent mixed workloads, for all three protocols.
+//! under genuinely concurrent mixed workloads, for every protocol. Each
+//! thread commits after every operation (transaction size 1), which the
+//! recovery variants need and every other protocol ignores.
 
 use cbtree_btree::{ConcurrentBTree, Protocol};
 use cbtree_workload::{OpStream, Operation, OpsConfig};
@@ -34,6 +36,7 @@ fn conservation_under_mix(protocol: Protocol, threads: u64, per_thread: usize) {
                             }
                         }
                     }
+                    tree.txn_commit();
                 }
             });
         }
@@ -50,18 +53,10 @@ fn conservation_under_mix(protocol: Protocol, threads: u64, per_thread: usize) {
 }
 
 #[test]
-fn lock_coupling_conserves_under_concurrency() {
-    conservation_under_mix(Protocol::LockCoupling, 8, 4_000);
-}
-
-#[test]
-fn optimistic_conserves_under_concurrency() {
-    conservation_under_mix(Protocol::OptimisticDescent, 8, 4_000);
-}
-
-#[test]
-fn blink_conserves_under_concurrency() {
-    conservation_under_mix(Protocol::BLink, 8, 4_000);
+fn every_protocol_conserves_under_concurrency() {
+    for p in Protocol::ALL_WITH_RECOVERY {
+        conservation_under_mix(p, 8, 4_000);
+    }
 }
 
 /// Writers insert disjoint stripes while a reader repeatedly verifies a
@@ -70,6 +65,7 @@ fn stable_prefix_never_lost(protocol: Protocol) {
     let tree = Arc::new(ConcurrentBTree::<u64>::new(protocol, 5));
     for k in 0..2_000u64 {
         tree.insert(k * 10, k);
+        tree.txn_commit();
     }
     std::thread::scope(|s| {
         for t in 0..4u64 {
@@ -78,6 +74,7 @@ fn stable_prefix_never_lost(protocol: Protocol) {
                 for i in 0..10_000u64 {
                     // Keys ≡ t+1 (mod 10): never collide with the ×10 prefix.
                     tree.insert(i * 10 + t + 1, i);
+                    tree.txn_commit();
                 }
             });
         }
@@ -89,9 +86,10 @@ fn stable_prefix_never_lost(protocol: Protocol) {
                         assert_eq!(
                             tree.get(&(k * 10)),
                             Some(k),
-                            "round {round}: stable key {} lost",
+                            "{protocol} round {round}: stable key {} lost",
                             k * 10
                         );
+                        tree.txn_commit();
                     }
                 }
             });
@@ -102,18 +100,10 @@ fn stable_prefix_never_lost(protocol: Protocol) {
 }
 
 #[test]
-fn lock_coupling_stable_prefix() {
-    stable_prefix_never_lost(Protocol::LockCoupling);
-}
-
-#[test]
-fn optimistic_stable_prefix() {
-    stable_prefix_never_lost(Protocol::OptimisticDescent);
-}
-
-#[test]
-fn blink_stable_prefix() {
-    stable_prefix_never_lost(Protocol::BLink);
+fn every_protocol_keeps_a_stable_prefix() {
+    for p in Protocol::ALL_WITH_RECOVERY {
+        stable_prefix_never_lost(p);
+    }
 }
 
 /// Insert/remove churn on a *small hot range* maximizes split/latch
@@ -129,34 +119,29 @@ fn hot_range_churn(protocol: Protocol) {
                 for i in 0..2_000u64 {
                     let k = i * 8 + t;
                     assert!(tree.insert(k, t).is_none());
+                    tree.txn_commit();
                     assert_eq!(tree.remove(&k), Some(t));
+                    tree.txn_commit();
                     assert!(tree.insert(k, t + 100).is_none());
+                    tree.txn_commit();
                 }
             });
         }
     });
-    assert_eq!(tree.len(), 16_000);
+    assert_eq!(tree.len(), 16_000, "{protocol}");
     for t in 0..8u64 {
         for i in (0..2_000u64).step_by(131) {
-            assert_eq!(tree.get(&(i * 8 + t)), Some(t + 100));
+            assert_eq!(tree.get(&(i * 8 + t)), Some(t + 100), "{protocol}");
         }
     }
     tree.check().unwrap();
 }
 
 #[test]
-fn lock_coupling_hot_range_churn() {
-    hot_range_churn(Protocol::LockCoupling);
-}
-
-#[test]
-fn optimistic_hot_range_churn() {
-    hot_range_churn(Protocol::OptimisticDescent);
-}
-
-#[test]
-fn blink_hot_range_churn() {
-    hot_range_churn(Protocol::BLink);
+fn every_protocol_survives_hot_range_churn() {
+    for p in Protocol::ALL_WITH_RECOVERY {
+        hot_range_churn(p);
+    }
 }
 
 /// The blink tree's crossing counter should record activity under
@@ -164,7 +149,7 @@ fn blink_hot_range_churn() {
 /// qualitative claim, on real threads).
 #[test]
 fn blink_crossings_are_rare_on_real_threads() {
-    let tree = Arc::new(cbtree_btree::BLinkTree::<()>::new(4));
+    let tree = Arc::new(ConcurrentBTree::<()>::new(Protocol::BLink, 4));
     std::thread::scope(|s| {
         for t in 0..8u64 {
             let tree = Arc::clone(&tree);
@@ -175,7 +160,7 @@ fn blink_crossings_are_rare_on_real_threads() {
             });
         }
     });
-    let per_op = tree.crossing_count() as f64 / 80_000.0;
+    let per_op = tree.counters().chases as f64 / 80_000.0;
     assert!(per_op < 0.2, "crossings per op = {per_op}");
     tree.check().unwrap();
 }

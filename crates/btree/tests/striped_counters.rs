@@ -13,6 +13,12 @@
 //! The counters are also exact against the locks themselves: every
 //! acquisition a lock's statistics record went through the engine's
 //! counted path, and a B-link operation latches each node it needs once.
+//!
+//! Finally, one seeded single-thread stream pins every protocol's exact
+//! counts — per-level latches, splits, chases, restarts, validations,
+//! chain depth, commits and spills, height and slots allocated — so a
+//! change to the engine that is meant to keep behaviour cannot move a
+//! single latch unnoticed.
 
 use cbtree_btree::node::for_each_handle;
 use cbtree_btree::{BatchOp, ConcurrentBTree, OpCountersSnapshot, Protocol};
@@ -275,4 +281,119 @@ fn every_lock_acquisition_is_counted() {
         }
         tree.check().unwrap();
     }
+}
+
+/// One line of exact counts: `ops`, the per-level latch counts (leaves
+/// first, trimmed above the root), then the event totals, the height
+/// and the slots the arena handed out.
+fn fingerprint(tree: &ConcurrentBTree<u64>) -> String {
+    let c = tree.counters();
+    let levels = |a: &[u64]| {
+        let len = a.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+        format!("{:?}", &a[..len])
+    };
+    format!(
+        "ops={} r={} w={} splits={} chases={} restarts={} v={}/{}/{} peak={} txn={}/{} h={} alloc={}",
+        c.ops,
+        levels(&c.r_latches),
+        levels(&c.w_latches),
+        c.splits,
+        c.chases,
+        c.restarts,
+        c.v_validations,
+        c.v_restarts_writer,
+        c.v_restarts_version,
+        c.peak_chain,
+        c.txn_commits,
+        c.txn_spills,
+        tree.height(),
+        tree.root_handle().arena().allocated(),
+    )
+}
+
+/// The seeded stream behind [`EXACT`]: inserts, removes, gets,
+/// `contains_key`, ranges and batches of 8, committing every third op
+/// (so the recovery variants both retain and spill) and vacuuming every
+/// 700th.
+fn exact_stream(protocol: Protocol, cap: usize) -> String {
+    let tree = ConcurrentBTree::new(protocol, cap);
+    let mut rng = Rng::new(0xE8AC_7C07);
+    for n in 0..3_000u64 {
+        let key = rng.next_below(1_500);
+        match rng.next_below(12) {
+            0..=3 => drop(tree.insert(key, n)),
+            4..=5 => drop(tree.remove(&key)),
+            6..=7 => drop(tree.get(&key)),
+            8 => drop(tree.contains_key(&key)),
+            9 => drop(tree.range(key, key + 1 + rng.next_below(80))),
+            _ => {
+                let ops = (0..8)
+                    .map(|i| {
+                        let k = key + i * (1 + rng.next_below(6));
+                        match rng.next_below(3) {
+                            0 => BatchOp::Insert(k, n),
+                            1 => BatchOp::Get(k),
+                            _ => BatchOp::Remove(k),
+                        }
+                    })
+                    .collect();
+                drop(tree.execute_batch(ops));
+            }
+        }
+        if n % 3 == 2 {
+            tree.txn_commit();
+        }
+        if n % 700 == 699 {
+            tree.vacuum();
+        }
+    }
+    tree.txn_commit();
+    tree.check().unwrap();
+    fingerprint(&tree)
+}
+
+/// `(protocol, capacity, exact counts)` for [`exact_stream`].
+#[rustfmt::skip]
+const EXACT: [(&str, usize, &str); 21] = [
+    ("two-phase", 4, "ops=6353 r=[2459, 2135, 2127, 2098, 1918, 1100] w=[5639, 1919, 1655, 1619, 1451, 768] splits=461 chases=1456 restarts=0 v=0/0/0 peak=6 txn=0/0 h=6 alloc=467"),
+    ("two-phase", 16, "ops=6353 r=[1407, 1582, 1417] w=[3021, 1520, 1343] splits=87 chases=540 restarts=0 v=0/0/0 peak=3 txn=0/0 h=3 alloc=90"),
+    ("two-phase", 64, "ops=6353 r=[1164, 1513] w=[2195, 1439] splits=17 chases=130 restarts=0 v=0/0/0 peak=2 txn=0/0 h=2 alloc=19"),
+    ("lock-coupling", 4, "ops=6353 r=[2459, 2135, 2127, 2098, 1918, 1100] w=[5639, 1919, 1655, 1619, 1451, 768] splits=461 chases=1456 restarts=0 v=0/0/0 peak=5 txn=0/0 h=6 alloc=467"),
+    ("lock-coupling", 16, "ops=6353 r=[1407, 1582, 1417] w=[3021, 1520, 1343] splits=87 chases=540 restarts=0 v=0/0/0 peak=3 txn=0/0 h=3 alloc=90"),
+    ("lock-coupling", 64, "ops=6353 r=[1164, 1513] w=[2195, 1439] splits=17 chases=130 restarts=0 v=0/0/0 peak=2 txn=0/0 h=2 alloc=19"),
+    ("optimistic", 4, "ops=6353 r=[2464, 3791, 3778, 3713, 3365, 1866] w=[6016, 639, 376, 361, 301, 123] splits=461 chases=1456 restarts=377 v=0/0/0 peak=5 txn=0/0 h=6 alloc=467"),
+    ("optimistic", 16, "ops=6353 r=[1415, 3082, 2756] w=[3102, 100, 68] splits=87 chases=540 restarts=81 v=0/0/0 peak=3 txn=0/0 h=3 alloc=90"),
+    ("optimistic", 64, "ops=6353 r=[1201, 2948] w=[2212, 20] splits=17 chases=130 restarts=17 v=0/0/0 peak=2 txn=0/0 h=2 alloc=19"),
+    ("b-link", 4, "ops=6353 r=[2479, 3800, 3787, 3722, 3374, 1875] w=[4214, 338, 88, 22, 5] splits=458 chases=1464 restarts=0 v=0/0/0 peak=1 txn=0/0 h=6 alloc=464"),
+    ("b-link", 16, "ops=6353 r=[1419, 3082, 2756] w=[2581, 80, 5] splits=87 chases=540 restarts=0 v=0/0/0 peak=1 txn=0/0 h=3 alloc=90"),
+    ("b-link", 64, "ops=6353 r=[1213, 2948] w=[2091, 16] splits=17 chases=130 restarts=0 v=0/0/0 peak=1 txn=0/0 h=2 alloc=19"),
+    ("olc", 4, "ops=6353 r=[1, 1079, 1074, 1053, 983, 598] w=[5639, 1919, 1655, 1619, 1451, 768] splits=461 chases=1456 restarts=0 v=7306/0/0 peak=5 txn=0/0 h=6 alloc=467"),
+    ("olc", 16, "ops=6353 r=[4, 529, 472] w=[3021, 1520, 1343] splits=87 chases=540 restarts=0 v=3656/0/0 peak=3 txn=0/0 h=3 alloc=90"),
+    ("olc", 64, "ops=6353 r=[16, 473] w=[2195, 1439] splits=17 chases=130 restarts=0 v=2438/0/0 peak=2 txn=0/0 h=2 alloc=19"),
+    ("recovery-naive", 4, "ops=6353 r=[2459, 2136, 2128, 2101, 1918, 1100] w=[5639, 1924, 1661, 1625, 1456, 771] splits=461 chases=1456 restarts=0 v=0/0/0 peak=5 txn=1001/459 h=6 alloc=467"),
+    ("recovery-naive", 16, "ops=6353 r=[1407, 1589, 1425] w=[3021, 1543, 1363] splits=87 chases=540 restarts=0 v=0/0/0 peak=3 txn=1001/345 h=3 alloc=90"),
+    ("recovery-naive", 64, "ops=6353 r=[1164, 1543] w=[2195, 1514] splits=17 chases=130 restarts=0 v=0/0/0 peak=2 txn=1001/390 h=2 alloc=19"),
+    ("recovery-leaf", 4, "ops=6353 r=[2459, 2136, 2128, 2099, 1918, 1100] w=[5639, 1924, 1660, 1622, 1453, 769] splits=461 chases=1456 restarts=0 v=0/0/0 peak=5 txn=1001/451 h=6 alloc=467"),
+    ("recovery-leaf", 16, "ops=6353 r=[1407, 1589, 1422] w=[3021, 1543, 1358] splits=87 chases=540 restarts=0 v=0/0/0 peak=3 txn=1001/332 h=3 alloc=90"),
+    ("recovery-leaf", 64, "ops=6353 r=[1164, 1543] w=[2195, 1514] splits=17 chases=130 restarts=0 v=0/0/0 peak=2 txn=1001/386 h=2 alloc=19"),
+];
+
+#[test]
+fn exact_counts_are_pinned_for_every_protocol() {
+    let mut got = Vec::new();
+    for protocol in Protocol::ALL_WITH_RECOVERY {
+        for cap in [4, 16, 64] {
+            got.push((protocol.name(), cap, exact_stream(protocol, cap)));
+        }
+    }
+    let want: Vec<_> = EXACT
+        .iter()
+        .map(|&(p, c, s)| (p, c, s.to_owned()))
+        .collect();
+    if got != want {
+        for (p, c, s) in &got {
+            println!("    ({p:?}, {c}, \"{s}\"),");
+        }
+    }
+    assert_eq!(got, want);
 }

@@ -1,4 +1,4 @@
-//! Concurrent-history recording over the `ConcurrentMap` facade.
+//! Concurrent-history recording over the `ConcurrentMap` interface.
 //!
 //! N worker threads apply operations to a shared map; every operation is
 //! bracketed by two ticks of one global atomic clock, yielding an
@@ -70,8 +70,8 @@ impl Clock {
 }
 
 /// Applies `op` to `map` (anything speaking the `cbtree-btree`
-/// [`ConcurrentMap`] interface — the real protocol trees, the facade, or
-/// a deliberately buggy wrapper), bracketing it with clock ticks.
+/// [`ConcurrentMap`] interface — the real tree, whatever its protocol,
+/// or a deliberately buggy wrapper), bracketing it with clock ticks.
 pub fn record<M: ConcurrentMap<u64> + ?Sized>(
     map: &M,
     clock: &Clock,

@@ -7,7 +7,7 @@
 //!
 //! 1. **History recording + linearizability** ([`history`],
 //!    [`linearize`]): N threads drive a tree through the
-//!    [`ConcurrentMap`] facade while every invocation/response is
+//!    [`ConcurrentMap`] interface while every invocation/response is
 //!    timestamped by a global atomic clock; the recorded history is then
 //!    checked against a sequential `BTreeMap` oracle with a Wing–Gong
 //!    style search (bounded window and step budget, falling back to a

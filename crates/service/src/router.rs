@@ -1,7 +1,7 @@
 //! Key-range routing: a key space carved into `M` contiguous,
 //! non-overlapping ranges, one per shard.
 //!
-//! Each shard owns an independent `DescentTree`; because the ranges are
+//! Each shard owns an independent `ConcurrentBTree`; because the ranges are
 //! contiguous, a future range-scan layer can still stitch results back
 //! together in key order, and skewed key distributions concentrate on
 //! predictable shards (the paper's per-level queueing model then applies

@@ -6,9 +6,8 @@
 //! cargo run --release --example btree_stress [threads] [ops_per_thread]
 //! ```
 
-use cbtree::btree::{BLinkTree, ConcurrentBTree, Protocol};
+use cbtree::btree::{ConcurrentBTree, Protocol};
 use cbtree::workload::{OpStream, Operation, OpsConfig};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn run_mix(tree: &ConcurrentBTree<u64>, threads: u64, per_thread: usize) -> f64 {
@@ -74,11 +73,11 @@ fn main() {
             .expect("tree invariants must hold after the run");
     }
 
-    // Algorithm-specific statistics on the dedicated types.
-    let blink: Arc<BLinkTree<u64>> = Arc::new(BLinkTree::new(8));
+    // Algorithm-specific statistics from each tree's counters.
+    let blink = ConcurrentBTree::<u64>::new(Protocol::BLink, 8);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let blink = Arc::clone(&blink);
+            let blink = &blink;
             s.spawn(move || {
                 for i in 0..50_000u64 {
                     blink.insert(i * threads + t, i);
@@ -90,10 +89,10 @@ fn main() {
         "\nb-link crossings per op under {} contending inserters: {:.5} \
          (the paper's Figure 9: link chasing is rare)",
         threads,
-        blink.crossing_count() as f64 / (threads as f64 * 50_000.0)
+        blink.counters().chases as f64 / (threads as f64 * 50_000.0)
     );
 
-    let od = cbtree::btree::OptimisticTree::<u64>::new(13);
+    let od = ConcurrentBTree::<u64>::new(Protocol::OptimisticDescent, 13);
     let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 9);
     let mut inserts = 0u64;
     for _ in 0..200_000 {
@@ -111,6 +110,6 @@ fn main() {
     println!(
         "optimistic redo rate with N=13: {:.4} per update \
          (analysis predicts ~ q_i·Pr[F(1)] ≈ 0.05 of all ops)",
-        od.redo_count() as f64 / inserts.max(1) as f64
+        od.counters().restarts as f64 / inserts.max(1) as f64
     );
 }

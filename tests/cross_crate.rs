@@ -2,7 +2,7 @@
 //! analytical model's structural predictions hold on the *real* threaded
 //! B-trees, and the workload generators drive everything consistently.
 
-use cbtree::btree::{BLinkTree, ConcurrentBTree, OptimisticTree, Protocol};
+use cbtree::btree::{ConcurrentBTree, Protocol};
 use cbtree::model::{Fullness, NodeParams, OpMix, TreeShape};
 use cbtree::workload::{OpStream, Operation, OpsConfig};
 use std::sync::Arc;
@@ -13,7 +13,7 @@ fn real_od_redo_rate_tracks_corollary_1() {
     // optimistic tree's redo rate per insert should sit in its vicinity
     // once the tree is warm.
     let n = 13usize;
-    let tree = OptimisticTree::<u64>::new(n);
+    let tree = ConcurrentBTree::<u64>::new(Protocol::OptimisticDescent, n);
     let mut stream = OpStream::new(OpsConfig::paper(3_000_000), 42);
     // Warm phase (not counted).
     for _ in 0..60_000 {
@@ -21,7 +21,7 @@ fn real_od_redo_rate_tracks_corollary_1() {
             tree.insert(k, k);
         }
     }
-    let redo_before = tree.redo_count();
+    let redo_before = tree.counters().restarts;
     let mut inserts = 0u64;
     for _ in 0..150_000 {
         match stream.next_op() {
@@ -35,7 +35,7 @@ fn real_od_redo_rate_tracks_corollary_1() {
             Operation::Search(_) => {}
         }
     }
-    let measured = (tree.redo_count() - redo_before) as f64 / inserts as f64;
+    let measured = (tree.counters().restarts - redo_before) as f64 / inserts as f64;
 
     let shape =
         TreeShape::derive(tree.len() as u64, NodeParams::with_max_size(n).unwrap()).unwrap();
@@ -50,7 +50,7 @@ fn real_od_redo_rate_tracks_corollary_1() {
 #[test]
 fn real_tree_height_matches_shape_model() {
     for n in [8usize, 16, 64] {
-        let tree = BLinkTree::<u64>::new(n);
+        let tree = ConcurrentBTree::<u64>::new(Protocol::BLink, n);
         for k in 0..30_000u64 {
             tree.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k);
         }
@@ -151,7 +151,7 @@ fn facade_reexports_compose() {
     .unwrap();
     assert!(report.completed > 0);
 
-    let tree = cbtree::btree::BLinkTree::<&'static str>::new(16);
+    let tree = ConcurrentBTree::<&'static str>::new(Protocol::BLink, 16);
     tree.insert(1, "one");
     assert_eq!(tree.get(&1), Some("one"));
 }
