@@ -56,18 +56,30 @@
 //!   latch (the bump happens before the retiring latch is released, so
 //!   acquisition order decides).
 //!
-//! Slots keep their lock — and the lock's statistics and trace tag —
-//! across recycling; the lock's version counter keeps advancing, which
-//! is exactly what makes a recycled slot's windows fail closed. They
-//! keep their leaf value buffer too: retire resets the node in place and
-//! clears the buffer without freeing it, so a window that overlaps a
-//! retire reads live memory before its validation fails. The
-//! retire/install writes are themselves exclusive sections of the
-//! slot's own latch, so they are visible to the version machinery like
-//! any other write.
+//! Slots keep their lock across recycling; the lock's version counter
+//! keeps advancing, which is exactly what makes a recycled slot's
+//! windows fail closed. They keep their leaf value buffer too: retire
+//! resets the node in place and clears the buffer without freeing it, so
+//! a window that overlaps a retire reads live memory before its
+//! validation fails. The retire/install writes are themselves exclusive
+//! sections of the slot's own latch, so they are visible to the version
+//! machinery like any other write.
+//!
+//! # No statistics in the slot
+//!
+//! A slot's latch carries no lock statistics: it is built with the
+//! empty sink, and its tag is the node's level (set at install, reset to
+//! 1 at retire, both inside the slot's exclusive section). The tree's
+//! counted acquisitions pass its per-level accumulator as the sink, so a
+//! grant and its hold are recorded at the level the node had when it was
+//! granted, and a recycled slot carries no history. Installs and
+//! quiescent walks (`node.read()`) report nowhere. The arena also counts
+//! live nodes per level, changed only by [`Arena::alloc`] and
+//! [`Arena::retire`], so a per-level window read is O(height).
 
+use crate::counters::{StripeSink, MAX_LEVELS};
 use crate::node::{Node, NodeT};
-use cbtree_sync::{FcfsRwLock as RwLock, RwLockReadGuard, RwLockWriteGuard, SamplePeriod};
+use cbtree_sync::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -77,6 +89,14 @@ use std::time::Instant;
 /// Hard upper bound on a tree's node capacity (max keys per node): the
 /// largest capacity class. Real configurations use 4–64.
 pub const MAX_CAP: usize = 128;
+
+/// A slot's latch: no statistics of its own (the empty sink).
+type Latch<T> = FcfsRwLock<T, ()>;
+
+/// Where a latch step reports: the tree's per-level accumulator (the
+/// calling thread's stripe of it), or nowhere (`None`: installs, retires
+/// of never-published nodes).
+pub(crate) type Sink<'a> = Option<StripeSink<'a>>;
 
 /// Slots in the first slab segment; segment `k` holds `BASE << k`.
 const BASE: usize = 64;
@@ -190,18 +210,18 @@ struct SlotT<V, T: ?Sized> {
     /// section (see the module docs for why that placement is load-
     /// bearing).
     gen: AtomicU32,
-    lock: RwLock<NodeT<V, T>>,
+    lock: Latch<NodeT<V, T>>,
 }
 
 /// A slot with its node's tail unsized.
 type Slot<V> = SlotT<V, [u64]>;
 
-// A field added to the node header or the lock shows up here: the
-// cap-16 class stays within 1 200 B, and the cap-128 class is no larger
-// than the one-size slot every tree used before slots had classes.
+// A field added to the node header or the lock shows up here: a slot
+// is the generation, the lock word with its queue, the node header and
+// the tail — no statistics.
 const _: () = {
-    assert!(std::mem::size_of::<SlotT<u64, [u64; words(16)]>>() <= 1_200);
-    assert!(std::mem::size_of::<SlotT<u64, [u64; words(MAX_CAP)]>>() <= 2_952);
+    assert!(std::mem::size_of::<SlotT<u64, [u64; words(16)]>>() <= 500);
+    assert!(std::mem::size_of::<SlotT<u64, [u64; words(MAX_CAP)]>>() <= 2_240);
 };
 
 /// One slab segment of a capacity class: slots whose node tail is `W`
@@ -223,11 +243,11 @@ impl<V, const W: usize> Segments<V, W> {
     }
 
     /// Creates segment `k`: `BASE << k` vacant slots.
-    fn init(&self, k: usize, sample: SamplePeriod) {
+    fn init(&self, k: usize) {
         let seg: Box<[SlotT<V, [u64; W]>]> = (0..BASE << k)
             .map(|_| SlotT {
                 gen: AtomicU32::new(0),
-                lock: RwLock::with_sampling(NodeT::vacant(), sample),
+                lock: Latch::with_sink(NodeT::vacant(), ()),
             })
             .collect();
         self.0[k].set(seg).ok().expect("segment set once");
@@ -291,7 +311,8 @@ pub struct Arena<V> {
     allocated: AtomicU64,
     /// Slots retired for recycling (diagnostics; tests assert on it).
     recycled: AtomicU64,
-    sample: SamplePeriod,
+    /// Live (installed, not retired) nodes per level, `level - 1`.
+    live: [AtomicU64; MAX_LEVELS],
 }
 
 impl<V> fmt::Debug for Arena<V> {
@@ -312,12 +333,11 @@ fn locate(idx: u32) -> (usize, usize) {
 }
 
 impl<V> Arena<V> {
-    /// An empty arena for nodes of at most `cap` keys, whose slot locks
-    /// time one in `sample.period()` acquisitions.
+    /// An empty arena for nodes of at most `cap` keys.
     ///
     /// # Panics
     /// Panics when `cap > MAX_CAP`.
-    pub fn new(cap: usize, sample: SamplePeriod) -> Self {
+    pub fn new(cap: usize) -> Self {
         Arena {
             spine: Spine::for_capacity(cap),
             cap,
@@ -325,8 +345,14 @@ impl<V> Arena<V> {
             segments: Mutex::new(0),
             allocated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
-            sample,
+            live: Default::default(),
         }
+    }
+
+    /// The live-node count of `level` (1 = leaf; deeper levels fold
+    /// into the last counter).
+    fn live_count(&self, level: usize) -> &AtomicU64 {
+        &self.live[level.clamp(1, MAX_LEVELS) - 1]
     }
 
     fn slot(&self, idx: u32) -> &Slot<V> {
@@ -339,8 +365,9 @@ impl<V> Arena<V> {
     /// in place; the node is published when the guard drops. The install
     /// is one exclusive section of the slot's latch, so any straggling
     /// stale reader of a recycled slot sees a version bump (and already
-    /// sees a generation mismatch). A slot's first install reserves its
-    /// value buffer (`cap + 1` values); later ones reuse it.
+    /// sees a generation mismatch). It reports to no sink: nobody can
+    /// queue on a node before it is linked. A slot's first install
+    /// reserves its value buffer (`cap + 1` values); later ones reuse it.
     pub fn alloc(&self, level: usize) -> WriteGuard<'_, V> {
         let idx = loop {
             if let Some(idx) = self
@@ -358,6 +385,7 @@ impl<V> Arena<V> {
         let mut guard = self.at(NodeId { idx, gen }).write_guard();
         guard.reset(level, self.cap + 1);
         slot.lock.set_trace_tag(level.min(u16::MAX as usize) as u16);
+        self.live_count(level).fetch_add(1, Ordering::Relaxed);
         self.allocated.fetch_add(1, Ordering::Relaxed);
         guard
     }
@@ -374,7 +402,7 @@ impl<V> Arena<V> {
         }
         let k = *segments;
         assert!(k < SEG_COUNT, "arena exhausted the u32 handle space");
-        on_class!(&self.spine, segs => segs.init(k, self.sample));
+        on_class!(&self.spine, segs => segs.init(k));
         *segments = k + 1;
         let len = BASE << k;
         let seg_base = BASE * ((1 << k) - 1);
@@ -385,10 +413,12 @@ impl<V> Arena<V> {
 
     /// Retires the node a caller holds exclusively: bumps the slot
     /// generation (convicting every outstanding handle) and empties the
-    /// node in place, all inside the caller's exclusive section. The
-    /// value buffer is cleared, not freed (an optimistic window may be
-    /// reading it). The caller must drop its guard and then call
-    /// [`Arena::recycle`] to return the slot to the free list.
+    /// node in place as a level-1 node, retagging the latch to match,
+    /// all inside the caller's exclusive section. The caller's hold is
+    /// still recorded at the level it was granted at. The value buffer
+    /// is cleared, not freed (an optimistic window may be reading it).
+    /// The caller must drop its guard and then call [`Arena::recycle`]
+    /// to return the slot to the free list.
     pub fn retire(&self, guard: &mut WriteGuard<'_, V>) {
         let id = guard.id();
         let slot = self.slot(id.idx);
@@ -398,7 +428,9 @@ impl<V> Arena<V> {
             "retiring through a stale handle"
         );
         slot.gen.store(id.gen.wrapping_add(1), Ordering::Release);
+        self.live_count(guard.level).fetch_sub(1, Ordering::Relaxed);
         guard.reset(1, 0);
+        slot.lock.set_trace_tag(1);
         self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -427,6 +459,11 @@ impl<V> Arena<V> {
         self.recycled.load(Ordering::Relaxed)
     }
 
+    /// Live nodes at `level` (1 = leaf): installed and not retired.
+    pub(crate) fn live_nodes(&self, level: usize) -> u64 {
+        self.live_count(level).load(Ordering::Relaxed)
+    }
+
     /// Current free-list length (test/diagnostic use).
     pub fn free_slots(&self) -> usize {
         self.free
@@ -442,12 +479,12 @@ impl<V> Arena<V> {
 
 /// A node handle: a borrow of the [`Arena`] plus a [`NodeId`] — two
 /// words, `Copy`, so stepping, recording and passing handles writes
-/// nothing shared. Dereferences to the slot's latch, so all of
-/// `read()`, `write()`, `version()`, `validate()`, `read_optimistic()`
-/// and `stats()` are available directly; the `*_guard` methods
-/// additionally return guards that remember the id and the arena (the
-/// latch-crabbing shape: a child is resolved through its latched
-/// parent's guard).
+/// nothing shared. Dereferences to the slot's latch, so `read()`,
+/// `write()` (reporting nowhere: quiescent walks and audits),
+/// `version()`, `validate()` and `read_optimistic()` are available
+/// directly; the tree's counted acquisitions return guards that remember
+/// the id and the arena (the latch-crabbing shape: a child is resolved
+/// through its latched parent's guard) and report to the tree.
 pub struct NodeRef<'a, V> {
     arena: &'a Arena<V>,
     id: NodeId,
@@ -474,8 +511,8 @@ impl<V> fmt::Debug for NodeRef<'_, V> {
 }
 
 impl<V> Deref for NodeRef<'_, V> {
-    type Target = RwLock<Node<V>>;
-    fn deref(&self) -> &RwLock<Node<V>> {
+    type Target = Latch<Node<V>>;
+    fn deref(&self) -> &Latch<Node<V>> {
         self.latch()
     }
 }
@@ -518,46 +555,55 @@ impl<'a, V> NodeRef<'a, V> {
 
     /// The slot's latch, borrowed for as long as the arena is (the
     /// `Deref` impl can only lend it for the handle's own borrow).
-    fn latch(&self) -> &'a RwLock<Node<V>> {
+    fn latch(&self) -> &'a Latch<Node<V>> {
         &self.arena.slot(self.id.idx).lock
     }
 
-    /// Blocking exclusive latch.
-    pub fn write_guard(&self) -> WriteGuard<'a, V> {
-        self.write_guard_after(None)
+    /// Blocking exclusive latch that reports nowhere (installs, and
+    /// retiring a node nobody could reach).
+    pub(crate) fn write_guard(&self) -> WriteGuard<'a, V> {
+        self.write_guard_after(None, None)
     }
 
-    /// Blocking shared latch for a caller that released its previous
-    /// latch at `carried`, as
+    /// Blocking shared latch reporting to `sink`, for a caller that
+    /// released its previous latch at `carried`, as
     /// [`FcfsRwLock::read_after`](cbtree_sync::FcfsRwLock::read_after).
-    pub fn read_guard_after(&self, carried: Option<Instant>) -> ReadGuard<'a, V> {
+    pub(crate) fn read_guard_after(
+        &self,
+        carried: Option<Instant>,
+        sink: Sink<'a>,
+    ) -> ReadGuard<'a, V> {
         ReadGuard {
-            guard: self.latch().read_after(carried),
+            guard: self.latch().read_to(sink, carried),
             node: *self,
         }
     }
 
     /// Blocking exclusive latch, as [`NodeRef::read_guard_after`].
-    pub fn write_guard_after(&self, carried: Option<Instant>) -> WriteGuard<'a, V> {
+    pub(crate) fn write_guard_after(
+        &self,
+        carried: Option<Instant>,
+        sink: Sink<'a>,
+    ) -> WriteGuard<'a, V> {
         WriteGuard {
-            guard: self.latch().write_after(carried),
+            guard: self.latch().write_to(sink, carried),
             node: *self,
         }
     }
 
-    /// Non-blocking shared probe (fast path only), as
+    /// Non-blocking shared probe (fast path only) reporting to `sink`, as
     /// [`FcfsRwLock::try_read`](cbtree_sync::FcfsRwLock::try_read).
-    pub fn try_read_guard(&self) -> Option<ReadGuard<'a, V>> {
+    pub(crate) fn try_read_guard(&self, sink: Sink<'a>) -> Option<ReadGuard<'a, V>> {
         Some(ReadGuard {
-            guard: self.latch().try_read()?,
+            guard: self.latch().try_read_to(sink)?,
             node: *self,
         })
     }
 
     /// Non-blocking exclusive probe (fast path only).
-    pub fn try_write_guard(&self) -> Option<WriteGuard<'a, V>> {
+    pub(crate) fn try_write_guard(&self, sink: Sink<'a>) -> Option<WriteGuard<'a, V>> {
         Some(WriteGuard {
-            guard: self.latch().try_write()?,
+            guard: self.latch().try_write_to(sink)?,
             node: *self,
         })
     }
@@ -570,14 +616,14 @@ impl<'a, V> NodeRef<'a, V> {
 /// Shared latch guard on an arena slot.
 #[must_use = "dropping the guard releases the latch"]
 pub struct ReadGuard<'a, V> {
-    guard: RwLockReadGuard<'a, Node<V>>,
+    guard: RwLockReadGuard<'a, Node<V>, Sink<'a>>,
     node: NodeRef<'a, V>,
 }
 
 /// Exclusive latch guard on an arena slot (see [`ReadGuard`]).
 #[must_use = "dropping the guard releases the latch"]
 pub struct WriteGuard<'a, V> {
-    guard: RwLockWriteGuard<'a, Node<V>>,
+    guard: RwLockWriteGuard<'a, Node<V>, Sink<'a>>,
     node: NodeRef<'a, V>,
 }
 
@@ -658,7 +704,7 @@ impl<V> DerefMut for WriteGuard<'_, V> {
 impl<'a, V> WriteGuard<'a, V> {
     /// Unwraps the latch guard itself (for the recovery protocols'
     /// transaction retention, which holds latches past this borrow).
-    pub(crate) fn into_latch_guard(self) -> RwLockWriteGuard<'a, Node<V>> {
+    pub(crate) fn into_latch_guard(self) -> RwLockWriteGuard<'a, Node<V>, Sink<'a>> {
         self.guard
     }
 }
@@ -693,7 +739,7 @@ mod tests {
     #[test]
     fn slots_are_sized_by_capacity_class() {
         let bytes = |cap| {
-            let arena: Arena<u64> = Arena::new(cap, SamplePeriod::EXACT);
+            let arena: Arena<u64> = Arena::new(cap);
             let id = arena.alloc(1).id();
             std::mem::size_of_val(arena.slot(id.idx))
         };
@@ -732,7 +778,7 @@ mod tests {
 
     #[test]
     fn alloc_then_recycle_reuses_the_slot_with_a_new_generation() {
-        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
+        let arena: Arena<u64> = Arena::new(8);
         let node = arena.alloc(1).node_ref();
         let id = node.id();
         assert!(!node.stale());
@@ -755,7 +801,7 @@ mod tests {
 
     #[test]
     fn growth_keeps_old_slots_stable() {
-        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
+        let arena: Arena<u64> = Arena::new(8);
         let first = arena.alloc(1).node_ref();
         let addr_before = std::ptr::from_ref(&*first).addr();
         // Force growth past several segments.
@@ -774,7 +820,7 @@ mod tests {
 
     #[test]
     fn recycle_under_contention_never_resurrects_a_stale_handle() {
-        let arena: Arena<u64> = Arena::new(8, SamplePeriod::EXACT);
+        let arena: Arena<u64> = Arena::new(8);
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             // Churner: alloc/retire/recycle in a tight loop.

@@ -1,4 +1,5 @@
-//! Uniform per-operation telemetry for every latching protocol.
+//! Uniform per-operation telemetry for every latching protocol, and the
+//! tree's per-level lock statistics.
 //!
 //! The descent engine counts, with relaxed atomics owned by the *tree*
 //! (never the lock — the lock's uncontended fast path stays a single
@@ -8,8 +9,12 @@
 //! restarts (the `q_i·Pr[F(1)]` rate of the Optimistic model), right-link
 //! chases (the Link-type crossing rate of Figure 9), the peak retained
 //! latch-chain depth, and — for the §7 recovery variants — transaction
-//! commits and deadlock-avoidance spills.
+//! commits and deadlock-avoidance spills. The per-level latch counts
+//! are also the acquisition counts of the lock statistics, whose hold
+//! sums sit beside them in the same stripe row and whose waits, written
+//! only by requests that queued, are kept once per level.
 
+use cbtree_sync::{Histogram, LockSink, LockStatsSnapshot, SamplePeriod};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Per-level counter arrays cover levels `1..=MAX_LEVELS`; anything
@@ -21,6 +26,40 @@ pub const MAX_LEVELS: usize = 16;
 /// count without ever writing a cache line another thread writes.
 const STRIPES: usize = 16;
 
+/// One level's latch traffic in one stripe, indexed by mode (0 = shared,
+/// 1 = exclusive): the acquisitions granted, and the sampled hold sums
+/// (each sample scaled by the sampling period).
+#[derive(Debug, Default)]
+struct LevelRow {
+    acq: [AtomicU64; 2],
+    hold_ns: [AtomicU64; 2],
+}
+
+/// One level's queueing, by mode: written only by requests that queued
+/// (they already took the lock's queue mutex and are about to block), so
+/// one copy per level is shared by every thread.
+#[derive(Debug, Default)]
+struct LevelWaits {
+    contended: [AtomicU64; 2],
+    /// Sampled waits, scaled by the sampling period.
+    wait_ns: [AtomicU64; 2],
+    /// Sampled waits, raw.
+    wait_hist: [Histogram; 2],
+}
+
+impl LevelWaits {
+    /// A queued grant; `shift` is the sampling shift when the grant was
+    /// sampled.
+    #[cold]
+    fn record(&self, mode: usize, wait_ns: u64, shift: Option<u32>) {
+        self.contended[mode].fetch_add(1, Ordering::Relaxed);
+        if let Some(shift) = shift {
+            self.wait_ns[mode].fetch_add(wait_ns << shift, Ordering::Relaxed);
+            self.wait_hist[mode].record(wait_ns);
+        }
+    }
+}
+
 /// One thread's (or a few threads') share of a tree's counters, on
 /// cache lines of its own: 128-byte alignment also keeps the adjacent-
 /// line prefetcher from coupling neighbouring stripes.
@@ -28,8 +67,8 @@ const STRIPES: usize = 16;
 #[repr(align(128))]
 struct Stripe {
     ops: AtomicU64,
-    r_latches: [AtomicU64; MAX_LEVELS],
-    w_latches: [AtomicU64; MAX_LEVELS],
+    /// Latch traffic per level, `level - 1` (0 = leaves).
+    levels: [LevelRow; MAX_LEVELS],
     restarts: AtomicU64,
     chases: AtomicU64,
     splits: AtomicU64,
@@ -47,8 +86,14 @@ struct Stripe {
 
 const _: () = {
     assert!(std::mem::align_of::<Stripe>() >= 64);
-    assert!(std::mem::size_of::<OpCounters>() <= 8 * 1024);
+    assert!(std::mem::size_of::<OpCounters>() <= 24 * 1024);
 };
+
+/// The row of a level (1 = leaf); deeper levels fold into the last.
+#[inline]
+fn level_index(level: usize) -> usize {
+    level.clamp(1, MAX_LEVELS) - 1
+}
 
 /// The calling thread's stripe index: a process-wide ordinal dealt on a
 /// thread's first count and kept for its lifetime.
@@ -61,24 +106,54 @@ fn stripe_index() -> usize {
     ORDINAL.with(|o| *o) % STRIPES
 }
 
-/// Relaxed-atomic operation counters embedded in every tree.
+/// Relaxed-atomic operation counters embedded in every tree, and the
+/// tree's lock statistics: the [`LockSink`] every node latch reports to.
 ///
 /// The counters are **striped**: each thread increments its own
 /// cache-line-aligned [`Stripe`] (picked from a thread-local ordinal),
-/// so counting an operation or a latch never writes a line another
-/// running thread writes — the node locks' fast path is untouched and
-/// so is every other thread's. Every reader sums the stripes, so
-/// [`OpCounters::snapshot`] (and the tree's `len`) keep their exact-sum
-/// meaning; diff two snapshots with [`OpCountersSnapshot::since`].
+/// so counting an operation, a latch or a hold never writes a line
+/// another running thread writes. A stripe keeps one row per level, so
+/// a latch step costs one stripe lookup and one row. Every reader sums
+/// the stripes, so [`OpCounters::snapshot`] (and the tree's `len`) keep
+/// their exact-sum meaning; diff two snapshots with
+/// [`OpCountersSnapshot::since`].
+///
+/// Lock statistics are kept per level, the paper's unit: one
+/// representative FCFS queue per level. Each grant is recorded at the
+/// level its node had when granted (the lock's tag), and so is its hold,
+/// even when the node is retired inside it; a recycled slot therefore
+/// brings no history into its new level. Holds and waits are timed for a
+/// systematic 1-in-N sample of each stripe's grants at each level.
 #[derive(Debug, Default)]
 pub(crate) struct OpCounters {
+    /// Log2 of the sampling period; set at construction.
+    sample_shift: u32,
     stripes: [Stripe; STRIPES],
+    waits: [LevelWaits; MAX_LEVELS],
 }
 
 impl OpCounters {
+    /// Counters whose lock statistics time one in `sample.period()`
+    /// grants per stripe and level.
+    pub(crate) fn new(sample: SamplePeriod) -> Self {
+        OpCounters {
+            sample_shift: sample.period().trailing_zeros(),
+            ..OpCounters::default()
+        }
+    }
+
     #[inline]
     fn mine(&self) -> &Stripe {
         &self.stripes[stripe_index()]
+    }
+
+    /// The calling thread's lock-statistics sink.
+    #[inline]
+    pub(crate) fn sink(&self) -> StripeSink<'_> {
+        StripeSink {
+            counters: self,
+            stripe: self.mine(),
+        }
     }
 
     fn sum(&self, field: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
@@ -92,19 +167,6 @@ impl OpCounters {
     #[inline]
     pub(crate) fn record_op(&self) {
         self.mine().ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One node latch acquired at `level` (1 = leaf) in the given mode.
-    #[inline]
-    pub(crate) fn record_latch(&self, level: usize, exclusive: bool) {
-        let idx = level.clamp(1, MAX_LEVELS) - 1;
-        let stripe = self.mine();
-        let arr = if exclusive {
-            &stripe.w_latches
-        } else {
-            &stripe.r_latches
-        };
-        arr[idx].fetch_add(1, Ordering::Relaxed);
     }
 
     /// An optimistic first pass found an unsafe leaf and redid the
@@ -207,13 +269,11 @@ impl OpCounters {
 
     /// A point-in-time copy of every counter, summed over the stripes.
     pub(crate) fn snapshot(&self) -> OpCountersSnapshot {
-        let per_level = |field: fn(&Stripe) -> &[AtomicU64; MAX_LEVELS]| {
-            std::array::from_fn(|i| self.sum(|s| &field(s)[i]))
-        };
+        let per_level = |mode: usize| std::array::from_fn(|i| self.sum(|s| &s.levels[i].acq[mode]));
         OpCountersSnapshot {
             ops: self.sum(|s| &s.ops),
-            r_latches: per_level(|s| &s.r_latches),
-            w_latches: per_level(|s| &s.w_latches),
+            r_latches: per_level(0),
+            w_latches: per_level(1),
             restarts: self.sum(|s| &s.restarts),
             chases: self.sum(|s| &s.chases),
             splits: self.sum(|s| &s.splits),
@@ -229,6 +289,78 @@ impl OpCounters {
             v_restarts_writer: self.sum(|s| &s.v_restarts_writer),
             v_restarts_version: self.sum(|s| &s.v_restarts_version),
         }
+    }
+
+    /// The lock statistics of `level` (1 = leaf), summed over the
+    /// stripes. As in `LockStats::snapshot`, the zero bucket of each wait
+    /// histogram is reconstructed: an uncontended grant records no wait,
+    /// so bucket 0 gains *sampled grants − recorded waits*, the sampled
+    /// grants being `⌈acquisitions / N⌉` per stripe.
+    pub(crate) fn level_snapshot(&self, level: usize) -> LockStatsSnapshot {
+        let i = level_index(level);
+        let waits = &self.waits[i];
+        // Histograms before the acquisition counts: a recorded wait was
+        // counted as a grant first, so this order never sees more waits
+        // than sampled grants.
+        let mut hist = waits.wait_hist.each_ref().map(Histogram::snapshot);
+        let mask = (1u64 << self.sample_shift) - 1;
+        let (mut acq, mut sampled, mut hold) = ([0u64; 2], [0u64; 2], [0u64; 2]);
+        for row in self.stripes.iter().map(|s| &s.levels[i]) {
+            for m in 0..2 {
+                let a = row.acq[m].load(Ordering::Relaxed);
+                acq[m] += a;
+                sampled[m] += (a + mask) >> self.sample_shift;
+                hold[m] += row.hold_ns[m].load(Ordering::Relaxed);
+            }
+        }
+        for (h, n) in hist.iter_mut().zip(sampled) {
+            h.counts[0] += n.saturating_sub(h.total());
+        }
+        let load = |a: &[AtomicU64; 2]| a.each_ref().map(|x| x.load(Ordering::Relaxed));
+        let (contended, wait_ns) = (load(&waits.contended), load(&waits.wait_ns));
+        LockStatsSnapshot {
+            r_acquires: acq[0],
+            w_acquires: acq[1],
+            r_contended: contended[0],
+            w_contended: contended[1],
+            r_wait_ns: wait_ns[0],
+            w_wait_ns: wait_ns[1],
+            r_hold_ns: hold[0],
+            w_hold_ns: hold[1],
+            r_wait_hist: hist[0],
+            w_wait_hist: hist[1],
+        }
+    }
+}
+
+/// The sink the tree's node latches report to: the calling thread's
+/// stripe, resolved once per latch step, so the release that ends the
+/// hold finds it without a second thread-local lookup. The lock's tag is
+/// the node's level.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StripeSink<'a> {
+    counters: &'a OpCounters,
+    stripe: &'a Stripe,
+}
+
+impl LockSink for StripeSink<'_> {
+    #[inline]
+    fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
+        let (i, mode) = (level_index(usize::from(tag)), usize::from(exclusive));
+        let shift = self.counters.sample_shift;
+        let prev = self.stripe.levels[i].acq[mode].fetch_add(1, Ordering::Relaxed);
+        let sampled = prev & ((1u64 << shift) - 1) == 0;
+        if let Some(wait_ns) = queued_ns {
+            self.counters.waits[i].record(mode, wait_ns, sampled.then_some(shift));
+        }
+        sampled
+    }
+
+    #[inline]
+    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
+        let row = &self.stripe.levels[level_index(usize::from(tag))];
+        row.hold_ns[usize::from(exclusive)]
+            .fetch_add(hold_ns << self.counters.sample_shift, Ordering::Relaxed);
     }
 }
 
@@ -369,10 +501,11 @@ mod tests {
         for _ in 0..10 {
             c.record_op();
         }
-        c.record_latch(1, false);
-        c.record_latch(1, true);
-        c.record_latch(3, true);
-        c.record_latch(100, true); // clamps into the last slot
+        let sink = c.sink();
+        sink.granted(1, false, None);
+        sink.granted(1, true, None);
+        sink.granted(3, true, None);
+        sink.granted(100, true, None); // clamps into the last slot
         c.record_restart();
         c.record_chase();
         c.record_chase();

@@ -32,7 +32,11 @@
 //!
 //! The engine also owns the uniform telemetry (`OpCounters`): latch
 //! acquisitions per level and mode, optimistic restarts, right-link
-//! chases, peak latch-chain depth, and transaction commits/spills.
+//! chases, peak latch-chain depth, and transaction commits/spills. The
+//! same striped rows are the tree's lock statistics: every counted latch
+//! step passes them to the node's lock as its sink, so a grant, its wait
+//! and its hold are recorded at the node's level (see
+//! [`ConcurrentBTree::level_stats`]).
 //!
 //! # Slot recycling and stale handles
 //!
@@ -54,8 +58,8 @@
 //! possibly blocked on one of ours — may hold it, and FCFS latches are
 //! not recursive, so we could even block on ourselves). While any
 //! retained guard exists, every latch acquisition therefore goes through
-//! the non-blocking fast-path probe ([`NodeRef::try_read_guard`] /
-//! [`NodeRef::try_write_guard`]); on the first refusal the engine
+//! the non-blocking fast-path probe (`NodeRef::try_read_guard` /
+//! `NodeRef::try_write_guard`); on the first refusal the engine
 //! *spills* — releases every retained guard (an early commit, counted in
 //! [`OpCountersSnapshot::txn_spills`]) — and redoes the descent in
 //! ordinary blocking mode, which is safe because the thread then holds
@@ -64,13 +68,13 @@
 //! behave (and perform) exactly like their underlying protocol plus
 //! bookkeeping.
 
-use crate::arena::{Arena, InlineVec, NodeId, NodeRef, MAX_CAP};
+use crate::arena::{Arena, InlineVec, NodeId, NodeRef, Sink, MAX_CAP};
 use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, make_root, split_node, Node};
 use crate::olc::OlcValue;
 use crate::protocol::Protocol;
-use cbtree_sync::{RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
+use cbtree_sync::{LockSink, LockStatsSnapshot, RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,6 +88,10 @@ pub(crate) use crate::arena::{ReadGuard, WriteGuard};
 /// level on the way down, root-most first, inline so a non-splitting
 /// insert allocates nothing.
 type AscentHints = InlineVec<NodeId, MAX_LEVELS>;
+
+/// A transaction-retained exclusive latch, with its hold still open when
+/// timed: `(level tag, start)`, reported when the latch is released.
+type Retained<V> = (UnownedWriteGuard<Node<V>>, Option<(u16, Instant)>);
 
 /// How a protocol latches on the way down for read-only operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,14 +197,15 @@ pub struct ConcurrentBTree<V> {
     /// Read by every operation, never written: like `cap`, it stays off
     /// the striped counters' lines.
     protocol: Protocol,
-    /// Operation telemetry and the key count, striped per thread.
+    /// Operation telemetry, the key count and the per-level lock
+    /// statistics, striped per thread.
     counters: OpCounters,
     /// Exclusive latches retained across operations by transaction
     /// (recovery protocols only; keyed by owning thread). A thread only
     /// ever touches its own entry. These are the only latch guards that
     /// outlive the borrow they were taken under; `Drop` releases any
     /// that remain before the arena goes.
-    retained: Mutex<HashMap<ThreadId, Vec<UnownedWriteGuard<Node<V>>>>>,
+    retained: Mutex<HashMap<ThreadId, Vec<Retained<V>>>>,
     /// Serializes [`ConcurrentBTree::vacuum`] passes (one reclaimer at a
     /// time keeps the latch-order argument two-party: vacuum vs.
     /// ordinary descents).
@@ -239,9 +248,10 @@ impl<V> ConcurrentBTree<V> {
         ConcurrentBTree::with_sampling(protocol, capacity, SamplePeriod::EXACT)
     }
 
-    /// Creates an empty tree whose node locks time one in
-    /// `sample.period()` acquisitions (counts stay exact; sampled
-    /// durations are scaled so derived statistics stay unbiased).
+    /// Creates an empty tree whose lock statistics time one in
+    /// `sample.period()` acquisitions per thread and level (counts stay
+    /// exact; sampled durations are scaled so derived statistics stay
+    /// unbiased).
     ///
     /// # Panics
     /// Panics when `capacity < 3` or `capacity > MAX_CAP`.
@@ -251,14 +261,14 @@ impl<V> ConcurrentBTree<V> {
             capacity <= MAX_CAP,
             "node capacity must be at most {MAX_CAP} (largest slot class)"
         );
-        let arena = Arena::new(capacity, sample);
+        let arena = Arena::new(capacity);
         let first_leaf = arena.alloc(1).id();
         ConcurrentBTree {
             root: RootWord(AtomicU64::new(first_leaf.to_bits())),
             arena,
             cap: capacity,
             protocol,
-            counters: OpCounters::default(),
+            counters: OpCounters::new(sample),
             retained: Mutex::new(HashMap::new()),
             vacuum_serial: Mutex::new(()),
         }
@@ -329,10 +339,29 @@ impl<V> ConcurrentBTree<V> {
         check_invariants(&self.root_ref(), self.cap)
     }
 
-    /// The current root handle (for quiescent instrumentation walks, e.g.
-    /// aggregating per-level lock statistics).
+    /// The current root handle (for quiescent instrumentation walks and
+    /// audits).
     pub fn root_handle(&self) -> NodeRef<'_, V> {
         self.root_ref()
+    }
+
+    /// Lock statistics per level, leaves first: `(live nodes, merged
+    /// statistics)` for each level of the current height — the paper's
+    /// one representative queue per level. Reads O(height) state and
+    /// takes no latch: the per-level accumulators every counted latch
+    /// step reports to, and the arena's live-node counts. Acquisitions
+    /// equal [`OpCountersSnapshot`]'s per-level latch counts exactly.
+    /// Cumulative over the tree's lifetime; diff two reads with
+    /// [`LockStatsSnapshot::since`].
+    pub fn level_stats(&self) -> Vec<(u64, LockStatsSnapshot)> {
+        (1..=self.height())
+            .map(|level| {
+                (
+                    self.arena.live_nodes(level),
+                    self.counters.level_snapshot(level),
+                )
+            })
+            .collect()
     }
 
     /// Commits the calling thread's transaction: releases every
@@ -351,8 +380,23 @@ impl<V> ConcurrentBTree<V> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&thread::current().id());
-        drop(guards); // latches release outside the map mutex
+        // Latches release outside the map mutex.
+        self.release_retained(guards.unwrap_or_default());
         self.counters.record_txn_commit();
+    }
+
+    /// Releases retained latches, reporting each timed hold at the level
+    /// it was granted at (one clock reading ends them all).
+    fn release_retained(&self, retained: Vec<Retained<V>>) {
+        let (sink, mut end) = (self.counters.sink(), None);
+        for (latch, open) in retained {
+            if let Some((tag, t0)) = open {
+                let t1: Instant = *end.get_or_insert_with(Instant::now);
+                let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
+                sink.released(tag, true, hold);
+            }
+            drop(latch);
+        }
     }
 
     /// Whether the calling thread holds retained transaction latches —
@@ -376,11 +420,8 @@ impl<V> ConcurrentBTree<V> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&thread::current().id());
-        if guards.is_some_and(|g| {
-            let held = !g.is_empty();
-            drop(g);
-            held
-        }) {
+        if let Some(g) = guards.filter(|g| !g.is_empty()) {
+            self.release_retained(g);
             self.counters.record_txn_spill();
         }
     }
@@ -416,11 +457,19 @@ impl<V> ConcurrentBTree<V> {
     // ------------------------------------------------------------------
     // Latch acquisition (counted; optionally non-blocking).
     //
-    // Every descent pays one clock reading per latch step (exact lock
-    // statistics): a link step releases and then acquires carrying the
-    // release's stamp, a crab step ends the parent's hold at the child's
-    // grant (`crab_to`). See `cbtree_sync`'s hand-over docs.
+    // Every counted acquisition reports to `self.counters`, at the level
+    // the node's lock is tagged with. Every descent pays one clock reading
+    // per latch step (exact lock statistics): a link step releases and
+    // then acquires carrying the release's stamp, a crab step ends the
+    // parent's hold at the child's grant (`crab_to`). See `cbtree_sync`'s
+    // hand-over docs.
     // ------------------------------------------------------------------
+
+    /// The sink counted acquisitions report to.
+    #[inline]
+    fn sink(&self) -> Sink<'_> {
+        Some(self.counters.sink())
+    }
 
     /// Blocking shared latch on `node`. `carried` is the instant the
     /// caller released its previous latch when it holds none now (a link
@@ -430,9 +479,7 @@ impl<V> ConcurrentBTree<V> {
         node: NodeRef<'a, V>,
         carried: Option<Instant>,
     ) -> ReadGuard<'a, V> {
-        let g = node.read_guard_after(carried);
-        self.counters.record_latch(g.level, false);
-        g
+        node.read_guard_after(carried, self.sink())
     }
 
     /// Blocking exclusive latch on `node`, as [`Self::latch_read`].
@@ -441,9 +488,7 @@ impl<V> ConcurrentBTree<V> {
         node: NodeRef<'a, V>,
         carried: Option<Instant>,
     ) -> WriteGuard<'a, V> {
-        let g = node.write_guard_after(carried);
-        self.counters.record_latch(g.level, true);
-        g
+        node.write_guard_after(carried, self.sink())
     }
 
     /// A crab step's shared latch: blocking, or a non-blocking probe
@@ -452,9 +497,7 @@ impl<V> ConcurrentBTree<V> {
         if !probe {
             return Some(self.latch_read(node, None));
         }
-        let g = node.try_read_guard()?;
-        self.counters.record_latch(g.level, false);
-        Some(g)
+        node.try_read_guard(self.sink())
     }
 
     /// A crab step's exclusive latch, as [`Self::crab_read`].
@@ -462,9 +505,7 @@ impl<V> ConcurrentBTree<V> {
         if !probe {
             return Some(self.latch_write(node, None));
         }
-        let g = node.try_write_guard()?;
-        self.counters.record_latch(g.level, true);
-        Some(g)
+        node.try_write_guard(self.sink())
     }
 
     /// Latches the current root shared, revalidating that the locked

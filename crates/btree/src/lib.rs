@@ -38,7 +38,8 @@
 //! mixes empties are rare). Every tree counts latch acquisitions per
 //! level, optimistic restarts, right-link chases, and peak latch-chain
 //! depth into an [`OpCountersSnapshot`] the measurement harness surfaces
-//! next to the lock-utilisation statistics.
+//! next to the lock-utilisation statistics, which the tree also keeps
+//! per level ([`ConcurrentBTree::level_stats`]); node locks hold none.
 //!
 //! # Example
 //!

@@ -303,50 +303,19 @@ pub fn make_root<V>(
 /// Visits every node handle in the tree, top level first. Walks the
 /// leftmost spine downward and each level's right-link chain — all
 /// protocols maintain right links, so this reaches every node. `f`
-/// receives `(level, handle)` and can read the handle's embedded lock
-/// statistics without latching. The walk uses version-validated
-/// optimistic reads so that on a quiescent tree it never perturbs those
-/// statistics — a latched walk would charge one read acquisition per
-/// node to whatever measurement window the caller is snapshotting. A
-/// node whose window keeps failing (a writer in residence, a version
-/// bump mid-walk, or a slot recycled by a concurrent vacuum) is retried
-/// a few times and then read under a blocking shared latch, so a
-/// non-quiescent caller gets a slightly perturbed snapshot rather than
-/// an abort. Callers wanting an exact snapshot must ensure quiescence
-/// (no concurrent mutation or vacuum).
-#[allow(unsafe_code)]
+/// receives `(level, handle)`. Each node is read under a shared latch
+/// that reports to no statistics (like [`level_heads`]), so callers must
+/// ensure quiescence: no concurrent mutation or vacuum, and no latch of
+/// this tree held by the calling thread.
 pub fn for_each_handle<'a, V>(root: &NodeRef<'a, V>, mut f: impl FnMut(usize, &NodeRef<'a, V>)) {
-    type Peek = (usize, Option<NodeId>, Option<NodeId>);
-    fn read<V>(n: &Node<V>) -> Peek {
-        (n.level, n.kid(0), n.right)
-    }
-    let peek = |node: &NodeRef<'_, V>| {
-        // A few optimistic retries ride out a straggling writer or a
-        // version bump; on a genuinely quiescent tree the first attempt
-        // succeeds and no latch is ever taken.
-        for _ in 0..8 {
-            // SAFETY: `read` copies only POD fields (level and child
-            // ids) through checked accesses and materializes no value;
-            // a torn result is discarded on failed validation. The
-            // post-validation staleness check rejects windows read from
-            // a slot recycled since the handle was created.
-            if let Some((_, out)) = unsafe { node.read_optimistic(read) } {
-                if !node.stale() {
-                    return out;
-                }
-            }
-            std::thread::yield_now();
-        }
-        // Not quiescent after all: fall back to one blocking shared
-        // latch (charging a read acquisition to the caller's stats
-        // window) rather than aborting the walk.
-        read(&node.read())
-    };
     let mut leftmost = Some(*root);
     while let Some(first) = leftmost.take() {
         let mut cur = Some(first);
         while let Some(node) = cur.take() {
-            let (level, first_child, right) = peek(&node);
+            let (level, first_child, right) = {
+                let n = node.read();
+                (n.level, n.kid(0), n.right)
+            };
             if leftmost.is_none() {
                 leftmost = first_child.map(|id| node.at(id));
             }
@@ -444,10 +413,9 @@ pub fn check_invariants<V>(root: &NodeRef<'_, V>, cap: usize) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbtree_sync::SamplePeriod;
 
     fn arena(cap: usize) -> Arena<u64> {
-        Arena::new(cap, SamplePeriod::EXACT)
+        Arena::new(cap)
     }
 
     fn leaf_with<'a>(arena: &'a Arena<u64>, keys: &[u64]) -> NodeRef<'a, u64> {

@@ -10,9 +10,12 @@
 //! merge-at-empty tree — so every operation latches the same levels
 //! whoever else is running.
 //!
-//! The counters are also exact against the locks themselves: every
-//! acquisition a lock's statistics record went through the engine's
-//! counted path, and a B-link operation latches each node it needs once.
+//! The counters are also exact against the per-level lock statistics:
+//! every grant a level's statistics record is one of the engine's
+//! counted latches, at the level the node had, whatever happened to the
+//! slot before (retired, recycled at another level); retained and queued
+//! holds land where they belong; and a B-link operation latches each
+//! node it needs once.
 //!
 //! Finally, one seeded single-thread stream pins every protocol's exact
 //! counts — per-level latches, splits, chases, restarts, validations,
@@ -22,8 +25,10 @@
 
 use cbtree_btree::node::for_each_handle;
 use cbtree_btree::{BatchOp, ConcurrentBTree, OpCountersSnapshot, Protocol};
+use cbtree_sync::SamplePeriod;
 use cbtree_workload::Rng;
 use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 const THREADS: u64 = 4;
 const KEYS_PER_THREAD: u64 = 2_500;
@@ -206,22 +211,54 @@ fn b_link_latches_each_node_once() {
     tree.check().unwrap();
 }
 
-/// Each level's lock statistics: `(nodes, shared acquires, exclusive
-/// acquires)`, leaves first. Read latch-free on a quiescent tree.
-fn lock_acquires(tree: &ConcurrentBTree<u64>) -> Vec<(u64, u64, u64)> {
-    let mut levels = vec![(0, 0, 0); tree.height()];
-    for_each_handle(&tree.root_handle(), |level, node| {
-        let s = node.stats().snapshot();
-        let l = &mut levels[level - 1];
-        *l = (l.0 + 1, l.1 + s.r_acquires, l.2 + s.w_acquires);
-    });
+/// Nodes per level found by walking the tree, leaves first.
+fn walked_nodes(tree: &ConcurrentBTree<u64>) -> Vec<u64> {
+    let mut levels = vec![0; tree.height()];
+    for_each_handle(&tree.root_handle(), |level, _| levels[level - 1] += 1);
     levels
+}
+
+/// The acceptance check for per-level lock statistics on a quiescent
+/// tree: each level's acquisitions are exactly the engine's latch counts,
+/// its live-node count is what a walk finds, and its zero-wait bucket is
+/// the sampled grants minus the recorded waits (one thread: one stripe).
+fn assert_levels_exact(tree: &ConcurrentBTree<u64>, period: u64, what: &str) {
+    let counted = tree.counters();
+    let levels = tree.level_stats();
+    let nodes: Vec<u64> = levels.iter().map(|&(n, _)| n).collect();
+    assert_eq!(nodes, walked_nodes(tree), "{what}: live nodes per level");
+    for (i, (_, s)) in levels.iter().enumerate() {
+        let level = i + 1;
+        assert_eq!(
+            s.r_acquires, counted.r_latches[i],
+            "{what}: level {level} shared"
+        );
+        assert_eq!(
+            s.w_acquires, counted.w_latches[i],
+            "{what}: level {level} exclusive"
+        );
+        for (acq, hist) in [
+            (s.r_acquires, &s.r_wait_hist),
+            (s.w_acquires, &s.w_wait_hist),
+        ] {
+            let sampled = acq.div_ceil(period);
+            let waits = hist.total() - hist.counts[0];
+            assert_eq!(
+                hist.counts[0],
+                sampled - waits,
+                "{what}: level {level} zero-wait bucket"
+            );
+        }
+    }
 }
 
 #[test]
 fn every_lock_acquisition_is_counted() {
-    for protocol in Protocol::ALL_WITH_RECOVERY {
-        let tree = ConcurrentBTree::new(protocol, 6);
+    for (protocol, sample) in Protocol::ALL_WITH_RECOVERY
+        .into_iter()
+        .flat_map(|p| [(p, SamplePeriod::EXACT), (p, SamplePeriod::every(4))])
+    {
+        let tree = ConcurrentBTree::with_sampling(protocol, 6, sample);
         let mut rng = Rng::new(0xC0_0C7ED);
         for n in 0..1_500u64 {
             let key = rng.next_below(800);
@@ -258,29 +295,177 @@ fn every_lock_acquisition_is_counted() {
                     "batch"
                 }
             };
-            // The walk below cannot read a node this thread still
-            // holds exclusively for its transaction.
+            // Retained holds end at the commit; the node walk below
+            // cannot read a node this thread still holds exclusively.
             tree.txn_commit();
-            let counted = tree.counters();
-            for (i, &(nodes, r, w)) in lock_acquires(&tree).iter().enumerate() {
-                assert_eq!(
-                    r,
-                    counted.r_latches[i],
-                    "{protocol} op {n} ({what}): level {} shared",
-                    i + 1
-                );
-                // Installing a node takes its exclusive latch once, outside
-                // any operation's descent.
-                assert_eq!(
-                    w,
-                    counted.w_latches[i] + nodes,
-                    "{protocol} op {n} ({what}): level {} exclusive",
-                    i + 1
-                );
+            if n % 300 == 299 {
+                tree.vacuum();
             }
+            let what = format!("{protocol} 1/{} op {n} ({what})", sample.period());
+            assert_levels_exact(&tree, sample.period(), &what);
         }
         tree.check().unwrap();
     }
+}
+
+#[test]
+fn retired_and_recycled_slots_keep_their_history_out_of_other_levels() {
+    let tree = ConcurrentBTree::new(Protocol::LockCoupling, 4);
+    for k in 0..2_000u64 {
+        tree.insert(k * 4, k);
+    }
+    let mut leaves = Vec::new();
+    for_each_handle(&tree.root_handle(), |level, node| {
+        if level == 1 {
+            leaves.push(*node);
+        }
+    });
+    for k in 200..1_800u64 {
+        tree.remove(&(k * 4));
+    }
+    let before = tree.level_stats();
+    let freed = tree.vacuum();
+    assert!(freed > 100, "vacuum reclaimed {freed} leaves");
+    let after = tree.level_stats();
+    // The retired leaves' history stays in level 1: nothing decreases.
+    let (b, a) = (&before[0].1, &after[0].1);
+    for (what, was, now) in [
+        ("r_acquires", b.r_acquires, a.r_acquires),
+        ("w_acquires", b.w_acquires, a.w_acquires),
+        ("r_hold_ns", b.r_hold_ns, a.r_hold_ns),
+        ("w_hold_ns", b.w_hold_ns, a.w_hold_ns),
+        (
+            "zero waits",
+            b.w_wait_hist.counts[0],
+            a.w_wait_hist.counts[0],
+        ),
+    ] {
+        assert!(
+            now >= was,
+            "level 1 {what} fell across the vacuum: {was} -> {now}"
+        );
+    }
+    assert_eq!(after[0].0, before[0].0 - freed as u64, "live leaves");
+    assert_levels_exact(&tree, 1, "after vacuum");
+
+    // Regrow, four times as dense as before, until a recycled leaf slot
+    // serves a level-2 node.
+    let retired: Vec<u32> = leaves
+        .iter()
+        .filter(|n| n.stale())
+        .map(|n| n.id().idx)
+        .collect();
+    assert_eq!(retired.len(), freed);
+    let recycled_at_level_2 = |tree: &ConcurrentBTree<u64>| {
+        let mut found = false;
+        for_each_handle(&tree.root_handle(), |level, node| {
+            found |= level == 2 && retired.contains(&node.id().idx);
+        });
+        found
+    };
+    let mut k = 800;
+    while !recycled_at_level_2(&tree) {
+        assert!(k < 7_200, "no recycled slot reached level 2");
+        tree.insert(k, k);
+        k += 1;
+    }
+    // Level 2 gained nothing from the slot's leaf past: its acquisitions
+    // are still exactly the engine's level-2 latch counts.
+    assert_levels_exact(&tree, 1, "after regrowth");
+    tree.check().unwrap();
+}
+
+#[test]
+fn node_counts_match_the_walk_for_every_protocol() {
+    for protocol in Protocol::ALL_WITH_RECOVERY {
+        let tree = ConcurrentBTree::new(protocol, 4);
+        let mut rng = Rng::new(0x11FE);
+        for round in 0..4u64 {
+            for _ in 0..600 {
+                tree.insert(rng.next_below(3_000), round);
+            }
+            for _ in 0..500 {
+                tree.remove(&rng.next_below(3_000));
+            }
+            tree.txn_commit();
+            tree.vacuum();
+            let nodes: Vec<u64> = tree.level_stats().iter().map(|&(n, _)| n).collect();
+            assert_eq!(nodes, walked_nodes(&tree), "{protocol} round {round}");
+        }
+    }
+}
+
+#[test]
+fn retained_holds_are_recorded_at_commit() {
+    let tree = ConcurrentBTree::new(Protocol::RecoveryNaive, 4);
+    for k in 0..500u64 {
+        tree.insert(k * 2, k);
+    }
+    tree.txn_commit();
+    assert!(tree.height() >= 3);
+    // Read before the insert: the chain it retains may include the root,
+    // which `height` would then wait on.
+    let before = tree.level_stats();
+    tree.insert(501, 1); // retains at least the leaf's exclusive latch
+    std::thread::sleep(Duration::from_millis(2));
+    tree.txn_commit();
+    let after = tree.level_stats();
+    let leaf_hold = after[0].1.w_hold_ns - before[0].1.w_hold_ns;
+    assert!(
+        leaf_hold >= 2_000_000,
+        "the retained leaf hold ends at the commit: {leaf_hold} ns"
+    );
+    let counted = tree.counters();
+    for (i, (_, s)) in after.iter().enumerate().skip(1) {
+        assert!(s.w_hold_ns > 0, "level {}: exclusive holds", i + 1);
+        assert_eq!(s.w_acquires, counted.w_latches[i], "level {}", i + 1);
+    }
+}
+
+#[test]
+fn contended_grant_starts_its_hold_at_the_grant() {
+    // A lone leaf root. The owner retains its exclusive latch (the leaf
+    // protocol's transaction retention) while a second writer queues on
+    // it; the queueing must show as leaf-level wait and never as hold.
+    let tree = ConcurrentBTree::new(Protocol::RecoveryLeaf, 8);
+    tree.insert(1, 1);
+    tree.txn_commit();
+    let before = tree.level_stats()[0].1;
+    let t_a0 = Instant::now();
+    tree.insert(2, 2); // retains the leaf
+    let budget = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let t0 = Instant::now();
+            tree.insert(3, 3); // queues behind the retained latch
+            tree.txn_commit();
+            t0.elapsed()
+        });
+        while tree.root_handle().queued() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        tree.txn_commit();
+        // Each writer's wait plus hold fits in its own span.
+        let owner = t_a0.elapsed();
+        owner + writer.join().unwrap()
+    });
+    let leaf = tree.level_stats()[0].1.since(&before);
+    assert_eq!(leaf.w_acquires, 2);
+    assert_eq!(leaf.w_contended, 1);
+    assert!(leaf.w_wait_ns >= 1_000_000, "the queueing is wait");
+    assert!(
+        leaf.w_wait_hist.quantile(1.0) >= 500_000,
+        "the wait has its bucket at the leaf level"
+    );
+    assert_eq!(
+        leaf.w_wait_hist.total(),
+        2,
+        "one wait observation per grant"
+    );
+    assert!(
+        leaf.w_wait_ns + leaf.w_hold_ns <= budget.as_nanos() as u64,
+        "the wait is not counted again as hold"
+    );
 }
 
 /// One line of exact counts: `ops`, the per-level latch counts (leaves

@@ -12,7 +12,7 @@
 //!    operation mixes.
 //!
 //! A [`run`] executes one measurement: prefill the tree, warm up, take a
-//! quiescent per-level snapshot of every node's lock statistics, run a
+//! quiescent snapshot of the tree's per-level lock statistics, run a
 //! timed measurement window, quiesce again, snapshot again, and diff.
 //! The resulting [`LiveReport`] mirrors the simulator's `SimReport`
 //! schema (same `Summary` type, same leaves-first per-level vectors), so
@@ -27,7 +27,6 @@
 
 pub mod cli;
 
-use cbtree_btree::node::for_each_handle;
 use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
 use cbtree_obs::metrics::{Counter, WindowedHistogram};
 use cbtree_obs::{Json, Trace};
@@ -74,8 +73,8 @@ pub struct LiveConfig {
     /// When set, a sampler thread harvests the run's always-on metrics
     /// registry at this interval during the measured window, emitting
     /// one [`LivePoint`] per window into the report. The sampler reads
-    /// only relaxed atomics (it never walks the tree), so it does not
-    /// perturb the closed-loop measurement. `None` (the default) runs
+    /// only relaxed atomics and takes no latch, so it does not perturb
+    /// the closed-loop measurement. `None` (the default) runs
     /// without it.
     pub sample_interval: Option<Duration>,
 }
@@ -422,22 +421,14 @@ struct ThreadStats {
     completed: u64,
 }
 
-/// Per-level aggregate of every node's lock snapshot, leaves first:
-/// `(node count, merged stats)` per level. Shared quiesce plumbing —
-/// the closed-loop harness and the open-loop service layer
-/// (`cbtree-serve`) both diff these snapshots across their measured
-/// windows.
+/// The tree's lock statistics per level, leaves first (like
+/// `SimReport`): `(live nodes, merged stats)` per level, read from the
+/// tree's per-level accumulators in O(height) without a latch (see
+/// [`ConcurrentBTree::level_stats`]). The closed-loop harness and the
+/// open-loop service layer (`cbtree-serve`) both diff these snapshots
+/// across their measured windows.
 pub fn level_snapshots(tree: &ConcurrentBTree<u64>) -> Vec<(u64, LockStatsSnapshot)> {
-    let height = tree.height();
-    let mut agg: Vec<(u64, LockStatsSnapshot)> = vec![(0, LockStatsSnapshot::default()); height];
-    for_each_handle(&tree.root_handle(), |level, node| {
-        // Level 1 = leaves = index 0 (leaves-first, like SimReport).
-        if let Some((count, snap)) = agg.get_mut(level - 1) {
-            *count += 1;
-            snap.merge(&node.stats().snapshot());
-        }
-    });
-    agg
+    tree.level_stats()
 }
 
 /// Prefills `tree` with `items` distinct keys drawn from the workload's
@@ -489,7 +480,7 @@ fn apply(tree: &ConcurrentBTree<u64>, op: Operation) {
 ///
 /// Choreography: worker threads run the closed-loop workload through a
 /// warmup phase; the coordinator then parks everyone on a barrier
-/// (quiescing the tree), walks it to snapshot every lock's counters,
+/// (quiescing the tree), snapshots its per-level lock statistics,
 /// releases the workers into the timed window, quiesces again, snapshots
 /// again, and diffs the two snapshots per level.
 ///
@@ -547,8 +538,9 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
                     metrics.completed.inc();
                 }
                 // Commit before parking: a worker must never carry
-                // retained latches into a quiesce barrier (the
-                // coordinator's snapshot walk would block on them).
+                // retained latches into a quiesce barrier (their holds
+                // would straddle the snapshot, and the final structural
+                // check would block on them).
                 tree.txn_commit();
                 qa.wait();
                 ra.wait();
@@ -584,9 +576,7 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
         // The continuous sampler, when configured. It is deliberately
         // *not* part of the quiesce barriers: it self-synchronizes on
         // the phase atomic and reads only the relaxed-atomic registry
-        // and op counters — it never walks the tree (a mid-window
-        // `level_snapshots` walk would take a read latch on every node,
-        // polluting the very lock statistics the run measures).
+        // and op counters.
         let sampler_handle = cfg.sample_interval.map(|interval| {
             let tree = Arc::clone(&tree);
             let phase = Arc::clone(&phase);
@@ -644,11 +634,7 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
             .map(|h| h.join().expect("sampler panicked"))
             .unwrap_or_default();
         // Drain the measured-window trace while the workers are parked
-        // (rings registered but quiescent) and *before* the snapshot
-        // walk below — the walk itself takes read latches, which would
-        // otherwise pollute the window's trace. Its events stay in the
-        // coordinator's ring and are discarded by the next run's warmup
-        // drain.
+        // (rings registered but quiescent).
         let trace = cbtree_obs::trace::drain();
         let snap_b = level_snapshots(&tree);
         let ctr_b = tree.counters();

@@ -364,9 +364,9 @@ pub fn serve(cfg: &ServeConfig) -> ServeReport {
             }
 
             // The window. Snapshots are taken while the shards keep serving
-            // (an open loop cannot quiesce mid-run); the per-lock counters
-            // are monotone, so the diff is exact up to ops in flight at the
-            // instants of the two walks.
+            // (an open loop cannot quiesce mid-run); the per-level lock
+            // statistics are monotone, so the diff is exact up to ops in
+            // flight at the instants of the two reads.
             std::thread::sleep(cfg.warmup);
             let snap_a: Vec<_> = runtimes
                 .iter()

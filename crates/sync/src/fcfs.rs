@@ -49,10 +49,25 @@
 //! writes is harmless for validation windows spanning fewer than 2^30
 //! exclusive sections.
 //!
-//! Wait and hold durations are recorded by 1-in-N sampling (see
-//! [`SamplePeriod`]): acquisition *counts* stay exact, and sampled
-//! durations are scaled by N so the sums behind `writer_utilization` and
-//! the mean-wait estimators stay unbiased.
+//! # Sinks: the lock reports, its owner records
+//!
+//! The lock keeps no counters of its own. Every grant and every timed
+//! hold is reported to a [`LockSink`]: the mode, the lock's tag, the
+//! time a queued request waited, and the hold. The sink decides which
+//! holds are timed. A standalone lock ([`FcfsRwLock::new`]) carries a
+//! [`LockStats`] and reports to it, so [`FcfsRwLock::stats`] reads that
+//! lock alone. An owner with many locks builds them with a sink that
+//! holds nothing (`FcfsRwLock::with_sink(value, ())`) and passes its own
+//! sink to each acquisition ([`FcfsRwLock::read_to`] and friends); the
+//! guard carries it to the release. The B-tree passes its per-level
+//! accumulator and tags each node's lock with the node's level.
+//!
+//! [`LockStats`] times one in N acquisitions (see [`SamplePeriod`]):
+//! acquisition *counts* stay exact, and sampled durations are scaled by N
+//! so the sums behind `writer_utilization` and the mean-wait estimators
+//! stay unbiased. A request that queues always times its wait (it is
+//! about to block, so two clock readings are noise); the sink keeps the
+//! wait only when it samples the grant.
 //!
 //! # Hand-over: one clock reading per latch step
 //!
@@ -68,7 +83,7 @@
 //! its first grant. A contended grant still reads the clock at the
 //! grant, so queueing is timed as wait and never also as hold.
 
-use crate::stats::{LockStats, SamplePeriod};
+use crate::stats::{LockSink, LockStats, SamplePeriod};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -120,14 +135,12 @@ struct State {
     granted: Vec<u64>,
 }
 
-/// What a slow-path acquisition observed.
-struct SlowAcquire {
-    /// Nanoseconds spent queued (0 when not sampled or not queued).
+/// What a request that entered the wait queue observed.
+struct Queued {
+    /// Nanoseconds spent queued.
     wait_ns: u64,
-    /// The clock reading that ended a sampled wait: the grant.
-    granted: Option<Instant>,
-    /// Whether the request actually entered the wait queue.
-    queued: bool,
+    /// The clock reading that ended the wait: the grant.
+    granted: Instant,
 }
 
 /// The raw (untyped) FCFS lock: queue discipline only, no data.
@@ -178,9 +191,9 @@ impl RawFcfs {
     }
 
     /// Slow-path acquire: joins the FCFS queue (or grabs the lock under
-    /// the mutex if it freed up in the meantime). Blocks until granted.
-    /// `sampled` controls whether the queue wait is timed.
-    fn acquire_slow(&self, exclusive: bool, sampled: bool) -> SlowAcquire {
+    /// the mutex if it freed up in the meantime). Blocks until granted;
+    /// returns the timed wait when the request entered the queue.
+    fn acquire_slow(&self, exclusive: bool) -> Option<Queued> {
         let mut st = self.lock_state();
         // Announce a potential waiter *before* re-reading the holder
         // bits: any release CAS that lands after this `fetch_or` either
@@ -197,16 +210,12 @@ impl RawFcfs {
                 self.word.fetch_add(1, Ordering::AcqRel);
             }
             self.word.fetch_and(!QUEUED, Ordering::AcqRel);
-            return SlowAcquire {
-                wait_ns: 0,
-                granted: None,
-                queued: false,
-            };
+            return None;
         }
         let id = st.next_id;
         st.next_id += 1;
         st.queue.push_back((id, exclusive));
-        let enqueued_at = sampled.then(Instant::now);
+        let enqueued_at = Instant::now();
         loop {
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             if let Some(pos) = st.granted.iter().position(|&g| g == id) {
@@ -215,14 +224,11 @@ impl RawFcfs {
             }
         }
         drop(st);
-        let granted = enqueued_at.map(|_| Instant::now());
-        SlowAcquire {
-            wait_ns: enqueued_at
-                .zip(granted)
-                .map_or(0, |(t0, t1)| (t1 - t0).as_nanos() as u64),
+        let granted = Instant::now();
+        Some(Queued {
+            wait_ns: (granted - enqueued_at).as_nanos() as u64,
             granted,
-            queued: true,
-        }
+        })
     }
 
     /// Uncontended release: one CAS, succeeds only while nobody waits.
@@ -330,72 +336,29 @@ impl RawFcfs {
     }
 }
 
-/// A first-come-first-served reader/writer lock around a value, with
-/// built-in wait/hold observability.
-///
-/// # Example
-///
-/// ```
-/// use cbtree_sync::FcfsRwLock;
-/// use std::sync::Arc;
-///
-/// let lock = Arc::new(FcfsRwLock::new(0u64));
-/// *lock.write() += 1;
-/// assert_eq!(*lock.read(), 1);
-/// let snap = lock.stats().snapshot();
-/// assert_eq!(snap.r_acquires, 1);
-/// assert_eq!(snap.w_acquires, 1);
-/// ```
+/// The latch proper: the packed word and its FCFS queue, the owner's
+/// tag and the data. Guards borrow it, whatever sink the lock carries.
 #[derive(Default)]
-pub struct FcfsRwLock<T: ?Sized> {
+struct Latch<T: ?Sized> {
     raw: RawFcfs,
-    stats: LockStats,
-    /// Small owner-assigned tag stamped on trace events (the B-tree
-    /// stores the node's level; 0 = untagged). Read only when the
-    /// `trace` feature is compiled in.
-    trace_tag: AtomicU16,
+    /// Small owner-assigned tag, handed to the sink with every report and
+    /// stamped on trace events (the B-tree stores the node's level;
+    /// 0 = untagged).
+    tag: AtomicU16,
     data: UnsafeCell<T>,
 }
 
-// SAFETY: the lock mediates all access to `data`; sending the lock sends
-// the value, sharing the lock hands out `&T`/`&mut T` only under the
-// reader/writer protocol, so the std `RwLock<T>` bounds apply verbatim.
+// SAFETY: `raw` (atomics, `Mutex`, `Condvar`) and `tag` (an atomic) are
+// `Send + Sync` themselves. The latch mediates all access to `data`:
+// sending the latch sends the value, sharing it hands out `&T`/`&mut T`
+// only under the reader/writer protocol, so the std `RwLock<T>` bounds
+// apply verbatim.
 #[allow(unsafe_code)]
-unsafe impl<T: ?Sized + Send> Send for FcfsRwLock<T> {}
+unsafe impl<T: ?Sized + Send> Send for Latch<T> {}
 #[allow(unsafe_code)]
-unsafe impl<T: ?Sized + Send + Sync> Sync for FcfsRwLock<T> {}
+unsafe impl<T: ?Sized + Send + Sync> Sync for Latch<T> {}
 
-impl<T> FcfsRwLock<T> {
-    /// Wraps a value with exact (unsampled) wait/hold timing.
-    pub fn new(value: T) -> Self {
-        FcfsRwLock::with_sampling(value, SamplePeriod::EXACT)
-    }
-
-    /// Wraps a value, timing only one in `sample.period()` acquisitions
-    /// (durations are scaled back up so the stats stay unbiased).
-    pub fn with_sampling(value: T, sample: SamplePeriod) -> Self {
-        FcfsRwLock {
-            raw: RawFcfs::default(),
-            stats: LockStats::with_sampling(sample),
-            trace_tag: AtomicU16::new(0),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> FcfsRwLock<T> {
-    /// Tags the lock with a small id stamped on its trace events (the
-    /// B-tree stores the node's level; leaves = 1). A no-op load-wise
-    /// unless the `trace` feature is compiled in.
-    pub fn set_trace_tag(&self, tag: u16) {
-        self.trace_tag.store(tag, Ordering::Relaxed);
-    }
-
+impl<T: ?Sized> Latch<T> {
     /// Emits one latch trace event for this lock. Compiled out (along
     /// with the tag load and address cast) without the `trace` feature.
     /// The `enabled` check runs before anything else: `emit` is a
@@ -418,7 +381,7 @@ impl<T: ?Sized> FcfsRwLock<T> {
             if cbtree_obs::trace::enabled() {
                 emit_cold(
                     emit,
-                    self.trace_tag.load(Ordering::Relaxed),
+                    self.tag.load(Ordering::Relaxed),
                     exclusive,
                     self as *const Self as *const () as u64,
                 );
@@ -428,98 +391,45 @@ impl<T: ?Sized> FcfsRwLock<T> {
         let _ = (emit, exclusive);
     }
 
-    /// Acquires in the given mode; returns the hold-timing start when
-    /// this acquisition was sampled. An uncontended grant starts the
-    /// hold at `carried` when given (no clock read); a contended one
-    /// starts it at the grant.
-    fn start(&self, exclusive: bool, carried: Option<Instant>) -> Option<Instant> {
+    /// Acquires in the given mode and reports the grant to `sink`.
+    /// Returns the lock's tag at the grant and, when the sink times this
+    /// hold, its start: `carried` (no clock read) or a fresh reading for
+    /// an uncontended grant, the grant itself for a queued one.
+    fn start<K: LockSink>(
+        &self,
+        sink: &K,
+        exclusive: bool,
+        carried: Option<Instant>,
+    ) -> (u16, Option<Instant>) {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
             crate::inject::Site::AcquireShared
         });
         self.trace_latch(cbtree_obs::trace::latch_request, exclusive);
-        let sampled = self.stats.begin_acquire(exclusive);
-        if self.raw.try_acquire_fast(exclusive) {
-            self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
-            // A wait that did not happen writes nothing: the snapshot
-            // reconstructs the zero bucket (see `LockStats::snapshot`).
-            return sampled.then(|| carried.unwrap_or_else(Instant::now));
-        }
-        let slow = self.raw.acquire_slow(exclusive, sampled);
-        self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
-        if slow.queued {
-            self.stats.record_contended(exclusive);
-        }
-        if sampled {
-            self.stats.record_sampled_wait(exclusive, slow.wait_ns);
-            Some(slow.granted.unwrap_or_else(Instant::now))
-        } else {
+        let queued = if self.raw.try_acquire_fast(exclusive) {
             None
-        }
-    }
-
-    /// Releases in the given mode. A timed hold ends at `end` when given
-    /// (no clock read), at a fresh reading otherwise; returns the instant
-    /// it ended (`None` when the hold was not timed).
-    fn finish(
-        &self,
-        exclusive: bool,
-        hold_start: Option<Instant>,
-        end: Option<Instant>,
-    ) -> Option<Instant> {
-        let end = hold_start.map(|t0| {
-            let t1 = end.unwrap_or_else(Instant::now);
-            let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
-            self.stats.record_sampled_hold(exclusive, hold);
-            t1
+        } else {
+            self.raw.acquire_slow(exclusive)
+        };
+        self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
+        // Read under the latch: an owner that retags does so inside an
+        // exclusive section, so the tag is the one this grant sees.
+        let tag = self.tag.load(Ordering::Relaxed);
+        let timed = sink.granted(tag, exclusive, queued.as_ref().map(|q| q.wait_ns));
+        let start = timed.then(|| match queued {
+            Some(q) => q.granted,
+            None => carried.unwrap_or_else(Instant::now),
         });
-        // Emit before the release itself so the hold window closes while
-        // the latch is still held.
-        self.trace_latch(cbtree_obs::trace::latch_release, exclusive);
-        self.raw.release(exclusive);
-        crate::inject::perturb(crate::inject::Site::Release);
-        end
-    }
-
-    /// Acquires a shared latch, blocking FCFS behind earlier arrivals.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.read_after(None)
-    }
-
-    /// Acquires the exclusive latch, blocking FCFS behind earlier arrivals.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.write_after(None)
-    }
-
-    /// [`FcfsRwLock::read`] for a caller that holds no latch and released
-    /// its previous one at `carried` (the instant
-    /// [`RwLockReadGuard::release`] returned): a timed, uncontended hold
-    /// starts there, so the hand-over costs no clock read. The hold then
-    /// also covers the acquire itself — one uncontended CAS. A contended
-    /// grant ignores `carried` and starts the hold at the grant, so the
-    /// wait is never counted as hold as well.
-    pub fn read_after(&self, carried: Option<Instant>) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            hold_start: self.start(false, carried),
-            lock: self,
-        }
-    }
-
-    /// The exclusive counterpart of [`FcfsRwLock::read_after`].
-    pub fn write_after(&self, carried: Option<Instant>) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            hold_start: self.start(true, carried),
-            lock: self,
-        }
+        (tag, start)
     }
 
     /// Non-blocking acquire attempt in the given mode. Takes only the
     /// uncontended fast path: fails whenever the holder bits are
     /// incompatible *or* any waiter is queued, and never joins the queue
-    /// itself. Stats count the acquisition only on success, so failed
-    /// probes do not skew acquire counts or sampling.
-    fn try_start(&self, exclusive: bool) -> Option<Option<Instant>> {
+    /// itself. Only a success is reported, so failed probes do not skew
+    /// acquire counts or sampling.
+    fn try_start<K: LockSink>(&self, sink: &K, exclusive: bool) -> Option<(u16, Option<Instant>)> {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
@@ -531,27 +441,209 @@ impl<T: ?Sized> FcfsRwLock<T> {
         // Successful probe: request and grant coincide (zero wait).
         self.trace_latch(cbtree_obs::trace::latch_request, exclusive);
         self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
-        // Zero wait: nothing recorded, as on `start`'s fast path.
-        Some(self.stats.begin_acquire(exclusive).then(Instant::now))
+        let tag = self.tag.load(Ordering::Relaxed);
+        Some((tag, sink.granted(tag, exclusive, None).then(Instant::now)))
+    }
+
+    /// Ends a hold: a timed one is reported to `sink`, ending at `end`
+    /// when given (no clock read) and at a fresh reading otherwise; then
+    /// releases. Returns the instant the hold ended (`None` when it was
+    /// not timed).
+    fn finish<K: LockSink>(
+        &self,
+        sink: &K,
+        tag: u16,
+        exclusive: bool,
+        hold_start: Option<Instant>,
+        end: Option<Instant>,
+    ) -> Option<Instant> {
+        let end = hold_start.map(|t0| {
+            let t1 = end.unwrap_or_else(Instant::now);
+            let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
+            sink.released(tag, exclusive, hold);
+            t1
+        });
+        self.release(exclusive);
+        end
+    }
+
+    /// Releases in the given mode, reporting nothing.
+    fn release(&self, exclusive: bool) {
+        // Emit before the release itself so the hold window closes while
+        // the latch is still held.
+        self.trace_latch(cbtree_obs::trace::latch_release, exclusive);
+        self.raw.release(exclusive);
+        crate::inject::perturb(crate::inject::Site::Release);
+    }
+}
+
+/// A first-come-first-served reader/writer lock around a value. Every
+/// grant and timed hold is reported to a sink (see the module docs): by
+/// default the lock's own [`LockStats`].
+///
+/// # Example
+///
+/// ```
+/// use cbtree_sync::FcfsRwLock;
+/// use std::sync::Arc;
+///
+/// let lock = Arc::new(FcfsRwLock::new(0u64));
+/// *lock.write() += 1;
+/// assert_eq!(*lock.read(), 1);
+/// let snap = lock.stats().snapshot();
+/// assert_eq!(snap.r_acquires, 1);
+/// assert_eq!(snap.w_acquires, 1);
+/// ```
+#[derive(Default)]
+pub struct FcfsRwLock<T: ?Sized, S = LockStats> {
+    /// Where plain acquisitions ([`FcfsRwLock::read`] and friends)
+    /// report.
+    sink: S,
+    latch: Latch<T>,
+}
+
+impl<T> FcfsRwLock<T> {
+    /// Wraps a value with exact (unsampled) wait/hold timing.
+    pub fn new(value: T) -> Self {
+        FcfsRwLock::with_sampling(value, SamplePeriod::EXACT)
+    }
+
+    /// Wraps a value, timing only one in `sample.period()` acquisitions
+    /// (durations are scaled back up so the stats stay unbiased).
+    pub fn with_sampling(value: T, sample: SamplePeriod) -> Self {
+        FcfsRwLock::with_sink(value, LockStats::with_sampling(sample))
+    }
+}
+
+impl<T, S> FcfsRwLock<T, S> {
+    /// Wraps a value whose plain acquisitions report to `sink`. A lock
+    /// built with `()` records nothing itself: its owner passes a sink to
+    /// each acquisition ([`FcfsRwLock::read_to`] and friends).
+    pub fn with_sink(value: T, sink: S) -> Self {
+        FcfsRwLock {
+            sink,
+            latch: Latch {
+                raw: RawFcfs::default(),
+                tag: AtomicU16::new(0),
+                data: UnsafeCell::new(value),
+            },
+        }
+    }
+
+    /// Consumes the lock, returning the value.
+    pub fn into_inner(self) -> T {
+        self.latch.data.into_inner()
+    }
+}
+
+impl<T: ?Sized> FcfsRwLock<T> {
+    /// The lock's own statistics.
+    pub fn stats(&self) -> &LockStats {
+        &self.sink
+    }
+}
+
+impl<T: ?Sized, S: LockSink> FcfsRwLock<T, S> {
+    /// Acquires a shared latch, blocking FCFS behind earlier arrivals.
+    pub fn read(&self) -> RwLockReadGuard<'_, T, &S> {
+        self.read_after(None)
+    }
+
+    /// Acquires the exclusive latch, blocking FCFS behind earlier arrivals.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T, &S> {
+        self.write_after(None)
+    }
+
+    /// [`FcfsRwLock::read`] for a caller that holds no latch and released
+    /// its previous one at `carried` (the instant
+    /// [`RwLockReadGuard::release`] returned): a timed, uncontended hold
+    /// starts there, so the hand-over costs no clock read. The hold then
+    /// also covers the acquire itself — one uncontended CAS. A contended
+    /// grant ignores `carried` and starts the hold at the grant, so the
+    /// wait is never counted as hold as well.
+    pub fn read_after(&self, carried: Option<Instant>) -> RwLockReadGuard<'_, T, &S> {
+        self.read_to(&self.sink, carried)
+    }
+
+    /// The exclusive counterpart of [`FcfsRwLock::read_after`].
+    pub fn write_after(&self, carried: Option<Instant>) -> RwLockWriteGuard<'_, T, &S> {
+        self.write_to(&self.sink, carried)
     }
 
     /// Attempts a shared latch without ever blocking or queueing (fast
     /// path only; `None` whenever the latch is write-held *or* anyone is
     /// waiting). Used by callers that must stay deadlock-free while
     /// already holding other latches, e.g. transaction-retained descents.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        self.try_start(false).map(|hold_start| RwLockReadGuard {
-            hold_start,
-            lock: self,
-        })
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T, &S>> {
+        self.try_read_to(&self.sink)
     }
 
     /// Attempts the exclusive latch without ever blocking or queueing
     /// (fast path only; `None` whenever any holder or waiter exists).
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        self.try_start(true).map(|hold_start| RwLockWriteGuard {
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T, &S>> {
+        self.try_write_to(&self.sink)
+    }
+}
+
+impl<T: ?Sized, S> FcfsRwLock<T, S> {
+    /// Tags the lock with a small id, handed to the sink with every
+    /// report and stamped on its trace events (the B-tree stores the
+    /// node's level; leaves = 1). An owner that retags a lock others may
+    /// acquire does so while holding it exclusively.
+    pub fn set_trace_tag(&self, tag: u16) {
+        self.latch.tag.store(tag, Ordering::Relaxed);
+    }
+
+    /// [`FcfsRwLock::read_after`] reporting to `sink` instead of the
+    /// lock's own; the guard carries `sink` to the release.
+    pub fn read_to<K: LockSink>(
+        &self,
+        sink: K,
+        carried: Option<Instant>,
+    ) -> RwLockReadGuard<'_, T, K> {
+        let (tag, hold_start) = self.latch.start(&sink, false, carried);
+        RwLockReadGuard {
+            latch: &self.latch,
+            sink,
+            tag,
             hold_start,
-            lock: self,
+        }
+    }
+
+    /// The exclusive counterpart of [`FcfsRwLock::read_to`].
+    pub fn write_to<K: LockSink>(
+        &self,
+        sink: K,
+        carried: Option<Instant>,
+    ) -> RwLockWriteGuard<'_, T, K> {
+        let (tag, hold_start) = self.latch.start(&sink, true, carried);
+        RwLockWriteGuard {
+            latch: &self.latch,
+            sink,
+            tag,
+            hold_start,
+        }
+    }
+
+    /// [`FcfsRwLock::try_read`] reporting to `sink`.
+    pub fn try_read_to<K: LockSink>(&self, sink: K) -> Option<RwLockReadGuard<'_, T, K>> {
+        let (tag, hold_start) = self.latch.try_start(&sink, false)?;
+        Some(RwLockReadGuard {
+            latch: &self.latch,
+            sink,
+            tag,
+            hold_start,
+        })
+    }
+
+    /// [`FcfsRwLock::try_write`] reporting to `sink`.
+    pub fn try_write_to<K: LockSink>(&self, sink: K) -> Option<RwLockWriteGuard<'_, T, K>> {
+        let (tag, hold_start) = self.latch.try_start(&sink, true)?;
+        Some(RwLockWriteGuard {
+            latch: &self.latch,
+            sink,
+            tag,
+            hold_start,
         })
     }
 
@@ -562,7 +654,7 @@ impl<T: ?Sized> FcfsRwLock<T> {
     #[inline]
     pub fn version(&self) -> Option<u64> {
         crate::inject::perturb(crate::inject::Site::ReadVersion);
-        self.raw.version()
+        self.latch.raw.version()
     }
 
     /// Re-checks a previously snapshotted version: `true` iff no writer
@@ -583,7 +675,7 @@ impl<T: ?Sized> FcfsRwLock<T> {
         // hoisted above it; this fence is what pins the preceding
         // unguarded reads before the re-load.
         std::sync::atomic::fence(Ordering::Acquire);
-        self.raw.version() == Some(version)
+        self.latch.raw.version() == Some(version)
     }
 
     /// One version-validated optimistic read: snapshots the version,
@@ -630,56 +722,55 @@ impl<T: ?Sized> FcfsRwLock<T> {
         // SAFETY: the unguarded read is the caller's contract (above);
         // any overlap with an exclusive holder is detected by the
         // fenced version re-check below and the value is discarded.
-        let out = f(unsafe { &*self.data.get() });
+        let out = f(unsafe { &*self.latch.data.get() });
         self.validate(version).then_some((version, out))
-    }
-
-    /// The lock's embedded statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
     }
 
     /// Number of requests currently queued (diagnostic; racy by nature).
     pub fn queued(&self) -> usize {
-        self.raw.queued()
+        self.latch.raw.queued()
     }
 
     /// Mutable access without locking (requires `&mut`, hence exclusive).
     pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
+        self.latch.data.get_mut()
     }
 }
 
-impl<T: ?Sized> fmt::Debug for FcfsRwLock<T> {
+impl<T: ?Sized, S> fmt::Debug for FcfsRwLock<T, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FcfsRwLock").finish_non_exhaustive()
     }
 }
 
-/// Shared guard borrowing the lock.
+/// Shared guard borrowing the lock; reports its hold to `K` on release.
 #[must_use = "dropping the guard releases the latch"]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a FcfsRwLock<T>,
+pub struct RwLockReadGuard<'a, T: ?Sized, K: LockSink = &'a LockStats> {
+    latch: &'a Latch<T>,
+    sink: K,
+    /// The lock's tag at the grant: the hold is reported under it.
+    tag: u16,
     hold_start: Option<Instant>,
 }
 
-/// Exclusive guard borrowing the lock.
+/// Exclusive guard borrowing the lock (see [`RwLockReadGuard`]).
 #[must_use = "dropping the guard releases the latch"]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a FcfsRwLock<T>,
+pub struct RwLockWriteGuard<'a, T: ?Sized, K: LockSink = &'a LockStats> {
+    latch: &'a Latch<T>,
+    sink: K,
+    tag: u16,
     hold_start: Option<Instant>,
 }
 
 /// An exclusive latch held past the borrow it was taken under: the
-/// guard keeps a raw pointer to the lock and releases through it on
-/// drop. It gives no access to the data — it only *holds* — which is
-/// the shape of a transaction-retained latch on a lock embedded in
-/// storage the holder's owner keeps alive (see
+/// guard keeps a raw pointer to the latch and releases through it on
+/// drop. It gives no access to the data and reports nothing — it only
+/// *holds* — which is the shape of a transaction-retained latch on a
+/// lock embedded in storage the holder's owner keeps alive (see
 /// [`RwLockWriteGuard::into_unowned`]).
 #[must_use = "dropping the guard releases the latch"]
 pub struct UnownedWriteGuard<T: ?Sized> {
-    lock: NonNull<FcfsRwLock<T>>,
-    hold_start: Option<Instant>,
+    latch: NonNull<Latch<T>>,
 }
 
 // SAFETY: an unowned guard is a held exclusive latch plus a pointer to
@@ -691,23 +782,28 @@ unsafe impl<T: ?Sized + Send + Sync> Send for UnownedWriteGuard<T> {}
 // SAFETY: `&UnownedWriteGuard` exposes nothing but `Debug`.
 unsafe impl<T: ?Sized + Send + Sync> Sync for UnownedWriteGuard<T> {}
 
-impl<T: ?Sized> RwLockWriteGuard<'_, T> {
+impl<T: ?Sized, K: LockSink> RwLockWriteGuard<'_, T, K> {
     /// Erases the guard's borrow so the latch can be held past it (the
     /// recovery protocols' transaction-retained latches). The latch
-    /// stays held, hold timing continues, and the release happens when
-    /// the returned guard drops.
+    /// stays held until the returned guard drops. A timed hold is handed
+    /// back open, as `(tag, start)`: the unowned guard reports nothing,
+    /// so the caller reports the hold when it releases the latch. The
+    /// sink is dropped without running its destructor.
     ///
     /// # Safety
     ///
     /// The caller must guarantee the lock remains valid (not dropped or
     /// moved) until the returned guard has been dropped — the
     /// obligation the erased borrow used to enforce.
-    pub unsafe fn into_unowned(this: Self) -> UnownedWriteGuard<T> {
+    pub unsafe fn into_unowned(this: Self) -> (UnownedWriteGuard<T>, Option<(u16, Instant)>) {
         let this = ManuallyDrop::new(this); // the latch changes hands, unreleased
-        UnownedWriteGuard {
-            lock: NonNull::from(this.lock),
-            hold_start: this.hold_start,
-        }
+        let open = this.hold_start.map(|t0| (this.tag, t0));
+        (
+            UnownedWriteGuard {
+                latch: NonNull::from(this.latch),
+            },
+            open,
+        )
     }
 }
 
@@ -715,7 +811,7 @@ impl<T: ?Sized> Drop for UnownedWriteGuard<T> {
     fn drop(&mut self) {
         // SAFETY: `into_unowned`'s contract — the lock outlives the
         // guard — makes the pointer valid here.
-        unsafe { self.lock.as_ref() }.finish(true, self.hold_start, None);
+        unsafe { self.latch.as_ref() }.release(true);
     }
 }
 
@@ -727,7 +823,7 @@ impl<T: ?Sized> fmt::Debug for UnownedWriteGuard<T> {
 
 macro_rules! impl_guard {
     ($guard:ident, $lt:lifetime, deref_mut: $mutable:tt, exclusive: $exclusive:expr) => {
-        impl<$lt, T: ?Sized> $guard<$lt, T> {
+        impl<$lt, T: ?Sized, K: LockSink> $guard<$lt, T, K> {
             /// Releases the latch, ending a timed hold at `end` when given
             /// — in crab order, the [`hold_start`](Self::hold_start) of
             /// the child granted while this latch was still held — and
@@ -738,7 +834,8 @@ macro_rules! impl_guard {
             /// `release(guard, None)` without the return value.
             pub fn release(this: Self, end: Option<Instant>) -> Option<Instant> {
                 let this = ManuallyDrop::new(this); // released here, not by Drop
-                this.lock.finish($exclusive, this.hold_start, end)
+                this.latch
+                    .finish(&this.sink, this.tag, $exclusive, this.hold_start, end)
             }
 
             /// When this hold's timing started (`None` when the
@@ -747,36 +844,37 @@ macro_rules! impl_guard {
                 this.hold_start
             }
         }
-        impl<$lt, T: ?Sized> Deref for $guard<$lt, T> {
+        impl<$lt, T: ?Sized, K: LockSink> Deref for $guard<$lt, T, K> {
             type Target = T;
             fn deref(&self) -> &T {
                 // SAFETY: the guard proves the latch is held in a mode
                 // that permits this access until `Drop` runs.
                 #[allow(unsafe_code)]
                 unsafe {
-                    &*self.lock.data.get()
+                    &*self.latch.data.get()
                 }
             }
         }
         impl_guard!(@mut $guard, $lt, $mutable);
-        impl<$lt, T: ?Sized> Drop for $guard<$lt, T> {
+        impl<$lt, T: ?Sized, K: LockSink> Drop for $guard<$lt, T, K> {
             fn drop(&mut self) {
-                self.lock.finish($exclusive, self.hold_start, None);
+                self.latch
+                    .finish(&self.sink, self.tag, $exclusive, self.hold_start, None);
             }
         }
-        impl<$lt, T: ?Sized + fmt::Debug> fmt::Debug for $guard<$lt, T> {
+        impl<$lt, T: ?Sized + fmt::Debug, K: LockSink> fmt::Debug for $guard<$lt, T, K> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 fmt::Debug::fmt(&**self, f)
             }
         }
     };
     (@mut $guard:ident, $lt:lifetime, yes) => {
-        impl<$lt, T: ?Sized> DerefMut for $guard<$lt, T> {
+        impl<$lt, T: ?Sized, K: LockSink> DerefMut for $guard<$lt, T, K> {
             fn deref_mut(&mut self) -> &mut T {
                 // SAFETY: exclusive latch held for the guard's lifetime.
                 #[allow(unsafe_code)]
                 unsafe {
-                    &mut *self.lock.data.get()
+                    &mut *self.latch.data.get()
                 }
             }
         }
@@ -808,16 +906,16 @@ mod tests {
         {
             let _r1 = lock.read();
             let _r2 = lock.read();
-            assert_eq!(lock.raw.word.load(Ordering::Relaxed), 2);
+            assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), 2);
         }
-        assert_eq!(lock.raw.word.load(Ordering::Relaxed), 0);
+        assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), 0);
         {
             let _w = lock.write();
-            assert_eq!(lock.raw.word.load(Ordering::Relaxed), WRITER);
+            assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), WRITER);
         }
         // The write release leaves only the bumped version behind: the
         // holder and queue bits are clean.
-        assert_eq!(lock.raw.word.load(Ordering::Relaxed), VUNIT);
+        assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), VUNIT);
         assert_eq!(lock.queued(), 0);
     }
 
@@ -834,13 +932,13 @@ mod tests {
         while lock.queued() == 0 {
             std::thread::yield_now();
         }
-        assert_ne!(lock.raw.word.load(Ordering::Relaxed) & QUEUED, 0);
+        assert_ne!(lock.latch.raw.word.load(Ordering::Relaxed) & QUEUED, 0);
         drop(g);
         t.join().unwrap();
         // Granting the last waiter clears QUEUED, and the holder bits
         // return to zero once the reader departs; only the slow-path
         // write release's version bump remains in the word.
-        assert_eq!(lock.raw.word.load(Ordering::Relaxed), VUNIT);
+        assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), VUNIT);
     }
 
     #[test]
@@ -875,9 +973,9 @@ mod tests {
         let lock = FcfsRwLock::new(0u64);
         // Pin the version field to its maximum and release once: the
         // carry must stay out of QUEUED.
-        lock.raw.word.store(VMASK, Ordering::Relaxed);
+        lock.latch.raw.word.store(VMASK, Ordering::Relaxed);
         drop(lock.write());
-        assert_eq!(lock.raw.word.load(Ordering::Relaxed), 0);
+        assert_eq!(lock.latch.raw.word.load(Ordering::Relaxed), 0);
         assert_eq!(lock.version(), Some(0));
     }
 

@@ -16,12 +16,17 @@
 //!   lock detours through its ticketed `Mutex`+`Condvar` queue only
 //!   while someone is actually waiting, so the FCFS discipline above is
 //!   preserved bit for bit whenever it matters;
-//! - every lock embeds [`LockStats`]: relaxed-atomic counters and
-//!   log₂-bucketed wait histograms, so a measurement harness can read
-//!   per-lock waiting times, hold times, and writer utilization `ρ_w`
-//!   without perturbing the lock's hot path. Duration timing can be
-//!   1-in-N sampled ([`SamplePeriod`]) with counts kept exact and
-//!   sampled durations scaled so the derived estimators stay unbiased.
+//! - the lock keeps no counters: it reports every grant (with the time a
+//!   queued request waited) and every timed hold to a [`LockSink`] its
+//!   owner chooses. A standalone lock reports to its own [`LockStats`]
+//!   — relaxed-atomic counters and log₂-bucketed wait histograms — so a
+//!   measurement harness can read its waiting times, hold times and
+//!   writer utilization `ρ_w` without perturbing the hot path; a lock
+//!   built with the empty sink `()` holds no statistics at all, and its
+//!   owner (the B-tree, per level) passes a sink to each acquisition.
+//!   `LockStats` timing can be 1-in-N sampled ([`SamplePeriod`]) with
+//!   counts kept exact and sampled durations scaled so the derived
+//!   estimators stay unbiased.
 //!
 //! All `unsafe` in the workspace's locking layer is confined to this
 //! crate (the `UnsafeCell` data access behind the guards); the B-tree
@@ -44,4 +49,4 @@ mod stats;
 pub use fcfs::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard, UnownedWriteGuard};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};
-pub use stats::{LockStats, LockStatsSnapshot, SamplePeriod};
+pub use stats::{LockSink, LockStats, LockStatsSnapshot, SamplePeriod};

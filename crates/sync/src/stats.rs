@@ -1,12 +1,16 @@
-//! Per-lock observability: atomic counters and wait histograms.
+//! Lock observability: the [`LockSink`] a lock reports to, and the
+//! per-lock sink [`LockStats`] with its snapshot.
 //!
-//! Every [`crate::FcfsRwLock`] embeds one [`LockStats`]. Recording uses
-//! relaxed atomics only — no extra synchronization on the hot path — and
-//! readers take [`LockStatsSnapshot`]s that can be diffed across a
-//! measurement window and merged across the locks of one B-tree level.
-//! The derived quantities are exactly the observables of the paper's
-//! queueing model: writer utilization `ρ_w = Σ hold_W / elapsed`, mean
-//! reader/writer waits, and contention rates.
+//! A lock owns no counters; it reports each grant and timed hold to a
+//! sink (see the lock's module docs). A standalone [`crate::FcfsRwLock`]
+//! reports to its own [`LockStats`]; the B-tree reports to per-level
+//! accumulators of its own and builds the same [`LockStatsSnapshot`]
+//! from them. Recording uses relaxed atomics only — no extra
+//! synchronization on the hot path — and snapshots can be diffed across a
+//! measurement window and merged across locks. The derived quantities are
+//! exactly the observables of the paper's queueing model: writer
+//! utilization `ρ_w = Σ hold_W / elapsed`, mean reader/writer waits, and
+//! contention rates.
 //!
 //! # Exact and sampled timing
 //!
@@ -84,7 +88,61 @@ impl Default for SamplePeriod {
     }
 }
 
-/// Atomic per-lock counters, updated by the lock itself.
+/// Where a lock reports what it observed. The lock calls
+/// [`LockSink::granted`] once per grant and [`LockSink::released`] once
+/// per hold the sink chose to time, always while the latch is held.
+pub trait LockSink {
+    /// One grant in the given mode, on a lock tagged `tag` (see
+    /// [`crate::FcfsRwLock::set_trace_tag`]). `queued_ns` is how long
+    /// the request waited in the FCFS queue, `None` when it was granted
+    /// without queueing. Returns whether to time this hold.
+    fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool;
+
+    /// A timed hold ended after `hold_ns`; `tag` and `exclusive` are its
+    /// grant's.
+    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64);
+}
+
+impl<S: LockSink + ?Sized> LockSink for &S {
+    #[inline]
+    fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
+        (**self).granted(tag, exclusive, queued_ns)
+    }
+
+    #[inline]
+    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
+        (**self).released(tag, exclusive, hold_ns);
+    }
+}
+
+/// `None` records nothing and times nothing.
+impl<S: LockSink> LockSink for Option<S> {
+    #[inline]
+    fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
+        self.as_ref()
+            .is_some_and(|s| s.granted(tag, exclusive, queued_ns))
+    }
+
+    #[inline]
+    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
+        if let Some(s) = self {
+            s.released(tag, exclusive, hold_ns);
+        }
+    }
+}
+
+/// The sink that holds nothing: records nothing and times nothing.
+impl LockSink for () {
+    #[inline]
+    fn granted(&self, _: u16, _: bool, _: Option<u64>) -> bool {
+        false
+    }
+
+    #[inline]
+    fn released(&self, _: u16, _: bool, _: u64) {}
+}
+
+/// One lock's counters: the sink of a standalone [`crate::FcfsRwLock`].
 #[derive(Debug, Default)]
 pub struct LockStats {
     /// Log2 of the sampling period; set at construction, before the lock
@@ -178,11 +236,9 @@ impl LockStats {
     /// each wait histogram is **reconstructed** here as *sampled
     /// acquisitions − recorded waits*, so `total()`, the quantiles, the
     /// means and the JSON read exactly as if every sampled zero had
-    /// been recorded. The one visible difference: a sampled request is
-    /// counted when it arrives and its wait is recorded when it is
-    /// granted, so a snapshot taken while `k` sampled requests are
-    /// still queued over-reports bucket 0 by at most `k` until they are
-    /// granted (a `since` across that moment saturates at zero).
+    /// been recorded. A request is counted and its wait recorded at its
+    /// grant, so the reconstruction is exact whenever no grant is being
+    /// reported at the same instant.
     pub fn snapshot(&self) -> LockStatsSnapshot {
         // Histograms before the acquisition counts: a recorded wait was
         // counted as an acquisition first, so this order never sees
@@ -206,6 +262,25 @@ impl LockStats {
             r_wait_hist,
             w_wait_hist,
         }
+    }
+}
+
+impl LockSink for LockStats {
+    #[inline]
+    fn granted(&self, _tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
+        let sampled = self.begin_acquire(exclusive);
+        if let Some(wait_ns) = queued_ns {
+            self.record_contended(exclusive);
+            if sampled {
+                self.record_sampled_wait(exclusive, wait_ns);
+            }
+        }
+        sampled
+    }
+
+    #[inline]
+    fn released(&self, _tag: u16, exclusive: bool, hold_ns: u64) {
+        self.record_sampled_hold(exclusive, hold_ns);
     }
 }
 

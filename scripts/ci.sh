@@ -43,8 +43,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> unsafe tally: code lines that open an unsafe block, fn, impl or trait"
 # The one counting rule DESIGN and ROADMAP quote. A change that adds a
-# site raises the constant and says why.
-UNSAFE_MAX=33
+# site raises the constant and says why. 32 since the node walk reads
+# under latches that report to no statistics (it was an optimistic read).
+UNSAFE_MAX=32
 unsafe_total=0
 for crate in crates/*/; do
     n=$(grep -rhE 'unsafe (\{|fn|impl|trait)' "${crate}src" | grep -cvE '^\s*//' || true)
@@ -177,9 +178,10 @@ echo "==> benchmark/ package: builds against the workspace API and runs (quick)"
 # benchmark/ is its own workspace root, so `cargo test --workspace`
 # cannot see an API break against it; this step can. Its memory figure
 # is deterministic (the quick mode keeps the full prefill), so the slot
-# layout is held to it: a tree-churn key costs about 202 B with slots
-# sized for cap 16, and 492 B when every slot is sized for cap 128.
-CHURN_BYTES_PER_KEY_MAX=250
+# layout is held to it: a tree-churn key measures 86.4 B with a cap-16
+# slot of 448 B (lock statistics kept per level, not per slot); 202 B
+# when every slot carried a 712 B LockStats.
+CHURN_BYTES_PER_KEY_MAX=110
 bash benchmark/run.sh --quick > "$out/bench-quick.txt"
 awk -v max="$CHURN_BYTES_PER_KEY_MAX" '
     /^== / { workload = $2 }
