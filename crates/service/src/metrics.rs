@@ -30,21 +30,14 @@ pub const SLO_BURN_WINDOWS: usize = 3;
 /// block of atomics (see `cbtree_obs::metrics` for the memory bounds);
 /// recording is a handful of relaxed `fetch_add`s per operation,
 /// priced by the benchmark as `obs.session_record_ns` and held to 20 ns
-/// by CI.
+/// by CI. The generators' counters and the workers' sit on separate
+/// cache lines, so neither side's increments evict the other's.
 #[derive(Debug, Default)]
 pub(crate) struct ShardMetrics {
-    /// Arrivals routed to this shard (admitted or not).
-    pub offered: Counter,
-    /// Arrivals admitted into the ingress queue.
-    pub accepted: Counter,
-    /// Arrivals shed at admission (queue full or closed).
-    pub shed_full: Counter,
-    /// Operations shed at dequeue (enqueue-age timeout).
-    pub timed_out: Counter,
-    /// Batches executed.
-    pub batches: Counter,
-    /// Operations carried by those batches.
-    pub batch_ops: Counter,
+    /// Written by the generators, at admission.
+    pub admission: AdmissionCounters,
+    /// Written by the shard's workers, per batch.
+    pub worker: WorkerCounters,
     /// Windowed sojourn (enqueue → completion) of served ops, ns. Also
     /// the completion count: every served op records exactly one
     /// sojourn, so the window's total *is* the window's completions — a
@@ -52,14 +45,39 @@ pub(crate) struct ShardMetrics {
     pub sojourn: WindowedHistogram,
 }
 
+/// The generators' counters, on a line of their own.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct AdmissionCounters {
+    /// Arrivals routed to this shard (admitted or not).
+    pub offered: Counter,
+    /// Arrivals admitted into the ingress queue.
+    pub accepted: Counter,
+    /// Arrivals shed at admission (queue full or closed).
+    pub shed_full: Counter,
+}
+
+/// The workers' counters, on a line of their own.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct WorkerCounters {
+    /// Operations shed at dequeue (enqueue-age timeout).
+    pub timed_out: Counter,
+    /// Batches executed.
+    pub batches: Counter,
+    /// Operations carried by those batches.
+    pub batch_ops: Counter,
+}
+
 impl ShardMetrics {
     /// Records an admission outcome.
     #[inline]
     pub fn record_offer(&self, outcome: &Result<(), Shed>) {
-        self.offered.inc();
+        let a = &self.admission;
+        a.offered.inc();
         match outcome {
-            Ok(()) => self.accepted.inc(),
-            Err(_) => self.shed_full.inc(),
+            Ok(()) => a.accepted.inc(),
+            Err(_) => a.shed_full.inc(),
         }
     }
 }
@@ -265,12 +283,12 @@ impl ShardBaseline {
         // The per-window queue mark resets with the cursor baseline.
         rt.queue.take_depth_high_water_window();
         ShardBaseline {
-            offered: m.offered.get(),
-            accepted: m.accepted.get(),
-            shed_full: m.shed_full.get(),
-            timed_out: m.timed_out.get(),
-            batches: m.batches.get(),
-            batch_ops: m.batch_ops.get(),
+            offered: m.admission.offered.get(),
+            accepted: m.admission.accepted.get(),
+            shed_full: m.admission.shed_full.get(),
+            timed_out: m.worker.timed_out.get(),
+            batches: m.worker.batches.get(),
+            batch_ops: m.worker.batch_ops.get(),
             counters: rt.tree.counters(),
             levels: level_snapshots(&rt.tree),
             cursor: m.sojourn.baseline(),
@@ -319,12 +337,12 @@ pub(crate) fn sampler_loop(
                 *prev = cur;
                 d
             };
-            let s_offered = diff(m.offered.get(), &mut b.offered);
-            let s_accepted = diff(m.accepted.get(), &mut b.accepted);
-            let s_shed = diff(m.shed_full.get(), &mut b.shed_full)
-                + diff(m.timed_out.get(), &mut b.timed_out);
-            batches += diff(m.batches.get(), &mut b.batches);
-            batch_ops += diff(m.batch_ops.get(), &mut b.batch_ops);
+            let s_offered = diff(m.admission.offered.get(), &mut b.offered);
+            let s_accepted = diff(m.admission.accepted.get(), &mut b.accepted);
+            let s_shed = diff(m.admission.shed_full.get(), &mut b.shed_full)
+                + diff(m.worker.timed_out.get(), &mut b.timed_out);
+            batches += diff(m.worker.batches.get(), &mut b.batches);
+            batch_ops += diff(m.worker.batch_ops.get(), &mut b.batch_ops);
             let ctr = rt.tree.counters();
             let ctr_diff = ctr.since(&b.counters);
             b.counters = ctr;

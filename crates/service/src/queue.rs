@@ -29,15 +29,39 @@
 //! (1 bit), and the enqueue timestamp as nanoseconds since the ring's
 //! creation epoch (61 bits — millennia of headroom).
 //!
-//! # Doorbell
+//! # Poll, then park
 //!
-//! Blocking is layered *beside* the ring, not inside it: an idle worker
-//! registers as a sleeper and parks on a condvar with a short timeout;
-//! producers ring the doorbell only when the sleeper count is nonzero,
-//! so at load the notify branch never executes and the ring runs
-//! lock-free end to end. The timeout (not correctness-critical — a
-//! bounded-latency backstop) covers the unavoidable race between a
-//! consumer's "ring is empty" check and its park.
+//! Blocking is layered *beside* the ring, not inside it. A worker that
+//! finds the ring empty first *polls* it: `try_pop` with a
+//! `yield_now` between attempts (a busy spin would starve the
+//! generator on a host with fewer cores than busy threads). It polls
+//! for at most one *park cost*: the queue's smoothed enqueue → pop
+//! latency of the ops that woke a parked worker (an EWMA with gain
+//! 1/8, capped at the park timeout, zero until the first park). Polling
+//! for as long as a park costs is the 2-competitive spin-then-block
+//! rule of Karlin, Li, Manasse & Owicki ("Empirical studies of
+//! competitive spinning for a shared-memory multiprocessor", SOSP
+//! 1991): an op that arrives inside the budget is caught without a
+//! futex wake, and an idle period longer than the budget wastes at most
+//! what the park it ends in costs anyway. No constant, no knob.
+//!
+//! When the poll comes up empty, the worker parks on the doorbell,
+//! whose handshake is the same with or without the poll: it registers
+//! as a sleeper inside the doorbell mutex, re-polls, and waits on a
+//! condvar with a short timeout; producers ring the doorbell only when
+//! the sleeper count is nonzero, so at load the notify branch never
+//! executes and the ring runs lock-free end to end. The sleeper count
+//! and the enqueue cursor form a Dekker pair (each side writes its own
+//! word, then reads the other's, all `SeqCst`), so either the producer
+//! sees the sleeper or the sleeper's re-poll sees the op. The timeout
+//! is a bounded-latency backstop, not a correctness requirement.
+//!
+//! # Cache lines
+//!
+//! The producer's words (the enqueue cursor and the two depth
+//! high-water marks) and the consumer's (the dequeue cursor and the
+//! park cost) sit on separate 128-byte lines, so a polling worker's
+//! re-reads do not contend with every push's writes.
 
 use cbtree_workload::Operation;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,7 +99,8 @@ const META_MEASURED: u64 = 1 << 2;
 const META_TS_SHIFT: u32 = 3;
 
 /// How long an idle worker parks before re-polling the ring. Purely a
-/// lost-wakeup backstop; the doorbell wakes sleepers promptly.
+/// lost-wakeup backstop; the doorbell wakes sleepers promptly. Also the
+/// cap on the park cost, and with it on one poll's budget.
 const PARK: Duration = Duration::from_millis(2);
 
 /// One ring slot: a Vyukov-style sequence word plus the packed payload.
@@ -84,6 +109,29 @@ struct Slot {
     seq: AtomicU64,
     key: AtomicU64,
     meta: AtomicU64,
+}
+
+/// The producers' words: every admitted push CASes the cursor here.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ProducerLine {
+    enqueue_pos: AtomicU64,
+    depth_hwm: AtomicUsize,
+    /// Like `depth_hwm`, but reset by the metrics sampler each window
+    /// ([`IngressQueue::take_depth_high_water_window`]) so a time
+    /// series shows the queue growing toward saturation instead of one
+    /// sticky whole-run maximum.
+    depth_hwm_window: AtomicUsize,
+}
+
+/// The consumers' words: every pop CASes the cursor here, and a
+/// polling worker re-reads it.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ConsumerLine {
+    dequeue_pos: AtomicU64,
+    /// Smoothed cost of one park, ns: the poll budget ([`next_park_cost`]).
+    park_cost_ns: AtomicU64,
 }
 
 /// A bounded lock-free MPMC ingress ring (the queue is also the *model
@@ -96,21 +144,40 @@ pub struct IngressQueue {
     mask: u64,
     /// Admission bound — may be below the (power-of-two) ring length.
     capacity: usize,
-    enqueue_pos: AtomicU64,
-    dequeue_pos: AtomicU64,
+    producer: ProducerLine,
+    consumer: ConsumerLine,
     closed: AtomicBool,
-    depth_hwm: AtomicUsize,
-    /// Like `depth_hwm`, but reset by the metrics sampler each window
-    /// ([`IngressQueue::take_depth_high_water_window`]) so a time
-    /// series shows the queue growing toward saturation instead of one
-    /// sticky whole-run maximum.
-    depth_hwm_window: AtomicUsize,
     /// Timestamp origin for the packed enqueue nanoseconds.
     epoch: Instant,
     /// Workers currently parked (or about to park) on the doorbell.
     sleepers: AtomicUsize,
     doorbell: Mutex<()>,
     not_empty: Condvar,
+}
+
+/// The park-cost estimator. A worker that parked at `parked` and then
+/// popped, at `popped`, an op enqueued at `enqueued` folds that op's
+/// enqueue → pop latency into `cost_ns` with gain 1/8, capped at
+/// [`PARK`]. An op enqueued before the park began was waiting already
+/// and says nothing about the wake, so it leaves the estimate as it is.
+fn next_park_cost(cost_ns: u64, parked: Instant, enqueued: Instant, popped: Instant) -> u64 {
+    if enqueued < parked {
+        return cost_ns;
+    }
+    let cap = PARK.as_nanos() as u64;
+    let sample = u64::try_from(popped.saturating_duration_since(enqueued).as_nanos())
+        .unwrap_or(u64::MAX)
+        .min(cap);
+    (cost_ns * 7 + sample) / 8
+}
+
+/// Raises a high-water mark to `depth`. The plain load skips the locked
+/// RMW on every push that sets no new maximum.
+#[inline]
+fn raise(mark: &AtomicUsize, depth: usize) {
+    if depth > mark.load(Ordering::Relaxed) {
+        mark.fetch_max(depth, Ordering::Relaxed);
+    }
 }
 
 fn encode(item: &QueuedOp, epoch: Instant) -> (u64, u64) {
@@ -161,11 +228,9 @@ impl IngressQueue {
             ring,
             mask: len as u64 - 1,
             capacity,
-            enqueue_pos: AtomicU64::new(0),
-            dequeue_pos: AtomicU64::new(0),
+            producer: ProducerLine::default(),
+            consumer: ConsumerLine::default(),
             closed: AtomicBool::new(false),
-            depth_hwm: AtomicUsize::new(0),
-            depth_hwm_window: AtomicUsize::new(0),
             epoch: Instant::now(),
             sleepers: AtomicUsize::new(0),
             doorbell: Mutex::new(()),
@@ -185,13 +250,13 @@ impl IngressQueue {
             return Err(Shed::QueueFull);
         }
         let (key, meta) = encode(&item, self.epoch);
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
+        let mut pos = self.producer.enqueue_pos.load(Ordering::Relaxed);
         loop {
             // Admission bound below the power-of-two ring length. The
             // tail read may lag (consumers advance it concurrently), so
             // this can only *under*-admit at the boundary — the depth
             // high-water mark never exceeds `capacity`.
-            let tail = self.dequeue_pos.load(Ordering::Relaxed);
+            let tail = self.consumer.dequeue_pos.load(Ordering::Relaxed);
             if pos.wrapping_sub(tail) >= self.capacity as u64 {
                 return Err(Shed::QueueFull);
             }
@@ -199,10 +264,17 @@ impl IngressQueue {
             let seq = slot.seq.load(Ordering::Acquire);
             let dif = seq.wrapping_sub(pos) as i64;
             if dif == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
+                // `SeqCst` on success: this CAS and the `sleepers` load
+                // below are the producer's half of the doorbell's Dekker
+                // pair; a parking consumer increments `sleepers`, then
+                // loads `enqueue_pos`, both `SeqCst`. With all four in
+                // the single total order, the producer sees the sleeper
+                // or the sleeper's re-poll sees this op — never neither.
+                // (On x86 this is the same `lock cmpxchg`.)
+                match self.producer.enqueue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
-                    Ordering::Relaxed,
+                    Ordering::SeqCst,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
@@ -212,8 +284,8 @@ impl IngressQueue {
                         // reading the data words.
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
                         let depth = pos.wrapping_add(1).wrapping_sub(tail) as usize;
-                        self.depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                        self.depth_hwm_window.fetch_max(depth, Ordering::Relaxed);
+                        raise(&self.producer.depth_hwm, depth);
+                        raise(&self.producer.depth_hwm_window, depth);
                         if self.sleepers.load(Ordering::SeqCst) > 0 {
                             // Enter the doorbell critical section so the
                             // notify cannot slip between a sleeper's
@@ -230,20 +302,20 @@ impl IngressQueue {
                 // when `capacity` equals the ring length).
                 return Err(Shed::QueueFull);
             } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
+                pos = self.producer.enqueue_pos.load(Ordering::Relaxed);
             }
         }
     }
 
     /// One non-blocking dequeue attempt.
     fn try_pop(&self) -> Option<QueuedOp> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
+        let mut pos = self.consumer.dequeue_pos.load(Ordering::Relaxed);
         loop {
             let slot = &self.ring[(pos & self.mask) as usize];
             let seq = slot.seq.load(Ordering::Acquire);
             let dif = seq.wrapping_sub(pos.wrapping_add(1)) as i64;
             if dif == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
+                match self.consumer.dequeue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
                     Ordering::Relaxed,
@@ -265,7 +337,37 @@ impl IngressQueue {
             } else if dif < 0 {
                 return None;
             } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
+                pos = self.consumer.dequeue_pos.load(Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Moves up to `max` ready operations into `out` without blocking;
+    /// returns how many.
+    fn drain(&self, max: usize, out: &mut Vec<QueuedOp>) -> usize {
+        let mut n = 0;
+        while n < max {
+            match self.try_pop() {
+                Some(item) => {
+                    out.push(item);
+                    n += 1;
+                }
+                None => break,
+            }
+        }
+        n
+    }
+
+    /// Polls the empty ring for up to `budget`, yielding between
+    /// attempts, and returns what the first successful attempt drained:
+    /// `0` once the budget is spent or the queue is closed.
+    fn poll(&self, max: usize, out: &mut Vec<QueuedOp>, budget: Duration) -> usize {
+        let start = Instant::now();
+        loop {
+            std::thread::yield_now();
+            let n = self.drain(max, out);
+            if n > 0 || self.closed.load(Ordering::Acquire) || start.elapsed() >= budget {
+                return n;
             }
         }
     }
@@ -273,36 +375,48 @@ impl IngressQueue {
     /// Drains up to `max` operations into `out`, blocking until at least
     /// one is available or the queue is closed *and* empty
     /// (drain-then-exit shutdown). Returns the number appended; `0`
-    /// means shutdown.
+    /// means shutdown. An idle caller polls for one park cost before it
+    /// parks (see the module docs).
     ///
     /// # Panics
     /// Panics when `max` is 0.
     pub fn pop_batch(&self, max: usize, out: &mut Vec<QueuedOp>) -> usize {
         assert!(max >= 1, "batch size must be at least 1");
+        // Spent by the first empty poll of this call: an idle period
+        // costs at most one park's worth of polling.
+        let mut budget = Duration::from_nanos(self.consumer.park_cost_ns.load(Ordering::Relaxed));
+        // When the wait that the next drain follows began.
+        let mut parked = None;
         loop {
-            let mut n = 0;
-            while n < max {
-                match self.try_pop() {
-                    Some(item) => {
-                        out.push(item);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
+            let n = self.drain(max, out);
             if n > 0 {
+                if let Some(parked) = parked {
+                    let cost = &self.consumer.park_cost_ns;
+                    let first = out[out.len() - n].enqueued;
+                    let next =
+                        next_park_cost(cost.load(Ordering::Relaxed), parked, first, Instant::now());
+                    cost.store(next, Ordering::Relaxed);
+                }
                 return n;
             }
+            parked = None;
             if self.closed.load(Ordering::SeqCst) {
                 // A producer that won its cursor CAS before `close` may
                 // not have published its slot yet; the cursors tell us
                 // whether anything is still in flight.
-                if self.enqueue_pos.load(Ordering::SeqCst)
-                    == self.dequeue_pos.load(Ordering::SeqCst)
+                if self.producer.enqueue_pos.load(Ordering::SeqCst)
+                    == self.consumer.dequeue_pos.load(Ordering::SeqCst)
                 {
                     return 0;
                 }
                 std::thread::yield_now();
+                continue;
+            }
+            if !budget.is_zero() {
+                let n = self.poll(max, out, std::mem::take(&mut budget));
+                if n > 0 {
+                    return n;
+                }
                 continue;
             }
             // Park on the doorbell. Register as a sleeper *inside* the
@@ -313,12 +427,13 @@ impl IngressQueue {
             // not a correctness requirement.
             let guard = self.doorbell.lock().unwrap_or_else(PoisonError::into_inner);
             self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let drained =
-                self.dequeue_pos.load(Ordering::SeqCst) != self.enqueue_pos.load(Ordering::SeqCst);
+            let drained = self.consumer.dequeue_pos.load(Ordering::SeqCst)
+                != self.producer.enqueue_pos.load(Ordering::SeqCst);
             if drained || self.closed.load(Ordering::SeqCst) {
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
+            parked = Some(Instant::now());
             let _ = self
                 .not_empty
                 .wait_timeout(guard, PARK)
@@ -348,23 +463,25 @@ impl IngressQueue {
 
     /// Current depth (racy; for monitoring only).
     pub fn depth(&self) -> usize {
-        let head = self.enqueue_pos.load(Ordering::Relaxed);
-        let tail = self.dequeue_pos.load(Ordering::Relaxed);
+        let head = self.producer.enqueue_pos.load(Ordering::Relaxed);
+        let tail = self.consumer.dequeue_pos.load(Ordering::Relaxed);
         head.wrapping_sub(tail) as usize
     }
 
     /// Deepest the queue has ever been.
     pub fn depth_high_water(&self) -> usize {
-        self.depth_hwm.load(Ordering::Relaxed)
+        self.producer.depth_hwm.load(Ordering::Relaxed)
     }
 
     /// Deepest the queue got since this method was last called, and
     /// resets the per-window mark to zero — the sampler calls this once
     /// per window, so each time-series point carries its own window's
     /// high water rather than the run's sticky maximum. A push racing
-    /// the reset lands its mark in the next window (never lost).
+    /// the reset lands its mark in one of the two windows (never lost):
+    /// a push whose load saw the old mark is covered by the mark this
+    /// call returns.
     pub fn take_depth_high_water_window(&self) -> usize {
-        self.depth_hwm_window.swap(0, Ordering::Relaxed)
+        self.producer.depth_hwm_window.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -495,6 +612,99 @@ mod tests {
         }
         assert_eq!(q.try_push(item()), Err(Shed::QueueFull));
         assert_eq!(q.depth_high_water(), 3);
+    }
+
+    #[test]
+    fn park_cost_is_a_capped_ewma_of_post_park_wakes() {
+        let t = Instant::now();
+        let at = |us: u64| t + Duration::from_micros(us);
+        let q = IngressQueue::new(4);
+        assert_eq!(
+            q.consumer.park_cost_ns.load(Ordering::Relaxed),
+            0,
+            "zero before any park"
+        );
+        // Parked at 10 µs; an op enqueued at 18 µs and popped at 26 µs
+        // took 8 µs: from zero, one sample moves the estimate an eighth.
+        assert_eq!(next_park_cost(0, at(10), at(18), at(26)), 1_000);
+        assert_eq!(
+            next_park_cost(8_000, at(10), at(18), at(26)),
+            8_000,
+            "fixed point"
+        );
+        assert_eq!(
+            next_park_cost(16_000, at(10), at(18), at(26)),
+            15_000,
+            "gain 1/8"
+        );
+        // An op that was already waiting when the park began says
+        // nothing about the wake.
+        assert_eq!(next_park_cost(4_000, at(10), at(9), at(26)), 4_000);
+        // A wake slower than the park timeout counts as the timeout, and
+        // the estimate never exceeds it.
+        let park_ns = PARK.as_nanos() as u64;
+        let slow = next_park_cost(park_ns, at(0), at(1), at(10_000_000));
+        assert_eq!(slow, park_ns);
+        let mut cost = 0;
+        for _ in 0..200 {
+            cost = next_park_cost(cost, at(0), at(1), at(1 + 60_000));
+        }
+        assert!(cost <= park_ns && cost > park_ns * 99 / 100, "{cost}");
+    }
+
+    #[test]
+    fn close_ends_the_poll_phase() {
+        // A budget far past any test timeout: only `close` can end this
+        // poll before it runs out (the estimator caps at PARK; the word
+        // is set directly here).
+        let q = Arc::new(IngressQueue::new(4));
+        q.consumer
+            .park_cost_ns
+            .store(3_600 * 1_000_000_000, Ordering::Relaxed);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q2 = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            tx.send(q2.pop_batch(4, &mut buf)).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        q.close();
+        let popped = rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(popped, Ok(0), "close must end the poll with a shutdown");
+        assert_eq!(q.sleepers.load(Ordering::SeqCst), 0, "it never parked");
+    }
+
+    #[test]
+    fn poll_phase_takes_an_op_without_the_doorbell() {
+        // The test holds the doorbell for the whole exchange, so the
+        // consumer cannot register as a sleeper, and a push that saw
+        // one would block here: the op can only arrive through the poll.
+        let q = Arc::new(IngressQueue::new(4));
+        q.consumer
+            .park_cost_ns
+            .store(3_600 * 1_000_000_000, Ordering::Relaxed);
+        let doorbell = q.doorbell.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q2 = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let n = q2.pop_batch(4, &mut buf);
+            tx.send((n, buf)).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        q.try_push(item()).unwrap();
+        assert_eq!(
+            q.sleepers.load(Ordering::SeqCst),
+            0,
+            "no push saw a sleeper"
+        );
+        let (n, buf) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the polling consumer must take the op");
+        assert_eq!(n, 1);
+        assert_eq!(buf[0].op, Operation::Search(7));
+        assert_eq!(q.sleepers.load(Ordering::SeqCst), 0);
+        drop(doorbell);
     }
 
     /// The MPMC stress: several producers and consumers hammer a small

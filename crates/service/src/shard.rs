@@ -86,18 +86,16 @@ pub(crate) fn worker_loop(
 ) -> WorkerLocal {
     let mut local = WorkerLocal::default();
     let mut drained: Vec<QueuedOp> = Vec::with_capacity(batch_max);
-    let mut accepted: Vec<QueuedOp> = Vec::with_capacity(batch_max);
     loop {
         drained.clear();
         if queue.pop_batch(batch_max, &mut drained) == 0 {
             break;
         }
-        accepted.clear();
-        for q in &drained {
-            let wait = q.enqueued.elapsed();
+        drained.retain(|q| {
             if let Some(limit) = max_age {
+                let wait = q.enqueued.elapsed();
                 if wait > limit {
-                    metrics.timed_out.inc();
+                    metrics.worker.timed_out.inc();
                     if q.measured {
                         local.timed_out += 1;
                         local
@@ -105,17 +103,17 @@ pub(crate) fn worker_loop(
                             .record(u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX));
                     }
                     trace::shed(shard, shed_reason::TIMEOUT, q.op.key());
-                    continue;
+                    return false;
                 }
             }
             trace::dequeue(shard, q.op.key());
-            accepted.push(*q);
-        }
-        if accepted.is_empty() {
+            true
+        });
+        if drained.is_empty() {
             continue;
         }
-        let k = accepted.len();
-        let ops: Vec<BatchOp<u64>> = accepted
+        let k = drained.len();
+        let ops: Vec<BatchOp<u64>> = drained
             .iter()
             .map(|q| match q.op {
                 Operation::Search(key) => BatchOp::Get(key),
@@ -127,25 +125,31 @@ pub(crate) fn worker_loop(
         let t0 = Instant::now();
         let outcome = tree.execute_batch(ops);
         std::hint::black_box(&outcome.results);
-        let floor_total = service_floor
-            .checked_mul(u32::try_from(outcome.summary.descents).unwrap_or(u32::MAX))
-            .unwrap_or(Duration::MAX);
-        if let Some(pad) = floor_total.checked_sub(t0.elapsed()) {
-            if !pad.is_zero() {
-                std::thread::sleep(pad);
+        if !service_floor.is_zero() {
+            let floor_total = service_floor
+                .checked_mul(u32::try_from(outcome.summary.descents).unwrap_or(u32::MAX))
+                .unwrap_or(Duration::MAX);
+            if let Some(pad) = floor_total.checked_sub(t0.elapsed()) {
+                if !pad.is_zero() {
+                    std::thread::sleep(pad);
+                }
             }
         }
-        let service = t0.elapsed();
+        // One completion stamp for the whole batch: service and every
+        // op's sojourn end here, so queue wait + batch wait + effective
+        // service sums to sojourn exactly (up to integer division).
+        let done = Instant::now();
+        let service = done - t0;
         trace::batch_end(shard, k, outcome.summary.leaf_reuses);
         // The continuous metrics plane counts every batch and op —
         // warmup and drain included — so the sampler's windows describe
         // the service as it actually ran, not just the measured slice.
-        metrics.batches.inc();
-        metrics.batch_ops.add(k as u64);
+        metrics.worker.batches.inc();
+        metrics.worker.batch_ops.add(k as u64);
         // Batch-level accounting follows the measurement window: only
         // batches carrying at least one measured op count, so warmup
         // batches don't pollute the service moments.
-        if accepted.iter().any(|q| q.measured) {
+        if drained.iter().any(|q| q.measured) {
             local.batches += 1;
             local.batch_summary.merge(&outcome.summary);
             if local.batch_sizes.len() <= k {
@@ -167,8 +171,8 @@ pub(crate) fn worker_loop(
         // bookkeeping — no sleeps — so the sampler's harvest spin stays
         // bounded.
         let mut sojourn_session = metrics.sojourn.session();
-        for q in &accepted {
-            let sojourn = q.enqueued.elapsed();
+        for q in &drained {
+            let sojourn = done.saturating_duration_since(q.enqueued);
             let ns = u64::try_from(sojourn.as_nanos()).unwrap_or(u64::MAX);
             sojourn_session.record(ns);
             if !q.measured {
