@@ -338,7 +338,7 @@ fn analyze_file(path: &Path, args: &Args, records: &mut Vec<Json>) -> Result<(),
             r.unmatched,
             r.dropped
         ),
-        None => println!("trace: no event records (run without --features trace?)"),
+        None => println!("trace: no event records (run without --trace-buf?)"),
     }
 
     let levels = array(&record, "levels");

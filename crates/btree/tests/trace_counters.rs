@@ -1,7 +1,5 @@
 //! Seeded multi-thread property test: the drained trace agrees with the
-//! engine's `OpCounters` window diffs (needs the `trace` feature; the
-//! file is a no-op without it).
-#![cfg(feature = "trace")]
+//! engine's `OpCounters` window diffs.
 
 use cbtree_btree::{ConcurrentBTree, Protocol};
 use cbtree_obs::{opcode, trace, EventKind, MODE_EXCLUSIVE};

@@ -41,10 +41,11 @@ usage: live [options]
                      (default: off)
   --saturate N       saturation search: double threads from 1 up to N
   --json PATH        write the run as JSONL records: meta, live_report,
-                     and (when built with --features trace) trace_info,
-                     trace_summary, and one record per drained event
-  --trace-buf N      per-thread trace ring capacity in events (power of
-                     two; default 65536; needs --features trace)
+                     and (with --trace-buf) trace_info, trace_summary,
+                     and one record per drained event
+  --trace-buf N      trace every latch and operation event into a
+                     per-thread ring of N events, 2..=16777216
+                     (default: tracing off)
   -h, --help         print this help
 ";
 
@@ -196,6 +197,7 @@ fn main() {
 
     if let Some(n) = args.trace_buf {
         cbtree_obs::trace::set_default_ring_capacity(n);
+        cbtree_obs::trace::enable(true);
     }
 
     match args.saturate {

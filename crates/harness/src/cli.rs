@@ -38,7 +38,7 @@ pub struct RunFlags {
     pub sample_interval: Option<Duration>,
     /// `--json`.
     pub json: Option<PathBuf>,
-    /// `--trace-buf`.
+    /// `--trace-buf`: switch tracing on, with rings of this many events.
     pub trace_buf: Option<usize>,
 }
 
@@ -80,7 +80,8 @@ impl RunFlags {
             "--sample-every" => self.stats_sampling = SamplePeriod::every(flags.value()?),
             "--sample-interval-ms" => self.sample_interval = Some(flags.millis(1)?),
             "--json" => self.json = Some(flags.value()?),
-            "--trace-buf" => self.trace_buf = Some(flags.at_least(1)?),
+            // A ring slot is 24 B: at most 384 MiB per traced thread.
+            "--trace-buf" => self.trace_buf = Some(flags.in_range(2..=1 << 24)?),
             _ => return Ok(false),
         }
         Ok(true)

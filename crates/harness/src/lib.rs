@@ -213,7 +213,8 @@ pub struct LiveReport {
     pub timeseries: Vec<LivePoint>,
     /// Events drained from the per-thread rings at the closing quiesce
     /// point — the measured window only (the warmup drain is discarded).
-    /// Empty unless the `trace` cargo feature is on and tracing enabled.
+    /// Empty unless tracing is switched on (`trace::enable`, `live
+    /// --trace-buf`).
     pub trace: Trace,
 }
 
@@ -490,11 +491,11 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
     assert!(cfg.threads > 0, "need at least one worker thread");
     assert!(cfg.ops.is_valid(), "operation mix must sum to 1");
 
-    // With tracing compiled in, the whole measurement holds the global
-    // trace lock: rings are process-wide, so two concurrent runs would
-    // interleave their events and corrupt each other's drains.
-    #[cfg(feature = "trace")]
-    let _trace_window = cbtree_obs::trace::measurement_window();
+    // The whole measurement holds the global trace lock: rings are
+    // process-wide, so two concurrent runs would interleave their events
+    // and corrupt each other's drains. Whether anything is emitted is
+    // the process's switch (`live --trace-buf`), not the run's.
+    let _one_run_at_a_time = cbtree_obs::trace::measurement_lock();
 
     let tree = Arc::new(ConcurrentBTree::with_sampling(
         cfg.protocol,
@@ -902,20 +903,21 @@ mod tests {
         );
     }
 
-    /// With tracing compiled in, every live run's report carries the
+    /// With tracing switched on, a live run's report carries the
     /// measured-window trace: events exist, grants pair with releases,
     /// and timestamps stay inside (a generous bound of) the window.
-    #[cfg(feature = "trace")]
     #[test]
     fn live_run_attaches_measured_window_trace() {
-        use cbtree_obs::EventKind;
+        use cbtree_obs::{trace, EventKind};
         // The default 2^16-event rings drop under even a short window of
         // debug-build lock coupling (that is what the drop counter is
         // for); size them for a lossless window so pairing is exact.
-        cbtree_obs::trace::set_default_ring_capacity(1 << 19);
+        trace::set_default_ring_capacity(1 << 19);
         let mut cfg = LiveConfig::quick(Protocol::LockCoupling, 2);
         cfg.measure = Duration::from_millis(80);
+        trace::enable(true);
         let report = run(&cfg);
+        trace::enable(false);
         let t = &report.trace;
         assert!(!t.events.is_empty(), "traced run produced no events");
         assert_eq!(t.dropped, 0, "sized rings must hold the whole window");
@@ -931,10 +933,6 @@ mod tests {
             "trace spans {span_ns} ns, window was {} s",
             report.measured_time
         );
-        // Once no run is in its window, emission is off again: what the
-        // process does next must not pay for it.
-        let _no_run_in_flight = cbtree_obs::trace::measurement_lock();
-        assert!(!cbtree_obs::trace::enabled(), "run() left tracing on");
     }
 
     /// The shared sampler driver against a hand-driven phase atomic: no

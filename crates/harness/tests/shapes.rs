@@ -7,9 +7,7 @@ use cbtree_obs::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
-/// Record `type` → the top-level field names its records carry. The
-/// trace records (`trace_info`, `trace_summary`, `event`) appear only
-/// with the `trace` feature and are the obs crate's shapes, not live's.
+/// Record `type` → the top-level field names its records carry.
 fn shapes(path: &std::path::Path) -> BTreeMap<String, BTreeSet<String>> {
     let mut got: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for rec in cbtree_obs::read_jsonl(path).expect("readable JSONL") {
@@ -17,10 +15,8 @@ fn shapes(path: &std::path::Path) -> BTreeMap<String, BTreeSet<String>> {
             panic!("record is not an object: {rec:?}")
         };
         let ty = rec.get("type").and_then(Json::as_str).expect("typed");
-        if !matches!(ty, "trace_info" | "trace_summary" | "event") {
-            let names = fields.iter().map(|(k, _)| k.clone());
-            got.entry(ty.to_string()).or_default().extend(names);
-        }
+        let names = fields.iter().map(|(k, _)| k.clone());
+        got.entry(ty.to_string()).or_default().extend(names);
     }
     got
 }
@@ -33,8 +29,21 @@ fn live_json_writes_the_same_records() {
                   resp_insert resp_delete wait_w_by_level wait_r_by_level \
                   root_writer_utilization counters latency levels final_height final_len \
                   timeseries_windows trace_events trace_dropped";
+    let info = "trace_info: type events dropped threads";
+    let summary = "trace_summary: type window_start_ns window_end_ns levels ops restarts \
+                   chases splits mean_split_ns txn_commits txn_spills peak_latch_chain \
+                   unmatched dropped enqueues dequeues sheds batches";
+    let event = "event: type ts thr k a lvl node";
+    let cases: [(&[&str], &[&str]); 3] = [
+        (&["--threads", "2"], &[meta, report]),
+        (&["--saturate", "2"], &[meta, report]),
+        (
+            &["--threads", "2", "--trace-buf", "4096"],
+            &[meta, report, info, summary, event],
+        ),
+    ];
     let out = std::env::temp_dir().join(format!("cbtree-live-shapes-{}.jsonl", std::process::id()));
-    for mode in [["--threads", "2"], ["--saturate", "2"]] {
+    for (mode, want) in cases {
         let run = Command::new(env!("CARGO_BIN_EXE_live"))
             .args(["--items", "2000", "--capacity", "16"])
             .args(["--warmup-ms", "20", "--measure-ms", "60"])
@@ -45,7 +54,7 @@ fn live_json_writes_the_same_records() {
             .expect("spawn live");
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(run.status.success(), "{mode:?}: {stderr}");
-        let want: BTreeMap<String, BTreeSet<String>> = [meta, report]
+        let want: BTreeMap<String, BTreeSet<String>> = want
             .iter()
             .map(|line| line.split_once(": ").unwrap())
             .map(|(ty, f)| (ty.into(), f.split_whitespace().map(String::from).collect()))

@@ -1,21 +1,16 @@
 //! Smoke tests for the live-execution harness: each protocol completes a
 //! short 4-thread run with internally consistent counters, and measured
 //! writer utilizations are proper fractions.
+//!
+//! One measured run at a time: the tests of this binary run on parallel
+//! threads and several compare throughputs, which means nothing while
+//! sibling runs' workers take the cores (a two-core box gave one side
+//! of a comparison a tenth of the other's throughput one run in five).
+//! `run` holds the process-wide trace measurement lock for its whole
+//! measurement, which excludes exactly that.
 
 use cbtree_btree::Protocol;
-use cbtree_harness::{LiveConfig, LiveReport};
-use std::sync::{Mutex, PoisonError};
-
-/// One measured run at a time: the tests of this binary run on parallel
-/// threads and several compare throughputs, which means nothing while
-/// sibling runs' workers take the cores (a two-core box gave one side
-/// of a comparison a tenth of the other's throughput one run in five).
-/// With tracing compiled in `run` already excludes itself this way.
-fn run(cfg: &LiveConfig) -> LiveReport {
-    static GATE: Mutex<()> = Mutex::new(());
-    let _one_at_a_time = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    cbtree_harness::run(cfg)
-}
+use cbtree_harness::{run, LiveConfig};
 
 /// The canonical protocol list; the recovery variants run with the
 /// default transaction size 1, where commits follow every operation.
@@ -57,6 +52,10 @@ fn four_thread_run_completes_for_every_protocol() {
         );
         assert!(report.final_height >= 1, "{}", protocol.name());
         assert!(report.final_len > 0, "{}", protocol.name());
+        // Nothing switched tracing on, so the run recorded no events
+        // and left the switch as it found it.
+        assert!(report.trace.is_empty(), "{}: untraced run", protocol.name());
+        assert!(!cbtree_obs::trace::enabled(), "{}", protocol.name());
     }
 }
 
@@ -225,6 +224,9 @@ fn live_rejects_bad_flag_values_with_exit_code_2() {
         ("--capacity", "1"),
         ("--capacity", "1000"),
         ("--mix", "0.3,x,0.5,0.2"),
+        ("--trace-buf", "1"),
+        ("--trace-buf", "16777217"),
+        ("--trace-buf", "18446744073709551615"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_live"))
             .args([flag, value])

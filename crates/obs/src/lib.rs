@@ -2,16 +2,14 @@
 //!
 //! Four pieces, all dependency-free:
 //!
-//! - [`trace`] — feature-gated, lock-free event tracing: each thread
-//!   appends compact binary events (latch request/grant/release with
-//!   level and node id, op begin/end, optimistic restarts, right-link
-//!   chases, split windows, transaction commit/spill) to its own
-//!   fixed-capacity [`ring::Ring`]; a coordinator drains all rings at
-//!   quiesce into one time-ordered [`Trace`]. With the `trace` cargo
-//!   feature off, every emit function is an inlined no-op, so the
-//!   instrumented hot paths in `cbtree-sync`/`cbtree-btree` cost
-//!   nothing; compiled in and switched off, CI holds the benchmark's
-//!   `sync.*_acq_ns` and `btree.get_ns` to the default build's.
+//! - [`trace`] — lock-free event tracing, switched on at run time:
+//!   each thread appends compact binary events (latch
+//!   request/grant/release with level and node id, op begin/end,
+//!   optimistic restarts, right-link chases, split windows, transaction
+//!   commit/spill) to its own fixed-capacity [`ring::Ring`]; a
+//!   coordinator drains all rings at quiesce into one time-ordered
+//!   [`Trace`]. Switched off, every emit function is one relaxed load
+//!   and an untaken branch to an outlined cold body.
 //! - [`replay`] — reconstructs per-level writer utilization ρ_w,
 //!   wait/hold means, latch-chain depth, and restart/chase/split rates
 //!   from a drained trace, closing the analysis/sim/live triangle with
@@ -21,7 +19,7 @@
 //!   rejection of NaN/Inf.
 //! - [`table`] — the aligned-table/CSV writer shared by every CLI;
 //!   report tables are projections of the JSON records a run writes.
-//! - [`metrics`] — the *always-on* (never feature-gated) continuous
+//! - [`metrics`] — the *always-on* (never switched off) continuous
 //!   metrics plane: relaxed-atomic counters/gauges and double-buffered
 //!   windowed log₂ histograms a sampler thread harvests into
 //!   per-window time-series records while workers keep recording.

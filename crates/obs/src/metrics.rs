@@ -3,9 +3,9 @@
 //! thread can harvest every few milliseconds while worker threads keep
 //! recording.
 //!
-//! Unlike [`crate::trace`], nothing here is feature-gated: this module
-//! is the live-monitoring surface (continuous time-series records, SLO
-//! burn detection), so it must be compiled into production builds. The
+//! Unlike [`crate::trace`], nothing here waits to be switched on: this
+//! module is the live-monitoring surface (continuous time-series
+//! records, SLO burn detection), so every run records into it. The
 //! cost budget is correspondingly strict — every recording operation is
 //! a handful of relaxed `fetch_add`s on caller-owned cache lines, and
 //! CI holds the benchmark's `obs.session_record_ns` (one record inside

@@ -1,6 +1,4 @@
-//! Cross-thread drain tests for the tracing facade (need the `trace`
-//! feature; the whole file is a no-op without it).
-#![cfg(feature = "trace")]
+//! Cross-thread drain tests for the tracing facade.
 
 use cbtree_obs::trace;
 use std::collections::HashMap;

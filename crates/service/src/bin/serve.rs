@@ -71,8 +71,10 @@ usage: serve [options]
                      shed no operations (CI guard)
   --json PATH        write the run as JSONL records: meta, one
                      serve_report per measurement, and (single-run mode,
-                     built with --features trace) the drained events
-  --trace-buf N      per-thread trace ring capacity (needs trace)
+                     with --trace-buf) the drained events
+  --trace-buf N      trace every latch, operation and queue event into a
+                     per-thread ring of N events, 2..=16777216
+                     (default: tracing off)
   -h, --help         print this help
 ";
 
@@ -375,6 +377,7 @@ fn main() {
 
     if let Some(n) = args.trace_buf {
         cbtree_obs::trace::set_default_ring_capacity(n);
+        cbtree_obs::trace::enable(true);
     }
 
     println!(

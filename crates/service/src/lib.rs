@@ -284,11 +284,11 @@ pub fn serve(cfg: &ServeConfig) -> ServeReport {
         cfg.lambda
     );
 
-    // With tracing compiled in, hold the process-wide trace lock for the
-    // whole measurement (rings are global; concurrent runs would
-    // interleave their events).
-    #[cfg(feature = "trace")]
-    let _trace_window = cbtree_obs::trace::measurement_window();
+    // Hold the process-wide trace lock for the whole measurement (rings
+    // are global; concurrent runs would interleave their events).
+    // Whether anything is emitted is the process's switch (`serve
+    // --trace-buf`), not the run's.
+    let _one_run_at_a_time = cbtree_obs::trace::measurement_lock();
 
     let router = cfg.router();
     let runtimes: Vec<ShardRuntime> = (0..cfg.shards)

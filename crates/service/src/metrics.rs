@@ -4,8 +4,8 @@
 //! loop that harvests them every `sample_interval` into timestamped
 //! [`TimeseriesPoint`]s and runs the SLO burn monitor.
 //!
-//! Unlike the `trace`-feature event rings, the registry is compiled
-//! into every build and recorded on every operation — warmup, measured
+//! Unlike the event rings, which record only once tracing is switched
+//! on, the registry is recorded on every operation — warmup, measured
 //! window, and drain alike. The sampler is the only windowing
 //! authority: rates are diffs of monotone counters between ticks, so a
 //! point is exact for its own window regardless of when recording

@@ -195,7 +195,8 @@ pub struct ServeReport {
     /// with both a `sample_interval` and an `slo_p99` budget.
     pub slo: Option<SloReport>,
     /// Events drained at the end of the run (enqueue/dequeue/shed plus
-    /// the shards' latch/op events). Empty unless built with `trace`.
+    /// the shards' latch/op events). Empty unless tracing is switched
+    /// on (`trace::enable`, `serve --trace-buf`).
     pub trace: Trace,
 }
 

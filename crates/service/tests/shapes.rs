@@ -8,9 +8,7 @@ use cbtree_obs::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
-/// Record `type` → the top-level field names its records carry. The
-/// trace records (`trace_info`, `trace_summary`, `event`) appear only
-/// with the `trace` feature and are the obs crate's shapes, not serve's.
+/// Record `type` → the top-level field names its records carry.
 fn shapes(path: &std::path::Path) -> BTreeMap<String, BTreeSet<String>> {
     let mut got: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for rec in cbtree_obs::read_jsonl(path).expect("readable JSONL") {
@@ -18,10 +16,8 @@ fn shapes(path: &std::path::Path) -> BTreeMap<String, BTreeSet<String>> {
             panic!("record is not an object: {rec:?}")
         };
         let ty = rec.get("type").and_then(Json::as_str).expect("typed");
-        if !matches!(ty, "trace_info" | "trace_summary" | "event") {
-            let names = fields.iter().map(|(k, _)| k.clone());
-            got.entry(ty.to_string()).or_default().extend(names);
-        }
+        let names = fields.iter().map(|(k, _)| k.clone());
+        got.entry(ty.to_string()).or_default().extend(names);
     }
     got
 }
@@ -40,11 +36,20 @@ fn serve_json_writes_the_same_records() {
                   completed_rate shed_rate queue_depth queue_depth_hwm rho_w_levels sojourn_n \
                   sojourn_p50_ns sojourn_p99_ns sojourn_max_ns mean_batch splits_per_s \
                   chases_per_s slo_burning shards";
-    let cases: [(&[&str], &[&str]); 2] = [
+    let info = "trace_info: type events dropped threads";
+    let summary = "trace_summary: type window_start_ns window_end_ns levels ops restarts \
+                   chases splits mean_split_ns txn_commits txn_spills peak_latch_chain \
+                   unmatched dropped enqueues dequeues sheds batches";
+    let event = "event: type ts thr k a lvl node";
+    let cases: [(&[&str], &[&str]); 3] = [
         (&["--lambda", "2000"], &[meta, report]),
         (
             &["--sweep", "1000,2000", "--sample-interval-ms", "20"],
             &[meta, report, window],
+        ),
+        (
+            &["--lambda", "2000", "--trace-buf", "4096"],
+            &[meta, report, info, summary, event],
         ),
     ];
     let out =

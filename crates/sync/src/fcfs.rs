@@ -84,6 +84,7 @@
 //! grant, so queueing is timed as wait and never also as hold.
 
 use crate::stats::{LockSink, LockStats, SamplePeriod};
+use cbtree_obs::EventKind;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -359,36 +360,19 @@ unsafe impl<T: ?Sized + Send> Send for Latch<T> {}
 unsafe impl<T: ?Sized + Send + Sync> Sync for Latch<T> {}
 
 impl<T: ?Sized> Latch<T> {
-    /// Emits one latch trace event for this lock. Compiled out (along
-    /// with the tag load and address cast) without the `trace` feature.
-    /// The `enabled` check runs before anything else: `emit` is a
-    /// function pointer, so the indirect call — and the tag load and
-    /// address cast feeding it — would otherwise be paid even while
-    /// tracing is off, which is exactly the cost CI bounds by holding a
-    /// trace-compiled build's `sync.*_acq_ns` to the default build's.
+    /// Emits one latch trace event for this lock. The `enabled` check
+    /// runs before anything else, so while tracing is off the tag load
+    /// and address cast feeding the event are not paid either.
     #[inline(always)]
-    fn trace_latch(&self, emit: fn(u16, bool, u64), exclusive: bool) {
-        #[cfg(feature = "trace")]
-        {
-            /// Outlined emission: keeps the traced-build hot path at one
-            /// load-and-branch so acquire/release stay small enough to
-            /// inline; everything else lives behind this cold call.
-            #[cold]
-            #[inline(never)]
-            fn emit_cold(emit: fn(u16, bool, u64), tag: u16, exclusive: bool, node: u64) {
-                emit(tag, exclusive, node);
-            }
-            if cbtree_obs::trace::enabled() {
-                emit_cold(
-                    emit,
-                    self.tag.load(Ordering::Relaxed),
-                    exclusive,
-                    self as *const Self as *const () as u64,
-                );
-            }
+    fn trace_latch(&self, kind: EventKind, exclusive: bool) {
+        if cbtree_obs::trace::enabled() {
+            cbtree_obs::trace::latch(
+                kind,
+                self.tag.load(Ordering::Relaxed),
+                exclusive,
+                self as *const Self as *const () as u64,
+            );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (emit, exclusive);
     }
 
     /// Acquires in the given mode and reports the grant to `sink`.
@@ -406,13 +390,13 @@ impl<T: ?Sized> Latch<T> {
         } else {
             crate::inject::Site::AcquireShared
         });
-        self.trace_latch(cbtree_obs::trace::latch_request, exclusive);
+        self.trace_latch(EventKind::LatchRequest, exclusive);
         let queued = if self.raw.try_acquire_fast(exclusive) {
             None
         } else {
             self.raw.acquire_slow(exclusive)
         };
-        self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
+        self.trace_latch(EventKind::LatchGrant, exclusive);
         // Read under the latch: an owner that retags does so inside an
         // exclusive section, so the tag is the one this grant sees.
         let tag = self.tag.load(Ordering::Relaxed);
@@ -439,8 +423,8 @@ impl<T: ?Sized> Latch<T> {
             return None;
         }
         // Successful probe: request and grant coincide (zero wait).
-        self.trace_latch(cbtree_obs::trace::latch_request, exclusive);
-        self.trace_latch(cbtree_obs::trace::latch_grant, exclusive);
+        self.trace_latch(EventKind::LatchRequest, exclusive);
+        self.trace_latch(EventKind::LatchGrant, exclusive);
         let tag = self.tag.load(Ordering::Relaxed);
         Some((tag, sink.granted(tag, exclusive, None).then(Instant::now)))
     }
@@ -471,7 +455,7 @@ impl<T: ?Sized> Latch<T> {
     fn release(&self, exclusive: bool) {
         // Emit before the release itself so the hold window closes while
         // the latch is still held.
-        self.trace_latch(cbtree_obs::trace::latch_release, exclusive);
+        self.trace_latch(EventKind::LatchRelease, exclusive);
         self.raw.release(exclusive);
         crate::inject::perturb(crate::inject::Site::Release);
     }

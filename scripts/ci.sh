@@ -15,10 +15,10 @@ tracked_state() { git diff HEAD | cksum; }
 tracked_before=$(tracked_state)
 
 # Whether two busy threads get two cores right now. Guards that compare
-# a two-thread number with a one-thread one, or two builds' nanosecond
-# prices, mean nothing while the host runs both threads on one core
-# (this VM does, for tens of seconds at a time): they call this first
-# and print the reason it echoes instead of a verdict.
+# a two-thread number with a one-thread one, or bound nanosecond prices,
+# mean nothing while the host runs both threads on one core (this VM
+# does, for tens of seconds at a time): they call this first and print
+# the reason it echoes instead of a verdict.
 AA_MAX_GAP=0.25
 host_gives_two_cores() {
     [[ $(nproc) -ge 2 ]] || { echo "nproc is $(nproc)"; return 1; }
@@ -77,8 +77,8 @@ for csv in results/*.csv; do
 done
 
 echo "==> scaling guard: two threads on one b-link tree beat 1.3x one thread"
-# Insert = delete on a tree too big for the cache, straight after the
-# plain release build (a later step rebuilds `live` with tracing on).
+# Insert = delete on a tree too big for the cache, untraced (no
+# --trace-buf), so the runs pay only the switched-off emit checks.
 # It catches tree-wide state every operation writes (an arena reference
 # count, an unstriped counter): two threads then run no faster than one
 # (0.9-1.0x). Measured ratios: EXPERIMENTS.md "Slots sized by capacity".
@@ -122,9 +122,6 @@ cargo test -p cbtree-btree --features inject --test differential -q
 # here (cargo rejects -p PKG --features F when PKG itself lacks F).
 cargo test -p cbtree-check --test e2e -q
 
-echo "==> cargo test (trace feature: event tracing compiled in)"
-cargo test --workspace --features trace -q
-
 echo "==> correctness pillar: quick stress sweep (4 protocols x 16 seeds)"
 cargo run --release -p cbtree-check --bin stress -- --quick
 
@@ -135,8 +132,6 @@ echo "==> correctness pillar: injected-bug demo (checker must convict)"
 cargo run --release -p cbtree-check --bin stress -- --demo-bug
 
 echo "==> observability pillar: traced live runs + cbtree-trace smoke"
-cargo build --release --features trace -p cbtree-harness --bin live \
-    -p cbtree-bench --bin cbtree-trace
 for proto in coupling blink olc; do
     target/release/live --algo "$proto" --threads 4 --items 20000 \
         --capacity 16 --warmup-ms 50 --measure-ms 120 \
@@ -192,13 +187,10 @@ awk -v max="$CHURN_BYTES_PER_KEY_MAX" '
         exit verdict == "FAIL"
     }' "$out/bench-quick.txt"
 
-echo "==> measurement overhead: the metrics session, exact lock statistics and compiled-in, switched-off tracing"
-# Priced by the benchmark's own per-layer metrics on two builds of it:
-# the one the step above made, and one with every crate's `trace`
-# feature on (emission compiled in, never enabled). Each build runs
-# twice, alternating; a price is the lower of its two runs (the host
-# only ever adds time) and the distance between the default build's two
-# runs is that price's A/A gap.
+echo "==> measurement overhead: the metrics session and exact lock statistics"
+# Priced by the benchmark's own per-layer metrics on the build the step
+# above made, run twice; a price is the lower of its two runs (the host
+# only ever adds time).
 SESSION_RECORD_MAX_NS=20 # obs.session_record_ns measures 6.0-8.8 ns
 # Exact minus 1-in-64 sampled lock statistics on a tree-churn get: one
 # clock reading per latch step plus one, and the hold bookkeeping. Since
@@ -207,22 +199,15 @@ SESSION_RECORD_MAX_NS=20 # obs.session_record_ns measures 6.0-8.8 ns
 # EXPERIMENTS.md "Protocol vocabulary"); the bound is that maximum plus
 # a third.
 STATS_EXACT_DELTA_MAX_NS=600
-TRACE_OFF_MIN_SLACK=0.10 # over the default build, or twice the A/A gap
 if reason=$(host_gives_two_cores); then
-    bench_target=${CARGO_TARGET_DIR:-benchmark/target}
-    CARGO_TARGET_DIR=$bench_target/trace-compiled cargo build --release --offline --quiet \
-        --manifest-path benchmark/Cargo.toml --features \
-        cbtree-sync/trace,cbtree-btree/trace,cbtree-obs/trace,cbtree-harness/trace,cbtree-serve/trace
-    prices() { "$1/release/cbtree-benchmark" --workload tree-churn --trace 1 --quick; }
     for i in 1 2; do
-        prices "$bench_target" > "$out/prices-default-$i.txt"
-        prices "$bench_target/trace-compiled" > "$out/prices-trace-compiled-$i.txt"
+        "${CARGO_TARGET_DIR:-benchmark/target}/release/cbtree-benchmark" \
+            --workload tree-churn --trace 1 --quick > "$out/prices-$i.txt"
     done
-    awk -v session_max="$SESSION_RECORD_MAX_NS" -v delta_max="$STATS_EXACT_DELTA_MAX_NS" \
-        -v min_slack="$TRACE_OFF_MIN_SLACK" -v max_gap="$AA_MAX_GAP" '
+    awk -v session_max="$SESSION_RECORD_MAX_NS" -v delta_max="$STATS_EXACT_DELTA_MAX_NS" '
         function min(a, b) { return a < b ? a : b }
         FNR == 1 { run++ }
-        $1 ~ /^(sync|obs|btree)\./ { price[run, $1] = $2 }
+        $1 ~ /^(sync|obs)\./ { price[run, $1] = $2 }
         END {
             m = "obs.session_record_ns"
             ns = min(price[1, m], price[2, m])
@@ -233,27 +218,8 @@ if reason=$(host_gives_two_cores); then
             ns = min(price[1, m], price[2, m])
             verdict = (1, m) in price && (2, m) in price && ns <= delta_max ? "ok" : "FAIL"
             printf "    %-22s %.0f ns (max %d ns): %s\n", m, ns, delta_max, verdict
-            failed = failed || verdict == "FAIL"
-            split("sync.read_acq_ns sync.write_acq_ns btree.get_ns", metrics, " ")
-            for (i = 1; i in metrics; i++) {
-                m = metrics[i]
-                plain = min(price[1, m], price[2, m])
-                compiled = min(price[3, m], price[4, m])
-                if (!(plain > 0 && compiled > 0)) {
-                    printf "    %-22s missing from a run: FAIL\n", m
-                    failed = 1
-                    continue
-                }
-                gap = (price[1, m] + price[2, m]) / plain - 2
-                printf "    %-22s default %.0f ns (A/A gap %.0f%%), trace-compiled %.0f ns: ", m, plain, 100 * gap, compiled
-                if (gap > max_gap) { printf "skipped: A/A gap over %.0f%%\n", 100 * max_gap; continue }
-                slack = 2 * gap > min_slack ? 2 * gap : min_slack
-                verdict = compiled <= plain * (1 + slack) ? "ok" : "FAIL"
-                printf "%.2fx (max %.2fx): %s\n", compiled / plain, 1 + slack, verdict
-                failed = failed || verdict == "FAIL"
-            }
-            exit failed
-        }' "$out"/prices-default-{1,2}.txt "$out"/prices-trace-compiled-{1,2}.txt
+            exit failed || verdict == "FAIL"
+        }' "$out"/prices-{1,2}.txt
 else
     echo "    skipped: $reason"
 fi
