@@ -79,12 +79,11 @@
 
 use crate::counters::{StripeSink, MAX_LEVELS};
 use crate::node::{Node, NodeT};
-use cbtree_sync::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard};
+use cbtree_sync::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard, Stamp};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// Hard upper bound on a tree's node capacity (max keys per node): the
 /// largest capacity class. Real configurations use 4–64.
@@ -570,7 +569,7 @@ impl<'a, V> NodeRef<'a, V> {
     /// [`FcfsRwLock::read_after`](cbtree_sync::FcfsRwLock::read_after).
     pub(crate) fn read_guard_after(
         &self,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
         sink: Sink<'a>,
     ) -> ReadGuard<'a, V> {
         ReadGuard {
@@ -582,7 +581,7 @@ impl<'a, V> NodeRef<'a, V> {
     /// Blocking exclusive latch, as [`NodeRef::read_guard_after`].
     pub(crate) fn write_guard_after(
         &self,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
         sink: Sink<'a>,
     ) -> WriteGuard<'a, V> {
         WriteGuard {
@@ -636,22 +635,22 @@ macro_rules! impl_arena_guard {
             }
 
             /// Releases the latch, ending a timed hold at `end` when
-            /// given and at a fresh clock reading otherwise; returns the
-            /// instant the hold ended, for the next acquisition to carry
+            /// given and at a fresh stamp otherwise; returns the stamp
+            /// that ended the hold, for the next acquisition to carry
             /// (see [`RwLockReadGuard::release`]).
-            pub fn release(self, end: Option<Instant>) -> Option<Instant> {
+            pub fn release(self, end: Option<Stamp>) -> Option<Stamp> {
                 $latch_guard::release(self.guard, end)
             }
 
             /// When this hold's timing started (`None` when untimed).
-            pub fn hold_start(&self) -> Option<Instant> {
+            pub fn hold_start(&self) -> Option<Stamp> {
                 $latch_guard::hold_start(&self.guard)
             }
 
             /// A crab step: `next`, granted while this latch is still
             /// held, becomes the held guard, and this latch releases with
-            /// its hold ending at `next`'s grant (one clock reading for
-            /// the step).
+            /// its hold ending at `next`'s grant (one stamp for the
+            /// step).
             pub fn crab_to(&mut self, next: Self) {
                 let prev = std::mem::replace(self, next);
                 prev.release(self.hold_start());

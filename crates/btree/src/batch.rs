@@ -75,13 +75,33 @@ pub struct BatchOutcome<V> {
     pub summary: BatchSummary,
 }
 
-impl<V> BatchOutcome<V> {
-    /// An empty outcome (the empty batch).
-    pub fn empty() -> Self {
-        BatchOutcome {
+/// A batch's working memory, for a caller that executes many batches
+/// through [`ConcurrentBTree::execute_batch_in`](crate::ConcurrentBTree::execute_batch_in)
+/// (the service's worker): kept across batches, it makes a batch
+/// allocate nothing.
+#[derive(Debug)]
+pub struct BatchScratch<V> {
+    /// The batch's operations with their submission indices, sorted by
+    /// key at execution.
+    pub(crate) sorted: Vec<(u32, BatchOp<V>)>,
+    /// Per-operation results of the last batch, in submission order.
+    pub(crate) results: Vec<Option<V>>,
+}
+
+impl<V> Default for BatchScratch<V> {
+    fn default() -> Self {
+        BatchScratch {
+            sorted: Vec::new(),
             results: Vec::new(),
-            summary: BatchSummary::default(),
         }
+    }
+}
+
+impl<V> BatchScratch<V> {
+    /// The last batch's results: `results()[i]` is operation `i`'s, in
+    /// submission order, as in [`BatchOutcome::results`].
+    pub fn results(&self) -> &[Option<V>] {
+        &self.results
     }
 }
 

@@ -14,7 +14,7 @@
 //! sums sit beside them in the same stripe row and whose waits, written
 //! only by requests that queued, are kept once per level.
 
-use cbtree_sync::{Histogram, LockSink, LockStatsSnapshot, SamplePeriod};
+use cbtree_sync::{Histogram, LockSink, LockStatsSnapshot, SamplePeriod, Stamp};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Per-level counter arrays cover levels `1..=MAX_LEVELS`; anything
@@ -28,11 +28,12 @@ const STRIPES: usize = 16;
 
 /// One level's latch traffic in one stripe, indexed by mode (0 = shared,
 /// 1 = exclusive): the acquisitions granted, and the sampled hold sums
-/// (each sample scaled by the sampling period).
+/// in [`Stamp`] ticks (each sample scaled by the sampling period),
+/// converted to ns at snapshot.
 #[derive(Debug, Default)]
 struct LevelRow {
     acq: [AtomicU64; 2],
-    hold_ns: [AtomicU64; 2],
+    hold_ticks: [AtomicU64; 2],
 }
 
 /// One level's queueing, by mode: written only by requests that queued
@@ -310,7 +311,7 @@ impl OpCounters {
                 let a = row.acq[m].load(Ordering::Relaxed);
                 acq[m] += a;
                 sampled[m] += (a + mask) >> self.sample_shift;
-                hold[m] += row.hold_ns[m].load(Ordering::Relaxed);
+                hold[m] += row.hold_ticks[m].load(Ordering::Relaxed);
             }
         }
         for (h, n) in hist.iter_mut().zip(sampled) {
@@ -325,8 +326,8 @@ impl OpCounters {
             w_contended: contended[1],
             r_wait_ns: wait_ns[0],
             w_wait_ns: wait_ns[1],
-            r_hold_ns: hold[0],
-            w_hold_ns: hold[1],
+            r_hold_ns: Stamp::ticks_to_ns(hold[0]),
+            w_hold_ns: Stamp::ticks_to_ns(hold[1]),
             r_wait_hist: hist[0],
             w_wait_hist: hist[1],
         }
@@ -357,10 +358,10 @@ impl LockSink for StripeSink<'_> {
     }
 
     #[inline]
-    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
+    fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64) {
         let row = &self.stripe.levels[level_index(usize::from(tag))];
-        row.hold_ns[usize::from(exclusive)]
-            .fetch_add(hold_ns << self.counters.sample_shift, Ordering::Relaxed);
+        row.hold_ticks[usize::from(exclusive)]
+            .fetch_add(hold_ticks << self.counters.sample_shift, Ordering::Relaxed);
     }
 }
 

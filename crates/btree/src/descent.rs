@@ -69,18 +69,19 @@
 //! bookkeeping.
 
 use crate::arena::{Arena, InlineVec, NodeId, NodeRef, Sink, MAX_CAP};
-use crate::batch::{BatchOp, BatchOutcome, BatchSummary};
+use crate::batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, make_root, split_node, Node};
 use crate::olc::OlcValue;
 use cbtree_btree_model::{Protocol, RecoveryMode};
-use cbtree_sync::{LockSink, LockStatsSnapshot, RwLockWriteGuard, SamplePeriod, UnownedWriteGuard};
+use cbtree_sync::{
+    LockSink, LockStatsSnapshot, RwLockWriteGuard, SamplePeriod, Stamp, UnownedWriteGuard,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::{self, ThreadId};
-use std::time::Instant;
 
 pub(crate) use crate::arena::{ReadGuard, WriteGuard};
 
@@ -91,7 +92,7 @@ type AscentHints = InlineVec<NodeId, MAX_LEVELS>;
 
 /// A transaction-retained exclusive latch, with its hold still open when
 /// timed: `(level tag, start)`, reported when the latch is released.
-type Retained<V> = (UnownedWriteGuard<Node<V>>, Option<(u16, Instant)>);
+type Retained<V> = (UnownedWriteGuard<Node<V>>, Option<(u16, Stamp)>);
 
 /// How a protocol latches on the way down for read-only operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,14 +377,13 @@ impl<V> ConcurrentBTree<V> {
     }
 
     /// Releases retained latches, reporting each timed hold at the level
-    /// it was granted at (one clock reading ends them all).
+    /// it was granted at (one stamp ends them all).
     fn release_retained(&self, retained: Vec<Retained<V>>) {
         let (sink, mut end) = (self.counters.sink(), None);
         for (latch, open) in retained {
             if let Some((tag, t0)) = open {
-                let t1: Instant = *end.get_or_insert_with(Instant::now);
-                let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
-                sink.released(tag, true, hold);
+                let t1 = *end.get_or_insert_with(Stamp::now);
+                sink.released(tag, true, t1.ticks_since(t0));
             }
             drop(latch);
         }
@@ -448,11 +448,11 @@ impl<V> ConcurrentBTree<V> {
     // Latch acquisition (counted; optionally non-blocking).
     //
     // Every counted acquisition reports to `self.counters`, at the level
-    // the node's lock is tagged with. Every descent pays one clock reading
-    // per latch step (exact lock statistics): a link step releases and
-    // then acquires carrying the release's stamp, a crab step ends the
-    // parent's hold at the child's grant (`crab_to`). See `cbtree_sync`'s
-    // hand-over docs.
+    // the node's lock is tagged with. Every descent pays one stamp (a
+    // time-stamp-counter read) per latch step (exact lock statistics): a
+    // link step releases and then acquires carrying the release's stamp,
+    // a crab step ends the parent's hold at the child's grant
+    // (`crab_to`). See `cbtree_sync`'s hand-over docs.
     // ------------------------------------------------------------------
 
     /// The sink counted acquisitions report to.
@@ -461,14 +461,10 @@ impl<V> ConcurrentBTree<V> {
         Some(self.counters.sink())
     }
 
-    /// Blocking shared latch on `node`. `carried` is the instant the
-    /// caller released its previous latch when it holds none now (a link
-    /// step); crab steps pass `None`.
-    fn latch_read<'a>(
-        &'a self,
-        node: NodeRef<'a, V>,
-        carried: Option<Instant>,
-    ) -> ReadGuard<'a, V> {
+    /// Blocking shared latch on `node`. `carried` is the stamp that ended
+    /// the caller's previous latch when it holds none now (a link step);
+    /// crab steps pass `None`.
+    fn latch_read<'a>(&'a self, node: NodeRef<'a, V>, carried: Option<Stamp>) -> ReadGuard<'a, V> {
         node.read_guard_after(carried, self.sink())
     }
 
@@ -476,7 +472,7 @@ impl<V> ConcurrentBTree<V> {
     fn latch_write<'a>(
         &'a self,
         node: NodeRef<'a, V>,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
     ) -> WriteGuard<'a, V> {
         node.write_guard_after(carried, self.sink())
     }
@@ -719,7 +715,7 @@ impl<V> ConcurrentBTree<V> {
     /// chases right (or, for a recycled slot, restarts) as it would on
     /// any hop of the leaf chain. A lone leaf root is latched here only
     /// to learn that it is one.
-    fn crab_leaf_candidate(&self, key: u64) -> (NodeRef<'_, V>, Option<Instant>) {
+    fn crab_leaf_candidate(&self, key: u64) -> (NodeRef<'_, V>, Option<Stamp>) {
         let mut guard = self.lock_root_read(false).expect("blocking");
         while guard.level > 2 {
             let child = self.latch_read(guard.at(guard.child_for(key)), None);
@@ -1035,7 +1031,7 @@ impl<V> ConcurrentBTree<V> {
         key: u64,
         level: usize,
         mut stack: Option<&mut AscentHints>,
-    ) -> (NodeRef<'_, V>, Option<Instant>) {
+    ) -> (NodeRef<'_, V>, Option<Stamp>) {
         'restart: loop {
             let mut cur = self.root_ref();
             let mut carried = None;
@@ -1079,7 +1075,7 @@ impl<V> ConcurrentBTree<V> {
         &'a self,
         start: NodeRef<'a, V>,
         key: u64,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
     ) -> WriteGuard<'a, V> {
         let mut cur = start;
         let mut guard = self.latch_write(cur, carried);
@@ -1378,23 +1374,40 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// and pays a fresh descent. Inserts that would overflow the leaf
     /// fall back to the protocol's native insert path, holding nothing
     /// across the call, so split correctness stays in one place.
-    pub fn execute_batch(&self, ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
-        use cbtree_obs::{opcode, trace};
-        if ops.is_empty() {
-            return BatchOutcome::empty();
+    pub fn execute_batch(&self, mut ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
+        let mut scratch = BatchScratch::default();
+        let summary = self.execute_batch_in(&mut ops, &mut scratch);
+        BatchOutcome {
+            results: scratch.results,
+            summary,
         }
+    }
+
+    /// [`Self::execute_batch`] in a caller's working memory: drains
+    /// `ops`, leaves their results in `scratch` (see
+    /// [`BatchScratch::results`]) and returns the accounting. A caller
+    /// that keeps `ops` and `scratch` across batches allocates nothing
+    /// per batch.
+    pub fn execute_batch_in(
+        &self,
+        ops: &mut Vec<BatchOp<V>>,
+        scratch: &mut BatchScratch<V>,
+    ) -> BatchSummary {
+        use cbtree_obs::{opcode, trace};
+        let BatchScratch { sorted, results } = scratch;
         let mut summary = BatchSummary {
             ops: ops.len() as u64,
             ..BatchSummary::default()
         };
-        let mut order: Vec<u32> = (0..ops.len() as u32).collect();
-        order.sort_by_key(|&i| ops[i as usize].key()); // stable sort
-        let mut slots: Vec<Option<BatchOp<V>>> = ops.into_iter().map(Some).collect();
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(slots.len(), || None);
+        results.clear();
+        results.resize_with(ops.len(), || None);
+        sorted.clear();
+        sorted.extend(ops.drain(..).enumerate().map(|(i, op)| (i as u32, op)));
+        // By key, then submission order: a stable sort that never
+        // allocates.
+        sorted.sort_unstable_by_key(|(i, op)| (op.key(), *i));
         let mut held: Option<WriteGuard<'_, V>> = None;
-        for i in order {
-            let op = slots[i as usize].take().expect("each op executes once");
+        for (i, op) in sorted.drain(..) {
             let key = op.key();
             let leaf = match held.take() {
                 Some(g) if g.covers(key) => {
@@ -1480,7 +1493,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
             }
         }
         drop(held);
-        BatchOutcome { results, summary }
+        summary
     }
 
     /// Ascending range scan over `[lo, hi)` via the leaf chain, one
@@ -1645,7 +1658,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// unlatched, found the protocol's way, with the stamp of the last
     /// latch released on the way there.
     #[allow(unsafe_code)]
-    fn range_start(&self, key: u64) -> (NodeRef<'_, V>, Option<Instant>) {
+    fn range_start(&self, key: u64) -> (NodeRef<'_, V>, Option<Stamp>) {
         match self.policy().read {
             ReadPolicy::Crab | ReadPolicy::RetainAll => self.crab_leaf_candidate(key),
             ReadPolicy::Link => self.link_descend(key, 1, None),

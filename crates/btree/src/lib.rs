@@ -79,7 +79,7 @@ pub mod node;
 pub mod olc;
 
 pub use arena::{Arena, NodeId, NodeRef};
-pub use batch::{BatchOp, BatchOutcome, BatchSummary};
+pub use batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 pub use cbtree_btree_model::Protocol;
 pub use counters::OpCountersSnapshot;
 pub use descent::ConcurrentBTree;

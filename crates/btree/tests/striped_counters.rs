@@ -468,6 +468,36 @@ fn contended_grant_starts_its_hold_at_the_grant() {
     );
 }
 
+#[test]
+fn single_thread_holds_fit_in_the_wall_time() {
+    // One thread of B-link lookups holds one latch at a time, handed
+    // over from level to level, so the holds of all levels never overlap
+    // and their sum is bounded by the run's wall time by `Instant`. Most
+    // of a lookup is spent under a latch, so a doubled or otherwise wrong
+    // tick → ns scale pushes the sum past that bound.
+    let tree = ConcurrentBTree::new(Protocol::BLink, 16);
+    for k in 0..20_000u64 {
+        tree.insert(k, k);
+    }
+    let before = tree.level_stats();
+    let t0 = Instant::now();
+    for k in 0..100_000u64 {
+        std::hint::black_box(tree.get(&(k * 7_919 % 20_000)));
+    }
+    let wall = t0.elapsed().as_nanos() as u64;
+    let held: u64 = tree
+        .level_stats()
+        .iter()
+        .zip(&before)
+        .map(|((_, after), (_, before))| {
+            let d = after.since(before);
+            d.r_hold_ns + d.w_hold_ns
+        })
+        .sum();
+    assert!(held > 0, "every lookup is timed");
+    assert!(held <= wall, "{held} ns held in {wall} ns of wall time");
+}
+
 /// One line of exact counts: `ops`, the per-level latch counts (leaves
 /// first, trimmed above the root), then the event totals, the height
 /// and the slots the arena handed out.

@@ -4,7 +4,7 @@
 
 use crate::metrics::ShardMetrics;
 use crate::queue::{IngressQueue, QueuedOp, Shed};
-use cbtree_btree::{BatchOp, BatchSummary, ConcurrentBTree};
+use cbtree_btree::{BatchOp, BatchScratch, BatchSummary, ConcurrentBTree};
 use cbtree_obs::event::shed as shed_reason;
 use cbtree_obs::trace;
 use cbtree_sync::Histogram;
@@ -85,7 +85,11 @@ pub(crate) fn worker_loop(
     batch_max: usize,
 ) -> WorkerLocal {
     let mut local = WorkerLocal::default();
+    // The worker's batch memory, reused by every batch: draining,
+    // executing and reporting a batch allocate nothing.
     let mut drained: Vec<QueuedOp> = Vec::with_capacity(batch_max);
+    let mut ops: Vec<BatchOp<u64>> = Vec::with_capacity(batch_max);
+    let mut scratch = BatchScratch::default();
     loop {
         drained.clear();
         if queue.pop_batch(batch_max, &mut drained) == 0 {
@@ -113,21 +117,18 @@ pub(crate) fn worker_loop(
             continue;
         }
         let k = drained.len();
-        let ops: Vec<BatchOp<u64>> = drained
-            .iter()
-            .map(|q| match q.op {
-                Operation::Search(key) => BatchOp::Get(key),
-                Operation::Insert(key) => BatchOp::Insert(key, key),
-                Operation::Delete(key) => BatchOp::Remove(key),
-            })
-            .collect();
+        ops.extend(drained.iter().map(|q| match q.op {
+            Operation::Search(key) => BatchOp::Get(key),
+            Operation::Insert(key) => BatchOp::Insert(key, key),
+            Operation::Delete(key) => BatchOp::Remove(key),
+        }));
         trace::batch_begin(shard, k);
         let t0 = Instant::now();
-        let outcome = tree.execute_batch(ops);
-        std::hint::black_box(&outcome.results);
+        let summary = tree.execute_batch_in(&mut ops, &mut scratch);
+        std::hint::black_box(scratch.results());
         if !service_floor.is_zero() {
             let floor_total = service_floor
-                .checked_mul(u32::try_from(outcome.summary.descents).unwrap_or(u32::MAX))
+                .checked_mul(u32::try_from(summary.descents).unwrap_or(u32::MAX))
                 .unwrap_or(Duration::MAX);
             if let Some(pad) = floor_total.checked_sub(t0.elapsed()) {
                 if !pad.is_zero() {
@@ -140,7 +141,7 @@ pub(crate) fn worker_loop(
         // service sums to sojourn exactly (up to integer division).
         let done = Instant::now();
         let service = done - t0;
-        trace::batch_end(shard, k, outcome.summary.leaf_reuses);
+        trace::batch_end(shard, k, summary.leaf_reuses);
         // The continuous metrics plane counts every batch and op —
         // warmup and drain included — so the sampler's windows describe
         // the service as it actually ran, not just the measured slice.
@@ -151,7 +152,7 @@ pub(crate) fn worker_loop(
         // batches don't pollute the service moments.
         if drained.iter().any(|q| q.measured) {
             local.batches += 1;
-            local.batch_summary.merge(&outcome.summary);
+            local.batch_summary.merge(&summary);
             if local.batch_sizes.len() <= k {
                 local.batch_sizes.resize(k + 1, (0, 0.0, 0.0));
             }

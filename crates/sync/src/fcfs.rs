@@ -22,7 +22,7 @@
 //!
 //! While `QUEUED` is clear (nobody is waiting), shared and exclusive
 //! acquire *and* release are each a single CAS on this word — no mutex,
-//! no syscall, no `Instant` reading unless the acquisition is sampled for
+//! no syscall, no clock reading unless the acquisition is sampled for
 //! timing (and with a hand-over, not even then; see below). The moment
 //! any request has to wait, it sets `QUEUED` (under the queue mutex) and
 //! every subsequent acquire/release detours through the original
@@ -65,24 +65,28 @@
 //! [`LockStats`] times one in N acquisitions (see [`SamplePeriod`]):
 //! acquisition *counts* stay exact, and sampled durations are scaled by N
 //! so the sums behind `writer_utilization` and the mean-wait estimators
-//! stay unbiased. A request that queues always times its wait (it is
-//! about to block, so two clock readings are noise); the sink keeps the
-//! wait only when it samples the grant.
+//! stay unbiased. A request that queues always times its wait in
+//! nanoseconds (it is about to block, so two clock readings are noise);
+//! the sink keeps the wait only when it samples the grant.
 //!
-//! # Hand-over: one clock reading per latch step
+//! # Hand-over: one stamp per latch step
 //!
-//! A descent that moves from latch to latch need not read the clock
-//! twice per latch. Releasing through [`RwLockReadGuard::release`]
-//! returns the reading that ended the hold, and an acquisition through
-//! [`FcfsRwLock::read_after`] carries it as the next hold's start (link
-//! order: release, then acquire). In crab order (child granted before
-//! the parent releases) the child's grant reading, its
-//! [`RwLockReadGuard::hold_start`], is passed to the parent's `release`
-//! as its end. Either way a chain of `k` latches reads the clock `k + 1`
-//! times, and its hold sums telescope to the chain's last release minus
-//! its first grant. A contended grant still reads the clock at the
-//! grant, so queueing is timed as wait and never also as hold.
+//! Holds are timed with [`Stamp`]s — raw time-stamp-counter readings,
+//! reported to the sink in ticks (see [`crate::Stamp`] for the clock and
+//! its precision). A descent that moves from latch to latch need not
+//! read the clock twice per latch. Releasing through
+//! [`RwLockReadGuard::release`] returns the stamp that ended the hold,
+//! and an acquisition through [`FcfsRwLock::read_after`] carries it as
+//! the next hold's start (link order: release, then acquire). In crab
+//! order (child granted before the parent releases) the child's grant
+//! stamp, its [`RwLockReadGuard::hold_start`], is passed to the parent's
+//! `release` as its end. Either way a chain of `k` latches reads the
+//! clock `k + 1` times, and its hold ticks telescope to the chain's last
+//! release minus its first grant. A contended grant still reads the
+//! clock at the grant: that stamp ends the wait and starts the hold, so
+//! queueing is timed as wait and never also as hold.
 
+use crate::stamp::Stamp;
 use crate::stats::{LockSink, LockStats, SamplePeriod};
 use cbtree_obs::EventKind;
 use std::cell::UnsafeCell;
@@ -93,7 +97,6 @@ use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// Packed-word bit assignments.
 const WRITER: u64 = 1 << 63;
@@ -140,8 +143,8 @@ struct State {
 struct Queued {
     /// Nanoseconds spent queued.
     wait_ns: u64,
-    /// The clock reading that ended the wait: the grant.
-    granted: Instant,
+    /// The stamp that ended the wait: the grant.
+    granted: Stamp,
 }
 
 /// The raw (untyped) FCFS lock: queue discipline only, no data.
@@ -216,7 +219,7 @@ impl RawFcfs {
         let id = st.next_id;
         st.next_id += 1;
         st.queue.push_back((id, exclusive));
-        let enqueued_at = Instant::now();
+        let enqueued_at = Stamp::now();
         loop {
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             if let Some(pos) = st.granted.iter().position(|&g| g == id) {
@@ -225,9 +228,9 @@ impl RawFcfs {
             }
         }
         drop(st);
-        let granted = Instant::now();
+        let granted = Stamp::now();
         Some(Queued {
-            wait_ns: (granted - enqueued_at).as_nanos() as u64,
+            wait_ns: granted.ns_since(enqueued_at),
             granted,
         })
     }
@@ -377,14 +380,14 @@ impl<T: ?Sized> Latch<T> {
 
     /// Acquires in the given mode and reports the grant to `sink`.
     /// Returns the lock's tag at the grant and, when the sink times this
-    /// hold, its start: `carried` (no clock read) or a fresh reading for
+    /// hold, its start: `carried` (no clock read) or a fresh stamp for
     /// an uncontended grant, the grant itself for a queued one.
     fn start<K: LockSink>(
         &self,
         sink: &K,
         exclusive: bool,
-        carried: Option<Instant>,
-    ) -> (u16, Option<Instant>) {
+        carried: Option<Stamp>,
+    ) -> (u16, Option<Stamp>) {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
@@ -403,7 +406,7 @@ impl<T: ?Sized> Latch<T> {
         let timed = sink.granted(tag, exclusive, queued.as_ref().map(|q| q.wait_ns));
         let start = timed.then(|| match queued {
             Some(q) => q.granted,
-            None => carried.unwrap_or_else(Instant::now),
+            None => carried.unwrap_or_else(Stamp::now),
         });
         (tag, start)
     }
@@ -413,7 +416,7 @@ impl<T: ?Sized> Latch<T> {
     /// incompatible *or* any waiter is queued, and never joins the queue
     /// itself. Only a success is reported, so failed probes do not skew
     /// acquire counts or sampling.
-    fn try_start<K: LockSink>(&self, sink: &K, exclusive: bool) -> Option<(u16, Option<Instant>)> {
+    fn try_start<K: LockSink>(&self, sink: &K, exclusive: bool) -> Option<(u16, Option<Stamp>)> {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
@@ -426,25 +429,24 @@ impl<T: ?Sized> Latch<T> {
         self.trace_latch(EventKind::LatchRequest, exclusive);
         self.trace_latch(EventKind::LatchGrant, exclusive);
         let tag = self.tag.load(Ordering::Relaxed);
-        Some((tag, sink.granted(tag, exclusive, None).then(Instant::now)))
+        Some((tag, sink.granted(tag, exclusive, None).then(Stamp::now)))
     }
 
     /// Ends a hold: a timed one is reported to `sink`, ending at `end`
-    /// when given (no clock read) and at a fresh reading otherwise; then
-    /// releases. Returns the instant the hold ended (`None` when it was
+    /// when given (no clock read) and at a fresh stamp otherwise; then
+    /// releases. Returns the stamp that ended the hold (`None` when it was
     /// not timed).
     fn finish<K: LockSink>(
         &self,
         sink: &K,
         tag: u16,
         exclusive: bool,
-        hold_start: Option<Instant>,
-        end: Option<Instant>,
-    ) -> Option<Instant> {
+        hold_start: Option<Stamp>,
+        end: Option<Stamp>,
+    ) -> Option<Stamp> {
         let end = hold_start.map(|t0| {
-            let t1 = end.unwrap_or_else(Instant::now);
-            let hold = t1.saturating_duration_since(t0).as_nanos() as u64;
-            sink.released(tag, exclusive, hold);
+            let t1 = end.unwrap_or_else(Stamp::now);
+            sink.released(tag, exclusive, t1.ticks_since(t0));
             t1
         });
         self.release(exclusive);
@@ -504,6 +506,9 @@ impl<T, S> FcfsRwLock<T, S> {
     /// built with `()` records nothing itself: its owner passes a sink to
     /// each acquisition ([`FcfsRwLock::read_to`] and friends).
     pub fn with_sink(value: T, sink: S) -> Self {
+        // A queued grant converts its wait to ns: calibrate before any
+        // latch can be held, not under one.
+        Stamp::calibrate();
         FcfsRwLock {
             sink,
             latch: Latch {
@@ -539,18 +544,18 @@ impl<T: ?Sized, S: LockSink> FcfsRwLock<T, S> {
     }
 
     /// [`FcfsRwLock::read`] for a caller that holds no latch and released
-    /// its previous one at `carried` (the instant
+    /// its previous one at `carried` (the stamp
     /// [`RwLockReadGuard::release`] returned): a timed, uncontended hold
     /// starts there, so the hand-over costs no clock read. The hold then
     /// also covers the acquire itself — one uncontended CAS. A contended
     /// grant ignores `carried` and starts the hold at the grant, so the
     /// wait is never counted as hold as well.
-    pub fn read_after(&self, carried: Option<Instant>) -> RwLockReadGuard<'_, T, &S> {
+    pub fn read_after(&self, carried: Option<Stamp>) -> RwLockReadGuard<'_, T, &S> {
         self.read_to(&self.sink, carried)
     }
 
     /// The exclusive counterpart of [`FcfsRwLock::read_after`].
-    pub fn write_after(&self, carried: Option<Instant>) -> RwLockWriteGuard<'_, T, &S> {
+    pub fn write_after(&self, carried: Option<Stamp>) -> RwLockWriteGuard<'_, T, &S> {
         self.write_to(&self.sink, carried)
     }
 
@@ -583,7 +588,7 @@ impl<T: ?Sized, S> FcfsRwLock<T, S> {
     pub fn read_to<K: LockSink>(
         &self,
         sink: K,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
     ) -> RwLockReadGuard<'_, T, K> {
         let (tag, hold_start) = self.latch.start(&sink, false, carried);
         RwLockReadGuard {
@@ -598,7 +603,7 @@ impl<T: ?Sized, S> FcfsRwLock<T, S> {
     pub fn write_to<K: LockSink>(
         &self,
         sink: K,
-        carried: Option<Instant>,
+        carried: Option<Stamp>,
     ) -> RwLockWriteGuard<'_, T, K> {
         let (tag, hold_start) = self.latch.start(&sink, true, carried);
         RwLockWriteGuard {
@@ -734,7 +739,7 @@ pub struct RwLockReadGuard<'a, T: ?Sized, K: LockSink = &'a LockStats> {
     sink: K,
     /// The lock's tag at the grant: the hold is reported under it.
     tag: u16,
-    hold_start: Option<Instant>,
+    hold_start: Option<Stamp>,
 }
 
 /// Exclusive guard borrowing the lock (see [`RwLockReadGuard`]).
@@ -743,7 +748,7 @@ pub struct RwLockWriteGuard<'a, T: ?Sized, K: LockSink = &'a LockStats> {
     latch: &'a Latch<T>,
     sink: K,
     tag: u16,
-    hold_start: Option<Instant>,
+    hold_start: Option<Stamp>,
 }
 
 /// An exclusive latch held past the borrow it was taken under: the
@@ -779,7 +784,7 @@ impl<T: ?Sized, K: LockSink> RwLockWriteGuard<'_, T, K> {
     /// The caller must guarantee the lock remains valid (not dropped or
     /// moved) until the returned guard has been dropped — the
     /// obligation the erased borrow used to enforce.
-    pub unsafe fn into_unowned(this: Self) -> (UnownedWriteGuard<T>, Option<(u16, Instant)>) {
+    pub unsafe fn into_unowned(this: Self) -> (UnownedWriteGuard<T>, Option<(u16, Stamp)>) {
         let this = ManuallyDrop::new(this); // the latch changes hands, unreleased
         let open = this.hold_start.map(|t0| (this.tag, t0));
         (
@@ -811,12 +816,12 @@ macro_rules! impl_guard {
             /// Releases the latch, ending a timed hold at `end` when given
             /// — in crab order, the [`hold_start`](Self::hold_start) of
             /// the child granted while this latch was still held — and
-            /// at a fresh clock reading otherwise. Returns the instant the
-            /// hold ended (`None` when it was not timed): the stamp the
+            /// at a fresh stamp otherwise. Returns the stamp that ended
+            /// the hold (`None` when it was not timed): the stamp the
             /// caller's next acquisition may carry (see
             /// [`FcfsRwLock::read_after`]). Dropping the guard is
             /// `release(guard, None)` without the return value.
-            pub fn release(this: Self, end: Option<Instant>) -> Option<Instant> {
+            pub fn release(this: Self, end: Option<Stamp>) -> Option<Stamp> {
                 let this = ManuallyDrop::new(this); // released here, not by Drop
                 this.latch
                     .finish(&this.sink, this.tag, $exclusive, this.hold_start, end)
@@ -824,7 +829,7 @@ macro_rules! impl_guard {
 
             /// When this hold's timing started (`None` when the
             /// acquisition was not sampled for timing).
-            pub fn hold_start(this: &Self) -> Option<Instant> {
+            pub fn hold_start(this: &Self) -> Option<Stamp> {
                 this.hold_start
             }
         }
@@ -874,6 +879,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn read_write_roundtrip() {
@@ -1211,8 +1217,8 @@ mod tests {
     fn handed_over_holds_telescope() {
         // Link order (release, then acquire carrying the stamp) and crab
         // order (acquire the next, then release at its grant) across a
-        // few locks: one clock reading per step, and the holds sum to the
-        // last release minus the first grant, to the nanosecond.
+        // few locks: one stamp per step, and the holds' ticks sum to the
+        // last release minus the first grant, to the tick.
         let locks: Vec<FcfsRwLock<()>> = (0..4).map(|_| FcfsRwLock::new(())).collect();
         let first = locks[0].read();
         let t0 = RwLockReadGuard::hold_start(&first).expect("exact timing");
@@ -1227,18 +1233,18 @@ mod tests {
         let held: u64 = locks
             .iter()
             .map(|l| {
-                let s = l.stats().snapshot();
-                s.r_hold_ns + s.w_hold_ns
+                let s = l.stats();
+                s.r_hold_ticks.load(Ordering::Relaxed) + s.w_hold_ticks.load(Ordering::Relaxed)
             })
             .sum();
-        assert_eq!(held, (t1 - t0).as_nanos() as u64);
+        assert_eq!(held, t1.ticks_since(t0));
     }
 
     #[test]
     fn contended_grant_starts_its_hold_at_the_grant() {
         let lock = Arc::new(FcfsRwLock::new(()));
         let g = lock.write();
-        let carried = Instant::now();
+        let carried = Stamp::now();
         let t = {
             let lock = Arc::clone(&lock);
             std::thread::spawn(move || {
@@ -1256,10 +1262,10 @@ mod tests {
         let (start, end) = t.join().unwrap();
         let snap = lock.stats().snapshot();
         assert!(snap.r_wait_ns >= 1_000_000, "the queueing is wait");
-        assert!(start - carried >= std::time::Duration::from_millis(1));
-        assert_eq!(snap.r_hold_ns, (end - start).as_nanos() as u64);
+        assert!(start.ns_since(carried) >= 1_000_000);
+        assert_eq!(snap.r_hold_ns, end.ns_since(start));
         assert!(
-            snap.r_wait_ns + snap.r_hold_ns <= (end - carried).as_nanos() as u64,
+            snap.r_wait_ns + snap.r_hold_ns <= end.ns_since(carried),
             "the wait is not counted again as hold"
         );
     }

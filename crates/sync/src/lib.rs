@@ -26,11 +26,15 @@
 //!   owner (the B-tree, per level) passes a sink to each acquisition.
 //!   `LockStats` timing can be 1-in-N sampled ([`SamplePeriod`]) with
 //!   counts kept exact and sampled durations scaled so the derived
-//!   estimators stay unbiased.
+//!   estimators stay unbiased;
+//! - holds are timed with [`Stamp`], a raw time-stamp-counter reading,
+//!   summed in ticks and converted to nanoseconds only when a snapshot
+//!   is built.
 //!
 //! All `unsafe` in the workspace's locking layer is confined to this
-//! crate (the `UnsafeCell` data access behind the guards); the B-tree
-//! crate itself stays `#![deny(unsafe_code)]`.
+//! crate (the `UnsafeCell` data access behind the guards, and the
+//! counter read behind [`Stamp`]); the B-tree crate itself stays
+//! `#![deny(unsafe_code)]`.
 //!
 //! With the `inject` cargo feature, the lock also exposes
 //! [`inject`] — seeded schedule-perturbation fault injection used by the
@@ -44,9 +48,11 @@
 mod fcfs;
 mod histogram;
 pub mod inject;
+mod stamp;
 mod stats;
 
 pub use fcfs::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard, UnownedWriteGuard};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};
+pub use stamp::Stamp;
 pub use stats::{LockSink, LockStats, LockStatsSnapshot, SamplePeriod};

@@ -14,15 +14,22 @@
 //!
 //! # Exact and sampled timing
 //!
-//! A clock reading costs more than an uncontended acquisition itself. A
-//! lone acquisition pays two (grant and release); a descent that hands
-//! one latch over to the next pays one per latch step plus one, because
-//! the reading that ends one hold starts the next (see the lock's
-//! "hand-over" docs). That makes an exact hold sum exact up to one
-//! uncontended acquire (a CAS, roughly 10–20 ns) per hold: a handed-over
-//! hold starts just before its own acquire, or, in crab order, ends just
-//! after the child's. Waits are unaffected: a contended grant reads the
-//! clock itself.
+//! Holds are timed with [`Stamp`]s: an unordered time-stamp-counter
+//! read (≈ 24 ns on the reference VM, against ≈ 46 ns for
+//! `Instant::now`), still comparable to an uncontended acquisition
+//! itself. A lone acquisition pays two stamps (grant and release); a
+//! descent that hands one latch over to the next pays one per latch step
+//! plus one, because the stamp that ends one hold starts the next (see
+//! the lock's "hand-over" docs). That makes an exact hold sum exact up
+//! to one uncontended acquire (a CAS, roughly 10–20 ns) per hold: a
+//! handed-over hold starts just before its own acquire, or, in crab
+//! order, ends just after the child's. An unordered read may drift past
+//! the acquire's CAS by a few ns, which stays within that caveat. Sinks
+//! sum holds in raw ticks; a snapshot converts each sum to nanoseconds
+//! with the process's one calibrated ratio ([`Stamp::ticks_to_ns`]), so
+//! handed-over holds telescope exactly in ticks and convert once. Waits
+//! are unaffected: a contended grant reads the clock itself and reports
+//! its wait in nanoseconds.
 //!
 //! Duration measurement is optionally **1-in-N sampled** (see
 //! [`SamplePeriod`]), which never reads more clocks than exact timing
@@ -38,6 +45,7 @@
 //! reflects only the sampled count.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::stamp::Stamp;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How often wait/hold durations are measured: one acquisition in
@@ -91,6 +99,9 @@ impl Default for SamplePeriod {
 /// Where a lock reports what it observed. The lock calls
 /// [`LockSink::granted`] once per grant and [`LockSink::released`] once
 /// per hold the sink chose to time, always while the latch is held.
+/// Waits arrive in nanoseconds, holds in [`Stamp`] ticks: a sink sums
+/// the ticks and converts the sum with [`Stamp::ticks_to_ns`] when it
+/// builds a snapshot.
 pub trait LockSink {
     /// One grant in the given mode, on a lock tagged `tag` (see
     /// [`crate::FcfsRwLock::set_trace_tag`]). `queued_ns` is how long
@@ -98,9 +109,9 @@ pub trait LockSink {
     /// without queueing. Returns whether to time this hold.
     fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool;
 
-    /// A timed hold ended after `hold_ns`; `tag` and `exclusive` are its
-    /// grant's.
-    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64);
+    /// A timed hold ended after `hold_ticks` [`Stamp`] ticks; `tag` and
+    /// `exclusive` are its grant's.
+    fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64);
 }
 
 impl<S: LockSink + ?Sized> LockSink for &S {
@@ -110,8 +121,8 @@ impl<S: LockSink + ?Sized> LockSink for &S {
     }
 
     #[inline]
-    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
-        (**self).released(tag, exclusive, hold_ns);
+    fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64) {
+        (**self).released(tag, exclusive, hold_ticks);
     }
 }
 
@@ -124,9 +135,9 @@ impl<S: LockSink> LockSink for Option<S> {
     }
 
     #[inline]
-    fn released(&self, tag: u16, exclusive: bool, hold_ns: u64) {
+    fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64) {
         if let Some(s) = self {
-            s.released(tag, exclusive, hold_ns);
+            s.released(tag, exclusive, hold_ticks);
         }
     }
 }
@@ -154,8 +165,9 @@ pub struct LockStats {
     pub(crate) w_contended: AtomicU64,
     pub(crate) r_wait_ns: AtomicU64,
     pub(crate) w_wait_ns: AtomicU64,
-    pub(crate) r_hold_ns: AtomicU64,
-    pub(crate) w_hold_ns: AtomicU64,
+    /// Hold sums in [`Stamp`] ticks, converted at snapshot.
+    pub(crate) r_hold_ticks: AtomicU64,
+    pub(crate) w_hold_ticks: AtomicU64,
     pub(crate) r_wait_hist: Histogram,
     pub(crate) w_wait_hist: Histogram,
 }
@@ -210,15 +222,16 @@ impl LockStats {
         hist.record(wait_ns);
     }
 
-    /// Records a sampled hold duration, scaled by the sampling period.
+    /// Records a sampled hold duration in ticks, scaled by the sampling
+    /// period.
     #[inline]
-    pub(crate) fn record_sampled_hold(&self, exclusive: bool, hold_ns: u64) {
+    pub(crate) fn record_sampled_hold(&self, exclusive: bool, hold_ticks: u64) {
         let hold = if exclusive {
-            &self.w_hold_ns
+            &self.w_hold_ticks
         } else {
-            &self.r_hold_ns
+            &self.r_hold_ticks
         };
-        hold.fetch_add(hold_ns << self.sample_shift, Ordering::Relaxed);
+        hold.fetch_add(hold_ticks << self.sample_shift, Ordering::Relaxed);
     }
 
     /// How many of `acquires` acquisitions were sampled for timing: the
@@ -257,8 +270,8 @@ impl LockStats {
             w_contended: self.w_contended.load(Ordering::Relaxed),
             r_wait_ns: self.r_wait_ns.load(Ordering::Relaxed),
             w_wait_ns: self.w_wait_ns.load(Ordering::Relaxed),
-            r_hold_ns: self.r_hold_ns.load(Ordering::Relaxed),
-            w_hold_ns: self.w_hold_ns.load(Ordering::Relaxed),
+            r_hold_ns: Stamp::ticks_to_ns(self.r_hold_ticks.load(Ordering::Relaxed)),
+            w_hold_ns: Stamp::ticks_to_ns(self.w_hold_ticks.load(Ordering::Relaxed)),
             r_wait_hist,
             w_wait_hist,
         }
@@ -279,8 +292,8 @@ impl LockSink for LockStats {
     }
 
     #[inline]
-    fn released(&self, _tag: u16, exclusive: bool, hold_ns: u64) {
-        self.record_sampled_hold(exclusive, hold_ns);
+    fn released(&self, _tag: u16, exclusive: bool, hold_ticks: u64) {
+        self.record_sampled_hold(exclusive, hold_ticks);
     }
 }
 
@@ -438,8 +451,8 @@ mod tests {
         assert_eq!(snap.w_contended, 1);
         assert_eq!(snap.r_wait_ns, 100);
         assert_eq!(snap.w_wait_ns, 200);
-        assert_eq!(snap.r_hold_ns, 1_000);
-        assert_eq!(snap.w_hold_ns, 2_000);
+        assert_eq!(snap.r_hold_ns, Stamp::ticks_to_ns(1_000));
+        assert_eq!(snap.w_hold_ns, Stamp::ticks_to_ns(2_000));
         assert_eq!(snap.r_wait_hist.total(), 1);
         assert_eq!(snap.w_wait_hist.total(), 1);
     }
@@ -459,7 +472,7 @@ mod tests {
         assert_eq!(d.w_acquires, 1);
         assert_eq!(d.w_contended, 0);
         assert_eq!(d.w_wait_ns, 30);
-        assert_eq!(d.w_hold_ns, 50);
+        assert_eq!(d.w_hold_ns, Stamp::ticks_to_ns(50));
         let mut m = a;
         m.merge(&d);
         assert_eq!(m, b);
@@ -522,7 +535,7 @@ mod tests {
             carried = RwLockWriteGuard::release(g, None);
             assert_eq!(start.is_some(), carried.is_some());
             if let (Some(t0), Some(t1)) = (start, carried) {
-                want[i % 2] += (t1 - t0).as_nanos() as u64 * scale;
+                want[i % 2] += t1.ticks_since(t0) * scale;
                 timed += u64::from(i % 2 == 0);
             }
         }
@@ -531,8 +544,9 @@ mod tests {
             16 / period.period(),
             "one in N of the sampled lock's"
         );
-        assert_eq!(one_in_four.stats().snapshot().w_hold_ns, want[0]);
-        assert_eq!(exact.stats().snapshot().w_hold_ns, want[1]);
+        let hold = |l: &FcfsRwLock<()>| l.stats().w_hold_ticks.load(Ordering::Relaxed);
+        assert_eq!(hold(&one_in_four), want[0]);
+        assert_eq!(hold(&exact), want[1]);
         assert_eq!(one_in_four.stats().snapshot().w_acquires, 16);
 
         let s = LockStats::with_sampling(SamplePeriod::every(4));
@@ -555,7 +569,7 @@ mod tests {
         // Each sampled 100ns contributes 100 << 2 = 400 to the sum, so the
         // estimated total equals the true total (16 × 100).
         assert_eq!(snap.w_wait_ns, 1_600);
-        assert_eq!(snap.w_hold_ns, 1_600);
+        assert_eq!(snap.w_hold_ns, Stamp::ticks_to_ns(1_600));
         assert_eq!(snap.w_wait_hist.total(), 4, "histogram holds raw samples");
     }
 }
