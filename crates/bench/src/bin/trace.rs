@@ -10,17 +10,17 @@
 //! cargo run --release -p cbtree-bench --bin cbtree-trace -- results/run-blink.jsonl
 //! ```
 //!
-//! The `anl`, `sim` and `trc` ρ_w columns all use the analysis's
-//! *presence* semantics (a writer holds **or waits for** the latch); the
-//! `live` column is the lock counters' hold-only measurement, which the
-//! trace reproduces separately as `trc-hold`.
+//! Every pillar reports a level as the same `LevelRecord`, in seconds.
+//! Its `rho_w` is *presence* (a writer holds **or waits for** the latch),
+//! which the analysis, the simulator and the trace fill; `rho_w_hold`
+//! counts holds only, which the live lock counters and the trace fill.
 
 use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
 use cbtree_btree_model::OpMix;
 use cbtree_obs::event::Event;
 use cbtree_obs::table::{fmt_f, Column, Table};
-use cbtree_obs::{replay, Json, Replay, Trace};
+use cbtree_obs::{replay, Json, LevelRecord, Replay, Trace};
 use cbtree_serve::slo_line;
 use cbtree_sim::SimReport;
 use cbtree_workload::cli::Flags;
@@ -158,9 +158,8 @@ fn load(path: &Path) -> Result<RunArtifact, String> {
 }
 
 /// The `trace_compare` record of one artifact — per level, each pillar's
-/// ρ_w and mean exclusive wait in ns (null where a pillar has no value);
-/// the engine's event rates, counters beside trace — and the replayed
-/// trace.
+/// record in seconds (null where a pillar has no such level); the
+/// engine's event rates, counters beside trace — and the replayed trace.
 fn compare(
     path: &Path,
     run: &RunArtifact,
@@ -195,48 +194,29 @@ fn compare(
     let sim = sim.ok().and_then(|s| s.runs.into_iter().next());
 
     let replayed = run.trace.as_ref().map(replay);
-    let live_levels = run.report.get("levels").and_then(Json::as_arr);
-    let live_waits = run.report.get("wait_w_by_level").and_then(Json::as_arr);
-
-    let n_levels = height
-        .max(live_levels.map_or(0, <[Json]>::len))
-        .max(sim.as_ref().map_or(0, |s| s.rho_w_by_level.len()));
-    let unit_ns = unit_secs * 1e9;
-    let value = |v: Option<f64>| v.map_or(Json::Null, Json::f64_or_null);
-    let levels = (0..n_levels).map(|i| {
-        let anl = perf.as_ref().and_then(|p| p.levels.get(i));
-        let sim_at = |by_level: fn(&SimReport) -> &[f64]| {
-            sim.as_ref().and_then(|s| by_level(s).get(i).copied())
-        };
-        let live = live_levels.and_then(|ls| ls.get(i));
-        let trc = replayed
-            .as_ref()
-            .and_then(|r| r.levels.iter().find(|l| usize::from(l.level) == i + 1));
-        Json::obj(vec![
-            ("level", (i + 1).into()),
-            ("anl_rho_w", value(anl.map(|l| l.rho_w))),
-            ("sim_rho_w", value(sim_at(|s| &s.rho_w_by_level))),
-            (
-                "live_rho_w",
-                value(live.and_then(|l| l.get("rho_w")?.as_f64())),
-            ),
-            ("trace_rho_w", value(trc.map(|l| l.rho_w))),
-            ("trace_rho_w_hold", value(trc.map(|l| l.rho_w_hold))),
-            ("anl_w_wait_ns", value(anl.map(|l| l.w_wait * unit_ns))),
-            (
-                "sim_w_wait_ns",
-                value(sim_at(|s| &s.wait_w_by_level).map(|w| w * unit_ns)),
-            ),
-            (
-                "live_w_wait_ns",
-                value(
-                    live_waits
-                        .and_then(|ws| ws.get(i)?.as_f64())
-                        .map(|w| w * 1e9),
-                ),
-            ),
-            ("trace_w_wait_ns", value(trc.map(|l| l.mean_w_wait_ns))),
-        ])
+    let anl = perf.as_ref().map(pillars::analysis_levels);
+    let live = array(&run.report, "levels").iter();
+    let trc = replayed.as_ref().map_or(vec![], |r| r.levels.clone());
+    // Every pillar's per-level records, in seconds.
+    let in_secs = |ls: &[LevelRecord]| ls.iter().map(|l| l.in_seconds(unit_secs)).collect();
+    let pillars: [(&str, Vec<LevelRecord>); 4] = [
+        ("anl", in_secs(anl.as_deref().unwrap_or_default())),
+        ("sim", in_secs(sim.as_ref().map_or(&[], |s| &s.levels))),
+        (
+            "live",
+            live.map(LevelRecord::from_json).collect::<Result<_, _>>()?,
+        ),
+        ("trace", trc),
+    ];
+    let n_levels = pillars
+        .iter()
+        .flat_map(|(_, ls)| ls.iter().map(|l| l.level));
+    let levels = (1..=n_levels.fold(height, usize::max)).map(|level| {
+        let row = Json::obj([("level", level.into())]);
+        pillars.iter().fold(row, |row, (pillar, records)| {
+            let record = records.iter().find(|r| r.level == level);
+            row.with(pillar, record.map_or(Json::Null, LevelRecord::to_json))
+        })
     });
 
     let counters = run.report.get("counters").cloned().unwrap_or(Json::Null);
@@ -344,21 +324,21 @@ fn analyze_file(path: &Path, args: &Args, records: &mut Vec<Json>) -> Result<(),
     let levels = array(&record, "levels");
     const RHO_W: &[Column] = &[
         ("level", "level", 1.0, 0),
-        ("anl", "anl_rho_w", 1.0, 4),
-        ("sim", "sim_rho_w", 1.0, 4),
-        ("live", "live_rho_w", 1.0, 4),
-        ("trc", "trace_rho_w", 1.0, 4),
-        ("trc-hold", "trace_rho_w_hold", 1.0, 4),
+        ("anl", "anl.rho_w", 1.0, 4),
+        ("sim", "sim.rho_w", 1.0, 4),
+        ("trc", "trace.rho_w", 1.0, 4),
+        ("live-hold", "live.rho_w_hold", 1.0, 4),
+        ("trc-hold", "trace.rho_w_hold", 1.0, 4),
     ];
     let title = "per-level writer utilization rho_w (level 1 = leaves)";
     Table::project(title, RHO_W, levels.iter().rev()).print();
-    println!("(anl/sim/trc count queued writers as present; live and trc-hold are hold-only)");
+    println!("(rho_w counts queued writers as present; the -hold columns count holds only)");
     const WAIT: &[Column] = &[
         ("level", "level", 1.0, 0),
-        ("anl", "anl_w_wait_ns", 1.0, 0),
-        ("sim", "sim_w_wait_ns", 1.0, 0),
-        ("live", "live_w_wait_ns", 1.0, 0),
-        ("trc", "trace_w_wait_ns", 1.0, 0),
+        ("anl", "anl.mean_w_wait", 1e9, 0),
+        ("sim", "sim.mean_w_wait", 1e9, 0),
+        ("live", "live.mean_w_wait", 1e9, 0),
+        ("trc", "trace.mean_w_wait", 1e9, 0),
     ];
     let title = "per-level mean exclusive wait (ns)";
     Table::project(title, WAIT, levels.iter().rev()).print();

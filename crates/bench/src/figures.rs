@@ -813,7 +813,7 @@ pub fn sim_matrix(opts: &ExpOptions) -> Table {
                     format!("{:?}", r.root_writer_utilization),
                     format!("{:?}", r.crossings_per_op),
                     format!("{:?}", r.redo_rate),
-                    r.final_height.to_string(),
+                    r.levels.len().to_string(),
                     r.completed.to_string(),
                 ],
                 Some(Err(e)) => vec![e.to_string(); 8],

@@ -1,13 +1,15 @@
 //! The one routine that evaluates both model pillars for a live
 //! [`Protocol`] at an arrival rate — what `analyze --verify`,
-//! `analyze --live` and `cbtree-trace` compare a measurement against.
+//! `analyze --live` and `cbtree-trace` compare a measurement against —
+//! and the analysis's projection onto the shared per-level record.
 //! The protocol names its algorithm with [`Algorithm::of`] and its
 //! retention with [`Protocol::recovery`]; the analysis and the simulator
 //! read both.
 
-use cbtree_analysis::{Algorithm, ModelConfig, Performance};
+use cbtree_analysis::{Algorithm, LevelSolution, ModelConfig, Performance};
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{CostModel, NodeParams, OpMix, TreeShape};
+use cbtree_obs::LevelRecord;
 use cbtree_sim::costs::SimCosts;
 use cbtree_sim::{run_seeds, SeedSummary, SimConfig, SimError};
 use cbtree_workload::{KeyDist, OpsConfig};
@@ -81,6 +83,21 @@ pub fn evaluate(
 ) -> (Option<Performance>, Result<SeedSummary, SimError>) {
     let analysis = Algorithm::of(protocol).model(cfg).evaluate(lambda).ok();
     (analysis, simulate(protocol, cfg, keyspace, lambda, seeds))
+}
+
+/// The analysis pillar's per-level records, leaves first, in model cost
+/// units: per-node λ, presence ρ_w, and the lock waits R(i) and W(i).
+pub fn analysis_levels(perf: &Performance) -> Vec<LevelRecord> {
+    let record = |l: &LevelSolution| LevelRecord {
+        level: l.level,
+        lambda_r: Some(l.lambda_r),
+        lambda_w: Some(l.lambda_w),
+        rho_w: Some(l.rho_w),
+        mean_r_wait: Some(l.r_wait),
+        mean_w_wait: Some(l.w_wait),
+        ..LevelRecord::default()
+    };
+    perf.levels.iter().map(record).collect()
 }
 
 #[cfg(test)]

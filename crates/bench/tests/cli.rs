@@ -14,7 +14,7 @@ fn analyze_rejects_a_malformed_mix_with_exit_code_2() {
     assert!(stderr.starts_with("error: --mix "), "{stderr}");
 }
 
-use cbtree_obs::Json;
+use cbtree_obs::{Json, LevelRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
@@ -23,9 +23,9 @@ type Shapes = BTreeMap<String, BTreeSet<String>>;
 
 /// `analyze --verify`, `analyze --live` and `cbtree-trace` share one
 /// evaluation routine; what each writes is read by scripts and quoted in
-/// EXPERIMENTS.md, so the record types and field names below (as the
-/// commit before the routine wrote them) are the contract. Values are
-/// not compared.
+/// EXPERIMENTS.md, so the record types and field names below are the
+/// contract: top level, and in a `trace_compare` row, one key per pillar
+/// whose value is a level record. Values are not compared.
 #[test]
 fn pillar_comparisons_write_the_same_records() {
     let tmp = |name: &str| {
@@ -44,6 +44,16 @@ fn pillar_comparisons_write_the_same_records() {
         env!("CARGO_BIN_EXE_cbtree-trace"),
     );
     let tiny = ["--items", "2000", "--node-size", "16"];
+    // A pillar's entry in a row is a record, or null where that pillar
+    // has no such level (or, for the analysis, saturates); every record
+    // lands under one key. The live pillar fills at least one level.
+    // The level record's own field set, pinned in `cbtree-obs`.
+    let Json::Obj(fields) = LevelRecord::default().to_json() else {
+        unreachable!()
+    };
+    let record: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    let record = record.join(" ");
+    let pillar_levels = &format!("trace_compare.levels.*: {record}");
     let meta = "meta: type schema kind items node_size height mix disk_cost memory_levels \
                 buffer_nodes rate recovery t_trans";
     let point = "analysis_point: type algorithm max_throughput eff_max_rho_half lambda \
@@ -77,6 +87,8 @@ fn pillar_comparisons_write_the_same_records() {
                 "meta: type schema kind",
                 "trace_compare: type file protocol lambda unit_secs levels rates \
                  trace_summary sim_report",
+                "trace_compare.levels: level anl sim live trace",
+                pillar_levels,
             ],
         ),
     ];
@@ -90,13 +102,25 @@ fn pillar_comparisons_write_the_same_records() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(run.status.success(), "{mode:?}: {stderr}");
         let mut got = Shapes::new();
-        for rec in cbtree_obs::read_jsonl(&out).expect("readable JSONL") {
-            let Json::Obj(fields) = &rec else {
-                panic!("record is not an object: {rec:?}")
+        let mut add = |key: String, obj: &Json| {
+            let Json::Obj(fields) = obj else {
+                panic!("{key} is not an object: {obj:?}")
             };
-            let ty = rec.get("type").and_then(Json::as_str).expect("typed");
             let names = fields.iter().map(|(k, _)| k.clone());
-            got.entry(ty.to_string()).or_default().extend(names);
+            got.entry(key).or_default().extend(names);
+        };
+        for rec in cbtree_obs::read_jsonl(&out).expect("readable JSONL") {
+            let ty = rec.get("type").and_then(Json::as_str).expect("typed");
+            add(ty.to_string(), &rec);
+            for row in rec.get("levels").and_then(Json::as_arr).unwrap_or_default() {
+                add(format!("{ty}.levels"), row);
+                for pillar in ["anl", "sim", "live", "trace"] {
+                    match row.get(pillar).expect(pillar) {
+                        Json::Null => {}
+                        record => add(format!("{ty}.levels.*"), record),
+                    }
+                }
+            }
         }
         let want: Shapes = want
             .iter()

@@ -154,13 +154,6 @@ impl Performance {
             + q_insert * self.response_time_insert
             + q_delete * self.response_time_delete
     }
-
-    /// Total expected lock-wait experienced by a search (response time
-    /// minus serial work); useful for validation against the simulator's
-    /// wait statistics.
-    pub fn search_wait(&self) -> f64 {
-        self.levels.iter().map(|l| l.r_wait).sum()
-    }
 }
 
 #[cfg(test)]
@@ -259,6 +252,5 @@ mod tests {
         assert_eq!(p.root_writer_utilization(), 0.4);
         assert_eq!(p.level(1).level, 1);
         assert!((p.mean_response_time(0.3, 0.5, 0.2) - (3.0 + 10.0 + 3.0)).abs() < 1e-12);
-        assert!((p.search_wait() - 1.0).abs() < 1e-12);
     }
 }

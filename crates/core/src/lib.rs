@@ -163,15 +163,13 @@ impl Algorithm {
         }
     }
 
-    /// Short display name used in experiment tables.
+    /// The name of the protocol this algorithm models ([`Protocol::name`];
+    /// the recovery variants share lock-coupling's algorithm and name).
     pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::NaiveLockCoupling => "naive-lc",
-            Algorithm::OptimisticDescent => "optimistic",
-            Algorithm::LinkType => "link",
-            Algorithm::TwoPhaseLocking => "two-phase",
-            Algorithm::Olc => "olc",
-        }
+        let mut protocols = Protocol::ALL_WITH_RECOVERY.into_iter();
+        protocols
+            .find(|&p| Algorithm::of(p) == self)
+            .map_or("", Protocol::name)
     }
 }
 
@@ -241,5 +239,10 @@ mod tests {
         for p in Protocol::ALL_WITH_RECOVERY {
             assert!(rows.iter().any(|row| row.0 == p.name()), "{}", p.name());
         }
+        // An algorithm is named after the protocol it models.
+        for a in Algorithm::ALL_EXTENDED {
+            assert_eq!(a.name().parse().map(Algorithm::of), Ok(a), "{}", a.name());
+        }
+        assert_eq!(Algorithm::NaiveLockCoupling.name(), "lock-coupling");
     }
 }

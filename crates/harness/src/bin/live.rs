@@ -145,8 +145,9 @@ fn print_report(cfg: &LiveConfig, report: &LiveReport, record: &Json) {
         report.latency.p999() as f64 / 1e3,
     );
     println!(
-        "final height {} | final keys {} | root writer utilization {:.4}",
-        report.final_height, report.final_len, report.root_writer_utilization
+        "final height {} | final keys {}",
+        report.levels.len(),
+        report.final_len
     );
     let c = &report.counters;
     println!(
@@ -166,11 +167,11 @@ fn print_report(cfg: &LiveConfig, report: &LiveReport, record: &Json) {
     const LEVELS: &[Column] = &[
         ("level", "level", 1.0, 0),
         ("nodes", "nodes", 1.0, 0),
-        ("w-acq", "stats.w_acquires", 1.0, 0),
-        ("r-acq", "stats.r_acquires", 1.0, 0),
-        ("rho_w", "rho_w", 1.0, 4),
-        ("w-wait(us)", "stats.mean_w_wait_ns", 1e-3, 3),
-        ("r-wait(us)", "stats.mean_r_wait_ns", 1e-3, 3),
+        ("w-acq", "w_acquires", 1.0, 0),
+        ("r-acq", "r_acquires", 1.0, 0),
+        ("rho_w-hold", "rho_w_hold", 1.0, 4),
+        ("w-wait(us)", "mean_w_wait", 1e6, 3),
+        ("r-wait(us)", "mean_r_wait", 1e6, 3),
         ("w-cont", "stats.w_contention_rate", 1.0, 4),
     ];
     let levels = record.get("levels").and_then(Json::as_arr);
@@ -228,9 +229,17 @@ fn main() {
                 ("threads", "threads", 1.0, 0),
                 ("ops/s", "throughput", 1.0, 0),
                 ("mix-mean(us)", "latency.mean_s", 1e6, 2),
-                ("root-rho_w", "root_writer_utilization", 1.0, 4),
+                ("root-rho_w-hold", "root_rho_w_hold", 1.0, 4),
             ];
-            Table::project("saturation", SATURATION, &records[1..]).print();
+            // A row is the point's record plus its root's hold-only ρ_w.
+            let rows = runs.iter().map(|(_, r)| {
+                let root = r
+                    .levels
+                    .last()
+                    .map_or(Json::Null, |l| Json::f64_or_null(l.rho_w));
+                r.to_json().with("root_rho_w_hold", root)
+            });
+            Table::project("saturation", SATURATION, &rows.collect::<Vec<_>>()).print();
             let best = runs.iter().reduce(|best, run| {
                 if run.1.throughput > best.1.throughput {
                     run

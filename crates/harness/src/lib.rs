@@ -15,9 +15,9 @@
 //! quiescent snapshot of the tree's per-level lock statistics, run a
 //! timed measurement window, quiesce again, snapshot again, and diff.
 //! The resulting [`LiveReport`] mirrors the simulator's `SimReport`
-//! schema (same `Summary` type, same leaves-first per-level vectors), so
-//! the `analyze` binary can print analysis vs simulation vs live
-//! three-way tables.
+//! schema (same `Summary` type, the same per-level `LevelRecord`s,
+//! leaves first), so the `analyze` binary can print analysis vs
+//! simulation vs live three-way tables.
 //!
 //! [`saturation_search`] finds the maximum sustainable throughput by
 //! doubling the thread count until added threads stop paying.
@@ -29,7 +29,7 @@ pub mod cli;
 
 use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
 use cbtree_obs::metrics::{Counter, WindowedHistogram};
-use cbtree_obs::{Json, Trace};
+use cbtree_obs::{Json, LevelRecord, Trace};
 use cbtree_sim::stats::{Summary, Welford};
 use cbtree_sync::{Histogram, HistogramSnapshot, LockStatsSnapshot, SamplePeriod};
 use cbtree_workload::{OpStream, Operation, OpsConfig, Rng};
@@ -152,25 +152,51 @@ pub struct LevelLive {
     pub nodes: u64,
     /// Aggregated lock counters accumulated during the window.
     pub stats: LockStatsSnapshot,
-    /// Measured writer utilization `ρ_w` of this level: total exclusive
-    /// hold time divided by `nodes · window` — the per-lock average.
+    /// Hold-only writer utilization of this level: total exclusive hold
+    /// time divided by `nodes · window` (the record's `rho_w_hold`).
     pub rho_w: f64,
+    /// Length of the window, nanoseconds.
+    pub window_ns: u64,
 }
 
 impl LevelLive {
-    /// JSON object `{level, nodes, rho_w, stats}`.
+    /// This level's [`LevelRecord`], in seconds.
+    pub fn record(&self) -> LevelRecord {
+        self.stats
+            .level_record(self.level, self.nodes, self.window_ns)
+    }
+
+    /// JSON object: the record's fields plus the raw `stats`.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("level", self.level.into()),
-            ("nodes", self.nodes.into()),
-            ("rho_w", Json::f64_or_null(self.rho_w)),
-            ("stats", self.stats.to_json()),
-        ])
+        self.record().to_json().with("stats", self.stats.to_json())
     }
 }
 
+/// Diffs two [`level_snapshots`] of one tree taken `window_ns` apart,
+/// leaves first. The tree may have grown in between: levels align from
+/// the leaves and the end-of-window shape counts (a new level has a
+/// zero baseline).
+pub fn level_windows(
+    before: &[(u64, LockStatsSnapshot)],
+    after: &[(u64, LockStatsSnapshot)],
+    window_ns: u64,
+) -> Vec<LevelLive> {
+    let zero = LockStatsSnapshot::default();
+    let levels = after.iter().enumerate().map(|(i, (nodes, after))| {
+        let stats = after.since(before.get(i).map_or(&zero, |b| &b.1));
+        LevelLive {
+            level: i + 1,
+            nodes: *nodes,
+            rho_w: stats.writer_utilization(window_ns, *nodes),
+            stats,
+            window_ns,
+        }
+    });
+    levels.collect()
+}
+
 /// Result of one live measurement, schema-aligned with
-/// `cbtree_sim::SimReport`.
+/// `cbtree_sim::SimReport` (both carry per-level [`LevelRecord`]s).
 #[derive(Debug, Clone)]
 pub struct LiveReport {
     /// Worker threads used.
@@ -187,12 +213,6 @@ pub struct LiveReport {
     pub resp_insert: Summary,
     /// Mean/CI of delete response times, in seconds.
     pub resp_delete: Summary,
-    /// Mean exclusive-lock wait per level in seconds (leaves first).
-    pub wait_w_by_level: Vec<f64>,
-    /// Mean shared-lock wait per level in seconds (leaves first).
-    pub wait_r_by_level: Vec<f64>,
-    /// Measured writer utilization of the root's level.
-    pub root_writer_utilization: f64,
     /// Engine telemetry accumulated over the measured window: latch
     /// acquisitions per level, optimistic restarts, right-link chases,
     /// transaction commits/spills. Restart and chase rates here are the
@@ -202,10 +222,8 @@ pub struct LiveReport {
     /// Log-bucketed histogram of every completed operation's latency in
     /// nanoseconds, all op kinds pooled — the p50/p99/p999 source.
     pub latency: HistogramSnapshot,
-    /// Full per-level measurements (leaves first).
+    /// Per-level measurements, leaves first, one per level of the final tree.
     pub levels: Vec<LevelLive>,
-    /// Tree height at the end of the run.
-    pub final_height: usize,
     /// Keys in the tree at the end of the run.
     pub final_len: usize,
     /// The continuous time series: one point per sampler window. Empty
@@ -237,7 +255,6 @@ impl LiveReport {
     /// after this one; only the drained-trace shape (event/drop counts)
     /// is summarized here.
     pub fn to_json(&self) -> Json {
-        let secs_arr = |v: &[f64]| Json::arr(v.iter().map(|&x| Json::f64_or_null(x)));
         Json::obj(vec![
             ("type", "live_report".into()),
             ("threads", self.threads.into()),
@@ -247,12 +264,6 @@ impl LiveReport {
             ("resp_search", self.resp_search.to_json()),
             ("resp_insert", self.resp_insert.to_json()),
             ("resp_delete", self.resp_delete.to_json()),
-            ("wait_w_by_level", secs_arr(&self.wait_w_by_level)),
-            ("wait_r_by_level", secs_arr(&self.wait_r_by_level)),
-            (
-                "root_writer_utilization",
-                Json::f64_or_null(self.root_writer_utilization),
-            ),
             ("counters", self.counters.to_json()),
             (
                 "latency",
@@ -263,7 +274,7 @@ impl LiveReport {
                 "levels",
                 Json::arr(self.levels.iter().map(LevelLive::to_json)),
             ),
-            ("final_height", self.final_height.into()),
+            ("final_height", self.levels.len().into()),
             ("final_len", self.final_len.into()),
             ("timeseries_windows", self.timeseries.len().into()),
             ("trace_events", self.trace.events.len().into()),
@@ -422,12 +433,9 @@ struct ThreadStats {
     completed: u64,
 }
 
-/// The tree's lock statistics per level, leaves first (like
-/// `SimReport`): `(live nodes, merged stats)` per level, read from the
-/// tree's per-level accumulators in O(height) without a latch (see
-/// [`ConcurrentBTree::level_stats`]). The closed-loop harness and the
-/// open-loop service layer (`cbtree-serve`) both diff these snapshots
-/// across their measured windows.
+/// The tree's lock statistics per level, leaves first: `(live nodes,
+/// merged stats)`, read in O(height) without a latch (see
+/// [`ConcurrentBTree::level_stats`]); [`level_windows`] diffs two.
 pub fn level_snapshots(tree: &ConcurrentBTree<u64>) -> Vec<(u64, LockStatsSnapshot)> {
     tree.level_stats()
 }
@@ -676,22 +684,7 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
     }
 
     let elapsed_secs = elapsed.as_secs_f64();
-    let elapsed_ns = elapsed.as_nanos() as u64;
-    // The tree may have grown during the window: align per level, using
-    // the end-of-window shape (new nodes have zero baseline counters).
-    let mut levels = Vec::with_capacity(snap_b.len());
-    for (i, (nodes, after)) in snap_b.iter().enumerate() {
-        let window = match snap_a.get(i) {
-            Some((_, before)) => after.since(before),
-            None => *after,
-        };
-        levels.push(LevelLive {
-            level: i + 1,
-            nodes: *nodes,
-            rho_w: window.writer_utilization(elapsed_ns, *nodes),
-            stats: window,
-        });
-    }
+    let levels = level_windows(&snap_a, &snap_b, elapsed.as_nanos() as u64);
 
     LiveReport {
         threads: cfg.threads,
@@ -705,18 +698,8 @@ pub fn run(cfg: &LiveConfig) -> LiveReport {
         resp_search: Summary::from_welford(&search),
         resp_insert: Summary::from_welford(&insert),
         resp_delete: Summary::from_welford(&delete),
-        wait_w_by_level: levels
-            .iter()
-            .map(|l| l.stats.mean_w_wait_ns() * 1e-9)
-            .collect(),
-        wait_r_by_level: levels
-            .iter()
-            .map(|l| l.stats.mean_r_wait_ns() * 1e-9)
-            .collect(),
-        root_writer_utilization: levels.last().map_or(0.0, |l| l.rho_w),
         counters,
         latency,
-        final_height: levels.len(),
         final_len: tree.len(),
         levels,
         timeseries,
@@ -852,7 +835,6 @@ mod tests {
         assert_eq!(n, report.completed);
         assert!(report.throughput > 0.0);
         assert!(report.measured_time > 0.0);
-        assert_eq!(report.levels.len(), report.final_height);
         for l in &report.levels {
             assert!(
                 (0.0..=1.0).contains(&l.rho_w),

@@ -50,7 +50,7 @@ fn four_thread_run_completes_for_every_protocol() {
             report.measured_time,
             want
         );
-        assert!(report.final_height >= 1, "{}", protocol.name());
+        assert!(!report.levels.is_empty(), "{}", protocol.name());
         assert!(report.final_len > 0, "{}", protocol.name());
         // Nothing switched tracing on, so the run recorded no events
         // and left the switch as it found it.
@@ -86,19 +86,12 @@ fn op_counts_are_consistent() {
 fn per_level_writer_utilization_is_a_fraction() {
     for protocol in PROTOCOLS {
         let report = run(&smoke_cfg(protocol));
-        assert_eq!(
-            report.levels.len(),
-            report.final_height,
-            "{}",
-            protocol.name()
-        );
-        assert_eq!(
-            report.levels.len(),
-            report.wait_w_by_level.len(),
-            "{}",
-            protocol.name()
-        );
         for l in &report.levels {
+            // The record carries the hold-only value under its own name;
+            // hold-only counters cannot see presence.
+            let record = l.record();
+            assert_eq!(record.rho_w_hold, Some(l.rho_w), "{}", protocol.name());
+            assert_eq!(record.rho_w, None, "{}", protocol.name());
             assert!(
                 (0.0..=1.0).contains(&l.rho_w),
                 "{} level {}: rho_w = {}",

@@ -1,6 +1,6 @@
 //! `cbtree-obs`: the observability substrate of the workspace.
 //!
-//! Four pieces, all dependency-free:
+//! Its pieces, all dependency-free:
 //!
 //! - [`trace`] — lock-free event tracing, switched on at run time:
 //!   each thread appends compact binary events (latch
@@ -10,10 +10,11 @@
 //!   coordinator drains all rings at quiesce into one time-ordered
 //!   [`Trace`]. Switched off, every emit function is one relaxed load
 //!   and an untaken branch to an outlined cold body.
-//! - [`replay`] — reconstructs per-level writer utilization ρ_w,
-//!   wait/hold means, latch-chain depth, and restart/chase/split rates
-//!   from a drained trace, closing the analysis/sim/live triangle with
-//!   a fourth, directly measured column.
+//! - [`level`] — [`LevelRecord`], one tree level's lock queue as every
+//!   pillar (analysis, simulation, live, trace replay) reports it.
+//! - [`replay`] — reconstructs per-level records, latch-chain depth, and
+//!   restart/chase/split rates from a drained trace, closing the
+//!   analysis/sim/live triangle with a fourth, directly measured column.
 //! - [`json`] — a small hand-rolled JSON/JSONL serializer and parser
 //!   for machine-readable run artifacts; exact integers, explicit
 //!   rejection of NaN/Inf.
@@ -29,6 +30,7 @@
 
 pub mod event;
 pub mod json;
+pub mod level;
 pub mod metrics;
 pub mod replay;
 pub mod ring;
@@ -37,9 +39,10 @@ pub mod trace;
 
 pub use event::{opcode, Event, EventKind, MODE_EXCLUSIVE, OP_HIT};
 pub use json::{parse_jsonl, read_jsonl, write_jsonl, Json, JsonError};
-pub use replay::{replay, BatchReplay, LevelReplay, OpReplay, Replay};
+pub use level::LevelRecord;
+pub use replay::{replay, BatchReplay, OpReplay, Replay};
 pub use trace::Trace;
 
 /// Version stamped into every JSONL artifact's `meta` record; bump on
 /// any backward-incompatible record-shape change.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;

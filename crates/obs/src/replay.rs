@@ -14,40 +14,9 @@
 
 use crate::event::{opcode, EventKind, MODE_EXCLUSIVE, OP_HIT};
 use crate::json::Json;
+use crate::level::LevelRecord;
 use crate::trace::Trace;
-use std::collections::{HashMap, HashSet};
-
-/// Reconstructed statistics for one tree level.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LevelReplay {
-    /// Tree level (leaves = 1; 0 = non-tree locks such as the root
-    /// pointer).
-    pub level: u16,
-    /// Distinct node ids observed in latch events at this level.
-    pub nodes_seen: usize,
-    /// Writer utilization with the analysis's *presence* semantics: per
-    /// node, the union of intervals during which at least one writer
-    /// held or waited for the latch (request → release), summed over
-    /// nodes and divided by `nodes_seen × window`. Directly comparable
-    /// to the analytical ρ_w and `SimReport::rho_w_by_level`.
-    pub rho_w: f64,
-    /// Hold-only writer utilization: exclusive grant→release
-    /// nanoseconds within the window divided by `nodes_seen × window` —
-    /// the quantity the live lock counters measure (`LevelLive::rho_w`).
-    pub rho_w_hold: f64,
-    /// Exclusive grants observed.
-    pub w_grants: u64,
-    /// Shared grants observed.
-    pub r_grants: u64,
-    /// Mean request→grant nanoseconds, exclusive.
-    pub mean_w_wait_ns: f64,
-    /// Mean request→grant nanoseconds, shared.
-    pub mean_r_wait_ns: f64,
-    /// Mean grant→release nanoseconds, exclusive.
-    pub mean_w_hold_ns: f64,
-    /// Mean grant→release nanoseconds, shared.
-    pub mean_r_hold_ns: f64,
-}
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Per-operation-kind reconstruction.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -107,9 +76,10 @@ pub struct Replay {
     pub window_start_ns: u64,
     /// Window end: latest event timestamp.
     pub window_end_ns: u64,
-    /// Per-level reconstructions, tree levels only (level ≥ 1), leaves
-    /// first.
-    pub levels: Vec<LevelReplay>,
+    /// Per-level records, tree levels only (level ≥ 1), leaves first, in
+    /// seconds: `rho_w` from the per-node union of exclusive request →
+    /// release intervals, `rho_w_hold` from grant → release only.
+    pub levels: Vec<LevelRecord>,
     /// Per-op-kind reconstructions, ops that occurred only.
     pub ops: Vec<OpReplay>,
     /// Optimistic restarts.
@@ -147,14 +117,6 @@ impl Replay {
         self.window_end_ns.saturating_sub(self.window_start_ns)
     }
 
-    /// Reconstructed ρ_w for `level`, if observed.
-    pub fn rho_w(&self, level: u16) -> Option<f64> {
-        self.levels
-            .iter()
-            .find(|l| l.level == level)
-            .map(|l| l.rho_w)
-    }
-
     /// Serializes the `trace_summary` JSONL record.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -163,20 +125,7 @@ impl Replay {
             ("window_end_ns", Json::from(self.window_end_ns)),
             (
                 "levels",
-                Json::arr(self.levels.iter().map(|l| {
-                    Json::obj([
-                        ("level", Json::from(u64::from(l.level))),
-                        ("nodes_seen", Json::from(l.nodes_seen)),
-                        ("rho_w", Json::from(l.rho_w)),
-                        ("rho_w_hold", Json::from(l.rho_w_hold)),
-                        ("w_grants", Json::from(l.w_grants)),
-                        ("r_grants", Json::from(l.r_grants)),
-                        ("mean_w_wait_ns", Json::f64_or_null(l.mean_w_wait_ns)),
-                        ("mean_r_wait_ns", Json::f64_or_null(l.mean_r_wait_ns)),
-                        ("mean_w_hold_ns", Json::f64_or_null(l.mean_w_hold_ns)),
-                        ("mean_r_hold_ns", Json::f64_or_null(l.mean_r_hold_ns)),
-                    ])
-                })),
+                Json::arr(self.levels.iter().map(LevelRecord::to_json)),
             ),
             (
                 "ops",
@@ -225,16 +174,11 @@ struct LevelAccum {
     /// Per-node exclusive presence intervals (request → release).
     w_intervals: HashMap<u64, Vec<(u64, u64)>>,
     w_busy_ns: u64,
-    w_grants: u64,
-    r_grants: u64,
-    w_wait_ns: u64,
-    w_waits: u64,
-    r_wait_ns: u64,
-    r_waits: u64,
-    w_hold_ns: u64,
-    w_holds: u64,
-    r_hold_ns: u64,
-    r_holds: u64,
+    /// Per mode, shared then exclusive: grants, and (count, total ns)
+    /// of matched waits and of matched holds.
+    grants: [u64; 2],
+    waits: [(u64, u64); 2],
+    holds: [(u64, u64); 2],
 }
 
 /// Reconstructs per-level and per-op statistics from a drained trace.
@@ -257,7 +201,7 @@ pub fn replay(trace: &Trace) -> Replay {
     let (start, end) = (out.window_start_ns, out.window_end_ns);
     let clipped = |a: u64, b: u64| -> u64 { b.min(end).saturating_sub(a.max(start)) };
 
-    let mut levels: HashMap<u16, LevelAccum> = HashMap::new();
+    let mut levels: BTreeMap<u16, LevelAccum> = BTreeMap::new();
     // (thread, node) → (request ts, exclusive, level) of the in-flight
     // blocking acquire.
     let mut requests: HashMap<(u32, u64), (u64, bool, u16)> = HashMap::new();
@@ -289,25 +233,16 @@ pub fn replay(trace: &Trace) -> Replay {
                 let exclusive = e.arg & MODE_EXCLUSIVE != 0;
                 let acc = levels.entry(e.level).or_default();
                 acc.nodes.insert(e.node);
+                let mode = usize::from(exclusive);
                 let mut presence_start = e.ts_ns;
                 if let Some((req, _, _)) = requests.remove(&(e.thread, e.node)) {
                     presence_start = req;
-                    let wait = e.ts_ns.saturating_sub(req);
-                    if exclusive {
-                        acc.w_wait_ns += wait;
-                        acc.w_waits += 1;
-                    } else {
-                        acc.r_wait_ns += wait;
-                        acc.r_waits += 1;
-                    }
+                    let wait = &mut acc.waits[mode];
+                    *wait = (wait.0 + 1, wait.1 + e.ts_ns.saturating_sub(req));
                 } else {
                     out.unmatched += 1;
                 }
-                if exclusive {
-                    acc.w_grants += 1;
-                } else {
-                    acc.r_grants += 1;
-                }
+                acc.grants[mode] += 1;
                 if held
                     .insert(
                         (e.thread, e.node),
@@ -328,18 +263,14 @@ pub fn replay(trace: &Trace) -> Replay {
                         *depth = depth.saturating_sub(1);
                     }
                     let acc = levels.entry(level).or_default();
-                    let hold = e.ts_ns.saturating_sub(granted);
+                    let hold = &mut acc.holds[usize::from(exclusive)];
+                    *hold = (hold.0 + 1, hold.1 + e.ts_ns.saturating_sub(granted));
                     if exclusive {
-                        acc.w_hold_ns += hold;
-                        acc.w_holds += 1;
                         acc.w_busy_ns += clipped(granted, e.ts_ns);
                         acc.w_intervals
                             .entry(e.node)
                             .or_default()
                             .push((presence_start, e.ts_ns));
-                    } else {
-                        acc.r_hold_ns += hold;
-                        acc.r_holds += 1;
                     }
                 } else {
                     out.unmatched += 1;
@@ -411,13 +342,7 @@ pub fn replay(trace: &Trace) -> Replay {
     }
 
     let window = out.window_ns().max(1) as f64;
-    let mean = |sum: u64, n: u64| {
-        if n == 0 {
-            f64::NAN
-        } else {
-            sum as f64 / n as f64
-        }
-    };
+    let mean = |sum: u64, n: u64| LevelRecord::mean(sum as f64, n).unwrap_or(f64::NAN);
     // Per-node union of presence intervals, clipped to the window:
     // overlapping writers (one holding, more queued) must not be
     // double-counted — ρ_w is "a writer is present", not "number of
@@ -445,24 +370,26 @@ pub fn replay(trace: &Trace) -> Replay {
         }
         total
     };
-    let mut level_ids: Vec<u16> = levels.keys().copied().filter(|&l| l >= 1).collect();
-    level_ids.sort_unstable();
-    out.levels = level_ids
-        .into_iter()
-        .map(|level| {
-            let a = &levels[&level];
-            let denom = a.nodes.len().max(1) as f64 * window;
-            LevelReplay {
-                level,
-                nodes_seen: a.nodes.len(),
-                rho_w: present_ns(&a.w_intervals) as f64 / denom,
-                rho_w_hold: a.w_busy_ns as f64 / denom,
-                w_grants: a.w_grants,
-                r_grants: a.r_grants,
-                mean_w_wait_ns: mean(a.w_wait_ns, a.w_waits),
-                mean_r_wait_ns: mean(a.r_wait_ns, a.r_waits),
-                mean_w_hold_ns: mean(a.w_hold_ns, a.w_holds),
-                mean_r_hold_ns: mean(a.r_hold_ns, a.r_holds),
+    let mean_secs = |(n, ns): (u64, u64)| LevelRecord::mean(ns as f64 * 1e-9, n);
+    out.levels = levels
+        .range(1..)
+        .map(|(&level, a)| {
+            let nodes = a.nodes.len() as u64;
+            let node_window = nodes.max(1) as f64 * window;
+            let per_node_s = |n: u64| n as f64 / (node_window * 1e-9);
+            LevelRecord {
+                level: usize::from(level),
+                nodes: Some(nodes),
+                r_acquires: Some(a.grants[0]),
+                w_acquires: Some(a.grants[1]),
+                lambda_r: Some(per_node_s(a.grants[0])),
+                lambda_w: Some(per_node_s(a.grants[1])),
+                rho_w: Some(present_ns(&a.w_intervals) as f64 / node_window),
+                rho_w_hold: Some(a.w_busy_ns as f64 / node_window),
+                mean_r_wait: mean_secs(a.waits[0]),
+                mean_w_wait: mean_secs(a.waits[1]),
+                mean_r_hold: mean_secs(a.holds[0]),
+                mean_w_hold: mean_secs(a.holds[1]),
             }
         })
         .collect();
@@ -502,6 +429,10 @@ mod tests {
     use super::*;
     use crate::event::Event;
 
+    fn close(got: Option<f64>, want: f64) -> bool {
+        got.is_some_and(|x| (x - want).abs() <= 1e-12 * want.abs().max(1.0))
+    }
+
     fn ev(ts: u64, thread: u32, kind: EventKind, arg: u8, level: u16, node: u64) -> Event {
         Event {
             ts_ns: ts,
@@ -534,18 +465,17 @@ mod tests {
         assert_eq!(r.window_ns(), 100);
         let lvl = &r.levels[0];
         assert_eq!(lvl.level, 1);
-        assert_eq!(lvl.nodes_seen, 1);
-        assert_eq!(lvl.w_grants, 1);
+        assert_eq!(lvl.nodes, Some(1));
+        assert_eq!((lvl.w_acquires, lvl.r_acquires), (Some(1), Some(0)));
+        // One grant on one node over 100 ns.
+        assert!(close(lvl.lambda_w, 1e7), "{lvl:?}");
         // Presence spans request→release (50 ns); hold-only spans
         // grant→release (40 ns).
-        assert!((lvl.rho_w - 0.50).abs() < 1e-12, "rho_w = {}", lvl.rho_w);
-        assert!(
-            (lvl.rho_w_hold - 0.40).abs() < 1e-12,
-            "rho_w_hold = {}",
-            lvl.rho_w_hold
-        );
-        assert_eq!(lvl.mean_w_wait_ns, 10.0);
-        assert_eq!(lvl.mean_w_hold_ns, 40.0);
+        assert!(close(lvl.rho_w, 0.50), "{lvl:?}");
+        assert!(close(lvl.rho_w_hold, 0.40), "{lvl:?}");
+        assert!(close(lvl.mean_w_wait, 10e-9), "{lvl:?}");
+        assert!(close(lvl.mean_w_hold, 40e-9), "{lvl:?}");
+        assert_eq!(lvl.mean_r_wait, None, "no reader waited");
         assert_eq!(r.chases, 2);
         assert_eq!(r.unmatched, 0);
     }
@@ -573,13 +503,9 @@ mod tests {
         let r = replay(&trace);
         assert_eq!(r.window_ns(), 40);
         let lvl = &r.levels[0];
-        assert!((lvl.rho_w - 0.75).abs() < 1e-12, "rho_w = {}", lvl.rho_w);
-        assert!(
-            (lvl.rho_w_hold - 0.75).abs() < 1e-12,
-            "rho_w_hold = {}",
-            lvl.rho_w_hold
-        );
-        assert_eq!(lvl.mean_w_wait_ns, 7.5, "waits 0 and 15 average to 7.5");
+        assert!(close(lvl.rho_w, 0.75), "{lvl:?}");
+        assert!(close(lvl.rho_w_hold, 0.75), "{lvl:?}");
+        assert!(close(lvl.mean_w_wait, 7.5e-9), "waits 0 and 15 ns: {lvl:?}");
         assert_eq!(r.unmatched, 0);
     }
 
@@ -599,7 +525,7 @@ mod tests {
         assert_eq!(r.dropped, 3);
         let lvl = &r.levels[0];
         assert_eq!(lvl.level, 2);
-        assert!((lvl.rho_w - 1.0).abs() < 1e-12, "held for the whole window");
+        assert!(close(lvl.rho_w, 1.0), "held for the whole window");
         assert_eq!(r.restarts, 1);
     }
 
@@ -667,7 +593,7 @@ mod tests {
         let r = replay(&trace);
         // No releases → hold means are NaN; serialization must not fail.
         let text = r.to_json().to_string().unwrap();
-        assert!(text.contains("\"mean_w_hold_ns\":null"));
+        assert!(text.contains("\"mean_r_hold\":null"), "{text}");
         assert!(Json::parse(&text).is_ok());
     }
 }

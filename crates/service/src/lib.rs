@@ -42,7 +42,7 @@ pub use router::KeyRangeRouter;
 
 use cbtree_btree::{ConcurrentBTree, Protocol};
 use cbtree_harness::{
-    fork_seed, level_snapshots, LevelLive, PHASE_DONE, PHASE_MEASURE, PHASE_WARMUP,
+    fork_seed, level_snapshots, level_windows, PHASE_DONE, PHASE_MEASURE, PHASE_WARMUP,
 };
 use cbtree_queueing::BatchSizeMoments;
 use cbtree_sync::{HistogramSnapshot, SamplePeriod};
@@ -467,22 +467,6 @@ pub fn serve(cfg: &ServeConfig) -> ServeReport {
         let offered: u64 = gens.iter().map(|g| g.offered[sh]).sum();
         let rejected_full: u64 = gens.iter().map(|g| g.rejected[sh]).sum();
 
-        // Diff the window's lock counters per level, using the
-        // end-of-window shape (new nodes have zero baseline).
-        let mut levels = Vec::with_capacity(snap_b[sh].len());
-        for (i, (nodes, after)) in snap_b[sh].iter().enumerate() {
-            let window = match snap_a[sh].get(i) {
-                Some((_, before)) => after.since(before),
-                None => *after,
-            };
-            levels.push(LevelLive {
-                level: i + 1,
-                nodes: *nodes,
-                rho_w: window.writer_utilization(elapsed_ns, *nodes),
-                stats: window,
-            });
-        }
-
         agg_sojourn.merge(&sojourn);
         agg_sojourn_sum_ns = agg_sojourn_sum_ns.saturating_add(sojourn_sum_ns);
         let (lo, hi) = router.range(sh);
@@ -526,7 +510,7 @@ pub fn serve(cfg: &ServeConfig) -> ServeReport {
             batch,
             batch_sizes,
             counters: ctr_b[sh].since(&ctr_a[sh]),
-            levels,
+            levels: level_windows(&snap_a[sh], &snap_b[sh], elapsed_ns),
             final_len: rt.tree.len(),
         });
     }

@@ -15,9 +15,9 @@ use crate::queue::Shed;
 use crate::shard::ShardRuntime;
 use crate::ServeConfig;
 use cbtree_btree::OpCountersSnapshot;
-use cbtree_harness::{level_snapshots, sample_windows};
+use cbtree_harness::{level_snapshots, level_windows, sample_windows, LevelLive};
 use cbtree_obs::metrics::{Counter, WindowCursor, WindowSnapshot, WindowedHistogram};
-use cbtree_obs::Json;
+use cbtree_obs::{Json, LevelRecord};
 use cbtree_sync::LockStatsSnapshot;
 use std::sync::atomic::AtomicU8;
 
@@ -144,9 +144,9 @@ pub struct TimeseriesPoint {
     pub queue_depth: usize,
     /// Largest per-window queue high-water mark across shards.
     pub queue_depth_hwm: usize,
-    /// Per-level writer utilization ρ_w over the window (leaves first),
-    /// shards aggregated.
-    pub rho_w_levels: Vec<f64>,
+    /// Per-level lock records over the window (leaves first, seconds),
+    /// shards aggregated: nodes summed, lock statistics merged.
+    pub levels: Vec<LevelRecord>,
     /// Served operations whose sojourn landed in this window.
     pub sojourn_n: u64,
     /// Windowed sojourn p50, ns.
@@ -182,8 +182,8 @@ impl TimeseriesPoint {
             ("queue_depth", self.queue_depth.into()),
             ("queue_depth_hwm", self.queue_depth_hwm.into()),
             (
-                "rho_w_levels",
-                Json::arr(self.rho_w_levels.iter().map(|&r| Json::f64_or_null(r))),
+                "levels",
+                Json::arr(self.levels.iter().map(LevelRecord::to_json)),
             ),
             ("sojourn_n", self.sojourn_n.into()),
             ("sojourn_p50_ns", self.sojourn_p50_ns.into()),
@@ -328,8 +328,9 @@ pub(crate) fn sampler_loop(
         let (mut offered, mut accepted, mut completed, mut shed) = (0u64, 0u64, 0u64, 0u64);
         let (mut batches, mut batch_ops, mut splits, mut chases) = (0u64, 0u64, 0u64, 0u64);
         let (mut depth, mut depth_hwm) = (0usize, 0usize);
-        // Per-level (nodes, stats) aggregated across shards.
-        let mut levels_agg: Vec<(u64, LockStatsSnapshot)> = Vec::new();
+        // Per-level windows aggregated across shards: nodes summed,
+        // statistics merged (`record()` derives everything from them).
+        let mut levels_agg: Vec<LevelLive> = Vec::new();
         for (sh, (rt, b)) in runtimes.iter().zip(base).enumerate() {
             let m = &rt.metrics;
             let diff = |cur: u64, prev: &mut u64| {
@@ -349,16 +350,14 @@ pub(crate) fn sampler_loop(
             let s_splits = ctr_diff.splits;
             chases += ctr_diff.chases;
             let levels = level_snapshots(&rt.tree);
-            for (i, (nodes, after)) in levels.iter().enumerate() {
-                let window = match b.levels.get(i) {
-                    Some((_, before)) => after.since(before),
-                    None => *after,
-                };
-                if levels_agg.len() <= i {
-                    levels_agg.resize(i + 1, (0, LockStatsSnapshot::default()));
+            for l in level_windows(&b.levels, &levels, window_ns) {
+                match levels_agg.get_mut(l.level - 1) {
+                    Some(agg) => {
+                        agg.nodes += l.nodes;
+                        agg.stats.merge(&l.stats);
+                    }
+                    None => levels_agg.push(l),
                 }
-                levels_agg[i].0 += nodes;
-                levels_agg[i].1.merge(&window);
             }
             b.levels = levels;
             let sojourn = m.sojourn.harvest(&mut b.cursor);
@@ -386,11 +385,6 @@ pub(crate) fn sampler_loop(
             });
             agg_sojourn.merge(&sojourn);
         }
-
-        let rho_w_levels: Vec<f64> = levels_agg
-            .iter()
-            .map(|(nodes, stats)| stats.writer_utilization(window_ns, *nodes))
-            .collect();
 
         // SLO monitor: a window burns when its p99 blows the budget, or
         // when load arrived but nothing at all was served (the queue is
@@ -433,7 +427,7 @@ pub(crate) fn sampler_loop(
             },
             queue_depth: depth,
             queue_depth_hwm: depth_hwm,
-            rho_w_levels,
+            levels: levels_agg.iter().map(LevelLive::record).collect(),
             sojourn_n: agg_sojourn.total(),
             sojourn_p50_ns: agg_sojourn.p50(),
             sojourn_p99_ns: agg_sojourn.p99(),

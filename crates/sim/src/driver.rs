@@ -120,18 +120,8 @@ pub(crate) struct RunStats {
     pub resp_insert: Welford,
     /// Response times of deletes.
     pub resp_delete: Welford,
-    /// Lock waits for shared locks, indexed by level−1.
-    pub wait_r: Vec<Welford>,
-    /// Lock waits for exclusive locks, indexed by level−1.
-    pub wait_w: Vec<Welford>,
-    /// Total *writer-present* time per level, indexed by level−1: for
-    /// each node, the union of intervals during which at least one
-    /// writer held **or waited for** its lock (the `ρ_w` indicator of
-    /// the analysis — `writer_present` semantics — generalized from the
-    /// root to every level), summed over the level's nodes and clipped
-    /// to the measured window. Divided by `nodes(level) · measured_time`
-    /// this is the simulated per-level ρ_w.
-    pub w_present_by_level: Vec<f64>,
+    /// Per-level lock statistics, indexed by level−1.
+    pub levels: Vec<LevelStats>,
     /// Time-weighted root writer-present indicator (the simulated ρ_w(h)).
     pub root_writer: TimeWeighted,
     /// Time-weighted number of in-flight operations.
@@ -150,23 +140,32 @@ pub(crate) struct RunStats {
     pub max_in_flight: usize,
 }
 
+/// One level's lock statistics over the measured window.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LevelStats {
+    /// Shared-lock waits, one per grant.
+    pub wait_r: Welford,
+    /// Exclusive-lock waits, one per grant.
+    pub wait_w: Welford,
+    /// Total *writer-present* time: per node, the union of intervals a
+    /// writer held **or waited for** its lock, summed over the level.
+    pub w_present: f64,
+}
+
 impl RunStats {
-    fn record_wait(&mut self, level: usize, mode: Mode, waited: f64) {
-        let slot = match mode {
-            Mode::Shared => &mut self.wait_r,
-            Mode::Exclusive => &mut self.wait_w,
-        };
-        if slot.len() < level {
-            slot.resize(level, Welford::new());
+    fn level(&mut self, level: usize) -> &mut LevelStats {
+        if self.levels.len() < level {
+            self.levels.resize(level, LevelStats::default());
         }
-        slot[level - 1].add(waited);
+        &mut self.levels[level - 1]
     }
 
-    fn record_w_present(&mut self, level: usize, present: f64) {
-        if self.w_present_by_level.len() < level {
-            self.w_present_by_level.resize(level, 0.0);
+    fn record_wait(&mut self, level: usize, mode: Mode, waited: f64) {
+        let l = self.level(level);
+        match mode {
+            Mode::Shared => l.wait_r.add(waited),
+            Mode::Exclusive => l.wait_w.add(waited),
         }
-        self.w_present_by_level[level - 1] += present;
     }
 }
 
@@ -369,7 +368,7 @@ impl Simulator {
                 let present = self.now - entry.1.max(self.stats.measured_start);
                 self.w_present.remove(&node);
                 if present > 0.0 {
-                    self.stats.record_w_present(self.tree.level(node), present);
+                    self.stats.level(self.tree.level(node)).w_present += present;
                 }
             }
         }
@@ -398,14 +397,14 @@ impl Simulator {
     /// Closes out writer-presence intervals still open at the end of the
     /// run, charging each with its time up to `now` (clipped to the
     /// measured window). Call once, after the event loop, before reading
-    /// [`RunStats::w_present_by_level`].
+    /// [`LevelStats::w_present`].
     pub fn finalize_w_present(&mut self) {
         let open = std::mem::take(&mut self.w_present);
         self.w_live.clear();
         for (node, (_, since)) in open {
             let present = self.now - since.max(self.stats.measured_start);
             if present > 0.0 {
-                self.stats.record_w_present(self.tree.level(node), present);
+                self.stats.level(self.tree.level(node)).w_present += present;
             }
         }
     }
@@ -879,11 +878,11 @@ mod tests {
         // Readers never request locks: no shared-lock wait is ever
         // recorded at any level.
         assert!(
-            sim.stats.wait_r.iter().all(|w| w.count() == 0),
+            sim.stats.levels.iter().all(|l| l.wait_r.count() == 0),
             "OLC must place zero shared-lock demand"
         );
         // Writers do latch (exclusively).
-        assert!(sim.stats.wait_w.iter().any(|w| w.count() > 0));
+        assert!(sim.stats.levels.iter().any(|l| l.wait_w.count() > 0));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::stats::{BatchMeans, Summary, Welford};
 use crate::tree::SimTree;
 use crate::{Result, SimError};
 use cbtree_analysis::{Algorithm, RecoveryConfig};
+use cbtree_obs::LevelRecord;
 use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
 
 /// Full configuration of one simulation run.
@@ -137,19 +138,10 @@ pub struct SimReport {
     /// Redo descents per completed update (Optimistic Descent), or
     /// failed read windows per completed search (OLC); 0 else.
     pub redo_rate: f64,
-    /// Mean exclusive-lock wait per level (leaves first).
-    pub wait_w_by_level: Vec<f64>,
-    /// Mean shared-lock wait per level (leaves first).
-    pub wait_r_by_level: Vec<f64>,
-    /// Simulated per-level writer utilization ρ_w (leaves first): the
-    /// per-node fraction of the measured window during which a writer
-    /// held *or waited for* the node's lock, averaged over the level's
-    /// nodes — `writer_present` semantics, directly comparable to the
-    /// analysis's per-level ρ_w (the root entry generalizes
-    /// `root_writer_utilization` to every level).
-    pub rho_w_by_level: Vec<f64>,
-    /// Tree height at the end of the run.
-    pub final_height: usize,
+    /// Per-level records, leaves first, in model cost units: end-of-run
+    /// nodes, acquisitions and λ per node, waits, and presence ρ_w (the
+    /// root's is `root_writer_utilization`). Holds are not timed.
+    pub levels: Vec<LevelRecord>,
     /// Leaf space utilization at the end of the run.
     pub leaf_utilization: f64,
     /// Peak in-flight operations.
@@ -164,7 +156,6 @@ impl SimReport {
     /// JSON record of the whole report (`type: "sim_report"`).
     pub fn to_json(&self) -> cbtree_obs::Json {
         use cbtree_obs::Json;
-        let farr = |v: &[f64]| Json::arr(v.iter().map(|&x| Json::f64_or_null(x)));
         Json::obj(vec![
             ("type", "sim_report".into()),
             ("arrival_rate", Json::f64_or_null(self.arrival_rate)),
@@ -179,10 +170,11 @@ impl SimReport {
             ("throughput", Json::f64_or_null(self.throughput)),
             ("crossings_per_op", Json::f64_or_null(self.crossings_per_op)),
             ("redo_rate", Json::f64_or_null(self.redo_rate)),
-            ("wait_w_by_level", farr(&self.wait_w_by_level)),
-            ("wait_r_by_level", farr(&self.wait_r_by_level)),
-            ("rho_w_by_level", farr(&self.rho_w_by_level)),
-            ("final_height", self.final_height.into()),
+            (
+                "levels",
+                Json::arr(self.levels.iter().map(LevelRecord::to_json)),
+            ),
+            ("final_height", self.levels.len().into()),
             ("leaf_utilization", Json::f64_or_null(self.leaf_utilization)),
             ("max_in_flight", self.max_in_flight.into()),
             ("completed", self.completed.into()),
@@ -252,14 +244,24 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
     let level_nodes = sim.tree.level_node_counts();
     let stats = &sim.stats;
     let measured_time = (sim.now() - stats.measured_start).max(f64::MIN_POSITIVE);
-    let rho_w_by_level: Vec<f64> = (0..sim.tree.height())
-        .map(|i| {
-            let present = stats.w_present_by_level.get(i).copied().unwrap_or(0.0);
-            let nodes = level_nodes.get(i).copied().unwrap_or(0).max(1) as f64;
-            (present / (nodes * measured_time)).clamp(0.0, 1.0)
-        })
-        .collect();
-    let to_means = |ws: &Vec<Welford>| ws.iter().map(Welford::mean).collect::<Vec<f64>>();
+    let levels = (0..sim.tree.height()).map(|i| {
+        let nodes = level_nodes.get(i).copied().unwrap_or(0);
+        let node_time = nodes.max(1) as f64 * measured_time;
+        let l = stats.levels.get(i).copied().unwrap_or_default();
+        let (r, w) = (l.wait_r, l.wait_w);
+        LevelRecord {
+            level: i + 1,
+            nodes: Some(nodes),
+            r_acquires: Some(r.count()),
+            w_acquires: Some(w.count()),
+            lambda_r: Some(r.count() as f64 / node_time),
+            lambda_w: Some(w.count() as f64 / node_time),
+            rho_w: Some((l.w_present / node_time).clamp(0.0, 1.0)),
+            mean_r_wait: (r.count() > 0).then(|| r.mean()),
+            mean_w_wait: (w.count() > 0).then(|| w.mean()),
+            ..LevelRecord::default()
+        }
+    });
     // Single-run CIs use batch means (per-sample CIs understate variance
     // because successive response times share queue backlogs).
     let with_batch_ci = |w: &Welford, b: &BatchMeans| {
@@ -286,10 +288,7 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
         throughput: stats.completed as f64 / measured_time,
         crossings_per_op: stats.crossings as f64 / stats.completed.max(1) as f64,
         redo_rate: stats.redos as f64 / redoers.max(1) as f64,
-        wait_w_by_level: to_means(&stats.wait_w),
-        wait_r_by_level: to_means(&stats.wait_r),
-        rho_w_by_level,
-        final_height: sim.tree.height(),
+        levels: levels.collect(),
         leaf_utilization: sim.tree.leaf_utilization(),
         max_in_flight: stats.max_in_flight,
         completed: stats.completed,
@@ -368,23 +367,38 @@ mod tests {
         assert!(r.completed >= 490);
         assert!(r.throughput > 0.0);
         assert!((0.0..=1.0).contains(&r.root_writer_utilization));
-        assert!(r.final_height >= 4);
+        assert!(r.levels.len() >= 4);
     }
 
     #[test]
     fn per_level_rho_w_is_sane_and_matches_root_tracker() {
         // Heavier load so writer holds are visible at every level.
         let r = run(&quick(Algorithm::NaiveLockCoupling, 0.4)).unwrap();
-        assert_eq!(r.rho_w_by_level.len(), r.final_height);
-        for (i, &rho) in r.rho_w_by_level.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&rho), "level {}: {rho}", i + 1);
+        let rho = |l: &LevelRecord| l.rho_w.expect("the simulator sees presence");
+        for l in &r.levels {
+            assert!((0.0..=1.0).contains(&rho(l)), "{l:?}");
+            // Writers queued at every level of lock-coupling; holds are
+            // not timed.
+            assert!(
+                l.w_acquires.unwrap() > 0 && l.mean_w_wait.is_some(),
+                "{l:?}"
+            );
+            assert_eq!((l.rho_w_hold, l.mean_w_hold), (None, None), "{l:?}");
         }
         // Leaves see writers under an update-heavy mix.
-        assert!(r.rho_w_by_level[0] > 0.0, "no leaf writer utilization");
+        assert!(rho(&r.levels[0]) > 0.0, "no leaf writer utilization");
+        // Per node, the root sees every operation: λ_r + λ_w there is
+        // the throughput.
+        let root_rec = r.levels.last().unwrap();
+        let root_lambda = root_rec.lambda_r.unwrap() + root_rec.lambda_w.unwrap();
+        assert!(
+            (root_lambda / r.throughput - 1.0).abs() < 0.05,
+            "{root_rec:?}"
+        );
         // The root's per-level value and the time-weighted root tracker
         // measure the same writer-present signal two ways; they must
         // agree up to event-boundary rounding.
-        let root = *r.rho_w_by_level.last().unwrap();
+        let root = rho(root_rec);
         assert!(
             (root - r.root_writer_utilization).abs() < 1e-6,
             "root rho_w {} vs tracker {}",
@@ -410,10 +424,10 @@ mod tests {
         );
         assert_eq!(
             parsed
-                .get("rho_w_by_level")
+                .get("levels")
                 .and_then(Json::as_arr)
                 .map(<[Json]>::len),
-            Some(r.final_height)
+            Some(r.levels.len())
         );
     }
 

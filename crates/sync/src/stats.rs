@@ -46,6 +46,7 @@
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::stamp::Stamp;
+use cbtree_obs::LevelRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How often wait/hold durations are measured: one acquisition in
@@ -365,15 +366,6 @@ impl LockStatsSnapshot {
         }
     }
 
-    /// Mean shared wait in nanoseconds (0 when no acquisitions).
-    pub fn mean_r_wait_ns(&self) -> f64 {
-        if self.r_acquires == 0 {
-            0.0
-        } else {
-            self.r_wait_ns as f64 / self.r_acquires as f64
-        }
-    }
-
     /// Measured writer utilization over a window of `elapsed_ns`
     /// spanning `locks` locks: `Σ hold_W / (locks · elapsed)` — the live
     /// counterpart of the model's `ρ_w`.
@@ -386,6 +378,28 @@ impl LockStatsSnapshot {
         }
     }
 
+    /// The live [`LevelRecord`] of a tree level of `nodes` locks over a
+    /// window of `window_ns`, in seconds: everything but presence
+    /// `rho_w`, which hold-only counters cannot see.
+    pub fn level_record(&self, level: usize, nodes: u64, window_ns: u64) -> LevelRecord {
+        let node_secs = nodes.max(1) as f64 * window_ns as f64 * 1e-9;
+        let secs = |ns: u64| ns as f64 * 1e-9;
+        LevelRecord {
+            level,
+            nodes: Some(nodes),
+            r_acquires: Some(self.r_acquires),
+            w_acquires: Some(self.w_acquires),
+            lambda_r: Some(self.r_acquires as f64 / node_secs),
+            lambda_w: Some(self.w_acquires as f64 / node_secs),
+            rho_w: None,
+            rho_w_hold: Some(self.writer_utilization(window_ns, nodes)),
+            mean_r_wait: LevelRecord::mean(secs(self.r_wait_ns), self.r_acquires),
+            mean_w_wait: LevelRecord::mean(secs(self.w_wait_ns), self.w_acquires),
+            mean_r_hold: LevelRecord::mean(secs(self.r_hold_ns), self.r_acquires),
+            mean_w_hold: LevelRecord::mean(secs(self.w_hold_ns), self.w_acquires),
+        }
+    }
+
     /// Fraction of exclusive acquisitions that queued.
     pub fn w_contention_rate(&self) -> f64 {
         if self.w_acquires == 0 {
@@ -395,8 +409,8 @@ impl LockStatsSnapshot {
         }
     }
 
-    /// JSON object of the raw counters plus derived means, the exclusive
-    /// contention rate, and sampled wait quantiles (histogram buckets stay
+    /// JSON object of the raw counters plus the exclusive contention
+    /// rate and sampled wait quantiles (histogram buckets stay
     /// internal; their p50/p90/p99 upper bounds are what downstream
     /// tooling consumes).
     pub fn to_json(&self) -> cbtree_obs::Json {
@@ -418,8 +432,6 @@ impl LockStatsSnapshot {
             ("w_wait_ns", self.w_wait_ns.into()),
             ("r_hold_ns", self.r_hold_ns.into()),
             ("w_hold_ns", self.w_hold_ns.into()),
-            ("mean_r_wait_ns", Json::f64_or_null(self.mean_r_wait_ns())),
-            ("mean_w_wait_ns", Json::f64_or_null(self.mean_w_wait_ns())),
             (
                 "w_contention_rate",
                 Json::f64_or_null(self.w_contention_rate()),

@@ -68,7 +68,7 @@ fn main() {
             link_max
         );
 
-        for (name, v) in [("naive-lc", naive_half), ("optimistic", optim_half)] {
+        for (name, v) in [("lock-coupling", naive_half), ("optimistic", optim_half)] {
             if v.is_finite() && v >= target {
                 let better = match best {
                     Some((_, _, b)) => v > b,

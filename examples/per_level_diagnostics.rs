@@ -7,32 +7,30 @@
 //! of FCFS R/W lock queues.
 //!
 //! ```text
-//! cargo run --release --example per_level_diagnostics [naive|optimistic|link|two-phase] [frac_of_max]
+//! cargo run --release --example per_level_diagnostics [PROTOCOL] [frac_of_max]
 //! ```
 
 use cbtree::analysis::{Algorithm, ModelConfig};
+use cbtree::btree::Protocol;
 use cbtree::model::{CostModel, OpMix};
 use cbtree::sim::runner::matched_tree_shape;
 use cbtree::sim::{run, SimConfig};
 
 fn main() {
-    let alg_name = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "naive".to_string());
+    let arg = std::env::args().nth(1);
+    let protocol: Protocol = arg
+        .as_deref()
+        .unwrap_or("lock-coupling")
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     let frac: f64 = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.7);
-    let algorithm = match alg_name.as_str() {
-        "naive" => Algorithm::NaiveLockCoupling,
-        "optimistic" => Algorithm::OptimisticDescent,
-        "link" => Algorithm::LinkType,
-        "two-phase" => Algorithm::TwoPhaseLocking,
-        other => {
-            eprintln!("unknown algorithm `{other}` (naive|optimistic|link|two-phase)");
-            std::process::exit(2);
-        }
-    };
+    let algorithm = Algorithm::of(protocol);
 
     // Model the exact tree the simulator builds.
     let base_cfg = SimConfig::paper(algorithm, 1.0, 1);
@@ -57,31 +55,23 @@ fn main() {
     let sim = run(&sim_cfg).expect("stable at this rate");
 
     println!(
-        "{:>5} {:>10} {:>10} | {:>8} {:>8} | {:>8} {:>8} | {:>9} {:>9}",
-        "level",
-        "λ_R/node",
-        "λ_W/node",
-        "R(i) mdl",
-        "R(i) sim",
-        "W(i) mdl",
-        "W(i) sim",
-        "ρ_w model",
-        "ρ_w sim"
+        "level   λ_R/node   λ_W/node | R(i) mdl R(i) sim | W(i) mdl W(i) sim | ρ_w model   ρ_w sim"
     );
-    // The simulator's per-level vectors run leaves first.
-    let at = |v: &[f64], level: usize| v.get(level - 1).copied().unwrap_or(0.0);
-    for l in perf.levels.iter().rev() {
+    // Both pillars list levels leaves first; a value the simulator did
+    // not observe prints as NaN.
+    for (l, s) in perf.levels.iter().zip(&sim.levels).rev() {
+        let nan = |v: Option<f64>| v.unwrap_or(f64::NAN);
         println!(
             "{:>5} {:>10.5} {:>10.5} | {:>8.3} {:>8.3} | {:>8.3} {:>8.3} | {:>9.3} {:>9.3}",
             l.level,
             l.lambda_r,
             l.lambda_w,
             l.r_wait,
-            at(&sim.wait_r_by_level, l.level),
+            nan(s.mean_r_wait),
             l.w_wait,
-            at(&sim.wait_w_by_level, l.level),
+            nan(s.mean_w_wait),
             l.rho_w,
-            at(&sim.rho_w_by_level, l.level),
+            nan(s.rho_w),
         );
     }
     println!(
