@@ -3,10 +3,10 @@
 //! op (transaction size 1) — at node capacities on both sides of every
 //! arena slot-class boundary, and to a `std::collections::BTreeMap`
 //! oracle; every return value and the final contents must match
-//! exactly. Under the `inject` feature all seven protocols additionally
-//! run a schedule-perturbed concurrent workload, and OLC's restart
-//! counters are sanity-checked in both regimes (zero single-threaded,
-//! nonzero under contended injection).
+//! exactly. All seven protocols additionally run a schedule-perturbed
+//! concurrent workload, and OLC's restart counters are sanity-checked in
+//! both regimes (zero single-threaded, nonzero under contended
+//! injection). Each perturbed test holds the injector for its whole run.
 //!
 //! Both the oracle stream and the perturbed concurrent workload
 //! interleave periodic `vacuum` passes, so slot recycling (a no-op on
@@ -146,21 +146,20 @@ fn olc_restarts_zero_single_threaded() {
 /// schedule-perturbation injection (which dilates the read-version →
 /// validate window) must observe restarts, and every restart must be
 /// attributed to exactly one cause.
-#[cfg(feature = "inject")]
 #[test]
 fn olc_restarts_observed_under_contended_injection() {
     use cbtree_sync::inject::{self, InjectConfig};
     use std::sync::Arc;
 
-    assert!(inject::enable(
+    let injector = inject::enable(
         0x01C0_5EED,
         InjectConfig {
             yield_per_mille: 100,
             spin_per_mille: 400,
             max_spin: 3_000,
             split_window_spin: 4_000,
-        }
-    ));
+        },
+    );
     let tree = Arc::new(ConcurrentBTree::new(Protocol::Olc, 4));
     for k in 0..512u64 {
         tree.insert(k, 0);
@@ -188,7 +187,7 @@ fn olc_restarts_observed_under_contended_injection() {
             });
         }
     });
-    inject::disable();
+    drop(injector);
     let c = tree.counters();
     assert!(c.v_validations > 0);
     assert!(
@@ -206,14 +205,13 @@ fn olc_restarts_observed_under_contended_injection() {
 /// All seven protocols survive a schedule-perturbed concurrent mixed
 /// workload: disjoint stripes make the final contents exactly
 /// predictable even though the interleavings are adversarial.
-#[cfg(feature = "inject")]
 #[test]
 fn all_protocols_survive_perturbed_concurrency() {
     use cbtree_sync::inject;
     use std::sync::Arc;
 
     for (i, p) in Protocol::ALL_WITH_RECOVERY.into_iter().enumerate() {
-        assert!(inject::enable(0xD1FF + i as u64, Default::default()));
+        let injector = inject::enable(0xD1FF + i as u64, Default::default());
         let tree = Arc::new(ConcurrentBTree::new(p, 4));
         for k in (0..4000u64).step_by(2) {
             tree.insert(k, 0u64);
@@ -242,7 +240,7 @@ fn all_protocols_survive_perturbed_concurrency() {
                 });
             }
         });
-        inject::disable();
+        drop(injector);
         assert_eq!(tree.len(), 2000, "{p}");
         tree.check().unwrap_or_else(|e| panic!("{p}: {e}"));
         for k in 0..4000u64 {

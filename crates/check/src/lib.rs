@@ -18,11 +18,12 @@
 //!    child pointers — catching lost separators and rewired links that
 //!    pure child-pointer invariant checks cannot see — plus key
 //!    ordering, fullness bounds, and tree/oracle content equality.
-//! 3. **Schedule perturbation** (`cbtree-sync`'s `inject` feature): the
-//!    stress harness ([`stress`]) seeds deterministic yield/spin-delay
-//!    decisions at latch acquire/release and inside the B-link
-//!    half-split window, so rare interleavings are explored on purpose
-//!    and a failing seed replays its decision stream exactly.
+//! 3. **Schedule perturbation** (`cbtree_sync::inject`, on for as long
+//!    as the guard `inject::enable` returns lives): the stress harness
+//!    ([`stress`]) seeds deterministic yield/spin-delay decisions at
+//!    latch acquire/release and inside the B-link half-split window, so
+//!    rare interleavings are explored on purpose and a failing seed
+//!    replays its decision stream exactly.
 //!
 //! The [`buggy`] module keeps deliberately broken readers around as
 //! permanent regression targets proving the checker has teeth — one

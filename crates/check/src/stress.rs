@@ -16,9 +16,10 @@ use cbtree_sync::InjectConfig;
 use cbtree_workload::{OpStream, Operation, OpsConfig};
 use std::sync::{Barrier, Mutex};
 
-/// Serializes stress runs within a process: the injector is global, so
-/// two concurrent runs would clobber each other's seed/epoch and break
-/// replay determinism. Parallelism lives *inside* a run.
+/// Serializes stress runs within a process. A perturbed run's injector
+/// already excludes other injectors; this gate also keeps an unperturbed
+/// run from overlapping a sibling's injector, which would perturb it.
+/// Parallelism lives *inside* a run.
 static RUN_GATE: Mutex<()> = Mutex::new(());
 
 /// One stress run, fully determined by this value.
@@ -90,8 +91,7 @@ pub struct StressOutcome {
     pub audit: Option<Result<AuditReport, String>>,
     /// Total recorded operations.
     pub ops: usize,
-    /// Perturbations performed (zeros when injection was off or compiled
-    /// out).
+    /// Perturbations performed (zeros when injection was off).
     pub inject_stats: inject::InjectStats,
 }
 
@@ -152,11 +152,7 @@ pub fn run_stress_on<M: ConcurrentMap<u64>>(map: &M, cfg: &StressConfig) -> Stre
     // Release latches a recovery protocol retained during prefill.
     map.txn_commit();
 
-    if let Some(icfg) = cfg.inject {
-        inject::enable(cfg.seed, icfg);
-    } else {
-        inject::disable();
-    }
+    let injector = cfg.inject.map(|icfg| inject::enable(cfg.seed, icfg));
 
     let clock = Clock::new();
     let barrier = Barrier::new(cfg.threads);
@@ -206,13 +202,7 @@ pub fn run_stress_on<M: ConcurrentMap<u64>>(map: &M, cfg: &StressConfig) -> Stre
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Counters reset on `enable`, so only meaningful when we enabled.
-    let inject_stats = if cfg.inject.is_some() {
-        inject::stats()
-    } else {
-        inject::InjectStats::default()
-    };
-    inject::disable();
+    let inject_stats = injector.map_or_else(Default::default, |i| i.stats());
 
     let history = History::from_threads(init, batches);
     let ops = history.ops.len();
@@ -284,7 +274,7 @@ mod tests {
         assert!(out.passed(), "{}", out.failure().unwrap_or_default());
         assert!(
             out.inject_stats.visits > 0,
-            "injection sites should be visited under the inject feature"
+            "injection sites should be visited while injecting"
         );
     }
 

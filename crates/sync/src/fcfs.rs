@@ -1161,11 +1161,9 @@ mod tests {
         let snap = lock.stats().snapshot();
         assert_eq!(snap.w_acquires, 101, "counts must stay exact");
         assert_eq!(snap.r_acquires, 101);
-        // Under the inject feature the period is forced to 1 (exact).
-        let expect = if cfg!(feature = "inject") { 101 } else { 26 };
         for hist in [&snap.r_wait_hist, &snap.w_wait_hist] {
-            assert_eq!(hist.total(), expect, "one observation per sampled acquire");
-            assert_eq!(hist.counts[0], expect);
+            assert_eq!(hist.total(), 26, "one observation per sampled acquire");
+            assert_eq!(hist.counts[0], 26);
             assert_eq!(hist.p50(), 0);
         }
         assert_eq!(snap.w_wait_ns, 0, "scaled sum of zero waits");
@@ -1197,7 +1195,7 @@ mod tests {
         let snap = lock.stats().snapshot();
         assert_eq!(snap.r_acquires, 8);
         assert_eq!(snap.r_contended, 1);
-        let sampled = 8 / sample.period(); // 2, or all 8 under `inject`
+        let sampled = 8 / sample.period();
         let hist = &snap.r_wait_hist;
         assert_eq!(hist.total(), sampled);
         assert_eq!(hist.counts[0], sampled - 1, "every sampled wait but one");

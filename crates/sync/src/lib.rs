@@ -36,11 +36,11 @@
 //! counter read behind [`Stamp`]); the B-tree crate itself stays
 //! `#![deny(unsafe_code)]`.
 //!
-//! With the `inject` cargo feature, the lock also exposes
+//! The lock's acquire and release paths carry the injection points of
 //! [`inject`] — seeded schedule-perturbation fault injection used by the
 //! `cbtree-check` concurrency-correctness pillar to explore many more
 //! interleavings per stress run and to replay a failing seed's decision
-//! stream.
+//! stream. They cost one relaxed load each until an injector is enabled.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

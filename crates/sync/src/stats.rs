@@ -55,10 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Periods are powers of two (the sampling decision is a mask test on the
 /// acquisition counter). [`SamplePeriod::EXACT`] (N=1) times everything —
-/// it is the default and preserves the crate's original behavior. When
-/// the `inject` cargo feature is enabled the effective period is forced
-/// to 1 so the check pillar's schedule perturbation sees unchanged
-/// timing behavior.
+/// it is the default and preserves the crate's original behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SamplePeriod {
     shift: u32,
@@ -78,16 +75,7 @@ impl SamplePeriod {
 
     /// The sampling period N (a power of two).
     pub fn period(self) -> u64 {
-        1u64 << self.effective_shift()
-    }
-
-    #[inline]
-    pub(crate) fn effective_shift(self) -> u32 {
-        if cfg!(feature = "inject") {
-            0
-        } else {
-            self.shift
-        }
+        1u64 << self.shift
     }
 }
 
@@ -176,7 +164,7 @@ pub struct LockStats {
 impl LockStats {
     pub(crate) fn with_sampling(sample: SamplePeriod) -> LockStats {
         LockStats {
-            sample_shift: sample.effective_shift(),
+            sample_shift: sample.shift,
             ..LockStats::default()
         }
     }
@@ -511,11 +499,6 @@ mod tests {
         assert_eq!(SamplePeriod::EXACT.period(), 1);
         assert_eq!(SamplePeriod::every(0), SamplePeriod::EXACT);
         assert_eq!(SamplePeriod::every(1), SamplePeriod::EXACT);
-        if cfg!(feature = "inject") {
-            // Inject builds force exact timing regardless of the knob.
-            assert_eq!(SamplePeriod::every(8).period(), 1);
-            return;
-        }
         assert_eq!(SamplePeriod::every(2).period(), 2);
         assert_eq!(SamplePeriod::every(5).period(), 8);
         assert_eq!(SamplePeriod::every(8).period(), 8);
@@ -572,11 +555,6 @@ mod tests {
         }
         let snap = s.snapshot();
         assert_eq!(snap.w_acquires, 16, "counts stay exact");
-        if cfg!(feature = "inject") {
-            assert_eq!(sampled, 16);
-            assert_eq!(snap.w_wait_ns, 1_600);
-            return;
-        }
         assert_eq!(sampled, 4, "acquisitions 0, 4, 8, 12 are sampled");
         // Each sampled 100ns contributes 100 << 2 = 400 to the sum, so the
         // estimated total equals the true total (16 × 100).

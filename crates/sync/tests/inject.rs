@@ -3,32 +3,48 @@
 //! visits exactly — in the library's unit-test binary every sibling test
 //! that takes a lock while one of them has the injector enabled adds
 //! visits (and is itself perturbed). Here the only lock traffic is what
-//! the tests themselves generate; the gate serializes them against each
-//! other.
-#![cfg(feature = "inject")]
+//! the checks themselves generate. They run in order from one test: a
+//! check that injection is off after a drop holds no gate, so no sibling
+//! may enable meanwhile.
 
-use cbtree_sync::inject::{
-    disable, enable, is_enabled, perturb, register_thread, stats, InjectConfig, Site,
-};
-
-/// Serialize tests that toggle the global injector.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use cbtree_sync::inject::{enable, is_enabled, perturb, register_thread, InjectConfig, Site};
 
 #[test]
-fn disabled_by_default_and_after_disable() {
-    let _g = GATE.lock().unwrap();
-    disable();
-    assert!(!is_enabled());
-    perturb(Site::AcquireShared); // must be a no-op
-    assert!(enable(42, InjectConfig::default()));
-    assert!(is_enabled());
-    disable();
-    assert!(!is_enabled());
+fn injector() {
+    dropping_the_injector_switches_injection_off();
+    a_panicking_holder_leaves_injection_off_and_the_gate_usable();
+    visits_counted_and_decisions_deterministic();
+    olc_window_sites_draw_from_the_stream();
+    half_split_site_always_spins();
 }
 
-#[test]
+fn dropping_the_injector_switches_injection_off() {
+    let injector = enable(42, InjectConfig::default());
+    assert!(is_enabled());
+    register_thread(0);
+    perturb(Site::HalfSplit);
+    assert_eq!(injector.stats().visits, 1);
+    drop(injector);
+    assert!(!is_enabled());
+    perturb(Site::AcquireShared); // a no-op now
+    let injector = enable(42, InjectConfig::default());
+    assert_eq!(injector.stats().visits, 0, "counters restart on enable");
+}
+
+fn a_panicking_holder_leaves_injection_off_and_the_gate_usable() {
+    let panicked = std::thread::spawn(|| {
+        let _injector = enable(1, InjectConfig::default());
+        panic!("holder fails while injecting");
+    })
+    .join();
+    assert!(panicked.is_err());
+    assert!(!is_enabled(), "the unwinding holder's drop switched it off");
+    let injector = enable(2, InjectConfig::default());
+    assert!(is_enabled(), "a poisoned gate is recovered");
+    drop(injector);
+}
+
 fn visits_counted_and_decisions_deterministic() {
-    let _g = GATE.lock().unwrap();
     let cfg = InjectConfig {
         yield_per_mille: 100,
         spin_per_mille: 300,
@@ -36,16 +52,14 @@ fn visits_counted_and_decisions_deterministic() {
         split_window_spin: 2,
     };
     let run = |seed: u64| {
-        enable(seed, cfg);
+        let injector = enable(seed, cfg);
         register_thread(7);
         for _ in 0..500 {
             perturb(Site::AcquireExclusive);
             perturb(Site::Release);
         }
         perturb(Site::HalfSplit);
-        let s = stats();
-        disable();
-        s
+        injector.stats()
     };
     let a = run(1234);
     let b = run(1234);
@@ -57,36 +71,29 @@ fn visits_counted_and_decisions_deterministic() {
     assert_ne!(a, c, "distinct seeds should differ");
 }
 
-#[test]
 fn olc_window_sites_draw_from_the_stream() {
-    let _g = GATE.lock().unwrap();
     let cfg = InjectConfig {
         yield_per_mille: 500,
         spin_per_mille: 500,
         max_spin: 2,
         split_window_spin: 0,
     };
-    enable(77, cfg);
+    let injector = enable(77, cfg);
     register_thread(3);
     for _ in 0..200 {
         perturb(Site::ReadVersion);
         perturb(Site::Validate);
     }
-    let s = stats();
-    disable();
+    let s = injector.stats();
     assert_eq!(s.visits, 400);
     // yield+spin probability is 1.0, so every visit perturbed.
     assert_eq!(s.yields + s.spins, 400);
 }
 
-#[test]
 fn half_split_site_always_spins() {
-    let _g = GATE.lock().unwrap();
-    enable(5, InjectConfig::default());
+    let injector = enable(5, InjectConfig::default());
     register_thread(0);
-    let before = stats();
+    let before = injector.stats();
     perturb(Site::HalfSplit);
-    let after = stats();
-    disable();
-    assert_eq!(after.spins, before.spins + 1);
+    assert_eq!(injector.stats().spins, before.spins + 1);
 }

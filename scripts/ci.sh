@@ -115,15 +115,6 @@ else
     echo "    skipped: $reason"
 fi
 
-echo "==> cargo test (inject feature: schedule perturbation compiled in)"
-cargo test --workspace --features inject -q
-
-echo "==> reclamation pillar: differential + conviction suites (inject feature)"
-cargo test -p cbtree-btree --features inject --test differential -q
-# cbtree-check's deps enable inject unconditionally, so no feature flag
-# here (cargo rejects -p PKG --features F when PKG itself lacks F).
-cargo test -p cbtree-check --test e2e -q
-
 echo "==> correctness pillar: quick stress sweep (4 protocols x 16 seeds)"
 cargo run --release -p cbtree-check --bin stress -- --quick
 

@@ -6,6 +6,7 @@
 use cbtree::btree::{ConcurrentBTree, Protocol};
 use cbtree::model::{Fullness, NodeParams, OpMix, TreeShape};
 use cbtree::sim::tree::SimTree;
+use cbtree::sync::SamplePeriod;
 use cbtree::workload::{OpStream, Operation, OpsConfig};
 use std::sync::Arc;
 
@@ -185,6 +186,43 @@ fn concurrent_paper_mix_on_all_protocols() {
         );
         tree.check().unwrap();
     }
+}
+
+/// Sampled lock statistics sample in the build that links the checker,
+/// whose schedule-perturbation hooks every build carries: acquisitions
+/// stay exact, and each level times one grant in eight.
+#[test]
+fn sampled_lock_statistics_sample_in_the_checker_build() {
+    let tree = ConcurrentBTree::with_sampling(Protocol::BLink, 16, SamplePeriod::every(8));
+    let mut stream = OpStream::new(OpsConfig::paper(20_000), 0x5A3D);
+    for _ in 0..30_000 {
+        match stream.next_op() {
+            Operation::Search(k) => drop(tree.get(&k)),
+            Operation::Insert(k) => drop(tree.insert(k, k)),
+            Operation::Delete(k) => drop(tree.remove(&k)),
+        }
+    }
+    let counted = tree.counters();
+    for (i, (_, s)) in tree.level_stats().iter().enumerate() {
+        let level = i + 1;
+        assert_eq!(s.r_acquires, counted.r_latches[i], "level {level} shared");
+        assert_eq!(
+            s.w_acquires, counted.w_latches[i],
+            "level {level} exclusive"
+        );
+        // One thread reports to one stripe, so the sample is exactly the
+        // acquisitions 0, 8, 16, … of each mode.
+        for (acq, hist) in [
+            (s.r_acquires, &s.r_wait_hist),
+            (s.w_acquires, &s.w_wait_hist),
+        ] {
+            assert_eq!(hist.total(), acq.div_ceil(8), "level {level}: {acq} grants");
+        }
+    }
+    assert!(
+        tree.level_stats()[0].1.r_acquires >= 8,
+        "the leaves were read"
+    );
 }
 
 #[test]
