@@ -1,13 +1,16 @@
 //! Cross-crate integration: the facade crate's pieces compose — the
 //! analytical model's structural predictions hold on the *real* threaded
-//! B-trees, the simulated and the real tree split alike, and the workload
-//! generators drive everything consistently.
+//! B-trees, the simulated and the real tree split and latch alike, and
+//! the workload generators drive everything consistently.
 
+use cbtree::analysis::{Algorithm, RecoveryConfig};
 use cbtree::btree::{ConcurrentBTree, Protocol};
 use cbtree::model::{Fullness, NodeParams, OpMix, TreeShape};
-use cbtree::sim::tree::SimTree;
+use cbtree::sim::runner::construction_phase;
+use cbtree::sim::SimConfig;
 use cbtree::sync::SamplePeriod;
 use cbtree::workload::{OpStream, Operation, OpsConfig};
+use cbtree_obs::LevelRecord;
 use std::sync::Arc;
 
 #[test]
@@ -96,52 +99,75 @@ fn workload_streams_drive_all_trees_identically() {
 }
 
 #[test]
-fn simulated_and_real_trees_split_alike() {
-    // One seeded single-thread stream through the simulator's tree and
-    // through the real tree under every protocol: the split rule is the
-    // same, so height, split count, nodes per level and items agree
-    // exactly. Recovery protocols commit after every operation.
-    for cap in [3usize, 13, 16] {
-        let stream = || OpStream::new(OpsConfig::paper(100_000), 7);
-        let mut sim = SimTree::new(cap);
-        let mut ops = stream();
-        for _ in 0..20_000 {
-            match ops.next_op() {
-                Operation::Search(_) => {}
-                Operation::Insert(k) => {
-                    sim.insert_sequential(k);
-                }
-                Operation::Delete(k) => {
-                    sim.delete_sequential(k);
-                }
-            }
-        }
+fn simulated_and_real_trees_latch_alike() {
+    // One seeded single-thread stream through the simulator (an arrival
+    // rate so low that one operation is in flight at a time) and through
+    // the real tree under every protocol: the split rule is the same, so
+    // the constructed trees agree in height, splits, nodes per level and
+    // items, and the paper's §4 descent descriptions grant the same
+    // per-level locks the real protocols latch. Recovery protocols commit
+    // after every operation.
+    for cap in [3usize, 13] {
         for p in Protocol::ALL_WITH_RECOVERY {
+            let cfg = SimConfig {
+                node_capacity: cap,
+                initial_items: 4_000,
+                measured_ops: 3_000,
+                warmup_ops: 100,
+                recovery: RecoveryConfig {
+                    mode: p.recovery(),
+                    t_trans: 100.0,
+                },
+                ..SimConfig::paper(Algorithm::of(p), 1e-6, 7)
+            };
+            let report = cbtree::sim::run(&cfg).unwrap();
+            assert_eq!(report.max_in_flight, 1, "{p} cap {cap}: one op at a time");
+            let (sim, _) = construction_phase(&cfg).unwrap();
+
             let tree = ConcurrentBTree::<u64>::new(p, cap);
-            let mut ops = stream();
-            for _ in 0..20_000 {
-                match ops.next_op() {
-                    Operation::Search(k) => {
-                        tree.get(&k);
-                    }
-                    Operation::Insert(k) => {
-                        tree.insert(k, k);
-                    }
-                    Operation::Delete(k) => {
-                        tree.remove(&k);
-                    }
+            let apply = |op: Operation| {
+                match op {
+                    Operation::Search(k) => drop(tree.get(&k)),
+                    Operation::Insert(k) => drop(tree.insert(k, k)),
+                    Operation::Delete(k) => drop(tree.remove(&k)),
                 }
                 tree.txn_commit();
-            }
-            let nodes: Vec<u64> = tree.level_stats().iter().map(|l| l.0).collect();
+            };
+            let mut ops = OpStream::new(cfg.ops, cfg.seed.wrapping_mul(0x9E37_79B9) ^ 0xB17D);
+            ops.construction_sequence(cfg.initial_items)
+                .into_iter()
+                .for_each(apply);
+            let nodes = || -> Vec<u64> { tree.level_stats().iter().map(|l| l.0).collect() };
             assert_eq!(tree.height(), sim.height(), "{p} cap {cap}: height");
             assert_eq!(tree.counters().splits, sim.splits, "{p} cap {cap}: splits");
             assert_eq!(
-                nodes,
+                nodes(),
                 sim.level_node_counts(),
                 "{p} cap {cap}: nodes per level"
             );
             assert_eq!(tree.len() as u64, sim.item_count, "{p} cap {cap}: items");
+
+            (0..cfg.warmup_ops).for_each(|_| apply(ops.next_op()));
+            let before = tree.counters();
+            (0..cfg.measured_ops).for_each(|_| apply(ops.next_op()));
+            let latched = tree.counters().since(&before);
+            let grants = |f: fn(&LevelRecord) -> Option<u64>| -> Vec<u64> {
+                report.levels.iter().map(|l| f(l).unwrap()).collect()
+            };
+            let height = report.levels.len();
+            assert_eq!(tree.height(), height, "{p} cap {cap}: final height");
+            let (r, w) = (grants(|l| l.r_acquires), grants(|l| l.w_acquires));
+            assert_eq!(r, latched.r_latches[..height], "{p} cap {cap}: shared");
+            assert_eq!(w, latched.w_latches[..height], "{p} cap {cap}: exclusive");
+            assert!(
+                r.iter().zip(&w).all(|(r, w)| r + w > 0),
+                "{p} cap {cap}: every level latched, r {r:?} w {w:?}"
+            );
+            assert_eq!(
+                nodes(),
+                grants(|l| l.nodes),
+                "{p} cap {cap}: final nodes per level"
+            );
         }
     }
 }
