@@ -173,7 +173,8 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 /// A generation-checked node handle: slot index plus the slot's
 /// generation when the handle was created. Packs into a `u64` (the
 /// tree's root word and the trace pillar's `split_node` identifier).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+/// Ids order by slot index, then generation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId {
     /// Slab slot index.
     pub idx: u32,
@@ -238,6 +239,12 @@ impl<V, const W: usize> Segments<V, W> {
     fn slot(&self, k: usize, off: usize) -> &Slot<V> {
         &self.0[k]
             .get()
+            .expect("slot index within an initialized segment")[off]
+    }
+
+    fn slot_mut(&mut self, k: usize, off: usize) -> &mut Slot<V> {
+        &mut self.0[k]
+            .get_mut()
             .expect("slot index within an initialized segment")[off]
     }
 
@@ -440,6 +447,17 @@ impl<V> Arena<V> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(id.idx);
+    }
+
+    /// The node `id` names, read and written without its latch: the
+    /// `&mut` borrow proves no handle or guard into this arena is live.
+    /// For a single-threaded owner of the arena (the simulator).
+    #[inline]
+    pub fn get_mut(&mut self, id: NodeId) -> &mut Node<V> {
+        let (k, off) = locate(id.idx);
+        let slot = on_class!(&mut self.spine, segs => segs.slot_mut(k, off));
+        debug_assert_eq!(*slot.gen.get_mut(), id.gen, "stale id {id:?}");
+        slot.lock.get_mut()
     }
 
     /// A handle for `id` in this arena (no liveness check — a stale id
@@ -796,6 +814,26 @@ mod tests {
         assert!(node.stale(), "old handle stays convicted");
         assert_eq!(arena.recycled(), 1);
         assert_eq!(arena.allocated(), 2);
+    }
+
+    #[test]
+    fn get_mut_sees_latched_writes_and_publishes_its_own() {
+        let mut arena: Arena<u64> = Arena::new(8);
+        let id = {
+            let mut g = arena.alloc(1);
+            g.leaf_insert(1, 10);
+            g.id()
+        };
+        arena.at(id).write().leaf_insert(2, 20);
+        let node = arena.get_mut(id);
+        assert_eq!(node.keys(), &[1, 2], "sees what a latched write published");
+        node.leaf_insert(3, 30);
+        node.high = Some(9);
+        let h = arena.at(id);
+        let n = h.read();
+        assert_eq!(n.keys(), &[1, 2, 3]);
+        assert_eq!(n.leaf_get(3), Some(&30));
+        assert_eq!(n.high, Some(9));
     }
 
     #[test]

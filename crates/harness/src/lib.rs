@@ -29,8 +29,8 @@ pub mod cli;
 
 use cbtree_btree::{ConcurrentBTree, OpCountersSnapshot, Protocol};
 use cbtree_obs::metrics::{Counter, WindowedHistogram};
+use cbtree_obs::stats::{Summary, Welford};
 use cbtree_obs::{Json, LevelRecord, Trace};
-use cbtree_sim::stats::{Summary, Welford};
 use cbtree_sync::{Histogram, HistogramSnapshot, LockStatsSnapshot, SamplePeriod};
 use cbtree_workload::{OpStream, Operation, OpsConfig, Rng};
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -12,6 +12,9 @@
 //!   and an untaken branch to an outlined cold body.
 //! - [`level`] — [`LevelRecord`], one tree level's lock queue as every
 //!   pillar (analysis, simulation, live, trace replay) reports it.
+//! - [`stats`] — the Welford accumulator and the `{mean, ci95, n}`
+//!   [`stats::Summary`] the simulator's and the live harness's reports
+//!   share.
 //! - [`replay`] — reconstructs per-level records, latch-chain depth, and
 //!   restart/chase/split rates from a drained trace, closing the
 //!   analysis/sim/live triangle with a fourth, directly measured column.
@@ -34,6 +37,7 @@ pub mod level;
 pub mod metrics;
 pub mod replay;
 pub mod ring;
+pub mod stats;
 pub mod table;
 pub mod trace;
 

@@ -45,10 +45,11 @@ use crate::costs::SimCosts;
 use crate::events::EventQueue;
 use crate::locks::{Grant, LockTable, Mode, NodeId, OpId};
 use crate::runner::SimConfig;
-use crate::stats::{BatchMeans, TimeWeighted, Welford};
+use crate::stats::{BatchMeans, TimeWeighted};
 use crate::tree::SimTree;
 use crate::{Result, SimError};
 use cbtree_analysis::{Algorithm, RecoveryConfig, RecoveryMode};
+use cbtree_obs::stats::Welford;
 use cbtree_workload::{Exponential, Operation, Rng};
 
 /// What an operation is currently doing (the service that is running or
@@ -306,7 +307,7 @@ impl Simulator {
         let operation = self.ops[op].operation;
         if !self.tree.node(leaf).covers(operation.key()) && self.fault.is_none() {
             self.fault = Some(format!(
-                "{operation:?} reached leaf {leaf}, which does not cover its key"
+                "{operation:?} reached leaf {leaf:?}, which does not cover its key"
             ));
         }
     }
@@ -349,7 +350,7 @@ impl Simulator {
             entry.0 += 1;
         }
         if self.locks.request(node, op, mode, self.now) {
-            let level = self.tree.level(node);
+            let level = self.tree.node(node).level;
             self.stats.record_wait(level, mode, 0.0);
             self.granted(op, node);
         }
@@ -368,7 +369,8 @@ impl Simulator {
                 let present = self.now - entry.1.max(self.stats.measured_start);
                 self.w_present.remove(&node);
                 if present > 0.0 {
-                    self.stats.level(self.tree.level(node)).w_present += present;
+                    let level = self.tree.node(node).level;
+                    self.stats.level(level).w_present += present;
                 }
             }
         }
@@ -386,7 +388,7 @@ impl Simulator {
 
     fn dispatch_grants(&mut self, grants: Vec<Grant>) {
         for g in grants {
-            let level = self.tree.level(g.node);
+            let level = self.tree.node(g.node).level;
             self.stats.record_wait(level, g.mode, g.waited);
             // A granted writer was already counted present at request
             // time; nothing changes here.
@@ -404,7 +406,8 @@ impl Simulator {
         for (node, (_, since)) in open {
             let present = self.now - since.max(self.stats.measured_start);
             if present > 0.0 {
-                self.stats.level(self.tree.level(node)).w_present += present;
+                let level = self.tree.node(node).level;
+                self.stats.level(level).w_present += present;
             }
         }
     }
@@ -430,7 +433,7 @@ impl Simulator {
             let held = std::mem::take(&mut self.ops[op].held);
             let mut retained = Vec::new();
             for node in held {
-                let keep = if self.tree.level(node) == 1 {
+                let keep = if self.tree.node(node).is_leaf() {
                     retain_leaf
                 } else {
                     retain_upper
@@ -524,21 +527,23 @@ impl Simulator {
     }
 
     /// Whether `node` is safe for `op` (lock-coupling release rule).
-    fn safe_for(&self, op: OpId, node: NodeId) -> bool {
+    fn safe_for(&mut self, op: OpId, node: NodeId) -> bool {
+        let cap = self.tree.capacity;
+        let n = self.tree.node(node);
         match self.ops[op].operation {
             Operation::Search(_) => true,
-            Operation::Insert(_) => !self.tree.insert_unsafe(node),
-            Operation::Delete(_) => !self.tree.delete_unsafe(node),
+            Operation::Insert(_) => !n.insert_unsafe(cap),
+            Operation::Delete(_) => !n.delete_unsafe(),
         }
     }
 
     /// Lock mode `op` requests on `node`: an update writes on every node
     /// of an exclusive crab, on a leaf, and on an ascent parent; every
     /// other request reads.
-    fn descent_mode(&self, op: OpId, node: NodeId) -> Mode {
+    fn descent_mode(&mut self, op: OpId, node: NodeId) -> Mode {
         let o = &self.ops[op];
         let writes = o.operation.is_update()
-            && (self.exclusive_crab(op) || self.tree.node(node).is_leaf() || o.pending.is_some());
+            && (self.exclusive_crab(op) || o.pending.is_some() || self.tree.node(node).is_leaf());
         if writes {
             Mode::Exclusive
         } else {
@@ -567,7 +572,8 @@ impl Simulator {
     fn visit(&mut self, op: OpId, node: NodeId) {
         self.ops[op].cur = node;
         self.ops[op].phase = Phase::Search;
-        let se = self.costs.se(self.tree.level(node), self.tree.height());
+        let level = self.tree.node(node).level;
+        let se = self.costs.se(level, self.tree.height());
         self.schedule_service(op, se);
     }
 
@@ -601,17 +607,19 @@ impl Simulator {
         }
         self.ops[op].held.push(node);
         self.ops[op].cur = node;
-        let o = &self.ops[op];
-        let n = self.tree.node(node);
         let height = self.tree.height();
-        let (phase, mean) = if self.link_steps() && !n.covers(o.chase_key()) {
+        let key = self.ops[op].chase_key();
+        let n = self.tree.node(node);
+        let (level, covers) = (n.level, n.covers(key));
+        let o = &self.ops[op];
+        let (phase, mean) = if self.link_steps() && !covers {
             // Reached a node whose range moved left of the key: pay a
             // search to discover that, then chase the right link.
-            (Phase::Search, self.costs.se(n.level, height))
+            (Phase::Search, self.costs.se(level, height))
         } else if o.pending.is_some() {
             // Ascent: this node will receive the separator.
-            (Phase::AscendModify, self.costs.modify(n.level, height))
-        } else if n.is_leaf() && o.operation.is_update() {
+            (Phase::AscendModify, self.costs.modify(level, height))
+        } else if level == 1 && o.operation.is_update() {
             if self.exclusive_crab(op) || self.link_steps() || self.safe_for(op, node) {
                 (Phase::ModifyLeaf, self.costs.m(height))
             } else {
@@ -620,7 +628,7 @@ impl Simulator {
                 (Phase::Inspect, self.costs.se(1, height))
             }
         } else {
-            (Phase::Search, self.costs.se(n.level, height))
+            (Phase::Search, self.costs.se(level, height))
         };
         self.ops[op].phase = phase;
         self.schedule_service(op, mean);
@@ -640,9 +648,10 @@ impl Simulator {
                     self.visit(op, cur);
                     return;
                 }
-                let n = self.tree.node(cur);
                 let chases = self.link_steps() || self.latch_free(op);
-                if chases && !n.covers(self.ops[op].chase_key()) {
+                let (key, chase_key) = (self.ops[op].operation.key(), self.ops[op].chase_key());
+                let n = self.tree.node(cur);
+                if chases && !n.covers(chase_key) {
                     // Chase right (the hop's search was just paid).
                     let next = n.right.expect("finite high key implies a right link");
                     self.ops[op].crossings += 1;
@@ -652,7 +661,7 @@ impl Simulator {
                     // ModifyLeaf or Inspect.)
                     self.complete(op);
                 } else {
-                    let child = self.tree.child_for(cur, self.ops[op].operation.key());
+                    let child = n.child_for(key);
                     if self.link_steps() {
                         self.ops[op].path.push(cur);
                     }
@@ -669,22 +678,14 @@ impl Simulator {
             }
             Phase::ModifyLeaf => {
                 self.check_covers(op, cur);
-                match self.ops[op].operation {
-                    Operation::Insert(key) => {
-                        self.tree.leaf_insert(cur, key);
-                        if self.tree.overfull(cur) {
-                            self.ops[op].phase = Phase::Split;
-                            let sp = self.costs.sp(1, self.tree.height());
-                            self.schedule_service(op, sp);
-                            return;
-                        }
-                    }
-                    Operation::Delete(key) => {
-                        // Merge-at-empty with lazy reclamation: the key is
-                        // removed; an emptied node persists.
-                        self.tree.leaf_remove(cur, key);
-                    }
-                    Operation::Search(_) => unreachable!("searches never modify"),
+                // Merge-at-empty with lazy reclamation: a delete that
+                // empties the leaf leaves it in place.
+                debug_assert!(self.ops[op].operation.is_update());
+                if self.tree.modify_leaf(cur, self.ops[op].operation) {
+                    self.ops[op].phase = Phase::Split;
+                    let sp = self.costs.sp(1, self.tree.height());
+                    self.schedule_service(op, sp);
+                    return;
                 }
                 self.complete(op);
             }
@@ -697,12 +698,16 @@ impl Simulator {
                     Some(hint) => hint,
                     // No ancestor was recorded: `cur` was the root when
                     // this descent started.
-                    None if self.tree.split_root_if_needed(cur, sep, sib).is_some() => {
+                    None if cur == self.tree.root() => {
+                        self.tree.grow_root(sep, sib);
                         return self.complete(op);
                     }
                     // The tree grew in the meantime; find today's
                     // ancestor at the right level and ascend.
-                    None => self.find_ascend_target(self.tree.level(cur) + 1, sep),
+                    None => {
+                        let level = self.tree.node(cur).level + 1;
+                        self.find_ascend_target(level, sep)
+                    }
                 };
                 self.ops[op].pending = Some((sep, sib));
                 self.acquire(op, parent, Mode::Exclusive);
@@ -719,8 +724,11 @@ impl Simulator {
                     // `cur` headed the retained chain: it was the root
                     // (or the chain's top, which safe-release guarantees
                     // had room — only the true root can overflow here).
-                    let grew = self.tree.split_root_if_needed(cur, sep, sib);
-                    debug_assert!(grew.is_some(), "chain top overflowed but was not root");
+                    debug_assert!(
+                        cur == self.tree.root(),
+                        "chain top overflowed but was not root"
+                    );
+                    self.tree.grow_root(sep, sib);
                     self.complete(op);
                 } else {
                     let parent = self.ops[op].held[idx - 1];
@@ -737,11 +745,11 @@ impl Simulator {
     /// Inserts a split's separator into `parent`, which `op` holds, and
     /// splits `parent` in turn if that overfills it.
     fn post_separator(&mut self, op: OpId, parent: NodeId, sep: u64, sib: NodeId) {
-        self.tree.insert_separator(parent, sep, sib);
-        if self.tree.overfull(parent) {
+        if self.tree.insert_separator(parent, sep, sib) {
             self.ops[op].cur = parent;
             self.ops[op].phase = Phase::Split;
-            let sp = self.costs.sp(self.tree.level(parent), self.tree.height());
+            let level = self.tree.node(parent).level;
+            let sp = self.costs.sp(level, self.tree.height());
             self.schedule_service(op, sp);
         } else {
             self.complete(op);
@@ -752,10 +760,10 @@ impl Simulator {
     /// in the rare corner where a split's node was the descent-time root
     /// but the tree has since grown. Navigation cost is omitted
     /// (document: the event is vanishingly rare at steady state).
-    fn find_ascend_target(&self, level: usize, key: u64) -> NodeId {
+    fn find_ascend_target(&mut self, level: usize, key: u64) -> NodeId {
         let mut cur = self.tree.root();
-        while self.tree.level(cur) > level {
-            cur = self.tree.child_for(cur, key);
+        while self.tree.node(cur).level > level {
+            cur = self.tree.node(cur).child_for(key);
         }
         cur
     }
@@ -805,7 +813,7 @@ mod tests {
 
     #[test]
     fn naive_completes_and_keeps_tree_valid() {
-        let sim = drive(Algorithm::NaiveLockCoupling, 0.05, 1200);
+        let mut sim = drive(Algorithm::NaiveLockCoupling, 0.05, 1200);
         assert!(sim.completions >= 1200);
         sim.tree.check_invariants().unwrap();
         assert!(sim.stats.resp_search.count() > 0);
@@ -821,7 +829,7 @@ mod tests {
             let tree = SimTree::build(3, &stream.construction_sequence(8));
             let before = tree.height();
             let sim = Simulator::new(&config(alg, 0), tree);
-            let (sim, res) = drive_on(sim, 0.3, 3_000, 100_000);
+            let (mut sim, res) = drive_on(sim, 0.3, 3_000, 100_000);
             res.unwrap_or_else(|e| panic!("{alg:?}: {e}"));
             assert!(sim.tree.height() >= before + 3, "{alg:?}: the root split");
             sim.tree.check_invariants().unwrap();
@@ -830,7 +838,7 @@ mod tests {
 
     #[test]
     fn optimistic_completes_and_counts_redos() {
-        let sim = drive(Algorithm::OptimisticDescent, 0.2, 2000);
+        let mut sim = drive(Algorithm::OptimisticDescent, 0.2, 2000);
         sim.tree.check_invariants().unwrap();
         // With N=13 and the paper mix, some redos must occur over 2000
         // operations (Pr[F(1)] ≈ 7%).
@@ -839,7 +847,7 @@ mod tests {
 
     #[test]
     fn link_completes_under_high_load() {
-        let sim = drive(Algorithm::LinkType, 1.0, 3000);
+        let mut sim = drive(Algorithm::LinkType, 1.0, 3000);
         sim.tree.check_invariants().unwrap();
         assert!(sim.completions >= 3000);
     }
@@ -871,7 +879,7 @@ mod tests {
 
     #[test]
     fn olc_completes_with_latch_free_reads() {
-        let sim = drive(Algorithm::Olc, 0.2, 2000);
+        let mut sim = drive(Algorithm::Olc, 0.2, 2000);
         sim.tree.check_invariants().unwrap();
         assert!(sim.completions >= 2000);
         assert!(sim.stats.resp_search.count() > 0);

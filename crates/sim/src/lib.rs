@@ -1,7 +1,8 @@
 //! Discrete-event simulator of concurrent B-tree algorithms — the
 //! validation half of Johnson & Shasha (PODS 1990), §4.
 //!
-//! The simulator runs the *actual* algorithms on an *actual* B+-tree:
+//! The simulator runs the *actual* algorithms on an *actual* B+-tree —
+//! `cbtree-btree`'s own nodes and arena:
 //!
 //! 1. a construction phase builds the tree from a sequence of inserts and
 //!    deletes in the same ratio as the concurrent mix;
@@ -20,12 +21,16 @@
 //!
 //! Module map:
 //!
-//! * [`stats`] — Welford accumulators, time-weighted averages, summaries;
+//! * [`stats`] — time-weighted averages and batch means (the Welford
+//!   accumulator and `Summary` are `cbtree_obs::stats`);
 //! * `events` (private) — the future-event list (deterministic
 //!   tie-breaking);
-//! * [`locks`] — the per-node FCFS shared/exclusive lock table;
-//! * [`tree`] — the simulated B+-tree (merge-at-empty, right links, high
-//!   keys);
+//! * [`locks`] — the per-node FCFS shared/exclusive lock table, keyed by
+//!   `cbtree_btree::NodeId`;
+//! * [`tree`] — `SimTree`, an adapter over `cbtree-btree`'s nodes and
+//!   arena (merge-at-empty, right links, high keys; `split_node` and
+//!   `make_root`) that adds the root, height, split and item counts, the
+//!   construction loop and the end-of-run audit;
 //! * [`costs`] — exponential service-time sampling per node level;
 //! * `driver` (private) — the simulation core: one descent machine whose
 //!   per-algorithm differences are three predicates and a lock mode;

@@ -9,8 +9,8 @@
 
 use std::collections::HashMap;
 
-/// Identifier of a simulated tree node.
-pub type NodeId = usize;
+/// Identifier of a simulated tree node: a slot of the tree's arena.
+pub use cbtree_btree::NodeId;
 /// Identifier of an in-flight operation.
 pub type OpId = usize;
 
@@ -114,13 +114,13 @@ impl LockTable {
         let lock = self
             .locks
             .get_mut(&node)
-            .unwrap_or_else(|| panic!("release of unlocked node {node}"));
+            .unwrap_or_else(|| panic!("release of unlocked node {node:?}"));
         if lock.writer == Some(op) {
             lock.writer = None;
         } else if let Some(idx) = lock.readers.iter().position(|&r| r == op) {
             lock.readers.swap_remove(idx);
         } else {
-            panic!("operation {op} does not hold node {node}");
+            panic!("operation {op} does not hold node {node:?}");
         }
         let mut grants = Vec::new();
         while let Some(front) = lock.queue.first() {
@@ -173,21 +173,26 @@ impl LockTable {
 mod tests {
     use super::*;
 
+    /// Node `i` (fresh slots, generation 0).
+    fn n(idx: u32) -> NodeId {
+        NodeId { idx, gen: 0 }
+    }
+
     #[test]
     fn shared_locks_share() {
         let mut t = LockTable::new();
-        assert!(t.request(1, 10, Mode::Shared, 0.0));
-        assert!(t.request(1, 11, Mode::Shared, 0.0));
-        assert!(t.holds(1, 10) && t.holds(1, 11));
+        assert!(t.request(n(1), 10, Mode::Shared, 0.0));
+        assert!(t.request(n(1), 11, Mode::Shared, 0.0));
+        assert!(t.holds(n(1), 10) && t.holds(n(1), 11));
     }
 
     #[test]
     fn exclusive_excludes() {
         let mut t = LockTable::new();
-        assert!(t.request(1, 10, Mode::Exclusive, 0.0));
-        assert!(!t.request(1, 11, Mode::Shared, 1.0));
-        assert!(!t.request(1, 12, Mode::Exclusive, 2.0));
-        let grants = t.release(1, 10, 5.0);
+        assert!(t.request(n(1), 10, Mode::Exclusive, 0.0));
+        assert!(!t.request(n(1), 11, Mode::Shared, 1.0));
+        assert!(!t.request(n(1), 12, Mode::Exclusive, 2.0));
+        let grants = t.release(n(1), 10, 5.0);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].op, 11);
         assert!((grants[0].waited - 4.0).abs() < 1e-12);
@@ -196,15 +201,15 @@ mod tests {
     #[test]
     fn fcfs_reader_does_not_jump_queued_writer() {
         let mut t = LockTable::new();
-        assert!(t.request(1, 1, Mode::Shared, 0.0)); // reader holds
-        assert!(!t.request(1, 2, Mode::Exclusive, 0.0)); // writer queues
-                                                         // A new reader is compatible with the *holder* but must queue
-                                                         // behind the writer (FCFS).
-        assert!(!t.request(1, 3, Mode::Shared, 0.0));
-        let g = t.release(1, 1, 1.0);
+        // Reader 1 holds and writer 2 queues; reader 3 is compatible with
+        // the *holder* but must queue behind the writer (FCFS).
+        assert!(t.request(n(1), 1, Mode::Shared, 0.0));
+        assert!(!t.request(n(1), 2, Mode::Exclusive, 0.0));
+        assert!(!t.request(n(1), 3, Mode::Shared, 0.0));
+        let g = t.release(n(1), 1, 1.0);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].op, 2, "writer first");
-        let g = t.release(1, 2, 2.0);
+        let g = t.release(n(1), 2, 2.0);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].op, 3);
     }
@@ -212,48 +217,48 @@ mod tests {
     #[test]
     fn release_grants_reader_batch() {
         let mut t = LockTable::new();
-        assert!(t.request(1, 1, Mode::Exclusive, 0.0));
-        assert!(!t.request(1, 2, Mode::Shared, 0.0));
-        assert!(!t.request(1, 3, Mode::Shared, 0.0));
-        assert!(!t.request(1, 4, Mode::Exclusive, 0.0));
-        assert!(!t.request(1, 5, Mode::Shared, 0.0));
-        let g = t.release(1, 1, 1.0);
+        assert!(t.request(n(1), 1, Mode::Exclusive, 0.0));
+        assert!(!t.request(n(1), 2, Mode::Shared, 0.0));
+        assert!(!t.request(n(1), 3, Mode::Shared, 0.0));
+        assert!(!t.request(n(1), 4, Mode::Exclusive, 0.0));
+        assert!(!t.request(n(1), 5, Mode::Shared, 0.0));
+        let g = t.release(n(1), 1, 1.0);
         // Readers 2 and 3 granted together; writer 4 blocks reader 5.
         assert_eq!(g.iter().map(|g| g.op).collect::<Vec<_>>(), vec![2, 3]);
-        let g = t.release(1, 2, 2.0);
+        let g = t.release(n(1), 2, 2.0);
         assert!(g.is_empty(), "reader 3 still holds");
-        let g = t.release(1, 3, 3.0);
+        let g = t.release(n(1), 3, 3.0);
         assert_eq!(g.iter().map(|g| g.op).collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]
     fn writer_present_tracks_holders_and_waiters() {
         let mut t = LockTable::new();
-        assert!(!t.writer_present(1));
-        t.request(1, 1, Mode::Shared, 0.0);
-        assert!(!t.writer_present(1));
-        t.request(1, 2, Mode::Exclusive, 0.0);
-        assert!(t.writer_present(1), "queued writer counts");
-        let g = t.release(1, 1, 1.0);
+        assert!(!t.writer_present(n(1)));
+        t.request(n(1), 1, Mode::Shared, 0.0);
+        assert!(!t.writer_present(n(1)));
+        t.request(n(1), 2, Mode::Exclusive, 0.0);
+        assert!(t.writer_present(n(1)), "queued writer counts");
+        let g = t.release(n(1), 1, 1.0);
         assert_eq!(g[0].op, 2);
-        assert!(t.writer_present(1), "holding writer counts");
-        t.release(1, 2, 2.0);
-        assert!(!t.writer_present(1));
+        assert!(t.writer_present(n(1)), "holding writer counts");
+        t.release(n(1), 2, 2.0);
+        assert!(!t.writer_present(n(1)));
     }
 
     #[test]
     fn independent_nodes_do_not_interfere() {
         let mut t = LockTable::new();
-        assert!(t.request(1, 1, Mode::Exclusive, 0.0));
-        assert!(t.request(2, 2, Mode::Exclusive, 0.0));
-        assert!(t.holds(1, 1) && t.holds(2, 2));
+        assert!(t.request(n(1), 1, Mode::Exclusive, 0.0));
+        assert!(t.request(n(2), 2, Mode::Exclusive, 0.0));
+        assert!(t.holds(n(1), 1) && t.holds(n(2), 2));
     }
 
     #[test]
     fn lock_state_cleaned_up_when_idle() {
         let mut t = LockTable::new();
-        t.request(1, 1, Mode::Shared, 0.0);
-        t.release(1, 1, 1.0);
+        t.request(n(1), 1, Mode::Shared, 0.0);
+        t.release(n(1), 1, 1.0);
         assert_eq!(t.active_nodes(), 0);
     }
 
@@ -261,7 +266,7 @@ mod tests {
     #[should_panic(expected = "does not hold")]
     fn releasing_unheld_lock_panics() {
         let mut t = LockTable::new();
-        t.request(1, 1, Mode::Shared, 0.0);
-        t.release(1, 99, 1.0);
+        t.request(n(1), 1, Mode::Shared, 0.0);
+        t.release(n(1), 99, 1.0);
     }
 }

@@ -6,10 +6,11 @@
 
 use crate::costs::SimCosts;
 use crate::driver::Simulator;
-use crate::stats::{BatchMeans, Summary, Welford};
+use crate::stats::BatchMeans;
 use crate::tree::SimTree;
 use crate::{Result, SimError};
 use cbtree_analysis::{Algorithm, RecoveryConfig};
+use cbtree_obs::stats::{Summary, Welford};
 use cbtree_obs::LevelRecord;
 use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
 
@@ -94,10 +95,10 @@ impl SimConfig {
                 constraint: "must be finite and positive",
             });
         }
-        if self.node_capacity < 3 {
+        if !(3..=cbtree_btree::arena::MAX_CAP).contains(&self.node_capacity) {
             return Err(SimError::InvalidConfig {
                 name: "node_capacity",
-                constraint: "must be at least 3",
+                constraint: "must be between 3 and 128 (the arena's largest slot)",
             });
         }
         if self.measured_ops == 0 {
@@ -289,7 +290,8 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
         crossings_per_op: stats.crossings as f64 / stats.completed.max(1) as f64,
         redo_rate: stats.redos as f64 / redoers.max(1) as f64,
         levels: levels.collect(),
-        leaf_utilization: sim.tree.leaf_utilization(),
+        leaf_utilization: sim.tree.item_count as f64
+            / (level_nodes[0] as usize * cfg.node_capacity) as f64,
         max_in_flight: stats.max_in_flight,
         completed: stats.completed,
         measured_time,
@@ -521,6 +523,8 @@ mod tests {
         assert!(run(&c).is_err());
         c.arrival_rate = 1.0;
         c.node_capacity = 2;
+        assert!(run(&c).is_err());
+        c.node_capacity = cbtree_btree::arena::MAX_CAP + 1;
         assert!(run(&c).is_err());
         assert!(run_seeds(&quick(Algorithm::LinkType, 0.1), &[]).is_err());
     }

@@ -73,7 +73,12 @@ echo "==> paper figures: all 21 committed CSVs reproduce byte for byte"
 # (about a minute on one core). A change that moves a simulated point
 # must regenerate results/ and say which points moved in EXPERIMENTS.md;
 # sim-matrix.csv prints every simulated protocol's statistics to the bit.
+# The wall time is printed, not bounded: it is the simulator's cost on
+# this host, to read against its parent's (EXPERIMENTS.md "One B-tree").
+figs_start=$(date +%s%N)
 target/release/experiments --out "$out/figs" all > /dev/null 2>&1
+awk -v ns=$(($(date +%s%N) - figs_start)) \
+    'BEGIN { printf "    experiments all: %.1f s wall\n", ns / 1e9 }'
 for csv in results/*.csv; do
     cmp "$csv" "$out/figs/${csv##*/}"
 done
