@@ -7,7 +7,7 @@
 use crate::table::{fmt_f, Table};
 use cbtree_analysis::recovery::RecoveryComparison;
 use cbtree_analysis::{
-    rules_of_thumb, Algorithm, ModelConfig, PerformanceModel, RecoveryConfig, RecoveryMode,
+    rules_of_thumb, Algorithm, Model, ModelConfig, RecoveryConfig, RecoveryMode,
 };
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{MergePolicy, NodeParams, OpMix, TreeShape};
@@ -143,7 +143,7 @@ fn paper_cfg(shape: TreeShape, disk_cost: f64) -> ModelConfig {
 }
 
 /// Mix-weighted zero-load response time of a model.
-fn serial_rt(model: &dyn PerformanceModel) -> f64 {
+fn serial_rt(model: &Model) -> f64 {
     let p = model.evaluate(0.0).expect("zero load is always stable");
     let m = &model.config().mix;
     p.mean_response_time(m.q_search, m.q_insert, m.q_delete)
@@ -153,7 +153,7 @@ fn serial_rt(model: &dyn PerformanceModel) -> f64 {
 /// `factor` times its zero-load value, capped at the maximum throughput
 /// (used to pick a display range for the Link-type algorithm, which has
 /// no effective maximum).
-fn lambda_at_rt_factor(model: &dyn PerformanceModel, factor: f64) -> f64 {
+fn lambda_at_rt_factor(model: &Model, factor: f64) -> f64 {
     let base = serial_rt(model);
     let max = model.max_throughput().unwrap_or(1.0);
     let m = model.config().mix;
@@ -189,7 +189,7 @@ enum Metric {
 
 /// `model`'s `metric` response time at `lambda`; infinite where it
 /// saturates.
-fn response_time(model: &dyn PerformanceModel, lambda: f64, metric: Metric) -> f64 {
+fn response_time(model: &Model, lambda: f64, metric: Metric) -> f64 {
     model
         .evaluate(lambda)
         .map(|p| match metric {
@@ -257,7 +257,7 @@ fn response_time_figure(
             .max_throughput()
             .expect("finite for coupling algorithms"),
         // The link algorithm has no effective maximum; sweep to the knee.
-        Algorithm::LinkType => lambda_at_rt_factor(model.as_ref(), 2.5),
+        Algorithm::LinkType => lambda_at_rt_factor(&model, 2.5),
     };
     let mut t = Table::new(
         title,
@@ -287,7 +287,7 @@ fn response_time_figure(
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            fmt_f(response_time(model.as_ref(), lambda, metric), 2),
+            fmt_f(response_time(&model, lambda, metric), 2),
             s_rt,
             s_ci,
             s_rho,
@@ -302,7 +302,7 @@ fn response_time_figure(
 pub fn fig9(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(10.0, opts);
     let model = Algorithm::LinkType.model(&cfg);
-    let top = lambda_at_rt_factor(model.as_ref(), 2.5);
+    let top = lambda_at_rt_factor(&model, 2.5);
     let mut t = Table::new(
         "Fig 9: Link-type crossings per operation vs arrival rate (D=10)",
         &[
@@ -314,7 +314,7 @@ pub fn fig9(opts: &ExpOptions) -> Table {
     );
     for frac in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let lambda = frac * top;
-        let analysis = response_time(model.as_ref(), lambda, Metric::Search);
+        let analysis = response_time(&model, lambda, Metric::Search);
         let (cross, s_rt) = match sim_point(Protocol::BLink, lambda, 10.0, opts) {
             Some(s) => (
                 fmt_f(1000.0 * s.crossings_per_op.mean, 2),
@@ -402,12 +402,12 @@ pub fn fig12(opts: &ExpOptions) -> Table {
     );
     for frac in [0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.1, 1.5, 3.0] {
         let lambda = frac * od_max;
-        let rt = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
+        let rt = |m: &Model| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         t.push(vec![
             fmt_f(lambda, 4),
-            rt(naive.as_ref()),
-            rt(od.as_ref()),
-            rt(link.as_ref()),
+            rt(&naive),
+            rt(&od),
+            rt(&link),
             sim_insert_rt(Protocol::BLink, lambda, opts),
         ]);
     }
@@ -504,7 +504,7 @@ fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> T
     };
     for frac in [0.1, 0.3, 0.5, 0.7, 0.85, 1.2, 1.8] {
         let lambda = frac * max_naive;
-        let one = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
+        let one = |m: &Model| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         let (s_leaf, s_naive) = match sim.filter(|o| o.with_sim) {
             Some(opts) => (
                 sim_at(lambda, RecoveryMode::LeafOnly, opts),
@@ -518,9 +518,9 @@ fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> T
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            one(cmp.none.as_ref()),
-            one(cmp.leaf_only.as_ref()),
-            one(cmp.naive.as_ref()),
+            one(&cmp.none),
+            one(&cmp.leaf_only),
+            one(&cmp.naive),
             s_leaf,
             s_naive,
         ]);
@@ -601,7 +601,7 @@ pub fn baseline_2pl(opts: &ExpOptions) -> Table {
     );
     for frac in [0.2, 0.5, 0.8, 0.95, 2.0, 6.0, 30.0] {
         let lambda = frac * tp_max;
-        let rt = |m: &dyn PerformanceModel| fmt_f(response_time(m, lambda, Metric::Insert), 2);
+        let rt = |m: &Model| fmt_f(response_time(m, lambda, Metric::Insert), 2);
         let sim = if frac < 1.0 {
             sim_insert_rt(Protocol::TwoPhase, lambda, opts)
         } else {
@@ -609,11 +609,11 @@ pub fn baseline_2pl(opts: &ExpOptions) -> Table {
         };
         t.push(vec![
             fmt_f(lambda, 4),
-            rt(tp.as_ref()),
+            rt(&tp),
             sim,
-            rt(naive.as_ref()),
-            rt(od.as_ref()),
-            rt(link.as_ref()),
+            rt(&naive),
+            rt(&od),
+            rt(&link),
         ]);
     }
     t
@@ -676,8 +676,8 @@ pub fn extension_skew(opts: &ExpOptions) -> Table {
     let naive_max = naive.max_throughput().expect("finite");
     let lambda_naive = 0.6 * naive_max;
     let lambda_link = 20.0 * naive_max;
-    let uniform_naive = response_time(naive.as_ref(), lambda_naive, Metric::Insert);
-    let uniform_link = response_time(link.as_ref(), lambda_link, Metric::Insert);
+    let uniform_naive = response_time(&naive, lambda_naive, Metric::Insert);
+    let uniform_link = response_time(&link, lambda_link, Metric::Insert);
 
     let mut t = Table::new(
         "Extension: Zipf key skew vs the uniform-traffic analysis (insert RT, D=5)",
@@ -725,8 +725,8 @@ pub fn extension_skew(opts: &ExpOptions) -> Table {
 /// carries, validated against the simulator.
 pub fn ablation_hyperexp(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let staged = cbtree_analysis::NaiveLockCoupling::new(cfg.clone());
-    let expo = cbtree_analysis::NaiveLockCoupling::new_exponential_approx(cfg);
+    let staged = Algorithm::NaiveLockCoupling.model(&cfg);
+    let expo = Model::exponential_approx(&cfg);
     let max = staged.max_throughput().expect("finite");
     let mut t = Table::new(
         "Ablation: Theorem 3 staged server vs exponential approximation (naive LC insert RT)",

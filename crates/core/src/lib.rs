@@ -9,23 +9,18 @@
 //! response times (Theorem 5) and the maximum sustainable throughput
 //! (Theorem 2).
 //!
-//! The paper's three algorithms are modeled:
-//!
-//! * [`naive_lc`] — Naive Lock-coupling (Bayer–Schkolnick; paper §5,
-//!   Theorems 1–5),
-//! * [`optimistic`] — Optimistic Descent (Bayer–Schkolnick; paper §5.1),
-//! * [`link`] — the Link-type algorithm (Lehman–Yao / Lanin–Shasha /
-//!   Sagiv; paper §5.1),
-//!
-//! plus the §6 [`rules_of_thumb`], the §7 [`recovery`] extension
-//! (Naive vs Leaf-only W-lock retention until transaction commit), the
-//! full version's baseline and one post-1990 algorithm in the same
-//! framework:
-//!
-//! * [`two_phase`] — strict Two-Phase Locking over the whole descent,
-//! * [`olc`] — Optimistic Lock Coupling: latch-free version-validated
-//!   readers (zero shared-lock demand, restarts as rework) over
-//!   lock-coupling writers.
+//! One [`Model`] covers the paper's three algorithms — Naive
+//! Lock-coupling (Bayer–Schkolnick; paper §5, Theorems 1–5), Optimistic
+//! Descent (Bayer–Schkolnick; §5.1) and the Link-type algorithm
+//! (Lehman–Yao / Lanin–Shasha / Sagiv; §5.1) — plus the full version's
+//! strict Two-Phase Locking baseline and one post-1990 algorithm,
+//! Optimistic Lock Coupling (latch-free version-validated readers, zero
+//! shared-lock demand, restarts as rework, over lock-coupling writers).
+//! The [`model`] module explains each; Optimistic Descent's redo class
+//! and OLC run Naive Lock-coupling's recursion with other parameters.
+//! Around it sit the §6 [`rules_of_thumb`] and the §7 [`recovery`]
+//! extension (Naive vs Leaf-only W-lock retention until transaction
+//! commit).
 //!
 //! A live [`Protocol`] names its model with [`Algorithm::of`] and its
 //! retention mode with [`Protocol::recovery`]; the simulator reads the
@@ -63,24 +58,16 @@
 pub mod config;
 pub mod error;
 pub mod level;
-pub mod link;
-pub mod naive_lc;
-pub mod olc;
-pub mod optimistic;
+pub mod model;
 pub mod recovery;
 pub mod rules_of_thumb;
 pub mod throughput;
-pub mod two_phase;
 
 use cbtree_btree_model::Protocol;
 pub use config::{ModelConfig, RecoveryConfig, RecoveryMode};
 pub use error::AnalysisError;
 pub use level::{LevelSolution, Performance};
-pub use link::LinkType;
-pub use naive_lc::NaiveLockCoupling;
-pub use olc::OptimisticLockCoupling;
-pub use optimistic::OptimisticDescent;
-pub use two_phase::TwoPhaseLocking;
+pub use model::Model;
 
 /// Convenience result alias for analysis computations.
 pub type Result<T> = std::result::Result<T, AnalysisError>;
@@ -153,14 +140,8 @@ impl Algorithm {
 
     /// Instantiates the analytical model of this algorithm for a
     /// configuration.
-    pub fn model(self, cfg: &ModelConfig) -> Box<dyn PerformanceModel> {
-        match self {
-            Algorithm::NaiveLockCoupling => Box::new(NaiveLockCoupling::new(cfg.clone())),
-            Algorithm::OptimisticDescent => Box::new(OptimisticDescent::new(cfg.clone())),
-            Algorithm::LinkType => Box::new(LinkType::new(cfg.clone())),
-            Algorithm::TwoPhaseLocking => Box::new(TwoPhaseLocking::new(cfg.clone())),
-            Algorithm::Olc => Box::new(OptimisticLockCoupling::new(cfg.clone())),
-        }
+    pub fn model(self, cfg: &ModelConfig) -> Model {
+        Model::new(self, cfg.clone())
     }
 
     /// The name of the protocol this algorithm models ([`Protocol::name`];
@@ -171,37 +152,6 @@ impl Algorithm {
             .find(|&p| Algorithm::of(p) == self)
             .map_or("", Protocol::name)
     }
-}
-
-/// An analytical performance model of one algorithm on one configuration.
-pub trait PerformanceModel {
-    /// The configuration the model was built from.
-    fn config(&self) -> &ModelConfig;
-
-    /// Which algorithm this models.
-    fn algorithm(&self) -> Algorithm;
-
-    /// Evaluates the model at total arrival rate `lambda`.
-    ///
-    /// Returns [`AnalysisError::Saturated`] when some level's lock queue
-    /// has no stable operating point at this rate.
-    fn evaluate(&self, lambda: f64) -> Result<Performance>;
-
-    /// Maximum sustainable throughput: the supremum of arrival rates for
-    /// which every level is stable (Theorem 2). Found by exponential
-    /// search plus bisection on [`PerformanceModel::evaluate`].
-    fn max_throughput(&self) -> Result<f64> {
-        throughput::max_throughput(self.as_dyn())
-    }
-
-    /// The arrival rate at which the *root* writer utilization reaches
-    /// `target_rho` — the §6 "effective maximum arrival rate" uses 0.5.
-    fn lambda_at_root_rho(&self, target_rho: f64) -> Result<f64> {
-        throughput::lambda_at_root_rho(self.as_dyn(), target_rho)
-    }
-
-    /// Upcast helper so default methods can hand `self` to free functions.
-    fn as_dyn(&self) -> &dyn PerformanceModel;
 }
 
 #[cfg(test)]

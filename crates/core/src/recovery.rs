@@ -13,21 +13,21 @@
 //! leaf-level W-lock hold time under either policy, and add
 //! `Pr[F(i)]·T_trans` to non-leaf W-lock hold times under Naive recovery
 //! only. The machinery lives in [`crate::config::RecoveryConfig`] and is
-//! consumed by all three algorithm models; this module packages the §7
+//! consumed by every algorithm's [`Model`]; this module packages the §7
 //! three-way comparison.
 
 use crate::config::{ModelConfig, RecoveryMode};
-use crate::{Algorithm, Performance, PerformanceModel, Result};
+use crate::{Algorithm, Model, Performance, Result};
 
 /// The §7 three-way comparison: the same algorithm under no recovery,
 /// Leaf-only recovery, and Naive recovery.
 pub struct RecoveryComparison {
     /// Model without recovery locking.
-    pub none: Box<dyn PerformanceModel>,
+    pub none: Model,
     /// Model under Leaf-only recovery.
-    pub leaf_only: Box<dyn PerformanceModel>,
+    pub leaf_only: Model,
     /// Model under Naive recovery.
-    pub naive: Box<dyn PerformanceModel>,
+    pub naive: Model,
 }
 
 /// One row of the comparison at a single arrival rate.

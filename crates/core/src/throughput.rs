@@ -7,7 +7,7 @@
 //! *effective* maximum — the rate at which the root's writer utilization
 //! reaches 0.5, beyond which waiting grows disproportionately.
 
-use crate::{AnalysisError, PerformanceModel, Result};
+use crate::{AnalysisError, Model, Result};
 
 /// Relative tolerance of the throughput bisection.
 const REL_TOL: f64 = 1e-9;
@@ -16,7 +16,7 @@ const REL_TOL: f64 = 1e-9;
 /// this cap rather than searched further.
 pub const LAMBDA_CAP: f64 = 1e9;
 
-fn is_stable(model: &dyn PerformanceModel, lambda: f64) -> Result<bool> {
+fn is_stable(model: &Model, lambda: f64) -> Result<bool> {
     match model.evaluate(lambda) {
         Ok(_) => Ok(true),
         Err(e) if e.is_saturated() => Ok(false),
@@ -29,7 +29,7 @@ fn is_stable(model: &dyn PerformanceModel, lambda: f64) -> Result<bool> {
 ///
 /// Returns [`LAMBDA_CAP`] when the model is still stable there (the
 /// Link-type "no effective maximum" case).
-pub fn max_throughput(model: &dyn PerformanceModel) -> Result<f64> {
+pub fn max_throughput(model: &Model) -> Result<f64> {
     let mut lo = 0.0_f64;
     let mut hi = 1e-3_f64;
     while is_stable(model, hi)? {
@@ -59,7 +59,7 @@ pub fn max_throughput(model: &dyn PerformanceModel) -> Result<f64> {
 /// [`AnalysisError::InvalidParameter`] if the target is not reached before
 /// some level saturates (possible for the Link-type algorithm, whose
 /// bottleneck need not be the root).
-pub fn lambda_at_root_rho(model: &dyn PerformanceModel, target_rho: f64) -> Result<f64> {
+pub fn lambda_at_root_rho(model: &Model, target_rho: f64) -> Result<f64> {
     if !(0.0..1.0).contains(&target_rho) {
         return Err(AnalysisError::InvalidParameter {
             name: "target_rho",
@@ -107,11 +107,15 @@ pub fn lambda_at_root_rho(model: &dyn PerformanceModel, target_rho: f64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, ModelConfig, NaiveLockCoupling};
+    use crate::{Algorithm, ModelConfig};
+
+    fn naive() -> Model {
+        Algorithm::NaiveLockCoupling.model(&ModelConfig::paper_base())
+    }
 
     #[test]
     fn max_throughput_brackets_stability() {
-        let m = NaiveLockCoupling::new(ModelConfig::paper_base());
+        let m = naive();
         let max = max_throughput(&m).unwrap();
         assert!(max > 0.0);
         assert!(
@@ -126,7 +130,7 @@ mod tests {
 
     #[test]
     fn rho_target_bisection_hits_target() {
-        let m = NaiveLockCoupling::new(ModelConfig::paper_base());
+        let m = naive();
         let lam = lambda_at_root_rho(&m, 0.5).unwrap();
         let rho = m.evaluate(lam).unwrap().root_writer_utilization();
         assert!((rho - 0.5).abs() < 1e-4, "rho at solution = {rho}");
@@ -134,7 +138,7 @@ mod tests {
 
     #[test]
     fn rho_targets_are_ordered() {
-        let m = NaiveLockCoupling::new(ModelConfig::paper_base());
+        let m = naive();
         let l25 = lambda_at_root_rho(&m, 0.25).unwrap();
         let l50 = lambda_at_root_rho(&m, 0.5).unwrap();
         let l75 = lambda_at_root_rho(&m, 0.75).unwrap();
@@ -144,17 +148,8 @@ mod tests {
 
     #[test]
     fn invalid_target_rejected() {
-        let m = NaiveLockCoupling::new(ModelConfig::paper_base());
+        let m = naive();
         assert!(lambda_at_root_rho(&m, 1.0).is_err());
         assert!(lambda_at_root_rho(&m, -0.1).is_err());
-    }
-
-    #[test]
-    fn trait_default_methods_delegate() {
-        let cfg = ModelConfig::paper_base();
-        let m = Algorithm::NaiveLockCoupling.model(&cfg);
-        let a = m.max_throughput().unwrap();
-        let b = max_throughput(m.as_ref()).unwrap();
-        assert_eq!(a, b);
     }
 }

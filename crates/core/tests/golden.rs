@@ -14,7 +14,7 @@
 //! the reader class: with no searches, OLC's writers see exactly naive
 //! lock-coupling's queues.
 
-use cbtree_analysis::{Algorithm, ModelConfig, NaiveLockCoupling, PerformanceModel, RecoveryMode};
+use cbtree_analysis::{Algorithm, Model, ModelConfig, RecoveryMode};
 use cbtree_analysis::{Performance, Result};
 use cbtree_btree_model::{CostModel, OpMix, TreeShape};
 
@@ -36,7 +36,7 @@ fn text(value: Result<f64>) -> String {
 
 /// Records one model: its two searches, then the operating points at
 /// `FRACTIONS` of `max` (its own maximum unless given).
-fn record(out: &mut Vec<Line>, label: &str, model: &dyn PerformanceModel, max: Option<f64>) {
+fn record(out: &mut Vec<Line>, label: &str, model: &Model, max: Option<f64>) {
     let own_max = model.max_throughput();
     let max = max.or(own_max.as_ref().ok().copied());
     let searches = vec![
@@ -84,13 +84,13 @@ fn golden() -> Vec<Line> {
             let cfg = base.clone().with_recovery(mode, 100.0);
             for alg in Algorithm::ALL_EXTENDED {
                 let label = format!("{} {cfg_name} {rec_name}", alg.name());
-                record(&mut out, &label, alg.model(&cfg).as_ref(), None);
+                record(&mut out, &label, &alg.model(&cfg), None);
             }
             let staged_max = Algorithm::NaiveLockCoupling
                 .model(&cfg)
                 .max_throughput()
                 .ok();
-            let ablation = NaiveLockCoupling::new_exponential_approx(cfg.clone());
+            let ablation = Model::exponential_approx(&cfg);
             let label = format!("exponential-approx {cfg_name} {rec_name}");
             record(&mut out, &label, &ablation, staged_max);
         }

@@ -6,7 +6,7 @@
 //! cargo run --release --example algorithm_comparison [disk_cost] [n_points]
 //! ```
 
-use cbtree::analysis::{Algorithm, ModelConfig, PerformanceModel};
+use cbtree::analysis::{Algorithm, Model, ModelConfig};
 use cbtree::sim::costs::SimCosts;
 use cbtree::sim::{run_seeds, SimConfig};
 
@@ -57,7 +57,7 @@ fn main() {
     );
     for i in 1..=points {
         let lambda = od_max * 1.1 * i as f64 / points as f64;
-        let a = |m: &dyn PerformanceModel| -> String {
+        let a = |m: &Model| -> String {
             m.evaluate(lambda)
                 .map(|p| format!("{:.2}", p.response_time_insert))
                 .unwrap_or_else(|_| "sat".to_string())
@@ -65,11 +65,11 @@ fn main() {
         println!(
             "{:>8.4} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
             lambda,
-            a(naive.as_ref()),
+            a(&naive),
             sim_insert_rt(Algorithm::NaiveLockCoupling, lambda, disk_cost),
-            a(optim.as_ref()),
+            a(&optim),
             sim_insert_rt(Algorithm::OptimisticDescent, lambda, disk_cost),
-            a(link.as_ref()),
+            a(&link),
             sim_insert_rt(Algorithm::LinkType, lambda, disk_cost),
         );
     }

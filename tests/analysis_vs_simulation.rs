@@ -6,7 +6,7 @@
 //! These tests run at the paper's full scale (40 000-item tree, 10 000
 //! measured operations) — one simulation takes tens of milliseconds.
 
-use cbtree::analysis::{Algorithm, ModelConfig, PerformanceModel};
+use cbtree::analysis::{Algorithm, Model, ModelConfig};
 use cbtree::model::{CostModel, OpMix};
 use cbtree::sim::runner::matched_tree_shape;
 use cbtree::sim::{run_seeds, SimConfig};
@@ -14,7 +14,7 @@ use cbtree::sim::{run_seeds, SimConfig};
 const SEEDS: [u64; 3] = [1, 2, 3];
 
 /// Builds the analytical model of exactly the tree the simulation runs on.
-fn matched_model(algorithm: Algorithm, sim_cfg: &SimConfig) -> Box<dyn PerformanceModel> {
+fn matched_model(algorithm: Algorithm, sim_cfg: &SimConfig) -> Model {
     let shape = matched_tree_shape(sim_cfg).expect("valid shape");
     let cost = CostModel::paper_style(
         shape.height,
