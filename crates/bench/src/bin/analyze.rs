@@ -500,7 +500,7 @@ struct ServePoint {
 /// calibrates it per shard from the sweep's lowest-λ point — exactly the
 /// role the uncontended calibration run plays in `--live` — and checks
 /// the remaining points against `W_q(λ) + E[X] + overhead`. Agreement
-/// is only expected where ρ = λ·E[X]/c stays low-to-mid (≤ 0.7): past
+/// is only expected where `ρ = λ·E[X]/c` stays low-to-mid (≤ 0.7): past
 /// that, the bounded queue sheds, which an open M/G/c cannot model.
 fn serve_overlay(path: &std::path::Path, records: &mut Vec<Json>) -> Result<(), String> {
     use cbtree_queueing::mg1::ServiceMoments;

@@ -23,7 +23,7 @@
 //! ordinary coercion, through one `match` on the class that every
 //! resolve in a tree takes the same way.
 //!
-//! The slab is a spine of up to [`SEG_COUNT`] segments; segment `k`
+//! The slab is a spine of up to `SEG_COUNT` segments; segment `k`
 //! holds `BASE << k` slots in one contiguous allocation and is created
 //! at most once (`OnceLock`), so **slot addresses are stable forever**
 //! — growth never moves or reallocates existing slots, which is the

@@ -13,7 +13,7 @@
 //!    style search (bounded window and step budget, falling back to a
 //!    sequential-consistency check, with a minimized violation witness
 //!    on failure).
-//! 2. **Structural auditors** ([`audit`]): at quiesce points, every
+//! 2. **Structural auditors** ([`audit`](mod@audit)): at quiesce points, every
 //!    level's right-link chain is replayed against the parent level's
 //!    child pointers — catching lost separators and rewired links that
 //!    pure child-pointer invariant checks cannot see — plus key

@@ -15,7 +15,7 @@
 //! - [`stats`] — the Welford accumulator and the `{mean, ci95, n}`
 //!   [`stats::Summary`] the simulator's and the live harness's reports
 //!   share.
-//! - [`replay`] — reconstructs per-level records, latch-chain depth, and
+//! - [`replay`](mod@replay) — reconstructs per-level records, latch-chain depth, and
 //!   restart/chase/split rates from a drained trace, closing the
 //!   analysis/sim/live triangle with a fourth, directly measured column.
 //! - [`json`] — a small hand-rolled JSON/JSONL serializer and parser

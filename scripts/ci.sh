@@ -41,6 +41,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings): no broken or ambiguous intra-doc link"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> unsafe tally: code lines that open an unsafe block, fn, impl or trait"
 # The one counting rule DESIGN and ROADMAP quote. A change that adds a
 # site raises the constant and says why. 32 since the node walk reads
