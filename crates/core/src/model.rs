@@ -147,7 +147,7 @@ use cbtree_btree_model::Fullness;
 use cbtree_queueing::stages::{Mixture, StagedService};
 
 /// The analytical model of one algorithm on one configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Model {
     algorithm: Algorithm,
     cfg: ModelConfig,
