@@ -146,7 +146,8 @@ use crate::{throughput, Algorithm, Result};
 use cbtree_btree_model::Fullness;
 use cbtree_queueing::stages::{Mixture, StagedService};
 
-/// The analytical model of one algorithm on one configuration.
+/// The analytical model of one algorithm on one configuration, built by
+/// [`Algorithm::model`].
 #[derive(Debug)]
 pub struct Model {
     algorithm: Algorithm,
