@@ -16,7 +16,7 @@
 //! analyze --rate 0.5 --recovery leaf-only --t-trans 200 --verify
 //! ```
 
-use cbtree_analysis::{Algorithm, ModelConfig, RecoveryMode};
+use cbtree_analysis::{Model, ModelConfig, RecoveryMode};
 use cbtree_bench::pillars;
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{lru_cost_model, CostModel, NodeParams, OpMix, TreeShape};
@@ -169,9 +169,9 @@ fn main() -> ExitCode {
 
     let mut records = vec![meta_json(&args, mix, &cfg)];
     let rate = args.rate;
-    let mut best: Option<(Algorithm, f64)> = None;
-    for alg in Algorithm::ALL_EXTENDED {
-        let model = alg.model(&cfg);
+    let mut best: Option<(Protocol, f64)> = None;
+    for alg in Protocol::ALL_EXTENDED {
+        let model = Model::new(alg, &cfg);
         let max = model.max_throughput().unwrap_or(f64::NAN);
         let eff = model.lambda_at_root_rho(0.5).ok();
         let probe = rate.unwrap_or(0.4 * max);
@@ -254,7 +254,7 @@ fn main() -> ExitCode {
         // cross-checks the --memory-levels split.
         let sim_cfg = model_config(&args, None).expect("built once already");
         for protocol in COMPARED {
-            let alg = Algorithm::of(protocol);
+            let alg = protocol;
             match pillars::simulate(protocol, &sim_cfg, PAPER_KEYSPACE, r, &[1, 2, 3]) {
                 Ok(s) => {
                     let record = Json::obj(vec![

@@ -188,7 +188,7 @@ fn compare(
     let throughput = f64_field(&run.report, "throughput");
     let lambda = throughput * unit_secs;
     let t_trans = run.txn as f64 * zero.response_time_insert;
-    let cfg = base_cfg.with_recovery(run.protocol.recovery(), t_trans);
+    let cfg = base_cfg.with_recovery(run.protocol.policy().txn, t_trans);
 
     let (perf, sim) = pillars::evaluate(run.protocol, &cfg, run.keyspace, lambda, &[sim_seed]);
     let sim = sim.ok().and_then(|s| s.runs.into_iter().next());

@@ -6,11 +6,8 @@
 
 use crate::table::{fmt_f, Table};
 use cbtree_analysis::recovery::RecoveryComparison;
-use cbtree_analysis::{
-    rules_of_thumb, Algorithm, Model, ModelConfig, RecoveryConfig, RecoveryMode,
-};
-use cbtree_btree::Protocol;
-use cbtree_btree_model::{MergePolicy, NodeParams, OpMix, TreeShape};
+use cbtree_analysis::{rules_of_thumb, Model, ModelConfig, RecoveryConfig, RecoveryMode};
+use cbtree_btree_model::{MergePolicy, NodeParams, OpMix, Protocol, TreeShape, UpdatePolicy};
 use cbtree_sim::costs::SimCosts;
 use cbtree_sim::{run_seeds, SeedSummary, SimConfig};
 use std::path::PathBuf;
@@ -87,7 +84,7 @@ pub const FIGURES: [(&str, Figure); 21] = [
 const NODE_SIZE: usize = 13;
 
 fn sim_config(protocol: Protocol, lambda: f64, disk_cost: f64, opts: &ExpOptions) -> SimConfig {
-    let mut c = SimConfig::paper(Algorithm::of(protocol), lambda, 1);
+    let mut c = SimConfig::paper(protocol, lambda, 1);
     c.node_capacity = NODE_SIZE;
     c.costs = SimCosts {
         base: 1.0,
@@ -245,19 +242,15 @@ fn response_time_figure(
     opts: &ExpOptions,
 ) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let algorithm = Algorithm::of(protocol);
-    let model = algorithm.model(&cfg);
-    let top = match algorithm {
+    let model = Model::new(protocol, &cfg);
+    let top = match protocol.policy().update {
+        // The link algorithm has no effective maximum; sweep to the knee.
+        UpdatePolicy::Link => lambda_at_rt_factor(&model, 2.5),
         // Lock-retaining algorithms are swept to their saturation point
         // (OLC's writers still couple, so it saturates too).
-        Algorithm::NaiveLockCoupling
-        | Algorithm::OptimisticDescent
-        | Algorithm::TwoPhaseLocking
-        | Algorithm::Olc => model
+        UpdatePolicy::Crab { .. } | UpdatePolicy::OptimisticLeaf => model
             .max_throughput()
             .expect("finite for coupling algorithms"),
-        // The link algorithm has no effective maximum; sweep to the knee.
-        Algorithm::LinkType => lambda_at_rt_factor(&model, 2.5),
     };
     let mut t = Table::new(
         title,
@@ -301,7 +294,7 @@ fn response_time_figure(
 /// agreement with the crossing-aware simulator is the "negligible" claim.
 pub fn fig9(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(10.0, opts);
-    let model = Algorithm::LinkType.model(&cfg);
+    let model = Model::new(Protocol::BLink, &cfg);
     let top = lambda_at_rt_factor(&model, 2.5);
     let mut t = Table::new(
         "Fig 9: Link-type crossings per operation vs arrival rate (D=10)",
@@ -331,7 +324,7 @@ pub fn fig9(opts: &ExpOptions) -> Table {
 /// super-linearly in the arrival rate.
 pub fn fig10(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let model = Algorithm::NaiveLockCoupling.model(&cfg);
+    let model = Model::new(Protocol::LockCoupling, &cfg);
     let max = model.max_throughput().expect("finite");
     let mut t = Table::new(
         "Fig 10: Naive Lock-coupling root writer utilization vs arrival rate (D=5)",
@@ -375,7 +368,7 @@ pub fn fig11(_opts: &ExpOptions) -> Table {
     );
     for d in [1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0] {
         let cfg = ModelConfig::paper_with_disk_cost(d).expect("valid disk cost");
-        let model = Algorithm::NaiveLockCoupling.model(&cfg);
+        let model = Model::new(Protocol::LockCoupling, &cfg);
         let max = model.max_throughput().unwrap_or(f64::NAN);
         let half = model.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);
         t.push(vec![fmt_f(d, 0), fmt_f(max, 4), fmt_f(half, 4)]);
@@ -386,9 +379,9 @@ pub fn fig11(_opts: &ExpOptions) -> Table {
 /// Figure 12: insert response times of the three algorithms (D = 5).
 pub fn fig12(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let naive = Algorithm::NaiveLockCoupling.model(&cfg);
-    let od = Algorithm::OptimisticDescent.model(&cfg);
-    let link = Algorithm::LinkType.model(&cfg);
+    let naive = Model::new(Protocol::LockCoupling, &cfg);
+    let od = Model::new(Protocol::OptimisticDescent, &cfg);
+    let link = Model::new(Protocol::BLink, &cfg);
     let od_max = od.max_throughput().expect("finite");
     let mut t = Table::new(
         "Fig 12: insert response time comparison, analysis (D=5) — naive vs optimistic vs link",
@@ -428,15 +421,15 @@ fn pinned_cfg_for_n(n: usize, disk_cost: f64) -> ModelConfig {
 /// utilization reaches one half, in closed form.
 type Rule = fn(&ModelConfig) -> cbtree_analysis::Result<f64>;
 
-/// The engine of Figures 13 and 14: `algorithm`'s rule of thumb and
+/// The engine of Figures 13 and 14: `protocol`'s rule of thumb and
 /// limit rule (named columns) against the full analysis, across node
 /// sizes, for D = 1 (all memory-equivalent) and D = 10.
-fn rules_of_thumb_figure(title: &str, algorithm: Algorithm, rules: [(&str, Rule); 2]) -> Table {
+fn rules_of_thumb_figure(title: &str, protocol: Protocol, rules: [(&str, Rule); 2]) -> Table {
     let mut t = Table::new(title, &["N", "D", "analysis", rules[0].0, rules[1].0]);
     for d in [1.0, 10.0] {
         for n in node_size_sweep() {
             let cfg = pinned_cfg_for_n(n, d);
-            let exact = algorithm.model(&cfg).lambda_at_root_rho(0.5);
+            let exact = Model::new(protocol, &cfg).lambda_at_root_rho(0.5);
             let [rule, limit] = rules.map(|(_, r)| fmt_f(r(&cfg).unwrap_or(f64::NAN), 4));
             t.push(vec![
                 n.to_string(),
@@ -455,7 +448,7 @@ fn rules_of_thumb_figure(title: &str, algorithm: Algorithm, rules: [(&str, Rule)
 pub fn fig13(_opts: &ExpOptions) -> Table {
     rules_of_thumb_figure(
         "Fig 13: Naive Lock-coupling rules of thumb vs analysis (lambda at rho_w = .5)",
-        Algorithm::NaiveLockCoupling,
+        Protocol::LockCoupling,
         [
             ("rule_of_thumb_1", rules_of_thumb::naive_lc_rot1),
             ("limit_rule_2", rules_of_thumb::naive_lc_rot2),
@@ -468,7 +461,7 @@ pub fn fig13(_opts: &ExpOptions) -> Table {
 pub fn fig14(_opts: &ExpOptions) -> Table {
     rules_of_thumb_figure(
         "Fig 14: Optimistic Descent rules of thumb vs analysis (lambda at rho_w = .5)",
-        Algorithm::OptimisticDescent,
+        Protocol::OptimisticDescent,
         [
             ("rule_of_thumb_3", rules_of_thumb::optimistic_rot3),
             ("limit_rule_4", rules_of_thumb::optimistic_rot4),
@@ -477,7 +470,7 @@ pub fn fig14(_opts: &ExpOptions) -> Table {
 }
 
 fn recovery_figure(title: &str, cfg: ModelConfig, sim: Option<&ExpOptions>) -> Table {
-    let cmp = RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, 100.0);
+    let cmp = RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, 100.0);
     let (_, _, max_naive) = cmp
         .max_throughputs()
         .expect("recovery variants have finite maxima under optimistic descent");
@@ -564,7 +557,7 @@ pub fn ablation_rot_se2(_opts: &ExpOptions) -> Table {
     );
     for d in [1.0, 2.0, 5.0, 10.0, 20.0] {
         let cfg = ModelConfig::paper_with_disk_cost(d).expect("valid");
-        let model = Algorithm::NaiveLockCoupling.model(&cfg);
+        let model = Model::new(Protocol::LockCoupling, &cfg);
         let exact = model.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);
         let derived = rules_of_thumb::naive_lc_rot1(&cfg).unwrap_or(f64::NAN);
         let literal = rules_of_thumb::naive_lc_rot1_literal_se2(&cfg).unwrap_or(f64::NAN);
@@ -583,10 +576,10 @@ pub fn ablation_rot_se2(_opts: &ExpOptions) -> Table {
 /// simulation of insert response times, D = 5.
 pub fn baseline_2pl(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let tp = Algorithm::TwoPhaseLocking.model(&cfg);
-    let naive = Algorithm::NaiveLockCoupling.model(&cfg);
-    let od = Algorithm::OptimisticDescent.model(&cfg);
-    let link = Algorithm::LinkType.model(&cfg);
+    let tp = Model::new(Protocol::TwoPhase, &cfg);
+    let naive = Model::new(Protocol::LockCoupling, &cfg);
+    let od = Model::new(Protocol::OptimisticDescent, &cfg);
+    let link = Model::new(Protocol::BLink, &cfg);
     let tp_max = tp.max_throughput().expect("finite");
     let mut t = Table::new(
         "Extension: Two-Phase Locking baseline vs the paper's algorithms (insert RT, D=5)",
@@ -643,12 +636,10 @@ pub fn extension_lru(_opts: &ExpOptions) -> Table {
         let hits = LruHits::compute(&shape, buffer).expect("valid buffer");
         let cost = lru_cost_model(&shape, buffer, 5.0, 1.0).expect("valid cost");
         let cfg = ModelConfig::new(shape.clone(), OpMix::paper(), cost).expect("consistent");
-        let naive = Algorithm::NaiveLockCoupling
-            .model(&cfg)
+        let naive = Model::new(Protocol::LockCoupling, &cfg)
             .max_throughput()
             .unwrap_or(f64::NAN);
-        let od = Algorithm::OptimisticDescent
-            .model(&cfg)
+        let od = Model::new(Protocol::OptimisticDescent, &cfg)
             .max_throughput()
             .unwrap_or(f64::NAN);
         t.push(vec![
@@ -671,8 +662,8 @@ pub fn extension_lru(_opts: &ExpOptions) -> Table {
 pub fn extension_skew(opts: &ExpOptions) -> Table {
     use cbtree_workload::KeyDist;
     let cfg = matched_cfg(5.0, opts);
-    let link = Algorithm::LinkType.model(&cfg);
-    let naive = Algorithm::NaiveLockCoupling.model(&cfg);
+    let link = Model::new(Protocol::BLink, &cfg);
+    let naive = Model::new(Protocol::LockCoupling, &cfg);
     let naive_max = naive.max_throughput().expect("finite");
     let lambda_naive = 0.6 * naive_max;
     let lambda_link = 20.0 * naive_max;
@@ -725,7 +716,7 @@ pub fn extension_skew(opts: &ExpOptions) -> Table {
 /// carries, validated against the simulator.
 pub fn ablation_hyperexp(opts: &ExpOptions) -> Table {
     let cfg = matched_cfg(5.0, opts);
-    let staged = Algorithm::NaiveLockCoupling.model(&cfg);
+    let staged = Model::new(Protocol::LockCoupling, &cfg);
     let expo = Model::exponential_approx(&cfg);
     let max = staged.max_throughput().expect("finite");
     let mut t = Table::new(
@@ -767,8 +758,8 @@ pub fn ablation_merge_policy(_opts: &ExpOptions) -> Table {
 }
 
 /// Every simulated protocol pinned to the bit: each member of
-/// `Protocol::ALL_WITH_RECOVERY`, with its [`Algorithm::of`] and its
-/// [`Protocol::recovery`], on the paper's N = 13 tree at a rate all seven
+/// `Protocol::ALL_WITH_RECOVERY`, with its [`Protocol::policy`] row
+/// (retention column included), on the paper's N = 13 tree at a rate all seven
 /// sustain, and on a cap-3 tree grown from 8 keys whose root splits
 /// under queued descents. Cells print with `{:?}`, so a simulator change
 /// that moves any bit of these statistics moves this table.
@@ -795,14 +786,14 @@ pub fn sim_matrix(opts: &ExpOptions) -> Table {
             initial_items: 8,
             measured_ops: 3_000,
             warmup_ops: 100,
-            ..SimConfig::paper(Algorithm::of(p), 0.05, 1)
+            ..SimConfig::paper(p, 0.05, 1)
         };
         for (tree, mut c) in [
             ("paper-n13", sim_config(p, 0.02, 5.0, opts)),
             ("cap3-from-8", growing),
         ] {
             c.recovery = RecoveryConfig {
-                mode: p.recovery(),
+                mode: p.policy().txn,
                 t_trans: 100.0,
             };
             let cells = match opts.with_sim.then(|| cbtree_sim::run(&c)) {

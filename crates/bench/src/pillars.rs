@@ -2,11 +2,10 @@
 //! [`Protocol`] at an arrival rate — what `analyze --verify`,
 //! `analyze --live` and `cbtree-trace` compare a measurement against —
 //! and the analysis's projection onto the shared per-level record.
-//! The protocol names its algorithm with [`Algorithm::of`] and its
-//! retention with [`Protocol::recovery`]; the analysis and the simulator
-//! read both.
+//! The analysis and the simulator read the protocol's read and update
+//! columns ([`Protocol::policy`]) and the configuration's retention.
 
-use cbtree_analysis::{Algorithm, LevelSolution, ModelConfig, Performance};
+use cbtree_analysis::{LevelSolution, Model, ModelConfig, Performance};
 use cbtree_btree::Protocol;
 use cbtree_btree_model::{CostModel, NodeParams, OpMix, TreeShape};
 use cbtree_obs::LevelRecord;
@@ -33,8 +32,7 @@ pub fn memory_resident(items: u64, capacity: usize, mix: OpMix) -> Result<ModelC
 /// uncontended search time divided by its `response_time_search` is the
 /// wall-clock length of one model cost unit.
 pub fn zero_load(cfg: &ModelConfig) -> Result<Performance, String> {
-    Algorithm::LinkType
-        .model(cfg)
+    Model::new(Protocol::BLink, cfg)
         .evaluate(1e-9)
         .map_err(|e| e.to_string())
 }
@@ -49,7 +47,7 @@ pub fn simulate(
     lambda: f64,
     seeds: &[u64],
 ) -> Result<SeedSummary, SimError> {
-    let mut sc = SimConfig::paper(Algorithm::of(protocol), lambda, 1);
+    let mut sc = SimConfig::paper(protocol, lambda, 1);
     sc.node_capacity = cfg.shape.node.max_node_size;
     sc.initial_items = cfg.shape.n_items.min(SIM_MAX_ITEMS) as usize;
     sc.ops = OpsConfig {
@@ -81,7 +79,7 @@ pub fn evaluate(
     lambda: f64,
     seeds: &[u64],
 ) -> (Option<Performance>, Result<SeedSummary, SimError>) {
-    let analysis = Algorithm::of(protocol).model(cfg).evaluate(lambda).ok();
+    let analysis = Model::new(protocol, cfg).evaluate(lambda).ok();
     (analysis, simulate(protocol, cfg, keyspace, lambda, seeds))
 }
 
@@ -111,7 +109,7 @@ mod tests {
         let zero = zero_load(&cfg).unwrap().response_time_search;
         assert!((zero - cfg.height() as f64).abs() < 0.01, "{zero}");
         for p in Protocol::ALL_WITH_RECOVERY {
-            let cfg = cfg.clone().with_recovery(p.recovery(), 1.0);
+            let cfg = cfg.clone().with_recovery(p.policy().txn, 1.0);
             // Far below two-phase's saturation point, where the models
             // and the simulator must agree whatever the protocol.
             let (anl, sim) = evaluate(p, &cfg, 10_000, 0.001, &[1, 2]);

@@ -42,7 +42,7 @@ pub use error::ModelError;
 pub use fullness::Fullness;
 pub use lru::{lru_cost_model, LruHits};
 pub use mix::OpMix;
-pub use protocol::{Protocol, RecoveryMode};
+pub use protocol::{Policy, Protocol, ReadPolicy, RecoveryMode, UpdatePolicy};
 pub use restructure::MergePolicy;
 pub use shape::{NodeParams, TreeShape};
 

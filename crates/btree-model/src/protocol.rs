@@ -1,8 +1,10 @@
-//! The latching protocols, named: the vocabulary every pillar, CLI, report
-//! and comparison row uses. The live tree reads a protocol's row of its
-//! policy table, the analysis and the simulator read its algorithm
-//! (`cbtree_analysis::Algorithm::of`), and every pillar reads its
-//! transaction-retention column, [`Protocol::recovery`].
+//! The latching protocols, named, and their one policy table: the
+//! vocabulary every pillar, CLI, report and comparison row uses.
+//! [`Protocol::policy`] is the only place a protocol's latching is
+//! decided. The live tree, the simulator and the analytical model read
+//! its read and update columns ([`ReadPolicy`], [`UpdatePolicy`]); the
+//! tree also reads its transaction-retention column, which the simulator
+//! and the model take from their own recovery configuration instead.
 
 use std::fmt;
 use std::str::FromStr;
@@ -88,6 +90,63 @@ pub enum RecoveryMode {
     LeafOnly,
 }
 
+/// How a protocol latches read-only operations on the way down: the
+/// policy table's read column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadPolicy {
+    /// Shared crabbing: the child is latched before the parent releases.
+    Crab,
+    /// Strict 2PL: every shared latch is retained until the operation
+    /// completes.
+    RetainAll,
+    /// Lehman–Yao: at most one shared latch at a time; non-covering
+    /// nodes are recovered from by chasing right links.
+    Link,
+    /// Optimistic lock coupling: readers take **no latches at all**.
+    /// Each node visit snapshots the node's lock-word version counter,
+    /// reads the node unlatched, and validates the version afterwards
+    /// (hand-over-hand: the parent is re-validated after the child's
+    /// read window closes). A failed validation restarts the descent
+    /// from the deepest recorded ancestor whose version still holds;
+    /// non-covering nodes are recovered from by chasing right links, as
+    /// in [`ReadPolicy::Link`].
+    Olc,
+}
+
+/// How a protocol latches updates: the policy table's update column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdatePolicy {
+    /// Exclusive crabbing to the leaf. With `retain_all: false` the
+    /// retained ancestor chain is released whenever a newly latched
+    /// child is *safe* (cannot split / cannot empty); with `retain_all:
+    /// true` every latch is held to completion (the Two-Phase baseline).
+    Crab {
+        /// Never release ancestors (strict 2PL) instead of releasing
+        /// above safe children.
+        retain_all: bool,
+    },
+    /// First pass descends shared and exclusively latches only the leaf
+    /// (acquired under the parent's shared latch); an unsafe leaf
+    /// restarts the operation as an exclusive crab — counted as an
+    /// optimistic *restart*.
+    OptimisticLeaf,
+    /// Lehman–Yao: one exclusive latch at a time; splits are
+    /// half-splits whose separators are posted upward afterwards.
+    Link,
+}
+
+/// One protocol's row of the policy table, [`Protocol::policy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    /// How read-only operations latch.
+    pub read: ReadPolicy,
+    /// How inserts and deletes latch.
+    pub update: UpdatePolicy,
+    /// Which exclusive latches outlive the operation until its
+    /// transaction commits (paper §7).
+    pub txn: RecoveryMode,
+}
+
 impl Protocol {
     /// The paper's three protocols, in its presentation order.
     pub const ALL: [Protocol; 3] = [
@@ -102,6 +161,17 @@ impl Protocol {
         Protocol::LockCoupling,
         Protocol::OptimisticDescent,
         Protocol::BLink,
+    ];
+
+    /// The baseline set plus Optimistic Lock Coupling: one protocol per
+    /// distinct read and update column, in the order the figures and
+    /// reports print them.
+    pub const ALL_EXTENDED: [Protocol; 5] = [
+        Protocol::TwoPhase,
+        Protocol::LockCoupling,
+        Protocol::OptimisticDescent,
+        Protocol::BLink,
+        Protocol::Olc,
     ];
 
     /// Every protocol, recovery variants included.
@@ -129,19 +199,26 @@ impl Protocol {
         }
     }
 
-    /// Which exclusive latches outlive an operation until its
-    /// transaction commits: the recovery protocols are lock-coupling
-    /// under a retention mode, and every other protocol retains nothing.
-    pub const fn recovery(self) -> RecoveryMode {
-        match self {
-            Protocol::RecoveryNaive => RecoveryMode::Naive,
-            Protocol::RecoveryLeaf => RecoveryMode::LeafOnly,
-            Protocol::TwoPhase
-            | Protocol::LockCoupling
-            | Protocol::OptimisticDescent
-            | Protocol::BLink
-            | Protocol::Olc => RecoveryMode::None,
-        }
+    /// This protocol's row of the policy table: how it latches reads,
+    /// how it latches updates, and which exclusive latches outlive an
+    /// operation. The recovery protocols are lock-coupling's row under a
+    /// retention mode; every other protocol retains nothing.
+    #[inline]
+    pub const fn policy(self) -> Policy {
+        use ReadPolicy as R;
+        use RecoveryMode as T;
+        use UpdatePolicy as U;
+        const COUPLE: UpdatePolicy = U::Crab { retain_all: false };
+        let (read, update, txn) = match self {
+            Protocol::TwoPhase => (R::RetainAll, U::Crab { retain_all: true }, T::None),
+            Protocol::LockCoupling => (R::Crab, COUPLE, T::None),
+            Protocol::RecoveryNaive => (R::Crab, COUPLE, T::Naive),
+            Protocol::RecoveryLeaf => (R::Crab, COUPLE, T::LeafOnly),
+            Protocol::OptimisticDescent => (R::Crab, U::OptimisticLeaf, T::None),
+            Protocol::BLink => (R::Link, U::Link, T::None),
+            Protocol::Olc => (R::Olc, COUPLE, T::None),
+        };
+        Policy { read, update, txn }
     }
 }
 
@@ -199,5 +276,59 @@ mod tests {
         assert_eq!("naive".parse::<Protocol>(), Ok(Protocol::LockCoupling));
         assert_eq!("twophase".parse::<Protocol>(), Ok(Protocol::TwoPhase));
         assert!("nope".parse::<Protocol>().is_err());
+    }
+
+    #[test]
+    fn every_name_and_alias_finds_its_row_of_the_policy_table() {
+        // What `--algo` accepts and what a run artifact's `meta.protocol`
+        // says, against the columns every pillar reads.
+        use {ReadPolicy as R, RecoveryMode as T, UpdatePolicy as U};
+        const COUPLE: UpdatePolicy = U::Crab { retain_all: false };
+        let rows = [
+            ("lock-coupling", R::Crab, COUPLE, T::None),
+            ("coupling", R::Crab, COUPLE, T::None),
+            ("naive", R::Crab, COUPLE, T::None),
+            ("optimistic", R::Crab, U::OptimisticLeaf, T::None),
+            ("b-link", R::Link, U::Link, T::None),
+            ("blink", R::Link, U::Link, T::None),
+            ("link", R::Link, U::Link, T::None),
+            (
+                "two-phase",
+                R::RetainAll,
+                U::Crab { retain_all: true },
+                T::None,
+            ),
+            (
+                "twophase",
+                R::RetainAll,
+                U::Crab { retain_all: true },
+                T::None,
+            ),
+            ("olc", R::Olc, COUPLE, T::None),
+            ("optimistic-lock-coupling", R::Olc, COUPLE, T::None),
+            ("recovery-naive", R::Crab, COUPLE, T::Naive),
+            ("recovery-leaf", R::Crab, COUPLE, T::LeafOnly),
+        ];
+        for (name, read, update, txn) in rows {
+            let p: Protocol = name.parse().expect(name);
+            assert_eq!(p.policy(), Policy { read, update, txn }, "{name}");
+        }
+        for p in Protocol::ALL_WITH_RECOVERY {
+            assert!(rows.iter().any(|row| row.0 == p.name()), "{}", p.name());
+        }
+        // The five-protocol list holds one protocol per distinct pair of
+        // read and update columns, and misses none.
+        let columns = |p: Protocol| (p.policy().read, p.policy().update);
+        for (i, a) in Protocol::ALL_EXTENDED.into_iter().enumerate() {
+            for b in &Protocol::ALL_EXTENDED[i + 1..] {
+                assert_ne!(columns(a), columns(*b), "{a} and {b}");
+            }
+        }
+        for p in Protocol::ALL_WITH_RECOVERY {
+            let covered = Protocol::ALL_EXTENDED
+                .iter()
+                .any(|&q| columns(q) == columns(p));
+            assert!(covered, "{p}");
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! is released, when an operation restarts, and how a traversal recovers
 //! from a node that no longer covers its key. Three policy axes capture
 //! exactly those choices; the tree stores its [`Protocol`] and reads its
-//! row of the policy table (`policy`, the one place a protocol's
-//! latching is defined) on every operation:
+//! row of the policy table ([`Protocol::policy`], the one place a
+//! protocol's latching is decided, which the simulator and the model
+//! read too) on every operation:
 //!
 //! * `ReadPolicy::Crab` — shared crabbing (child latched before the
 //!   parent releases); `ReadPolicy::RetainAll` — strict 2PL, every
@@ -26,7 +27,7 @@
 //!   when the leaf is unsafe; `UpdatePolicy::Link` — Lehman–Yao
 //!   half-split with separators posted upward under one latch at a time.
 //! * [`RecoveryMode`] — the paper's §7 recovery variants, the row's
-//!   [`Protocol::recovery`]: exclusive latches survive the operation and
+//!   `txn` column: exclusive latches survive the operation and
 //!   are held until [`ConcurrentBTree::txn_commit`], either the whole
 //!   retained chain (`Naive`) or the leaf only (`LeafOnly`).
 //!
@@ -73,7 +74,7 @@ use crate::batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, make_root, split_node, Node};
 use crate::olc::OlcValue;
-use cbtree_btree_model::{Protocol, RecoveryMode};
+use cbtree_btree_model::{Policy, Protocol, ReadPolicy, RecoveryMode, UpdatePolicy};
 use cbtree_sync::{
     LockSink, LockStatsSnapshot, RwLockWriteGuard, SamplePeriod, Stamp, UnownedWriteGuard,
 };
@@ -93,84 +94,6 @@ type AscentHints = InlineVec<NodeId, MAX_LEVELS>;
 /// A transaction-retained exclusive latch, with its hold still open when
 /// timed: `(level tag, start)`, reported when the latch is released.
 type Retained<V> = (UnownedWriteGuard<Node<V>>, Option<(u16, Stamp)>);
-
-/// How a protocol latches on the way down for read-only operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReadPolicy {
-    /// Shared crabbing: the child is latched before the parent releases.
-    Crab,
-    /// Strict 2PL: every shared latch is retained until the operation
-    /// completes.
-    RetainAll,
-    /// Lehman–Yao: at most one shared latch at a time; non-covering
-    /// nodes are recovered from by chasing right links.
-    Link,
-    /// Optimistic lock coupling: readers take **no latches at all**.
-    /// Each node visit snapshots the node's lock-word version counter,
-    /// reads the node unlatched, and validates the version afterwards
-    /// (hand-over-hand: the parent is re-validated after the child's
-    /// read window closes). A failed validation restarts the descent
-    /// from the deepest recorded ancestor whose version still holds;
-    /// non-covering nodes are recovered from by chasing right links, as
-    /// in [`ReadPolicy::Link`].
-    Olc,
-}
-
-/// How a protocol latches for updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UpdatePolicy {
-    /// Exclusive crabbing to the leaf. With `retain_all: false` the
-    /// retained ancestor chain is released whenever a newly latched
-    /// child is *safe* (cannot split / cannot empty); with `retain_all:
-    /// true` every latch is held to completion (the Two-Phase baseline).
-    Crab {
-        /// Never release ancestors (strict 2PL) instead of releasing
-        /// above safe children.
-        retain_all: bool,
-    },
-    /// First pass descends shared and exclusively latches only the leaf
-    /// (acquired under the parent's shared latch); an unsafe leaf
-    /// restarts the operation as an exclusive crab — counted as an
-    /// optimistic *restart*.
-    OptimisticLeaf,
-    /// Lehman–Yao: one exclusive latch at a time; splits are
-    /// half-splits whose separators are posted upward afterwards.
-    Link,
-}
-
-/// One protocol's row of the policy table: everything the engine needs
-/// to know about how it latches.
-#[derive(Clone, Copy)]
-pub(crate) struct Policy {
-    pub(crate) read: ReadPolicy,
-    pub(crate) update: UpdatePolicy,
-    /// Which exclusive latches outlive the operation until
-    /// [`ConcurrentBTree::txn_commit`] (paper §7).
-    pub(crate) txn: RecoveryMode,
-}
-
-/// The policy table — the only place a protocol's latching is defined.
-/// Its retention column is [`Protocol::recovery`], the one the models and
-/// the simulator read too.
-const fn policy(protocol: Protocol) -> Policy {
-    use ReadPolicy as R;
-    use UpdatePolicy as U;
-    const COUPLE: UpdatePolicy = U::Crab { retain_all: false };
-    let (read, update) = match protocol {
-        Protocol::TwoPhase => (R::RetainAll, U::Crab { retain_all: true }),
-        Protocol::LockCoupling | Protocol::RecoveryNaive | Protocol::RecoveryLeaf => {
-            (R::Crab, COUPLE)
-        }
-        Protocol::OptimisticDescent => (R::Crab, U::OptimisticLeaf),
-        Protocol::BLink => (R::Link, U::Link),
-        Protocol::Olc => (R::Olc, COUPLE),
-    };
-    Policy {
-        read,
-        update,
-        txn: protocol.recovery(),
-    }
-}
 
 /// A concurrent B+-tree latched by the [`Protocol`] chosen at
 /// construction — every protocol is this one engine reading a different
@@ -273,7 +196,7 @@ impl<V> ConcurrentBTree<V> {
     /// This tree's row of the policy table.
     #[inline]
     fn policy(&self) -> Policy {
-        policy(self.protocol)
+        self.protocol.policy()
     }
 
     /// Number of keys stored.

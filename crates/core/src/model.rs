@@ -30,12 +30,15 @@
 //! service time distributions a large variance" (§5), and the
 //! `ablation-hyperexp` experiment shows how much waiting that carries.
 //!
-//! Optimistic Descent's redo class and OLC's writers run the same
-//! recursion with different per-level parameters — whether the reader
-//! class latches, the writer class's rate, the probability it finds its
-//! child unsafe and its split chain — as the live tree's protocol table
-//! describes its protocols as data. Link-type and Two-Phase Locking have
-//! level servers of their own, called from the same loop.
+//! The model reads its protocol's row of the policy table
+//! ([`Protocol::policy`]), the row the live tree and the simulator read.
+//! The update column picks the level server: Link-type and Two-Phase
+//! Locking (`Crab { retain_all: true }`) have their own, called from the
+//! same loop; every other protocol runs the lock-coupling recursion with
+//! per-level parameters — whether the reader class latches (not under an
+//! `Olc` read column), the writer class's rate, the probability it finds
+//! its child unsafe and its split chain (the redo class under an
+//! `OptimisticLeaf` update column).
 //!
 //! ## Optimistic Descent (§5.1)
 //!
@@ -142,15 +145,17 @@
 
 use crate::config::ModelConfig;
 use crate::level::{solve_level, LevelSolution, Performance};
-use crate::{throughput, Algorithm, Result};
-use cbtree_btree_model::Fullness;
+use crate::{throughput, Result};
+use cbtree_btree_model::{Fullness, Policy, Protocol, ReadPolicy, UpdatePolicy};
 use cbtree_queueing::stages::{Mixture, StagedService};
 
-/// The analytical model of one algorithm on one configuration, built by
-/// [`Algorithm::model`].
+/// The analytical model of one protocol on one configuration, built by
+/// [`Model::new`]. It reads the protocol's read and update columns
+/// ([`Protocol::policy`]); §7 retention comes from the configuration's
+/// [`RecoveryConfig`](crate::RecoveryConfig).
 #[derive(Debug)]
 pub struct Model {
-    algorithm: Algorithm,
+    policy: Policy,
     cfg: ModelConfig,
     /// Serve upper levels with an exponential of the staged server's mean.
     exponential: bool,
@@ -192,10 +197,12 @@ impl Coupling {
 }
 
 impl Model {
-    pub(crate) fn new(algorithm: Algorithm, cfg: ModelConfig) -> Self {
+    /// The model of `protocol` on `cfg`. The recovery protocols are
+    /// lock-coupling's columns: their retention is `cfg`'s.
+    pub fn new(protocol: Protocol, cfg: &ModelConfig) -> Self {
         Model {
-            algorithm,
-            cfg,
+            policy: protocol.policy(),
+            cfg: cfg.clone(),
             exponential: false,
         }
     }
@@ -207,7 +214,7 @@ impl Model {
     pub fn exponential_approx(cfg: &ModelConfig) -> Self {
         Model {
             exponential: true,
-            ..Model::new(Algorithm::NaiveLockCoupling, cfg.clone())
+            ..Model::new(Protocol::LockCoupling, cfg)
         }
     }
 
@@ -244,12 +251,14 @@ impl Model {
         for level in 1..=h {
             let lambda_lvl = self.cfg.shape.arrival_at_level(lambda, level);
             let below = levels.last();
-            let sol = match self.algorithm {
-                Algorithm::LinkType => self.link_level(level, lambda_lvl, lambda)?,
-                Algorithm::TwoPhaseLocking => {
+            let sol = match self.policy.update {
+                UpdatePolicy::Link => self.link_level(level, lambda_lvl, lambda)?,
+                UpdatePolicy::Crab { retain_all: true } => {
                     self.two_phase_level(&k, level, lambda_lvl, lambda, below, &mut hold)?
                 }
-                _ => self.coupled_level(&k, level, lambda_lvl, lambda, below, &mut hold)?,
+                UpdatePolicy::Crab { retain_all: false } | UpdatePolicy::OptimisticLeaf => {
+                    self.coupled_level(&k, level, lambda_lvl, lambda, below, &mut hold)?
+                }
             };
             levels.push(sol);
         }
@@ -257,8 +266,8 @@ impl Model {
         // A descent reading levels `from..=h`, one shared lock at a time.
         let reads =
             |from: usize| -> f64 { (from..=h).map(|i| c.se(i) + levels[i - 1].r_wait).sum() };
-        let (search, insert, delete) = match self.algorithm {
-            Algorithm::LinkType => {
+        let (search, insert, delete) = match self.policy.update {
+            UpdatePolicy::Link => {
                 // With probability ∏Pr[F] a split climbs, paying the
                 // half-split plus the next level's W wait and modify.
                 let split_work: f64 = (1..h)
@@ -271,13 +280,13 @@ impl Model {
                 let delete = descent + leaf + c.m();
                 (reads(1), descent + leaf + c.m() + split_work, delete)
             }
-            Algorithm::TwoPhaseLocking => {
+            UpdatePolicy::Crab { retain_all: true } => {
                 let (insert, _) = self.updates(&k, &levels);
                 let serial_update: f64 = c.m() + (2..=h).map(|i| c.se(i)).sum::<f64>();
                 let delete = serial_update + levels.iter().map(|l| l.w_wait).sum::<f64>();
                 (reads(1), insert, delete)
             }
-            Algorithm::OptimisticDescent => {
+            UpdatePolicy::OptimisticLeaf => {
                 let descent = reads(2);
                 let (redo, _) = self.updates(&k, &levels);
                 let prf1 = f.pr_full(1);
@@ -286,7 +295,7 @@ impl Model {
                 let insert = leaf + first_pass_leaf_work + prf1 * redo;
                 (descent + c.se(1) + levels[0].r_wait, insert, leaf + c.m())
             }
-            Algorithm::NaiveLockCoupling | Algorithm::Olc => {
+            UpdatePolicy::Crab { retain_all: false } => {
                 let (insert, delete) = self.updates(&k, &levels);
                 let search = if k.readers_latch {
                     reads(1)
@@ -310,14 +319,18 @@ impl Model {
         })
     }
 
-    /// The lock-coupling parameters of this model's algorithm. Two-Phase
-    /// Locking's update classes and split chain are Naive Lock-coupling's.
+    /// The lock-coupling parameters of this model's columns: the read
+    /// column says whether the reader class latches, and an
+    /// optimistic-leaf update column makes the writer class the redos.
+    /// Two-Phase Locking's update classes and split chain are Naive
+    /// Lock-coupling's.
     fn coupling(&self) -> Coupling {
         let (mix, c, rec) = (&self.cfg.mix, &self.cfg.cost, &self.cfg.recovery);
         let inserts = mix.insert_share_of_updates();
+        let readers_latch = self.policy.read != ReadPolicy::Olc;
         let naive = Coupling {
-            readers_latch: true,
-            readers: mix.q_search,
+            readers_latch,
+            readers: if readers_latch { mix.q_search } else { 0.0 },
             leaf_writers: mix.update_fraction(),
             leaf_service: inserts * c.m()
                 + mix.delete_share_of_updates() * c.m()
@@ -326,13 +339,8 @@ impl Model {
             inserts,
             redo: false,
         };
-        match self.algorithm {
-            Algorithm::Olc => Coupling {
-                readers_latch: false,
-                readers: 0.0,
-                ..naive
-            },
-            Algorithm::OptimisticDescent => {
+        match self.policy.update {
+            UpdatePolicy::OptimisticLeaf => {
                 let prf1 = self.cfg.fullness.pr_full(1);
                 let redo = mix.q_insert * prf1;
                 let leaf_writers = mix.update_fraction() + redo;
@@ -569,10 +577,10 @@ mod tests {
     use super::*;
     use crate::{AnalysisError, RecoveryMode};
     use cbtree_btree_model::{CostModel, OpMix, TreeShape};
-    use Algorithm as A;
+    use Protocol as P;
 
-    fn model(algorithm: Algorithm) -> Model {
-        algorithm.model(&ModelConfig::paper_base())
+    fn model(protocol: Protocol) -> Model {
+        Model::new(protocol, &ModelConfig::paper_base())
     }
 
     #[test]
@@ -580,7 +588,7 @@ mod tests {
         // Serial search: Se over 5 levels = 1 + 1 + 5 + 5 + 5 = 17; serial
         // delete: M + Se(2..5) = 10 + (5 + 5 + 1 + 1) = 22; inserts add
         // expected split work on top of the delete path.
-        for a in Algorithm::ALL_EXTENDED {
+        for a in Protocol::ALL_EXTENDED {
             let perf = model(a).evaluate(0.0).unwrap();
             assert!((perf.response_time_search - 17.0).abs() < 1e-9, "{a:?}");
             assert!((perf.response_time_delete - 22.0).abs() < 1e-9, "{a:?}");
@@ -594,8 +602,8 @@ mod tests {
     fn search_only_mix_never_waits() {
         let mix = OpMix::searches_only();
         let cfg = ModelConfig::new(TreeShape::paper(), mix, CostModel::paper()).unwrap();
-        for a in Algorithm::ALL_EXTENDED {
-            let perf = a.model(&cfg).evaluate(5.0).unwrap();
+        for a in Protocol::ALL_EXTENDED {
+            let perf = Model::new(a, &cfg).evaluate(5.0).unwrap();
             assert!((perf.response_time_search - 17.0).abs() < 1e-9, "{a:?}");
             assert_eq!(perf.root_writer_utilization(), 0.0, "{a:?}");
         }
@@ -603,7 +611,7 @@ mod tests {
 
     #[test]
     fn response_times_grow_with_load() {
-        for a in Algorithm::ALL_EXTENDED {
+        for a in Protocol::ALL_EXTENDED {
             let m = model(a);
             let max = m.max_throughput().unwrap();
             let lo = m.evaluate(0.2 * max).unwrap();
@@ -623,11 +631,11 @@ mod tests {
         // Link-type's levels decouple, and its first queue to saturate is
         // level 3, the highest one on disk.
         let rows = [
-            (A::TwoPhaseLocking, 5),
-            (A::NaiveLockCoupling, 5),
-            (A::OptimisticDescent, 5),
-            (A::LinkType, 3),
-            (A::Olc, 5),
+            (P::TwoPhase, 5),
+            (P::LockCoupling, 5),
+            (P::OptimisticDescent, 5),
+            (P::BLink, 3),
+            (P::Olc, 5),
         ];
         for (a, bottleneck) in rows {
             let m = model(a);
@@ -645,7 +653,7 @@ mod tests {
     fn root_utilization_grows_superlinearly() {
         // Figure 10: going from ρ_w = .5 to ρ_w = 1 takes less than a 50%
         // increase in arrival rate.
-        let m = model(A::NaiveLockCoupling);
+        let m = model(P::LockCoupling);
         let lambda_half = m.lambda_at_root_rho(0.5).unwrap();
         let max = m.max_throughput().unwrap();
         assert!(
@@ -657,7 +665,7 @@ mod tests {
 
     #[test]
     fn updates_wait_longer_than_searches() {
-        let perf = model(A::NaiveLockCoupling).evaluate(0.25).unwrap();
+        let perf = model(P::LockCoupling).evaluate(0.25).unwrap();
         for l in &perf.levels {
             assert!(l.w_wait >= l.r_wait);
         }
@@ -670,7 +678,7 @@ mod tests {
         // Pr[F(h)]), so probe a low load all three variants sustain.
         let base = ModelConfig::paper_base();
         let insert_rt = |cfg: ModelConfig| {
-            let perf = A::NaiveLockCoupling.model(&cfg).evaluate(0.04).unwrap();
+            let perf = Model::new(P::LockCoupling, &cfg).evaluate(0.04).unwrap();
             perf.response_time_insert
         };
         let none = insert_rt(base.clone());
@@ -682,7 +690,7 @@ mod tests {
 
     #[test]
     fn olc_reader_latch_demand_is_zero_at_every_level() {
-        let perf = model(A::Olc).evaluate(0.3).unwrap();
+        let perf = model(P::Olc).evaluate(0.3).unwrap();
         for l in &perf.levels {
             let level = l.level;
             assert_eq!(l.lambda_r, 0.0, "level {level}: OLC readers never latch");
@@ -699,7 +707,7 @@ mod tests {
         // trade lock waits for restart rework — slightly costlier at low
         // contention, but they never queue, so they stay near-serial at
         // loads naive cannot even sustain.
-        let (olc, naive) = (model(A::Olc), model(A::NaiveLockCoupling));
+        let (olc, naive) = (model(P::Olc), model(P::LockCoupling));
         let lam = 0.2;
         let po = olc.evaluate(lam).unwrap();
         let pn = naive.evaluate(lam).unwrap();
@@ -721,7 +729,7 @@ mod tests {
     fn od_beats_naive_lock_coupling() {
         // Figure 12 / §8: Optimistic Descent significantly outperforms
         // Naive Lock-coupling.
-        let (od, nl) = (model(A::OptimisticDescent), model(A::NaiveLockCoupling));
+        let (od, nl) = (model(P::OptimisticDescent), model(P::LockCoupling));
         let max_od = od.max_throughput().unwrap();
         let max_nl = nl.max_throughput().unwrap();
         assert!(
@@ -737,7 +745,7 @@ mod tests {
 
     #[test]
     fn od_writer_rate_above_leaf_is_redo_only() {
-        let perf = model(A::OptimisticDescent).evaluate(0.3).unwrap();
+        let perf = model(P::OptimisticDescent).evaluate(0.3).unwrap();
         let cfg = ModelConfig::paper_base();
         let root = perf.level(cfg.height());
         let expect_w = cfg.mix.q_insert * cfg.fullness.pr_full(1) * 0.3;
@@ -750,7 +758,7 @@ mod tests {
 
     #[test]
     fn od_insert_slower_than_search_and_delete() {
-        let perf = model(A::OptimisticDescent).evaluate(0.3).unwrap();
+        let perf = model(P::OptimisticDescent).evaluate(0.3).unwrap();
         assert!(perf.response_time_insert > perf.response_time_delete);
         assert!(perf.response_time_delete > perf.response_time_search);
     }
@@ -761,7 +769,9 @@ mod tests {
         // as 1/N.
         let max = |n: usize| {
             let cfg = ModelConfig::pinned(n, 5, 6.0, 2, 5.0, 1.0, OpMix::paper()).unwrap();
-            A::OptimisticDescent.model(&cfg).max_throughput().unwrap()
+            Model::new(P::OptimisticDescent, &cfg)
+                .max_throughput()
+                .unwrap()
         };
         let (small, large) = (max(13), max(59));
         assert!(large > 2.0 * small, "N=59 ({large}) vs N=13 ({small})");
@@ -771,7 +781,9 @@ mod tests {
     fn od_recovery_ranking_matches_section_7() {
         let base = ModelConfig::paper_with_disk_cost(10.0).unwrap();
         let insert_rt = |cfg: ModelConfig| {
-            let perf = A::OptimisticDescent.model(&cfg).evaluate(0.25).unwrap();
+            let perf = Model::new(P::OptimisticDescent, &cfg)
+                .evaluate(0.25)
+                .unwrap();
             perf.response_time_insert
         };
         let none = insert_rt(base.clone());
@@ -793,7 +805,7 @@ mod tests {
         // rate is roughly flat above the leaf (E·Pr[F] ≈ 1 at steady
         // state), far below the leaf's update rate, and smallest at the
         // root (whose fanout is below steady state).
-        let perf = model(A::LinkType).evaluate(1.0).unwrap();
+        let perf = model(P::BLink).evaluate(1.0).unwrap();
         let cfg = ModelConfig::paper_base();
         for i in 2..=5 {
             let lvl = perf.level(i);
@@ -811,9 +823,9 @@ mod tests {
     #[test]
     fn link_dominates_both_other_algorithms() {
         // Figure 12 / §8: Link ≫ Optimistic ≫ Naive.
-        let max = |a: Algorithm| model(a).max_throughput().unwrap();
-        let (link, od) = (max(A::LinkType), max(A::OptimisticDescent));
-        let naive = max(A::NaiveLockCoupling);
+        let max = |a: Protocol| model(a).max_throughput().unwrap();
+        let (link, od) = (max(P::BLink), max(P::OptimisticDescent));
+        let naive = max(P::LockCoupling);
         assert!(
             link > 3.0 * od && od > 1.5 * naive,
             "expected link ({link}) >> od ({od}) >> naive ({naive})"
@@ -825,7 +837,7 @@ mod tests {
         // §6: "the Link-type algorithm has no effective maximum
         // throughput" — it sustains rates far beyond the other
         // algorithms' saturation points, with a nearly flat insert RT.
-        let m = model(A::LinkType);
+        let m = model(P::BLink);
         assert!(m.evaluate(20.0).is_ok(), "link must sustain λ=20");
         let max = m.max_throughput().unwrap();
         assert!(max > 50.0, "link saturation should be enormous, got {max}");
@@ -844,8 +856,8 @@ mod tests {
     fn two_phase_is_far_worse_than_naive_lock_coupling() {
         // The whole point: even the "naive" dedicated algorithm crushes
         // index 2PL.
-        let tp = model(A::TwoPhaseLocking).max_throughput().unwrap();
-        let naive = model(A::NaiveLockCoupling).max_throughput().unwrap();
+        let tp = model(P::TwoPhase).max_throughput().unwrap();
+        let naive = model(P::LockCoupling).max_throughput().unwrap();
         assert!(tp < 0.15, "2PL max throughput must be tiny, got {tp}");
         assert!(
             naive > 4.0 * tp,
@@ -858,7 +870,7 @@ mod tests {
         // ρ_w(h) ≈ (q_i+q_d)·λ·T(I,h): at tiny λ the root utilization per
         // unit arrival is close to the serial update time.
         let lambda = 0.005;
-        let perf = model(A::TwoPhaseLocking).evaluate(lambda).unwrap();
+        let perf = model(P::TwoPhase).evaluate(lambda).unwrap();
         let implied_hold = perf.root_writer_utilization() / (0.7 * lambda);
         assert!(
             implied_hold > 20.0,

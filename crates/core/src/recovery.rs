@@ -17,7 +17,7 @@
 //! three-way comparison.
 
 use crate::config::{ModelConfig, RecoveryMode};
-use crate::{Algorithm, Model, Performance, Result};
+use crate::{Model, Performance, Protocol, Result};
 
 /// The §7 three-way comparison: the same algorithm under no recovery,
 /// Leaf-only recovery, and Naive recovery.
@@ -44,13 +44,22 @@ pub struct RecoveryRow {
 }
 
 impl RecoveryComparison {
-    /// Builds the comparison for `algorithm` on `cfg` (the paper uses
+    /// Builds the comparison for `protocol` on `cfg` (the paper uses
     /// Optimistic Descent) with remaining transaction time `t_trans`.
-    pub fn new(algorithm: Algorithm, cfg: &ModelConfig, t_trans: f64) -> Self {
+    pub fn new(protocol: Protocol, cfg: &ModelConfig, t_trans: f64) -> Self {
         RecoveryComparison {
-            none: algorithm.model(&cfg.clone().with_recovery(RecoveryMode::None, 0.0)),
-            leaf_only: algorithm.model(&cfg.clone().with_recovery(RecoveryMode::LeafOnly, t_trans)),
-            naive: algorithm.model(&cfg.clone().with_recovery(RecoveryMode::Naive, t_trans)),
+            none: Model::new(
+                protocol,
+                &cfg.clone().with_recovery(RecoveryMode::None, 0.0),
+            ),
+            leaf_only: Model::new(
+                protocol,
+                &cfg.clone().with_recovery(RecoveryMode::LeafOnly, t_trans),
+            ),
+            naive: Model::new(
+                protocol,
+                &cfg.clone().with_recovery(RecoveryMode::Naive, t_trans),
+            ),
         }
     }
 
@@ -92,7 +101,7 @@ mod tests {
         // Figure 15: OD insert response times, N = 13, h = 5, D = 10,
         // T_trans = 100.
         let cfg = ModelConfig::paper_with_disk_cost(10.0).unwrap();
-        RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, 100.0)
+        RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, 100.0)
     }
 
     #[test]
@@ -135,7 +144,7 @@ mod tests {
         // Figure 16's setup: N = 59, 4 levels.
         let cfg = ModelConfig::pinned(59, 4, 6.0, 2, 10.0, 1.0, cbtree_btree_model::OpMix::paper())
             .unwrap();
-        let cmp = RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, 100.0);
+        let cmp = RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, 100.0);
         let row = cmp.insert_row(0.3).unwrap();
         assert!(row.insert_rt_leaf_only < row.insert_rt_naive);
     }
@@ -143,7 +152,7 @@ mod tests {
     #[test]
     fn applies_to_other_algorithms_too() {
         let cfg = ModelConfig::paper_base();
-        let cmp = RecoveryComparison::new(Algorithm::LinkType, &cfg, 100.0);
+        let cmp = RecoveryComparison::new(Protocol::BLink, &cfg, 100.0);
         let row = cmp.insert_row(0.5).unwrap();
         // Link-type W-locks only what it modifies, so naive recovery still
         // costs more than leaf-only (upper-level locks retained on split

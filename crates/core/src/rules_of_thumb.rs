@@ -140,7 +140,7 @@ pub fn naive_lc_rot1_literal_se2(cfg: &ModelConfig) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
+    use crate::{Model, Protocol};
     use cbtree_btree_model::OpMix;
 
     #[test]
@@ -149,7 +149,7 @@ mod tests {
         // matches the full analysis.
         let cfg = ModelConfig::pinned(13, 5, 6.0, 5, 1.0, 1.0, OpMix::paper()).unwrap();
         let rot = naive_lc_rot1(&cfg).unwrap();
-        let model = Algorithm::NaiveLockCoupling.model(&cfg);
+        let model = Model::new(Protocol::LockCoupling, &cfg);
         let exact = model.lambda_at_root_rho(0.5).unwrap();
         let ratio = rot / exact;
         assert!(
@@ -201,7 +201,7 @@ mod tests {
     fn rot3_in_reasonable_agreement_with_analysis() {
         let cfg = ModelConfig::pinned(59, 4, 8.0, 4, 1.0, 1.0, OpMix::paper()).unwrap();
         let rot = optimistic_rot3(&cfg).unwrap();
-        let model = Algorithm::OptimisticDescent.model(&cfg);
+        let model = Model::new(Protocol::OptimisticDescent, &cfg);
         let exact = model.lambda_at_root_rho(0.5).unwrap();
         let ratio = rot / exact;
         assert!(

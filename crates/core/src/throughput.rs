@@ -107,10 +107,10 @@ pub fn lambda_at_root_rho(model: &Model, target_rho: f64) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, ModelConfig};
+    use crate::{ModelConfig, Protocol};
 
     fn naive() -> Model {
-        Algorithm::NaiveLockCoupling.model(&ModelConfig::paper_base())
+        Model::new(Protocol::LockCoupling, &ModelConfig::paper_base())
     }
 
     #[test]

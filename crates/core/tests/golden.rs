@@ -14,7 +14,7 @@
 //! the reader class: with no searches, OLC's writers see exactly naive
 //! lock-coupling's queues.
 
-use cbtree_analysis::{Algorithm, Model, ModelConfig, RecoveryMode};
+use cbtree_analysis::{Model, ModelConfig, Protocol, RecoveryMode};
 use cbtree_analysis::{Performance, Result};
 use cbtree_btree_model::{CostModel, OpMix, TreeShape};
 
@@ -82,12 +82,11 @@ fn golden() -> Vec<Line> {
     for (cfg_name, base) in configs {
         for (rec_name, mode) in RECOVERY {
             let cfg = base.clone().with_recovery(mode, 100.0);
-            for alg in Algorithm::ALL_EXTENDED {
+            for alg in Protocol::ALL_EXTENDED {
                 let label = format!("{} {cfg_name} {rec_name}", alg.name());
-                record(&mut out, &label, &alg.model(&cfg), None);
+                record(&mut out, &label, &Model::new(alg, &cfg), None);
             }
-            let staged_max = Algorithm::NaiveLockCoupling
-                .model(&cfg)
+            let staged_max = Model::new(Protocol::LockCoupling, &cfg)
                 .max_throughput()
                 .ok();
             let ablation = Model::exponential_approx(&cfg);
@@ -141,8 +140,8 @@ fn olc_is_lock_coupling_without_the_reader_class() {
         CostModel::paper(),
     )
     .unwrap();
-    let naive = Algorithm::NaiveLockCoupling.model(&cfg);
-    let olc = Algorithm::Olc.model(&cfg);
+    let naive = Model::new(Protocol::LockCoupling, &cfg);
+    let olc = Model::new(Protocol::Olc, &cfg);
     for lambda in [0.05, 0.1, 0.2, 0.3] {
         let (n, o) = (
             naive.evaluate(lambda).unwrap(),

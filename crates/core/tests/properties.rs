@@ -5,7 +5,7 @@
 //! Cases come from `cbtree_workload::Rng` and reproduce from the printed
 //! `(seed, case)` pair.
 
-use cbtree_analysis::{Algorithm, ModelConfig, RecoveryMode};
+use cbtree_analysis::{Model, ModelConfig, Protocol, RecoveryMode};
 use cbtree_btree_model::{CostModel, NodeParams, OpMix, TreeShape};
 use cbtree_workload::Rng;
 
@@ -54,8 +54,8 @@ fn random_config(rng: &mut Rng) -> ModelConfig {
     }
 }
 
-fn algorithms() -> [Algorithm; 4] {
-    Algorithm::ALL_WITH_BASELINE
+fn algorithms() -> [Protocol; 4] {
+    Protocol::ALL_WITH_BASELINE
 }
 
 /// At zero load every response time equals its serial cost: positive,
@@ -68,7 +68,7 @@ fn zero_load_is_serial_and_wait_free() {
         let cfg = random_config(&mut rng);
         let serial_search: f64 = (1..=cfg.height()).map(|i| cfg.cost.se(i)).sum();
         for alg in algorithms() {
-            let perf = alg.model(&cfg).evaluate(0.0).unwrap();
+            let perf = Model::new(alg, &cfg).evaluate(0.0).unwrap();
             assert!(
                 (perf.response_time_search - serial_search).abs() < 1e-6,
                 "{alg:?} case={case}: {} vs serial {serial_search}",
@@ -94,7 +94,7 @@ fn monotone_in_lambda() {
         let f1 = uniform(&mut rng, 0.05, 0.45);
         let f2 = uniform(&mut rng, 0.5, 0.9);
         for alg in algorithms() {
-            let model = alg.model(&cfg);
+            let model = Model::new(alg, &cfg);
             let Ok(max) = model.max_throughput() else {
                 continue;
             };
@@ -117,11 +117,11 @@ fn ranking_invariant() {
     let mut rng = Rng::new(SEED ^ 2);
     for case in 0..CASES {
         let cfg = random_config(&mut rng);
-        let max = |a: Algorithm| a.model(&cfg).max_throughput().unwrap();
-        let tp = max(Algorithm::TwoPhaseLocking);
-        let naive = max(Algorithm::NaiveLockCoupling);
-        let od = max(Algorithm::OptimisticDescent);
-        let link = max(Algorithm::LinkType);
+        let max = |a: Protocol| Model::new(a, &cfg).max_throughput().unwrap();
+        let tp = max(Protocol::TwoPhase);
+        let naive = max(Protocol::LockCoupling);
+        let od = max(Protocol::OptimisticDescent);
+        let link = max(Protocol::BLink);
         assert!(
             tp <= naive * 1.001,
             "case={case}: 2pl {tp} vs naive {naive}"
@@ -140,11 +140,11 @@ fn saturation_boundary_is_sharp() {
         let cfg = random_config(&mut rng);
         let frac = uniform(&mut rng, 0.1, 0.95);
         for alg in [
-            Algorithm::NaiveLockCoupling,
-            Algorithm::OptimisticDescent,
-            Algorithm::TwoPhaseLocking,
+            Protocol::LockCoupling,
+            Protocol::OptimisticDescent,
+            Protocol::TwoPhase,
         ] {
-            let model = alg.model(&cfg);
+            let model = Model::new(alg, &cfg);
             let max = model.max_throughput().unwrap();
             assert!(
                 model.evaluate(frac * max).is_ok(),
@@ -173,8 +173,8 @@ fn dilation_covariance() {
         )
         .unwrap();
         for alg in algorithms() {
-            let m0 = alg.model(&cfg);
-            let m1 = alg.model(&dilated);
+            let m0 = Model::new(alg, &cfg);
+            let m1 = Model::new(alg, &dilated);
             let rt0 = m0.evaluate(0.0).unwrap().response_time_insert;
             let rt1 = m1.evaluate(0.0).unwrap().response_time_insert;
             assert!((rt1 / rt0 - factor).abs() < 1e-6, "{alg:?} case={case}");
@@ -197,21 +197,19 @@ fn recovery_ordering() {
         let cfg = random_config(&mut rng);
         let frac = uniform(&mut rng, 0.1, 0.7);
         let t_trans = uniform(&mut rng, 10.0, 300.0);
-        for alg in [Algorithm::NaiveLockCoupling, Algorithm::OptimisticDescent] {
+        for alg in [Protocol::LockCoupling, Protocol::OptimisticDescent] {
             let naive_cfg = cfg.clone().with_recovery(RecoveryMode::Naive, t_trans);
             let leaf_cfg = cfg.clone().with_recovery(RecoveryMode::LeafOnly, t_trans);
-            let m_naive = alg.model(&naive_cfg);
+            let m_naive = Model::new(alg, &naive_cfg);
             let Ok(max) = m_naive.max_throughput() else {
                 continue;
             };
             let lambda = frac * max;
-            let rt_none = alg
-                .model(&cfg)
+            let rt_none = Model::new(alg, &cfg)
                 .evaluate(lambda)
                 .unwrap()
                 .response_time_insert;
-            let rt_leaf = alg
-                .model(&leaf_cfg)
+            let rt_leaf = Model::new(alg, &leaf_cfg)
                 .evaluate(lambda)
                 .unwrap()
                 .response_time_insert;
@@ -231,7 +229,7 @@ fn level_solutions_consistent() {
         let cfg = random_config(&mut rng);
         let frac = uniform(&mut rng, 0.2, 0.8);
         for alg in algorithms() {
-            let model = alg.model(&cfg);
+            let model = Model::new(alg, &cfg);
             let Ok(max) = model.max_throughput() else {
                 continue;
             };
@@ -268,9 +266,7 @@ fn rules_of_thumb_sane_in_memory() {
         let cost = CostModel::paper_style(height, height, 1.0, 1.0).unwrap();
         let cfg = ModelConfig::new(shape, mix, cost).unwrap();
         if let (Ok(exact), Ok(rot)) = (
-            Algorithm::NaiveLockCoupling
-                .model(&cfg)
-                .lambda_at_root_rho(0.5),
+            Model::new(Protocol::LockCoupling, &cfg).lambda_at_root_rho(0.5),
             cbtree_analysis::rules_of_thumb::naive_lc_rot1(&cfg),
         ) {
             let ratio = rot / exact;

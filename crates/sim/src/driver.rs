@@ -10,32 +10,27 @@
 //! structural mutations apply at the instant the corresponding service
 //! completes, while the responsible locks are held.
 //!
-//! Every algorithm runs the same traversal. What differs is three
-//! predicates on the algorithm and the operation, and the lock mode a
-//! step requests (`descent_mode`); each mirrors the published algorithms:
+//! Every protocol runs the same traversal; four predicates on an
+//! operation's policy column (read for searches, update otherwise) and a
+//! step's lock mode (`descent_mode`) are all that differ:
 //!
-//! * **Exclusive crab** (`exclusive_crab`): updates of Naive
-//!   Lock-coupling (Bayer–Schkolnick), strict 2PL and OLC, and Optimistic
-//!   Descent's redo. W-lock crabbing; the whole retained chain is
-//!   released as soon as a newly granted child is safe for the operation
-//!   (2PL releases nothing before completion). Restructuring walks the
-//!   retained chain upward after the leaf modification. Everything else
-//!   that couples — searches, and Optimistic Descent's first pass, which
-//!   W-locks only the leaf — drops its one retained parent at each grant.
-//!   An Optimistic first pass that finds its leaf unsafe pays an
-//!   inspection, releases, and redescends as an exclusive crab (the
-//!   *redo*; counted in the statistics).
-//! * **Link steps** (`link_steps`, Lehman–Yao): at most one lock held at
-//!   a time; descents release a node *before* requesting the next; any
-//!   node reached whose key range no longer covers the target chases
-//!   right links (each hop pays a search service and increments the
-//!   crossing counter); splits are half-splits followed by a separate
-//!   W-locked parent update using the remembered descent stack.
-//! * **Latch-free reads** (`latch_free`, OLC searches): each node visit is
-//!   a search service with no lock request, validated when it completes
-//!   (a writer holding or queued on the node fails the window and the
-//!   visit is redone, counted in `redos`); stale routing chases right as
-//!   link steps do.
+//! * **Exclusive crab** (`exclusive_crab`: a `Crab` update, or an
+//!   `OptimisticLeaf` update's redo): W-lock crabbing; the retained chain
+//!   is released as soon as a newly granted child is safe (never, under
+//!   `retains_everything`), and restructuring walks it upward. Every
+//!   other coupled descent drops its one retained parent at each grant;
+//!   an optimistic first pass that finds its leaf unsafe pays an
+//!   inspection, releases, and redoes itself as an exclusive crab.
+//! * **Link steps** (`link_steps`, Lehman–Yao): one lock at a time; a
+//!   descent releases a node *before* requesting the next and leaves a
+//!   node that no longer covers the key by its right link (a search and
+//!   a crossing per hop); a split is a half-split, then a separate
+//!   W-locked parent update from the remembered descent stack.
+//! * **Latch-free reads** (`latch_free`, an `Olc` read): each node visit
+//!   is a search service with no lock request, validated when it
+//!   completes (a writer holding or queued on the node fails the window
+//!   and the visit is redone, counted in `redos`); stale routing chases
+//!   right as link steps do.
 //!
 //! §7 recovery (`RecoveryConfig`) retains a finished update's exclusive
 //! locks — all of them, or the leaf's only — until its transaction
@@ -48,7 +43,8 @@ use crate::runner::SimConfig;
 use crate::stats::{BatchMeans, TimeWeighted};
 use crate::tree::SimTree;
 use crate::{Result, SimError};
-use cbtree_analysis::{Algorithm, RecoveryConfig, RecoveryMode};
+use cbtree_analysis::{RecoveryConfig, RecoveryMode};
+use cbtree_btree_model::{Policy, ReadPolicy, UpdatePolicy};
 use cbtree_obs::stats::Welford;
 use cbtree_workload::{Exponential, Operation, Rng};
 
@@ -176,7 +172,8 @@ pub(crate) struct Simulator {
     pub tree: SimTree,
     locks: LockTable,
     costs: SimCosts,
-    algorithm: Algorithm,
+    /// The protocol's row of the policy table; retention is `recovery`'s.
+    policy: Policy,
     recovery: RecoveryConfig,
     events: EventQueue<Event>,
     ops: Vec<OpState>,
@@ -215,7 +212,7 @@ impl Simulator {
             tree,
             locks: LockTable::new(),
             costs: cfg.costs.clone(),
-            algorithm: cfg.algorithm,
+            policy: cfg.protocol.policy(),
             recovery: cfg.recovery,
             events: EventQueue::new(),
             ops: Vec::new(),
@@ -495,35 +492,38 @@ impl Simulator {
     // The descent machine
     // ------------------------------------------------------------------
 
-    /// Whether `op` crabs with W locks and restructures along its
-    /// retained chain: every update of Naive Lock-coupling, 2PL and OLC,
-    /// and Optimistic Descent's redo pass.
+    /// Whether `op` crabs with W locks and restructures along its chain.
     fn exclusive_crab(&self, op: OpId) -> bool {
         let o = &self.ops[op];
         o.operation.is_update()
-            && match self.algorithm {
-                Algorithm::NaiveLockCoupling | Algorithm::TwoPhaseLocking | Algorithm::Olc => true,
-                Algorithm::OptimisticDescent => o.redo,
-                Algorithm::LinkType => false,
+            && match self.policy.update {
+                UpdatePolicy::Crab { .. } => true,
+                UpdatePolicy::OptimisticLeaf => o.redo,
+                UpdatePolicy::Link => false,
             }
     }
 
-    /// Whether descents release each node before requesting the next and
-    /// chase right links where a node no longer covers the key
-    /// (Lehman–Yao).
-    fn link_steps(&self) -> bool {
-        self.algorithm == Algorithm::LinkType
+    /// Whether `op` takes link steps (Lehman–Yao).
+    fn link_steps(&self, op: OpId) -> bool {
+        if self.ops[op].operation.is_update() {
+            self.policy.update == UpdatePolicy::Link
+        } else {
+            self.policy.read == ReadPolicy::Link
+        }
     }
 
-    /// Whether `op` visits nodes with no lock request (OLC searches).
+    /// Whether `op` visits nodes with no lock request.
     fn latch_free(&self, op: OpId) -> bool {
-        self.algorithm == Algorithm::Olc && !self.ops[op].operation.is_update()
+        !self.ops[op].operation.is_update() && self.policy.read == ReadPolicy::Olc
     }
 
-    /// Whether the protocol retains every lock until the operation
-    /// completes (strict 2PL).
-    fn retains_everything(&self) -> bool {
-        self.algorithm == Algorithm::TwoPhaseLocking
+    /// Whether `op` retains every lock until it completes.
+    fn retains_everything(&self, op: OpId) -> bool {
+        if self.ops[op].operation.is_update() {
+            self.policy.update == UpdatePolicy::Crab { retain_all: true }
+        } else {
+            self.policy.read == ReadPolicy::RetainAll
+        }
     }
 
     /// Whether `node` is safe for `op` (lock-coupling release rule).
@@ -559,7 +559,7 @@ impl Simulator {
             self.visit(op, node);
             return;
         }
-        if self.link_steps() {
+        if self.link_steps(op) {
             self.release_all(op);
         }
         let mode = self.descent_mode(op, node);
@@ -589,7 +589,7 @@ impl Simulator {
         // instant rather than a call, so a queue of such descents
         // restarts one by one in arrival order instead of recursing
         // through each other's releases.
-        if !self.link_steps() && self.ops[op].held.is_empty() && node != self.tree.root() {
+        if !self.link_steps(op) && self.ops[op].held.is_empty() && node != self.tree.root() {
             self.ops[op].cur = node;
             self.events.schedule(self.now, Event::Restart(op));
             return;
@@ -600,7 +600,7 @@ impl Simulator {
         // 2PL drops nothing until completion. A link step released its
         // node before requesting this one.
         if !self.ops[op].held.is_empty()
-            && !self.retains_everything()
+            && !self.retains_everything(op)
             && (!self.exclusive_crab(op) || self.safe_for(op, node))
         {
             self.release_all(op);
@@ -612,7 +612,7 @@ impl Simulator {
         let n = self.tree.node(node);
         let (level, covers) = (n.level, n.covers(key));
         let o = &self.ops[op];
-        let (phase, mean) = if self.link_steps() && !covers {
+        let (phase, mean) = if self.link_steps(op) && !covers {
             // Reached a node whose range moved left of the key: pay a
             // search to discover that, then chase the right link.
             (Phase::Search, self.costs.se(level, height))
@@ -620,7 +620,7 @@ impl Simulator {
             // Ascent: this node will receive the separator.
             (Phase::AscendModify, self.costs.modify(level, height))
         } else if level == 1 && o.operation.is_update() {
-            if self.exclusive_crab(op) || self.link_steps() || self.safe_for(op, node) {
+            if self.exclusive_crab(op) || self.link_steps(op) || self.safe_for(op, node) {
                 (Phase::ModifyLeaf, self.costs.m(height))
             } else {
                 // Optimistic first pass on an unsafe leaf: inspect, then
@@ -648,7 +648,7 @@ impl Simulator {
                     self.visit(op, cur);
                     return;
                 }
-                let chases = self.link_steps() || self.latch_free(op);
+                let chases = self.link_steps(op) || self.latch_free(op);
                 let (key, chase_key) = (self.ops[op].operation.key(), self.ops[op].chase_key());
                 let n = self.tree.node(cur);
                 if chases && !n.covers(chase_key) {
@@ -662,7 +662,7 @@ impl Simulator {
                     self.complete(op);
                 } else {
                     let child = n.child_for(key);
-                    if self.link_steps() {
+                    if self.link_steps(op) {
                         self.ops[op].path.push(cur);
                     }
                     self.step_to(op, child);
@@ -689,7 +689,7 @@ impl Simulator {
                 }
                 self.complete(op);
             }
-            Phase::Split if self.link_steps() => {
+            Phase::Split if self.link_steps(op) => {
                 let (sib, sep) = self.tree.half_split(cur);
                 // Release the split node, then W-lock the parent to post
                 // the separator.
@@ -772,6 +772,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbtree_btree_model::Protocol;
     use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
 
     fn small_tree(seed: u64) -> SimTree {
@@ -780,7 +781,7 @@ mod tests {
         SimTree::build(13, &seq)
     }
 
-    fn config(alg: Algorithm, warmup_ops: u64) -> SimConfig {
+    fn config(alg: Protocol, warmup_ops: u64) -> SimConfig {
         SimConfig {
             warmup_ops,
             ..SimConfig::paper(alg, 1.0, 42)
@@ -804,7 +805,7 @@ mod tests {
         (sim, res)
     }
 
-    fn drive(alg: Algorithm, rate: f64, n: u64) -> Simulator {
+    fn drive(alg: Protocol, rate: f64, n: u64) -> Simulator {
         let sim = Simulator::new(&config(alg, 100), small_tree(7));
         let (sim, res) = drive_on(sim, rate, n, 100_000);
         res.expect("stable at this rate");
@@ -813,7 +814,7 @@ mod tests {
 
     #[test]
     fn naive_completes_and_keeps_tree_valid() {
-        let mut sim = drive(Algorithm::NaiveLockCoupling, 0.05, 1200);
+        let mut sim = drive(Protocol::LockCoupling, 0.05, 1200);
         assert!(sim.completions >= 1200);
         sim.tree.check_invariants().unwrap();
         assert!(sim.stats.resp_search.count() > 0);
@@ -824,7 +825,7 @@ mod tests {
     fn root_splits_under_queued_descents_keep_every_key_findable() {
         // A tiny tree under an insert-heavy load grows several levels
         // while descents queue on its root.
-        for alg in Algorithm::ALL_EXTENDED {
+        for alg in Protocol::ALL_EXTENDED {
             let mut stream = OpStream::new(OpsConfig::paper(1_000_000), 5);
             let tree = SimTree::build(3, &stream.construction_sequence(8));
             let before = tree.height();
@@ -838,7 +839,7 @@ mod tests {
 
     #[test]
     fn optimistic_completes_and_counts_redos() {
-        let mut sim = drive(Algorithm::OptimisticDescent, 0.2, 2000);
+        let mut sim = drive(Protocol::OptimisticDescent, 0.2, 2000);
         sim.tree.check_invariants().unwrap();
         // With N=13 and the paper mix, some redos must occur over 2000
         // operations (Pr[F(1)] ≈ 7%).
@@ -847,7 +848,7 @@ mod tests {
 
     #[test]
     fn link_completes_under_high_load() {
-        let mut sim = drive(Algorithm::LinkType, 1.0, 3000);
+        let mut sim = drive(Protocol::BLink, 1.0, 3000);
         sim.tree.check_invariants().unwrap();
         assert!(sim.completions >= 3000);
     }
@@ -855,7 +856,7 @@ mod tests {
     #[test]
     fn response_times_reasonable_at_low_load() {
         // At nearly zero load a search should take ~ΣSe = serial time.
-        let sim = drive(Algorithm::NaiveLockCoupling, 0.01, 600);
+        let sim = drive(Protocol::LockCoupling, 0.01, 600);
         let mean = sim.stats.resp_search.mean();
         let h = sim.tree.height();
         let serial: f64 = (1..=h).map(|l| sim.costs.se(l, h)).sum();
@@ -867,8 +868,8 @@ mod tests {
 
     #[test]
     fn naive_slower_than_link_at_same_load() {
-        let naive = drive(Algorithm::NaiveLockCoupling, 0.18, 1500);
-        let link = drive(Algorithm::LinkType, 0.18, 1500);
+        let naive = drive(Protocol::LockCoupling, 0.18, 1500);
+        let link = drive(Protocol::BLink, 0.18, 1500);
         let rt_n = naive.stats.resp_insert.mean();
         let rt_l = link.stats.resp_insert.mean();
         assert!(
@@ -879,7 +880,7 @@ mod tests {
 
     #[test]
     fn olc_completes_with_latch_free_reads() {
-        let mut sim = drive(Algorithm::Olc, 0.2, 2000);
+        let mut sim = drive(Protocol::Olc, 0.2, 2000);
         sim.tree.check_invariants().unwrap();
         assert!(sim.completions >= 2000);
         assert!(sim.stats.resp_search.count() > 0);
@@ -895,7 +896,7 @@ mod tests {
 
     #[test]
     fn olc_reads_restart_under_writer_pressure() {
-        let sim = drive(Algorithm::Olc, 0.35, 3000);
+        let sim = drive(Protocol::Olc, 0.35, 3000);
         assert!(
             sim.stats.redos > 0,
             "version-validation failures must occur under write load"
@@ -906,8 +907,8 @@ mod tests {
     fn olc_insert_no_slower_than_naive_at_same_load() {
         // Removing the reader class from every lock queue can only help
         // the writers.
-        let naive = drive(Algorithm::NaiveLockCoupling, 0.18, 1500);
-        let olc = drive(Algorithm::Olc, 0.18, 1500);
+        let naive = drive(Protocol::LockCoupling, 0.18, 1500);
+        let olc = drive(Protocol::Olc, 0.18, 1500);
         let rt_n = naive.stats.resp_insert.mean();
         let rt_o = olc.stats.resp_insert.mean();
         assert!(
@@ -918,8 +919,8 @@ mod tests {
 
     #[test]
     fn root_writer_utilization_grows_with_load() {
-        let lo = drive(Algorithm::NaiveLockCoupling, 0.02, 1000);
-        let hi = drive(Algorithm::NaiveLockCoupling, 0.15, 1000);
+        let lo = drive(Protocol::LockCoupling, 0.02, 1000);
+        let hi = drive(Protocol::LockCoupling, 0.15, 1000);
         assert!(
             hi.stats.root_writer.mean() > lo.stats.root_writer.mean(),
             "rho_w: {} vs {}",
@@ -930,15 +931,15 @@ mod tests {
 
     #[test]
     fn deterministic_given_seeds() {
-        let a = drive(Algorithm::OptimisticDescent, 0.1, 800);
-        let b = drive(Algorithm::OptimisticDescent, 0.1, 800);
+        let a = drive(Protocol::OptimisticDescent, 0.1, 800);
+        let b = drive(Protocol::OptimisticDescent, 0.1, 800);
         assert_eq!(a.stats.resp_insert.mean(), b.stats.resp_insert.mean());
         assert_eq!(a.stats.redos, b.stats.redos);
     }
 
     #[test]
     fn explosion_reported_at_absurd_rate() {
-        let sim = Simulator::new(&config(Algorithm::NaiveLockCoupling, 0), small_tree(7));
+        let sim = Simulator::new(&config(Protocol::LockCoupling, 0), small_tree(7));
         let (_, res) = drive_on(sim, 50.0, 100_000, 200);
         assert!(res.is_err(), "rate 50 must explode naive lock-coupling");
     }

@@ -33,14 +33,12 @@
 //!   construction loop and the end-of-run audit;
 //! * [`costs`] — exponential service-time sampling per node level;
 //! * `driver` (private) — the simulation core: one descent machine whose
-//!   per-algorithm differences are three predicates and a lock mode;
+//!   per-protocol differences are four predicates and a lock mode;
 //! * [`runner`] — configuration, reports, multi-seed orchestration, and
 //!   [`run`], the one entry point.
 //!
-//! A [`SimConfig`] names its algorithm and its §7 lock retention with the
-//! analysis's own types, `cbtree_analysis::{Algorithm, RecoveryConfig}`,
-//! so a live protocol reaches the simulator through the same two columns
-//! (`Algorithm::of`, `Protocol::recovery`) that select its model.
+//! A [`SimConfig`] names a protocol, whose `policy()` row the tree and the
+//! model read too, and its §7 retention as the analysis's `RecoveryConfig`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -9,7 +9,8 @@ use crate::driver::Simulator;
 use crate::stats::BatchMeans;
 use crate::tree::SimTree;
 use crate::{Result, SimError};
-use cbtree_analysis::{Algorithm, RecoveryConfig};
+use cbtree_analysis::RecoveryConfig;
+use cbtree_btree_model::{Protocol, ReadPolicy};
 use cbtree_obs::stats::{Summary, Welford};
 use cbtree_obs::LevelRecord;
 use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
@@ -17,8 +18,8 @@ use cbtree_workload::{OpStream, OpsConfig, PoissonArrivals};
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Algorithm to simulate.
-    pub algorithm: Algorithm,
+    /// Protocol to simulate; its §7 retention is `recovery`'s.
+    pub protocol: Protocol,
     /// Maximum keys per node (`N`).
     pub node_capacity: usize,
     /// Items in the tree when the concurrent phase starts.
@@ -42,12 +43,12 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's base setup (§5.3) at a given algorithm and rate:
+    /// The paper's base setup (§5.3) at a given protocol and rate:
     /// `N = 13`, 40 000 items, mix .3/.5/.2, `D = 5`, 2 in-memory levels,
     /// 10 000 measured operations.
-    pub fn paper(algorithm: Algorithm, arrival_rate: f64, seed: u64) -> Self {
+    pub fn paper(protocol: Protocol, arrival_rate: f64, seed: u64) -> Self {
         SimConfig {
-            algorithm,
+            protocol,
             node_capacity: 13,
             initial_items: 40_000,
             ops: OpsConfig::paper(100_000_000),
@@ -275,8 +276,8 @@ pub fn run(cfg: &SimConfig) -> Result<SimReport> {
     let [b_search, b_insert, b_delete] = &sim.batches;
     // OLC's redos are failed read windows (its updates never redo);
     // Optimistic Descent's are update re-descents.
-    let redoers = match cfg.algorithm {
-        Algorithm::Olc => stats.completed - stats.updates_completed,
+    let redoers = match cfg.protocol.policy().read {
+        ReadPolicy::Olc => stats.completed - stats.updates_completed,
         _ => stats.updates_completed,
     };
     Ok(SimReport {
@@ -357,13 +358,13 @@ pub fn run_seeds(cfg: &SimConfig, seeds: &[u64]) -> Result<SeedSummary> {
 mod tests {
     use super::*;
 
-    fn quick(alg: Algorithm, rate: f64) -> SimConfig {
+    fn quick(alg: Protocol, rate: f64) -> SimConfig {
         SimConfig::paper(alg, rate, 11).scaled_down(20)
     }
 
     #[test]
     fn run_produces_sane_report() {
-        let r = run(&quick(Algorithm::NaiveLockCoupling, 0.05)).unwrap();
+        let r = run(&quick(Protocol::LockCoupling, 0.05)).unwrap();
         assert!(r.resp_search.mean > 0.0);
         assert!(r.resp_insert.mean > 0.0);
         assert!(r.completed >= 490);
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn per_level_rho_w_is_sane_and_matches_root_tracker() {
         // Heavier load so writer holds are visible at every level.
-        let r = run(&quick(Algorithm::NaiveLockCoupling, 0.4)).unwrap();
+        let r = run(&quick(Protocol::LockCoupling, 0.4)).unwrap();
         let rho = |l: &LevelRecord| l.rho_w.expect("the simulator sees presence");
         for l in &r.levels {
             assert!((0.0..=1.0).contains(&rho(l)), "{l:?}");
@@ -412,7 +413,7 @@ mod tests {
     #[test]
     fn sim_report_json_round_trips() {
         use cbtree_obs::Json;
-        let r = run(&quick(Algorithm::LinkType, 0.2)).unwrap();
+        let r = run(&quick(Protocol::BLink, 0.2)).unwrap();
         let j = r.to_json();
         let parsed = Json::parse(&j.to_string().unwrap()).unwrap();
         assert_eq!(parsed, j);
@@ -436,7 +437,7 @@ mod tests {
     #[test]
     fn littles_law_roughly_holds() {
         // L = λ·W over the measured window.
-        let r = run(&quick(Algorithm::LinkType, 0.5)).unwrap();
+        let r = run(&quick(Protocol::BLink, 0.5)).unwrap();
         let mean_rt =
             (0.3 * r.resp_search.mean + 0.5 * r.resp_insert.mean + 0.2 * r.resp_delete.mean)
                 .max(1e-9);
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn throughput_tracks_arrival_rate_when_stable() {
-        let r = run(&quick(Algorithm::OptimisticDescent, 0.3)).unwrap();
+        let r = run(&quick(Protocol::OptimisticDescent, 0.3)).unwrap();
         assert!(
             (r.throughput - 0.3).abs() < 0.1,
             "open system: throughput ≈ arrival rate, got {}",
@@ -462,7 +463,7 @@ mod tests {
 
     #[test]
     fn overload_is_reported_not_hung() {
-        let mut cfg = quick(Algorithm::NaiveLockCoupling, 30.0);
+        let mut cfg = quick(Protocol::LockCoupling, 30.0);
         cfg.max_concurrent = 300;
         let err = run(&cfg).unwrap_err();
         assert!(err.is_overload());
@@ -470,7 +471,7 @@ mod tests {
 
     #[test]
     fn seeds_averaged() {
-        let s = run_seeds(&quick(Algorithm::LinkType, 0.3), &[1, 2, 3]).unwrap();
+        let s = run_seeds(&quick(Protocol::BLink, 0.3), &[1, 2, 3]).unwrap();
         assert_eq!(s.runs.len(), 3);
         assert_eq!(s.resp_insert.n, 3);
         assert!(s.resp_insert.mean > 0.0);
@@ -478,8 +479,8 @@ mod tests {
 
     #[test]
     fn link_records_crossings_naive_does_not() {
-        let link = run(&quick(Algorithm::LinkType, 1.0)).unwrap();
-        let naive = run(&quick(Algorithm::NaiveLockCoupling, 0.05)).unwrap();
+        let link = run(&quick(Protocol::BLink, 1.0)).unwrap();
+        let naive = run(&quick(Protocol::LockCoupling, 0.05)).unwrap();
         assert_eq!(naive.crossings_per_op, 0.0);
         // Crossings are *rare* but the machinery must be wired: accept 0
         // at small scale, but the rate must be tiny either way (Fig 9).
@@ -492,7 +493,7 @@ mod tests {
 
     #[test]
     fn od_redo_rate_near_pr_full() {
-        let r = run(&quick(Algorithm::OptimisticDescent, 0.3)).unwrap();
+        let r = run(&quick(Protocol::OptimisticDescent, 0.3)).unwrap();
         // Pr[F(1)] ≈ 0.068 for N=13 and the paper mix; inserts redo at
         // that rate, deletes almost never. Expect redo per update in
         // the broad vicinity of q_i/(q_i+q_d)·Pr[F(1)] ≈ 0.05.
@@ -509,23 +510,23 @@ mod tests {
         // its updates never redo. Either way the rate times its
         // denominator is a whole number of redos.
         let whole = |x: f64| x > 0.0 && (x - x.round()).abs() < 1e-6;
-        let od = run(&quick(Algorithm::OptimisticDescent, 0.3)).unwrap();
+        let od = run(&quick(Protocol::OptimisticDescent, 0.3)).unwrap();
         let updates = od.resp_insert.n + od.resp_delete.n;
         assert!(whole(od.redo_rate * updates as f64), "{od:?}");
-        let olc = run(&quick(Algorithm::Olc, 0.35)).unwrap();
+        let olc = run(&quick(Protocol::Olc, 0.35)).unwrap();
         let searches = olc.resp_search.n;
         assert!(whole(olc.redo_rate * searches as f64), "{olc:?}");
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = quick(Algorithm::LinkType, 0.0);
+        let mut c = quick(Protocol::BLink, 0.0);
         assert!(run(&c).is_err());
         c.arrival_rate = 1.0;
         c.node_capacity = 2;
         assert!(run(&c).is_err());
         c.node_capacity = cbtree_btree::arena::MAX_CAP + 1;
         assert!(run(&c).is_err());
-        assert!(run_seeds(&quick(Algorithm::LinkType, 0.1), &[]).is_err());
+        assert!(run_seeds(&quick(Protocol::BLink, 0.1), &[]).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //! hidden state (host RNG, time, iteration-order hashing) leaks into the
 //! simulation.
 
-use cbtree_analysis::Algorithm;
+use cbtree_analysis::Protocol;
 use cbtree_sim::{run, SimConfig};
 
 fn report_bytes(cfg: &SimConfig) -> String {
@@ -20,7 +20,7 @@ fn report_bytes(cfg: &SimConfig) -> String {
 
 #[test]
 fn same_seed_same_config_is_byte_identical() {
-    for alg in Algorithm::ALL_EXTENDED {
+    for alg in Protocol::ALL_EXTENDED {
         let cfg = SimConfig::paper(alg, 0.3, 0xD5EED).scaled_down(20);
         let a = report_bytes(&cfg);
         let b = report_bytes(&cfg);
@@ -32,7 +32,7 @@ fn same_seed_same_config_is_byte_identical() {
 fn different_seeds_actually_differ() {
     // Guards against the degenerate way to pass the test above: a
     // simulator that ignores its seed would be deterministic too.
-    let a = report_bytes(&SimConfig::paper(Algorithm::LinkType, 0.3, 1).scaled_down(20));
-    let b = report_bytes(&SimConfig::paper(Algorithm::LinkType, 0.3, 2).scaled_down(20));
+    let a = report_bytes(&SimConfig::paper(Protocol::BLink, 0.3, 1).scaled_down(20));
+    let b = report_bytes(&SimConfig::paper(Protocol::BLink, 0.3, 2).scaled_down(20));
     assert_ne!(a, b, "distinct seeds should produce distinct statistics");
 }

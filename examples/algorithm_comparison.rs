@@ -6,11 +6,11 @@
 //! cargo run --release --example algorithm_comparison [disk_cost] [n_points]
 //! ```
 
-use cbtree::analysis::{Algorithm, Model, ModelConfig};
+use cbtree::analysis::{Model, ModelConfig, Protocol};
 use cbtree::sim::costs::SimCosts;
 use cbtree::sim::{run_seeds, SimConfig};
 
-fn sim_insert_rt(alg: Algorithm, lambda: f64, disk_cost: f64) -> String {
+fn sim_insert_rt(alg: Protocol, lambda: f64, disk_cost: f64) -> String {
     let mut cfg = SimConfig::paper(alg, lambda, 1);
     cfg.costs = SimCosts {
         base: 1.0,
@@ -34,7 +34,7 @@ fn main() {
         .unwrap_or(6);
 
     // Model the exact tree the simulator's construction phase builds.
-    let mut sim_cfg = SimConfig::paper(Algorithm::LinkType, 1.0, 1);
+    let mut sim_cfg = SimConfig::paper(Protocol::BLink, 1.0, 1);
     sim_cfg.costs = SimCosts {
         base: 1.0,
         disk_cost,
@@ -45,9 +45,9 @@ fn main() {
     let cost = cbtree::model::CostModel::paper_style(shape.height, 2, disk_cost, 1.0).unwrap();
     let cfg = ModelConfig::new(shape, cbtree::model::OpMix::paper(), cost).unwrap();
 
-    let naive = Algorithm::NaiveLockCoupling.model(&cfg);
-    let optim = Algorithm::OptimisticDescent.model(&cfg);
-    let link = Algorithm::LinkType.model(&cfg);
+    let naive = Model::new(Protocol::LockCoupling, &cfg);
+    let optim = Model::new(Protocol::OptimisticDescent, &cfg);
+    let link = Model::new(Protocol::BLink, &cfg);
     let od_max = optim.max_throughput().unwrap();
 
     println!("insert response times, disk cost D = {disk_cost}, tree of {items} items\n");
@@ -66,11 +66,11 @@ fn main() {
             "{:>8.4} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
             lambda,
             a(&naive),
-            sim_insert_rt(Algorithm::NaiveLockCoupling, lambda, disk_cost),
+            sim_insert_rt(Protocol::LockCoupling, lambda, disk_cost),
             a(&optim),
-            sim_insert_rt(Algorithm::OptimisticDescent, lambda, disk_cost),
+            sim_insert_rt(Protocol::OptimisticDescent, lambda, disk_cost),
             a(&link),
-            sim_insert_rt(Algorithm::LinkType, lambda, disk_cost),
+            sim_insert_rt(Protocol::BLink, lambda, disk_cost),
         );
     }
     println!(

@@ -73,7 +73,7 @@ fn main() {
             .expect("tree invariants must hold after the run");
     }
 
-    // Algorithm-specific statistics from each tree's counters.
+    // Protocol-specific statistics from each tree's counters.
     let blink = ConcurrentBTree::<u64>::new(Protocol::BLink, 8);
     std::thread::scope(|s| {
         for t in 0..threads {

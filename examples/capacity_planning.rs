@@ -11,7 +11,7 @@
 //! cargo run --release --example capacity_planning [target_rate]
 //! ```
 
-use cbtree::analysis::{rules_of_thumb, Algorithm, ModelConfig};
+use cbtree::analysis::{rules_of_thumb, Model, ModelConfig, Protocol};
 use cbtree::model::{CostModel, NodeParams, OpMix, SearchCost, TreeShape};
 
 fn config_for(n: usize, items: u64, disk_cost: f64) -> ModelConfig {
@@ -47,9 +47,9 @@ fn main() {
     let mut best: Option<(&str, usize, f64)> = None;
     for n in [13usize, 29, 59, 101, 201, 401] {
         let cfg = config_for(n, items, disk_cost);
-        let naive = Algorithm::NaiveLockCoupling.model(&cfg);
-        let optim = Algorithm::OptimisticDescent.model(&cfg);
-        let link = Algorithm::LinkType.model(&cfg);
+        let naive = Model::new(Protocol::LockCoupling, &cfg);
+        let optim = Model::new(Protocol::OptimisticDescent, &cfg);
+        let link = Model::new(Protocol::BLink, &cfg);
 
         let naive_half = naive.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);
         let optim_half = optim.lambda_at_root_rho(0.5).unwrap_or(f64::NAN);

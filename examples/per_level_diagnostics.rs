@@ -10,7 +10,7 @@
 //! cargo run --release --example per_level_diagnostics [PROTOCOL] [frac_of_max]
 //! ```
 
-use cbtree::analysis::{Algorithm, ModelConfig};
+use cbtree::analysis::{Model, ModelConfig};
 use cbtree::btree::Protocol;
 use cbtree::model::{CostModel, OpMix};
 use cbtree::sim::runner::matched_tree_shape;
@@ -30,19 +30,17 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.7);
-    let algorithm = Algorithm::of(protocol);
-
     // Model the exact tree the simulator builds.
-    let base_cfg = SimConfig::paper(algorithm, 1.0, 1);
+    let base_cfg = SimConfig::paper(protocol, 1.0, 1);
     let shape = matched_tree_shape(&base_cfg).expect("valid shape");
     let cost = CostModel::paper_style(shape.height, 2, 5.0, 1.0).unwrap();
     let cfg = ModelConfig::new(shape, OpMix::paper(), cost).unwrap();
-    let model = algorithm.model(&cfg);
+    let model = Model::new(protocol, &cfg);
     let max = model.max_throughput().expect("finite or capped");
     let lambda = frac * max.min(1e4);
     println!(
         "{} at λ = {lambda:.4} ({:.0}% of max throughput {max:.4}), D = 5\n",
-        algorithm.name(),
+        protocol.name(),
         frac * 100.0,
     );
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cbtree::analysis::{Algorithm, ModelConfig};
+use cbtree::analysis::{Model, ModelConfig, Protocol};
 use cbtree::sim::{run, SimConfig};
 
 fn main() {
@@ -26,13 +26,13 @@ fn main() {
         "{:<12} {:>10} {:>12} {:>12} {:>12}",
         "algorithm", "max-thru", "search@0.2", "insert@0.2", "rho_w@0.2"
     );
-    for alg in Algorithm::ALL {
-        let model = alg.model(&cfg);
+    for protocol in Protocol::ALL {
+        let model = Model::new(protocol, &cfg);
         let max = model.max_throughput().expect("finite or capped");
         let perf = model.evaluate(0.2).expect("stable at lambda = 0.2");
         println!(
             "{:<12} {:>10.3} {:>12.2} {:>12.2} {:>12.3}",
-            alg.name(),
+            protocol.name(),
             max,
             perf.response_time_search,
             perf.response_time_insert,
@@ -43,9 +43,9 @@ fn main() {
     // Validate one operating point against the discrete-event simulator
     // (the paper's §4 protocol at full scale takes ~30 ms).
     let lambda = 0.2;
-    let sim = run(&SimConfig::paper(Algorithm::NaiveLockCoupling, lambda, 42))
-        .expect("stable at this rate");
-    let model = Algorithm::NaiveLockCoupling.model(&cfg);
+    let sim =
+        run(&SimConfig::paper(Protocol::LockCoupling, lambda, 42)).expect("stable at this rate");
+    let model = Model::new(Protocol::LockCoupling, &cfg);
     let analysis = model.evaluate(lambda).unwrap();
     println!(
         "\nvalidation at lambda = {lambda}: naive insert RT analysis {:.2} vs simulation {:.2} ± {:.2}",

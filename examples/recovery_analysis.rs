@@ -8,7 +8,7 @@
 //! ```
 
 use cbtree::analysis::recovery::RecoveryComparison;
-use cbtree::analysis::{Algorithm, ModelConfig};
+use cbtree::analysis::{ModelConfig, Protocol};
 
 fn main() {
     let t_trans: f64 = std::env::args()
@@ -21,7 +21,7 @@ fn main() {
         .unwrap_or(10.0);
 
     let cfg = ModelConfig::paper_with_disk_cost(disk_cost).expect("valid disk cost");
-    let cmp = RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, t_trans);
+    let cmp = RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, t_trans);
 
     let (max_none, max_leaf, max_naive) = cmp.max_throughputs().expect("finite maxima");
     println!("Optimistic Descent, D = {disk_cost}, T_trans = {t_trans}\n");

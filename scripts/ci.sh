@@ -60,6 +60,29 @@ done
 echo "    total        $unsafe_total (max $UNSAFE_MAX)"
 ((unsafe_total <= UNSAFE_MAX))
 
+echo "==> one protocol table: no protocol variant matched or compared outside it"
+# A protocol's latching is decided in one place, Protocol::policy() in
+# crates/btree-model/src/protocol.rs; the tree, the simulator and the
+# model read its columns. A counted line is non-test source (each file up
+# to its first #[cfg(test)], outside tests/) under crates/*/src, src and
+# examples that names a Protocol:: or Algorithm:: variant in a match arm
+# (a line ending the pattern with =>, or a | pattern line) or in a ==/!=
+# test. 29 lines (27 of them ending in =>, == or !=) before the table
+# moved into protocol.rs.
+PROTOCOL_MATCH_MAX=0
+variant='(Protocol|Algorithm)::[A-Z][A-Z_]*[a-z][A-Za-z]*'
+protocol_matches=$(
+    find crates/*/src src examples -name '*.rs' -not -path '*/tests/*' \
+        -not -path crates/btree-model/src/protocol.rs | sort | while read -r f; do
+        awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+    done | grep -E "$variant.*=>|:[0-9]+:\s*\|\s*$variant|[=!]=\s*$variant|$variant\s*[=!]=" |
+        grep -vE ':[0-9]+:\s*//' || true
+)
+protocol_match_total=$(grep -c . <<<"$protocol_matches" || true)
+[[ -n $protocol_matches ]] && echo "$protocol_matches" | sed 's/^/    /'
+echo "    total        $protocol_match_total (max $PROTOCOL_MATCH_MAX)"
+((protocol_match_total <= PROTOCOL_MATCH_MAX))
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

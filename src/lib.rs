@@ -30,12 +30,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cbtree::analysis::{Algorithm, ModelConfig};
+//! use cbtree::analysis::{Model, ModelConfig, Protocol};
 //!
 //! // The paper's base configuration (§5.3): node size 13, 40k items,
 //! // 5 levels, 2 in memory, disk cost 5, mix .3/.5/.2.
 //! let cfg = ModelConfig::paper_base();
-//! let model = Algorithm::LinkType.model(&cfg);
+//! let model = Model::new(Protocol::BLink, &cfg);
 //! let perf = model.evaluate(0.5).expect("stable at this arrival rate");
 //! assert!(perf.response_time_insert > 0.0);
 //! let max = model.max_throughput().unwrap();

@@ -6,7 +6,7 @@
 //! These tests run at the paper's full scale (40 000-item tree, 10 000
 //! measured operations) — one simulation takes tens of milliseconds.
 
-use cbtree::analysis::{Algorithm, Model, ModelConfig};
+use cbtree::analysis::{Model, ModelConfig, Protocol};
 use cbtree::model::{CostModel, OpMix};
 use cbtree::sim::runner::matched_tree_shape;
 use cbtree::sim::{run_seeds, SimConfig};
@@ -14,7 +14,7 @@ use cbtree::sim::{run_seeds, SimConfig};
 const SEEDS: [u64; 3] = [1, 2, 3];
 
 /// Builds the analytical model of exactly the tree the simulation runs on.
-fn matched_model(algorithm: Algorithm, sim_cfg: &SimConfig) -> Model {
+fn matched_model(algorithm: Protocol, sim_cfg: &SimConfig) -> Model {
     let shape = matched_tree_shape(sim_cfg).expect("valid shape");
     let cost = CostModel::paper_style(
         shape.height,
@@ -24,7 +24,7 @@ fn matched_model(algorithm: Algorithm, sim_cfg: &SimConfig) -> Model {
     )
     .expect("valid cost");
     let cfg = ModelConfig::new(shape, OpMix::paper(), cost).expect("consistent");
-    algorithm.model(&cfg)
+    Model::new(algorithm, &cfg)
 }
 
 fn assert_close(what: &str, analysis: f64, sim: f64, rel_tol: f64) {
@@ -35,7 +35,7 @@ fn assert_close(what: &str, analysis: f64, sim: f64, rel_tol: f64) {
     );
 }
 
-fn validate(algorithm: Algorithm, lambdas: &[f64], rel_tol: f64) {
+fn validate(algorithm: Protocol, lambdas: &[f64], rel_tol: f64) {
     let sim_cfg = SimConfig::paper(algorithm, 1.0, 1);
     let model = matched_model(algorithm, &sim_cfg);
     for &lambda in lambdas {
@@ -71,12 +71,12 @@ fn naive_lock_coupling_matches_simulation() {
     // Up to 70% of the analytic maximum; beyond that both curves blow up
     // and relative comparisons become noise-dominated (paper figures show
     // the same).
-    let sim_cfg = SimConfig::paper(Algorithm::NaiveLockCoupling, 1.0, 1);
-    let max = matched_model(Algorithm::NaiveLockCoupling, &sim_cfg)
+    let sim_cfg = SimConfig::paper(Protocol::LockCoupling, 1.0, 1);
+    let max = matched_model(Protocol::LockCoupling, &sim_cfg)
         .max_throughput()
         .unwrap();
     validate(
-        Algorithm::NaiveLockCoupling,
+        Protocol::LockCoupling,
         &[0.3 * max, 0.5 * max, 0.7 * max],
         0.20,
     );
@@ -84,36 +84,36 @@ fn naive_lock_coupling_matches_simulation() {
 
 #[test]
 fn optimistic_descent_matches_simulation() {
-    let sim_cfg = SimConfig::paper(Algorithm::OptimisticDescent, 1.0, 1);
-    let max = matched_model(Algorithm::OptimisticDescent, &sim_cfg)
+    let sim_cfg = SimConfig::paper(Protocol::OptimisticDescent, 1.0, 1);
+    let max = matched_model(Protocol::OptimisticDescent, &sim_cfg)
         .max_throughput()
         .unwrap();
-    validate(Algorithm::OptimisticDescent, &[0.3 * max, 0.6 * max], 0.20);
+    validate(Protocol::OptimisticDescent, &[0.3 * max, 0.6 * max], 0.20);
 }
 
 #[test]
 fn link_type_matches_simulation() {
-    validate(Algorithm::LinkType, &[0.5, 2.0, 5.0], 0.15);
+    validate(Protocol::BLink, &[0.5, 2.0, 5.0], 0.15);
 }
 
 #[test]
 fn two_phase_locking_matches_simulation() {
     // The §8 baseline extension: 2PL saturates very early; validate the
     // model well below its tiny maximum.
-    let sim_cfg = SimConfig::paper(Algorithm::TwoPhaseLocking, 1.0, 1);
-    let max = matched_model(Algorithm::TwoPhaseLocking, &sim_cfg)
+    let sim_cfg = SimConfig::paper(Protocol::TwoPhase, 1.0, 1);
+    let max = matched_model(Protocol::TwoPhase, &sim_cfg)
         .max_throughput()
         .unwrap();
     assert!(max < 0.2, "2PL max must be tiny: {max}");
-    validate(Algorithm::TwoPhaseLocking, &[0.3 * max, 0.5 * max], 0.30);
+    validate(Protocol::TwoPhase, &[0.3 * max, 0.5 * max], 0.30);
 }
 
 #[test]
 fn root_writer_utilization_matches() {
     // Figure 10's quantity: ρ_w(h) from the fixed point vs the simulated
     // time-weighted writer-present indicator at the root.
-    let sim_cfg = SimConfig::paper(Algorithm::NaiveLockCoupling, 1.0, 1);
-    let model = matched_model(Algorithm::NaiveLockCoupling, &sim_cfg);
+    let sim_cfg = SimConfig::paper(Protocol::LockCoupling, 1.0, 1);
+    let model = matched_model(Protocol::LockCoupling, &sim_cfg);
     let max = model.max_throughput().unwrap();
     for frac in [0.3, 0.5, 0.7] {
         let lambda = frac * max;
@@ -133,7 +133,7 @@ fn root_writer_utilization_matches() {
 fn optimistic_redo_rate_matches_pr_full() {
     // §5.1: redo-inserts enter at rate q_i·Pr[F(1)]·λ. Per *update* the
     // simulator reports redos/(inserts+deletes) = q_i·Pr[F(1)]/(q_i+q_d).
-    let sim_cfg = SimConfig::paper(Algorithm::OptimisticDescent, 1.0, 1);
+    let sim_cfg = SimConfig::paper(Protocol::OptimisticDescent, 1.0, 1);
     let shape = matched_tree_shape(&sim_cfg).unwrap();
     let cost = CostModel::paper_style(shape.height, 2, 5.0, 1.0).unwrap();
     let cfg = ModelConfig::new(shape, OpMix::paper(), cost).unwrap();
@@ -152,7 +152,7 @@ fn simulated_tree_shape_matches_paper_description() {
     // §5.3: "A node held a maximum of 13 items. The concurrent operations
     // started when the B-tree held about 40,000 items. The root held
     // about 6 children. The B-tree had 5 levels."
-    let sim_cfg = SimConfig::paper(Algorithm::LinkType, 1.0, 1);
+    let sim_cfg = SimConfig::paper(Protocol::BLink, 1.0, 1);
     let shape = matched_tree_shape(&sim_cfg).unwrap();
     assert_eq!(shape.height, 5);
     assert!(
@@ -170,9 +170,9 @@ fn open_system_throughput_equals_arrival_rate() {
     // §3.1: "if all of the queues are stable, the throughput is equal to
     // the arrival rate".
     for (alg, lambda) in [
-        (Algorithm::NaiveLockCoupling, 0.3),
-        (Algorithm::OptimisticDescent, 1.0),
-        (Algorithm::LinkType, 3.0),
+        (Protocol::LockCoupling, 0.3),
+        (Protocol::OptimisticDescent, 1.0),
+        (Protocol::BLink, 3.0),
     ] {
         let sim = run_seeds(&SimConfig::paper(alg, lambda, 1), &SEEDS).unwrap();
         let thr = sim.throughput.mean;

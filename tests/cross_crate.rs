@@ -3,7 +3,7 @@
 //! B-trees, the simulated and the real tree split and latch alike, and
 //! the workload generators drive everything consistently.
 
-use cbtree::analysis::{Algorithm, RecoveryConfig};
+use cbtree::analysis::RecoveryConfig;
 use cbtree::btree::{ConcurrentBTree, Protocol};
 use cbtree::model::{Fullness, NodeParams, OpMix, TreeShape};
 use cbtree::sim::runner::construction_phase;
@@ -115,10 +115,10 @@ fn simulated_and_real_trees_latch_alike() {
                 measured_ops: 3_000,
                 warmup_ops: 100,
                 recovery: RecoveryConfig {
-                    mode: p.recovery(),
+                    mode: p.policy().txn,
                     t_trans: 100.0,
                 },
-                ..SimConfig::paper(Algorithm::of(p), 1e-6, 7)
+                ..SimConfig::paper(p, 1e-6, 7)
             };
             let report = cbtree::sim::run(&cfg).unwrap();
             assert_eq!(report.max_in_flight, 1, "{p} cap {cap}: one op at a time");
@@ -255,7 +255,7 @@ fn sampled_lock_statistics_sample_in_the_checker_build() {
 fn facade_reexports_compose() {
     // The doc-advertised entry points all resolve through the facade.
     let cfg = cbtree::analysis::ModelConfig::paper_base();
-    let model = cbtree::analysis::Algorithm::LinkType.model(&cfg);
+    let model = cbtree::analysis::Model::new(cbtree::analysis::Protocol::BLink, &cfg);
     let perf = model.evaluate(0.5).unwrap();
     assert!(perf.response_time_insert > 0.0);
 
@@ -263,8 +263,7 @@ fn facade_reexports_compose() {
     assert!(q.solve().unwrap().rho_w > 0.0);
 
     let report = cbtree::sim::run(
-        &cbtree::sim::SimConfig::paper(cbtree::analysis::Algorithm::LinkType, 0.5, 1)
-            .scaled_down(20),
+        &cbtree::sim::SimConfig::paper(cbtree::analysis::Protocol::BLink, 0.5, 1).scaled_down(20),
     )
     .unwrap();
     assert!(report.completed > 0);

@@ -2,7 +2,7 @@
 //! conclusions (§6–§8), exercised through the public API.
 
 use cbtree::analysis::recovery::RecoveryComparison;
-use cbtree::analysis::{rules_of_thumb, Algorithm, ModelConfig};
+use cbtree::analysis::{rules_of_thumb, Model, ModelConfig, Protocol};
 use cbtree::model::{CostModel, NodeParams, OpMix, TreeShape};
 
 fn cfg_for_n(n: usize, disk_cost: f64) -> ModelConfig {
@@ -17,15 +17,13 @@ fn headline_ranking_link_gg_od_gg_naive() {
     // optimistic descent algorithm, which is significantly better than
     // the Naive Lock-coupling algorithm."
     let cfg = ModelConfig::paper_base();
-    let naive = Algorithm::NaiveLockCoupling
-        .model(&cfg)
+    let naive = Model::new(Protocol::LockCoupling, &cfg)
         .max_throughput()
         .unwrap();
-    let od = Algorithm::OptimisticDescent
-        .model(&cfg)
+    let od = Model::new(Protocol::OptimisticDescent, &cfg)
         .max_throughput()
         .unwrap();
-    let link = Algorithm::LinkType.model(&cfg).max_throughput().unwrap();
+    let link = Model::new(Protocol::BLink, &cfg).max_throughput().unwrap();
     assert!(od > 2.0 * naive, "OD {od} must dominate naive {naive}");
     assert!(link > 10.0 * od, "link {link} must dominate OD {od}");
 }
@@ -47,24 +45,20 @@ fn naive_wants_small_nodes_od_wants_large_nodes() {
         .unwrap();
         ModelConfig::new(shape, OpMix::paper(), cost).unwrap()
     };
-    let naive_small = Algorithm::NaiveLockCoupling
-        .model(&build(13))
+    let naive_small = Model::new(Protocol::LockCoupling, &build(13))
         .lambda_at_root_rho(0.5)
         .unwrap();
-    let naive_large = Algorithm::NaiveLockCoupling
-        .model(&build(401))
+    let naive_large = Model::new(Protocol::LockCoupling, &build(401))
         .lambda_at_root_rho(0.5)
         .unwrap();
     assert!(
         naive_small > naive_large,
         "naive LC prefers small nodes: N=13 gives {naive_small}, N=401 gives {naive_large}"
     );
-    let od_small = Algorithm::OptimisticDescent
-        .model(&build(13))
+    let od_small = Model::new(Protocol::OptimisticDescent, &build(13))
         .lambda_at_root_rho(0.5)
         .unwrap();
-    let od_large = Algorithm::OptimisticDescent
-        .model(&build(401))
+    let od_large = Model::new(Protocol::OptimisticDescent, &build(401))
         .lambda_at_root_rho(0.5)
         .unwrap();
     assert!(
@@ -79,8 +73,7 @@ fn rules_of_thumb_track_the_analysis_in_memory() {
     // closely match the analytical λ at ρ_w = .5.
     for n in [13usize, 31, 59] {
         let cfg = cfg_for_n(n, 1.0);
-        let exact = Algorithm::NaiveLockCoupling
-            .model(&cfg)
+        let exact = Model::new(Protocol::LockCoupling, &cfg)
             .lambda_at_root_rho(0.5)
             .unwrap();
         let rot = rules_of_thumb::naive_lc_rot1(&cfg).unwrap();
@@ -90,8 +83,7 @@ fn rules_of_thumb_track_the_analysis_in_memory() {
             "N={n}: RoT1 {rot} vs analysis {exact}"
         );
 
-        let od_exact = Algorithm::OptimisticDescent
-            .model(&cfg)
+        let od_exact = Model::new(Protocol::OptimisticDescent, &cfg)
             .lambda_at_root_rho(0.5)
             .unwrap();
         let rot3 = rules_of_thumb::optimistic_rot3(&cfg).unwrap();
@@ -108,8 +100,7 @@ fn rot1_overestimates_on_disk_with_small_nodes() {
     // Figure 13's caveat: "If the disk cost is 10, rule of thumb 1 vastly
     // overestimates performance when the maximum node size is small."
     let cfg = cfg_for_n(9, 10.0);
-    let exact = Algorithm::NaiveLockCoupling
-        .model(&cfg)
+    let exact = Model::new(Protocol::LockCoupling, &cfg)
         .lambda_at_root_rho(0.5)
         .unwrap();
     let rot = rules_of_thumb::naive_lc_rot1(&cfg).unwrap();
@@ -158,7 +149,7 @@ fn recovery_conclusion_leaf_only_cheap_naive_expensive() {
     // than the Naive recovery algorithm" and only slightly worse than no
     // recovery.
     let cfg = ModelConfig::paper_with_disk_cost(10.0).unwrap();
-    let cmp = RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, 100.0);
+    let cmp = RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, 100.0);
     let (none, leaf, naive) = cmp.max_throughputs().unwrap();
     assert!(
         leaf > 0.9 * none,
@@ -174,7 +165,7 @@ fn recovery_conclusion_leaf_only_cheap_naive_expensive() {
 fn recovery_effect_scales_with_transaction_time() {
     let cfg = ModelConfig::paper_with_disk_cost(10.0).unwrap();
     let max_at = |t_trans: f64| {
-        RecoveryComparison::new(Algorithm::OptimisticDescent, &cfg, t_trans)
+        RecoveryComparison::new(Protocol::OptimisticDescent, &cfg, t_trans)
             .max_throughputs()
             .unwrap()
             .2
@@ -191,7 +182,7 @@ fn recovery_effect_scales_with_transaction_time() {
 fn lock_coupling_bottleneck_is_the_root() {
     // Theorem 2: the saturating level under lock-coupling is the root.
     let cfg = ModelConfig::paper_base();
-    let model = Algorithm::NaiveLockCoupling.model(&cfg);
+    let model = Model::new(Protocol::LockCoupling, &cfg);
     let max = model.max_throughput().unwrap();
     match model.evaluate(max * 1.02) {
         Err(e) => {
@@ -210,7 +201,7 @@ fn response_time_hockey_stick() {
     // §5.3: curves "stay level with an increasing arrival rate, then
     // increase rapidly as the arrival rate approaches the maximum".
     let cfg = ModelConfig::paper_base();
-    let model = Algorithm::NaiveLockCoupling.model(&cfg);
+    let model = Model::new(Protocol::LockCoupling, &cfg);
     let max = model.max_throughput().unwrap();
     let rt = |f: f64| model.evaluate(f * max).unwrap().response_time_insert;
     let early_slope = (rt(0.3) - rt(0.1)) / (0.2 * max);
@@ -232,8 +223,8 @@ fn resource_contention_dilation_scales_everything() {
         base.cost.dilated(2.0).unwrap(),
     )
     .unwrap();
-    let m0 = Algorithm::OptimisticDescent.model(&base);
-    let m2 = Algorithm::OptimisticDescent.model(&dilated);
+    let m0 = Model::new(Protocol::OptimisticDescent, &base);
+    let m2 = Model::new(Protocol::OptimisticDescent, &dilated);
     let rt0 = m0.evaluate(0.0).unwrap().response_time_search;
     let rt2 = m2.evaluate(0.0).unwrap().response_time_search;
     assert!((rt2 / rt0 - 2.0).abs() < 1e-9);

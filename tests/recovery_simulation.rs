@@ -2,7 +2,7 @@
 //! faithful lock-retention protocol (beyond the paper, whose Figures
 //! 15–16 are analysis-only).
 
-use cbtree::analysis::{Algorithm, ModelConfig, RecoveryConfig, RecoveryMode};
+use cbtree::analysis::{Model, ModelConfig, Protocol, RecoveryConfig, RecoveryMode};
 use cbtree::model::{CostModel, OpMix};
 use cbtree::sim::runner::matched_tree_shape;
 use cbtree::sim::{run_seeds, SimConfig};
@@ -10,7 +10,7 @@ use cbtree::sim::{run_seeds, SimConfig};
 const T_TRANS: f64 = 100.0;
 
 fn sim_cfg(mode: RecoveryMode, lambda: f64) -> SimConfig {
-    let mut c = SimConfig::paper(Algorithm::OptimisticDescent, lambda, 1);
+    let mut c = SimConfig::paper(Protocol::OptimisticDescent, lambda, 1);
     c.costs.disk_cost = 10.0;
     c.recovery = RecoveryConfig {
         mode,
@@ -25,8 +25,7 @@ fn analysis(mode: RecoveryMode, lambda: f64) -> f64 {
     let cfg = ModelConfig::new(shape, OpMix::paper(), cost)
         .unwrap()
         .with_recovery(mode, T_TRANS);
-    Algorithm::OptimisticDescent
-        .model(&cfg)
+    Model::new(Protocol::OptimisticDescent, &cfg)
         .evaluate(lambda)
         .map(|p| p.response_time_insert)
         .unwrap_or(f64::INFINITY)
