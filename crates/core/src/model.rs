@@ -546,10 +546,14 @@ impl Model {
         );
         let Some(prev) = below else {
             // All restructuring work, charged at the leaf stage (every lock
-            // is held throughout anyway).
-            let split_work = k.inserts * self.split_work(k);
-            *hold = c.m() + split_work + self.cfg.recovery.leaf_extra();
-            return self.leaf(lambda, lambda_r, lambda_w, *hold);
+            // is held throughout anyway). §7 retention keeps the leaf's
+            // lock `T_trans` longer under either mode, but the locks above
+            // it only under Naive recovery: the hold passed up carries the
+            // upper levels' retention, not the leaf's.
+            let (rec, split_work) = (&self.cfg.recovery, k.inserts * self.split_work(k));
+            *hold = c.m() + split_work + rec.upper_extra(1.0);
+            let leaf_service = c.m() + split_work + rec.leaf_extra();
+            return self.leaf(lambda, lambda_r, lambda_w, leaf_service);
         };
         // The below-this-level part of the hold: child wait plus the
         // child's hold — its own exponential stage (the variance of the

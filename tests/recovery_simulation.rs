@@ -107,3 +107,50 @@ fn retention_holds_locks_past_completion() {
     assert!(naive.resp_insert.mean > none.resp_insert.mean + 1.0);
     assert!(naive.resp_search.mean > none.resp_search.mean);
 }
+
+#[test]
+fn two_phase_leaf_only_retains_only_the_leaf() {
+    // Strict 2PL holds every lock to completion; Leaf-only recovery keeps
+    // only the leaf's past it, so the root's W lock is held no longer than
+    // without recovery, and for less time than under Naive recovery.
+    let t_trans = 20.0;
+    let base = SimConfig::paper(Protocol::TwoPhase, 1.0, 1);
+    let shape = matched_tree_shape(&base).unwrap();
+    let cost = CostModel::paper_style(shape.height, 2, 5.0, 1.0).unwrap();
+    let cfg = ModelConfig::new(shape, OpMix::paper(), cost).unwrap();
+    let model = |mode| {
+        Model::new(
+            Protocol::TwoPhase,
+            &cfg.clone().with_recovery(mode, t_trans),
+        )
+    };
+    let lambda = 0.5 * model(RecoveryMode::Naive).max_throughput().unwrap();
+    let root_rho = |mode| {
+        model(mode)
+            .evaluate(lambda)
+            .unwrap()
+            .root_writer_utilization()
+    };
+    let (leaf, naive) = (
+        root_rho(RecoveryMode::LeafOnly),
+        root_rho(RecoveryMode::Naive),
+    );
+    let mut c = base;
+    c.arrival_rate = lambda;
+    c.recovery = RecoveryConfig {
+        mode: RecoveryMode::LeafOnly,
+        t_trans,
+    };
+    let sim = run_seeds(&c, &[1, 2, 3])
+        .unwrap()
+        .root_writer_utilization
+        .mean;
+    assert!(leaf < naive, "leaf-only {leaf:.3} vs naive {naive:.3}");
+    // Measured: analysis 0.211 vs simulated 0.207 (residual 0.004). A
+    // model that charges the leaf's retention to every upper lock reads
+    // 0.421, Naive's value.
+    assert!(
+        (leaf - sim).abs() < 0.03,
+        "leaf-only root rho_w: analysis {leaf:.3} vs sim {sim:.3}"
+    );
+}
