@@ -35,77 +35,104 @@ fn assert_close(what: &str, analysis: f64, sim: f64, rel_tol: f64) {
     );
 }
 
-fn validate(algorithm: Protocol, lambdas: &[f64], rel_tol: f64) {
-    let sim_cfg = SimConfig::paper(algorithm, 1.0, 1);
-    let model = matched_model(algorithm, &sim_cfg);
-    for &lambda in lambdas {
-        let mut c = sim_cfg.clone();
-        c.arrival_rate = lambda;
-        let sim = run_seeds(&c, &SEEDS).expect("stable at this rate");
-        let a = model
-            .evaluate(lambda)
-            .expect("analysis stable at this rate");
-        assert_close(
-            &format!("{algorithm:?} search RT at λ={lambda}"),
-            a.response_time_search,
-            sim.resp_search.mean,
-            rel_tol,
-        );
-        assert_close(
-            &format!("{algorithm:?} insert RT at λ={lambda}"),
-            a.response_time_insert,
-            sim.resp_insert.mean,
-            rel_tol,
-        );
-        assert_close(
-            &format!("{algorithm:?} delete RT at λ={lambda}"),
-            a.response_time_delete,
-            sim.resp_delete.mean,
-            rel_tol,
-        );
+/// One protocol's check against the simulator: its arrival rates, as
+/// fractions of the model's maximum (or, for Link-type, which has no
+/// effective maximum, as rates), the relative tolerance on the search,
+/// insert and delete response times, and an absolute tolerance on the
+/// root's ρ_w where the row checks it.
+struct Row {
+    protocol: Protocol,
+    of_max: bool,
+    lambdas: &'static [f64],
+    rt_tol: f64,
+    root_rho_tol: Option<f64>,
+}
+
+const ROWS: [Row; 5] = [
+    // The §8 baseline saturates very early: checked well below its tiny
+    // maximum.
+    Row {
+        protocol: Protocol::TwoPhase,
+        of_max: true,
+        lambdas: &[0.3, 0.5],
+        rt_tol: 0.30,
+        root_rho_tol: None,
+    },
+    // Up to 70% of the maximum; beyond that both curves blow up and
+    // relative comparisons become noise-dominated (the paper's figures
+    // show the same).
+    Row {
+        protocol: Protocol::LockCoupling,
+        of_max: true,
+        lambdas: &[0.3, 0.5, 0.7],
+        rt_tol: 0.20,
+        root_rho_tol: None,
+    },
+    Row {
+        protocol: Protocol::OptimisticDescent,
+        of_max: true,
+        lambdas: &[0.3, 0.6],
+        rt_tol: 0.20,
+        root_rho_tol: None,
+    },
+    Row {
+        protocol: Protocol::BLink,
+        of_max: false,
+        lambdas: &[0.5, 2.0, 5.0],
+        rt_tol: 0.15,
+        root_rho_tol: None,
+    },
+    // Latch-free readers: the search RT is serial work plus restart
+    // rework. Measured residuals at 0.3 / 0.5 × max: search RT 3.0 % /
+    // 6.5 %, insert 0.8 % / 1.6 %, delete 1.4 % / 1.1 %, root ρ_w
+    // 0.181 vs 0.181 / 0.341 vs 0.329 (0.001 / 0.012).
+    Row {
+        protocol: Protocol::Olc,
+        of_max: true,
+        lambdas: &[0.3, 0.5],
+        rt_tol: 0.10,
+        root_rho_tol: Some(0.03),
+    },
+];
+
+#[test]
+fn every_modelled_protocol_matches_simulation() {
+    for row in &ROWS {
+        let p = row.protocol;
+        let sim_cfg = SimConfig::paper(p, 1.0, 1);
+        let model = matched_model(p, &sim_cfg);
+        let max = model.max_throughput().unwrap();
+        if p == Protocol::TwoPhase {
+            assert!(max < 0.2, "2PL max must be tiny: {max}");
+        }
+        for &at in row.lambdas {
+            let lambda = if row.of_max { at * max } else { at };
+            let mut c = sim_cfg.clone();
+            c.arrival_rate = lambda;
+            let sim = run_seeds(&c, &SEEDS).expect("stable at this rate");
+            let a = model
+                .evaluate(lambda)
+                .expect("analysis stable at this rate");
+            for (what, analysis, simulated) in [
+                ("search", a.response_time_search, sim.resp_search.mean),
+                ("insert", a.response_time_insert, sim.resp_insert.mean),
+                ("delete", a.response_time_delete, sim.resp_delete.mean),
+            ] {
+                let what = format!("{p} {what} RT at λ={lambda}");
+                assert_close(&what, analysis, simulated, row.rt_tol);
+            }
+            if let Some(tol) = row.root_rho_tol {
+                let (rho_a, rho_s) = (
+                    a.root_writer_utilization(),
+                    sim.root_writer_utilization.mean,
+                );
+                assert!(
+                    (rho_a - rho_s).abs() < tol,
+                    "{p} root rho_w at λ={lambda:.3}: analysis {rho_a:.3} vs sim {rho_s:.3}"
+                );
+            }
+        }
     }
-}
-
-#[test]
-fn naive_lock_coupling_matches_simulation() {
-    // Up to 70% of the analytic maximum; beyond that both curves blow up
-    // and relative comparisons become noise-dominated (paper figures show
-    // the same).
-    let sim_cfg = SimConfig::paper(Protocol::LockCoupling, 1.0, 1);
-    let max = matched_model(Protocol::LockCoupling, &sim_cfg)
-        .max_throughput()
-        .unwrap();
-    validate(
-        Protocol::LockCoupling,
-        &[0.3 * max, 0.5 * max, 0.7 * max],
-        0.20,
-    );
-}
-
-#[test]
-fn optimistic_descent_matches_simulation() {
-    let sim_cfg = SimConfig::paper(Protocol::OptimisticDescent, 1.0, 1);
-    let max = matched_model(Protocol::OptimisticDescent, &sim_cfg)
-        .max_throughput()
-        .unwrap();
-    validate(Protocol::OptimisticDescent, &[0.3 * max, 0.6 * max], 0.20);
-}
-
-#[test]
-fn link_type_matches_simulation() {
-    validate(Protocol::BLink, &[0.5, 2.0, 5.0], 0.15);
-}
-
-#[test]
-fn two_phase_locking_matches_simulation() {
-    // The §8 baseline extension: 2PL saturates very early; validate the
-    // model well below its tiny maximum.
-    let sim_cfg = SimConfig::paper(Protocol::TwoPhase, 1.0, 1);
-    let max = matched_model(Protocol::TwoPhase, &sim_cfg)
-        .max_throughput()
-        .unwrap();
-    assert!(max < 0.2, "2PL max must be tiny: {max}");
-    validate(Protocol::TwoPhase, &[0.3 * max, 0.5 * max], 0.30);
 }
 
 #[test]
