@@ -254,12 +254,11 @@ fn main() -> ExitCode {
         // cross-checks the --memory-levels split.
         let sim_cfg = model_config(&args, None).expect("built once already");
         for protocol in COMPARED {
-            let alg = protocol;
             match pillars::simulate(protocol, &sim_cfg, PAPER_KEYSPACE, r, &[1, 2, 3]) {
                 Ok(s) => {
                     let record = Json::obj(vec![
                         ("type", "sim_check".into()),
-                        ("algorithm", alg.name().into()),
+                        ("algorithm", protocol.name().into()),
                         ("lambda", r.into()),
                         ("resp_search", s.resp_search.to_json()),
                         ("resp_insert", s.resp_insert.to_json()),
@@ -270,7 +269,7 @@ fn main() -> ExitCode {
                 // A failed simulation writes no record: its error fills
                 // the row.
                 Err(e) => t.push(vec![
-                    alg.name().to_string(),
+                    protocol.name().to_string(),
                     e.to_string(),
                     String::new(),
                     String::new(),

@@ -5,9 +5,10 @@
 //! There is one tree type, [`ConcurrentBTree`]: the same node
 //! representation, the same split/merge machinery, latched by the
 //! [`Protocol`] chosen at construction. The engine ([`descent`]) reads
-//! the protocol's row of one policy table — read latching, update
-//! latching, transaction retention — so protocols differ in data, not
-//! in code:
+//! the protocol's row of one policy table, [`Protocol::policy`] in
+//! `cbtree-btree-model` — read latching, update latching, transaction
+//! retention — which the simulator and the analytical model read too, so
+//! protocols differ in data, not in code:
 //!
 //! * [`Protocol::LockCoupling`] — Naive Lock-coupling (Bayer–Schkolnick):
 //!   readers crab with shared latches; updaters crab with exclusive

@@ -4,7 +4,8 @@
 //! Performance Analysis of Concurrent B-tree Algorithms" (PODS 1990)**:
 //! analytical queueing models, a validating discrete-event simulator, and
 //! real threaded concurrent B+-trees implementing the three algorithms the
-//! paper studies.
+//! paper studies, its Two-Phase baseline and Optimistic Lock Coupling. All
+//! three pillars read one policy table, [`model::Protocol::policy`].
 //!
 //! This facade crate re-exports the workspace members under stable module
 //! names so downstream users can depend on a single crate:
@@ -14,12 +15,13 @@
 //! * [`model`] — B-tree stochastic shape and cost model (node-fullness
 //!   probabilities, fanouts, disk cost dilation).
 //! * [`analysis`] — the paper's analytical framework: response times and
-//!   maximum throughput for Naive Lock-coupling, Optimistic Descent and the
-//!   Link-type algorithm; rules of thumb; recovery extension.
+//!   maximum throughput for Naive Lock-coupling, Optimistic Descent, the
+//!   Link-type algorithm, Two-Phase Locking and Optimistic Lock Coupling;
+//!   rules of thumb; recovery extension.
 //! * [`sim`] — the validation simulator (Poisson arrivals, exponential
 //!   service, per-node FCFS R/W lock queues on actual B-trees).
-//! * [`btree`] — real in-memory concurrent B+-trees with the three latching
-//!   protocols.
+//! * [`btree`] — real in-memory concurrent B+-trees with the same five
+//!   latching protocols, plus the §7 recovery variants.
 //! * [`sync`] — from-scratch FCFS reader/writer lock with built-in lock
 //!   statistics (waits, holds, writer utilization) used by [`btree`].
 //! * [`harness`] — live-execution measurement: the real trees on OS
