@@ -95,44 +95,76 @@ const ROWS: [Row; 5] = [
     },
 ];
 
-#[test]
-fn every_modelled_protocol_matches_simulation() {
-    for row in &ROWS {
-        let p = row.protocol;
-        let sim_cfg = SimConfig::paper(p, 1.0, 1);
-        let model = matched_model(p, &sim_cfg);
-        let max = model.max_throughput().unwrap();
-        if p == Protocol::TwoPhase {
-            assert!(max < 0.2, "2PL max must be tiny: {max}");
+/// Checks `p`'s row of [`ROWS`] against the simulator.
+fn validate(p: Protocol) {
+    let row = ROWS
+        .iter()
+        .find(|r| r.protocol == p)
+        .unwrap_or_else(|| panic!("{p} has no row"));
+    let sim_cfg = SimConfig::paper(p, 1.0, 1);
+    let model = matched_model(p, &sim_cfg);
+    let max = model.max_throughput().unwrap();
+    if p == Protocol::TwoPhase {
+        assert!(max < 0.2, "2PL max must be tiny: {max}");
+    }
+    for &at in row.lambdas {
+        let lambda = if row.of_max { at * max } else { at };
+        let mut c = sim_cfg.clone();
+        c.arrival_rate = lambda;
+        let sim = run_seeds(&c, &SEEDS).expect("stable at this rate");
+        let a = model
+            .evaluate(lambda)
+            .expect("analysis stable at this rate");
+        for (what, analysis, simulated) in [
+            ("search", a.response_time_search, sim.resp_search.mean),
+            ("insert", a.response_time_insert, sim.resp_insert.mean),
+            ("delete", a.response_time_delete, sim.resp_delete.mean),
+        ] {
+            let what = format!("{p} {what} RT at λ={lambda}");
+            assert_close(&what, analysis, simulated, row.rt_tol);
         }
-        for &at in row.lambdas {
-            let lambda = if row.of_max { at * max } else { at };
-            let mut c = sim_cfg.clone();
-            c.arrival_rate = lambda;
-            let sim = run_seeds(&c, &SEEDS).expect("stable at this rate");
-            let a = model
-                .evaluate(lambda)
-                .expect("analysis stable at this rate");
-            for (what, analysis, simulated) in [
-                ("search", a.response_time_search, sim.resp_search.mean),
-                ("insert", a.response_time_insert, sim.resp_insert.mean),
-                ("delete", a.response_time_delete, sim.resp_delete.mean),
-            ] {
-                let what = format!("{p} {what} RT at λ={lambda}");
-                assert_close(&what, analysis, simulated, row.rt_tol);
-            }
-            if let Some(tol) = row.root_rho_tol {
-                let (rho_a, rho_s) = (
-                    a.root_writer_utilization(),
-                    sim.root_writer_utilization.mean,
-                );
-                assert!(
-                    (rho_a - rho_s).abs() < tol,
-                    "{p} root rho_w at λ={lambda:.3}: analysis {rho_a:.3} vs sim {rho_s:.3}"
-                );
-            }
+        if let Some(tol) = row.root_rho_tol {
+            let (rho_a, rho_s) = (
+                a.root_writer_utilization(),
+                sim.root_writer_utilization.mean,
+            );
+            assert!(
+                (rho_a - rho_s).abs() < tol,
+                "{p} root rho_w at λ={lambda:.3}: analysis {rho_a:.3} vs sim {rho_s:.3}"
+            );
         }
     }
+}
+
+#[test]
+fn every_modelled_protocol_has_a_row() {
+    let rows: Vec<Protocol> = ROWS.iter().map(|r| r.protocol).collect();
+    assert_eq!(rows, Protocol::ALL_EXTENDED);
+}
+
+#[test]
+fn two_phase_locking_matches_simulation() {
+    validate(Protocol::TwoPhase);
+}
+
+#[test]
+fn naive_lock_coupling_matches_simulation() {
+    validate(Protocol::LockCoupling);
+}
+
+#[test]
+fn optimistic_descent_matches_simulation() {
+    validate(Protocol::OptimisticDescent);
+}
+
+#[test]
+fn link_type_matches_simulation() {
+    validate(Protocol::BLink);
+}
+
+#[test]
+fn olc_matches_simulation() {
+    validate(Protocol::Olc);
 }
 
 #[test]
