@@ -1134,9 +1134,9 @@ impl<V> ConcurrentBTree<V> {
                 {
                     let mut leaf = self.write_leaf(key);
                     debug_assert!(leaf.covers(key));
-                    let exists = leaf.keys().binary_search(&key).is_ok();
-                    if exists || !leaf.insert_unsafe(self.cap) {
-                        let old = leaf.leaf_insert(key, val);
+                    let at = leaf.find(key);
+                    if at.is_ok() || !leaf.insert_unsafe(self.cap) {
+                        let old = leaf.leaf_insert_at(at, key, val);
                         if old.is_none() {
                             self.counters.key_added();
                         }
@@ -1187,14 +1187,14 @@ impl<V> ConcurrentBTree<V> {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::CONTAINS);
         self.counters.record_op();
         let found = if self.policy().read == ReadPolicy::Olc {
-            // SAFETY: the leaf closure binary-searches the node's POD
-            // `u64` key words — no heap value is materialized; a torn
-            // window yields at worst a wrong bool, discarded on
-            // validation.
-            unsafe { self.olc_descend(*key, |n| n.keys().binary_search(key).is_ok()) }.1
+            // SAFETY: the leaf closure scans the node's POD `u64` key
+            // words (the clamped `keys()` run) — no heap value is
+            // materialized; a torn window yields at worst a wrong bool,
+            // discarded on validation.
+            unsafe { self.olc_descend(*key, |n| n.find(*key).is_ok()) }.1
         } else {
             let (leaf, held) = self.read_leaf(*key);
-            let found = leaf.keys().binary_search(key).is_ok();
+            let found = leaf.find(*key).is_ok();
             release_read(leaf, held);
             found
         };
@@ -1226,7 +1226,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                 // other closure reads follow `olc_descend`'s contract.
                 unsafe {
                     self.olc_descend(*key, |n| {
-                        let i = n.keys().binary_search(key).ok()?;
+                        let i = n.find(*key).ok()?;
                         n.vals().get(i).cloned()
                     })
                 }
@@ -1389,11 +1389,11 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                     held = Some(leaf);
                 }
                 BatchOp::Insert(k, v) => {
-                    let exists = leaf.keys().binary_search(&k).is_ok();
-                    if exists || !leaf.insert_unsafe(self.cap) {
+                    let at = leaf.find(k);
+                    if at.is_ok() || !leaf.insert_unsafe(self.cap) {
                         trace::op_begin(opcode::INSERT);
                         self.counters.record_op();
-                        let old = leaf.leaf_insert(k, v);
+                        let old = leaf.leaf_insert_at(at, k, v);
                         if old.is_none() {
                             self.counters.key_added();
                         }

@@ -116,9 +116,30 @@ impl<V> Node<V> {
         self.high.is_none_or(|h| key < h)
     }
 
-    /// Index of the child an internal node routes `key` to.
+    /// Index of the child an internal node routes `key` to: the count of
+    /// keys `<= key`.
+    ///
+    /// Every node search is one branch-free scan of the key run, not a
+    /// binary search: the scan's loads do not depend on each other, so a
+    /// node's key lines are fetched at once — one memory round trip for
+    /// a node beyond the cache, where a binary search pays one dependent
+    /// miss per probe.
     pub fn child_index(&self, key: u64) -> usize {
-        self.keys().partition_point(|&k| k <= key)
+        self.keys().iter().map(|&k| usize::from(k <= key)).sum()
+    }
+
+    /// Exact-match search, like [`slice::binary_search`] on
+    /// [`Node::keys`]: `Ok(i)` if `keys()[i] == key`, else `Err(i)` with
+    /// `i` the position `key` would be inserted at. One scan, as in
+    /// [`Node::child_index`].
+    pub(crate) fn find(&self, key: u64) -> Result<usize, usize> {
+        let keys = self.keys();
+        let i = keys.iter().map(|&k| usize::from(k < key)).sum();
+        if keys.get(i) == Some(&key) {
+            Ok(i)
+        } else {
+            Err(i)
+        }
     }
 
     /// The child id `key` routes to.
@@ -132,7 +153,7 @@ impl<V> Node<V> {
 
     /// Leaf lookup (`None` on internal nodes, which hold no values).
     pub fn leaf_get(&self, key: u64) -> Option<&V> {
-        let i = self.keys().binary_search(&key).ok()?;
+        let i = self.find(key).ok()?;
         self.vals.get(i)
     }
 
@@ -143,7 +164,22 @@ impl<V> Node<V> {
     /// the `cap + 1` transient maximum, and moving it would leave
     /// latch-free readers holding a pointer into freed memory.
     pub fn leaf_insert(&mut self, key: u64, val: V) -> Option<V> {
-        let pos = match self.keys().binary_search(&key) {
+        self.leaf_insert_at(self.find(key), key, val)
+    }
+
+    /// [`Node::leaf_insert`] at `at`, what [`Node::find`] returned for
+    /// `key` on this node unchanged since: a caller that has searched
+    /// the leaf already does not search it again.
+    ///
+    /// # Panics
+    /// As [`Node::leaf_insert`].
+    pub(crate) fn leaf_insert_at(
+        &mut self,
+        at: Result<usize, usize>,
+        key: u64,
+        val: V,
+    ) -> Option<V> {
+        let pos = match at {
             Ok(i) => return Some(std::mem::replace(&mut self.vals[i], val)),
             Err(i) => i,
         };
@@ -158,7 +194,7 @@ impl<V> Node<V> {
 
     /// Leaf removal; returns the value if the key existed.
     pub fn leaf_remove(&mut self, key: u64) -> Option<V> {
-        let i = self.keys().binary_search(&key).ok()?;
+        let i = self.find(key).ok()?;
         self.remove_key(i);
         Some(self.vals.remove(i))
     }
@@ -183,7 +219,7 @@ impl<V> Node<V> {
     pub fn insert_separator(&mut self, sep: u64, child: NodeId) {
         debug_assert!(!self.is_leaf());
         let n = self.len();
-        let pos = self.keys().partition_point(|&k| k < sep);
+        let (Ok(pos) | Err(pos)) = self.find(sep);
         self.insert_key(pos, sep);
         let base = self.kid_base();
         self.tail
@@ -530,6 +566,45 @@ mod tests {
         assert_eq!(n.child_index(20), 2);
         assert_eq!(n.child_index(99), 2);
         assert_eq!(n.child_for(15), n.kid(1).unwrap());
+    }
+
+    /// The scans agree with the binary searches they replace on every
+    /// capacity class, every run length up to the transient `C + 1` and
+    /// every probe at, beside and outside the keys; and on a torn key
+    /// count, which `keys()` clamps to the key room.
+    #[test]
+    fn scans_agree_with_binary_search() {
+        fn check(n: &Node<u64>) {
+            let keys = n.keys();
+            let probes = keys.iter().flat_map(|&k| [k - 1, k, k + 1]);
+            for p in probes.chain([0, u64::MAX]) {
+                let what = format!("probe {p} in {keys:?}");
+                assert_eq!(
+                    n.child_index(p),
+                    keys.partition_point(|&k| k <= p),
+                    "{what}"
+                );
+                assert_eq!(n.find(p), keys.binary_search(&p), "{what}");
+            }
+        }
+        for class in [4, 8, 16, 32, 64, 128] {
+            let arena = arena(class);
+            let mut n = arena.alloc(1);
+            let room = n.kid_base();
+            assert_eq!(room, class + 1);
+            for i in 0..room {
+                n.tail[i] = 3 * (i as u64 + 1);
+            }
+            for len in 0..=room {
+                n.nkeys = len as u32;
+                assert_eq!(n.keys().len(), len);
+                check(&n);
+            }
+            n.nkeys = u32::MAX;
+            assert_eq!(n.keys().len(), room, "a torn count is clamped");
+            check(&n);
+            n.nkeys = 0;
+        }
     }
 
     #[test]
