@@ -83,6 +83,25 @@ protocol_match_total=$(grep -c . <<<"$protocol_matches" || true)
 echo "    total        $protocol_match_total (max $PROTOCOL_MATCH_MAX)"
 ((protocol_match_total <= PROTOCOL_MATCH_MAX))
 
+echo "==> one node search: no binary search over node keys outside node.rs"
+# A node's keys are searched by one branch-free scan, Node::child_index
+# or Node::find in crates/btree/src/node.rs, so a node beyond the cache
+# costs one memory round trip, not one dependent miss per probe. A
+# counted line is non-test source (as in the protocol count above) under
+# crates/btree/src outside node.rs that calls binary_search or
+# partition_point. 5 such lines in descent.rs before the scan.
+NODE_SEARCH_MAX=0
+node_searches=$(
+    find crates/btree/src -name '*.rs' -not -path crates/btree/src/node.rs | sort |
+        while read -r f; do
+            awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+        done | grep -E 'binary_search|partition_point' | grep -vE ':[0-9]+:\s*//' || true
+)
+node_search_total=$(grep -c . <<<"$node_searches" || true)
+[[ -n $node_searches ]] && echo "$node_searches" | sed 's/^/    /'
+echo "    total        $node_search_total (max $NODE_SEARCH_MAX)"
+((node_search_total <= NODE_SEARCH_MAX))
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
