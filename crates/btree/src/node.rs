@@ -167,9 +167,9 @@ impl<V> Node<V> {
         self.leaf_insert_at(self.find(key), key, val)
     }
 
-    /// [`Node::leaf_insert`] at `at`, what [`Node::find`] returned for
-    /// `key` on this node unchanged since: a caller that has searched
-    /// the leaf already does not search it again.
+    /// [`Node::leaf_insert`] at `at`, the result of [`Node::find`] for
+    /// `key` on this node, unchanged since: a caller that has already
+    /// searched the leaf does not search it again.
     ///
     /// # Panics
     /// As [`Node::leaf_insert`].
@@ -603,7 +603,6 @@ mod tests {
             n.nkeys = u32::MAX;
             assert_eq!(n.keys().len(), room, "a torn count is clamped");
             check(&n);
-            n.nkeys = 0;
         }
     }
 

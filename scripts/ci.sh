@@ -60,6 +60,23 @@ done
 echo "    total        $unsafe_total (max $UNSAFE_MAX)"
 ((unsafe_total <= UNSAFE_MAX))
 
+# The non-test lines (each file up to its first #[cfg(test)]) of the
+# files named on stdin, as FILE:LINE:TEXT.
+non_test_lines() {
+    sort | while read -r f; do
+        awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+    done
+}
+
+# Prints the counted lines ($2) and their total; fails above $1.
+tally() {
+    local total
+    total=$(grep -c . <<<"$2" || true)
+    [[ -n $2 ]] && echo "$2" | sed 's/^/    /'
+    echo "    total        $total (max $1)"
+    ((total <= $1))
+}
+
 echo "==> one protocol table: no protocol variant matched or compared outside it"
 # A protocol's latching is decided in one place, Protocol::policy() in
 # crates/btree-model/src/protocol.rs; the tree, the simulator and the
@@ -73,34 +90,25 @@ PROTOCOL_MATCH_MAX=0
 variant='(Protocol|Algorithm)::[A-Z][A-Z_]*[a-z][A-Za-z]*'
 protocol_matches=$(
     find crates/*/src src examples -name '*.rs' -not -path '*/tests/*' \
-        -not -path crates/btree-model/src/protocol.rs | sort | while read -r f; do
-        awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
-    done | grep -E "$variant.*=>|:[0-9]+:\s*\|\s*$variant|[=!]=\s*$variant|$variant\s*[=!]=" |
+        -not -path crates/btree-model/src/protocol.rs | non_test_lines |
+        grep -E "$variant.*=>|:[0-9]+:\s*\|\s*$variant|[=!]=\s*$variant|$variant\s*[=!]=" |
         grep -vE ':[0-9]+:\s*//' || true
 )
-protocol_match_total=$(grep -c . <<<"$protocol_matches" || true)
-[[ -n $protocol_matches ]] && echo "$protocol_matches" | sed 's/^/    /'
-echo "    total        $protocol_match_total (max $PROTOCOL_MATCH_MAX)"
-((protocol_match_total <= PROTOCOL_MATCH_MAX))
+tally "$PROTOCOL_MATCH_MAX" "$protocol_matches"
 
 echo "==> one node search: no binary search over node keys outside node.rs"
 # A node's keys are searched by one branch-free scan, Node::child_index
 # or Node::find in crates/btree/src/node.rs, so a node beyond the cache
 # costs one memory round trip, not one dependent miss per probe. A
-# counted line is non-test source (as in the protocol count above) under
-# crates/btree/src outside node.rs that calls binary_search or
-# partition_point. 5 such lines in descent.rs before the scan.
+# counted line is a non-test line under crates/btree/src outside node.rs
+# that calls binary_search or partition_point. 5 such lines in
+# descent.rs before the scan.
 NODE_SEARCH_MAX=0
 node_searches=$(
-    find crates/btree/src -name '*.rs' -not -path crates/btree/src/node.rs | sort |
-        while read -r f; do
-            awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
-        done | grep -E 'binary_search|partition_point' | grep -vE ':[0-9]+:\s*//' || true
+    find crates/btree/src -name '*.rs' -not -path crates/btree/src/node.rs | non_test_lines |
+        grep -E 'binary_search|partition_point' | grep -vE ':[0-9]+:\s*//' || true
 )
-node_search_total=$(grep -c . <<<"$node_searches" || true)
-[[ -n $node_searches ]] && echo "$node_searches" | sed 's/^/    /'
-echo "    total        $node_search_total (max $NODE_SEARCH_MAX)"
-((node_search_total <= NODE_SEARCH_MAX))
+tally "$NODE_SEARCH_MAX" "$node_searches"
 
 echo "==> cargo build --release"
 cargo build --release --workspace
