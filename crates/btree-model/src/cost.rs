@@ -12,7 +12,9 @@
 //! For the rules-of-thumb figures the search time may instead grow with
 //! the node size (`a + b·log₂N`, a binary search), which is what makes
 //! "small nodes for Naive Lock-coupling, large nodes for Optimistic
-//! Descent" a real design trade-off (§6).
+//! Descent" a real design trade-off (§6). The live tree searches a node
+//! with one linear scan (one memory round trip per node beyond the
+//! cache), while this analysis keeps the paper's `a + b·log₂N`.
 
 use crate::{ModelError, NodeParams, Result};
 
