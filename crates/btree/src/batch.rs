@@ -2,7 +2,7 @@
 //!
 //! The open-loop service layer drains operations from its ingress ring
 //! in batches and hands each batch to
-//! [`ConcurrentMap::execute_batch`](crate::map::ConcurrentMap::execute_batch).
+//! [`ConcurrentBTree::execute_batch_in`](crate::ConcurrentBTree::execute_batch_in).
 //! The engine sorts the batch by key (stable, so same-key operations
 //! keep their submission order — the per-key linearizability the batch
 //! boundary must not break) and executes it with **amortized descent**:

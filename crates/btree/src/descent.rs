@@ -525,9 +525,10 @@ impl<V> ConcurrentBTree<V> {
     /// after a child's window closes, the parent's recorded version is
     /// **re-validated** (`validate`), proving the routing decision that
     /// led to the child was still current when the child was read.
-    /// Skipping that re-validation is the classic OLC bug: the planted
-    /// `buggy` tree in the correctness pillar does exactly that and
-    /// is convicted by the linearizability checker.
+    /// Skipping that re-validation is the classic OLC bug:
+    /// `crates/check/mutants/skip-parent-revalidation.patch` plants it
+    /// (with the right-link chase below, which would otherwise recover)
+    /// and the linearizability checker convicts it.
     ///
     /// After a successful validation the node's **slot generation** is
     /// re-checked ([`NodeRef::stale`]): a concurrent vacuum may have
@@ -536,7 +537,8 @@ impl<V> ConcurrentBTree<V> {
     /// parent re-validation cannot cover). The generation only changes
     /// inside an exclusive section, so checking it *after* the validated
     /// window proves the slot held this id's node for the whole window.
-    /// The second planted `buggy` reader skips exactly this check.
+    /// `crates/check/mutants/skip-generation-check.patch` removes its
+    /// latched twin in `olc_get_latched`.
     ///
     /// On any failed window the descent restarts from the deepest
     /// recorded ancestor whose version still validates (or the root).
@@ -1252,8 +1254,8 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// closed, right links are chased latched, as in the link protocol;
     /// if the leaf's slot was **recycled** in the unlatched gap between
     /// locator and latch, the stale guard is detected and the locator
-    /// redone — the generation check the third planted `buggy` reader
-    /// skips.
+    /// redone — the generation check
+    /// `crates/check/mutants/skip-generation-check.patch` removes.
     #[allow(unsafe_code)]
     fn olc_get_latched(&self, key: u64) -> Option<V> {
         'relocate: loop {

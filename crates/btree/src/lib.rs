@@ -75,7 +75,6 @@ pub mod arena;
 pub mod batch;
 pub mod counters;
 pub mod descent;
-pub mod map;
 pub mod node;
 pub mod olc;
 
@@ -84,5 +83,4 @@ pub use batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 pub use cbtree_btree_model::Protocol;
 pub use counters::OpCountersSnapshot;
 pub use descent::ConcurrentBTree;
-pub use map::ConcurrentMap;
 pub use olc::OlcValue;

@@ -3,7 +3,7 @@
 //! contents) while paying visibly fewer latch acquisitions, and batch
 //! boundaries must never reorder conflicting same-key operations.
 
-use cbtree_btree::{BatchOp, ConcurrentBTree, ConcurrentMap, Protocol};
+use cbtree_btree::{BatchOp, ConcurrentBTree, Protocol};
 use std::collections::BTreeMap;
 
 /// Deterministic LCG (same multiplier the unit suites use).
@@ -182,21 +182,17 @@ fn empty_batch_is_a_noop() {
     assert_eq!(tree.counters().since(&before).ops, 0);
 }
 
-/// Calling `execute_batch` through the `ConcurrentMap` trait, as the
-/// checkers' generic drivers do, reaches the engine's sorted-batch
-/// override with singleton semantics.
+/// `execute_batch`, as the checker's batched recorder calls it, returns
+/// what singleton execution would have.
 #[test]
-fn trait_default_executes_singleton_semantics() {
+fn execute_batch_returns_singleton_results() {
     let tree = ConcurrentBTree::new(Protocol::OptimisticDescent, 6);
-    let out = ConcurrentMap::execute_batch(
-        &tree,
-        vec![
-            BatchOp::Insert(1, 10),
-            BatchOp::Insert(2, 20),
-            BatchOp::Get(1),
-            BatchOp::Remove(3),
-        ],
-    );
+    let out = tree.execute_batch(vec![
+        BatchOp::Insert(1, 10),
+        BatchOp::Insert(2, 20),
+        BatchOp::Get(1),
+        BatchOp::Remove(3),
+    ]);
     assert_eq!(out.results, vec![None, None, Some(10), None]);
     assert_eq!(out.summary.ops, 4);
 }

@@ -13,7 +13,7 @@
 //! stress harness runs them after joining its workers.
 
 use cbtree_btree::node::{self, NodeId, NodeRef};
-use cbtree_btree::ConcurrentMap;
+use cbtree_btree::ConcurrentBTree;
 use std::collections::BTreeMap;
 
 /// Summary of a passing audit.
@@ -34,7 +34,7 @@ pub struct AuditReport {
 ///    right-link reachability on every level, in the same order;
 /// 4. fullness — no node exceeds capacity and (root apart) no reachable
 ///    node is empty.
-pub fn audit<M: ConcurrentMap<u64> + ?Sized>(tree: &M) -> Result<AuditReport, String> {
+pub fn audit(tree: &ConcurrentBTree<u64>) -> Result<AuditReport, String> {
     tree.check()?;
     let root = tree.root_handle();
     audit_root(&root, tree.capacity())
@@ -43,8 +43,8 @@ pub fn audit<M: ConcurrentMap<u64> + ?Sized>(tree: &M) -> Result<AuditReport, St
 /// Like [`audit`] but additionally demands the leaf contents equal
 /// `expected` (e.g. the linearization oracle's final state) and that the
 /// tree's maintained length agrees.
-pub fn audit_with_contents<M: ConcurrentMap<u64> + ?Sized>(
-    tree: &M,
+pub fn audit_with_contents(
+    tree: &ConcurrentBTree<u64>,
     expected: &BTreeMap<u64, u64>,
 ) -> Result<AuditReport, String> {
     let report = audit(tree)?;

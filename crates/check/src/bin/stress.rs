@@ -11,27 +11,19 @@
 //!                                the perturbation decision stream is a pure
 //!                                function of the seed, so the run replays
 //!                                the same schedule pressure
-//! stress --demo-bug              run all three known-bad readers (latched,
-//!                                optimistic, and recycling-blind); exits 0
-//!                                iff the checker convicts each of them
 //! ```
 //!
 //! Exits non-zero on any failure so CI can gate on it.
 
 use cbtree_btree::Protocol;
-use cbtree_check::history::ConcurrentMap;
-use cbtree_check::stress::{run_stress, run_stress_on, StressConfig, StressOutcome};
-use cbtree_check::{
-    buggy::{run_recycle_conviction, SkipParentRevalidation, SkipRightLink},
-    Verdict,
-};
+use cbtree_check::stress::{run_stress, StressConfig};
+use cbtree_check::Verdict;
 use cbtree_workload::cli::Flags;
 
 #[derive(Debug, Clone, Default)]
 struct Args {
     quick: bool,
     full: bool,
-    demo_bug: bool,
     replay: Option<u64>,
     protocol: Option<Protocol>,
     threads: Option<usize>,
@@ -45,7 +37,7 @@ struct Args {
 const USAGE: &str = "\
 usage: stress [--quick|--full] [--protocol NAME] [--threads N] \
 [--ops N] [--batch N] [--seeds N] [--seed-base N] [--no-inject] \
-[--replay SEED] [--demo-bug]
+[--replay SEED]
 ";
 
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
@@ -58,7 +50,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
         match flag.as_str() {
             "--quick" => args.quick = true,
             "--full" => args.full = true,
-            "--demo-bug" => args.demo_bug = true,
             "--no-inject" => args.no_inject = true,
             "--replay" => args.replay = Some(flags.value()?),
             "--protocol" => args.protocol = Some(flags.value()?),
@@ -70,7 +61,7 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             _ => return Err(flags.unknown()),
         }
     }
-    if !(args.quick || args.full || args.demo_bug || args.replay.is_some()) {
+    if !(args.quick || args.full || args.replay.is_some()) {
         args.quick = true;
     }
     Ok(args)
@@ -108,10 +99,6 @@ fn verdict_name(v: &Verdict) -> &'static str {
 
 fn main() {
     let args = Flags::from_env(USAGE).parse_or_exit(parse_args);
-
-    if args.demo_bug {
-        std::process::exit(demo_bug(&args));
-    }
 
     let protocols: Vec<Protocol> = match args.protocol {
         Some(p) => vec![p],
@@ -177,88 +164,4 @@ fn main() {
         protocols.len(),
         seeds.len()
     );
-}
-
-/// Runs all three known-bad readers until the checker convicts each.
-/// Exit 0 = the pillar has teeth; exit 1 = some bug escaped every seed.
-fn demo_bug(args: &Args) -> i32 {
-    let mut status = 0;
-    status |= drive_bug(
-        args,
-        Protocol::BLink,
-        "SkipRightLink (B-link reader that skips the post-latch covers() re-check)",
-        SkipRightLink::new,
-    );
-    status |= drive_bug(
-        args,
-        Protocol::Olc,
-        "SkipParentRevalidation (OLC reader that skips the parent re-validation)",
-        SkipParentRevalidation::new,
-    );
-    // The recycling-blind reader needs a *directed* scenario: the
-    // convicting interleaving (split moves the key right, the held
-    // leaf's remnant drains and is vacuumed, the key itself untouched)
-    // is vanishingly rare under the random sweep — by the time a leaf
-    // drains naturally, the read key is gone with it, and the buggy
-    // `None` is linearizable.
-    status |= drive_scenario(
-        args,
-        "SkipGenerationCheck (reader that trusts a handle across a vacuum window)",
-        run_recycle_conviction,
-    );
-    status
-}
-
-/// Runs a directed conviction scenario up to `--seeds` times (each run
-/// records a real two-thread race; scheduling can let one slip).
-fn drive_scenario(args: &Args, what: &str, run: impl Fn() -> StressOutcome) -> i32 {
-    println!("driving {what}");
-    for attempt in 1..=args.seeds.max(1) {
-        let out = run();
-        println!(
-            "  attempt {:>2}: {:>15} {}",
-            attempt,
-            verdict_name(&out.verdict),
-            if out.passed() { "(escaped)" } else { "CAUGHT" }
-        );
-        if !out.passed() {
-            if let Some(why) = out.failure() {
-                println!("\n{why}");
-            }
-            println!("bug caught at attempt {attempt}; the checker has teeth.");
-            return 0;
-        }
-    }
-    eprintln!("demo-bug: {what} escaped every attempt");
-    1
-}
-
-fn drive_bug<M: ConcurrentMap<u64>>(
-    args: &Args,
-    protocol: Protocol,
-    what: &str,
-    make: impl Fn(usize) -> M,
-) -> i32 {
-    println!("driving {what}");
-    for seed in 0..args.seeds as u64 {
-        let seed = args.seed_base + seed;
-        let cfg = shape(args, protocol, seed);
-        let map = make(cfg.capacity);
-        let out = run_stress_on(&map, &cfg);
-        println!(
-            "  seed {:>4}: {:>15} {}",
-            seed,
-            verdict_name(&out.verdict),
-            if out.passed() { "(escaped)" } else { "CAUGHT" }
-        );
-        if !out.passed() {
-            if let Some(why) = out.failure() {
-                println!("\n{why}");
-            }
-            println!("bug caught at seed {seed}; the checker has teeth.");
-            return 0;
-        }
-    }
-    eprintln!("demo-bug: {what} escaped all seeds");
-    1
 }

@@ -1,6 +1,6 @@
-//! Concurrent-history recording over the `ConcurrentMap` interface.
+//! Concurrent-history recording over a shared [`ConcurrentBTree`].
 //!
-//! N worker threads apply operations to a shared map; every operation is
+//! N worker threads apply operations to a shared tree; every operation is
 //! bracketed by two ticks of one global atomic clock, yielding an
 //! invocation/response event pair with a total order on events. Two
 //! operations are *concurrent* exactly when their `[invoked, returned]`
@@ -13,8 +13,7 @@
 //! still run concurrently between their ticks). The schedule-perturbation
 //! injector compensates for any race-masking the extra fence introduces.
 
-use cbtree_btree::BatchOp;
-pub use cbtree_btree::ConcurrentMap;
+use cbtree_btree::{BatchOp, ConcurrentBTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One map operation (the checker's alphabet).
@@ -69,15 +68,9 @@ impl Clock {
     }
 }
 
-/// Applies `op` to `map` (anything speaking the `cbtree-btree`
-/// [`ConcurrentMap`] interface — the real tree, whatever its protocol,
-/// or a deliberately buggy wrapper), bracketing it with clock ticks.
-pub fn record<M: ConcurrentMap<u64> + ?Sized>(
-    map: &M,
-    clock: &Clock,
-    thread: usize,
-    op: Op,
-) -> OpRecord {
+/// Applies `op` to `map`, whatever its protocol, bracketing it with
+/// clock ticks.
+pub fn record(map: &ConcurrentBTree<u64>, clock: &Clock, thread: usize, op: Op) -> OpRecord {
     let invoked = clock.tick();
     let ret = match op {
         Op::Get(k) => map.get(&k),
@@ -95,7 +88,7 @@ pub fn record<M: ConcurrentMap<u64> + ?Sized>(
 }
 
 /// Applies `ops` to `map` as **one sorted batch** through
-/// [`ConcurrentMap::execute_batch`], bracketing the whole batch with a
+/// [`ConcurrentBTree::execute_batch`], bracketing the whole batch with a
 /// single tick pair and appending one [`OpRecord`] per operation (in
 /// submission order, with per-op results) to `out`.
 ///
@@ -107,8 +100,8 @@ pub fn record<M: ConcurrentMap<u64> + ?Sized>(
 /// checks the *results* the tree reported — a batch that applied
 /// same-key ops out of submission order returns previous-values no
 /// sequential witness can explain, and the checker convicts it.
-pub fn record_batch<M: ConcurrentMap<u64> + ?Sized>(
-    map: &M,
+pub fn record_batch(
+    map: &ConcurrentBTree<u64>,
     clock: &Clock,
     thread: usize,
     ops: &[Op],

@@ -1,4 +1,4 @@
-//! The stress harness: drive N recording threads over a shared map with
+//! The stress harness: drive N recording threads over a shared tree with
 //! a reproducible workload (optionally under schedule-perturbation
 //! injection), then check linearizability and run the structural
 //! auditors on the quiesced tree.
@@ -8,7 +8,7 @@
 //! perturbation decisions: `stress --replay SEED` in the binary.
 
 use crate::audit::{audit, audit_with_contents, AuditReport};
-use crate::history::{record, record_batch, Clock, ConcurrentMap, History, Op};
+use crate::history::{record, record_batch, Clock, History, Op};
 use crate::linearize::{check_history, CheckConfig, Verdict};
 use cbtree_btree::{ConcurrentBTree, Protocol};
 use cbtree_sync::inject;
@@ -88,7 +88,7 @@ pub struct StressOutcome {
     /// The linearizability verdict.
     pub verdict: Verdict,
     /// Structural-audit result (`Err` = invariant violation).
-    pub audit: Option<Result<AuditReport, String>>,
+    pub audit: Result<AuditReport, String>,
     /// Total recorded operations.
     pub ops: usize,
     /// Perturbations performed (zeros when injection was off).
@@ -98,7 +98,7 @@ pub struct StressOutcome {
 impl StressOutcome {
     /// Whether the run found no problem.
     pub fn passed(&self) -> bool {
-        self.verdict.passed() && !matches!(&self.audit, Some(Err(_)))
+        self.verdict.passed() && self.audit.is_ok()
     }
 
     /// Human-readable failure description, if any.
@@ -110,7 +110,7 @@ impl StressOutcome {
             Verdict::Inconclusive => return Some("checker ran out of budget".into()),
             _ => {}
         }
-        if let Some(Err(e)) = &self.audit {
+        if let Err(e) = &self.audit {
             return Some(format!("structural audit failed: {e}"));
         }
         None
@@ -127,17 +127,10 @@ fn mix(stream_seed: u64, t: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the stress protocol against the canonical tree for
-/// `cfg.protocol`.
+/// Runs the stress protocol against a fresh tree for `cfg.protocol`.
 pub fn run_stress(cfg: &StressConfig) -> StressOutcome {
-    let tree = ConcurrentBTree::new(cfg.protocol, cfg.capacity);
-    run_stress_on(&tree, cfg)
-}
-
-/// Runs the stress protocol against an arbitrary [`ConcurrentMap`] —
-/// used by tests to prove deliberately buggy implementations are caught.
-pub fn run_stress_on<M: ConcurrentMap<u64>>(map: &M, cfg: &StressConfig) -> StressOutcome {
     let _serial = RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let map = &ConcurrentBTree::new(cfg.protocol, cfg.capacity);
     // Deterministic prefill: evenly spread keys, value = key.
     let mut init: Vec<(u64, u64)> = Vec::with_capacity(cfg.prefill);
     if cfg.prefill > 0 {
@@ -209,18 +202,15 @@ pub fn run_stress_on<M: ConcurrentMap<u64>>(map: &M, cfg: &StressConfig) -> Stre
     let verdict = check_history(&history, cfg.check);
 
     // Workers are joined, so the tree is quiescent: audit structure, and
-    // when the verdict pinned down a final state, contents too. Every
-    // map speaks the full `ConcurrentMap` interface now (buggy wrappers
-    // included — their *structure* is sound, only their reads race), so
-    // the audit always runs.
-    let audit_result = Some(match &verdict {
+    // when the verdict pinned down a final state, contents too.
+    let audit = match &verdict {
         Verdict::Linearizable { final_state } => audit_with_contents(map, final_state),
         _ => audit(map),
-    });
+    };
 
     StressOutcome {
         verdict,
-        audit: audit_result,
+        audit,
         ops,
         inject_stats,
     }

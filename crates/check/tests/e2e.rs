@@ -1,18 +1,20 @@
 //! End-to-end correctness-pillar tests: the real protocols (the paper's
 //! three plus OLC) survive perturbed stress with a linearizable verdict
-//! and clean audits, and the deliberately broken readers — latched and
-//! optimistic — are each convicted, with the convicting seed replayable.
+//! and clean audits, and a directed slot-recycling race on a real OLC
+//! tree stays linearizable. The planted bugs that must fail these checks
+//! live in `crates/check/mutants/`.
 
-use cbtree_btree::Protocol;
-use cbtree_check::buggy::{run_recycle_conviction, SkipParentRevalidation, SkipRightLink};
-use cbtree_check::stress::{run_stress, run_stress_on, StressConfig};
-use cbtree_check::{ConcurrentMap, Verdict};
+use cbtree_btree::{ConcurrentBTree, Protocol};
+use cbtree_check::history::{record, Clock, History, Op};
+use cbtree_check::stress::{run_stress, StressConfig};
+use cbtree_check::{audit_with_contents, check_history, CheckConfig, Verdict};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Serializes the tests in this binary. Each stress run spawns 8 worker
-/// threads and the convictions are timing-sensitive (the planted bugs
-/// race a split against a reader's descent window); running the tests
-/// concurrently triples the thread pressure and starves those windows
+/// threads, and the recycle scenario's reader must park before its
+/// writer starts; running the tests concurrently starves those windows
 /// of the interleavings they need.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -46,8 +48,9 @@ fn real_protocols_are_linearizable_under_perturbed_stress() {
                 "{protocol:?} seed {seed}: expected full linearizability, got {:?}",
                 out.verdict
             );
-            let audit = out.audit.expect("real trees are auditable");
-            let report = audit.unwrap_or_else(|e| panic!("{protocol:?} seed {seed}: {e}"));
+            let report = out
+                .audit
+                .unwrap_or_else(|e| panic!("{protocol:?} seed {seed}: {e}"));
             assert!(
                 report.nodes_per_level.len() >= 2,
                 "{protocol:?}: stress should grow a multi-level tree"
@@ -56,109 +59,127 @@ fn real_protocols_are_linearizable_under_perturbed_stress() {
     }
 }
 
-/// Scans `seeds` for one whose conviction of the planted bug *replays*:
-/// after the checker convicts, the same seed must convict again within
-/// `replays` re-runs. The perturbation decision stream and the workload
-/// are pure functions of the seed, so a re-run re-applies identical
-/// schedule pressure — but OS timing retains some slack (especially on
-/// loaded or single-core hosts), so a conviction can land once through
-/// scheduler luck on a seed whose pressure is only marginal. Such a
-/// seed is disqualified and the scan moves on: the property under test
-/// is the existence of a *replayable* convicting seed, which is what
-/// makes the planted bug a usable regression target.
-fn find_replayable_conviction<M: ConcurrentMap<u64>>(
-    make_map: impl Fn() -> M,
-    protocol: Protocol,
-    seeds: std::ops::RangeInclusive<u64>,
-    replays: usize,
-) -> u64 {
-    let mut convictions = 0u32;
-    for seed in seeds.clone() {
-        let out = run_stress_on(&make_map(), &shape(protocol, seed));
-        let Verdict::Violation(w) = &out.verdict else {
-            continue;
-        };
-        // Witness must be about the stale read: a Get whose key history
-        // cannot justify its response.
-        assert!(
-            !w.render().is_empty() && !w.key_trace.is_empty(),
-            "witness should carry the per-key trace"
-        );
-        // Writes delegate to the sound tree, so structure stays clean —
-        // only the linearizability checker can see a read-path bug.
-        out.audit
-            .expect("auditable")
-            .unwrap_or_else(|e| panic!("audit should stay clean: {e}"));
-        convictions += 1;
-        let replayed = (0..replays).any(|_| {
-            let out = run_stress_on(&make_map(), &shape(protocol, seed));
-            matches!(out.verdict, Verdict::Violation(_))
-        });
-        if replayed {
-            return seed;
-        }
-        // Marginal conviction: keep scanning rather than betting the
-        // test on a fluke.
+/// Races one reader against the slot recycling a stale leaf handle would
+/// miss, on a real OLC tree whose writer vacuums after every remove, and
+/// returns the checker's verdict together with the number of slots the
+/// vacuum passes reclaimed. On the sound engine the verdict is always
+/// linearizable; `mutants/skip-generation-check.patch` removes the
+/// generation check and opens the reader's window, and must be convicted.
+///
+/// Random stress essentially never convicts that bug, and for an
+/// instructive reason: a leaf only recycles once it *drains*, and by then
+/// the drained keys — the one being read included — are absent, so a
+/// stale `None` is linearizable. The convicting sequence is compound: a
+/// split first moves the read key `K` *right*, out of the held leaf, then
+/// the leaf's remnant empties and is vacuumed, all inside one reader's
+/// unlatched window, while `K` itself is never touched. Two subtleties
+/// shape the setup:
+///
+/// * a split moves `K` rightward only when `K` sits in the *upper* half
+///   of the overflowing leaf, so `K` must not be its leaf's minimum — and
+///   once a split picks `K` as a separator it stays a leaf minimum for
+///   good. Hence `K` sits *between* prefill keys, and the scenario is
+///   one-shot per tree (each attempt builds a fresh tree);
+/// * vacuum never reclaims a parent's first child, so `K`'s leaf must not
+///   be one of those slots; the ascending prefill pins the layout.
+///
+/// The reader descends to `K`'s leaf and (on the mutant) parks in its
+/// window; the writer waits a beat, force-splits `K`'s leaf by filling it
+/// from below (`K` ends in the new right sibling, the held slot keeps the
+/// left remnant), then drains every key but `K`. `K` is present from
+/// prefill to teardown and no write targets it, so any `Get(K) → None`
+/// is unjustifiable under every linearization.
+fn recycle_race() -> (Verdict, usize) {
+    // Prefill 0, 8, …, 120 builds (capacity 3) leaves on multiple-of-8
+    // separators; 84 enters the reclaimable leaf covering [80, 96) as a
+    // non-minimum, non-separator tenant, so the fillers 81..84 land
+    // beside it and the first overflow sends it right.
+    const K: u64 = 84;
+    let tree = ConcurrentBTree::new(Protocol::Olc, 3);
+    let mut init: Vec<(u64, u64)> = (0..16u64).map(|i| (i * 8, i * 8)).collect();
+    init.push((K, K));
+    for &(k, v) in &init {
+        tree.insert(k, v);
     }
-    panic!(
-        "no replayable conviction in seeds {seeds:?} \
-         ({convictions} marginal conviction(s) that never replayed)"
-    );
-}
 
-#[test]
-fn buggy_reader_is_caught_and_its_seed_replays() {
-    let _serial = serial();
-    // The bug's race window is wide (the wrapper spins between leaf
-    // choice and read), so a replayable conviction comes within a few
-    // seeds.
-    let seed = find_replayable_conviction(|| SkipRightLink::new(4), Protocol::BLink, 1..=12, 3);
-    assert!(seed >= 1);
-}
-
-#[test]
-fn buggy_olc_reader_is_caught_and_its_seed_replays() {
-    let _serial = serial();
-    // Same conviction discipline for the optimistic planted bug: the
-    // wrapper's link-free descent spins between the parent's routing
-    // decision and the child read, so a split landing in that window
-    // moves the key sideways and only the skipped parent re-validation
-    // could have caught it. The OLC window is narrower than the b-link
-    // one (the split must land between routing and the child read, not
-    // merely before a latched read), so OS timing slack gets more
-    // replay attempts here.
-    let seed =
-        find_replayable_conviction(|| SkipParentRevalidation::new(4), Protocol::Olc, 1..=16, 6);
-    assert!(seed >= 1);
-}
-
-#[test]
-fn recycling_blind_reader_is_caught_by_directed_scenario() {
-    let _serial = serial();
-    // The slot-recycling bug needs its directed scenario (random stress
-    // can't convict it: by the time a leaf drains naturally, the read
-    // key drained with it, and the buggy `None` is linearizable). The
-    // scenario is near-deterministic — the reader parks in its window
-    // before the writer starts — but it races real threads, so allow a
-    // few attempts before declaring the pillar toothless.
-    let caught = (0..5).any(|_| {
-        let out = run_recycle_conviction();
-        if let Verdict::Violation(w) = &out.verdict {
-            assert!(
-                !w.key_trace.is_empty(),
-                "witness should carry the per-key trace"
-            );
-            // Writes delegate to the sound tree: structure stays clean.
-            out.audit
-                .expect("auditable")
-                .unwrap_or_else(|e| panic!("audit should stay clean: {e}"));
-            true
-        } else {
-            false
-        }
+    let clock = Clock::new();
+    let done = AtomicBool::new(false);
+    let reclaimed = AtomicUsize::new(0);
+    let batches = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                let r = record(&tree, &clock, 0, Op::Get(K));
+                let missed = r.ret.is_none();
+                out.push(r);
+                if missed {
+                    break; // one stale read convicts
+                }
+            }
+            done.store(true, Ordering::Release);
+            out
+        });
+        let writer = s.spawn(|| {
+            let mut out = Vec::new();
+            let remove = |out: &mut Vec<_>, k| {
+                out.push(record(&tree, &clock, 1, Op::Remove(k)));
+                reclaimed.fetch_add(tree.vacuum(), Ordering::Relaxed);
+            };
+            // Let the reader reach K's leaf and park: its descent takes
+            // microseconds, this pause a millisecond. A pause, not a
+            // barrier, because the window is inside the engine's `get`,
+            // where the test has no hook to signal from.
+            std::thread::sleep(Duration::from_millis(1));
+            // Overflow K's leaf from below: the first filler splits
+            // {80, K, 88} into {80, 81}, the slot the reader holds, and a
+            // fresh right sibling {K, 88}.
+            for f in [K - 3, K - 2, K - 1] {
+                out.push(record(&tree, &clock, 1, Op::Insert(f, f)));
+            }
+            // Drain everything but K, vacuuming after each remove, so the
+            // held remnant recycles the moment it empties; nothing
+            // allocates afterwards, so the slot stays a placeholder.
+            for f in [K - 3, K - 2, K - 1] {
+                remove(&mut out, f);
+            }
+            for &(k, _) in &init {
+                if k != K {
+                    remove(&mut out, k);
+                }
+            }
+            // Hold still until the reader has taken its reads.
+            while !done.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            out
+        });
+        vec![reader.join().unwrap(), writer.join().unwrap()]
     });
-    assert!(
-        caught,
-        "directed recycle scenario never convicted the generation-skipping reader"
+
+    let verdict = check_history(
+        &History::from_threads(init, batches),
+        CheckConfig::default(),
     );
+    if let Verdict::Linearizable { final_state } = &verdict {
+        audit_with_contents(&tree, final_state).unwrap_or_else(|e| panic!("audit: {e}"));
+    }
+    (verdict, reclaimed.into_inner())
+}
+
+#[test]
+fn reads_across_slot_recycling_stay_linearizable() {
+    let _serial = serial();
+    // The race is near-deterministic on a mutant (its reader parks before
+    // the writer starts), but it races real threads, so five attempts.
+    for attempt in 1..=5 {
+        let (verdict, reclaimed) = recycle_race();
+        assert!(
+            reclaimed > 0,
+            "attempt {attempt}: the drain recycled no slot, so the race never ran"
+        );
+        assert!(
+            matches!(verdict, Verdict::Linearizable { .. }),
+            "attempt {attempt}: a read across slot recycling convicted: {verdict:?}"
+        );
+    }
 }
