@@ -236,10 +236,16 @@ impl<V, const W: usize> Segments<V, W> {
         Segments(std::array::from_fn(|_| OnceLock::new()))
     }
 
+    /// Slot `off` of segment `k`; `None` when no initialized segment
+    /// has it.
+    fn get(&self, k: usize, off: usize) -> Option<&Slot<V>> {
+        let slot: &Slot<V> = self.0.get(k)?.get()?.get(off)?;
+        Some(slot)
+    }
+
     fn slot(&self, k: usize, off: usize) -> &Slot<V> {
-        &self.0[k]
-            .get()
-            .expect("slot index within an initialized segment")[off]
+        self.get(k, off)
+            .expect("slot index within an initialized segment")
     }
 
     fn slot_mut(&mut self, k: usize, off: usize) -> &mut Slot<V> {
@@ -366,6 +372,18 @@ impl<V> Arena<V> {
         on_class!(&self.spine, segs => segs.slot(k, off))
     }
 
+    /// Requests slot `idx`'s cache lines — generation, lock word, node
+    /// header, keys and child ids — ahead of the latch and the search
+    /// (see [`cbtree_sync::prefetch`]). An index no initialized segment
+    /// holds requests nothing: unlike [`Arena::slot`], this cannot panic.
+    #[inline]
+    fn prefetch(&self, idx: u32) {
+        let (k, off) = locate(idx);
+        if let Some(slot) = on_class!(&self.spine, segs => segs.get(k, off)) {
+            cbtree_sync::prefetch(slot);
+        }
+    }
+
     /// Takes a fresh or recycled slot and returns it exclusively
     /// latched, holding an empty node at `level` for the caller to build
     /// in place; the node is published when the guard drops. The install
@@ -461,8 +479,11 @@ impl<V> Arena<V> {
     }
 
     /// A handle for `id` in this arena (no liveness check — a stale id
-    /// yields a handle whose [`NodeRef::stale`] is true).
+    /// yields a handle whose [`NodeRef::stale`] is true). Forming it
+    /// requests the slot's cache lines, so the latch and the node search
+    /// that follow wait on one memory round trip, not a chain of them.
     pub fn at(&self, id: NodeId) -> NodeRef<'_, V> {
+        self.prefetch(id.idx);
         NodeRef { arena: self, id }
     }
 
@@ -550,8 +571,10 @@ impl<'a, V> NodeRef<'a, V> {
         self.arena.at(id)
     }
 
-    /// Rebinds this handle to `id` in place — the descent step.
+    /// Rebinds this handle to `id` in place — the descent step —
+    /// requesting the slot's lines as [`Arena::at`] does.
     pub fn goto(&mut self, id: NodeId) {
+        self.arena.prefetch(id.idx);
         self.id = id;
     }
 
@@ -667,7 +690,8 @@ macro_rules! impl_arena_guard {
 
             /// A crab step: `next`, granted while this latch is still
             /// held, becomes the held guard, and this latch releases with
-            /// its hold ending at `next`'s grant (one stamp for the
+            /// its hold ending where `next`'s starts — just before its
+            /// acquire, or at its grant if it queued (one stamp for the
             /// step).
             pub fn crab_to(&mut self, next: Self) {
                 let prev = std::mem::replace(self, next);
@@ -853,6 +877,37 @@ mod tests {
         for (k, h) in handles.iter().enumerate() {
             assert_eq!(h.read().leaf_get(k as u64), Some(&(k as u64)));
         }
+    }
+
+    #[test]
+    fn handles_prefetch_without_panicking_on_any_index() {
+        let arena: Arena<u64> = Arena::new(8);
+        // 100 slots take segments 0 and 1 (64 + 128 slots).
+        let ids: Vec<NodeId> = (0..100).map(|_| arena.alloc(1).id()).collect();
+        let top = NodeId { idx: 191, gen: 0 };
+        let unmade = NodeId { idx: 192, gen: 0 };
+        let last = NodeId {
+            idx: u32::MAX,
+            gen: 0,
+        };
+        let retired = ids[7];
+        let mut g = arena.at(retired).write_guard();
+        arena.retire(&mut g);
+        drop(g);
+        arena.recycle(retired);
+        for id in [top, retired, unmade, last] {
+            let mut h = arena.at(ids[0]);
+            h.goto(id);
+            assert_eq!(arena.at(id).id(), h.id());
+        }
+        assert!(arena.at(retired).stale());
+        assert!(!arena.at(top).stale(), "an initialized, never used slot");
+        let resolve =
+            std::panic::AssertUnwindSafe(|| arena.slot(unmade.idx).gen.load(Ordering::Relaxed));
+        assert!(
+            std::panic::catch_unwind(resolve).is_err(),
+            "resolving a slot no segment holds still panics"
+        );
     }
 
     #[test]

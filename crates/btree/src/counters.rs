@@ -358,6 +358,11 @@ impl LockSink for StripeSink<'_> {
     }
 
     #[inline]
+    fn times_every_grant(&self) -> bool {
+        self.counters.sample_shift == 0
+    }
+
+    #[inline]
     fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64) {
         let row = &self.stripe.levels[level_index(usize::from(tag))];
         row.hold_ticks[usize::from(exclusive)]

@@ -372,10 +372,14 @@ impl<V> ConcurrentBTree<V> {
     //
     // Every counted acquisition reports to `self.counters`, at the level
     // the node's lock is tagged with. Every descent pays one stamp (a
-    // time-stamp-counter read) per latch step (exact lock statistics): a
-    // link step releases and then acquires carrying the release's stamp,
-    // a crab step ends the parent's hold at the child's grant
-    // (`crab_to`). See `cbtree_sync`'s hand-over docs.
+    // time-stamp-counter read) per latch step (exact lock statistics),
+    // read before the step's acquire, never after its CAS: a link step
+    // releases and then acquires carrying the release's stamp, a crab
+    // step ends the parent's hold where the child's starts (`crab_to`).
+    // The handle a step latches came from `Arena::at` or
+    // `NodeRef::goto`, which requested the slot's lines, so the lock
+    // word, header and keys arrive in one memory round trip. See
+    // `cbtree_sync`'s hand-over docs.
     // ------------------------------------------------------------------
 
     /// The sink counted acquisitions report to.
@@ -683,7 +687,7 @@ impl<V> ConcurrentBTree<V> {
             let child_guard = self.crab_write(child, probe)?;
             if !retain_all && !is_unsafe(&child_guard) {
                 // The child is safe: release every ancestor, their holds
-                // ending at the child's grant.
+                // ending where the child's starts.
                 let end = child_guard.hold_start();
                 for g in held.drain(..) {
                     g.release(end);

@@ -151,8 +151,18 @@ impl<V> Node<V> {
             .expect("child_for on a leaf")
     }
 
+    /// Requests the value run's cache lines, so a leaf's value miss
+    /// overlaps its key scan instead of following it (see
+    /// [`cbtree_sync::prefetch`]). The run is empty on internal nodes,
+    /// and never longer than the `cap + 1` values its buffer holds.
+    #[inline]
+    fn prefetch_vals(&self) {
+        cbtree_sync::prefetch(self.vals.as_slice());
+    }
+
     /// Leaf lookup (`None` on internal nodes, which hold no values).
     pub fn leaf_get(&self, key: u64) -> Option<&V> {
+        self.prefetch_vals();
         let i = self.find(key).ok()?;
         self.vals.get(i)
     }
@@ -179,6 +189,7 @@ impl<V> Node<V> {
         key: u64,
         val: V,
     ) -> Option<V> {
+        self.prefetch_vals();
         let pos = match at {
             Ok(i) => return Some(std::mem::replace(&mut self.vals[i], val)),
             Err(i) => i,
@@ -194,6 +205,7 @@ impl<V> Node<V> {
 
     /// Leaf removal; returns the value if the key existed.
     pub fn leaf_remove(&mut self, key: u64) -> Option<V> {
+        self.prefetch_vals();
         let i = self.find(key).ok()?;
         self.remove_key(i);
         Some(self.vals.remove(i))

@@ -73,18 +73,27 @@
 //!
 //! Holds are timed with [`Stamp`]s — raw time-stamp-counter readings,
 //! reported to the sink in ticks (see [`crate::Stamp`] for the clock and
-//! its precision). A descent that moves from latch to latch need not
-//! read the clock twice per latch. Releasing through
-//! [`RwLockReadGuard::release`] returns the stamp that ended the hold,
-//! and an acquisition through [`FcfsRwLock::read_after`] carries it as
-//! the next hold's start (link order: release, then acquire). In crab
-//! order (child granted before the parent releases) the child's grant
-//! stamp, its [`RwLockReadGuard::hold_start`], is passed to the parent's
-//! `release` as its end. Either way a chain of `k` latches reads the
-//! clock `k + 1` times, and its hold ticks telescope to the chain's last
-//! release minus its first grant. A contended grant still reads the
-//! clock at the grant: that stamp ends the wait and starts the hold, so
-//! queueing is timed as wait and never also as hold.
+//! its precision). One rule places them: a timed uncontended hold runs
+//! from just before its own acquire to just before its release. For a
+//! sink that times every grant ([`LockSink::times_every_grant`]) the
+//! start is read ahead of the acquire's CAS; read after it, the clock
+//! would wait for the lock word's cache miss and hold the loads of the
+//! guarded data behind it. A sampled sink learns at the grant whether it
+//! times the hold, so a sampled hold starts just after its acquire.
+//!
+//! A descent that moves from latch to latch need not read the clock
+//! twice per latch. Releasing through [`RwLockReadGuard::release`]
+//! returns the stamp that ended the hold, and an acquisition through
+//! [`FcfsRwLock::read_after`] carries it as the next hold's start (link
+//! order: release, then acquire). In crab order (child requested while
+//! the parent is held) the child's start, its
+//! [`RwLockReadGuard::hold_start`], is passed to the parent's `release`
+//! as its end. Either way a chain of `k` latches reads the clock `k + 1`
+//! times, and its hold ticks telescope to the chain's last release minus
+//! its first request. A queued grant reads the clock at the grant: that
+//! stamp ends the wait and starts the hold, so queueing is timed as wait
+//! and never also as hold (in crab order the parent, held through the
+//! child's wait, releases at that grant).
 
 use crate::stamp::Stamp;
 use crate::stats::{LockSink, LockStats, SamplePeriod};
@@ -363,12 +372,13 @@ unsafe impl<T: ?Sized + Send> Send for Latch<T> {}
 unsafe impl<T: ?Sized + Send + Sync> Sync for Latch<T> {}
 
 impl<T: ?Sized> Latch<T> {
-    /// Emits one latch trace event for this lock. The `enabled` check
-    /// runs before anything else, so while tracing is off the tag load
-    /// and address cast feeding the event are not paid either.
+    /// Emits one latch trace event for this lock when `traced` (the
+    /// caller's one load of [`cbtree_obs::trace::enabled`]), so while
+    /// tracing is off the tag load and address cast feeding the event
+    /// are not paid either.
     #[inline(always)]
-    fn trace_latch(&self, kind: EventKind, exclusive: bool) {
-        if cbtree_obs::trace::enabled() {
+    fn trace_latch(&self, traced: bool, kind: EventKind, exclusive: bool) {
+        if traced {
             cbtree_obs::trace::latch(
                 kind,
                 self.tag.load(Ordering::Relaxed),
@@ -380,8 +390,10 @@ impl<T: ?Sized> Latch<T> {
 
     /// Acquires in the given mode and reports the grant to `sink`.
     /// Returns the lock's tag at the grant and, when the sink times this
-    /// hold, its start: `carried` (no clock read) or a fresh stamp for
-    /// an uncontended grant, the grant itself for a queued one.
+    /// hold, its start: `carried` (no clock read); for an uncontended
+    /// grant, a stamp read just before the acquire's CAS when the sink
+    /// times every grant and at the grant otherwise; for a queued one,
+    /// the grant itself.
     fn start<K: LockSink>(
         &self,
         sink: &K,
@@ -393,20 +405,24 @@ impl<T: ?Sized> Latch<T> {
         } else {
             crate::inject::Site::AcquireShared
         });
-        self.trace_latch(EventKind::LatchRequest, exclusive);
+        let traced = cbtree_obs::trace::enabled();
+        self.trace_latch(traced, EventKind::LatchRequest, exclusive);
+        // Before the CAS: read after it, the clock would wait for the
+        // lock word's miss. A grant that queues discards this stamp.
+        let requested = carried.or_else(|| sink.times_every_grant().then(Stamp::now));
         let queued = if self.raw.try_acquire_fast(exclusive) {
             None
         } else {
             self.raw.acquire_slow(exclusive)
         };
-        self.trace_latch(EventKind::LatchGrant, exclusive);
+        self.trace_latch(traced, EventKind::LatchGrant, exclusive);
         // Read under the latch: an owner that retags does so inside an
         // exclusive section, so the tag is the one this grant sees.
         let tag = self.tag.load(Ordering::Relaxed);
         let timed = sink.granted(tag, exclusive, queued.as_ref().map(|q| q.wait_ns));
         let start = timed.then(|| match queued {
             Some(q) => q.granted,
-            None => carried.unwrap_or_else(Stamp::now),
+            None => requested.unwrap_or_else(Stamp::now),
         });
         (tag, start)
     }
@@ -415,21 +431,26 @@ impl<T: ?Sized> Latch<T> {
     /// uncontended fast path: fails whenever the holder bits are
     /// incompatible *or* any waiter is queued, and never joins the queue
     /// itself. Only a success is reported, so failed probes do not skew
-    /// acquire counts or sampling.
+    /// acquire counts or sampling. A timed hold starts as in
+    /// [`Latch::start`]'s uncontended case (a refused probe for a sink
+    /// that times every grant has read the clock for nothing).
     fn try_start<K: LockSink>(&self, sink: &K, exclusive: bool) -> Option<(u16, Option<Stamp>)> {
         crate::inject::perturb(if exclusive {
             crate::inject::Site::AcquireExclusive
         } else {
             crate::inject::Site::AcquireShared
         });
+        let requested = sink.times_every_grant().then(Stamp::now);
         if !self.raw.try_acquire_fast(exclusive) {
             return None;
         }
         // Successful probe: request and grant coincide (zero wait).
-        self.trace_latch(EventKind::LatchRequest, exclusive);
-        self.trace_latch(EventKind::LatchGrant, exclusive);
+        let traced = cbtree_obs::trace::enabled();
+        self.trace_latch(traced, EventKind::LatchRequest, exclusive);
+        self.trace_latch(traced, EventKind::LatchGrant, exclusive);
         let tag = self.tag.load(Ordering::Relaxed);
-        Some((tag, sink.granted(tag, exclusive, None).then(Stamp::now)))
+        let timed = sink.granted(tag, exclusive, None);
+        Some((tag, timed.then(|| requested.unwrap_or_else(Stamp::now))))
     }
 
     /// Ends a hold: a timed one is reported to `sink`, ending at `end`
@@ -457,7 +478,11 @@ impl<T: ?Sized> Latch<T> {
     fn release(&self, exclusive: bool) {
         // Emit before the release itself so the hold window closes while
         // the latch is still held.
-        self.trace_latch(EventKind::LatchRelease, exclusive);
+        self.trace_latch(
+            cbtree_obs::trace::enabled(),
+            EventKind::LatchRelease,
+            exclusive,
+        );
         self.raw.release(exclusive);
         crate::inject::perturb(crate::inject::Site::Release);
     }
@@ -1235,6 +1260,150 @@ mod tests {
             })
             .sum();
         assert_eq!(held, t1.ticks_since(t0));
+    }
+
+    /// Σ hold ticks, both modes, over `locks`.
+    fn hold_ticks(locks: &[FcfsRwLock<()>]) -> u64 {
+        locks
+            .iter()
+            .map(|l| {
+                let s = l.stats();
+                s.r_hold_ticks.load(Ordering::Relaxed) + s.w_hold_ticks.load(Ordering::Relaxed)
+            })
+            .sum()
+    }
+
+    /// An exact sink that stamps each grant as the lock reports it,
+    /// which is after the acquire's CAS.
+    #[derive(Default)]
+    struct GrantStamps(std::sync::Mutex<Vec<Stamp>>);
+
+    impl LockSink for GrantStamps {
+        fn granted(&self, _: u16, _: bool, _: Option<u64>) -> bool {
+            self.0.lock().unwrap().push(Stamp::now());
+            true
+        }
+        fn times_every_grant(&self) -> bool {
+            true
+        }
+        fn released(&self, _: u16, _: bool, _: u64) {}
+    }
+
+    #[test]
+    fn an_exact_hold_starts_before_its_acquire() {
+        let lock = FcfsRwLock::with_sink((), ());
+        let grants = GrantStamps::default();
+        // One guard at a time: each drops before the next request.
+        let r = lock.read_to(&grants, None);
+        let mut starts = vec![RwLockReadGuard::hold_start(&r)];
+        drop(r);
+        let w = lock.write_to(&grants, None);
+        starts.push(RwLockWriteGuard::hold_start(&w));
+        drop(w);
+        starts.push(
+            lock.try_read_to(&grants)
+                .and_then(|g| RwLockReadGuard::hold_start(&g)),
+        );
+        starts.push(
+            lock.try_write_to(&grants)
+                .and_then(|g| RwLockWriteGuard::hold_start(&g)),
+        );
+        let granted = grants.0.into_inner().unwrap();
+        assert_eq!(granted.len(), starts.len());
+        for (start, grant) in starts.into_iter().zip(granted) {
+            let start = start.expect("the sink times every grant");
+            assert!(
+                start <= grant,
+                "hold started at {start:?}, granted at {grant:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn crab_and_link_chains_telescope_from_the_first_request() {
+        // Crab order: each latch is requested while the previous one is
+        // held, and the previous one releases at the new hold's start.
+        let locks: Vec<FcfsRwLock<()>> = (0..4).map(|_| FcfsRwLock::new(())).collect();
+        let before = Stamp::now();
+        let mut held = locks[0].write();
+        let t0 = RwLockWriteGuard::hold_start(&held).expect("exact timing");
+        for lock in &locks[1..] {
+            let prev = std::mem::replace(&mut held, lock.write());
+            RwLockWriteGuard::release(prev, RwLockWriteGuard::hold_start(&held));
+        }
+        let t1 = RwLockWriteGuard::release(held, None).expect("exact timing");
+        assert!(before <= t0);
+        assert_eq!(hold_ticks(&locks), t1.ticks_since(t0));
+
+        // Link order: release, then request the next carrying the stamp.
+        let locks: Vec<FcfsRwLock<()>> = (0..4).map(|_| FcfsRwLock::new(())).collect();
+        let first = locks[0].read();
+        let t0 = RwLockReadGuard::hold_start(&first).expect("exact timing");
+        let mut carried = RwLockReadGuard::release(first, None);
+        for lock in &locks[1..] {
+            let next = lock.read_after(carried);
+            assert_eq!(RwLockReadGuard::hold_start(&next), carried);
+            carried = RwLockReadGuard::release(next, None);
+        }
+        let t1 = carried.expect("exact timing");
+        assert_eq!(hold_ticks(&locks), t1.ticks_since(t0));
+    }
+
+    #[test]
+    fn a_queued_crab_child_starts_its_hold_at_its_grant_and_ends_its_parents() {
+        let (parent, child) = (FcfsRwLock::new(()), FcfsRwLock::new(()));
+        let blocker = child.write();
+        let (t0, grant, t1) = std::thread::scope(|s| {
+            let crab = s.spawn(|| {
+                let p = parent.read();
+                let t0 = RwLockReadGuard::hold_start(&p).expect("exact timing");
+                let c = child.read(); // queues behind `blocker`
+                let grant = RwLockReadGuard::hold_start(&c).expect("exact timing");
+                RwLockReadGuard::release(p, Some(grant));
+                let t1 = RwLockReadGuard::release(c, None).expect("exact timing");
+                (t0, grant, t1)
+            });
+            while child.queued() == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            drop(blocker);
+            crab.join().unwrap()
+        });
+        let snap = child.stats().snapshot();
+        assert_eq!(snap.r_contended, 1);
+        assert!(
+            snap.r_wait_ns >= 1_000_000,
+            "the queueing is the child's wait"
+        );
+        assert!(
+            grant.ns_since(t0) >= 1_000_000,
+            "the parent is held through it"
+        );
+        let r_hold = |l: &FcfsRwLock<()>| l.stats().r_hold_ticks.load(Ordering::Relaxed);
+        assert_eq!(r_hold(&parent), grant.ticks_since(t0));
+        assert_eq!(r_hold(&child), t1.ticks_since(grant));
+    }
+
+    #[test]
+    fn an_untimed_grant_has_no_hold_start() {
+        let carried = Some(Stamp::now());
+        let silent = FcfsRwLock::with_sink((), ());
+        let r = silent.read_after(carried);
+        assert_eq!(RwLockReadGuard::hold_start(&r), None);
+        assert_eq!(RwLockReadGuard::release(r, None), None);
+        let w = silent.try_write().expect("free lock");
+        assert_eq!(RwLockWriteGuard::hold_start(&w), None);
+        drop(w);
+        // A 1-in-4 lock times grants 0 and 4 of these eight.
+        let sampled = FcfsRwLock::with_sampling((), SamplePeriod::every(4));
+        let timed: Vec<bool> = (0..8)
+            .map(|_| RwLockWriteGuard::hold_start(&sampled.write_after(carried)).is_some())
+            .collect();
+        assert_eq!(
+            timed,
+            [true, false, false, false, true, false, false, false]
+        );
     }
 
     #[test]

@@ -29,12 +29,14 @@
 //!   estimators stay unbiased;
 //! - holds are timed with [`Stamp`], a raw time-stamp-counter reading,
 //!   summed in ticks and converted to nanoseconds only when a snapshot
-//!   is built.
+//!   is built;
+//! - [`prefetch`] requests a value's cache lines ahead of its use, so
+//!   the B-tree asks for a node's lines before it latches the node.
 //!
 //! All `unsafe` in the workspace's locking layer is confined to this
-//! crate (the `UnsafeCell` data access behind the guards, and the
-//! counter read behind [`Stamp`]); the B-tree crate itself stays
-//! `#![deny(unsafe_code)]`.
+//! crate (the `UnsafeCell` data access behind the guards, the counter
+//! read behind [`Stamp`] and the prefetch hint); the B-tree crate itself
+//! stays `#![deny(unsafe_code)]`.
 //!
 //! The lock's acquire and release paths carry the injection points of
 //! [`inject`] — seeded schedule-perturbation fault injection used by the
@@ -48,11 +50,13 @@
 mod fcfs;
 mod histogram;
 pub mod inject;
+mod prefetch;
 mod stamp;
 mod stats;
 
 pub use fcfs::{FcfsRwLock, RwLockReadGuard, RwLockWriteGuard, UnownedWriteGuard};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use inject::{InjectConfig, InjectStats};
+pub use prefetch::prefetch;
 pub use stamp::Stamp;
 pub use stats::{LockSink, LockStats, LockStatsSnapshot, SamplePeriod};

@@ -16,8 +16,8 @@
 //!
 //! `rdtsc` is not ordered against the acquire's CAS, so a stamp may be
 //! taken a few nanoseconds before or after the instruction it stands
-//! for. That is within the "exact up to one uncontended acquire" caveat
-//! every handed-over hold already carries. The time-stamp counter is
+//! for. That is within the one acquire every timed hold already covers
+//! (a hold runs from just before its own acquire). The time-stamp counter is
 //! invariant and synchronised across cores on every x86_64 part this
 //! workspace targets; a stamp taken on one core may still read a few
 //! ticks behind an earlier one taken on another, so every difference

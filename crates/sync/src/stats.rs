@@ -16,24 +16,29 @@
 //!
 //! Holds are timed with [`Stamp`]s: an unordered time-stamp-counter
 //! read (≈ 24 ns on the reference VM, against ≈ 46 ns for
-//! `Instant::now`), still comparable to an uncontended acquisition
-//! itself. A lone acquisition pays two stamps (grant and release); a
-//! descent that hands one latch over to the next pays one per latch step
-//! plus one, because the stamp that ends one hold starts the next (see
-//! the lock's "hand-over" docs). That makes an exact hold sum exact up
-//! to one uncontended acquire (a CAS, roughly 10–20 ns) per hold: a
-//! handed-over hold starts just before its own acquire, or, in crab
-//! order, ends just after the child's. An unordered read may drift past
-//! the acquire's CAS by a few ns, which stays within that caveat. Sinks
-//! sum holds in raw ticks; a snapshot converts each sum to nanoseconds
-//! with the process's one calibrated ratio ([`Stamp::ticks_to_ns`]), so
-//! handed-over holds telescope exactly in ticks and convert once. Waits
-//! are unaffected: a contended grant reads the clock itself and reports
-//! its wait in nanoseconds.
+//! `Instant::now`). Where a reading sits costs more than the reading: one
+//! taken right after the acquire's CAS waits for the lock word's cache
+//! miss and holds the node's loads behind it. So a sink that times every
+//! grant has each hold's start read *before* the acquire, and every
+//! uncontended hold — lone, link or crab — runs from just before its own
+//! acquire to just before its release. A lone acquisition pays two
+//! stamps (request and release); a descent that hands one latch over to
+//! the next pays one per latch step plus one, because the stamp that
+//! ends one hold starts the next (see the lock's "hand-over" docs). An
+//! exact hold sum therefore covers each hold's own acquire — one
+//! uncontended CAS, a memory round trip when the lock word misses — and
+//! nothing more. Sinks sum holds in raw ticks; a snapshot converts each
+//! sum to nanoseconds with the process's one calibrated ratio
+//! ([`Stamp::ticks_to_ns`]), so handed-over holds telescope exactly in
+//! ticks and convert once. Waits are unaffected: a queued grant reads
+//! the clock itself, starts its hold there and reports its wait in
+//! nanoseconds.
 //!
 //! Duration measurement is optionally **1-in-N sampled** (see
 //! [`SamplePeriod`]), which never reads more clocks than exact timing
-//! of the same acquisitions would. Acquisition and contention
+//! of the same acquisitions would: the sink decides at the grant, so an
+//! untimed grant reads none and a sampled hold starts just after its
+//! acquire. Acquisition and contention
 //! *counts* are always exact; only the wait/hold *durations* are sampled.
 //! A sampled duration is added to the running sums as `dur × N`, which
 //! keeps every sum — and therefore `writer_utilization` and the mean-wait
@@ -98,6 +103,16 @@ pub trait LockSink {
     /// without queueing. Returns whether to time this hold.
     fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool;
 
+    /// Whether [`LockSink::granted`] returns `true` for every grant
+    /// (exact timing). The lock asks before it acquires: for such a sink
+    /// it reads an uncontended hold's start ahead of the acquire's CAS,
+    /// for any other it reads the clock only after a grant the sink
+    /// chose to time. The default, `false`, is always sound.
+    #[inline]
+    fn times_every_grant(&self) -> bool {
+        false
+    }
+
     /// A timed hold ended after `hold_ticks` [`Stamp`] ticks; `tag` and
     /// `exclusive` are its grant's.
     fn released(&self, tag: u16, exclusive: bool, hold_ticks: u64);
@@ -107,6 +122,11 @@ impl<S: LockSink + ?Sized> LockSink for &S {
     #[inline]
     fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
         (**self).granted(tag, exclusive, queued_ns)
+    }
+
+    #[inline]
+    fn times_every_grant(&self) -> bool {
+        (**self).times_every_grant()
     }
 
     #[inline]
@@ -121,6 +141,11 @@ impl<S: LockSink> LockSink for Option<S> {
     fn granted(&self, tag: u16, exclusive: bool, queued_ns: Option<u64>) -> bool {
         self.as_ref()
             .is_some_and(|s| s.granted(tag, exclusive, queued_ns))
+    }
+
+    #[inline]
+    fn times_every_grant(&self) -> bool {
+        self.as_ref().is_some_and(S::times_every_grant)
     }
 
     #[inline]
@@ -278,6 +303,11 @@ impl LockSink for LockStats {
             }
         }
         sampled
+    }
+
+    #[inline]
+    fn times_every_grant(&self) -> bool {
+        self.sample_shift == 0
     }
 
     #[inline]
