@@ -47,10 +47,10 @@
 //! recycled slot (a child is resolved under its parent's latch, and
 //! vacuum holds the parent exclusively before freeing a child), so only
 //! the paths that cross an **unlatched window** re-check the handle
-//! generation: the OLC descent (after version validation), the latched
-//! chase after an OLC locator, and the leaf-chain hops of range scans. A
-//! stale handle restarts the affected step; see [`crate::arena`] for why
-//! the generation check must follow, not precede, version validation.
+//! generation: the OLC descent and the OLC range walk (after version
+//! validation), and the leaf-chain hops of latched range scans. A stale
+//! handle restarts the affected step; see [`crate::arena`] for why the
+//! generation check must follow, not precede, version validation.
 //!
 //! # Deadlock freedom with retained transaction latches
 //!
@@ -73,7 +73,6 @@ use crate::arena::{Arena, InlineVec, NodeId, NodeRef, Sink, MAX_CAP};
 use crate::batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 use crate::counters::{OpCounters, OpCountersSnapshot, MAX_LEVELS};
 use crate::node::{check_invariants, make_root, split_node, Node};
-use crate::olc::OlcValue;
 use cbtree_btree_model::{Policy, Protocol, ReadPolicy, RecoveryMode, UpdatePolicy};
 use cbtree_sync::{
     LockSink, LockStatsSnapshot, RwLockWriteGuard, SamplePeriod, Stamp, UnownedWriteGuard,
@@ -541,8 +540,10 @@ impl<V> ConcurrentBTree<V> {
     /// parent re-validation cannot cover). The generation only changes
     /// inside an exclusive section, so checking it *after* the validated
     /// window proves the slot held this id's node for the whole window.
-    /// `crates/check/mutants/skip-generation-check.patch` removes its
-    /// latched twin in `olc_get_latched`.
+    /// The OLC range walk makes the same check on every leaf-chain hop,
+    /// where no parent re-validation backs it up;
+    /// `crates/check/mutants/skip-generation-check.patch` removes it
+    /// there.
     ///
     /// On any failed window the descent restarts from the deepest
     /// recorded ancestor whose version still validates (or the root).
@@ -560,8 +561,8 @@ impl<V> ConcurrentBTree<V> {
     /// slab slots are never deallocated, so even a torn id dereferences
     /// to *initialized* memory and is then rejected by generation or
     /// version validation). The caller must guarantee `leaf_read` obeys
-    /// it too; in particular `leaf_read` must not materialize heap-owning
-    /// values (see [`OlcValue`]).
+    /// it too; in particular `leaf_read` may copy words out (keys, `u64`
+    /// values) but must not materialize a heap-owning value.
     #[allow(unsafe_code)]
     unsafe fn olc_descend<R>(
         &self,
@@ -1209,79 +1210,41 @@ impl<V> ConcurrentBTree<V> {
     }
 }
 
-impl<V: OlcValue> ConcurrentBTree<V> {
-    /// Looks `key` up, cloning the value out.
+/// The read API serves word values: an OLC read copies its value out of
+/// an unvalidated window, and only a word survives a torn copy as a
+/// wrong value that validation discards, never as undefined behaviour.
+impl ConcurrentBTree<u64> {
+    /// Looks `key` up, copying the value out.
     ///
-    /// On an OLC tree the descent is latch-free; the value itself is
-    /// cloned inside the unvalidated read window only for types whose
-    /// [`OlcValue`] impl vouches for it (`V::IN_WINDOW`). Heap-owning
-    /// values are materialized under one brief shared leaf latch
-    /// instead — still zero latches on every inner level.
+    /// On an OLC tree no level is latched: the value word is copied out
+    /// of the leaf's read window, which the version check then
+    /// validates.
     #[allow(unsafe_code)]
-    pub fn get(&self, key: &u64) -> Option<V> {
+    pub fn get(&self, key: &u64) -> Option<u64> {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::SEARCH);
         self.counters.record_op();
         let out = if self.policy().read == ReadPolicy::Olc {
-            if V::IN_WINDOW {
-                // Defensive indexing: keys/vals can disagree mid-write;
-                // a miss is discarded by the failed validation.
-                // SAFETY: `V::IN_WINDOW` is set only by an `unsafe impl
-                // OlcValue` asserting that cloning a torn `V` is a
-                // plain byte copy of plain old data — at worst a wrong
-                // value, discarded on failed validation, never UB. The
-                // other closure reads follow `olc_descend`'s contract.
-                unsafe {
-                    self.olc_descend(*key, |n| {
-                        let i = n.find(*key).ok()?;
-                        n.vals().get(i).cloned()
-                    })
-                }
-                .1
-            } else {
-                self.olc_get_latched(*key)
+            // Defensive indexing: keys/vals can disagree mid-write; a
+            // miss is discarded by the failed validation.
+            // SAFETY: the leaf closure scans the clamped key words and
+            // copies one value word out — at worst a wrong word,
+            // discarded on failed validation. The routing reads follow
+            // `olc_descend`'s contract.
+            unsafe {
+                self.olc_descend(*key, |n| {
+                    let i = n.find(*key).ok()?;
+                    n.vals().get(i).copied()
+                })
             }
+            .1
         } else {
             let (leaf, held) = self.read_leaf(*key);
-            let out = leaf.leaf_get(*key).cloned();
+            let out = leaf.leaf_get(*key).copied();
             release_read(leaf, held);
             out
         };
         cbtree_obs::trace::op_end(cbtree_obs::opcode::SEARCH, out.is_some());
         out
-    }
-
-    /// OLC lookup for values that must not be cloned inside an
-    /// unvalidated window (`V::IN_WINDOW == false`): the descent to the
-    /// leaf stays latch-free, then the value is materialized under a
-    /// shared latch on the leaf alone — the only reader latch such an
-    /// operation ever takes. If the leaf split after the locator window
-    /// closed, right links are chased latched, as in the link protocol;
-    /// if the leaf's slot was **recycled** in the unlatched gap between
-    /// locator and latch, the stale guard is detected and the locator
-    /// redone — the generation check
-    /// `crates/check/mutants/skip-generation-check.patch` removes.
-    #[allow(unsafe_code)]
-    fn olc_get_latched(&self, key: u64) -> Option<V> {
-        'relocate: loop {
-            // SAFETY: the locator closure reads nothing from the node.
-            let (mut cur, ()) = unsafe { self.olc_descend(key, |_| ()) };
-            let mut carried = None;
-            loop {
-                let g = self.latch_read(cur, carried);
-                if g.stale() {
-                    drop(g);
-                    self.counters.record_olc_restart(false);
-                    continue 'relocate;
-                }
-                if g.covers(key) {
-                    return g.leaf_get(key).cloned();
-                }
-                let next = g.right.expect("covers");
-                self.counters.record_chase();
-                carried = g.release(None); // at most one latch at a time
-                cur.goto(next);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1303,7 +1266,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// and pays a fresh descent. Inserts that would overflow the leaf
     /// fall back to the protocol's native insert path, holding nothing
     /// across the call, so split correctness stays in one place.
-    pub fn execute_batch(&self, mut ops: Vec<BatchOp<V>>) -> BatchOutcome<V> {
+    pub fn execute_batch(&self, mut ops: Vec<BatchOp<u64>>) -> BatchOutcome<u64> {
         let mut scratch = BatchScratch::default();
         let summary = self.execute_batch_in(&mut ops, &mut scratch);
         BatchOutcome {
@@ -1319,8 +1282,8 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// per batch.
     pub fn execute_batch_in(
         &self,
-        ops: &mut Vec<BatchOp<V>>,
-        scratch: &mut BatchScratch<V>,
+        ops: &mut Vec<BatchOp<u64>>,
+        scratch: &mut BatchScratch<u64>,
     ) -> BatchSummary {
         use cbtree_obs::{opcode, trace};
         let BatchScratch { sorted, results } = scratch;
@@ -1335,7 +1298,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
         // By key, then submission order: a stable sort that never
         // allocates.
         sorted.sort_unstable_by_key(|(i, op)| (op.key(), *i));
-        let mut held: Option<WriteGuard<'_, V>> = None;
+        let mut held: Option<WriteGuard<'_, u64>> = None;
         for (i, op) in sorted.drain(..) {
             let key = op.key();
             let leaf = match held.take() {
@@ -1378,7 +1341,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                 BatchOp::Get(k) => {
                     trace::op_begin(opcode::SEARCH);
                     self.counters.record_op();
-                    let out = leaf.leaf_get(k).cloned();
+                    let out = leaf.leaf_get(k).copied();
                     trace::op_end(opcode::SEARCH, out.is_some());
                     results[i as usize] = out;
                     held = Some(leaf);
@@ -1436,7 +1399,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// thread's retained latches (an early commit): the chain walk takes
     /// blocking shared latches, which would self-deadlock on a leaf this
     /// thread retains exclusively.
-    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
+    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         cbtree_obs::trace::op_begin(cbtree_obs::opcode::RANGE);
         let out = self.range_impl(lo, hi);
         cbtree_obs::trace::op_end(cbtree_obs::opcode::RANGE, !out.is_empty());
@@ -1444,7 +1407,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     }
 
     #[allow(unsafe_code)]
-    fn range_impl(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
+    fn range_impl(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         self.counters.record_op();
         let mut out = Vec::new();
         if lo >= hi {
@@ -1454,23 +1417,23 @@ impl<V: OlcValue> ConcurrentBTree<V> {
             self.txn_spill();
         }
         match self.policy().read {
-            ReadPolicy::Olc if V::IN_WINDOW => {
+            ReadPolicy::Olc => {
                 // Latch-free chain walk: each leaf is one validated read
                 // window; a torn window retries the same leaf, so pages
                 // are appended exactly once, while a stale leaf (slot
                 // recycled mid-walk) re-descends to the resume cursor.
-                // Weakly consistent, like the latched scans.
+                // Weakly consistent, like the latched scans. A right
+                // link is followed with no parent re-validation, so the
+                // generation check is all that tells a recycled slot
+                // from the leaf the link named.
                 // SAFETY: the locator closure reads nothing; the page
-                // closure walks the node's clamped POD key words beside
-                // its values, copies POD node ids, and clones `V` in-window
-                // only because `V::IN_WINDOW` (an `unsafe impl
-                // OlcValue`) asserts that is a plain byte copy — at
-                // worst a wrong value, discarded on validation.
+                // closure walks the node's clamped key words beside its
+                // value words and copies node ids — at worst wrong
+                // words, discarded on validation.
                 let mut cursor = lo;
                 let (mut cur, ()) = unsafe { self.olc_descend(cursor, |_| ()) };
                 loop {
                     self.counters.record_validation();
-                    #[allow(unsafe_code)]
                     let attempt = unsafe {
                         cur.read_optimistic(|n| {
                             if !n.covers(cursor) {
@@ -1481,7 +1444,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                             let mut page = Vec::new();
                             for (&k, v) in n.keys().iter().zip(n.vals()) {
                                 if k >= cursor && k < hi {
-                                    page.push((k, v.clone()));
+                                    page.push((k, *v));
                                 }
                             }
                             let next = if n.high.is_none_or(|h| h >= hi) {
@@ -1531,9 +1494,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
             }
             // Every other protocol walks the leaf chain latched, one
             // shared latch at a time, from the leaf candidate its own
-            // descent finds — OLC over heap-owning values
-            // (`!V::IN_WINDOW`, which cannot be cloned inside an
-            // unvalidated window) through a latch-free locator.
+            // descent finds.
             _ => {
                 let mut cursor = lo;
                 let (mut cur, mut carried) = self.range_start(cursor);
@@ -1546,11 +1507,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                         // only empty leaves are vacuumed, and crossing a
                         // live leaf advances the cursor to its high key.
                         drop(g);
-                        if self.policy().read == ReadPolicy::Olc {
-                            self.counters.record_olc_restart(false);
-                        } else {
-                            self.counters.record_restart();
-                        }
+                        self.counters.record_restart();
                         (cur, carried) = self.range_start(cursor);
                         continue;
                     }
@@ -1561,7 +1518,7 @@ impl<V: OlcValue> ConcurrentBTree<V> {
                     } else {
                         for (&k, v) in g.keys().iter().zip(g.vals()) {
                             if k >= cursor && k < hi {
-                                out.push((k, v.clone()));
+                                out.push((k, *v));
                             }
                         }
                         match g.high {
@@ -1586,13 +1543,12 @@ impl<V: OlcValue> ConcurrentBTree<V> {
     /// Where a latched range walk starts: the leaf candidate for `key`,
     /// unlatched, found the protocol's way, with the stamp of the last
     /// latch released on the way there.
-    #[allow(unsafe_code)]
-    fn range_start(&self, key: u64) -> (NodeRef<'_, V>, Option<Stamp>) {
+    fn range_start(&self, key: u64) -> (NodeRef<'_, u64>, Option<Stamp>) {
         match self.policy().read {
             ReadPolicy::Crab | ReadPolicy::RetainAll => self.crab_leaf_candidate(key),
             ReadPolicy::Link => self.link_descend(key, 1, None),
-            // SAFETY: the locator closure reads nothing.
-            ReadPolicy::Olc => (unsafe { self.olc_descend(key, |_| ()) }.0, None),
+            // OLC ranges walk the leaf chain latch-free in `range_impl`.
+            ReadPolicy::Olc => unreachable!("OLC ranges take no latch"),
         }
     }
 }
@@ -1615,13 +1571,13 @@ mod tests {
 
     #[test]
     fn insert_and_get_sequentially() {
-        let tree: ConcurrentBTree<u32> = ConcurrentBTree::new(Protocol::LockCoupling, 8);
+        let tree: ConcurrentBTree<u64> = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         for k in 0..500u64 {
-            assert!(tree.insert(k * 3, k as u32).is_none());
+            assert!(tree.insert(k * 3, k).is_none());
         }
         assert_eq!(tree.len(), 500);
         for k in 0..500u64 {
-            assert_eq!(tree.get(&(k * 3)), Some(k as u32));
+            assert_eq!(tree.get(&(k * 3)), Some(k));
             assert_eq!(tree.get(&(k * 3 + 1)), None);
         }
         tree.check().unwrap();
@@ -1640,7 +1596,7 @@ mod tests {
     fn remove_roundtrip() {
         let tree = ConcurrentBTree::new(Protocol::LockCoupling, 8);
         for k in 0..200u64 {
-            tree.insert(k, k as u32);
+            tree.insert(k, k);
         }
         assert_eq!(tree.remove(&100), Some(100));
         assert_eq!(tree.remove(&100), None);
@@ -1875,61 +1831,6 @@ mod tests {
         let d = tree.counters().since(&before);
         assert_eq!(d.restarts, 0, "no concurrent writers, no restarts");
         assert_eq!(d.v_restarts_writer + d.v_restarts_version, 0);
-    }
-
-    #[test]
-    fn olc_heap_values_materialize_under_leaf_latch() {
-        // `String` values must never be cloned inside an unvalidated
-        // window (a torn clone would dereference a torn pointer); the
-        // engine routes them through the latched-leaf path instead.
-        // Inner levels stay latch-free, so with height ≥ 2 the read
-        // latch count is exactly one per get — never one per level.
-        let tree = ConcurrentBTree::new(Protocol::Olc, 4);
-        for k in 0..500u64 {
-            tree.insert(k, format!("v{k}"));
-        }
-        assert!(tree.height() >= 2);
-        let before = tree.counters();
-        for k in 0..500u64 {
-            assert_eq!(tree.get(&k), Some(format!("v{k}")));
-        }
-        assert_eq!(tree.range(100, 110).len(), 10);
-        let reads = tree.counters().since(&before);
-        assert!(reads.r_latch_total() > 0, "values cloned under a latch");
-        assert!(
-            (reads.r_latch_total() as usize) < 501 * tree.height(),
-            "inner levels stay latch-free"
-        );
-        assert_eq!(reads.w_latch_total(), 0);
-    }
-
-    #[test]
-    fn olc_heap_values_survive_concurrent_splits() {
-        let tree = Arc::new(ConcurrentBTree::new(Protocol::Olc, 4));
-        for k in 0..300u64 {
-            tree.insert(k * 100, format!("stable-{k}"));
-        }
-        std::thread::scope(|s| {
-            let w = Arc::clone(&tree);
-            s.spawn(move || {
-                for k in 0..10_000u64 {
-                    w.insert(2 * k + 1, format!("churn-{k}"));
-                }
-            });
-            for _ in 0..3 {
-                let r = Arc::clone(&tree);
-                s.spawn(move || {
-                    for k in 0..300u64 {
-                        assert_eq!(
-                            r.get(&(k * 100)).as_deref(),
-                            Some(format!("stable-{k}").as_str()),
-                            "pre-existing value lost or torn"
-                        );
-                    }
-                });
-            }
-        });
-        tree.check().unwrap();
     }
 
     // Two-Phase.

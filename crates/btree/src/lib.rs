@@ -1,6 +1,6 @@
 //! Real in-memory concurrent B+-trees implementing the three algorithms
 //! of Johnson & Shasha (PODS 1990), usable as an ordinary concurrent
-//! ordered map from `u64` keys to arbitrary values.
+//! ordered map from `u64` keys to `u64` values.
 //!
 //! There is one tree type, [`ConcurrentBTree`]: the same node
 //! representation, the same split/merge machinery, latched by the
@@ -33,6 +33,11 @@
 //!   (all of them, or the leaf's only) until an explicit transaction
 //!   commit.
 //!
+//! The tree stores any value type, but the read API (`get`, `range`,
+//! the batch methods) serves `u64` values: an OLC read copies its value
+//! out of a window no latch protects, and only a word survives a torn
+//! copy as a wrong value that validation discards.
+//!
 //! All trees are merge-at-empty with lazy reclamation (a node that loses
 //! its last key remains linked; §3.2 of the paper argues merge-at-empty
 //! is the right policy for concurrent B-trees, and with insert-dominated
@@ -53,13 +58,13 @@
 //!         let tree = &tree;
 //!         s.spawn(move || {
 //!             for i in 0..1000u64 {
-//!                 tree.insert(t * 1000 + i, format!("v{i}"));
+//!                 tree.insert(t * 1000 + i, i);
 //!             }
 //!         });
 //!     }
 //! });
 //! assert_eq!(tree.len(), 4000);
-//! assert_eq!(tree.get(&2999).as_deref(), Some("v999"));
+//! assert_eq!(tree.get(&2999), Some(999));
 //!
 //! // The protocol is a value: pick it at run time.
 //! let algo: Protocol = "lock-coupling".parse().unwrap();
@@ -76,11 +81,9 @@ pub mod batch;
 pub mod counters;
 pub mod descent;
 pub mod node;
-pub mod olc;
 
 pub use arena::{Arena, NodeId, NodeRef};
 pub use batch::{BatchOp, BatchOutcome, BatchScratch, BatchSummary};
 pub use cbtree_btree_model::Protocol;
 pub use counters::OpCountersSnapshot;
 pub use descent::ConcurrentBTree;
-pub use olc::OlcValue;

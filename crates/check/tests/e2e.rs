@@ -1,13 +1,14 @@
 //! End-to-end correctness-pillar tests: the real protocols (the paper's
 //! three plus OLC) survive perturbed stress with a linearizable verdict
-//! and clean audits, and a directed slot-recycling race on a real OLC
-//! tree stays linearizable. The planted bugs that must fail these checks
-//! live in `crates/check/mutants/`.
+//! and clean audits, and directed slot-recycling races on a real OLC
+//! tree keep its gets linearizable and its range scans complete. The
+//! planted bugs that must fail these checks live in
+//! `crates/check/mutants/`.
 
 use cbtree_btree::{ConcurrentBTree, Protocol};
 use cbtree_check::history::{record, Clock, History, Op};
 use cbtree_check::stress::{run_stress, StressConfig};
-use cbtree_check::{audit_with_contents, check_history, CheckConfig, Verdict};
+use cbtree_check::{audit, audit_with_contents, check_history, CheckConfig, Verdict};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -63,8 +64,7 @@ fn real_protocols_are_linearizable_under_perturbed_stress() {
 /// miss, on a real OLC tree whose writer vacuums after every remove, and
 /// returns the checker's verdict together with the number of slots the
 /// vacuum passes reclaimed. On the sound engine the verdict is always
-/// linearizable; `mutants/skip-generation-check.patch` removes the
-/// generation check and opens the reader's window, and must be convicted.
+/// linearizable.
 ///
 /// Random stress essentially never convicts that bug, and for an
 /// instructive reason: a leaf only recycles once it *drains*, and by then
@@ -181,5 +181,96 @@ fn reads_across_slot_recycling_stay_linearizable() {
             matches!(verdict, Verdict::Linearizable { .. }),
             "attempt {attempt}: a read across slot recycling convicted: {verdict:?}"
         );
+    }
+}
+
+/// Races OLC range scans against a writer that drains one middle leaf
+/// and vacuums it, and returns the stable keys of the first scan that
+/// did not return each of them exactly once (if any), together with the
+/// number of slots the vacuum passes reclaimed.
+///
+/// The latch-free range walk follows each right link with no parent
+/// re-validation, so when the leaf a link named is vacuumed before the
+/// walk reads it, the slot's generation is the only sign: a retired
+/// slot is an empty leaf with no high key and no right link, which a
+/// walk that skips the check takes for the end of the tree.
+/// `mutants/skip-generation-check.patch` removes that check and parks
+/// the walk on its first hop, and must be convicted.
+///
+/// The drained leaf `B` is the second child of the leftmost level-2
+/// node (vacuum never reclaims a first child), so a scan from key 0
+/// reads the leftmost leaf and then hops to `B`. Every key outside `B`
+/// is present from prefill to teardown and no write targets it, so a
+/// scan must return each of them exactly once whatever it overlaps.
+fn range_recycle_race() -> (Option<Vec<u64>>, usize) {
+    const KEYS: u64 = 48;
+    let tree = ConcurrentBTree::new(Protocol::Olc, 4);
+    for k in 0..KEYS {
+        tree.insert(k, k);
+    }
+    let drained: Vec<u64> = {
+        let mut p = tree.root_handle();
+        while p.read().level > 2 {
+            let first = p.read().kid(0).expect("internal");
+            p.goto(first);
+        }
+        let b = p.read().kid(1).expect("a split leaves two children");
+        p.goto(b);
+        let keys = p.read().keys().to_vec();
+        keys
+    };
+    let stable: Vec<u64> = (0..KEYS).filter(|k| !drained.contains(k)).collect();
+
+    let done = AtomicBool::new(false);
+    let reclaimed = AtomicUsize::new(0);
+    let bad_scan = std::thread::scope(|s| {
+        let reader = s.spawn(|| loop {
+            // Read `done` before the scan, so one scan starts after the
+            // drain has finished.
+            let last = done.load(Ordering::Acquire);
+            let got: Vec<u64> = tree
+                .range(0, KEYS)
+                .into_iter()
+                .map(|(k, _)| k)
+                .filter(|k| !drained.contains(k))
+                .collect();
+            if got != stable {
+                return Some(got);
+            }
+            if last {
+                return None;
+            }
+        });
+        s.spawn(|| {
+            // Let the reader's first scan reach `B` (a pause, not a
+            // barrier: the window is inside the engine's `range`).
+            std::thread::sleep(Duration::from_millis(1));
+            for &k in &drained {
+                tree.remove(&k);
+                reclaimed.fetch_add(tree.vacuum(), Ordering::Relaxed);
+            }
+            done.store(true, Ordering::Release);
+        });
+        reader.join().unwrap()
+    });
+    audit(&tree).unwrap_or_else(|e| panic!("audit: {e}"));
+    (bad_scan, reclaimed.into_inner())
+}
+
+#[test]
+fn ranges_across_slot_recycling_return_every_stable_key() {
+    let _serial = serial();
+    for attempt in 1..=5 {
+        let (bad_scan, reclaimed) = range_recycle_race();
+        assert!(
+            reclaimed > 0,
+            "attempt {attempt}: the drain recycled no slot, so the race never ran"
+        );
+        if let Some(got) = bad_scan {
+            panic!(
+                "attempt {attempt}: a range across slot recycling did not return \
+                 every stable key once: {got:?}"
+            );
+        }
     }
 }

@@ -718,14 +718,11 @@ impl<T: ?Sized, S> FcfsRwLock<T, S> {
     ///   `[...]`) — lengths may be torn, and the protected structure
     ///   must never reallocate its buffers while shared (the B-tree
     ///   pre-reserves node vectors at construction).
-    /// * `f` materializes no heap-owning value out of the data: cloning
-    ///   a torn `String`/`Vec` dereferences a torn pointer, which is
-    ///   undefined behavior *before* validation ever runs. Plain-old
-    ///   data (integers, levels, keys) may be copied out. `Arc`s stored
-    ///   in the data may be cloned only when the caller separately
-    ///   guarantees that every pointer value the slot can hold refers
-    ///   to an allocation kept alive for the whole structure lifetime
-    ///   (the B-tree's never-unlinked node discipline).
+    /// * `f` copies only words out of the data (integers, levels, keys,
+    ///   node ids, the B-tree's `u64` values), never a heap-owning
+    ///   value: cloning a torn `String`/`Vec` dereferences a torn
+    ///   pointer, which is undefined behavior *before* validation ever
+    ///   runs.
     /// * On `None` the caller discards the result entirely.
     #[allow(unsafe_code)]
     pub unsafe fn read_optimistic<R>(&self, f: impl FnOnce(&T) -> R) -> Option<(u64, R)> {

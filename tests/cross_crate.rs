@@ -268,7 +268,7 @@ fn facade_reexports_compose() {
     .unwrap();
     assert!(report.completed > 0);
 
-    let tree = ConcurrentBTree::<&'static str>::new(Protocol::BLink, 16);
-    tree.insert(1, "one");
-    assert_eq!(tree.get(&1), Some("one"));
+    let tree = ConcurrentBTree::<u64>::new(Protocol::BLink, 16);
+    tree.insert(1, 10);
+    assert_eq!(tree.get(&1), Some(10));
 }
